@@ -5,18 +5,17 @@ defects, and the pair-field transfer identity.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import (L1, L1_ZERO, SCALAR, PairVector, SupportedVector,
-                           boundary_pairs, dirac, entry_gap, l1_distance,
-                           pi_sum)
+from .coefficients import (L1, L1_ZERO, SCALAR, SupportedVector,
+                           boundary_pairs, dirac, entry_gap, pi_sum)
 from .cochains import (DEFAULT_AUDIT_BUDGET, DEFAULT_SAMPLE_SIZE, EXACT_TOL,
-                       NORM_BOUND_TOL, AuditReport, Cochain, audit_equal,
-                       audit_points, cochain_sub, diff_D, split_s)
-from .space import FiniteMetricSpace
+                       NORM_BOUND_TOL, AuditRecord, AuditReport, Cochain,
+                       _sup_scan, audit_equal, audit_points, cochain_sub,
+                       diff_D, split_s)
+from .space import REAL_METRIC_SLACK, FiniteMetricSpace
 
 PROB_SUM_TOL = 1e-12
 UNIT_SUM_TOL = 1e-9
@@ -100,7 +99,7 @@ def lazy_walk_family(space: FiniteMetricSpace, steps: int,
     if not 0.0 < laziness < 1.0:
         raise ValueError("laziness must sit strictly between 0 and 1")
     adj = (space.dist == 1).astype(float) if space.integer_metric else (
-        (space.dist > 0) & (space.dist <= 1.0 + 1e-12)).astype(float)
+        (space.dist > 0) & (space.dist <= 1.0 + REAL_METRIC_SLACK)).astype(float)
     deg = adj.sum(axis=1)
     if np.any(deg == 0) and space.n > 1:
         raise ValueError("lazy walk needs every point to have a unit neighbor")
@@ -164,7 +163,8 @@ def pairs_within(space: FiniteMetricSpace, r: float):
     return out
 
 
-def _profile_chunk(entries_list, pairs):
+def _max_pair_variation(vectors, pairs):
+    entries_list = [v.entries for v in vectors]
     best = -1.0
     best_pair = None
     for i, j in pairs:
@@ -177,36 +177,19 @@ def _profile_chunk(entries_list, pairs):
         for k, b in ve.items():
             if k not in ue:
                 total += b if b >= 0 else -b
-        if total > best or (total == best and (best_pair is None
-                                               or (i, j) < best_pair)):
+        if total > best:
             best = total
             best_pair = (i, j)
     return best, best_pair
 
 
-def _max_pair_variation(vectors, pairs, workers: int = 1):
-    entries_list = [v.entries for v in vectors]
-    if workers <= 1 or len(pairs) < 256:
-        return _profile_chunk(entries_list, pairs)
-    chunk = (len(pairs) + workers - 1) // workers
-    parts = [pairs[k:k + chunk] for k in range(0, len(pairs), chunk)]
-    best, best_pair = -1.0, None
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for got, got_pair in pool.map(_profile_chunk, [entries_list] * len(parts),
-                                      parts):
-            if got > best or (got == best and got_pair is not None
-                              and (best_pair is None or got_pair < best_pair)):
-                best, best_pair = got, got_pair
-    return best, best_pair
-
-
 def variation_profile(space: FiniteMetricSpace, schedule, r_list,
-                      family=ball_average, workers: int = 1) -> ProfileTable:
+                      family=ball_average) -> ProfileTable:
     """nu(S, R) = max over pairs within R of ||f_S(x1) - f_S(x0)||_1.
 
     Exact O(n^2) pair enumeration; the witness pair is the lexicographically
-    first maximizer, independent of worker count. Single points never vary
-    (nu uses x0 != x1 pairs; none exist for n = 1, giving nu = 0).
+    first maximizer. Single points never vary (nu uses x0 != x1 pairs; none
+    exist for n = 1, giving nu = 0).
     """
     rows = []
     for s in schedule:
@@ -214,7 +197,7 @@ def variation_profile(space: FiniteMetricSpace, schedule, r_list,
         for r in r_list:
             pairs = pairs_within(space, r)
             if pairs:
-                nu, pair = _max_pair_variation(fam.vectors, pairs, workers)
+                nu, pair = _max_pair_variation(fam.vectors, pairs)
             else:
                 nu, pair = 0.0, (0, 0)
             rows.append(ProfileRow(float(s), float(r), float(nu),
@@ -299,16 +282,13 @@ def convolve(f: Cochain, theta: Cochain) -> Cochain:
     tcall = theta.__call__
 
     def rule(xs, ys):
-        fv = fcall(xs, ())
         ent: dict = {}
         sca = 0.0
-        if module == SCALAR:
-            for z, w in fv.entries.items():
-                sca += w * tcall((z,), ys).scalar
-        else:
-            for z, w in fv.entries.items():
-                for k, u in tcall((z,), ys).entries.items():
-                    ent[k] = ent.get(k, 0.0) + w * u
+        for z, w in fcall(xs, ()).entries.items():
+            v = tcall((z,), ys)
+            sca += w * v.scalar
+            for k, u in v.entries.items():
+                ent[k] = ent.get(k, 0.0) + w * u
         return SupportedVector(module, ent, sca)
 
     wit = None
@@ -336,7 +316,7 @@ def averaged_split(fam: ReiterFamily, phi: Cochain) -> Cochain:
 
 
 @dataclass
-class DefectReport:
+class DefectReport(AuditRecord):
     """Audited ||f*phi - phi|| against ||f|| ||D phi||_S with S = f.s.
 
     telescope_gap is the worst per-entry violation of the exact rewriting
@@ -350,9 +330,6 @@ class DefectReport:
     family_norm: float
     dphi_sup: float
     telescope_gap: float
-    witness: tuple | None
-    exact: bool
-    samples: int | None
     tol: float = NORM_BOUND_TOL
 
     @property
@@ -363,10 +340,8 @@ class DefectReport:
         return {"check": "homotopy_defect", "S": self.s,
                 "value": self.defect_norm, "bound": self.bound,
                 "family_norm": self.family_norm, "dphi_sup": self.dphi_sup,
-                "telescope_gap": self.telescope_gap,
-                "witness": None if self.witness is None else
-                [list(self.witness[0]), list(self.witness[1])],
-                "exact": self.exact, "samples": self.samples, "ok": self.ok}
+                "telescope_gap": self.telescope_gap, "ok": self.ok,
+                **self._domain_json()}
 
 
 def homotopy_defect(fam: ReiterFamily, phi: Cochain,
@@ -383,41 +358,30 @@ def homotopy_defect(fam: ReiterFamily, phi: Cochain,
     dphi = diff_D(phi)
     points, exact = audit_points(fam.space, 1, phi.q + 1, 0.0, budget=budget,
                                  sample_size=sample_size, seed=seed)
-    worst = 0.0
-    witness = None
     dphi_sup = 0.0
     telescope_gap = 0.0
-    for xs, ys in points:
+
+    def defect_norm(xs, ys):
+        # also folds this point into dphi_sup and telescope_gap
+        nonlocal dphi_sup, telescope_gap
         dval = defect(xs, ys)
-        dnorm = dval.norm
-        if dnorm > worst:
-            worst = dnorm
-            witness = (xs, ys)
-        fv = fam.vectors[xs[0]]
-        if phi.module == SCALAR:
-            acc = SupportedVector(SCALAR, scalar=sum(
-                w * dphi((xs[0], z), ys).scalar for z, w in fv.entries.items()))
-            for z in fv.entries:
-                val = abs(dphi((xs[0], z), ys).scalar)
-                if val > dphi_sup:
-                    dphi_sup = val
-        else:
-            ent: dict = {}
-            for z, w in fv.entries.items():
-                term = dphi((xs[0], z), ys)
-                tnorm = term.norm
-                if tnorm > dphi_sup:
-                    dphi_sup = tnorm
-                for k, u in term.entries.items():
-                    ent[k] = ent.get(k, 0.0) + w * u
-            acc = SupportedVector(phi.module, ent)
-        gap = entry_gap(dval, acc)
-        if gap > telescope_gap:
-            telescope_gap = gap
+        ent: dict = {}
+        sca = 0.0
+        for z, w in fam.vectors[xs[0]].entries.items():
+            term = dphi((xs[0], z), ys)
+            dphi_sup = max(dphi_sup, term.norm)
+            sca += w * term.scalar
+            for k, u in term.entries.items():
+                ent[k] = ent.get(k, 0.0) + w * u
+        acc = SupportedVector(phi.module, ent, sca)
+        telescope_gap = max(telescope_gap, entry_gap(dval, acc))
+        return dval.norm
+
+    worst, witness = _sup_scan(points, defect_norm)
     fnorm = fam.sup_norm
     report = DefectReport(fam.s, worst, fnorm * dphi_sup, fnorm, dphi_sup,
-                          telescope_gap, witness, exact,
-                          None if exact else len(points))
+                          telescope_gap, exact=exact, witness=witness,
+                          samples=None if exact else len(points))
     if not report.ok:
         raise AssertionError(f"homotopy defect bound violated: {report}")
     return defect, report
@@ -426,15 +390,12 @@ def homotopy_defect(fam: ReiterFamily, phi: Cochain,
 # -- convolution norm bound ------------------------------------------------------
 
 @dataclass
-class ConvBoundReport:
+class ConvBoundReport(AuditRecord):
     """Audited ||f*theta||_R <= ||f||_R ||theta|| with coupled theta points."""
     r: float
     lhs: float
     f_sup: float
     theta_sup: float
-    witness: tuple | None
-    exact: bool
-    samples: int | None
     tol: float = NORM_BOUND_TOL
 
     @property
@@ -444,10 +405,8 @@ class ConvBoundReport:
     def to_json(self) -> dict:
         return {"check": "norm_bound_conv", "R": self.r, "value": self.lhs,
                 "bound": self.f_sup * self.theta_sup, "f_sup": self.f_sup,
-                "theta_sup": self.theta_sup,
-                "witness": None if self.witness is None else
-                [list(self.witness[0]), list(self.witness[1])],
-                "exact": self.exact, "samples": self.samples, "ok": self.ok}
+                "theta_sup": self.theta_sup, "ok": self.ok,
+                **self._domain_json()}
 
 
 def conv_norm_audit(f: Cochain, theta: Cochain, r: float,
@@ -458,25 +417,23 @@ def conv_norm_audit(f: Cochain, theta: Cochain, r: float,
     points, exact = audit_points(f.space, f.p + 1, theta.q + 1, r,
                                  budget=budget, sample_size=sample_size,
                                  seed=seed)
-    lhs = 0.0
-    witness = None
     f_sup = 0.0
     theta_sup = 0.0
-    for xs, ys in points:
+
+    def conv_norm(xs, ys):
+        # also folds this point into f_sup and theta_sup
+        nonlocal f_sup, theta_sup
         val = conv(xs, ys).norm
-        if val > lhs:
-            lhs = val
-            witness = (xs, ys)
         fv = f(xs, ())
-        fnorm = fv.norm
-        if fnorm > f_sup:
-            f_sup = fnorm
+        f_sup = max(f_sup, fv.norm)
         for z in fv.entries:
-            tnorm = theta((z,), ys).norm
-            if tnorm > theta_sup:
-                theta_sup = tnorm
-    return ConvBoundReport(float(r), lhs, f_sup, theta_sup, witness, exact,
-                           None if exact else len(points))
+            theta_sup = max(theta_sup, theta((z,), ys).norm)
+        return val
+
+    lhs, witness = _sup_scan(points, conv_norm)
+    return ConvBoundReport(float(r), lhs, f_sup, theta_sup, exact=exact,
+                           witness=witness,
+                           samples=None if exact else len(points))
 
 
 # -- pair fields and the transfer identity ----------------------------------------
@@ -514,13 +471,11 @@ def transfer_cochain(field, zeta: Cochain) -> Cochain:
     def rule(xs, ys):
         ent: dict = {}
         sca = 0.0
-        for (z0, z1), w in field[xs[0]].entries.items():
-            v = zcall((z0, z1), ys)
-            if module == SCALAR:
-                sca += w * v.scalar
-            else:
-                for k, u in v.entries.items():
-                    ent[k] = ent.get(k, 0.0) + w * u
+        for pair, w in field[xs[0]].entries.items():
+            v = zcall(pair, ys)
+            sca += w * v.scalar
+            for k, u in v.entries.items():
+                ent[k] = ent.get(k, 0.0) + w * u
         return SupportedVector(module, ent, sca)
 
     return Cochain(zeta.space, 0, zeta.q, module, rule, name="T_F")
@@ -542,22 +497,19 @@ def tf_identity(field, theta: Cochain, radius: float | None = None,
         raise ValueError("need exactly one pair vector per point")
     if theta.p != 0:
         raise ValueError("tf_identity needs a column cochain (p = 0)")
+    slack = 0.0 if space.integer_metric else REAL_METRIC_SLACK
     r_ball = 0.0
     r_pair = 0.0
     for x in range(space.n):
         for (z0, z1) in field[x].entries:
-            r_ball = max(r_ball, space.d(x, z0), space.d(x, z1))
+            reach = max(space.d(x, z0), space.d(x, z1))
+            if radius is not None and reach > radius + slack:
+                raise ValueError(
+                    f"support of F({space.label(x)}) escapes the "
+                    f"{radius}-ball at pair ({space.label(z0)}, "
+                    f"{space.label(z1)})")
+            r_ball = max(r_ball, reach)
             r_pair = max(r_pair, space.d(z0, z1))
-    if radius is not None:
-        slack = 0.0 if space.integer_metric else 1e-12
-        if r_ball > radius + slack:
-            for x in range(space.n):
-                for (z0, z1) in field[x].entries:
-                    if max(space.d(x, z0), space.d(x, z1)) > radius + slack:
-                        raise ValueError(
-                            f"support of F({space.label(x)}) escapes the "
-                            f"{radius}-ball at pair ({space.label(z0)}, "
-                            f"{space.label(z1)})")
     boundary = Cochain(space, 0, -1, L1_ZERO,
                        lambda xs, ys: boundary_pairs(field[xs[0]]),
                        support_witness=lambda r: r_ball, name="dF",
@@ -569,16 +521,10 @@ def tf_identity(field, theta: Cochain, radius: float | None = None,
                            sample_size=sample_size, seed=seed, tol=EXACT_TOL)
     points, _ = audit_points(space, 1, theta.q + 1, 0.0, budget=budget,
                              sample_size=sample_size, seed=seed)
-    lhs_sup = 0.0
-    zeta_sup = 0.0
-    for xs, ys in points:
-        val = rhs(xs, ys).norm
-        if val > lhs_sup:
-            lhs_sup = val
-        for (z0, z1) in field[xs[0]].entries:
-            znorm = zeta((z0, z1), ys).norm
-            if znorm > zeta_sup:
-                zeta_sup = znorm
+    lhs_sup, _ = _sup_scan(points, lambda xs, ys: rhs(xs, ys).norm)
+    zeta_sup, _ = _sup_scan(((pair, ys) for xs, ys in points
+                             for pair in field[xs[0]].entries),
+                            lambda zs, ys: zeta(zs, ys).norm)
     f_sup = max((pv.norm for pv in field), default=0.0)
     bound_ok = lhs_sup <= f_sup * zeta_sup + NORM_BOUND_TOL
     return PairingReport(identity, lhs_sup, f_sup, zeta_sup, r_ball, r_pair,

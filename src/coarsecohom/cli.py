@@ -133,8 +133,7 @@ def _cmd_profile(args) -> int:
         family = lambda sp, s: lazy_walk_family(sp, int(s))
     else:
         raise ValueError(f"unknown profile method {args.method!r}")
-    table = variation_profile(space, schedule, r_list, family=family,
-                              workers=args.workers)
+    table = variation_profile(space, schedule, r_list, family=family)
     verdicts = {}
     for r in r_list:
         values = [table.get(s, r).nu for s in schedule]
@@ -147,7 +146,6 @@ def _cmd_profile(args) -> int:
             "method": args.method,
             "schedule": schedule,
             "r_list": r_list,
-            "workers": args.workers,
             "seed": args.seed,
         },
         "space": {"kind": space.meta.get("kind", "custom"), "n": space.n,
@@ -243,8 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated R values (default 1)")
     prof.add_argument("--method", choices=("ball", "walk"), default="ball",
                       help="averaging family (default ball)")
-    prof.add_argument("--workers", type=int, default=1,
-                      help="parallel workers for the pair scan")
     prof.add_argument("--out", metavar="PREFIX",
                       help="write PREFIX.csv and PREFIX.verdict.json")
     prof.set_defaults(func=_cmd_profile)

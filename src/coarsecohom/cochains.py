@@ -22,11 +22,10 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
-from .coefficients import (L1, L1_ZERO, SCALAR, SupportedVector, dirac_diff,
+from .coefficients import (L1_ZERO, SCALAR, SupportedVector, dirac_diff,
                            entry_gap, pi_sum, scalar_of)
-from .space import FiniteMetricSpace, derive_seed, enumerate_tuples
+from .space import (FiniteMetricSpace, _exact_domain, _sample_points,
+                    REAL_METRIC_SLACK, derive_seed, enumerate_tuples)
 
 IDENTITY_TOL = 1e-10
 EXACT_TOL = 1e-12
@@ -216,60 +215,25 @@ def audit_points(space: FiniteMetricSpace, xlen: int, ylen: int, r: float,
     """(x, y) evaluation points: x in the radius-r domain, y unrestricted.
 
     Returns (points, exact). Exhaustive while the joint count fits the
-    budget, otherwise a seeded de-duplicated sample of sample_size points.
+    budget, otherwise a seeded de-duplicated sample of up to
+    min(sample_size, budget) points. Exhaustive lists are shared by all
+    seeds.
     """
-    n = space.n
-    cache_key = ("audit", xlen, ylen, float(r), budget, sample_size, seed)
-    cached = space._tuple_cache.get(cache_key)
-    if cached is not None:
-        return cached
-    xdom = enumerate_tuples(space, xlen - 1, r, budget=budget, seed=seed)
-    if xdom.exact and len(xdom.tuples) * n ** ylen <= budget:
-        ypart = list(product(range(n), repeat=ylen))
-        got = [(xs, ys) for xs in xdom.tuples for ys in ypart], True
-        space._tuple_cache[cache_key] = got
+    cache = space._tuple_cache
+    key = ("audit", xlen, ylen, float(r), budget)
+    got = cache.get(key) or cache.sampled(key + (sample_size,), seed)
+    if got is not None:
+        return got
+    xdom = _exact_domain(space, xlen - 1, r, budget)
+    if xdom is not None and len(xdom) * space.n ** ylen <= budget:
+        ypart = list(product(range(space.n), repeat=ylen))
+        got = cache[key] = [(xs, ys) for xs in xdom.tuples
+                            for ys in ypart], True
         return got
     rng = random.Random(derive_seed(seed, "audit-points", xlen, ylen, float(r)))
-    picked: set = set()
-    want = min(sample_size, budget)
-    limit = 60 * want + 1000
-    attempts = 0
-    if xlen == 1:
-        while len(picked) < want and attempts < limit:
-            attempts += 1
-            xs = (rng.randrange(n),)
-            ys = tuple(rng.randrange(n) for _ in range(ylen))
-            picked.add((xs, ys))
-        got = sorted(picked), False
-        space._tuple_cache[cache_key] = got
-        return got
-    balls = space.balls_list(r)
-    weights = np.cumsum([float(len(b)) ** (xlen - 1) for b in balls])
-    total = float(weights[-1])
-    while len(picked) < want and attempts < limit:
-        attempts += 1
-        v0 = int(np.searchsorted(weights, rng.random() * total, side="right"))
-        if v0 >= n:
-            v0 = n - 1
-        ball = balls[v0]
-        coords = [v0]
-        ok = True
-        for _ in range(xlen - 1):
-            u = ball[rng.randrange(len(ball))]
-            for c in coords[1:]:
-                if not space.within(u, c, r):
-                    ok = False
-                    break
-            if not ok:
-                break
-            coords.append(u)
-        if not ok:
-            continue
-        ys = tuple(rng.randrange(n) for _ in range(ylen))
-        picked.add((tuple(coords), ys))
-    got = sorted(picked), False
-    space._tuple_cache[cache_key] = got
-    return got
+    points, _ = _sample_points(space, xlen - 1, r, ylen,
+                               min(sample_size, budget), rng)
+    return cache.keep_sampled(key + (sample_size,), seed, (points, False))
 
 
 def _witness_json(witness):
@@ -279,21 +243,47 @@ def _witness_json(witness):
     return [list(xs), list(ys)]
 
 
-# -- seminorms -----------------------------------------------------------------
+def _sup_scan(points, measure):
+    """Largest measure(xs, ys) over the (xs, ys) points, starting from 0.0,
+    and the first point attaining it as witness (None if none exceeds 0.0)."""
+    best = 0.0
+    witness = None
+    for xs, ys in points:
+        val = measure(xs, ys)
+        if val > best:
+            best = val
+            witness = (xs, ys)
+    return best, witness
 
-@dataclass
-class SeminormReport:
-    """sup over audited tuples of the value norm; a lower bound if sampled."""
-    r: float
-    value: float
+
+@dataclass(kw_only=True)
+class AuditRecord:
+    """What every audit report says about the domain it scanned.
+
+    exact: the domain was enumerated in full, so the report is a proof on
+    it; otherwise it is a lower bound and samples counts the points
+    obtained. witness: the point attaining the reported sup, or None.
+    """
     exact: bool
     witness: tuple | None
     samples: int | None
 
+    def _domain_json(self) -> dict:
+        return {"exact": self.exact, "witness": _witness_json(self.witness),
+                "samples": self.samples}
+
+
+# -- seminorms -----------------------------------------------------------------
+
+@dataclass
+class SeminormReport(AuditRecord):
+    """sup over audited tuples of the value norm; a lower bound if sampled."""
+    r: float
+    value: float
+
     def to_json(self) -> dict:
         return {"check": "seminorm", "R": self.r, "value": self.value,
-                "exact": self.exact, "witness": _witness_json(self.witness),
-                "samples": self.samples}
+                **self._domain_json()}
 
 
 def seminorm(phi: Cochain, r: float, budget: int = DEFAULT_AUDIT_BUDGET,
@@ -304,37 +294,22 @@ def seminorm(phi: Cochain, r: float, budget: int = DEFAULT_AUDIT_BUDGET,
     points, exact = audit_points(phi.space, phi.p + 1, phi.q + 1, r,
                                  budget=budget, sample_size=sample_size,
                                  seed=seed)
-    best = 0.0
-    witness = None
-    for xs, ys in points:
-        val = phi(xs, ys).norm
-        if val > best:
-            best = val
-            witness = (xs, ys)
-    for xs, ys in include:
-        val = phi(xs, ys).norm
-        if val > best:
-            best = val
-            witness = (xs, ys)
-    report = SeminormReport(float(r), best, exact, witness,
-                            None if exact else len(points) + len(tuple(include)))
-    return report
+    points = points + list(include)
+    best, witness = _sup_scan(points, lambda xs, ys: phi(xs, ys).norm)
+    return SeminormReport(float(r), best, exact=exact, witness=witness,
+                          samples=None if exact else len(points))
 
 
 @dataclass
-class SupportRadiusReport:
+class SupportRadiusReport(AuditRecord):
     """Least S covering every measured support on the joint radius-r domain."""
     r: float
     s: float
-    witness: tuple | None
-    exact: bool
-    samples: int | None
     within_witness: bool | None = None
 
     def to_json(self) -> dict:
         return {"check": "support_radius", "R": self.r, "value": self.s,
-                "exact": self.exact, "witness": _witness_json(self.witness),
-                "samples": self.samples, "within_witness": self.within_witness}
+                "within_witness": self.within_witness, **self._domain_json()}
 
 
 def support_radius(phi: Cochain, r: float, budget: int = DEFAULT_AUDIT_BUDGET,
@@ -346,55 +321,45 @@ def support_radius(phi: Cochain, r: float, budget: int = DEFAULT_AUDIT_BUDGET,
     support to any tuple coordinate. Large S is data, not failure.
     """
     space = phi.space
-    degree = phi.p + phi.q + 1
-    dom = enumerate_tuples(space, degree, r, budget=budget, seed=seed)
+    dom = enumerate_tuples(space, phi.p + phi.q + 1, r, budget=budget,
+                           seed=seed)
     cut = phi.p + 1
-    worst = 0.0
-    witness = None
-    for t in dom.tuples:
-        xs, ys = t[:cut], t[cut:]
+
+    def reach(xs, ys):
         supp = phi(xs, ys).entries
-        if not supp:
-            continue
-        for c in t:
-            for w in supp:
-                dcw = space.d(c, w)
-                if dcw > worst:
-                    worst = dcw
-                    witness = (xs, ys)
+        return max((space.d(c, w) for c in xs + ys for w in supp),
+                   default=0.0)
+
+    worst, witness = _sup_scan(((t[:cut], t[cut:]) for t in dom.tuples),
+                               reach)
     within = None
     if phi.support_witness is not None:
-        slack = 0.0 if space.integer_metric else 1e-12
+        slack = 0.0 if space.integer_metric else REAL_METRIC_SLACK
         within = worst <= phi.support_witness(float(r)) + slack
-    return SupportRadiusReport(float(r), worst, witness, dom.exact,
-                               None if dom.exact else len(dom.tuples), within)
+    return SupportRadiusReport(float(r), worst, within, exact=dom.exact,
+                               witness=witness,
+                               samples=None if dom.exact else len(dom.tuples))
 
 
 # -- identity audits ------------------------------------------------------------
 
 @dataclass
-class AuditReport:
+class AuditReport(AuditRecord):
     check: str
     p: int
     q: int
     r: float
     max_violation: float
-    exact: bool
-    witness: tuple | None
-    samples: int | None
+    tol: float = IDENTITY_TOL
 
     @property
     def ok(self) -> bool:
         return self.max_violation <= self.tol
 
-    tol: float = IDENTITY_TOL
-
     def to_json(self) -> dict:
         return {"check": self.check, "p": self.p, "q": self.q, "R": self.r,
-                "max_violation": self.max_violation, "exact": self.exact,
-                "witness": _witness_json(self.witness),
-                "samples": self.samples, "tol": self.tol,
-                "ok": self.ok}
+                "max_violation": self.max_violation, "tol": self.tol,
+                "ok": self.ok, **self._domain_json()}
 
 
 def audit_equal(check: str, lhs: Cochain, rhs: Cochain | None, r: float,
@@ -408,22 +373,10 @@ def audit_equal(check: str, lhs: Cochain, rhs: Cochain | None, r: float,
     points, exact = audit_points(lhs.space, lhs.p + 1, lhs.q + 1, r,
                                  budget=budget, sample_size=sample_size,
                                  seed=seed)
-    worst = 0.0
-    witness = None
-    if rhs is None:
-        for xs, ys in points:
-            gap = entry_gap(lhs(xs, ys))
-            if gap > worst:
-                worst = gap
-                witness = (xs, ys)
-    else:
-        for xs, ys in points:
-            gap = entry_gap(lhs(xs, ys), rhs(xs, ys))
-            if gap > worst:
-                worst = gap
-                witness = (xs, ys)
-    return AuditReport(check, lhs.p, lhs.q, float(r), worst, exact, witness,
-                       None if exact else len(points), tol)
+    worst, witness = _sup_scan(points, lambda xs, ys: entry_gap(
+        lhs(xs, ys), None if rhs is None else rhs(xs, ys)))
+    return AuditReport(check, lhs.p, lhs.q, float(r), worst, tol, exact=exact,
+                       witness=witness, samples=None if exact else len(points))
 
 
 def audit_zero(check: str, lhs: Cochain, r: float, **kw) -> AuditReport:
@@ -433,7 +386,7 @@ def audit_zero(check: str, lhs: Cochain, r: float, **kw) -> AuditReport:
 # -- operator norm bounds ---------------------------------------------------------
 
 @dataclass
-class BoundReport:
+class BoundReport(AuditRecord):
     """Audited ||result||_R <= factor * ||base|| with coupled base points.
 
     rhs is the sup of ||base|| over exactly the points the triangle
@@ -445,9 +398,6 @@ class BoundReport:
     lhs: float
     rhs: float
     factor: float
-    exact: bool
-    witness: tuple | None
-    samples: int | None
     tol: float = NORM_BOUND_TOL
 
     @property
@@ -457,8 +407,7 @@ class BoundReport:
     def to_json(self) -> dict:
         return {"check": self.check, "R": self.r, "value": self.lhs,
                 "bound": self.factor * self.rhs, "factor": self.factor,
-                "exact": self.exact, "witness": _witness_json(self.witness),
-                "samples": self.samples, "ok": self.ok}
+                "ok": self.ok, **self._domain_json()}
 
 
 def _audit_bound(check: str, result: Cochain, base: Cochain, couple,
@@ -467,20 +416,11 @@ def _audit_bound(check: str, result: Cochain, base: Cochain, couple,
     points, exact = audit_points(result.space, result.p + 1, result.q + 1, r,
                                  budget=budget, sample_size=sample_size,
                                  seed=seed)
-    lhs = 0.0
-    rhs = 0.0
-    witness = None
-    for xs, ys in points:
-        val = result(xs, ys).norm
-        if val > lhs:
-            lhs = val
-            witness = (xs, ys)
-        for bxs, bys in couple(xs, ys):
-            bval = base(bxs, bys).norm
-            if bval > rhs:
-                rhs = bval
-    return BoundReport(check, float(r), lhs, rhs, factor, exact, witness,
-                       None if exact else len(points))
+    lhs, witness = _sup_scan(points, lambda xs, ys: result(xs, ys).norm)
+    rhs, _ = _sup_scan((pt for xs, ys in points for pt in couple(xs, ys)),
+                       lambda xs, ys: base(xs, ys).norm)
+    return BoundReport(check, float(r), lhs, rhs, factor, exact=exact,
+                       witness=witness, samples=None if exact else len(points))
 
 
 def diff_D_norm_audit(phi: Cochain, r: float, budget: int = DEFAULT_AUDIT_BUDGET,
@@ -542,18 +482,22 @@ def johnson_cocycles(space: FiniteMetricSpace, audit: bool = True,
                   lambda xs, ys: dirac_diff(ys[0], xs[0]),
                   support_witness=wit, name="hom")
     if audit:
-        r = 1.0
-        checks = [
-            audit_zero("D(j01)=0", diff_D(j01), r, budget=budget, seed=seed,
-                       tol=EXACT_TOL),
-            audit_zero("d(j01)=0", diff_d(j01), r, budget=budget, seed=seed,
-                       tol=EXACT_TOL),
-            audit_equal("D(hom)=-j10", diff_D(hom), cochain_scale(j10, -1.0),
-                        r, budget=budget, seed=seed, tol=EXACT_TOL),
-            audit_equal("d(hom)=j01", diff_d(hom), j01, r, budget=budget,
-                        seed=seed, tol=EXACT_TOL),
-        ]
-        bad = [c for c in checks if not c.ok]
+        bad = [c for c in johnson_relations(j01, j10, hom, 1.0, budget=budget,
+                                            seed=seed, tol=EXACT_TOL)
+               if not c.ok]
         if bad:
             raise AssertionError(f"Johnson identities failed: {bad[0]}")
     return j01, j10, hom
+
+
+def johnson_relations(j01: Cochain, j10: Cochain, hom: Cochain, r: float,
+                      **kw) -> list[AuditReport]:
+    """Audits of D j01 = 0, d j01 = 0, D hom = -j10 and d hom = j01 at
+    radius r; kw goes to every audit."""
+    return [
+        audit_zero("D(j01)=0", diff_D(j01), r, **kw),
+        audit_zero("d(j01)=0", diff_d(j01), r, **kw),
+        audit_equal("D(hom)=-j10", diff_D(hom), cochain_scale(j10, -1.0), r,
+                    **kw),
+        audit_equal("d(hom)=j01", diff_d(hom), j01, r, **kw),
+    ]

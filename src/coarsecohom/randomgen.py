@@ -12,8 +12,7 @@ from __future__ import annotations
 import random
 
 from .averaging import ReiterFamily
-from .coefficients import (L1, L1_ZERO, SCALAR, PairVector, SupportedVector,
-                           as_l1_zero, dirac)
+from .coefficients import L1, L1_ZERO, SCALAR, PairVector, SupportedVector
 from .cochains import Cochain
 from .space import FiniteMetricSpace, derive_seed
 

@@ -5,11 +5,10 @@ and the certificate that the splitting does not preserve invariance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .coefficients import L1_ZERO, dirac_diff
-from .cochains import (EXACT_TOL, AuditReport, Cochain, audit_zero, diff_D,
-                       diff_d, seminorm, split_s)
+from .cochains import (EXACT_TOL, Cochain, audit_zero, diff_D, diff_d,
+                       johnson_cocycles, seminorm, split_s)
 from .space import FiniteMetricSpace
 
 
@@ -188,9 +187,7 @@ def counterexample_s_not_invariant(space: FiniteMetricSpace,
     """
     if space.n < 2:
         raise ValueError("need at least two points for the certificate")
-    phi = Cochain(space, 0, 1, L1_ZERO,
-                  lambda xs, ys: dirac_diff(ys[1], ys[0]),
-                  support_witness=lambda r: r, name="j01")
+    phi, _, _ = johnson_cocycles(space, audit=False)
     r_used = max(1.0, space.min_positive_distance())
     flat = audit_zero("D(j01)=0", diff_D(phi), r_used, budget=budget,
                       seed=seed, tol=EXACT_TOL)

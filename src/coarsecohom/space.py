@@ -30,6 +30,29 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.blake2b(blob, digest_size=8).digest(), "big")
 
 
+class _TupleCache(dict):
+    """Tuple domains and audit points of one space.
+
+    Entries that no seed affects (exact domains, over-budget markers, exact
+    audit-point lists) sit under their plain key. Sampled entries are kept
+    for the most recent seed only, so auditing one space under many seeds
+    keeps the cache bounded.
+    """
+
+    seed = None
+
+    def sampled(self, key: tuple, seed: int):
+        return self.get(("sampled", seed) + key)
+
+    def keep_sampled(self, key: tuple, seed: int, value):
+        if seed != self.seed:
+            for old in [k for k in self if k[0] == "sampled"]:
+                del self[old]
+            self.seed = seed
+        self[("sampled", seed) + key] = value
+        return value
+
+
 class FiniteMetricSpace:
     """Points 0..n-1 with a symmetric distance matrix.
 
@@ -51,7 +74,7 @@ class FiniteMetricSpace:
         self._ball_lists: dict[float, list[tuple[int, ...]]] = {}
         self._ball_sets: dict[float, list[frozenset]] = {}
         self._dist_rows: list | None = None
-        self._tuple_cache: dict[tuple, "TupleDomain"] = {}
+        self._tuple_cache = _TupleCache()
         if validate:
             self.validate()
 
@@ -467,50 +490,67 @@ def _enumerate_exact(space: FiniteMetricSpace, p: int, r: float, budget: int):
     return out
 
 
+def _sample_points(space: FiniteMetricSpace, p: int, r: float, ylen: int,
+                   count: int, rng: random.Random):
+    """The rejection sampler behind every sampled tuple and audit domain.
+
+    x is drawn from the radius-r (p+1)-tuple domain: the first coordinate
+    with weight |B_r(x0)|^p, the rest uniformly from B_r(x0), rejecting
+    inadmissible proposals, so an accepted x is uniform over the domain.
+    Each accepted x gets ylen free y-coordinates. Returns the sorted distinct
+    (x, y) pairs, at most `count` of them, and the number of proposals.
+    """
+    n = space.n
+    # with p = 0 the whole domain has n ** (ylen + 1) points
+    want = min(count, n ** (ylen + 1)) if p == 0 else count
+    limit = 60 * count + 1000
+    if p > 0:
+        balls = space.balls_list(r)
+        cum = np.cumsum([float(len(b)) ** p for b in balls])
+        total = float(cum[-1])
+    picked: set = set()
+    attempts = 0
+    while len(picked) < want and attempts < limit:
+        attempts += 1
+        if p == 0:
+            coords = [rng.randrange(n)]
+        else:
+            v0 = int(np.searchsorted(cum, rng.random() * total, side="right"))
+            coords = [min(v0, n - 1)]
+            ball = balls[coords[0]]
+        for _ in range(p):
+            u = ball[rng.randrange(len(ball))]
+            if not all(space.within(u, c, r) for c in coords[1:]):
+                break
+            coords.append(u)
+        else:
+            picked.add((tuple(coords),
+                        tuple(rng.randrange(n) for _ in range(ylen))))
+    return sorted(picked), attempts
+
+
 def sample_tuples(space: FiniteMetricSpace, p: int, r: float, count: int,
                   seed: int, tag: str = "tuple-sample"):
     """Uniform seeded sample of distinct tuples from the radius-r domain.
 
-    First coordinate drawn with weight |B_r(x0)|^p, the rest uniformly from
-    B_r(x0), rejecting inadmissible proposals: conditional on acceptance the
-    draw is uniform over the whole domain.
+    Returns (sorted tuples, sampler proposals); see _sample_points.
     """
     rng = random.Random(derive_seed(seed, tag, p, float(r)))
-    n = space.n
-    if p == 0:
-        picked_set: set = set()
-        attempts = 0
-        while len(picked_set) < min(count, n) and attempts < 60 * count + 1000:
-            attempts += 1
-            picked_set.add((rng.randrange(n),))
-        return sorted(picked_set), attempts
-    balls = space.balls_list(r)
-    weights = [float(len(b)) ** p for b in balls]
-    cum = np.cumsum(weights)
-    total = float(cum[-1])
-    picked: set = set()
-    attempts = 0
-    limit = 60 * count + 1000
-    while len(picked) < count and attempts < limit:
-        attempts += 1
-        v0 = int(np.searchsorted(cum, rng.random() * total, side="right"))
-        if v0 >= n:
-            v0 = n - 1
-        ball = balls[v0]
-        coords = [v0]
-        ok = True
-        for _ in range(p):
-            u = ball[rng.randrange(len(ball))]
-            for c in coords[1:]:
-                if not space.within(u, c, r):
-                    ok = False
-                    break
-            if not ok:
-                break
-            coords.append(u)
-        if ok:
-            picked.add(tuple(coords))
-    return sorted(picked), attempts
+    points, attempts = _sample_points(space, p, r, 0, count, rng)
+    return [xs for xs, _ in points], attempts
+
+
+def _exact_domain(space: FiniteMetricSpace, p: int, r: float,
+                  budget: int) -> TupleDomain | None:
+    """The whole domain, or None when it exceeds the budget; neither
+    depends on a seed, so both are cached under a seed-free key."""
+    key = ("exact", p, float(r), budget)
+    cache = space._tuple_cache
+    if key not in cache:
+        tuples = _enumerate_exact(space, p, r, budget)
+        cache[key] = (None if tuples is None
+                      else TupleDomain(space, p, float(r), tuples))
+    return cache[key]
 
 
 def enumerate_tuples(space: FiniteMetricSpace, p: int, r: float,
@@ -519,16 +559,14 @@ def enumerate_tuples(space: FiniteMetricSpace, p: int, r: float,
     """Exact domain when it fits the budget, else a seeded uniform sample."""
     if p < 0:
         raise ValueError("tuple degree must be >= 0")
-    key = (p, float(r), budget, seed)
-    cached = space._tuple_cache.get(key)
-    if cached is not None:
-        return cached
-    exact = _enumerate_exact(space, p, r, budget)
-    if exact is not None:
-        dom = TupleDomain(space, p, float(r), exact, exact=True)
-    else:
+    dom = _exact_domain(space, p, r, budget)
+    if dom is not None:
+        return dom
+    key = ("domain", p, float(r), budget)
+    dom = space._tuple_cache.sampled(key, seed)
+    if dom is None:
         sampled, attempts = sample_tuples(space, p, r, budget, seed)
-        dom = TupleDomain(space, p, float(r), sampled, exact=False,
-                          attempts=attempts)
-    space._tuple_cache[key] = dom
+        dom = space._tuple_cache.keep_sampled(
+            key, seed, TupleDomain(space, p, float(r), sampled, exact=False,
+                                   attempts=attempts))
     return dom

@@ -12,11 +12,11 @@ from .averaging import (ball_average, conv_norm_audit, convolve,
 from .coefficients import (L1, L1_ZERO, SCALAR, boundary_pairs, entry_gap,
                            include_in_l1, l1_distance, lift_boundary,
                            lift_scalar, pi_sum)
-from .cochains import (EXACT_TOL, IDENTITY_TOL, Cochain, audit_equal,
-                       audit_zero, cochain_add, cochain_scale, diff_D,
-                       diff_D_norm_audit, diff_d, diff_d_norm_audit,
-                       johnson_cocycles, seminorm, split_s,
-                       split_s_norm_audit)
+from .cochains import (EXACT_TOL, IDENTITY_TOL, Cochain, _witness_json,
+                       audit_equal, audit_zero, cochain_add, cochain_scale,
+                       diff_D, diff_D_norm_audit, diff_d, diff_d_norm_audit,
+                       johnson_cocycles, johnson_relations, seminorm,
+                       split_s, split_s_norm_audit)
 from .randomgen import (random_cochain, random_pair_field, random_prob_family,
                         random_unit_sum_cochain, random_x_independent_cochain,
                         random_zero_sum_vector)
@@ -28,6 +28,7 @@ SUITE_NAMES = ("complex-identities", "splitting", "johnson", "convolution",
 
 _BIDEGREES = ((0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1))
 _MODULES = (L1, L1_ZERO, SCALAR)
+_ROWS = (-1, 0, 1)
 
 
 @dataclass
@@ -41,6 +42,12 @@ class VerifyOptions:
     identity_tol: float = IDENTITY_TOL
     exact_tol: float = EXACT_TOL
 
+    @property
+    def audit(self) -> dict:
+        """The audit-domain keywords every audit call takes."""
+        return {"budget": self.budget, "sample_size": self.sample_size,
+                "seed": self.seed}
+
     def resolved_count(self, default: int) -> int:
         return default if self.count is None else self.count
 
@@ -53,6 +60,15 @@ def pick_module(i: int) -> str:
     return _MODULES[i % len(_MODULES)]
 
 
+def _splitting_identity(phi: Cochain):
+    """(check name, cochain that must equal phi): ds + sd = id for q >= 0,
+    sd = id on the row q = -1."""
+    if phi.q >= 0:
+        return "ds+sd=id", cochain_add(diff_d(split_s(phi)),
+                                       split_s(diff_d(phi)))
+    return "sd=id(row-1)", split_s(diff_d(phi))
+
+
 def identity_checks_for(phi: Cochain, r_list, budget: int, sample_size: int,
                         seed: int, tol: float = IDENTITY_TOL):
     """The five complex identities, audited where they apply to phi."""
@@ -60,21 +76,13 @@ def identity_checks_for(phi: Cochain, r_list, budget: int, sample_size: int,
     dd_left = diff_D(diff_D(phi))
     dd_right = diff_d(diff_d(phi))
     anti = cochain_add(diff_D(diff_d(phi)), diff_d(diff_D(phi)))
-    hom = None
-    row = None
-    if phi.q >= 0:
-        hom = cochain_add(diff_d(split_s(phi)), split_s(diff_d(phi)))
-    else:
-        row = split_s(diff_d(phi))
+    split_name, split = _splitting_identity(phi)
     for r in r_list:
         kw = dict(budget=budget, sample_size=sample_size, seed=seed, tol=tol)
         checks.append(audit_zero("DD=0", dd_left, r, **kw))
         checks.append(audit_zero("dd=0", dd_right, r, **kw))
         checks.append(audit_zero("Dd+dD=0", anti, r, **kw))
-        if hom is not None:
-            checks.append(audit_equal("ds+sd=id", hom, phi, r, **kw))
-        if row is not None:
-            checks.append(audit_equal("sd=id(row-1)", row, phi, r, **kw))
+        checks.append(audit_equal(split_name, split, phi, r, **kw))
     return checks
 
 
@@ -91,17 +99,13 @@ def run_complex_identities(space: FiniteMetricSpace,
         p, q = pick_bidegree(i)
         phi = random_cochain(space, p, q, pick_module(i),
                              derive_seed(opts.seed, "ci", i))
-        for rep in identity_checks_for(phi, opts.r_list, opts.budget,
-                                       opts.sample_size, opts.seed,
-                                       opts.identity_tol):
-            checks.append(rep.to_json() | {"instance": i})
+        reports = identity_checks_for(phi, opts.r_list, opts.budget,
+                                      opts.sample_size, opts.seed,
+                                      opts.identity_tol)
         for r in opts.r_list:
-            checks.append(diff_D_norm_audit(
-                phi, r, budget=opts.budget, sample_size=opts.sample_size,
-                seed=opts.seed).to_json() | {"instance": i})
-            checks.append(diff_d_norm_audit(
-                phi, r, budget=opts.budget, sample_size=opts.sample_size,
-                seed=opts.seed).to_json() | {"instance": i})
+            reports += [diff_D_norm_audit(phi, r, **opts.audit),
+                        diff_d_norm_audit(phi, r, **opts.audit)]
+        checks += [rep.to_json() | {"instance": i} for rep in reports]
     return _suite("complex-identities", checks)
 
 
@@ -109,42 +113,26 @@ def run_splitting(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
     count = opts.resolved_count(60)
     checks = []
     for i in range(count):
-        q = (-1, 0, 1)[i % 3]
-        p = (0, 1)[i % 2]
-        phi = random_cochain(space, p, q, pick_module(i),
+        phi = random_cochain(space, i % 2, _ROWS[i % 3], pick_module(i),
                              derive_seed(opts.seed, "split", i))
-        kw = dict(budget=opts.budget, sample_size=opts.sample_size,
-                  seed=opts.seed, tol=opts.identity_tol)
+        split_name, split = _splitting_identity(phi)
+        reports = []
         for r in opts.r_list:
-            if q >= 0:
-                hom = cochain_add(diff_d(split_s(phi)), split_s(diff_d(phi)))
-                checks.append(audit_equal("ds+sd=id", hom, phi, r,
-                                          **kw).to_json() | {"instance": i})
-                checks.append(split_s_norm_audit(
-                    phi, r, budget=opts.budget,
-                    sample_size=opts.sample_size,
-                    seed=opts.seed).to_json() | {"instance": i})
-            else:
-                checks.append(audit_equal(
-                    "sd=id(row-1)", split_s(diff_d(phi)), phi, r,
-                    **kw).to_json() | {"instance": i})
+            reports.append(audit_equal(split_name, split, phi, r,
+                                       tol=opts.identity_tol, **opts.audit))
+            if phi.q >= 0:
+                reports.append(split_s_norm_audit(phi, r, **opts.audit))
+        checks += [rep.to_json() | {"instance": i} for rep in reports]
     return _suite("splitting", checks)
 
 
 def run_johnson(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
     j01, j10, hom = johnson_cocycles(space, audit=False)
-    kw = dict(budget=opts.budget, sample_size=opts.sample_size,
-              seed=opts.seed, tol=opts.exact_tol)
     checks = []
     for r in opts.r_list:
-        checks.append(audit_zero("D(j01)=0", diff_D(j01), r, **kw).to_json())
-        checks.append(audit_zero("d(j01)=0", diff_d(j01), r, **kw).to_json())
-        checks.append(audit_equal("D(hom)=-j10", diff_D(hom),
-                                  cochain_scale(j10, -1.0), r, **kw).to_json())
-        checks.append(audit_equal("d(hom)=j01", diff_d(hom), j01, r,
-                                  **kw).to_json())
-        rep = seminorm(j01, r, budget=opts.budget,
-                       sample_size=opts.sample_size, seed=opts.seed)
+        checks += [c.to_json() for c in johnson_relations(
+            j01, j10, hom, r, tol=opts.exact_tol, **opts.audit)]
+        rep = seminorm(j01, r, **opts.audit)
         checks.append(rep.to_json() | {
             "check": "seminorm(j01)=2",
             "ok": abs(rep.value - 2.0) <= opts.exact_tol})
@@ -155,41 +143,37 @@ def run_convolution(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
     count = opts.resolved_count(40)
     checks = []
     delta = dirac_family(space).as_cochain()
-    kw = dict(budget=opts.budget, sample_size=opts.sample_size,
-              seed=opts.seed)
+    r0 = opts.r_list[0]
+    tight = dict(tol=opts.exact_tol, **opts.audit)
+    loose = dict(tol=opts.identity_tol, **opts.audit)
     for i in range(count):
-        q = (-1, 0, 1)[i % 3]
-        module = (L1, L1_ZERO, SCALAR)[(i // 3) % 3]
+        q = _ROWS[i % 3]
+        module = pick_module(i // 3)
         theta = random_cochain(space, 0, q, module,
                                derive_seed(opts.seed, "conv-t", i))
-        f = random_cochain(space, (0, 1)[i % 2], -1, L1,
+        f = random_cochain(space, i % 2, -1, L1,
                            derive_seed(opts.seed, "conv-f", i))
-        checks.append(audit_equal(
-            "delta*theta=theta", convolve(delta, theta), theta, opts.r_list[0],
-            tol=opts.exact_tol, **kw).to_json() | {"instance": i})
         conv = convolve(f, theta)
-        checks.append(audit_equal(
-            "D(f*theta)=(Df)*theta", diff_D(conv),
-            convolve(diff_D(f), theta), opts.r_list[0],
-            tol=opts.identity_tol, **kw).to_json() | {"instance": i})
         d_right = convolve(f, diff_d(theta))
         if f.p % 2 == 1:
             d_right = cochain_scale(d_right, -1.0)
-        checks.append(audit_equal(
-            "d(f*theta)=(-1)^p f*(d theta)", diff_d(conv), d_right,
-            opts.r_list[0],
-            tol=opts.identity_tol, **kw).to_json() | {"instance": i})
-        for r in opts.r_list:
-            checks.append(conv_norm_audit(f, theta, r, **kw).to_json()
-                          | {"instance": i})
         prob = random_prob_family(space, 1.0 + (i % 2),
                                   derive_seed(opts.seed, "conv-p", i))
         xind = random_x_independent_cochain(space, q, module,
                                             derive_seed(opts.seed, "conv-x", i))
-        checks.append(audit_equal(
-            "prob*xindep=xindep", convolve(prob.as_cochain(), xind), xind,
-            opts.r_list[0], tol=opts.exact_tol, **kw).to_json()
-            | {"instance": i})
+        reports = [
+            audit_equal("delta*theta=theta", convolve(delta, theta), theta,
+                        r0, **tight),
+            audit_equal("D(f*theta)=(Df)*theta", diff_D(conv),
+                        convolve(diff_D(f), theta), r0, **loose),
+            audit_equal("d(f*theta)=(-1)^p f*(d theta)", diff_d(conv),
+                        d_right, r0, **loose),
+            *(conv_norm_audit(f, theta, r, **opts.audit)
+              for r in opts.r_list),
+            audit_equal("prob*xindep=xindep",
+                        convolve(prob.as_cochain(), xind), xind, r0, **tight),
+        ]
+        checks += [rep.to_json() | {"instance": i} for rep in reports]
     return _suite("convolution", checks)
 
 
@@ -206,13 +190,10 @@ def run_defect_bound(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
                                      derive_seed(opts.seed, "def-f", i))
         else:
             fam = dirac_family(space)
-        phi = random_cochain(space, 0, (-1, 0, 1)[i % 3],
-                             (L1, L1_ZERO)[i % 2],
+        phi = random_cochain(space, 0, _ROWS[i % 3], pick_module(i % 2),
                              derive_seed(opts.seed, "def-t", i))
         try:
-            _, rep = homotopy_defect(fam, phi, budget=opts.budget,
-                                     sample_size=opts.sample_size,
-                                     seed=opts.seed)
+            _, rep = homotopy_defect(fam, phi, **opts.audit)
         except AssertionError as exc:
             checks.append({"check": "homotopy_defect", "instance": i,
                            "ok": False, "error": str(exc)})
@@ -230,11 +211,9 @@ def run_pairing(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
         field = random_pair_field(space, 1.0 + (i % 2),
                                   derive_seed(opts.seed, "pair-f", i),
                                   lift_style=i % 2 == 1)
-        theta = random_cochain(space, 0, (-1, 0, 1)[i % 3],
-                               (L1, L1_ZERO, SCALAR)[i % 3],
+        theta = random_cochain(space, 0, _ROWS[i % 3], pick_module(i),
                                derive_seed(opts.seed, "pair-t", i))
-        rep = tf_identity(field, theta, budget=opts.budget,
-                          sample_size=opts.sample_size, seed=opts.seed)
+        rep = tf_identity(field, theta, **opts.audit)
         checks.append(rep.to_json() | {"instance": i})
     rng_points = space.n
     for i in range(opts.resolved_count(20)):
@@ -293,12 +272,9 @@ def run_ses(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
 def run_counterexample(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
     rep = counterexample_s_not_invariant(space, budget=opts.budget,
                                          seed=opts.seed)
-    witness = rep["witness"]
-    check = dict(rep)
-    check["check"] = "s_breaks_invariance"
-    check["witness"] = (None if witness is None
-                        else [list(witness[0]), list(witness[1])])
-    check["ok"] = rep["passed"]
+    check = rep | {"check": "s_breaks_invariance",
+                   "witness": _witness_json(rep["witness"]),
+                   "ok": rep["passed"]}
     return _suite("counterexample", [check])
 
 

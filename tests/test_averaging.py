@@ -60,14 +60,6 @@ def test_profile_agrees_with_seminorm_of_D():
         assert abs(nu - rep.value) <= 1e-12
 
 
-def test_profile_workers_agree():
-    # R=2 on the 8x8 torus gives 384 pairs, enough to cross the chunking
-    # threshold; results and witnesses must not depend on worker count
-    serial = cc.variation_profile(TORUS8, [1, 2], [2.0], workers=1)
-    parallel = cc.variation_profile(TORUS8, [1, 2], [2.0], workers=3)
-    assert serial.to_csv() == parallel.to_csv()
-
-
 def test_profile_witness_is_first_maximizer():
     table = cc.variation_profile(CYCLE8, [1], [1.0])
     row = table.get(1, 1.0)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import coarsecohom as cc
 from coarsecohom.cli import main
@@ -151,3 +152,23 @@ def test_verify_unknown_suite(capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "unknown suite" in err and "'all'" in err
+
+
+def test_verify_report_matches_golden(tmp_path, capsys):
+    """The full verify report on cycle8, byte for byte, minus its timestamp.
+
+    The budget and sample size put some audits in the exhaustive branch and
+    the rest in the sampled one. The values rest on CPython's hash() of
+    integer tuples, which seeds the random cochains (see randomgen), so
+    another Python implementation may produce a different report.
+    """
+    target = tmp_path / "report.json"
+    rc = main(["verify", "--family", "cycle", "--size", "8", "--suite", "all",
+               "--count", "2", "--budget", "400", "--sample", "100",
+               "--out", str(target)])
+    assert rc == 0
+    capsys.readouterr()
+    got = "".join(line for line in target.read_text().splitlines(True)
+                  if not line.startswith('  "generated_at": '))
+    golden = Path(__file__).parent / "data" / "verify_cycle8_golden.json"
+    assert got == golden.read_text()
