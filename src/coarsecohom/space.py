@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
@@ -20,6 +19,9 @@ import numpy as np
 REAL_METRIC_SLACK = 1e-12
 TRIANGLE_SCAN_LIMIT = 256
 DEFAULT_TUPLE_BUDGET = 20_000
+# Bytes of neighbour ball rows gathered at once while the balls of a graph
+# grow, so that the gather stays this small whatever the degree.
+_GATHER_CHUNK_BYTES = 1 << 21
 
 _FREE_GEN_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
@@ -58,7 +60,9 @@ class FiniteMetricSpace:
 
     Graph families carry exact integer hop distances and radius comparisons
     are exact; real-valued metrics get a 1e-12 slack when compared against a
-    radius. Instances are treated as immutable after construction.
+    radius. Integer distances are stored in the smallest unsigned dtype that
+    holds their maximum, so arithmetic on `dist` must widen it first
+    (`wide_dist`). Instances are treated as immutable after construction.
     """
 
     def __init__(self, dist, labels=None, integer_metric=None, meta=None,
@@ -66,7 +70,7 @@ class FiniteMetricSpace:
         dist = np.asarray(dist)
         if integer_metric is None:
             integer_metric = np.issubdtype(dist.dtype, np.integer)
-        self.dist = dist.astype(np.int64) if integer_metric else dist.astype(float)
+        self.dist = _compact(dist) if integer_metric else dist.astype(float)
         self.integer_metric = bool(integer_metric)
         self.n = int(dist.shape[0])
         self.labels = list(labels) if labels is not None else None
@@ -92,13 +96,14 @@ class FiniteMetricSpace:
             raise ValueError("distance matrix must be symmetric")
         if np.any(np.diagonal(d) != 0):
             raise ValueError("diagonal distances must be zero")
-        off = d[~np.eye(self.n, dtype=bool)]
-        if off.size and np.any(off <= 0):
+        off = _off_diagonal(d)
+        if off.size and off.min() <= 0:
             raise ValueError("off-diagonal distances must be positive")
         if not self.integer_metric and not np.all(np.isfinite(d)):
             raise ValueError("distances must be finite")
         if self.n <= TRIANGLE_SCAN_LIMIT:
             # full triple scan, vectorized one intermediate point at a time
+            d = self.wide_dist()
             slack = 0 if self.integer_metric else REAL_METRIC_SLACK
             for k in range(self.n):
                 through = d[:, k, None] + d[None, k, :]
@@ -107,6 +112,10 @@ class FiniteMetricSpace:
                     raise ValueError(
                         f"triangle inequality fails: d({i},{j}) > "
                         f"d({i},{k}) + d({k},{j})")
+
+    def wide_dist(self) -> np.ndarray:
+        """`dist` in a dtype arithmetic cannot wrap: int64 or float."""
+        return self.dist.astype(np.int64) if self.integer_metric else self.dist
 
     # -- basic queries ------------------------------------------------------
 
@@ -131,8 +140,7 @@ class FiniteMetricSpace:
     def min_positive_distance(self) -> float:
         if self.n < 2:
             raise ValueError("no positive distances on a single point")
-        off = self.dist[~np.eye(self.n, dtype=bool)]
-        return float(off.min())
+        return float(_off_diagonal(self.dist).min())
 
     def balls_list(self, r: float) -> list[tuple[int, ...]]:
         """Sorted closed-ball membership per point, cached per radius."""
@@ -208,11 +216,30 @@ class FiniteMetricSpace:
         return f"FiniteMetricSpace(n={self.n}, kind={kind!r})"
 
 
+def _compact(dist: np.ndarray) -> np.ndarray:
+    """Integer distances in the smallest unsigned dtype that holds their
+    maximum. A matrix with a negative entry stays int64, so that validate
+    still sees the entry and rejects it."""
+    if dist.dtype.kind not in "iu":
+        dist = dist.astype(np.int64)
+    if dist.size and dist.min() >= 0:
+        return dist.astype(np.min_scalar_type(dist.max()))
+    return dist.astype(np.int64)
+
+
+def _off_diagonal(d: np.ndarray) -> np.ndarray:
+    """The n*n - n off-diagonal entries of a square matrix as an (n-1, n)
+    array, a view when d is C-contiguous: in the flattened matrix exactly n
+    entries lie between two consecutive diagonal entries."""
+    n = d.shape[0]
+    return d.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+
+
 def scaled_metric(space: FiniteMetricSpace, factor: float) -> FiniteMetricSpace:
     """Same point set with every distance multiplied by factor > 0."""
     if factor <= 0:
         raise ValueError("scale factor must be positive")
-    dist = space.dist * factor
+    dist = space.wide_dist() * factor
     integer = space.integer_metric and float(factor).is_integer()
     meta = {"kind": "scaled", "params": {"factor": factor,
                                          "base": space.meta.get("kind")},
@@ -225,44 +252,79 @@ def scaled_metric(space: FiniteMetricSpace, factor: float) -> FiniteMetricSpace:
 # -- graph construction -----------------------------------------------------
 
 def build_graph_metric(edges, n: int, labels=None, meta=None) -> FiniteMetricSpace:
-    """Hop metric of an undirected graph via all-pairs BFS.
+    """Hop metric of an undirected graph; see _hop_distances.
 
     Raises on vertex indices out of range, self-loops, or a disconnected
     graph (the error names two mutually unreachable vertices).
     """
-    adj: list[list[int]] = [[] for _ in range(n)]
     seen = set()
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         if u == v:
             raise ValueError(f"self-loop at vertex {u} is not allowed")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            continue
-        seen.add(key)
-        adj[u].append(v)
-        adj[v].append(u)
-    dist = np.full((n, n), -1, dtype=np.int64)
-    for src in range(n):
-        row = dist[src]
-        row[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            du = row[u]
-            for w in adj[u]:
-                if row[w] < 0:
-                    row[w] = du + 1
-                    queue.append(w)
-        if np.any(row < 0):
-            far = int(np.flatnonzero(row < 0)[0])
+        seen.add((u, v) if u < v else (v, u))
+    meta = dict(meta) if meta else {"kind": "graph", "params": {"n": n}, "seed": 0}
+    if "edges" not in meta:
+        meta["edges"] = sorted(seen)
+    pairs = np.array(list(seen), dtype=np.int64).reshape(-1, 2)
+    del seen  # before the distance step, which needs room of its own
+    dist = _hop_distances(n, pairs)
+    return FiniteMetricSpace(dist, labels=labels, integer_metric=True, meta=meta)
+
+
+def _hop_distances(n: int, edges: np.ndarray) -> np.ndarray:
+    """All-pairs hop distances of the graph on 0..n-1 with the given
+    (m, 2) edge array, every ball grown at once.
+
+    Row u of `reached` is the closed ball B_L(u) as packed bits, starting
+    from B_0(u) = {u}. One level sets B_{L+1}(u) to the union of B_L(v) over
+    the closed neighbourhood of u, read from a CSR adjacency in which every
+    vertex is its own neighbour (so no reduceat segment is empty). d(u, w) is
+    the number of levels L at which w lies outside B_L(u); it is summed in
+    the smallest unsigned dtype that holds n - 1. A level that adds nothing
+    while a bit is still clear means the graph is disconnected.
+    """
+    dist = np.zeros((n, n), dtype=np.min_scalar_type(max(n - 1, 0)))
+    if n == 0:
+        return dist
+    ids = np.arange(n, dtype=np.int32)
+    heads = np.concatenate([edges[:, 0], edges[:, 1], ids]).astype(np.int32)
+    tails = np.concatenate([edges[:, 1], edges[:, 0], ids]).astype(np.int32)
+    nbrs = tails[np.argsort(heads, kind="stable")]
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(heads, minlength=n), out=starts[1:])
+    del heads, tails
+    # vertex blocks [a, b) whose gathered neighbour rows fit the chunk;
+    # rows are 64-bit words, so each OR handles 64 vertices at once
+    width = (n + 63) // 64
+    rows = max(1, _GATHER_CHUNK_BYTES // (8 * width))
+    bounds = [0]
+    while bounds[-1] < n:
+        a = bounds[-1]
+        b = int(np.searchsorted(starts, starts[a] + rows, side="right")) - 1
+        bounds.append(max(a + 1, b))
+    blocks = list(zip(bounds, bounds[1:]))
+
+    reached = np.zeros((n, width), dtype=np.uint64)
+    reached.view(np.uint8)[ids, ids >> 3] = 0x80 >> (ids & 7)  # packbits order
+    grown = np.empty_like(reached)
+    while True:
+        missing = np.unpackbits((~reached).view(np.uint8), axis=1, count=n)
+        if not missing.any():
+            return dist
+        dist += missing
+        for a, b in blocks:
+            lo, hi = starts[a], starts[b]
+            np.bitwise_or.reduceat(reached[nbrs[lo:hi]], starts[a:b] - lo,
+                                   axis=0, out=grown[a:b])
+        if np.array_equal(grown, reached):
+            src = int(np.flatnonzero(missing.any(axis=1))[0])
+            far = int(np.flatnonzero(missing[src])[0])
             raise ValueError(
                 f"graph is disconnected: vertex {far} is unreachable "
                 f"from vertex {src}")
-    meta = dict(meta) if meta else {"kind": "graph", "params": {"n": n}, "seed": 0}
-    meta.setdefault("edges", sorted(seen))
-    return FiniteMetricSpace(dist, labels=labels, integer_metric=True, meta=meta)
+        reached, grown = grown, reached
 
 
 def load_edge_list(text: str, n: int | None = None) -> FiniteMetricSpace:
@@ -359,6 +421,22 @@ def _free_ball_edges(rank: int, radius: int):
     return edges, len(words), [name(w) for w in words]
 
 
+def _connected(n: int, edges: np.ndarray) -> bool:
+    """Whether the (m, 2) edge array reaches every vertex from vertex 0,
+    growing the reached set along all edges at once until it stops."""
+    heads = np.concatenate([edges[:, 0], edges[:, 1]])
+    tails = np.concatenate([edges[:, 1], edges[:, 0]])
+    reach = np.zeros(n, dtype=bool)
+    reach[0] = True
+    count = 1
+    while True:
+        reach[tails[reach[heads]]] = True
+        grown = int(np.count_nonzero(reach))
+        if grown == count:
+            return count == n
+        count = grown
+
+
 def _random_regular_edges(n: int, k: int, seed: int, max_attempts: int = 10_000):
     """Seeded pairing model, rejecting multigraphs and disconnected draws."""
     if n < 1 or k < 1 or k >= n:
@@ -380,23 +458,7 @@ def _random_regular_edges(n: int, k: int, seed: int, max_attempts: int = 10_000)
             seen.add(key)
         if not ok:
             continue
-        # connectivity check before accepting the draw
-        adj = [[] for _ in range(n)]
-        for u, v in seen:
-            adj[u].append(v)
-            adj[v].append(u)
-        reach = [False] * n
-        reach[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if not reach[w]:
-                    reach[w] = True
-                    count += 1
-                    queue.append(w)
-        if count == n:
+        if _connected(n, np.array(list(seen))):
             return sorted(seen), n, None, attempt
     raise ValueError(f"random_regular gave up after {max_attempts} attempts")
 

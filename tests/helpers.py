@@ -5,8 +5,11 @@ deliberately different style from the package (plain dicts, itertools
 filtering, Fraction arithmetic), so agreement is evidence, not tautology.
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 
 def cycle_dist(m, i, j):
@@ -22,6 +25,42 @@ def torus_dist(size, dim, a, b):
         a //= size
         b //= size
     return total
+
+
+def bfs_graph_dist(edges, n):
+    """Hop metric by one queue BFS per source, with the package's edge
+    checks and error texts; raises ValueError where the package must."""
+    adj = [[] for _ in range(n)]
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u} is not allowed")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            continue
+        seen.add(key)
+        adj[u].append(v)
+        adj[v].append(u)
+    dist = np.full((n, n), -1, dtype=np.int64)
+    for src in range(n):
+        row = dist[src]
+        row[src] = 0
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            du = row[u]
+            for w in adj[u]:
+                if row[w] < 0:
+                    row[w] = du + 1
+                    queue.append(w)
+        if np.any(row < 0):
+            far = int(np.flatnonzero(row < 0)[0])
+            raise ValueError(
+                f"graph is disconnected: vertex {far} is unreachable "
+                f"from vertex {src}")
+    return dist
 
 
 def vec_dict(v):

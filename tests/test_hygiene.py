@@ -3,6 +3,9 @@ uses each name it imports. `__init__.py` is skipped, since it imports names
 only to re-export them."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "coarsecohom"
@@ -29,3 +32,15 @@ def test_no_unused_imports():
     assert modules
     unused = [hit for path in modules for hit in _unused_imports(path)]
     assert unused == []
+
+
+def test_cli_import_loads_no_scipy_or_numba():
+    # numpy is the one dependency, and importing it is the start-up cost
+    code = ("import sys, coarsecohom.cli; print(sorted({m.split('.')[0] "
+            "for m in sys.modules} & {'scipy', 'numba'}))")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "[]"

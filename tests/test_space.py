@@ -1,4 +1,7 @@
+import hashlib
 import json
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -6,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coarsecohom as cc
-from helpers import brute_tuples, cycle_dist, torus_dist
+from coarsecohom.space import TRIANGLE_SCAN_LIMIT, _hop_distances
+from helpers import bfs_graph_dist, brute_tuples, cycle_dist, torus_dist
 
 
 def test_cycle_metric_matches_closed_form():
@@ -62,11 +66,136 @@ def test_disconnected_graph_names_both_vertices():
         cc.build_graph_metric([(0, 1), (2, 3)], 4)
 
 
+@st.composite
+def edge_lists(draw):
+    """(n, edges): random graphs with isolated vertices, random connected
+    graphs, complete graphs and paths, each with repeated edges in either
+    orientation and in shuffled order; "bad" lists carry one self-loop or
+    out-of-range edge."""
+    n = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(
+        ["random", "connected", "complete", "path", "bad"]))
+    if shape == "complete":
+        edges = list(combinations(range(n), 2))
+    elif shape == "path":
+        edges = [(i, i + 1) for i in range(n - 1)]
+    else:
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges = [e for e in draw(st.lists(pair, max_size=2 * n))
+                 if e[0] != e[1]]
+        if shape == "connected":
+            edges += [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    if edges:
+        edges += [(v, u) for u, v in
+                  draw(st.lists(st.sampled_from(edges), max_size=5))]
+    edges = list(draw(st.permutations(edges)))
+    if shape == "bad":
+        v = draw(st.integers(0, n - 1))
+        bad = draw(st.sampled_from([(v, v), (v, n + v)]))
+        edges.insert(draw(st.integers(0, len(edges))), bad)
+    return n, edges
+
+
+def _outcome(build, edges, n):
+    try:
+        return build(edges, n)
+    except ValueError as err:
+        return str(err)
+
+
+@settings(deadline=None, max_examples=200)
+@given(edge_lists())
+def test_graph_metric_matches_reference_bfs(case):
+    n, edges = case
+    want = _outcome(bfs_graph_dist, edges, n)
+    got = _outcome(lambda e, m: cc.build_graph_metric(e, m).dist, edges, n)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.dtype.kind == "u"
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind,params,seed,digest", [
+    ("cycle", {"size": 9}, 0,
+     "e7aeb3819df86f33d5499d626495b90c2dcae3c97f268093ab1c35673496945c"),
+    ("path", {"size": 7}, 0,
+     "de0f693fcee6a41f5f1e2cef45ae9b7d30fea3eca63d1aa31f8322f0448ebab1"),
+    ("complete", {"n": 6}, 0,
+     "eff4174ff7b28a927d5cba3f6beed633d25630be6f2a824e834c4bcb67fd833c"),
+    ("torus", {"size": 4, "dim": 2}, 0,
+     "c70c7bb24009c37c91ba9a8ddebce58d2418ff018dcfc08efede4fe915dc3012"),
+    ("free_ball", {"rank": 2, "radius": 2}, 0,
+     "a50083e0f77d9d784dce2ddc6734a7c7dade0b1e327962279f2daa80f24df9ce"),
+    ("random_regular", {"n": 20, "k": 3}, 5,
+     "ef869b54b18016ae8adf3765ef4e35ab3801bc214d95685b83b4fa7211aab43d"),
+])
+def test_family_serialisation_is_stable(kind, params, seed, digest):
+    # digests written by the per-source queue BFS build
+    sp = cc.generate_family(kind, params, seed)
+    assert hashlib.sha256(sp.canonical_json().encode()).hexdigest() == digest
+    assert sp.content_hash() == digest
+
+
+def test_path256_compact_dist_validates_without_wraparound():
+    sp = cc.generate_family("path", {"size": 256})
+    assert sp.n <= TRIANGLE_SCAN_LIMIT
+    assert sp.dist.dtype == np.uint8 and sp.diameter() == 255
+    # uint8 sums such as d(1,0) + d(0,255) = 256 would wrap to 0
+    sp.validate()
+    assert sp.d(1, 255) == 254
+
+
+def test_scaled_compact_metric_widens_first():
+    sp = cc.scaled_metric(cc.generate_family("path", {"size": 200}), 3)
+    assert sp.integer_metric
+    assert sp.d(0, 199) == 597
+    assert sp.dist.dtype == np.uint16
+
+
+def test_negative_integer_distance_is_still_rejected():
+    with pytest.raises(ValueError, match="positive"):
+        cc.FiniteMetricSpace(np.array([[0, -1], [-1, 0]]))
+    raw = cc.FiniteMetricSpace(np.array([[0, -1], [-1, 0]]), validate=False)
+    assert raw.dist.dtype == np.int64
+
+
+def test_dense_integer_matrix_keeps_its_values():
+    sp = cc.FiniteMetricSpace(np.array([[0, 300, 2], [300, 0, 299],
+                                        [2, 299, 0]]))
+    assert sp.dist.dtype == np.uint16
+    assert sp.to_json()["dist"] == [[0, 300, 2], [300, 0, 299], [2, 299, 0]]
+    assert sp.min_positive_distance() == 2.0
+
+
+def test_min_positive_distance_of_fortran_ordered_matrix():
+    d = np.asfortranarray([[0.0, 2.5, 0.75], [2.5, 0.0, 2.0],
+                           [0.75, 2.0, 0.0]])
+    sp = cc.FiniteMetricSpace(d)
+    assert sp.dist.dtype == np.float64
+    assert sp.min_positive_distance() == 0.75
+
+
+def test_distance_step_memory_is_bounded():
+    n = 600
+    edges = np.array(list(combinations(range(n), 2)))
+    tracemalloc.start()
+    try:
+        dist = _hop_distances(n, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(dist, 1 - np.eye(n, dtype=int))
+    assert peak < 16 * 2 ** 20
+
+
 def test_edge_validation():
     with pytest.raises(ValueError, match="out of range"):
         cc.build_graph_metric([(0, 5)], 3)
     with pytest.raises(ValueError, match="self-loop"):
         cc.build_graph_metric([(1, 1)], 3)
+    with pytest.raises(ValueError, match="at least one point"):
+        cc.build_graph_metric([], 0)
 
 
 def test_random_regular_properties():
@@ -114,6 +243,8 @@ def test_json_round_trip_dense_matrix():
     clone = cc.FiniteMetricSpace.from_json(sp.to_json())
     assert clone.d(0, 1) == 1.5
     assert not clone.integer_metric
+    assert clone.dist.dtype == np.float64
+    assert np.array_equal(clone.dist, sp.dist)
 
 
 def test_edge_list_import():
