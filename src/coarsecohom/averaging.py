@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import (L1, L1_ZERO, SCALAR, SupportedVector,
+from .coefficients import (L1, L1_ZERO, PRUNE_TOL, SCALAR, SupportedVector,
                            boundary_pairs, dirac, entry_gap, pi_sum)
 from .cochains import (DEFAULT_AUDIT_BUDGET, DEFAULT_SAMPLE_SIZE, EXACT_TOL,
                        NORM_BOUND_TOL, AuditRecord, AuditReport, Cochain,
@@ -24,6 +24,12 @@ UNIT_SUM_TOL = 1e-9
 class ReiterFamily:
     """One probability (or near-probability) vector per point.
 
+    The family is stored as CSR rows: f(x) has support
+    `cols[indptr[x]:indptr[x + 1]]` and masses in the same slice of
+    `weights`, in the vector's own entry order (ascending for ball and walk
+    rows). `vectors`, the same rows as SupportedVectors, is built on first
+    use.
+
     is_prob certifies: entries nonnegative, entry sum within 1e-12 of 1,
     support of f(x) inside the closed S-ball of x. Violations raise at
     construction, so downstream bounds may rely on the flag.
@@ -31,31 +37,82 @@ class ReiterFamily:
 
     def __init__(self, space: FiniteMetricSpace, s: float, vectors,
                  is_prob: bool = True, name: str = "", validate: bool = True):
+        vectors = list(vectors)
         if len(vectors) != space.n:
             raise ValueError("need exactly one vector per point")
-        self.space = space
-        self.s = float(s)
-        self.vectors = list(vectors)
-        self.is_prob = bool(is_prob)
-        self.name = name
+        indptr = np.zeros(space.n + 1, dtype=np.int64)
+        np.cumsum([len(v.entries) for v in vectors], out=indptr[1:])
+        nnz = int(indptr[-1])
+        cols = np.fromiter((k for v in vectors for k in v.entries),
+                           dtype=np.int64, count=nnz)
+        weights = np.fromiter((w for v in vectors for w in v.entries.values()),
+                              dtype=float, count=nnz)
+        self._setup(space, s, indptr, cols, weights, is_prob, name)
+        self._vectors = vectors
+        self._scalar_row = next((x for x, v in enumerate(vectors)
+                                 if v.module == SCALAR), None)
         if validate:
             self.validate()
 
+    @classmethod
+    def _from_rows(cls, space: FiniteMetricSpace, s: float, indptr, cols,
+                   weights, name: str) -> "ReiterFamily":
+        """A probability family given as CSR rows, one row per point."""
+        fam = cls.__new__(cls)
+        fam._setup(space, s, indptr, cols, weights, True, name)
+        fam._vectors = None
+        fam._scalar_row = None
+        fam.validate()
+        return fam
+
+    def _setup(self, space, s, indptr, cols, weights, is_prob, name):
+        self.space = space
+        self.s = float(s)
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.cols = np.asarray(cols, dtype=np.int64)
+        self.weights = np.asarray(weights, dtype=float)
+        self.is_prob = bool(is_prob)
+        self.name = name
+
+    @property
+    def vectors(self) -> list:
+        if self._vectors is None:
+            cols, weights = self.cols.tolist(), self.weights.tolist()
+            bounds = self.indptr.tolist()
+            self._vectors = [
+                SupportedVector(L1, dict(zip(cols[lo:hi], weights[lo:hi])))
+                for lo, hi in zip(bounds, bounds[1:])]
+        return self._vectors
+
     def validate(self) -> None:
-        for x, v in enumerate(self.vectors):
-            if v.module == SCALAR:
-                raise ValueError("family vectors must be l1-type")
-            for w, weight in v.entries.items():
-                if not self.space.within(x, w, self.s):
-                    raise ValueError(
-                        f"support of f({self.space.label(x)}) escapes its "
-                        f"{self.s}-ball at {self.space.label(w)}")
-                if self.is_prob and weight < 0:
-                    raise ValueError(
-                        f"negative mass {weight!r} in f({self.space.label(x)})")
-            if self.is_prob and abs(pi_sum(v) - 1.0) > PROB_SUM_TOL:
+        """Raise the first violation: points in order, each point's entries
+        in order (an escape before a negative mass), then its sum."""
+        space, indptr = self.space, self.indptr
+        rows = np.repeat(np.arange(space.n), np.diff(indptr))
+        escapes = ~(space.dist[rows, self.cols] <= _radius_bound(space, self.s))
+        bad_entry = escapes | (self.weights < 0) if self.is_prob else escapes
+        bad = np.zeros(space.n, dtype=bool)
+        bad[rows[bad_entry]] = True
+        if self.is_prob:
+            sums = _row_sums(indptr, self.weights)
+            bad |= np.abs(sums - 1.0) > PROB_SUM_TOL
+        if self._scalar_row is not None:
+            bad[self._scalar_row] = True
+        if not bad.any():
+            return
+        x = int(np.argmax(bad))
+        if x == self._scalar_row:
+            raise ValueError("family vectors must be l1-type")
+        for k in range(indptr[x], indptr[x + 1]):
+            if escapes[k]:
                 raise ValueError(
-                    f"f({self.space.label(x)}) sums to {pi_sum(v)!r}, not 1")
+                    f"support of f({space.label(x)}) escapes its "
+                    f"{self.s}-ball at {space.label(int(self.cols[k]))}")
+            if self.is_prob and self.weights[k] < 0:
+                raise ValueError(f"negative mass {float(self.weights[k])!r} "
+                                 f"in f({space.label(x)})")
+        raise ValueError(
+            f"f({space.label(x)}) sums to {float(sums[x])!r}, not 1")
 
     @property
     def sup_norm(self) -> float:
@@ -73,6 +130,29 @@ class ReiterFamily:
                 f"is_prob={self.is_prob})")
 
 
+def _radius_bound(space: FiniteMetricSpace, r: float) -> float:
+    """Largest distance that counts as within r (real metrics get slack)."""
+    return r + (0.0 if space.integer_metric else REAL_METRIC_SLACK)
+
+
+def _row_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sum of each CSR row, added left to right like a Python loop over the
+    row, so each sum equals pi_sum of that row bit for bit."""
+    lengths = np.diff(indptr)
+    total = np.zeros(len(lengths))
+    for c in range(int(lengths.max(initial=0))):
+        live = np.flatnonzero(lengths > c)
+        total[live] += values[indptr[live] + c]
+    return total
+
+
+def _mask_rows(mask: np.ndarray):
+    """indptr and column arrays of the True entries of a square mask."""
+    n = len(mask)
+    flat = np.flatnonzero(mask)
+    return np.searchsorted(flat, np.arange(n + 1) * n), flat % n
+
+
 def dirac_family(space: FiniteMetricSpace) -> ReiterFamily:
     return ReiterFamily(space, 0.0, [dirac(x) for x in range(space.n)],
                         name="dirac")
@@ -80,11 +160,27 @@ def dirac_family(space: FiniteMetricSpace) -> ReiterFamily:
 
 def ball_average(space: FiniteMetricSpace, s: float) -> ReiterFamily:
     """Uniform probability on the closed s-ball of each point."""
-    vectors = []
-    for ball in space.balls_list(s):
-        w = 1.0 / len(ball)
-        vectors.append(SupportedVector(L1, {j: w for j in ball}))
-    return ReiterFamily(space, s, vectors, name=f"ball[{s}]")
+    indptr, cols = _mask_rows(space.dist <= _radius_bound(space, s))
+    sizes = np.diff(indptr)
+    return ReiterFamily._from_rows(space, s, indptr, cols,
+                                   np.repeat(1.0 / sizes, sizes),
+                                   f"ball[{s}]")
+
+
+def _walk_matrix(space: FiniteMetricSpace, laziness: float) -> np.ndarray:
+    """One step of the lazy walk: stay with probability `laziness`, else
+    move to a uniform unit neighbour. Built in place in the adjacency."""
+    if space.n == 1:
+        return np.eye(1)
+    adj = (space.dist == 1).astype(float) if space.integer_metric else (
+        (space.dist > 0) & (space.dist <= 1.0 + REAL_METRIC_SLACK)).astype(float)
+    deg = adj.sum(axis=1)
+    if np.any(deg == 0):
+        raise ValueError("lazy walk needs every point to have a unit neighbor")
+    adj *= 1.0 - laziness
+    adj /= deg[:, None]
+    adj.flat[::space.n + 1] += laziness  # the diagonal of adj is 0.0
+    return adj
 
 
 def lazy_walk_family(space: FiniteMetricSpace, steps: int,
@@ -98,21 +194,12 @@ def lazy_walk_family(space: FiniteMetricSpace, steps: int,
         raise ValueError("steps must be >= 0")
     if not 0.0 < laziness < 1.0:
         raise ValueError("laziness must sit strictly between 0 and 1")
-    adj = (space.dist == 1).astype(float) if space.integer_metric else (
-        (space.dist > 0) & (space.dist <= 1.0 + REAL_METRIC_SLACK)).astype(float)
-    deg = adj.sum(axis=1)
-    if np.any(deg == 0) and space.n > 1:
-        raise ValueError("lazy walk needs every point to have a unit neighbor")
-    walk = laziness * np.eye(space.n)
-    if space.n > 1:
-        walk = walk + (1.0 - laziness) * adj / np.maximum(deg, 1.0)[:, None]
-    else:
-        walk = np.eye(1)
-    mat = np.linalg.matrix_power(walk, steps)
-    vectors = [SupportedVector(L1, {int(j): float(mat[x, j])
-                                    for j in np.flatnonzero(mat[x] > 0)})
-               for x in range(space.n)]
-    return ReiterFamily(space, steps, vectors, name=f"walk[{steps}]")
+    mat = np.linalg.matrix_power(_walk_matrix(space, laziness), steps)
+    # the positive entries a SupportedVector keeps (it prunes below PRUNE_TOL)
+    keep = mat >= PRUNE_TOL
+    indptr, cols = _mask_rows(keep)
+    return ReiterFamily._from_rows(space, steps, indptr, cols, mat[keep],
+                                   f"walk[{steps}]")
 
 
 # -- variation profiles -------------------------------------------------------
@@ -152,35 +239,82 @@ class ProfileTable:
         return [row.to_json() for row in self.rows]
 
 
+def _pair_index(space: FiniteMetricSpace, r: float):
+    """Arrays (i, j) of the pairs i < j with d(i, j) <= r, in
+    lexicographic order."""
+    i, j = np.divmod(np.flatnonzero(space.dist <= _radius_bound(space, r)),
+                     space.n)
+    upper = j > i
+    return i[upper], j[upper]
+
+
 def pairs_within(space: FiniteMetricSpace, r: float):
     """Unordered point pairs (i < j) with d(i, j) <= r."""
-    out = []
-    balls = space.balls_list(r)
-    for i in range(space.n):
-        for j in balls[i]:
-            if j > i:
-                out.append((i, j))
-    return out
+    i, j = _pair_index(space, r)
+    return list(zip(i.tolist(), j.tolist()))
 
 
-def _max_pair_variation(vectors, pairs):
-    entries_list = [v.entries for v in vectors]
-    best = -1.0
-    best_pair = None
-    for i, j in pairs:
-        ue, ve = entries_list[i], entries_list[j]
-        total = 0.0
-        for k, a in ue.items():
-            b = ve.get(k)
-            diff = a - b if b is not None else a
-            total += diff if diff >= 0 else -diff
-        for k, b in ve.items():
-            if k not in ue:
-                total += b if b >= 0 else -b
-        if total > best:
-            best = total
-            best_pair = (i, j)
-    return best, best_pair
+# Bytes of the pair scan's largest temporary, its (pairs x 2 width) term
+# array. Small chunks keep the temporaries in cache and below malloc's
+# default mmap threshold (128 KiB), so they are reused, not mapped afresh.
+_SCAN_CHUNK_BYTES = 1 << 16
+
+
+def _padded_rows(fam: ReiterFamily):
+    """The rows as arrays the pair scan can gather from by point.
+
+    cols (n, width): row x's columns, padded with n, a column no row holds.
+    weights (n, width + 1): row x's masses, padded with 0.0; column `width`
+    is 0.0 in every row. offsets (n, n + 1): the slot of column k in row x,
+    or `width` where row x lacks k (always in column n). Its dtype is the
+    smallest unsigned one that holds `width`: uint8 for rows under 256
+    entries, the size of a compact `dist`.
+    """
+    n = fam.space.n
+    lengths = np.diff(fam.indptr)
+    width = max(int(lengths.max()), 1)
+    rows = np.repeat(np.arange(n), lengths)
+    slot = np.arange(len(rows)) - fam.indptr[rows]
+    cols = np.full((n, width), n, dtype=np.int64)
+    cols[rows, slot] = fam.cols
+    weights = np.zeros((n, width + 1))
+    weights[rows, slot] = fam.weights
+    offsets = np.full((n, n + 1), width, dtype=np.min_scalar_type(width))
+    offsets[rows, fam.cols] = slot
+    return cols, weights, offsets
+
+
+def _pair_variations(cols, weights, offsets, pi, pj) -> np.ndarray:
+    """||f(pj[k]) - f(pi[k])||_1 for each k from _padded_rows arrays,
+    summed term by term in the order of a dict loop: |a - b| (b = 0.0 where
+    row pj lacks the column) over row pi's entries, then |b| over row pj's
+    entries that row pi lacks. Padding adds 0.0 terms and the cumulative
+    sum adds left to right, so every total is that loop's float."""
+    width = cols.shape[1]
+    a, bj = weights[pi, :width], weights[pj, :width]
+    at = np.take(offsets, pj[:, None] * offsets.shape[1] + cols[pi])
+    b = np.take(weights, pj[:, None] * weights.shape[1] + at)
+    only_j = np.take(offsets, pi[:, None] * offsets.shape[1] + cols[pj]) == width
+    terms = np.empty((len(pi), 2 * width))
+    np.abs(a - b, out=terms[:, :width])
+    np.abs(np.where(only_j, bj, 0.0), out=terms[:, width:])
+    return np.cumsum(terms, axis=1)[:, -1]
+
+
+def _max_pair_variation(padded, pi, pj):
+    """Largest pair variation over the pairs (pi[k], pj[k]) of the family
+    whose _padded_rows are `padded`, and the first pair that attains it,
+    scanned in chunks of about _SCAN_CHUNK_BYTES per array."""
+    cols, weights, offsets = padded
+    step = max(1, _SCAN_CHUNK_BYTES // (16 * cols.shape[1]))
+    best, best_at = -1.0, 0
+    for lo in range(0, len(pi), step):
+        total = _pair_variations(cols, weights, offsets, pi[lo:lo + step],
+                                 pj[lo:lo + step])
+        k = int(np.argmax(total))
+        if total[k] > best:
+            best, best_at = float(total[k]), lo + k
+    return best, (int(pi[best_at]), int(pj[best_at]))
 
 
 def variation_profile(space: FiniteMetricSpace, schedule, r_list,
@@ -192,12 +326,15 @@ def variation_profile(space: FiniteMetricSpace, schedule, r_list,
     exist for n = 1, giving nu = 0).
     """
     rows = []
+    pairs: dict = {}
     for s in schedule:
-        fam = family(space, s)
+        padded = _padded_rows(family(space, s))
         for r in r_list:
-            pairs = pairs_within(space, r)
-            if pairs:
-                nu, pair = _max_pair_variation(fam.vectors, pairs)
+            if r not in pairs:
+                pairs[r] = _pair_index(space, r)
+            pi, pj = pairs[r]
+            if len(pi):
+                nu, pair = _max_pair_variation(padded, pi, pj)
             else:
                 nu, pair = 0.0, (0, 0)
             rows.append(ProfileRow(float(s), float(r), float(nu),

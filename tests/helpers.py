@@ -136,3 +136,81 @@ def frac_ball_nu(space, s, r):
             if tot > best:
                 best = tot
     return best
+
+
+def radius_bound(space, r):
+    return r + (0.0 if space.integer_metric else 1e-12)
+
+
+def pairs_reference(space, r):
+    """Pairs i < j within r, by a double loop over the distance oracle."""
+    bound = radius_bound(space, r)
+    return [(i, j) for i in range(space.n) for j in range(i + 1, space.n)
+            if space.d(i, j) <= bound]
+
+
+def max_pair_variation_reference(vectors, pairs):
+    """The per-pair dict loop: the largest ||v_j - v_i||_1 over the pairs,
+    summed entry by entry in dict order, and the first pair attaining it.
+    No pairs give (0.0, (0, 0))."""
+    if not pairs:
+        return 0.0, (0, 0)
+    entries_list = [v.entries for v in vectors]
+    best = -1.0
+    best_pair = None
+    for i, j in pairs:
+        ue, ve = entries_list[i], entries_list[j]
+        total = 0.0
+        for k, a in ue.items():
+            b = ve.get(k)
+            diff = a - b if b is not None else a
+            total += diff if diff >= 0 else -diff
+        for k, b in ve.items():
+            if k not in ue:
+                total += b if b >= 0 else -b
+        if total > best:
+            best = total
+            best_pair = (i, j)
+    return best, best_pair
+
+
+def validate_family_reference(space, s, vectors, is_prob=True):
+    """The per-entry family check: raises the first violation's ValueError,
+    points in order, entries in dict order, then the entry sum."""
+    for x, v in enumerate(vectors):
+        if v.module == "scalar":
+            raise ValueError("family vectors must be l1-type")
+        total = 0.0
+        for w, weight in v.entries.items():
+            if not space.d(x, w) <= radius_bound(space, s):
+                raise ValueError(
+                    f"support of f({space.label(x)}) escapes its "
+                    f"{float(s)}-ball at {space.label(w)}")
+            if is_prob and weight < 0:
+                raise ValueError(
+                    f"negative mass {weight!r} in f({space.label(x)})")
+            total += weight
+        if is_prob and abs(total - 1.0) > 1e-12:
+            raise ValueError(f"f({space.label(x)}) sums to {total!r}, not 1")
+
+
+def walk_matrix_reference(space, laziness):
+    """One lazy-walk step as the sum laziness * I + (1 - laziness) * A / deg."""
+    if space.integer_metric:
+        adj = (space.dist == 1).astype(float)
+    else:
+        adj = ((space.dist > 0) & (space.dist <= 1.0 + 1e-12)).astype(float)
+    deg = adj.sum(axis=1)
+    if space.n == 1:
+        return np.eye(1)
+    return (laziness * np.eye(space.n)
+            + (1.0 - laziness) * adj / np.maximum(deg, 1.0)[:, None])
+
+
+def walk_dicts_reference(space, steps, laziness=0.5):
+    """Row dicts {j: mass} of the walk after `steps` steps, one per point,
+    over the positive entries in ascending j (before any pruning)."""
+    mat = np.linalg.matrix_power(walk_matrix_reference(space, laziness),
+                                 steps)
+    return [{int(j): float(mat[x, j]) for j in np.flatnonzero(mat[x] > 0)}
+            for x in range(space.n)]

@@ -1,10 +1,18 @@
+import re
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coarsecohom as cc
-from coarsecohom import L1, L1_ZERO, SCALAR
-from helpers import frac_ball_nu
+from coarsecohom import L1, L1_ZERO, SCALAR, averaging
+from coarsecohom.coefficients import PRUNE_TOL
+from helpers import (frac_ball_nu, max_pair_variation_reference,
+                     pairs_reference, validate_family_reference,
+                     walk_dicts_reference, walk_matrix_reference)
 
 CYCLE8 = cc.generate_family("cycle", {"size": 8})
 CYCLE64 = cc.generate_family("cycle", {"size": 64})
@@ -115,6 +123,34 @@ def test_reiter_family_validation():
         cc.ReiterFamily(CYCLE8, 1.0, good[:-1])
     # non-probability families skip the positivity and sum checks
     cc.ReiterFamily(CYCLE8, 1.0, negative, is_prob=False)
+
+
+def _vec(entries):
+    return cc.SupportedVector(L1, entries)
+
+
+@pytest.mark.parametrize("rows,is_prob", [
+    # f(1): an escape (d(1,3) = 2) before a negative mass; f(2) sums to 0.5
+    ({1: {3: 0.5, 0: -0.5, 1: 1.0}, 2: {2: 0.5}}, True),
+    # f(1): a negative mass before an escape
+    ({1: {0: -0.5, 3: 1.5}, 5: {1: 1.0}}, True),
+    # bad sum at f(3) before an escape at f(5)
+    ({3: {3: 0.25, 2: 0.25, 4: 0.25}, 5: {1: 1.0}}, True),
+    # a scalar at f(2) before an escape at f(4)
+    ({2: cc.scalar_of(1.0), 4: {0: 1.0}}, True),
+    # no sign or sum checks without is_prob: the escape at f(6) is first
+    ({0: {0: -3.0}, 6: {7: 2.0, 1: 1.0}}, False),
+])
+def test_reiter_family_reports_first_violation(rows, is_prob):
+    vectors = [cc.dirac(x) for x in range(8)]
+    for x, entries in rows.items():
+        if not isinstance(entries, cc.SupportedVector):
+            entries = _vec(entries)
+        vectors[x] = entries
+    with pytest.raises(ValueError) as want:
+        validate_family_reference(CYCLE8, 1.0, vectors, is_prob=is_prob)
+    with pytest.raises(ValueError, match=re.escape(str(want.value)) + "$"):
+        cc.ReiterFamily(CYCLE8, 1.0, vectors, is_prob=is_prob)
 
 
 def test_normalize_two_thirds_one_third_example():
@@ -338,3 +374,149 @@ def test_transfer_validation():
     theta = cc.random_cochain(CYCLE8, 0, 0, L1, seed=1)
     with pytest.raises(ValueError, match="one pair vector"):
         cc.tf_identity(field[:-1], theta)
+
+
+# -- CSR families and the array pair scan ---------------------------------------
+
+def _spaces_for_walk():
+    return [CYCLE8, TORUS8,
+            cc.generate_family("random_regular", {"n": 64, "k": 3}, seed=3),
+            cc.generate_family("free_ball", {"rank": 2, "radius": 3}),
+            cc.scaled_metric(CYCLE8, 0.5),
+            cc.generate_family("path", {"size": 1})]
+
+
+@pytest.mark.parametrize("space", _spaces_for_walk(),
+                         ids=["cycle8", "torus8", "rr64", "free_ball",
+                              "real", "n1"])
+@pytest.mark.parametrize("laziness", [0.5, 0.3])
+def test_walk_matrix_matches_sum_expression(space, laziness):
+    want = walk_matrix_reference(space, laziness)
+    assert np.array_equal(averaging._walk_matrix(space, laziness), want)
+    fam = cc.lazy_walk_family(space, 2, laziness)
+    wanted = walk_dicts_reference(space, 2, laziness)
+    for x in range(space.n):
+        assert fam.vectors[x].entries == _vec(wanted[x]).entries
+
+
+def test_walk_rows_prune_like_supported_vectors():
+    path = cc.generate_family("path", {"size": 40})
+    raw = walk_dicts_reference(path, 30)
+    assert any(0 < w < PRUNE_TOL for d in raw for w in d.values())
+    fam = cc.lazy_walk_family(path, 30)
+    for x in range(path.n):
+        want = _vec(raw[x]).entries
+        assert fam.vectors[x].entries == want
+        assert list(fam.vectors[x].entries) == list(want)
+        lo, hi = fam.indptr[x], fam.indptr[x + 1]
+        assert list(zip(fam.cols[lo:hi].tolist(),
+                        fam.weights[lo:hi].tolist())) == list(want.items())
+
+
+@pytest.mark.parametrize("method", ["ball", "walk"])
+def test_profile_builds_no_vectors_and_no_distance_lists(monkeypatch, method):
+    space = cc.generate_family("torus", {"dim": 2, "size": 24})
+    built = []
+    init = cc.SupportedVector.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cc.SupportedVector, "__init__", counting_init)
+    family = cc.ball_average if method == "ball" else (
+        lambda sp, s: cc.lazy_walk_family(sp, int(s)))
+    cc.variation_profile(space, [1, 2, 3], [1.0, 2.0], family=family)
+    assert space._dist_rows is None
+    assert not built
+    assert len(family(space, 1).vectors) == len(built) == space.n
+
+
+def _space_strategy():
+    @st.composite
+    def spaces(draw):
+        n = draw(st.integers(1, 40))
+        edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+        extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges += [(u, v) for u, v in draw(st.lists(extra, max_size=n))
+                  if u != v]
+        space = cc.build_graph_metric(edges, n)
+        if draw(st.booleans()):
+            space = cc.scaled_metric(space, draw(st.sampled_from([0.5, 1.5])))
+        return space
+    return spaces()
+
+
+_WEIGHTS = st.one_of(st.sampled_from([1.0, 0.5, 0.25, -0.25, 1 / 3, -2.0]),
+                     st.floats(-2.0, 2.0, allow_nan=False))
+
+
+@st.composite
+def _families(draw):
+    space = draw(_space_strategy())
+    s = float(draw(st.integers(0, 3)))
+    kind = draw(st.sampled_from(["random", "ball", "walk"]))
+    if kind == "ball":
+        return cc.ball_average(space, s)
+    if kind == "walk" and space.integer_metric and (
+            space.n == 1 or space.diameter() > 0):
+        return cc.lazy_walk_family(space, int(s))
+    is_prob = draw(st.booleans())
+    balls = space.balls_list(s)
+    vectors = []
+    for x in range(space.n):
+        ball = list(balls[x])
+        support = draw(st.permutations(ball))[:draw(st.integers(1, len(ball)))]
+        if is_prob:
+            raw = {k: 0.05 + draw(st.floats(0.0, 1.0)) for k in support}
+            total = sum(raw.values())
+            vectors.append(_vec({k: w / total for k, w in raw.items()}))
+        else:
+            vectors.append(_vec({k: draw(_WEIGHTS) for k in support}))
+    return cc.ReiterFamily(space, s, vectors, is_prob=is_prob)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_families(), st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+       st.sampled_from([8, 64, 1 << 21]))
+def test_profile_scan_matches_dict_loop(fam, r, chunk_bytes):
+    space = fam.space
+    with mock.patch.object(averaging, "_SCAN_CHUNK_BYTES", chunk_bytes):
+        row = cc.variation_profile(space, [fam.s], [r],
+                                   family=lambda sp, s: fam).rows[0]
+    nu, pair = max_pair_variation_reference(fam.vectors,
+                                            pairs_reference(space, r))
+    assert row.nu == nu and type(row.nu) is float
+    assert (row.x0, row.x1) == pair
+    assert type(row.x0) is int and type(row.x1) is int
+
+
+@pytest.mark.parametrize("space", [CYCLE8, TORUS8, CYCLE64,
+                                   cc.generate_family("path", {"size": 1})],
+                         ids=["cycle8", "torus8", "cycle64", "n1"])
+def test_profile_ties_and_empty_pairs_match_dict_loop(space):
+    table = cc.variation_profile(space, [0, 1, 2, 3], [0.0, 1.0, 2.0])
+    for row in table.rows:
+        fam = cc.ball_average(space, row.s)
+        want = max_pair_variation_reference(fam.vectors,
+                                            pairs_reference(space, row.r))
+        assert (row.nu, (row.x0, row.x1)) == want
+    assert table.get(1.0, 0.0).nu == 0.0
+    assert (table.get(1.0, 0.0).x0, table.get(1.0, 0.0).x1) == (0, 0)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_space_strategy(), st.integers(0, 2), st.booleans(), st.data())
+def test_family_validation_matches_per_entry_loop(space, s, is_prob, data):
+    vectors = []
+    for _ in range(space.n):
+        support = data.draw(st.lists(st.integers(0, space.n - 1), max_size=4,
+                                     unique=True))
+        vectors.append(_vec({k: data.draw(_WEIGHTS) for k in support}))
+    try:
+        validate_family_reference(space, s, vectors, is_prob=is_prob)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc)) + "$"):
+            cc.ReiterFamily(space, s, vectors, is_prob=is_prob)
+    else:
+        cc.ReiterFamily(space, s, vectors, is_prob=is_prob)
