@@ -27,8 +27,7 @@ from .randomgen import (random_cochain, random_pair_field,
                         random_x_independent_cochain, random_zero_sum_vector)
 from .sequences import (CochainSequence, DecayDiagnostic, DecayThresholds,
                         asymptotic_invariance, counterexample_s_not_invariant,
-                        diagnose, fit_log_rate, invariance_csv, reindex,
-                        seq_diff_D, seq_diff_d, seq_split_s, verdict_of)
+                        diagnose, fit_log_rate, verdict_of)
 from .space import (FiniteMetricSpace, TupleDomain, build_graph_metric,
                     derive_seed, enumerate_tuples, generate_family,
                     load_edge_list, sample_tuples, scaled_metric)

@@ -10,11 +10,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import (L1, L1_ZERO, PRUNE_TOL, SCALAR, SupportedVector,
-                           boundary_pairs, dirac, entry_gap, pi_sum)
+                           boundary_pairs, dirac, pi_sum)
 from .cochains import (DEFAULT_AUDIT_BUDGET, DEFAULT_SAMPLE_SIZE, EXACT_TOL,
                        NORM_BOUND_TOL, AuditRecord, AuditReport, Cochain,
-                       _sup_scan, audit_equal, audit_points, cochain_sub,
-                       diff_D, split_s)
+                       audit_points, cochain_sub, diff_D, split_s)
+from .facetables import (csr_expand, distinct, evaluate, gaps, norms,
+                         row_entries, rows_fill, sup_of, sup_scan,
+                         vectors_csr, weighted, width_of)
 from .space import REAL_METRIC_SLACK, FiniteMetricSpace
 
 PROB_SUM_TOL = 1e-12
@@ -40,14 +42,7 @@ class ReiterFamily:
         vectors = list(vectors)
         if len(vectors) != space.n:
             raise ValueError("need exactly one vector per point")
-        indptr = np.zeros(space.n + 1, dtype=np.int64)
-        np.cumsum([len(v.entries) for v in vectors], out=indptr[1:])
-        nnz = int(indptr[-1])
-        cols = np.fromiter((k for v in vectors for k in v.entries),
-                           dtype=np.int64, count=nnz)
-        weights = np.fromiter((w for v in vectors for w in v.entries.values()),
-                              dtype=float, count=nnz)
-        self._setup(space, s, indptr, cols, weights, is_prob, name)
+        self._setup(space, s, *vectors_csr(vectors), is_prob, name)
         self._vectors = vectors
         self._scalar_row = next((x for x, v in enumerate(vectors)
                                  if v.module == SCALAR), None)
@@ -123,7 +118,9 @@ class ReiterFamily:
         return Cochain(self.space, 0, -1, L1,
                        lambda xs, ys: vectors[xs[0]],
                        support_witness=lambda r: self.s,
-                       name=self.name or "family")
+                       name=self.name or "family",
+                       fill=rows_fill(L1, self.space.n, self.indptr,
+                                      self.cols, self.weights))
 
     def __repr__(self) -> str:
         return (f"ReiterFamily(s={self.s}, n={self.space.n}, "
@@ -428,6 +425,9 @@ def convolve(f: Cochain, theta: Cochain) -> Cochain:
                 ent[k] = ent.get(k, 0.0) + w * u
         return SupportedVector(module, ent, sca)
 
+    def fill(faces):
+        return _convolution(f, theta, faces)
+
     wit = None
     if f.support_witness is not None and theta.support_witness is not None:
         fw, tw = f.support_witness, theta.support_witness
@@ -436,7 +436,23 @@ def convolve(f: Cochain, theta: Cochain) -> Cochain:
     if f.name and theta.name:
         name = f"({f.name}*{theta.name})"
     return Cochain(f.space, f.p, theta.q, module, rule, support_witness=wit,
-                   name=name)
+                   name=name, fill=fill)
+
+
+def _convolution(f: Cochain, theta: Cochain, faces, seen_f=None,
+                 seen_theta=None):
+    """Table of f * theta on faces: f once per distinct x, then theta at
+    ((z,), ys) weighted by f(xs)(z), over f's entries in their order. The
+    seen_* callbacks get the tables of f and of theta values."""
+    xlen = f.p + 1
+    n = f.space.n
+    first, inverse = distinct(faces[:, :xlen], n)
+    ftab = evaluate(f, faces[first, :xlen])
+    if seen_f is not None:
+        seen_f(ftab)
+    lengths, owner, z, w = row_entries(ftab, inverse)
+    tfaces = np.concatenate((z[:, None], faces[owner, xlen:]), axis=1)
+    return weighted(theta.module, n, theta, lengths, tfaces, w, seen_theta)
 
 
 def averaged_split(fam: ReiterFamily, phi: Cochain) -> Cochain:
@@ -495,26 +511,29 @@ def homotopy_defect(fam: ReiterFamily, phi: Cochain,
     dphi = diff_D(phi)
     points, exact = audit_points(fam.space, 1, phi.q + 1, 0.0, budget=budget,
                                  sample_size=sample_size, seed=seed)
+    n = fam.space.n
     dphi_sup = 0.0
     telescope_gap = 0.0
 
-    def defect_norm(xs, ys):
-        # also folds this point into dphi_sup and telescope_gap
-        nonlocal dphi_sup, telescope_gap
-        dval = defect(xs, ys)
-        ent: dict = {}
-        sca = 0.0
-        for z, w in fam.vectors[xs[0]].entries.items():
-            term = dphi((xs[0], z), ys)
-            dphi_sup = max(dphi_sup, term.norm)
-            sca += w * term.scalar
-            for k, u in term.entries.items():
-                ent[k] = ent.get(k, 0.0) + w * u
-        acc = SupportedVector(phi.module, ent, sca)
-        telescope_gap = max(telescope_gap, entry_gap(dval, acc))
-        return dval.norm
+    def fold_dphi(tab):
+        nonlocal dphi_sup
+        dphi_sup = sup_of(norms(tab), dphi_sup)
 
-    worst, witness = _sup_scan(points, defect_norm)
+    def defect_norms(faces):
+        # also folds these points into dphi_sup and telescope_gap: the
+        # telescope sums f(x)(z) (D phi)((x, z), ys) over f(x)'s entries
+        nonlocal telescope_gap
+        dval = evaluate(defect, faces)
+        lengths, owner, _, src = csr_expand(fam.indptr, faces[:, 0])
+        tfaces = np.concatenate((faces[owner, :1], fam.cols[src, None],
+                                 faces[owner, 1:]), axis=1)
+        acc = weighted(phi.module, n, dphi, lengths, tfaces,
+                       fam.weights[src], fold_dphi)
+        telescope_gap = sup_of(gaps(dval, acc), telescope_gap)
+        return norms(dval)
+
+    worst, witness = sup_scan(points, 1, phi.q + 1, width_of(phi.module, n),
+                              defect_norms)
     fnorm = fam.sup_norm
     report = DefectReport(fam.s, worst, fnorm * dphi_sup, fnorm, dphi_sup,
                           telescope_gap, exact=exact, witness=witness,
@@ -557,17 +576,20 @@ def conv_norm_audit(f: Cochain, theta: Cochain, r: float,
     f_sup = 0.0
     theta_sup = 0.0
 
-    def conv_norm(xs, ys):
-        # also folds this point into f_sup and theta_sup
-        nonlocal f_sup, theta_sup
-        val = conv(xs, ys).norm
-        fv = f(xs, ())
-        f_sup = max(f_sup, fv.norm)
-        for z in fv.entries:
-            theta_sup = max(theta_sup, theta((z,), ys).norm)
-        return val
+    def fold_f(tab):
+        nonlocal f_sup
+        f_sup = sup_of(norms(tab), f_sup)
 
-    lhs, witness = _sup_scan(points, conv_norm)
+    def fold_theta(tab):
+        nonlocal theta_sup
+        theta_sup = sup_of(norms(tab), theta_sup)
+
+    def conv_norms(faces):
+        # also folds f(xs) and every theta((z,), ys) it weighs into the sups
+        return norms(_convolution(f, theta, faces, fold_f, fold_theta))
+
+    lhs, witness = sup_scan(points, f.p + 1, theta.q + 1,
+                            width_of(conv.module, f.space.n), conv_norms)
     return ConvBoundReport(float(r), lhs, f_sup, theta_sup, exact=exact,
                            witness=witness,
                            samples=None if exact else len(points))
@@ -615,7 +637,17 @@ def transfer_cochain(field, zeta: Cochain) -> Cochain:
                 ent[k] = ent.get(k, 0.0) + w * u
         return SupportedVector(module, ent, sca)
 
-    return Cochain(zeta.space, 0, zeta.q, module, rule, name="T_F")
+    indptr, pairs, weights = vectors_csr(field)
+    pairs = pairs.reshape(-1, 2)
+
+    def fill(faces, seen=None):
+        lengths, owner, _, src = csr_expand(indptr, faces[:, 0])
+        zfaces = np.concatenate((pairs[src], faces[owner, 1:]), axis=1)
+        return weighted(module, zeta.space.n, zeta, lengths, zfaces,
+                        weights[src], seen)
+
+    return Cochain(zeta.space, 0, zeta.q, module, rule, name="T_F",
+                   fill=fill)
 
 
 def tf_identity(field, theta: Cochain, radius: float | None = None,
@@ -650,18 +682,34 @@ def tf_identity(field, theta: Cochain, radius: float | None = None,
     boundary = Cochain(space, 0, -1, L1_ZERO,
                        lambda xs, ys: boundary_pairs(field[xs[0]]),
                        support_witness=lambda r: r_ball, name="dF",
-                       memoize=True)
+                       memoize=True,
+                       fill=rows_fill(L1_ZERO, space.n, *vectors_csr(
+                           [boundary_pairs(pv) for pv in field])))
     lhs = convolve(boundary, theta)
     zeta = diff_D(theta)
     rhs = transfer_cochain(field, zeta)
-    identity = audit_equal("pairing", lhs, rhs, 0.0, budget=budget,
-                           sample_size=sample_size, seed=seed, tol=EXACT_TOL)
-    points, _ = audit_points(space, 1, theta.q + 1, 0.0, budget=budget,
-                             sample_size=sample_size, seed=seed)
-    lhs_sup, _ = _sup_scan(points, lambda xs, ys: rhs(xs, ys).norm)
-    zeta_sup, _ = _sup_scan(((pair, ys) for xs, ys in points
-                             for pair in field[xs[0]].entries),
-                            lambda zs, ys: zeta(zs, ys).norm)
+    points, exact = audit_points(space, 1, theta.q + 1, 0.0, budget=budget,
+                                 sample_size=sample_size, seed=seed)
+    lhs_sup = 0.0
+    zeta_sup = 0.0
+
+    def fold_zeta(tab):
+        nonlocal zeta_sup
+        zeta_sup = sup_of(norms(tab), zeta_sup)
+
+    def identity_gaps(faces):
+        # the audit_equal of lhs and rhs, folding ||rhs|| and every
+        # ||zeta(pair, ys)|| that rhs weighs into lhs_sup and zeta_sup
+        nonlocal lhs_sup
+        right = rhs.fill(faces, fold_zeta)
+        lhs_sup = sup_of(norms(right), lhs_sup)
+        return gaps(evaluate(lhs, faces), right)
+
+    worst, witness = sup_scan(points, 1, theta.q + 1,
+                              width_of(theta.module, space.n), identity_gaps)
+    identity = AuditReport("pairing", lhs.p, lhs.q, 0.0, worst, EXACT_TOL,
+                           exact=exact, witness=witness,
+                           samples=None if exact else len(points))
     f_sup = max((pv.norm for pv in field), default=0.0)
     bound_ok = lhs_sup <= f_sup * zeta_sup + NORM_BOUND_TOL
     return PairingReport(identity, lhs_sup, f_sup, zeta_sup, r_ball, r_pair,

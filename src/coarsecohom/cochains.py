@@ -13,7 +13,9 @@ Sign conventions, chosen so every identity below is exact for all p, q:
 
 Seminorms constrain x to the radius-R tuple domain and leave y unrestricted;
 audits enumerate exactly within a budget and fall back to seeded uniform
-samples, reporting which one happened.
+samples, reporting which one happened. Every audit evaluates its cochains
+as face tables (see facetables), chunk by chunk over its points; `rule` is
+the pointwise specification they reproduce.
 """
 
 from __future__ import annotations
@@ -22,8 +24,12 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .coefficients import (L1_ZERO, SCALAR, SupportedVector, dirac_diff,
-                           entry_gap, pi_sum, scalar_of)
+                           pi_sum, scalar_of)
+from .facetables import (ABSENT, dirac_diff_table, evaluate, gaps, linear,
+                         norms, sup_of, sup_scan, width_of)
 from .space import (FiniteMetricSpace, _exact_domain, _sample_points,
                     REAL_METRIC_SLACK, derive_seed, enumerate_tuples)
 
@@ -40,14 +46,18 @@ class Cochain:
     support_witness, when declared, maps a radius R to an S such that values
     on radius-R tuples are supported within S of every tuple coordinate; it
     stays None when unknown and support_radius() measures it instead.
+
+    fill, when given, maps an int array of faces (one row of p+1 then q+1
+    point indices per (xs, ys)) to the facetables.Table of the values rule
+    gives there, bit for bit; the audits use it in place of calling rule.
     """
 
     __slots__ = ("space", "p", "q", "module", "rule", "support_witness",
-                 "name", "_memo")
+                 "name", "fill", "_memo")
 
     def __init__(self, space: FiniteMetricSpace, p: int, q: int, module: str,
                  rule, support_witness=None, name: str = "",
-                 memoize: bool = False):
+                 memoize: bool = False, fill=None):
         if p < 0 or q < -1:
             raise ValueError("bidegree must satisfy p >= 0, q >= -1")
         self.space = space
@@ -57,6 +67,7 @@ class Cochain:
         self.rule = rule
         self.support_witness = support_witness
         self.name = name
+        self.fill = fill
         self._memo = {} if memoize else None
 
     def __call__(self, xs: tuple, ys: tuple = ()) -> SupportedVector:
@@ -90,11 +101,15 @@ def cochain_add(a: Cochain, b: Cochain) -> Cochain:
     def rule(xs, ys):
         return a(xs, ys) + b(xs, ys)
 
+    def fill(faces):
+        return linear(a.module, a.space.n, [(a, faces, 1.0), (b, faces, 1.0)])
+
     wit = None
     if a.support_witness is not None and b.support_witness is not None:
         wit = lambda r: max(a.support_witness(r), b.support_witness(r))
     return Cochain(a.space, a.p, a.q, a.module, rule, support_witness=wit,
-                   name=f"({a.name}+{b.name})" if a.name and b.name else "")
+                   name=f"({a.name}+{b.name})" if a.name and b.name else "",
+                   fill=fill)
 
 
 def cochain_sub(a: Cochain, b: Cochain) -> Cochain:
@@ -105,9 +120,12 @@ def cochain_scale(a: Cochain, factor: float) -> Cochain:
     def rule(xs, ys):
         return a(xs, ys) * factor
 
+    def fill(faces):
+        return linear(a.module, a.space.n, [(a, faces, factor)])
+
     return Cochain(a.space, a.p, a.q, a.module, rule,
                    support_witness=a.support_witness,
-                   name=f"{factor}*{a.name}" if a.name else "")
+                   name=f"{factor}*{a.name}" if a.name else "", fill=fill)
 
 
 def constant_one(space: FiniteMetricSpace) -> Cochain:
@@ -154,10 +172,15 @@ def diff_D(phi: Cochain) -> Cochain:
             sign = -sign
         return SupportedVector(module, ent, sca)
 
+    def fill(faces, seen=None):
+        return linear(module, phi.space.n,
+                      [(phi, np.delete(faces, i, axis=1), -1.0 if i % 2 else 1.0)
+                       for i in range(phi.p + 2)], seen)
+
     return Cochain(phi.space, phi.p + 1, phi.q, module, rule,
                    support_witness=_compose_witness(phi.support_witness,
                                                     lambda r: r),
-                   name=f"D({phi.name})" if phi.name else "")
+                   name=f"D({phi.name})" if phi.name else "", fill=fill)
 
 
 def diff_d(phi: Cochain) -> Cochain:
@@ -180,10 +203,18 @@ def diff_d(phi: Cochain) -> Cochain:
             sign = -sign
         return SupportedVector(module, ent, sca)
 
+    xlen = phi.p + 1
+
+    def fill(faces, seen=None):
+        return linear(module, phi.space.n,
+                      [(phi, np.delete(faces, xlen + i, axis=1),
+                        start if i % 2 == 0 else -start)
+                       for i in range(phi.q + 2)], seen)
+
     return Cochain(phi.space, phi.p, phi.q + 1, module, rule,
                    support_witness=_compose_witness(phi.support_witness,
                                                     lambda r: r),
-                   name=f"d({phi.name})" if phi.name else "")
+                   name=f"d({phi.name})" if phi.name else "", fill=fill)
 
 
 def split_s(phi: Cochain) -> Cochain:
@@ -201,9 +232,23 @@ def split_s(phi: Cochain) -> Cochain:
         v = base(xs, (xs[0],) + ys)
         return -v if negate else v
 
+    xlen = phi.p + 1
+
+    def fill(faces, seen=None):
+        lifted = np.concatenate((faces[:, :xlen], faces[:, :1],
+                                 faces[:, xlen:]), axis=1)
+        if negate:
+            return linear(phi.module, phi.space.n, [(phi, lifted, -1.0)],
+                          seen)
+        # the closure passes v on unchanged
+        tab = evaluate(phi, lifted)
+        if seen is not None:
+            seen(tab)
+        return tab
+
     return Cochain(phi.space, phi.p, phi.q - 1, phi.module, rule,
                    support_witness=phi.support_witness,
-                   name=f"s({phi.name})" if phi.name else "")
+                   name=f"s({phi.name})" if phi.name else "", fill=fill)
 
 
 # -- audit domains ------------------------------------------------------------
@@ -243,17 +288,11 @@ def _witness_json(witness):
     return [list(xs), list(ys)]
 
 
-def _sup_scan(points, measure):
-    """Largest measure(xs, ys) over the (xs, ys) points, starting from 0.0,
-    and the first point attaining it as witness (None if none exceeds 0.0)."""
-    best = 0.0
-    witness = None
-    for xs, ys in points:
-        val = measure(xs, ys)
-        if val > best:
-            best = val
-            witness = (xs, ys)
-    return best, witness
+def _scan(phi: Cochain, points, measure):
+    """Largest measure(faces) over the points of phi's domain and the first
+    point attaining it, by facetables.sup_scan."""
+    return sup_scan(points, phi.p + 1, phi.q + 1,
+                    width_of(phi.module, phi.space.n), measure)
 
 
 @dataclass(kw_only=True)
@@ -295,7 +334,8 @@ def seminorm(phi: Cochain, r: float, budget: int = DEFAULT_AUDIT_BUDGET,
                                  budget=budget, sample_size=sample_size,
                                  seed=seed)
     points = points + list(include)
-    best, witness = _sup_scan(points, lambda xs, ys: phi(xs, ys).norm)
+    best, witness = _scan(phi, points,
+                          lambda faces: norms(evaluate(phi, faces)))
     return SeminormReport(float(r), best, exact=exact, witness=witness,
                           samples=None if exact else len(points))
 
@@ -324,14 +364,19 @@ def support_radius(phi: Cochain, r: float, budget: int = DEFAULT_AUDIT_BUDGET,
     dom = enumerate_tuples(space, phi.p + phi.q + 1, r, budget=budget,
                            seed=seed)
     cut = phi.p + 1
+    dist = space.wide_dist()
 
-    def reach(xs, ys):
-        supp = phi(xs, ys).entries
-        return max((space.d(c, w) for c in xs + ys for w in supp),
-                   default=0.0)
+    def reach(faces):
+        # the distance from each support point to its farthest coordinate
+        tab = evaluate(phi, faces)
+        if phi.module == SCALAR:        # scalar values have no support
+            return np.zeros(len(faces))
+        far = dist[faces].max(axis=1)
+        far[tab.keys == ABSENT] = 0
+        return far.max(axis=1, initial=0)
 
-    worst, witness = _sup_scan(((t[:cut], t[cut:]) for t in dom.tuples),
-                               reach)
+    worst, witness = sup_scan([(t[:cut], t[cut:]) for t in dom.tuples], cut,
+                              phi.q + 1, space.n, reach)
     within = None
     if phi.support_witness is not None:
         slack = 0.0 if space.integer_metric else REAL_METRIC_SLACK
@@ -373,8 +418,8 @@ def audit_equal(check: str, lhs: Cochain, rhs: Cochain | None, r: float,
     points, exact = audit_points(lhs.space, lhs.p + 1, lhs.q + 1, r,
                                  budget=budget, sample_size=sample_size,
                                  seed=seed)
-    worst, witness = _sup_scan(points, lambda xs, ys: entry_gap(
-        lhs(xs, ys), None if rhs is None else rhs(xs, ys)))
+    worst, witness = _scan(lhs, points, lambda faces: gaps(
+        evaluate(lhs, faces), None if rhs is None else evaluate(rhs, faces)))
     return AuditReport(check, lhs.p, lhs.q, float(r), worst, tol, exact=exact,
                        witness=witness, samples=None if exact else len(points))
 
@@ -410,15 +455,22 @@ class BoundReport(AuditRecord):
                 "ok": self.ok, **self._domain_json()}
 
 
-def _audit_bound(check: str, result: Cochain, base: Cochain, couple,
-                 factor: float, r: float, budget: int, sample_size: int,
-                 seed: int) -> BoundReport:
+def _audit_bound(check: str, result: Cochain, factor: float, r: float,
+                 budget: int, sample_size: int, seed: int) -> BoundReport:
+    """result is D, d or s of a base cochain; at each audited point the
+    triangle inequality needs the base at the faces result sums over,
+    which are exactly the base values result's table is made from."""
     points, exact = audit_points(result.space, result.p + 1, result.q + 1, r,
                                  budget=budget, sample_size=sample_size,
                                  seed=seed)
-    lhs, witness = _sup_scan(points, lambda xs, ys: result(xs, ys).norm)
-    rhs, _ = _sup_scan((pt for xs, ys in points for pt in couple(xs, ys)),
-                       lambda xs, ys: base(xs, ys).norm)
+    rhs = 0.0
+
+    def fold_base(tab):
+        nonlocal rhs
+        rhs = sup_of(norms(tab), rhs)
+
+    lhs, witness = _scan(result, points,
+                         lambda faces: norms(result.fill(faces, fold_base)))
     return BoundReport(check, float(r), lhs, rhs, factor, exact=exact,
                        witness=witness, samples=None if exact else len(points))
 
@@ -427,33 +479,24 @@ def diff_D_norm_audit(phi: Cochain, r: float, budget: int = DEFAULT_AUDIT_BUDGET
                       sample_size: int = DEFAULT_SAMPLE_SIZE,
                       seed: int = 0) -> BoundReport:
     """||D phi||_R <= (p+2) ||phi||_R."""
-    def couple(xs, ys):
-        return [(xs[:i] + xs[i + 1:], ys) for i in range(len(xs))]
-
-    return _audit_bound("norm_bound_D", diff_D(phi), phi, couple,
-                        float(phi.p + 2), r, budget, sample_size, seed)
+    return _audit_bound("norm_bound_D", diff_D(phi), float(phi.p + 2), r,
+                        budget, sample_size, seed)
 
 
 def diff_d_norm_audit(phi: Cochain, r: float, budget: int = DEFAULT_AUDIT_BUDGET,
                       sample_size: int = DEFAULT_SAMPLE_SIZE,
                       seed: int = 0) -> BoundReport:
     """||d phi||_R <= (q+2) ||phi||_R."""
-    def couple(xs, ys):
-        return [(xs, ys[:i] + ys[i + 1:]) for i in range(len(ys))]
-
-    return _audit_bound("norm_bound_d", diff_d(phi), phi, couple,
-                        float(phi.q + 2), r, budget, sample_size, seed)
+    return _audit_bound("norm_bound_d", diff_d(phi), float(phi.q + 2), r,
+                        budget, sample_size, seed)
 
 
 def split_s_norm_audit(phi: Cochain, r: float, budget: int = DEFAULT_AUDIT_BUDGET,
                        sample_size: int = DEFAULT_SAMPLE_SIZE,
                        seed: int = 0) -> BoundReport:
     """||s phi||_R <= ||phi||_R (the splitting never grows norms)."""
-    def couple(xs, ys):
-        return [(xs, (xs[0],) + ys)]
-
-    return _audit_bound("norm_bound_s", split_s(phi), phi, couple,
-                        1.0, r, budget, sample_size, seed)
+    return _audit_bound("norm_bound_s", split_s(phi), 1.0, r, budget,
+                        sample_size, seed)
 
 
 # -- Johnson cocycles --------------------------------------------------------------
@@ -472,15 +515,20 @@ def johnson_cocycles(space: FiniteMetricSpace, audit: bool = True,
     if space.n < 2:
         raise ValueError("Johnson cocycles need at least two points")
     wit = lambda r: r
+    n = space.n
+    # faces are (x, y0, y1), (x0, x1, y) and (x, y) respectively
     j01 = Cochain(space, 0, 1, L1_ZERO,
                   lambda xs, ys: dirac_diff(ys[1], ys[0]),
-                  support_witness=wit, name="j01")
+                  support_witness=wit, name="j01",
+                  fill=lambda f: dirac_diff_table(n, f[:, 2], f[:, 1]))
+    # j10 and hom subtract the first coordinate from the second
+    second_minus_first = lambda f: dirac_diff_table(n, f[:, 1], f[:, 0])
     j10 = Cochain(space, 1, 0, L1_ZERO,
                   lambda xs, ys: dirac_diff(xs[1], xs[0]),
-                  support_witness=wit, name="j10")
+                  support_witness=wit, name="j10", fill=second_minus_first)
     hom = Cochain(space, 0, 0, L1_ZERO,
                   lambda xs, ys: dirac_diff(ys[0], xs[0]),
-                  support_witness=wit, name="hom")
+                  support_witness=wit, name="hom", fill=second_minus_first)
     if audit:
         bad = [c for c in johnson_relations(j01, j10, hom, 1.0, budget=budget,
                                             seed=seed, tol=EXACT_TOL)

@@ -1,0 +1,438 @@
+"""Face tables: the values of a cochain on a whole array of faces at once.
+
+A face is one (xs, ys) argument of a cochain, stored as a row of point
+indices: the p+1 x-coordinates, then the q+1 y-coordinates. A `Table` holds
+one value per face:
+
+  vals (faces x width): width n for l1/l1_0, where column k is the entry at
+    point k (0.0 where absent), and width 1 for scalars, so the module is a
+    column count rather than a branch;
+  keys (faces x n), l1 types only: each entry's insertion key, ABSENT where
+    the value has no entry. Sorting a row by its keys lists the entries in
+    the order of the value's dict, so a norm adds |v| in that order.
+
+A derived cochain (D, d, s, sums, scalings, convolutions, transfers) makes
+its table from its operands' tables on the distinct faces it needs: a signed
+gather added term by term in face order, which is the order the closures
+add in. After every operator the l1 entries below PRUNE_TOL are dropped and
+every l1_0 value passes the zero-sum check, as in SupportedVector; scalars
+are never pruned. A cochain without a table rule (`Cochain.fill`) is called
+once per distinct face, so any closure-built cochain can be audited.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .coefficients import L1_ZERO, PRUNE_TOL, SCALAR, ZERO_SUM_TOL
+
+ABSENT = 1 << 30
+# Keys of one level are slot * K + operand key, in int32; operands whose K
+# would push the level's keys past this are first rebased to ranks 0..n-1.
+_KEY_ROOM = 1 << 29
+# Bytes of the largest operand value table one step gathers from. Work is
+# split over the faces to stay near it, which bounds memory.
+_TABLE_CHUNK_BYTES = 1 << 18
+
+
+class Table:
+    """Values of one cochain of the given module on a list of faces (see
+    the module docstring); keys is None for scalars. bound exceeds every
+    key in use."""
+
+    __slots__ = ("module", "vals", "keys", "bound")
+
+    def __init__(self, module: str, vals: np.ndarray,
+                 keys: np.ndarray | None = None, bound: int = 0):
+        self.module = module
+        self.vals = vals
+        self.keys = keys
+        self.bound = bound
+
+    def take(self, rows) -> "Table":
+        return Table(self.module, self.vals[rows],
+                     None if self.keys is None else self.keys[rows],
+                     self.bound)
+
+
+def _concat(parts: list) -> Table:
+    if len(parts) == 1:
+        return parts[0]
+    keys = None
+    if parts[0].keys is not None:
+        keys = np.concatenate([t.keys for t in parts])
+    return Table(parts[0].module, np.concatenate([t.vals for t in parts]),
+                 keys, max(t.bound for t in parts))
+
+
+def width_of(module: str, n: int) -> int:
+    return 1 if module == SCALAR else n
+
+
+def absent_keys(m: int, n: int) -> np.ndarray:
+    """Keys of m values with no entries."""
+    return np.full((m, n), ABSENT, dtype=np.int32)
+
+
+def empty(module: str, n: int, m: int) -> Table:
+    """m values with no entries (scalars 0.0)."""
+    keys = None if module == SCALAR else absent_keys(m, n)
+    return Table(module, np.zeros((m, width_of(module, n))), keys, 1)
+
+
+def face_array(points, xlen: int, ylen: int) -> np.ndarray:
+    """The (xs, ys) points as an int64 array of faces."""
+    return np.array([xs + ys for xs, ys in points],
+                    dtype=np.int64).reshape(len(points), xlen + ylen)
+
+
+def distinct(faces: np.ndarray, n: int):
+    """(first, inverse) for an array of faces over n points: the rows of the
+    distinct faces in order of first appearance, and for each face the index
+    of its distinct face in that list."""
+    m, k = faces.shape
+    if m == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    if float(n) ** k < 2.0 ** 62:
+        codes = faces[:, 0].copy()
+        for j in range(1, k):
+            codes *= n
+            codes += faces[:, j]
+    else:
+        codes = np.unique(faces, axis=0, return_inverse=True)[1].ravel()
+    order = np.argsort(codes, kind="stable")
+    ordered = codes[order]
+    new = np.empty(m, dtype=bool)
+    new[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    first = order[new]              # stable sort: each group's first face
+    relabel = np.empty(len(first), dtype=np.int64)
+    relabel[np.argsort(first)] = np.arange(len(first))
+    inverse = np.empty(m, dtype=np.int64)
+    inverse[order] = relabel[np.cumsum(new) - 1]
+    return np.sort(first), inverse
+
+
+def evaluate(cochain, faces: np.ndarray) -> Table:
+    """The table of `cochain` on `faces`."""
+    if cochain.fill is None:
+        return _rule_table(cochain, faces)
+    return cochain.fill(faces)
+
+
+def _rule_table(cochain, faces: np.ndarray) -> Table:
+    """Call the cochain once per distinct face, in order of first
+    appearance, and keep each value as it comes (no re-pruning)."""
+    first, inverse = distinct(faces, cochain.space.n)
+    xlen = cochain.p + 1
+    values = [cochain(tuple(row[:xlen]), tuple(row[xlen:]))
+              for row in faces[first].tolist()]
+    if cochain.module == SCALAR:
+        tab = Table(SCALAR, np.array([v.scalar for v in values],
+                                     dtype=float).reshape(-1, 1))
+    else:
+        tab = csr_table(cochain.module, cochain.space.n,
+                        *vectors_csr(values))
+    return tab if len(first) == len(faces) else tab.take(inverse)
+
+
+def csr_rows(rows, dtype=np.int64):
+    """CSR arrays (indptr, items) of a list of sized iterables: row i is
+    items[indptr[i]:indptr[i + 1]]. Tuple items give a 2-D items array."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    return indptr, np.array([x for row in rows for x in row], dtype=dtype)
+
+
+def vectors_csr(vectors):
+    """CSR rows (indptr, keys, weights) of l1-type or pair vectors, entries
+    in dict order."""
+    indptr, keys = csr_rows([v.entries for v in vectors])
+    return indptr, keys, csr_rows([v.entries.values() for v in vectors],
+                                  float)[1]
+
+
+def csr_expand(indptr: np.ndarray, rows: np.ndarray):
+    """The CSR rows rows[0], rows[1], ... laid end to end: (lengths, owner,
+    pos, src) give each row's length, and for each entry the i of its row
+    rows[i], its position in that row and its index in the CSR arrays."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    owner = np.repeat(np.arange(len(rows)), lengths)
+    pos = np.arange(len(owner)) - np.repeat(np.cumsum(lengths) - lengths,
+                                            lengths)
+    return lengths, owner, pos, starts[owner] + pos
+
+
+def csr_table(module: str, n: int, indptr, cols, weights,
+              rows=None) -> Table:
+    """Table whose i-th value is CSR row rows[i] (every row if None), with
+    keys the entry positions."""
+    if rows is None:
+        rows = np.arange(len(indptr) - 1)
+    lengths, at, pos, src = csr_expand(indptr, rows)
+    vals = np.zeros((len(rows), n))
+    vals[at, cols[src]] = weights[src]
+    keys = absent_keys(len(rows), n)
+    keys[at, cols[src]] = pos
+    return Table(module, vals, keys, int(lengths.max(initial=0)))
+
+
+def rows_fill(module: str, n: int, indptr, cols, weights):
+    """Table rule of a cochain whose value at (xs, ys) is CSR row xs[0]."""
+    return lambda faces: csr_table(module, n, indptr, cols, weights,
+                                   faces[:, 0])
+
+
+def dirac_diff_table(n: int, a: np.ndarray, b: np.ndarray) -> Table:
+    """delta_a - delta_b per face (no entries where a == b), keyed in that
+    order, as dirac_diff builds it."""
+    live = np.flatnonzero(a != b)
+    vals = np.zeros((len(a), n))
+    vals[live, a[live]] = 1.0
+    vals[live, b[live]] = -1.0
+    keys = absent_keys(len(a), n)
+    keys[live, a[live]] = 0
+    keys[live, b[live]] = 1
+    return Table(L1_ZERO, vals, keys, 2)
+
+
+# -- finishing a value: prune, zero-sum check ------------------------------------
+
+def finish(module: str, vals: np.ndarray, keys: np.ndarray | None,
+           bound: int) -> Table:
+    """The table of freshly summed values, as SupportedVector would keep
+    them: l1 entries below PRUNE_TOL dropped, l1_0 sums checked."""
+    if module == SCALAR:
+        return Table(module, vals)
+    mag = np.abs(vals)
+    drop = mag >= PRUNE_TOL
+    np.logical_not(drop, out=drop)          # NaN is dropped too
+    np.copyto(vals, 0.0, where=drop)
+    np.copyto(keys, ABSENT, where=drop)
+    if module == L1_ZERO:
+        _check_zero_sums(vals, mag, keys)
+    return Table(module, vals, keys, bound)
+
+
+def _check_zero_sums(vals: np.ndarray, mag: np.ndarray,
+                     keys: np.ndarray) -> None:
+    """Raise SupportedVector's error for the first value whose entries,
+    added in dict order, are not zero within ZERO_SUM_TOL.
+
+    Any order of adding differs from that one by less than
+    width * eps * sum |v| (mag holds |v| before pruning, an upper bound),
+    so only the rows a plain sum leaves in doubt are added in order."""
+    slack = 4.0 * vals.shape[1] * np.finfo(float).eps
+    doubt = np.abs(vals.sum(axis=1)) + slack * mag.sum(axis=1)
+    rows = np.flatnonzero(doubt > ZERO_SUM_TOL)
+    if not len(rows):
+        return
+    sums = ordered_sums(vals[rows], keys[rows], absolute=False)
+    bad = np.abs(sums) > ZERO_SUM_TOL
+    if bad.any():
+        total = sums[int(np.argmax(bad))].item()
+        raise ValueError(f"l1_0 entries must sum to 0, got {total!r}")
+
+
+def ordered_sums(vals: np.ndarray, keys: np.ndarray,
+                 absolute: bool) -> np.ndarray:
+    """Each row's entries (their absolute values if `absolute`) added left
+    to right in key order, like a loop over the value's dict."""
+    if not vals.shape[1]:
+        return np.zeros(len(vals))
+    order = np.argsort(keys, axis=1)
+    terms = np.take_along_axis(vals, order, axis=1)
+    if absolute:
+        np.abs(terms, out=terms)
+    return np.cumsum(terms, axis=1)[:, -1]
+
+
+def norms(tab: Table) -> np.ndarray:
+    """||value|| per face: |scalar|, or the l1 norm in dict order."""
+    if tab.module == SCALAR:
+        return np.abs(tab.vals[:, 0])
+    return ordered_sums(tab.vals, tab.keys, absolute=True)
+
+
+def gaps(lhs: Table, rhs: Table | None = None) -> np.ndarray:
+    """entry_gap per face: the largest |lhs[k] - rhs[k]| (rhs None = 0)."""
+    diff = lhs.vals if rhs is None else lhs.vals - rhs.vals
+    return np.abs(diff).max(axis=1, initial=0.0)
+
+
+# -- sums of operand rows ----------------------------------------------------------
+
+def _rebased(tab: Table) -> Table:
+    """The same table with keys replaced by their ranks in each row."""
+    ranks = np.argsort(np.argsort(tab.keys, axis=1), axis=1).astype(np.int32)
+    ranks[tab.keys == ABSENT] = ABSENT
+    return Table(tab.module, tab.vals, ranks, tab.vals.shape[1])
+
+
+def combine(module: str, m: int, slots: list) -> Table:
+    """Values of m faces, each a sum of operand rows added slot by slot.
+
+    A slot (tab, rows, coef) adds coef * tab row rows[i] to face i; coef is
+    a float or one float per face. The entries of a face are keyed by
+    their first slot, then by the operand's own order, which is the order
+    the closures insert them in."""
+    width = slots[0][0].vals.shape[1]
+    vals = np.zeros((m, width))
+    part = np.empty((m, width))
+    keys = order = None
+    step = 0
+    if module != SCALAR:
+        if len(slots) * max(s[0].bound for s in slots) >= _KEY_ROOM:
+            rebased = {id(s[0]): _rebased(s[0]) for s in slots}
+            slots = [(rebased[id(s[0])],) + s[1:] for s in slots]
+        step = max(max(s[0].bound for s in slots), 1)
+        keys = absent_keys(m, width)
+        order = np.empty((m, width), dtype=np.int32)
+    for j, (tab, rows, coef) in enumerate(slots):
+        # mode="clip" writes straight into the buffer ("raise" would copy);
+        # every row index is in range
+        np.take(tab.vals, rows, axis=0, out=part, mode="clip")
+        if isinstance(coef, np.ndarray):
+            part *= coef[:, None]
+            vals += part
+        elif coef == -1.0:
+            vals -= part                    # a - b is a + (-1.0 * b)
+        else:
+            if coef != 1.0:
+                part *= coef
+            vals += part
+        if keys is not None:
+            np.take(tab.keys, rows, axis=0, out=order, mode="clip")
+            order += j * step
+            np.minimum(keys, order, out=keys)
+    return finish(module, vals, keys, len(slots) * step)
+
+
+def _step(m: int, rows: int, width: int) -> int:
+    """Faces per piece, when m faces need `rows` distinct operand rows of
+    the given width, so that each piece's operand table (taken to shrink
+    with the piece) stays within _TABLE_CHUNK_BYTES."""
+    size = 8 * width * rows
+    if size <= _TABLE_CHUNK_BYTES:
+        return m
+    return max(1, m * _TABLE_CHUNK_BYTES // size)
+
+
+def linear(module: str, n: int, terms: list, seen=None) -> Table:
+    """sum_j coef_j * c_j(faces_j) per face, in term order.
+
+    terms: (cochain, faces, coef) with one operand face per output face;
+    terms that share a cochain evaluate it once on their distinct faces.
+    seen, if given, is called with each table of operand values."""
+    m = len(terms[0][1])
+    if not m:
+        return empty(module, n, 0)
+    groups: dict = {}
+    for j, (c, _, _) in enumerate(terms):
+        groups.setdefault(id(c), (c, []))[1].append(j)
+
+    def operands(lo, hi):
+        out = []
+        for c, js in groups.values():
+            stacked = np.concatenate([terms[j][1][lo:hi] for j in js])
+            out.append((c, js, stacked) + distinct(stacked, n))
+        return out
+
+    whole = operands(0, m)
+    step = _step(m, max(len(g[3]) for g in whole), width_of(module, n))
+    parts = []
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        slots = [None] * len(terms)
+        for c, js, stacked, first, inverse in (
+                whole if step == m else operands(lo, hi)):
+            tab = evaluate(c, stacked[first])
+            if seen is not None:
+                seen(tab)
+            for i, j in enumerate(js):
+                slots[j] = (tab, inverse[i * (hi - lo):(i + 1) * (hi - lo)],
+                            terms[j][2])
+        parts.append(combine(module, hi - lo, slots))
+    return _concat(parts)
+
+
+def weighted(module: str, n: int, child, lengths: np.ndarray,
+             faces: np.ndarray, weights: np.ndarray, seen=None) -> Table:
+    """sum_t weights[t] * child(faces[t]) per output face, over its terms t
+    in order: face i owns the next lengths[i] rows of faces and weights.
+    seen, if given, is called with each table of child values."""
+    m = len(lengths)
+    if not lengths.any():
+        return empty(module, n, m)
+    starts = np.cumsum(lengths) - lengths
+    whole = distinct(faces, n)
+    step = _step(m, len(whole[0]), width_of(module, n))
+    parts = []
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        part_len = lengths[lo:hi]
+        slots_n = int(part_len.max())
+        if not slots_n:
+            parts.append(empty(module, n, hi - lo))
+            continue
+        t0, t1 = starts[lo], starts[hi - 1] + lengths[hi - 1]
+        first, inverse = whole if step == m else distinct(faces[t0:t1], n)
+        tab = evaluate(child, faces[t0:t1][first])
+        if seen is not None:
+            seen(tab)
+        # faces with fewer terms add 0.0 times an appended row of no entries
+        tab = Table(module, np.concatenate(
+            (tab.vals, np.zeros((1, tab.vals.shape[1])))),
+            None if tab.keys is None else np.concatenate(
+                (tab.keys, absent_keys(1, n))), tab.bound)
+        live = np.arange(slots_n) < part_len[:, None]
+        rows = np.full((hi - lo, slots_n), len(first))
+        rows[live] = inverse
+        coefs = np.zeros((hi - lo, slots_n))
+        coefs[live] = weights[t0:t1]
+        parts.append(combine(module, hi - lo, [
+            (tab, rows[:, j], coefs[:, j]) for j in range(slots_n)]))
+    return _concat(parts)
+
+
+def row_entries(tab: Table, rows: np.ndarray):
+    """The entries of the values tab[rows] (an l1-type table) in dict order,
+    laid end to end: (lengths, owner, cols, weights) as in csr_expand."""
+    indptr = np.zeros(len(tab.vals) + 1, dtype=np.int64)
+    np.cumsum((tab.keys < ABSENT).sum(axis=1), out=indptr[1:])
+    lengths, owner, pos, _ = csr_expand(indptr, rows)
+    src = rows[owner]
+    cols = np.argsort(tab.keys, axis=1)[src, pos]
+    return lengths, owner, cols, tab.vals[src, cols]
+
+
+# -- audits: sup scans over chunks of points ---------------------------------------
+
+def sup_scan(points, xlen: int, ylen: int, width: int, measure):
+    """Largest measure over the (xs, ys) points, starting from 0.0, and the
+    first point attaining it (None if none exceeds 0.0).
+
+    measure(faces) gives one value per face; points are measured in chunks
+    of about _TABLE_CHUNK_BYTES of value table, and a later chunk wins only
+    if it is strictly greater."""
+    best, at = 0.0, None
+    if not points:
+        return best, at
+    faces = face_array(points, xlen, ylen)
+    step = _step(len(points), len(points), width)
+    for lo in range(0, len(points), step):
+        vals = measure(faces[lo:lo + step])
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best, at = vals[k].item(), lo + k
+    return best, (None if at is None else points[at])
+
+
+def sup_of(values: np.ndarray, best: float = 0.0) -> float:
+    """max(best, *values) as a Python number, keeping best on ties."""
+    if len(values):
+        top = values.max()
+        if top > best:
+            return top.item()
+    return best

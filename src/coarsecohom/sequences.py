@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cochains import (EXACT_TOL, Cochain, audit_zero, diff_D, diff_d,
+from .cochains import (EXACT_TOL, Cochain, audit_zero, diff_D,
                        johnson_cocycles, seminorm, split_s)
 from .space import FiniteMetricSpace
 
@@ -35,9 +35,6 @@ class DecayDiagnostic:
     def to_json(self) -> dict:
         return {"R": self.r, "values": self.values, "last": self.last,
                 "fitted_rate": self.fitted_rate, "verdict": self.verdict}
-
-    def csv_rows(self):
-        return [(n + 1, self.r, v) for n, v in enumerate(self.values)]
 
 
 def fit_log_rate(axis, values, zero_tol: float = 1e-14) -> float | None:
@@ -118,36 +115,6 @@ class CochainSequence:
     def bidegree(self):
         return (self.terms[0].p, self.terms[0].q)
 
-    def map_terms(self, op, axis_note: str = "") -> "CochainSequence":
-        return CochainSequence([op(t) for t in self.terms],
-                               family_axis=self.family_axis + axis_note,
-                               schedule=self.schedule)
-
-
-def seq_diff_D(seq: CochainSequence) -> CochainSequence:
-    return seq.map_terms(diff_D)
-
-
-def seq_diff_d(seq: CochainSequence) -> CochainSequence:
-    return seq.map_terms(diff_d)
-
-
-def seq_split_s(seq: CochainSequence) -> CochainSequence:
-    return seq.map_terms(split_s)
-
-
-def reindex(seq: CochainSequence, indices, axis_note: str = "[reindexed]") -> CochainSequence:
-    """Subsequence / supersequence by explicit 0-based index list.
-
-    Repeats are allowed (a term may appear many times); no claim is made
-    that re-indexing preserves any decay class.
-    """
-    terms = [seq.terms[i] for i in indices]
-    schedule = ([seq.schedule[i] for i in indices]
-                if seq.schedule is not None else None)
-    return CochainSequence(terms, family_axis=seq.family_axis + axis_note,
-                           schedule=schedule)
-
 
 def asymptotic_invariance(seq: CochainSequence, r_list,
                           thresholds: DecayThresholds = DEFAULT_THRESHOLDS,
@@ -165,14 +132,6 @@ def asymptotic_invariance(seq: CochainSequence, r_list,
                            seed=seed).value for t in diffs]
         out[float(r)] = diagnose(values, r, axis=axis, thresholds=thresholds)
     return out
-
-
-def invariance_csv(diagnostics: dict[float, DecayDiagnostic]) -> str:
-    lines = ["n,R,value"]
-    for r in sorted(diagnostics):
-        for n, rr, v in diagnostics[r].csv_rows():
-            lines.append(f"{n},{rr!r},{v!r}")
-    return "\n".join(lines) + "\n"
 
 
 def counterexample_s_not_invariant(space: FiniteMetricSpace,

@@ -214,3 +214,200 @@ def walk_dicts_reference(space, steps, laziness=0.5):
                                  steps)
     return [{int(j): float(mat[x, j]) for j in np.flatnonzero(mat[x] > 0)}
             for x in range(space.n)]
+
+
+# -- the per-point closure audits -------------------------------------------------
+#
+# The package audits by face tables (coarsecohom.facetables). These are the
+# scans it replaced: one point at a time through Cochain.__call__, folding
+# each value's norm or entry gap into a running sup with a strict `>`, so
+# the first maximiser is the witness. The report types are the package's.
+
+def sup_scan_reference(points, measure):
+    best = 0.0
+    witness = None
+    for xs, ys in points:
+        val = measure(xs, ys)
+        if val > best:
+            best = val
+            witness = (xs, ys)
+    return best, witness
+
+
+def _audit_kw(budget, sample_size, seed):
+    from coarsecohom.cochains import DEFAULT_AUDIT_BUDGET, DEFAULT_SAMPLE_SIZE
+    return {"budget": DEFAULT_AUDIT_BUDGET if budget is None else budget,
+            "sample_size": (DEFAULT_SAMPLE_SIZE if sample_size is None
+                            else sample_size),
+            "seed": seed}
+
+
+def seminorm_reference(phi, r, budget=None, sample_size=None, seed=0,
+                       include=()):
+    import coarsecohom as cc
+    points, exact = cc.audit_points(phi.space, phi.p + 1, phi.q + 1, r,
+                                    **_audit_kw(budget, sample_size, seed))
+    points = points + list(include)
+    best, witness = sup_scan_reference(points,
+                                       lambda xs, ys: phi(xs, ys).norm)
+    return cc.SeminormReport(float(r), best, exact=exact, witness=witness,
+                             samples=None if exact else len(points))
+
+
+def audit_equal_reference(check, lhs, rhs, r, budget=None, sample_size=None,
+                          seed=0, tol=1e-10):
+    import coarsecohom as cc
+    points, exact = cc.audit_points(lhs.space, lhs.p + 1, lhs.q + 1, r,
+                                    **_audit_kw(budget, sample_size, seed))
+    worst, witness = sup_scan_reference(points, lambda xs, ys: cc.entry_gap(
+        lhs(xs, ys), None if rhs is None else rhs(xs, ys)))
+    return cc.AuditReport(check, lhs.p, lhs.q, float(r), worst, tol,
+                          exact=exact, witness=witness,
+                          samples=None if exact else len(points))
+
+
+def norm_audit_reference(kind, phi, r, budget=None, sample_size=None, seed=0):
+    """diff_D_norm_audit, diff_d_norm_audit or split_s_norm_audit (kind
+    "D", "d" or "s") with the coupled base points listed per point."""
+    import coarsecohom as cc
+    if kind == "D":
+        check, result, factor = "norm_bound_D", cc.diff_D(phi), phi.p + 2
+
+        def couple(xs, ys):
+            return [(xs[:i] + xs[i + 1:], ys) for i in range(len(xs))]
+    elif kind == "d":
+        check, result, factor = "norm_bound_d", cc.diff_d(phi), phi.q + 2
+
+        def couple(xs, ys):
+            return [(xs, ys[:i] + ys[i + 1:]) for i in range(len(ys))]
+    else:
+        check, result, factor = "norm_bound_s", cc.split_s(phi), 1
+
+        def couple(xs, ys):
+            return [(xs, (xs[0],) + ys)]
+    points, exact = cc.audit_points(result.space, result.p + 1, result.q + 1,
+                                    r, **_audit_kw(budget, sample_size, seed))
+    lhs, witness = sup_scan_reference(points,
+                                      lambda xs, ys: result(xs, ys).norm)
+    rhs, _ = sup_scan_reference(
+        (pt for xs, ys in points for pt in couple(xs, ys)),
+        lambda xs, ys: phi(xs, ys).norm)
+    return cc.BoundReport(check, float(r), lhs, rhs, float(factor),
+                          exact=exact, witness=witness,
+                          samples=None if exact else len(points))
+
+
+def support_radius_reference(phi, r, budget=None, seed=0):
+    import coarsecohom as cc
+    space = phi.space
+    dom = cc.enumerate_tuples(space, phi.p + phi.q + 1, r,
+                              budget=_audit_kw(budget, None, seed)["budget"],
+                              seed=seed)
+    cut = phi.p + 1
+
+    def reach(xs, ys):
+        supp = phi(xs, ys).entries
+        return max((space.d(c, w) for c in xs + ys for w in supp),
+                   default=0.0)
+
+    worst, witness = sup_scan_reference(
+        ((t[:cut], t[cut:]) for t in dom.tuples), reach)
+    within = None
+    if phi.support_witness is not None:
+        slack = 0.0 if space.integer_metric else 1e-12
+        within = worst <= phi.support_witness(float(r)) + slack
+    return cc.SupportRadiusReport(float(r), worst, within, exact=dom.exact,
+                                  witness=witness,
+                                  samples=None if dom.exact
+                                  else len(dom.tuples))
+
+
+def conv_norm_audit_reference(f, theta, r, budget=None, sample_size=None,
+                              seed=0):
+    import coarsecohom as cc
+    conv = cc.convolve(f, theta)
+    points, exact = cc.audit_points(f.space, f.p + 1, theta.q + 1, r,
+                                    **_audit_kw(budget, sample_size, seed))
+    f_sup = 0.0
+    theta_sup = 0.0
+
+    def conv_norm(xs, ys):
+        nonlocal f_sup, theta_sup
+        val = conv(xs, ys).norm
+        fv = f(xs, ())
+        f_sup = max(f_sup, fv.norm)
+        for z in fv.entries:
+            theta_sup = max(theta_sup, theta((z,), ys).norm)
+        return val
+
+    lhs, witness = sup_scan_reference(points, conv_norm)
+    return cc.ConvBoundReport(float(r), lhs, f_sup, theta_sup, exact=exact,
+                              witness=witness,
+                              samples=None if exact else len(points))
+
+
+def homotopy_defect_reference(fam, phi, budget=None, sample_size=None,
+                              seed=0):
+    """The defect report (not the cochain); raises like the package when
+    the bound fails."""
+    import coarsecohom as cc
+    defect = cc.cochain_sub(cc.convolve(fam.as_cochain(), phi), phi)
+    dphi = cc.diff_D(phi)
+    points, exact = cc.audit_points(fam.space, 1, phi.q + 1, 0.0,
+                                    **_audit_kw(budget, sample_size, seed))
+    dphi_sup = 0.0
+    telescope_gap = 0.0
+
+    def defect_norm(xs, ys):
+        nonlocal dphi_sup, telescope_gap
+        dval = defect(xs, ys)
+        ent = {}
+        sca = 0.0
+        for z, w in fam.vectors[xs[0]].entries.items():
+            term = dphi((xs[0], z), ys)
+            dphi_sup = max(dphi_sup, term.norm)
+            sca += w * term.scalar
+            for k, u in term.entries.items():
+                ent[k] = ent.get(k, 0.0) + w * u
+        acc = cc.SupportedVector(phi.module, ent, sca)
+        telescope_gap = max(telescope_gap, cc.entry_gap(dval, acc))
+        return dval.norm
+
+    worst, witness = sup_scan_reference(points, defect_norm)
+    fnorm = fam.sup_norm
+    report = cc.DefectReport(fam.s, worst, fnorm * dphi_sup, fnorm, dphi_sup,
+                             telescope_gap, exact=exact, witness=witness,
+                             samples=None if exact else len(points))
+    if not report.ok:
+        raise AssertionError(f"homotopy defect bound violated: {report}")
+    return report
+
+
+def tf_identity_reference(field, theta, budget=None, sample_size=None, seed=0):
+    """The pairing report of tf_identity with radius=None."""
+    import coarsecohom as cc
+    space = theta.space
+    r_ball = 0.0
+    r_pair = 0.0
+    for x in range(space.n):
+        for z0, z1 in field[x].entries:
+            r_ball = max(r_ball, max(space.d(x, z0), space.d(x, z1)))
+            r_pair = max(r_pair, space.d(z0, z1))
+    boundary = cc.Cochain(space, 0, -1, "l1_0",
+                          lambda xs, ys: cc.boundary_pairs(field[xs[0]]),
+                          support_witness=lambda r: r_ball)
+    lhs = cc.convolve(boundary, theta)
+    zeta = cc.diff_D(theta)
+    rhs = cc.transfer_cochain(field, zeta)
+    kw = _audit_kw(budget, sample_size, seed)
+    identity = audit_equal_reference("pairing", lhs, rhs, 0.0, tol=1e-12,
+                                     **kw)
+    points, _ = cc.audit_points(space, 1, theta.q + 1, 0.0, **kw)
+    lhs_sup, _ = sup_scan_reference(points, lambda xs, ys: rhs(xs, ys).norm)
+    zeta_sup, _ = sup_scan_reference(
+        ((pair, ys) for xs, ys in points for pair in field[xs[0]].entries),
+        lambda zs, ys: zeta(zs, ys).norm)
+    f_sup = max((pv.norm for pv in field), default=0.0)
+    bound_ok = lhs_sup <= f_sup * zeta_sup + 1e-10
+    return cc.PairingReport(identity, lhs_sup, f_sup, zeta_sup, r_ball,
+                            r_pair, bound_ok)

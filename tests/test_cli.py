@@ -172,3 +172,20 @@ def test_verify_report_matches_golden(tmp_path, capsys):
                   if not line.startswith('  "generated_at": '))
     golden = Path(__file__).parent / "data" / "verify_cycle8_golden.json"
     assert got == golden.read_text()
+
+
+def test_verify_free_ball_report_matches_golden(tmp_path, capsys):
+    """The full verify report on free_ball(2,3), byte for byte, minus its
+    timestamp. The space is not vertex-transitive (ball sizes differ), and
+    the audits cover exact and sampled domains, all three modules and
+    every suite. Like the cycle8 golden, it rests on CPython's hash()."""
+    target = tmp_path / "report.json"
+    rc = main(["verify", "--family", "free_ball", "--rank", "2", "--radius",
+               "3", "--suite", "all", "--count", "3", "--budget", "4000",
+               "--sample", "200", "--out", str(target)])
+    assert rc == 0
+    capsys.readouterr()
+    got = "".join(line for line in target.read_text().splitlines(True)
+                  if not line.startswith('  "generated_at": '))
+    golden = Path(__file__).parent / "data" / "verify_free_ball_golden.json"
+    assert got == golden.read_text()

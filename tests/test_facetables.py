@@ -1,0 +1,304 @@
+"""The face-table audits against the per-point closure scans they replaced.
+
+Every audit of the package evaluates its cochains as face tables
+(coarsecohom.facetables). The references in tests/helpers.py scan the same
+points one at a time through Cochain.__call__. Reports must agree exactly:
+values, bounds and witnesses, as dicts and as JSON text.
+"""
+
+import json
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import coarsecohom as cc
+from coarsecohom import L1, L1_ZERO, MODULES, SCALAR, facetables
+from helpers import (audit_equal_reference, conv_norm_audit_reference,
+                     homotopy_defect_reference, norm_audit_reference,
+                     seminorm_reference, support_radius_reference,
+                     tf_identity_reference)
+
+
+@contextmanager
+def patched(name, value):
+    saved = getattr(facetables, name)
+    setattr(facetables, name, value)
+    try:
+        yield
+    finally:
+        setattr(facetables, name, saved)
+
+
+def chunk_bytes(size):
+    return patched("_TABLE_CHUNK_BYTES", size)
+
+
+def outcome(run):
+    """The report of run() as (dict, JSON text), or its error."""
+    try:
+        rep = run()
+    except (AssertionError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    payload = rep.to_json()
+    return payload, json.dumps(payload)
+
+
+def assert_same(got, want):
+    assert outcome(got) == outcome(want)
+
+
+@st.composite
+def spaces(draw):
+    n = draw(st.integers(2, 8))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges += [(u, v) for u, v in draw(st.lists(extra, max_size=n)) if u != v]
+    space = cc.build_graph_metric(edges, n)
+    if draw(st.booleans()):
+        space = cc.scaled_metric(space, draw(st.sampled_from([0.5, 1.5])))
+    return space
+
+
+# 8 bytes put one point (or face) in each chunk; 2048 a few; 2**40 all
+_CHUNKS = st.sampled_from([8, 2048, 1 << 40])
+_AUDIT = st.fixed_dictionaries({"budget": st.sampled_from([40, 300]),
+                                "sample_size": st.sampled_from([25, 60]),
+                                "seed": st.integers(0, 3)})
+
+
+@settings(deadline=None, max_examples=40)
+@given(spaces(), st.integers(0, 1), st.integers(-1, 1),
+       st.sampled_from(MODULES), st.sampled_from([0.0, 1.0, 2.0]),
+       st.integers(0, 10 ** 6), _AUDIT, _CHUNKS)
+def test_identity_and_norm_audits_match_closure_scans(space, p, q, module, r,
+                                                      seed, kw, chunk):
+    phi = cc.random_cochain(space, p, q, module, seed)
+    anti = cc.cochain_add(cc.diff_D(cc.diff_d(phi)),
+                          cc.diff_d(cc.diff_D(phi)))
+    if q >= 0:
+        split = cc.cochain_add(cc.diff_d(cc.split_s(phi)),
+                               cc.split_s(cc.diff_d(phi)))
+    else:
+        split = cc.split_s(cc.diff_d(phi))
+    scaled = cc.cochain_scale(phi, -0.37)
+    with chunk_bytes(chunk):
+        for name, lhs, rhs in (("DD=0", cc.diff_D(cc.diff_D(phi)), None),
+                               ("dd=0", cc.diff_d(cc.diff_d(phi)), None),
+                               ("Dd+dD=0", anti, None),
+                               ("split", split, phi),
+                               ("scale", scaled, cc.cochain_sub(phi, phi))):
+            assert_same(lambda: cc.audit_equal(name, lhs, rhs, r, **kw),
+                        lambda: audit_equal_reference(name, lhs, rhs, r,
+                                                      **kw))
+        kinds = [("D", cc.diff_D_norm_audit), ("d", cc.diff_d_norm_audit)]
+        if q >= 0:
+            kinds.append(("s", cc.split_s_norm_audit))
+        for kind, audit in kinds:
+            assert_same(lambda: audit(phi, r, **kw),
+                        lambda: norm_audit_reference(kind, phi, r, **kw))
+        for c in (phi, cc.diff_D(phi), anti):
+            include = [((0,) * (c.p + 1), (space.n - 1,) * (c.q + 1))]
+            assert_same(lambda: cc.seminorm(c, r, include=include, **kw),
+                        lambda: seminorm_reference(c, r, include=include,
+                                                   **kw))
+        # the same rule without its table rule is called once per face
+        bare = cc.Cochain(space, p, q, module, phi.rule)
+        for wrap in (cc.diff_D, cc.diff_d):
+            assert_same(lambda: cc.seminorm(wrap(bare), r, **kw),
+                        lambda: cc.seminorm(wrap(phi), r, **kw))
+        assert_same(
+            lambda: cc.support_radius(cc.diff_D(phi), r, budget=kw["budget"],
+                                      seed=kw["seed"]),
+            lambda: support_radius_reference(cc.diff_D(phi), r,
+                                             budget=kw["budget"],
+                                             seed=kw["seed"]))
+
+
+@settings(deadline=None, max_examples=40)
+@given(spaces(), st.integers(-1, 1), st.sampled_from(MODULES),
+       st.sampled_from([0.0, 1.0, 2.0]), st.integers(0, 10 ** 6), _AUDIT,
+       _CHUNKS, st.integers(0, 1), st.sampled_from([L1, L1_ZERO]))
+def test_averaging_audits_match_closure_scans(space, q, module, r, seed, kw,
+                                              chunk, fp, fmodule):
+    theta = cc.random_cochain(space, 0, q, module, seed)
+    f = cc.random_cochain(space, fp, -1, fmodule, seed + 1)
+    conv = cc.convolve(f, theta)
+    d_right = cc.convolve(f, cc.diff_d(theta))
+    if fp % 2 == 1:
+        d_right = cc.cochain_scale(d_right, -1.0)
+    delta = cc.dirac_family(space).as_cochain()
+    prob = cc.random_prob_family(space, 1.0 + seed % 2, seed)
+    xind = cc.random_x_independent_cochain(space, q, module, seed)
+    fams = [cc.ball_average(space, 1.0), prob, cc.dirac_family(space)]
+    field = cc.random_pair_field(space, 1.0 + seed % 2, seed,
+                                 lift_style=seed % 3 == 0)
+    with chunk_bytes(chunk):
+        for name, lhs, rhs in (
+                ("delta", cc.convolve(delta, theta), theta),
+                ("D(f*theta)", cc.diff_D(conv), cc.convolve(cc.diff_D(f),
+                                                            theta)),
+                ("d(f*theta)", cc.diff_d(conv), d_right),
+                ("prob*xind", cc.convolve(prob.as_cochain(), xind), xind)):
+            assert_same(lambda: cc.audit_equal(name, lhs, rhs, r, **kw),
+                        lambda: audit_equal_reference(name, lhs, rhs, r,
+                                                      **kw))
+        assert_same(lambda: cc.conv_norm_audit(f, theta, r, **kw),
+                    lambda: conv_norm_audit_reference(f, theta, r, **kw))
+        for fam in fams:
+            assert_same(lambda: cc.homotopy_defect(fam, theta, **kw)[1],
+                        lambda: homotopy_defect_reference(fam, theta, **kw))
+        assert_same(lambda: cc.tf_identity(field, theta, **kw),
+                    lambda: tf_identity_reference(field, theta, **kw))
+
+
+@pytest.mark.parametrize("chunk", [8, 1 << 40])
+def test_johnson_ties_keep_the_first_witness(chunk):
+    # ||j01|| is 2 wherever y0 != y1: every chunk ties, and only the first
+    # point attaining 2 may be the witness
+    space = cc.generate_family("cycle", {"size": 8})
+    j01, j10, hom = cc.johnson_cocycles(space, audit=False)
+    kw = {"budget": 4000, "sample_size": 100, "seed": 1}
+    with chunk_bytes(chunk):
+        rep = cc.seminorm(j01, 2.0, **kw)
+        assert_same(lambda: rep, lambda: seminorm_reference(j01, 2.0, **kw))
+        assert rep.value == 2.0 and rep.witness == ((0,), (0, 1))
+        for got in cc.johnson_relations(j01, j10, hom, 2.0, tol=1e-12, **kw):
+            lhs = {"D(j01)=0": cc.diff_D(j01), "d(j01)=0": cc.diff_d(j01),
+                   "D(hom)=-j10": cc.diff_D(hom),
+                   "d(hom)=j01": cc.diff_d(hom)}[got.check]
+            rhs = {"D(hom)=-j10": cc.cochain_scale(j10, -1.0),
+                   "d(hom)=j01": j01}.get(got.check)
+            assert_same(lambda: got, lambda: audit_equal_reference(
+                got.check, lhs, rhs, 2.0, tol=1e-12, **kw))
+
+
+@pytest.mark.parametrize("p, q, check", [(1, -1, "DD=0"), (0, 1, "dd=0")])
+def test_scalar_roundoff_is_reported_not_pruned(p, q, check):
+    # scalar values are never pruned, so DD=0 and dd=0 report the float
+    # residue of the closures: 2.2e-16 and 4.4e-16, both below PRUNE_TOL
+    space = cc.generate_family("cycle", {"size": 6})
+    phi = cc.random_cochain(space, p, q, SCALAR, 0)
+    twice = (cc.diff_D(cc.diff_D(phi)) if check == "DD=0"
+             else cc.diff_d(cc.diff_d(phi)))
+    kw = {"budget": 500, "sample_size": 80, "seed": 0}
+    got = cc.audit_zero(check, twice, 1.0, **kw)
+    want = audit_equal_reference(check, twice, None, 1.0, **kw)
+    assert got.max_violation == want.max_violation
+    assert 0.0 < got.max_violation < 1e-15
+    assert got.witness == want.witness
+
+
+def _bad_zero_sum(space, checked):
+    """A user-written (0, 0) l1_0 rule whose values sum to 1 at (x, (x,)):
+    built through SupportedVector (which raises) or around it."""
+    def rule(xs, ys):
+        entries = {xs[0]: 1.0, ys[0]: -1.0} if xs[0] != ys[0] else {xs[0]: 1.0}
+        if checked:
+            return cc.SupportedVector(L1_ZERO, entries)
+        value = cc.SupportedVector(L1_ZERO)
+        value.entries = entries
+        return value
+    return cc.Cochain(space, 0, 0, L1_ZERO, rule, name="bad")
+
+
+@pytest.mark.parametrize("checked", [True, False])
+def test_zero_sum_violation_raises_the_closure_error(checked):
+    space = cc.generate_family("cycle", {"size": 5})
+    bad = _bad_zero_sum(space, checked)
+    lhs = cc.diff_D(bad)
+    kw = {"budget": 4000, "sample_size": 50, "seed": 0}
+    with pytest.raises(ValueError) as want:
+        audit_equal_reference("D", lhs, None, 1.0, **kw)
+    with pytest.raises(ValueError) as got:
+        cc.audit_zero("D", lhs, 1.0, **kw)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("l1_0 entries must sum to 0, got ")
+
+
+def test_rebased_keys_keep_the_dict_order():
+    # with almost no room for keys every l1 sum first rebases its
+    # operands' keys to ranks; norms must still add in dict order
+    space = cc.generate_family("free_ball", {"rank": 2, "radius": 2})
+    kw = {"budget": 300, "sample_size": 60, "seed": 2}
+    with patched("_KEY_ROOM", 4):
+        for p, q, module in ((1, 1, L1_ZERO), (0, 1, L1), (1, 0, L1)):
+            phi = cc.random_cochain(space, p, q, module, 7)
+            for kind, audit in (("D", cc.diff_D_norm_audit),
+                                ("d", cc.diff_d_norm_audit),
+                                ("s", cc.split_s_norm_audit)):
+                assert_same(lambda: audit(phi, 1.0, **kw),
+                            lambda: norm_audit_reference(kind, phi, 1.0,
+                                                         **kw))
+            twice = cc.diff_D(cc.diff_d(phi))
+            assert_same(lambda: cc.seminorm(twice, 2.0, **kw),
+                        lambda: seminorm_reference(twice, 2.0, **kw))
+        theta = cc.random_cochain(space, 0, 1, L1, 3)
+        f = cc.diff_D(cc.random_cochain(space, 0, -1, L1, 4))
+        assert_same(lambda: cc.conv_norm_audit(f, theta, 1.0, **kw),
+                    lambda: conv_norm_audit_reference(f, theta, 1.0, **kw))
+
+
+def test_distinct_faces_in_order_of_first_appearance():
+    # faces over few points are coded as one int64 each; over many points
+    # (n ** k past 2**62) they are compared row by row; both give the same
+    rng = np.random.default_rng(5)
+    for k in (1, 2, 4):
+        faces = rng.integers(0, 4, size=(300, k))
+        first, inverse = facetables.distinct(faces, 4)
+        assert np.array_equal(faces[first][inverse], faces)
+        assert np.array_equal(first, np.sort(first))
+        assert np.array_equal(np.unique(inverse, return_index=True)[1], first)
+        wide = facetables.distinct(faces, 2 ** 62)
+        assert np.array_equal(wide[0], first)
+        assert np.array_equal(wide[1], inverse)
+
+
+@pytest.mark.parametrize("kind, params", [("cycle", {"size": 512}),
+                                          ("torus", {"dim": 2, "size": 16})])
+def test_wide_zero_sum_defects_match_closure_scans(kind, params):
+    # with n in the hundreds the plain row sum leaves some l1_0 values of
+    # D theta in doubt; those are added again in dict order
+    space = cc.generate_family(kind, params)
+    fam = cc.ball_average(space, 2.0)
+    kw = {"budget": 4000, "sample_size": 300, "seed": 1}
+    ordered = []
+    plain = facetables.ordered_sums
+
+    def counted(vals, keys, absolute):
+        ordered.append(absolute)
+        return plain(vals, keys, absolute)
+
+    with patched("ordered_sums", counted):
+        for q in (0, 1):
+            theta = cc.random_cochain(space, 0, q, L1_ZERO, 3)
+            assert_same(lambda: cc.homotopy_defect(fam, theta, **kw)[1],
+                        lambda: homotopy_defect_reference(fam, theta, **kw))
+    assert False in ordered
+
+
+def test_empty_samples_match_closure_scans():
+    # sample_size 0 on an over-budget domain leaves no points to audit
+    space = cc.generate_family("cycle", {"size": 8})
+    kw = {"budget": 10, "sample_size": 0, "seed": 0}
+    theta = cc.random_cochain(space, 0, 1, L1_ZERO, 5)
+    f = cc.random_cochain(space, 0, -1, L1, 6)
+    fam = cc.ball_average(space, 1.0)
+    field = cc.random_pair_field(space, 1.0, 7)
+    twice = cc.diff_D(cc.diff_D(theta))
+    assert cc.audit_points(space, 3, 2, 2.0, **kw) == ([], False)
+    assert_same(lambda: cc.audit_zero("DD=0", twice, 2.0, **kw),
+                lambda: audit_equal_reference("DD=0", twice, None, 2.0,
+                                              **kw))
+    assert_same(lambda: cc.seminorm(twice, 2.0, **kw),
+                lambda: seminorm_reference(twice, 2.0, **kw))
+    assert_same(lambda: cc.diff_D_norm_audit(theta, 2.0, **kw),
+                lambda: norm_audit_reference("D", theta, 2.0, **kw))
+    assert_same(lambda: cc.conv_norm_audit(f, theta, 2.0, **kw),
+                lambda: conv_norm_audit_reference(f, theta, 2.0, **kw))
+    assert_same(lambda: cc.homotopy_defect(fam, theta, **kw)[1],
+                lambda: homotopy_defect_reference(fam, theta, **kw))
+    assert_same(lambda: cc.tf_identity(field, theta, **kw),
+                lambda: tf_identity_reference(field, theta, **kw))

@@ -1,12 +1,18 @@
 """Source hygiene checks that need no linter: every module of the package
-uses each name it imports. `__init__.py` is skipped, since it imports names
-only to re-export them."""
+uses each name it imports (`__init__.py` is skipped, since it imports names
+only to re-export them), the command line loads no optional heavy module,
+and the numpy port of the tuple hash matches this interpreter's hash()."""
 
 import ast
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from coarsecohom.randomgen import _hash_state, _row_hashes, _tuple_hash
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "coarsecohom"
 
@@ -44,3 +50,26 @@ def test_cli_import_loads_no_scipy_or_numba():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=path))
     assert out.stdout.strip() == "[]"
+
+
+def test_tuple_hash_port_matches_builtin_hash():
+    # The random cochains hash (base, xs, ys, t) with the builtin hash();
+    # the audits fill their tables through randomgen's numpy port of it.
+    # An interpreter whose tuple hash differs must fail here, loudly.
+    rng = random.Random(20261018)
+    bases = [0, 1, 2 ** 61 - 2, 2 ** 61 - 1, 2 ** 61, 2 ** 64 - 1]
+    for k in range(12_000):
+        base = bases[k] if k < len(bases) else rng.choice(
+            [rng.randrange(2 ** 64), rng.randrange(2 ** 61 - 1, 2 ** 64),
+             rng.randrange(1000)])
+        xs = tuple(rng.randrange(5000) for _ in range(rng.randrange(4)))
+        ys = tuple(rng.randrange(5000) for _ in range(rng.randrange(4)))
+        t = rng.randrange(4)
+        hx = _row_hashes(np.array([xs], dtype=np.int64).reshape(1, len(xs)))
+        hy = _row_hashes(np.array([ys], dtype=np.int64).reshape(1, len(ys)))
+        assert int(hx[0]) == hash(xs) and int(hy[0]) == hash(ys)
+        want = hash((base, xs, ys, t))
+        assert int(_tuple_hash([hash(base), hx, hy, t], 1)[0]) == want
+        # the leaves hash (base, xs, ys) once, then each term t
+        state = _hash_state([hash(base), hx, hy], 1)
+        assert int(_tuple_hash([t], 1, state, 3)[0]) == want

@@ -79,24 +79,6 @@ def test_sequence_validation():
         cc.asymptotic_invariance(cc.CochainSequence([a]), [1.0])
 
 
-def test_sequence_maps_and_reindex():
-    seq = ball_sequence(CYCLE16, [1, 2, 3])
-    dseq = cc.seq_diff_D(seq)
-    assert dseq.bidegree == (1, -1)
-    assert len(cc.seq_diff_d(seq)) == 3
-    sub = cc.reindex(seq, [2, 2, 0])
-    assert sub.schedule == [3, 3, 1]
-    assert "[reindexed]" in sub.family_axis
-    with pytest.raises(ValueError):
-        cc.seq_split_s(seq)  # q = -1 has nothing below
-
-
-def test_invariance_csv_format():
-    diags = {1.0: cc.diagnose([0.5, 0.25], 1.0)}
-    text = cc.invariance_csv(diags)
-    assert text == "n,R,value\n1,1.0,0.5\n2,1.0,0.25\n"
-
-
 @pytest.mark.parametrize("space", [CYCLE16, cc.generate_family("path", {"size": 8})])
 def test_counterexample_certificate(space):
     out = cc.counterexample_s_not_invariant(space)
