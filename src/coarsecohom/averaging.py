@@ -164,20 +164,88 @@ def ball_average(space: FiniteMetricSpace, s: float) -> ReiterFamily:
                                    f"ball[{s}]")
 
 
-def _walk_matrix(space: FiniteMetricSpace, laziness: float) -> np.ndarray:
-    """One step of the lazy walk: stay with probability `laziness`, else
-    move to a uniform unit neighbour. Built in place in the adjacency."""
-    if space.n == 1:
-        return np.eye(1)
-    adj = (space.dist == 1).astype(float) if space.integer_metric else (
-        (space.dist > 0) & (space.dist <= 1.0 + REAL_METRIC_SLACK)).astype(float)
-    deg = adj.sum(axis=1)
+# The walk keeps its rows sparse when the widest S-ball holds at most
+# n / _SPARSE_WALK_SHARE points; wider rows go through dense matrix_power.
+# The two kernels broke even at a widest ball of about n/5.5 on torus48
+# and rr512 (the sparse one still won at n/2.9 on rr2048; CHANGES.md), so
+# n/8 keeps a margin.
+_SPARSE_WALK_SHARE = 8
+# Terms of P^(t-1)[x, k] * P[k, j] the sparse walk multiplies and sums at
+# once; a block of rows is cut at about this many, whatever the row widths.
+_WALK_CHUNK_TERMS = 1 << 13
+
+
+def _walk_step_rows(space: FiniteMetricSpace, laziness: float):
+    """One step of the lazy walk as CSR rows (indptr, cols, weights): stay
+    with probability `laziness`, else move to a uniform unit neighbour. Row
+    k holds `laziness` at k and fl((1 - laziness) / deg k) at each unit
+    neighbour, in ascending column order; a single point stays with
+    probability 1."""
+    n = space.n
+    if n == 1:
+        return np.array([0, 1]), np.array([0]), np.array([1.0])
+    mask = space.dist == 1 if space.integer_metric else (
+        (space.dist > 0) & (space.dist <= 1.0 + REAL_METRIC_SLACK))
+    deg = np.count_nonzero(mask, axis=1)
     if np.any(deg == 0):
         raise ValueError("lazy walk needs every point to have a unit neighbor")
-    adj *= 1.0 - laziness
-    adj /= deg[:, None]
-    adj.flat[::space.n + 1] += laziness  # the diagonal of adj is 0.0
-    return adj
+    mask.flat[::n + 1] = True
+    indptr, cols = _mask_rows(mask)
+    rows = np.repeat(np.arange(n), deg + 1)
+    return indptr, cols, np.where(cols == rows, laziness,
+                                  (1.0 - laziness) / deg[rows])
+
+
+def _walk_matrix(space: FiniteMetricSpace, laziness: float) -> np.ndarray:
+    """The dense n x n matrix of _walk_step_rows."""
+    indptr, cols, weights = _walk_step_rows(space, laziness)
+    mat = np.zeros((space.n, space.n))
+    mat[np.repeat(np.arange(space.n), np.diff(indptr)), cols] = weights
+    return mat
+
+
+def _walk_rows_sparse(space: FiniteMetricSpace, steps: int,
+                      laziness: float):
+    """CSR rows (indptr, cols, weights) of P^steps, kept to the entries >=
+    PRUNE_TOL, with P = _walk_step_rows.
+
+    Starting from the identity, each step sets row x to the sum over k of
+    row[x, k] * P[k, .]. Entries are tracked as codes x * n + j; every term
+    of (x, j) is added left to right in ascending k, from the first term,
+    because bincount adds its weights in input order and the terms are laid
+    out by (x, k, j).
+    """
+    n = space.n
+    p_ptr, p_cols, p_weights = _walk_step_rows(space, laziness)
+    p_lengths = np.diff(p_ptr)
+    codes = np.arange(n) * (n + 1)
+    weights = np.ones(n)
+    for _ in range(steps):
+        # rows [a, b) at a time, each block with about _WALK_CHUNK_TERMS terms
+        entry_at = np.searchsorted(codes, np.arange(n + 1) * n)
+        terms_before = np.zeros(len(codes) + 1, dtype=np.int64)
+        np.cumsum(p_lengths[codes % n], out=terms_before[1:])
+        row_terms_at = terms_before[entry_at]
+        parts = []
+        a = 0
+        while a < n:
+            b = max(a + 1, int(np.searchsorted(
+                row_terms_at, row_terms_at[a] + _WALK_CHUNK_TERMS,
+                side="right")) - 1)
+            lo, hi = entry_at[a], entry_at[b]
+            a = b
+            _, owner, _, src = csr_expand(p_ptr, codes[lo:hi] % n)
+            terms = weights[lo:hi][owner] * p_weights[src]
+            block, at = np.unique(codes[lo:hi][owner] // n * n + p_cols[src],
+                                  return_inverse=True)
+            parts.append((block, np.bincount(at, weights=terms)))
+        codes = np.concatenate([block for block, _ in parts])
+        weights = np.concatenate([sums for _, sums in parts])
+    # the positive entries a SupportedVector keeps (it prunes below PRUNE_TOL)
+    keep = weights >= PRUNE_TOL
+    codes = codes[keep]
+    return (np.searchsorted(codes, np.arange(n + 1) * n), codes % n,
+            weights[keep])
 
 
 def lazy_walk_family(space: FiniteMetricSpace, steps: int,
@@ -186,16 +254,29 @@ def lazy_walk_family(space: FiniteMetricSpace, steps: int,
 
     Needs unit-distance graph structure (adjacency = distance 1); support
     after t steps sits inside the t-ball, so S = steps.
+
+    Two kernels compute P^steps. When the widest S-ball, counted as
+    d <= S (1 + REAL_METRIC_SLACK), holds at most n / _SPARSE_WALK_SHARE
+    points, the rows stay sparse on that pattern (_walk_rows_sparse): each
+    entry is summed over k in ascending order, so its bits do not depend on
+    BLAS. Otherwise the rows saturate and dense np.linalg.matrix_power,
+    whose summation order is BLAS's, is faster. Either way entries below
+    PRUNE_TOL are dropped.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if not 0.0 < laziness < 1.0:
         raise ValueError("laziness must sit strictly between 0 and 1")
-    mat = np.linalg.matrix_power(_walk_matrix(space, laziness), steps)
-    # the positive entries a SupportedVector keeps (it prunes below PRUNE_TOL)
-    keep = mat >= PRUNE_TOL
-    indptr, cols = _mask_rows(keep)
-    return ReiterFamily._from_rows(space, steps, indptr, cols, mat[keep],
+    widest = int(np.count_nonzero(
+        space.dist <= steps * (1.0 + REAL_METRIC_SLACK), axis=1).max())
+    if widest * _SPARSE_WALK_SHARE <= space.n:
+        indptr, cols, weights = _walk_rows_sparse(space, steps, laziness)
+    else:
+        mat = np.linalg.matrix_power(_walk_matrix(space, laziness), steps)
+        keep = mat >= PRUNE_TOL
+        indptr, cols = _mask_rows(keep)
+        weights = mat[keep]
+    return ReiterFamily._from_rows(space, steps, indptr, cols, weights,
                                    f"walk[{steps}]")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -84,6 +85,20 @@ def _parse_floats(text: str, flag: str) -> list[float]:
     return out
 
 
+def _parse_scales(text: str, flag: str, whole: bool = False) -> list[float]:
+    """Profile scales: finite and >= 0, and whole numbers when `whole`;
+    the error names the first token that is not."""
+    values = _parse_floats(text, flag)
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    for tok, value in zip(tokens, values):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{flag} value {tok!r} must be finite and >= 0")
+        if whole and not value.is_integer():
+            raise ValueError(f"{flag} value {tok!r} must be a whole number "
+                             "of walk steps")
+    return values
+
+
 def _space_summary(space: FiniteMetricSpace) -> str:
     degrees = None
     if "edges" in space.meta and space.n > 0:
@@ -121,12 +136,13 @@ def _cmd_gen(args) -> int:
 def _cmd_profile(args) -> int:
     space = _space_from_args(args)
     if args.schedule:
-        schedule = _parse_floats(args.schedule, "--schedule")
+        schedule = _parse_scales(args.schedule, "--schedule",
+                                 whole=args.method == "walk")
     elif args.smax:
         schedule = [float(s) for s in range(1, args.smax + 1)]
     else:
         raise ValueError("profile needs --smax or --schedule")
-    r_list = _parse_floats(args.r, "--r")
+    r_list = _parse_scales(args.r, "--r")
     if args.method == "ball":
         family = ball_average
     elif args.method == "walk":

@@ -22,6 +22,10 @@ DEFAULT_TUPLE_BUDGET = 20_000
 # Bytes of neighbour ball rows gathered at once while the balls of a graph
 # grow, so that the gather stays this small whatever the degree.
 _GATHER_CHUNK_BYTES = 1 << 21
+# Bytes of unpacked distance bits added to `dist` at once while balls grow.
+_UNPACK_CHUNK_BYTES = 1 << 15
+# The 8 bits of each byte value, most significant first (np.unpackbits order)
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
 
 _FREE_GEN_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
@@ -104,11 +108,14 @@ class FiniteMetricSpace:
         if self.n <= TRIANGLE_SCAN_LIMIT:
             # full triple scan, vectorized one intermediate point at a time
             d = self.wide_dist()
-            slack = 0 if self.integer_metric else REAL_METRIC_SLACK
+            through = np.empty_like(d)
+            bad = np.empty(d.shape, dtype=bool)
             for k in range(self.n):
-                through = d[:, k, None] + d[None, k, :]
-                if np.any(d > through + slack):
-                    i, j = np.argwhere(d > through + slack)[0]
+                np.add(d[:, k, None], d[None, k, :], out=through)
+                if not self.integer_metric:
+                    through += REAL_METRIC_SLACK
+                if np.greater(d, through, out=bad).any():
+                    i, j = np.argwhere(bad)[0]
                     raise ValueError(
                         f"triangle inequality fails: d({i},{j}) > "
                         f"d({i},{k}) + d({k},{j})")
@@ -307,20 +314,42 @@ def _hop_distances(n: int, edges: np.ndarray) -> np.ndarray:
     blocks = list(zip(bounds, bounds[1:]))
 
     reached = np.zeros((n, width), dtype=np.uint64)
-    reached.view(np.uint8)[ids, ids >> 3] = 0x80 >> (ids & 7)  # packbits order
+    packed = reached.view(np.uint8)
+    packed[ids, ids >> 3] = 0x80 >> (ids & 7)  # packbits order
+    # the padding bits past n count as reached from the start, so a row of
+    # `missing` words is zero exactly when its ball is the whole graph
+    packed |= np.packbits(np.arange(64 * width) >= n)
     grown = np.empty_like(reached)
+    missing = np.empty_like(reached)
+    gather = np.empty((max(int(starts[b] - starts[a]) for a, b in blocks),
+                       width), dtype=np.uint64)
+    # missing rows are unpacked a block at a time into one bit buffer;
+    # every take below passes mode="clip" (its indices are always in range)
+    # because the default mode copies `out` through a temporary
+    unpack_rows = max(1, _UNPACK_CHUNK_BYTES // (64 * width))
+    bits = np.empty((unpack_rows, 8 * width, 8), dtype=np.uint8)
     while True:
-        missing = np.unpackbits((~reached).view(np.uint8), axis=1, count=n)
+        np.invert(reached, out=missing)
         if not missing.any():
             return dist
-        dist += missing
+        for a in range(0, n, unpack_rows):
+            b = min(a + unpack_rows, n)
+            np.take(_BYTE_BITS, missing[a:b].view(np.uint8), axis=0,
+                    out=bits[:b - a], mode="clip")
+            dist[a:b] += bits[:b - a].reshape(b - a, -1)[:, :n]
         for a, b in blocks:
             lo, hi = starts[a], starts[b]
-            np.bitwise_or.reduceat(reached[nbrs[lo:hi]], starts[a:b] - lo,
+            np.take(reached, nbrs[lo:hi], axis=0, out=gather[:hi - lo],
+                    mode="clip")
+            np.bitwise_or.reduceat(gather[:hi - lo], starts[a:b] - lo,
                                    axis=0, out=grown[a:b])
-        if np.array_equal(grown, reached):
+        # growth only sets bits, so nothing changed iff grown ^ reached is 0
+        np.bitwise_xor(grown, reached, out=missing)
+        if not missing.any():
+            np.invert(reached, out=missing)
             src = int(np.flatnonzero(missing.any(axis=1))[0])
-            far = int(np.flatnonzero(missing[src])[0])
+            far = int(np.flatnonzero(np.unpackbits(
+                missing[src].view(np.uint8), count=n))[0])
             raise ValueError(
                 f"graph is disconnected: vertex {far} is unreachable "
                 f"from vertex {src}")

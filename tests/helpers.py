@@ -11,6 +11,8 @@ from itertools import product
 
 import numpy as np
 
+from coarsecohom.coefficients import PRUNE_TOL
+
 
 def cycle_dist(m, i, j):
     k = abs(i - j)
@@ -214,6 +216,31 @@ def walk_dicts_reference(space, steps, laziness=0.5):
                                  steps)
     return [{int(j): float(mat[x, j]) for j in np.flatnonzero(mat[x] > 0)}
             for x in range(space.n)]
+
+
+def walk_rows_reference(space, steps, laziness=0.5):
+    """Row dicts {j: mass} of the walk after `steps` steps by a dict loop.
+
+    P's rows are the nonzeros of walk_matrix_reference. Row x of P^t adds
+    P^(t-1)[x, k] * P[k, j] over k in ascending order, starting from the
+    first term; entries below PRUNE_TOL are dropped at the end.
+    """
+    mat = walk_matrix_reference(space, laziness)
+    step = [{int(j): float(mat[k, j]) for j in np.flatnonzero(mat[k])}
+            for k in range(space.n)]
+    rows = [{x: 1.0} for x in range(space.n)]
+    for _ in range(steps):
+        grown = []
+        for row in rows:
+            acc = {}
+            for k in sorted(row):
+                for j, p in step[k].items():
+                    term = row[k] * p
+                    acc[j] = acc[j] + term if j in acc else term
+            grown.append(acc)
+        rows = grown
+    return [{j: row[j] for j in sorted(row) if row[j] >= PRUNE_TOL}
+            for row in rows]
 
 
 # -- the per-point closure audits -------------------------------------------------

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -12,7 +13,8 @@ from coarsecohom import L1, L1_ZERO, SCALAR, averaging
 from coarsecohom.coefficients import PRUNE_TOL
 from helpers import (frac_ball_nu, max_pair_variation_reference,
                      pairs_reference, validate_family_reference,
-                     walk_dicts_reference, walk_matrix_reference)
+                     walk_dicts_reference, walk_matrix_reference,
+                     walk_rows_reference)
 
 CYCLE8 = cc.generate_family("cycle", {"size": 8})
 CYCLE64 = cc.generate_family("cycle", {"size": 64})
@@ -520,3 +522,96 @@ def test_family_validation_matches_per_entry_loop(space, s, is_prob, data):
             cc.ReiterFamily(space, s, vectors, is_prob=is_prob)
     else:
         cc.ReiterFamily(space, s, vectors, is_prob=is_prob)
+
+
+# -- the sparse walk kernel ------------------------------------------------------
+
+def _csr_dicts(indptr, cols, weights):
+    bounds = indptr.tolist()
+    return [dict(zip(cols[lo:hi].tolist(), weights[lo:hi].tolist()))
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _check_sparse_walk(space, steps, laziness):
+    """The sparse kernel equals the dict loop bit for bit, in entry order,
+    and matrix_power within 1e-13."""
+    got = _csr_dicts(*averaging._walk_rows_sparse(space, steps, laziness))
+    want = walk_rows_reference(space, steps, laziness)
+    assert got == want
+    assert [list(row) for row in got] == [list(row) for row in want]
+    dense = walk_dicts_reference(space, steps, laziness)
+    for row, mat_row in zip(got, dense):
+        for j in set(row) | set(mat_row):
+            assert abs(row.get(j, 0.0) - mat_row.get(j, 0.0)) <= 1e-13
+    return got
+
+
+def _has_unit_neighbours(space):
+    return space.n == 1 or all(
+        any(0 < space.d(x, y) <= 1.0 + 1e-12 for y in range(space.n))
+        for x in range(space.n))
+
+
+@settings(deadline=None, max_examples=80)
+@given(_space_strategy(), st.integers(0, 6), st.sampled_from([0.5, 0.3]),
+       st.sampled_from([1, 16, 1 << 13]))
+def test_sparse_walk_rows_match_dict_loop(space, steps, laziness, chunk):
+    with mock.patch.object(averaging, "_WALK_CHUNK_TERMS", chunk):
+        if _has_unit_neighbours(space):
+            _check_sparse_walk(space, steps, laziness)
+        else:
+            with pytest.raises(ValueError, match="unit neighbor"):
+                averaging._walk_rows_sparse(space, steps, laziness)
+
+
+@pytest.mark.parametrize("laziness", [0.5, 0.3])
+def test_sparse_walk_rows_on_a_single_point(laziness):
+    single = cc.generate_family("path", {"size": 1})
+    for steps in range(4):
+        assert _check_sparse_walk(single, steps, laziness) == [{0: 1.0}]
+
+
+def test_sparse_walk_rows_prune_like_supported_vectors():
+    path = cc.generate_family("path", {"size": 40})
+    assert any(0 < w < PRUNE_TOL for row in walk_dicts_reference(path, 30)
+               for w in row.values())
+    _check_sparse_walk(path, 30, 0.5)
+
+
+@pytest.mark.parametrize("space", _spaces_for_walk(),
+                         ids=["cycle8", "torus8", "rr64", "free_ball",
+                              "real", "n1"])
+@pytest.mark.parametrize("laziness", [0.5, 0.3])
+def test_walk_step_rows_are_the_reference_nonzeros(space, laziness):
+    indptr, cols, weights = averaging._walk_step_rows(space, laziness)
+    mat = walk_matrix_reference(space, laziness)
+    rows, want_cols = np.nonzero(mat)
+    assert np.array_equal(indptr, np.searchsorted(rows, np.arange(space.n + 1)))
+    assert np.array_equal(cols, want_cols)
+    assert np.array_equal(weights, mat[rows, want_cols])
+
+
+def test_walk_on_thin_balls_builds_no_dense_matrix():
+    space = cc.generate_family("random_regular", {"n": 1024, "k": 3}, seed=1)
+    tracemalloc.start()
+    try:
+        fam = cc.lazy_walk_family(space, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * space.n * space.n  # one n x n float64 matrix
+    assert np.array_equal(fam.weights, averaging._walk_rows_sparse(
+        space, 4, 0.5)[2])
+
+
+@pytest.mark.parametrize("laziness", [0.5, 0.3])
+def test_walk_on_saturated_balls_stays_matrix_power(laziness):
+    space = cc.generate_family("complete", {"n": 64})
+    for steps in (1, 2, 3):
+        with mock.patch.object(averaging, "_walk_rows_sparse") as sparse:
+            fam = cc.lazy_walk_family(space, steps, laziness)
+        assert not sparse.called
+        want = walk_dicts_reference(space, steps, laziness)
+        got = _csr_dicts(fam.indptr, fam.cols, fam.weights)
+        assert got == [{j: w for j, w in row.items() if w >= PRUNE_TOL}
+                       for row in want]

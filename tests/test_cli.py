@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 import coarsecohom as cc
 from coarsecohom.cli import main
 
@@ -109,6 +111,31 @@ def test_profile_walk_method(capsys):
     lines = capsys.readouterr().out.splitlines()
     nus = [float(line.split(",")[2]) for line in lines[1:4]]
     assert nus[0] > nus[1] > nus[2] > 0
+
+
+@pytest.mark.parametrize("args,token,rule", [
+    (["--schedule", "inf", "--method", "walk"], "--schedule value 'inf'",
+     "finite and >= 0"),
+    (["--schedule", "1", "--r", "1,nan"], "--r value 'nan'", "finite and >= 0"),
+    (["--schedule", "1.5,2.5", "--method", "walk"], "--schedule value '1.5'",
+     "a whole number of walk steps"),
+    (["--schedule=-1"], "--schedule value '-1'", "finite and >= 0"),
+], ids=["inf-walk", "nan-r", "fractional-walk", "negative"])
+def test_profile_rejects_bad_scales_naming_the_token(capsys, args, token,
+                                                     rule):
+    rc = main(["profile", "--family", "cycle", "--size", "8", *args])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {token} must be {rule}\n"
+
+
+def test_profile_walk_accepts_whole_float_steps(capsys):
+    rc = main(["profile", "--family", "cycle", "--size", "8",
+               "--schedule", "1.0,2.0", "--r", "1.0", "--method", "walk"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[:2] for line in lines[1:3]] == [
+        ["1.0", "1.0"], ["2.0", "1.0"]]
 
 
 def test_verify_johnson_suite(capsys):

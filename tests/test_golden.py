@@ -9,10 +9,11 @@ import json
 from pathlib import Path
 
 import coarsecohom as cc
+from coarsecohom.cli import main
 from helpers import frac_ball_nu
 
-GOLDEN = json.loads(
-    (Path(__file__).parent / "data" / "golden_separation.json").read_text())
+DATA = Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "golden_separation.json").read_text())
 
 
 def rebuild(entry):
@@ -53,3 +54,14 @@ def test_golden_values_match_rational_oracle():
         for s, nu in zip(GOLDEN["schedule"], entry["nu"]):
             exact = frac_ball_nu(sp, int(s), int(GOLDEN["r"]))
             assert abs(nu - float(exact)) <= 1e-12, (name, s)
+
+
+def test_walk_profile_matches_golden_csv(tmp_path, capsys):
+    """Walk rows of the sparse kernel on rr512 (S = 1..4 stay sparse), byte
+    for byte."""
+    prefix = tmp_path / "walk"
+    assert main(["profile", "--family", "random_regular", "--n", "512",
+                 "--k", "3", "--seed", "5", "--smax", "4", "--r", "1,2",
+                 "--method", "walk", "--out", str(prefix)]) == 0
+    got = (tmp_path / "walk.csv").read_bytes()
+    assert got == (DATA / "walk_rr512_golden.csv").read_bytes()
