@@ -28,9 +28,9 @@ class ReiterFamily:
 
     The family is stored as CSR rows: f(x) has support
     `cols[indptr[x]:indptr[x + 1]]` and masses in the same slice of
-    `weights`, in the vector's own entry order (ascending for ball and walk
-    rows). `vectors`, the same rows as SupportedVectors, is built on first
-    use.
+    `weights`, in ascending point order (the entry order of every
+    SupportedVector). `vectors`, the same rows as SupportedVectors, is
+    built on first use.
 
     is_prob certifies: entries nonnegative, entry sum within 1e-12 of 1,
     support of f(x) inside the closed S-ball of x. Violations raise at
@@ -523,7 +523,7 @@ def convolve(f: Cochain, theta: Cochain) -> Cochain:
 def _convolution(f: Cochain, theta: Cochain, faces, seen_f=None,
                  seen_theta=None):
     """Table of f * theta on faces: f once per distinct x, then theta at
-    ((z,), ys) weighted by f(xs)(z), over f's entries in their order. The
+    ((z,), ys) weighted by f(xs)(z), over f's entries in ascending order. The
     seen_* callbacks get the tables of f and of theta values."""
     xlen = f.p + 1
     n = f.space.n

@@ -74,22 +74,17 @@ def _space_from_args(args) -> FiniteMetricSpace:
     return generate_family(args.family, params, seed=args.seed)
 
 
-def _parse_floats(text: str, flag: str) -> list[float]:
+def _parse_scales(text: str, flag: str, whole: bool = False) -> list[float]:
+    """Comma-separated scales or radii: finite and >= 0, and whole numbers
+    when `whole`; the error names the first token that is not."""
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     try:
-        out = [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in tokens]
     except ValueError:
         raise ValueError(f"{flag} expects comma-separated numbers, "
                          f"got {text!r}")
-    if not out:
+    if not values:
         raise ValueError(f"{flag} is empty")
-    return out
-
-
-def _parse_scales(text: str, flag: str, whole: bool = False) -> list[float]:
-    """Profile scales: finite and >= 0, and whole numbers when `whole`;
-    the error names the first token that is not."""
-    values = _parse_floats(text, flag)
-    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     for tok, value in zip(tokens, values):
         if not (math.isfinite(value) and value >= 0):
             raise ValueError(f"{flag} value {tok!r} must be finite and >= 0")
@@ -194,8 +189,12 @@ def _cmd_verify(args) -> int:
             if name not in SUITE_NAMES:
                 raise ValueError(f"unknown suite {name!r}; choose from "
                                  f"{', '.join(SUITE_NAMES)} or 'all'")
+    for flag, value in (("--budget", args.budget), ("--sample", args.sample),
+                        ("--count", args.count)):
+        if value is not None and value < 0:
+            raise ValueError(f"{flag} must be >= 0, got {value}")
     opts = VerifyOptions(seed=args.seed, count=args.count,
-                         r_list=tuple(_parse_floats(args.r, "--r")),
+                         r_list=tuple(_parse_scales(args.r, "--r")),
                          budget=args.budget, sample_size=args.sample)
     if args.tol is not None:
         opts.identity_tol = args.tol

@@ -28,8 +28,8 @@ import numpy as np
 
 from .coefficients import (L1_ZERO, SCALAR, SupportedVector, dirac_diff,
                            pi_sum, scalar_of)
-from .facetables import (ABSENT, dirac_diff_table, evaluate, gaps, linear,
-                         norms, sup_of, sup_scan, width_of)
+from .facetables import (dirac_diff_table, evaluate, gaps, linear, norms,
+                         sup_of, sup_scan, width_of)
 from .space import (FiniteMetricSpace, _exact_domain, _sample_points,
                     REAL_METRIC_SLACK, derive_seed, enumerate_tuples)
 
@@ -49,7 +49,9 @@ class Cochain:
 
     fill, when given, maps an int array of faces (one row of p+1 then q+1
     point indices per (xs, ys)) to the facetables.Table of the values rule
-    gives there, bit for bit; the audits use it in place of calling rule.
+    gives there, bit for bit: column k of a row is the value's entry at
+    point k, so the row lists the entries in the ascending order
+    SupportedVector keeps. The audits use it in place of calling rule.
     """
 
     __slots__ = ("space", "p", "q", "module", "rule", "support_witness",
@@ -372,7 +374,7 @@ def support_radius(phi: Cochain, r: float, budget: int = DEFAULT_AUDIT_BUDGET,
         if phi.module == SCALAR:        # scalar values have no support
             return np.zeros(len(faces))
         far = dist[faces].max(axis=1)
-        far[tab.keys == ABSENT] = 0
+        far[tab.vals == 0.0] = 0
         return far.max(axis=1, initial=0)
 
     worst, witness = sup_scan([(t[:cut], t[cut:]) for t in dom.tuples], cut,

@@ -3,7 +3,9 @@ and scalars with empty support.
 
 Vectors are finitely supported {point: value} dicts. Entries below PRUNE_TOL
 are dropped at construction so supports stay honest; at desk scale (supports
-well under 10^3 points) pruning moves any norm by < 1e-12.
+well under 10^3 points) pruning moves any norm by < 1e-12. Entries are kept
+in ascending point order, so every sum over them (norms, pi_sum, the l1_0
+check) adds in that one order whatever order they were built in.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ class SupportedVector:
     """One value of a coefficient module.
 
     module == SCALAR keeps the number in `scalar` and has empty support by
-    definition; the other two keep sparse entries. Instances are treated as
-    immutable.
+    definition; the other two keep sparse entries, sorted by point.
+    Instances are treated as immutable.
     """
 
     __slots__ = ("module", "entries", "scalar")
@@ -38,7 +40,7 @@ class SupportedVector:
             return
         self.scalar = 0.0
         if entries:
-            pruned = {k: v for k, v in entries.items()
+            pruned = {k: v for k, v in sorted(entries.items())
                       if v >= PRUNE_TOL or -v >= PRUNE_TOL}
         else:
             pruned = {}
@@ -115,7 +117,7 @@ class SupportedVector:
     def __repr__(self) -> str:
         if self.module == SCALAR:
             return f"SupportedVector(scalar, {self.scalar!r})"
-        body = ", ".join(f"{k}: {v:.4g}" for k, v in sorted(self.entries.items()))
+        body = ", ".join(f"{k}: {v:.4g}" for k, v in self.entries.items())
         return f"SupportedVector({self.module}, {{{body}}})"
 
     # -- serialization -------------------------------------------------------
@@ -125,7 +127,7 @@ class SupportedVector:
             return {"module": SCALAR, "entries": [[0, self.scalar]]}
         return {"module": self.module,
                 "entries": [[int(k), float(v)]
-                            for k, v in sorted(self.entries.items())]}
+                            for k, v in self.entries.items()]}
 
     @classmethod
     def from_json(cls, payload: dict) -> "SupportedVector":

@@ -2,14 +2,11 @@
 
 A face is one (xs, ys) argument of a cochain, stored as a row of point
 indices: the p+1 x-coordinates, then the q+1 y-coordinates. A `Table` holds
-one value per face:
-
-  vals (faces x width): width n for l1/l1_0, where column k is the entry at
-    point k (0.0 where absent), and width 1 for scalars, so the module is a
-    column count rather than a branch;
-  keys (faces x n), l1 types only: each entry's insertion key, ABSENT where
-    the value has no entry. Sorting a row by its keys lists the entries in
-    the order of the value's dict, so a norm adds |v| in that order.
+one value per face in `vals` (faces x width): width n for l1/l1_0, where
+column k is the entry at point k (0.0 where absent), and width 1 for
+scalars, so the module is a column count rather than a branch. A row lists
+its entries in ascending point order, the order SupportedVector keeps, so a
+norm adds |v| along the row from left to right.
 
 A derived cochain (D, d, s, sums, scalings, convolutions, transfers) makes
 its table from its operands' tables on the distinct faces it needs: a signed
@@ -26,10 +23,6 @@ import numpy as np
 
 from .coefficients import L1_ZERO, PRUNE_TOL, SCALAR, ZERO_SUM_TOL
 
-ABSENT = 1 << 30
-# Keys of one level are slot * K + operand key, in int32; operands whose K
-# would push the level's keys past this are first rebased to ranks 0..n-1.
-_KEY_ROOM = 1 << 29
 # Bytes of the largest operand value table one step gathers from. Work is
 # split over the faces to stay near it, which bounds memory.
 _TABLE_CHUNK_BYTES = 1 << 18
@@ -37,47 +30,31 @@ _TABLE_CHUNK_BYTES = 1 << 18
 
 class Table:
     """Values of one cochain of the given module on a list of faces (see
-    the module docstring); keys is None for scalars. bound exceeds every
-    key in use."""
+    the module docstring)."""
 
-    __slots__ = ("module", "vals", "keys", "bound")
+    __slots__ = ("module", "vals")
 
-    def __init__(self, module: str, vals: np.ndarray,
-                 keys: np.ndarray | None = None, bound: int = 0):
+    def __init__(self, module: str, vals: np.ndarray):
         self.module = module
         self.vals = vals
-        self.keys = keys
-        self.bound = bound
 
     def take(self, rows) -> "Table":
-        return Table(self.module, self.vals[rows],
-                     None if self.keys is None else self.keys[rows],
-                     self.bound)
+        return Table(self.module, self.vals[rows])
 
 
 def _concat(parts: list) -> Table:
     if len(parts) == 1:
         return parts[0]
-    keys = None
-    if parts[0].keys is not None:
-        keys = np.concatenate([t.keys for t in parts])
-    return Table(parts[0].module, np.concatenate([t.vals for t in parts]),
-                 keys, max(t.bound for t in parts))
+    return Table(parts[0].module, np.concatenate([t.vals for t in parts]))
 
 
 def width_of(module: str, n: int) -> int:
     return 1 if module == SCALAR else n
 
 
-def absent_keys(m: int, n: int) -> np.ndarray:
-    """Keys of m values with no entries."""
-    return np.full((m, n), ABSENT, dtype=np.int32)
-
-
 def empty(module: str, n: int, m: int) -> Table:
     """m values with no entries (scalars 0.0)."""
-    keys = None if module == SCALAR else absent_keys(m, n)
-    return Table(module, np.zeros((m, width_of(module, n))), keys, 1)
+    return Table(module, np.zeros((m, width_of(module, n))))
 
 
 def face_array(points, xlen: int, ylen: int) -> np.ndarray:
@@ -145,10 +122,11 @@ def csr_rows(rows, dtype=np.int64):
 
 
 def vectors_csr(vectors):
-    """CSR rows (indptr, keys, weights) of l1-type or pair vectors, entries
-    in dict order."""
-    indptr, keys = csr_rows([v.entries for v in vectors])
-    return indptr, keys, csr_rows([v.entries.values() for v in vectors],
+    """CSR rows (indptr, items, weights) of l1-type or pair vectors, entries
+    in dict order: ascending points for l1-type vectors, the field's own
+    order for pair vectors."""
+    indptr, items = csr_rows([v.entries for v in vectors])
+    return indptr, items, csr_rows([v.entries.values() for v in vectors],
                                   float)[1]
 
 
@@ -166,16 +144,13 @@ def csr_expand(indptr: np.ndarray, rows: np.ndarray):
 
 def csr_table(module: str, n: int, indptr, cols, weights,
               rows=None) -> Table:
-    """Table whose i-th value is CSR row rows[i] (every row if None), with
-    keys the entry positions."""
+    """Table whose i-th value is CSR row rows[i] (every row if None)."""
     if rows is None:
         rows = np.arange(len(indptr) - 1)
-    lengths, at, pos, src = csr_expand(indptr, rows)
+    _, at, _, src = csr_expand(indptr, rows)
     vals = np.zeros((len(rows), n))
     vals[at, cols[src]] = weights[src]
-    keys = absent_keys(len(rows), n)
-    keys[at, cols[src]] = pos
-    return Table(module, vals, keys, int(lengths.max(initial=0)))
+    return Table(module, vals)
 
 
 def rows_fill(module: str, n: int, indptr, cols, weights):
@@ -185,22 +160,18 @@ def rows_fill(module: str, n: int, indptr, cols, weights):
 
 
 def dirac_diff_table(n: int, a: np.ndarray, b: np.ndarray) -> Table:
-    """delta_a - delta_b per face (no entries where a == b), keyed in that
-    order, as dirac_diff builds it."""
+    """delta_a - delta_b per face (no entries where a == b), as dirac_diff
+    builds it."""
     live = np.flatnonzero(a != b)
     vals = np.zeros((len(a), n))
     vals[live, a[live]] = 1.0
     vals[live, b[live]] = -1.0
-    keys = absent_keys(len(a), n)
-    keys[live, a[live]] = 0
-    keys[live, b[live]] = 1
-    return Table(L1_ZERO, vals, keys, 2)
+    return Table(L1_ZERO, vals)
 
 
 # -- finishing a value: prune, zero-sum check ------------------------------------
 
-def finish(module: str, vals: np.ndarray, keys: np.ndarray | None,
-           bound: int) -> Table:
+def finish(module: str, vals: np.ndarray) -> Table:
     """The table of freshly summed values, as SupportedVector would keep
     them: l1 entries below PRUNE_TOL dropped, l1_0 sums checked."""
     if module == SCALAR:
@@ -209,16 +180,14 @@ def finish(module: str, vals: np.ndarray, keys: np.ndarray | None,
     drop = mag >= PRUNE_TOL
     np.logical_not(drop, out=drop)          # NaN is dropped too
     np.copyto(vals, 0.0, where=drop)
-    np.copyto(keys, ABSENT, where=drop)
     if module == L1_ZERO:
-        _check_zero_sums(vals, mag, keys)
-    return Table(module, vals, keys, bound)
+        _check_zero_sums(vals, mag)
+    return Table(module, vals)
 
 
-def _check_zero_sums(vals: np.ndarray, mag: np.ndarray,
-                     keys: np.ndarray) -> None:
+def _check_zero_sums(vals: np.ndarray, mag: np.ndarray) -> None:
     """Raise SupportedVector's error for the first value whose entries,
-    added in dict order, are not zero within ZERO_SUM_TOL.
+    added in ascending point order, are not zero within ZERO_SUM_TOL.
 
     Any order of adding differs from that one by less than
     width * eps * sum |v| (mag holds |v| before pruning, an upper bound),
@@ -228,31 +197,24 @@ def _check_zero_sums(vals: np.ndarray, mag: np.ndarray,
     rows = np.flatnonzero(doubt > ZERO_SUM_TOL)
     if not len(rows):
         return
-    sums = ordered_sums(vals[rows], keys[rows], absolute=False)
+    sums = row_sums(vals[rows])
     bad = np.abs(sums) > ZERO_SUM_TOL
     if bad.any():
         total = sums[int(np.argmax(bad))].item()
         raise ValueError(f"l1_0 entries must sum to 0, got {total!r}")
 
 
-def ordered_sums(vals: np.ndarray, keys: np.ndarray,
-                 absolute: bool) -> np.ndarray:
-    """Each row's entries (their absolute values if `absolute`) added left
-    to right in key order, like a loop over the value's dict."""
-    if not vals.shape[1]:
-        return np.zeros(len(vals))
-    order = np.argsort(keys, axis=1)
-    terms = np.take_along_axis(vals, order, axis=1)
-    if absolute:
-        np.abs(terms, out=terms)
+def row_sums(terms: np.ndarray) -> np.ndarray:
+    """Each row added from left to right, like a loop over the entries of a
+    SupportedVector: the absent entries in between add 0.0, which is exact."""
     return np.cumsum(terms, axis=1)[:, -1]
 
 
 def norms(tab: Table) -> np.ndarray:
-    """||value|| per face: |scalar|, or the l1 norm in dict order."""
+    """||value|| per face: |scalar|, or the l1 norm in ascending order."""
     if tab.module == SCALAR:
         return np.abs(tab.vals[:, 0])
-    return ordered_sums(tab.vals, tab.keys, absolute=True)
+    return row_sums(np.abs(tab.vals))
 
 
 def gaps(lhs: Table, rhs: Table | None = None) -> np.ndarray:
@@ -263,33 +225,16 @@ def gaps(lhs: Table, rhs: Table | None = None) -> np.ndarray:
 
 # -- sums of operand rows ----------------------------------------------------------
 
-def _rebased(tab: Table) -> Table:
-    """The same table with keys replaced by their ranks in each row."""
-    ranks = np.argsort(np.argsort(tab.keys, axis=1), axis=1).astype(np.int32)
-    ranks[tab.keys == ABSENT] = ABSENT
-    return Table(tab.module, tab.vals, ranks, tab.vals.shape[1])
-
-
 def combine(module: str, m: int, slots: list) -> Table:
     """Values of m faces, each a sum of operand rows added slot by slot.
 
     A slot (tab, rows, coef) adds coef * tab row rows[i] to face i; coef is
-    a float or one float per face. The entries of a face are keyed by
-    their first slot, then by the operand's own order, which is the order
-    the closures insert them in."""
+    a float or one float per face. Each entry adds its slots in slot
+    order, as the closures do."""
     width = slots[0][0].vals.shape[1]
     vals = np.zeros((m, width))
     part = np.empty((m, width))
-    keys = order = None
-    step = 0
-    if module != SCALAR:
-        if len(slots) * max(s[0].bound for s in slots) >= _KEY_ROOM:
-            rebased = {id(s[0]): _rebased(s[0]) for s in slots}
-            slots = [(rebased[id(s[0])],) + s[1:] for s in slots]
-        step = max(max(s[0].bound for s in slots), 1)
-        keys = absent_keys(m, width)
-        order = np.empty((m, width), dtype=np.int32)
-    for j, (tab, rows, coef) in enumerate(slots):
+    for tab, rows, coef in slots:
         # mode="clip" writes straight into the buffer ("raise" would copy);
         # every row index is in range
         np.take(tab.vals, rows, axis=0, out=part, mode="clip")
@@ -302,11 +247,7 @@ def combine(module: str, m: int, slots: list) -> Table:
             if coef != 1.0:
                 part *= coef
             vals += part
-        if keys is not None:
-            np.take(tab.keys, rows, axis=0, out=order, mode="clip")
-            order += j * step
-            np.minimum(keys, order, out=keys)
-    return finish(module, vals, keys, len(slots) * step)
+    return finish(module, vals)
 
 
 def _step(m: int, rows: int, width: int) -> int:
@@ -383,9 +324,7 @@ def weighted(module: str, n: int, child, lengths: np.ndarray,
             seen(tab)
         # faces with fewer terms add 0.0 times an appended row of no entries
         tab = Table(module, np.concatenate(
-            (tab.vals, np.zeros((1, tab.vals.shape[1])))),
-            None if tab.keys is None else np.concatenate(
-                (tab.keys, absent_keys(1, n))), tab.bound)
+            (tab.vals, np.zeros((1, tab.vals.shape[1])))))
         live = np.arange(slots_n) < part_len[:, None]
         rows = np.full((hi - lo, slots_n), len(first))
         rows[live] = inverse
@@ -397,14 +336,15 @@ def weighted(module: str, n: int, child, lengths: np.ndarray,
 
 
 def row_entries(tab: Table, rows: np.ndarray):
-    """The entries of the values tab[rows] (an l1-type table) in dict order,
-    laid end to end: (lengths, owner, cols, weights) as in csr_expand."""
+    """The entries of the values tab[rows] (an l1-type table) in ascending
+    point order, laid end to end: (lengths, owner, cols, weights) as in
+    csr_expand."""
+    present = tab.vals != 0.0
     indptr = np.zeros(len(tab.vals) + 1, dtype=np.int64)
-    np.cumsum((tab.keys < ABSENT).sum(axis=1), out=indptr[1:])
-    lengths, owner, pos, _ = csr_expand(indptr, rows)
-    src = rows[owner]
-    cols = np.argsort(tab.keys, axis=1)[src, pos]
-    return lengths, owner, cols, tab.vals[src, cols]
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
+    lengths, owner, _, src = csr_expand(indptr, rows)
+    cols = np.nonzero(present)[1][src]
+    return lengths, owner, cols, tab.vals[rows[owner], cols]
 
 
 # -- audits: sup scans over chunks of points ---------------------------------------

@@ -21,8 +21,7 @@ import numpy as np
 from .averaging import ReiterFamily
 from .coefficients import L1, L1_ZERO, SCALAR, PairVector, SupportedVector
 from .cochains import Cochain
-from .facetables import (Table, absent_keys, csr_rows, finish, rows_fill,
-                         vectors_csr)
+from .facetables import Table, csr_rows, finish, rows_fill, vectors_csr
 from .space import FiniteMetricSpace, derive_seed
 
 _XXPRIME_1 = np.uint64(11400714785074694791)
@@ -100,18 +99,15 @@ def _anchored_table(n: int, module: str, balls, coords, hashes) -> Table:
     m = len(hashes[0]) if hashes else 0
     rows = np.arange(m)
     vals = np.zeros((m, n))
-    keys = absent_keys(m, n)
     zero_sum = module == L1_ZERO
-    for t, (c, h) in enumerate(zip(coords, hashes)):
+    for c, h in zip(coords, hashes):
         size = ball_ptr[c + 1] - ball_ptr[c]
         u = members[ball_ptr[c] + (h >> 17) % size]
         a = _coeffs(h)
         vals[rows, u] += a
-        keys[rows, u] = np.minimum(keys[rows, u], 2 * t)
         if zero_sum:
             vals[rows, c] -= a
-            keys[rows, c] = np.minimum(keys[rows, c], 2 * t + 1)
-    return finish(module, vals, keys, 2 * len(coords))
+    return finish(module, vals)
 
 
 def _coeff(h: int) -> float:
@@ -123,8 +119,7 @@ def _coeff(h: int) -> float:
 
 
 def random_cochain(space: FiniteMetricSpace, p: int, q: int, module: str,
-                   seed: int, spread: int = 1, terms: int = 3,
-                   memoize: bool = True) -> Cochain:
+                   seed: int, spread: int = 1, terms: int = 3) -> Cochain:
     """Deterministic random cochain with supports near the tuple coordinates."""
     balls = space.balls_list(spread)
     base = derive_seed(seed, "random-cochain", p, q, module, spread, terms)
@@ -174,7 +169,7 @@ def random_cochain(space: FiniteMetricSpace, p: int, q: int, module: str,
         wit = lambda r: r + spread
 
     return Cochain(space, p, q, module, rule, support_witness=wit,
-                   name=f"rand[{p},{q},{module}]", memoize=memoize,
+                   name=f"rand[{p},{q},{module}]", memoize=True,
                    fill=fill)
 
 

@@ -181,6 +181,22 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err and "'all'" in err
 
 
+@pytest.mark.parametrize("args,error", [
+    (["--r=-1"], "--r value '-1' must be finite and >= 0"),
+    (["--r", "nan"], "--r value 'nan' must be finite and >= 0"),
+    (["--budget=-1"], "--budget must be >= 0, got -1"),
+    (["--sample=-5"], "--sample must be >= 0, got -5"),
+    (["--count=-2"], "--count must be >= 0, got -2"),
+], ids=["negative-r", "nan-r", "negative-budget", "negative-sample",
+        "negative-count"])
+def test_verify_rejects_bad_domain_flags(capsys, args, error):
+    # these leave no domain to audit, and an empty audit reads exact and ok
+    rc = main(["verify", "--family", "cycle", "--size", "6",
+               "--suite", "johnson", *args])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_verify_report_matches_golden(tmp_path, capsys):
     """The full verify report on cycle8, byte for byte, minus its timestamp.
 

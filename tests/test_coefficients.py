@@ -40,6 +40,34 @@ def test_pruning():
     assert v.support == {0}
 
 
+def test_entries_are_kept_in_ascending_point_order():
+    # 16 + 1.5e-15 rounds back to 16, but the two small entries added
+    # first reach one ulp of 16: the norm tells the orders apart
+    tiny = 1.5e-15
+    want = 16.000000000000004
+    v = cc.SupportedVector(L1, {2: 16.0, 1: tiny, 0: tiny})
+    assert list(v.entries) == [0, 1, 2] and v.norm == want
+    built = [
+        cc.SupportedVector(L1, {2: 16.0}) + cc.SupportedVector(
+            L1, {1: tiny, 0: tiny}),
+        cc.SupportedVector(L1, {2: 16.0}) - cc.SupportedVector(
+            L1, {1: -tiny, 0: -tiny}),
+        v * 1.0,
+        cc.SupportedVector.from_json(
+            {"module": L1, "entries": [[2, 16.0], [1, tiny], [0, tiny]]}),
+    ]
+    for u in built:
+        assert list(u.entries) == [0, 1, 2] and u.norm == want
+    # the face tables add each row in the same order
+    space = cc.generate_family("cycle", {"size": 4})
+    bare = cc.Cochain(space, 0, -1, L1, lambda xs, ys: v)
+    assert cc.seminorm(bare, 0.0).value == want
+    dh = cc.boundary_pairs(cc.PairVector({(3, 2): 16.0, (3, 1): tiny,
+                                          (3, 0): tiny}))
+    assert list(dh.entries) == [0, 1, 2, 3]
+    assert cc.pi_sum(dh) == ((tiny + tiny) + 16.0) + dh.get(3)
+
+
 def test_arithmetic_and_module_mismatch():
     a = cc.dirac(0) + cc.dirac(1)
     assert a.norm == 2.0

@@ -145,8 +145,10 @@ def test_averaging_audits_match_closure_scans(space, q, module, r, seed, kw,
             assert_same(lambda: cc.audit_equal(name, lhs, rhs, r, **kw),
                         lambda: audit_equal_reference(name, lhs, rhs, r,
                                                       **kw))
-        assert_same(lambda: cc.conv_norm_audit(f, theta, r, **kw),
-                    lambda: conv_norm_audit_reference(f, theta, r, **kw))
+        for left in (f, cc.diff_D(f)):
+            assert_same(lambda: cc.conv_norm_audit(left, theta, r, **kw),
+                        lambda: conv_norm_audit_reference(left, theta, r,
+                                                          **kw))
         for fam in fams:
             assert_same(lambda: cc.homotopy_defect(fam, theta, **kw)[1],
                         lambda: homotopy_defect_reference(fam, theta, **kw))
@@ -218,29 +220,6 @@ def test_zero_sum_violation_raises_the_closure_error(checked):
     assert str(got.value).startswith("l1_0 entries must sum to 0, got ")
 
 
-def test_rebased_keys_keep_the_dict_order():
-    # with almost no room for keys every l1 sum first rebases its
-    # operands' keys to ranks; norms must still add in dict order
-    space = cc.generate_family("free_ball", {"rank": 2, "radius": 2})
-    kw = {"budget": 300, "sample_size": 60, "seed": 2}
-    with patched("_KEY_ROOM", 4):
-        for p, q, module in ((1, 1, L1_ZERO), (0, 1, L1), (1, 0, L1)):
-            phi = cc.random_cochain(space, p, q, module, 7)
-            for kind, audit in (("D", cc.diff_D_norm_audit),
-                                ("d", cc.diff_d_norm_audit),
-                                ("s", cc.split_s_norm_audit)):
-                assert_same(lambda: audit(phi, 1.0, **kw),
-                            lambda: norm_audit_reference(kind, phi, 1.0,
-                                                         **kw))
-            twice = cc.diff_D(cc.diff_d(phi))
-            assert_same(lambda: cc.seminorm(twice, 2.0, **kw),
-                        lambda: seminorm_reference(twice, 2.0, **kw))
-        theta = cc.random_cochain(space, 0, 1, L1, 3)
-        f = cc.diff_D(cc.random_cochain(space, 0, -1, L1, 4))
-        assert_same(lambda: cc.conv_norm_audit(f, theta, 1.0, **kw),
-                    lambda: conv_norm_audit_reference(f, theta, 1.0, **kw))
-
-
 def test_distinct_faces_in_order_of_first_appearance():
     # faces over few points are coded as one int64 each; over many points
     # (n ** k past 2**62) they are compared row by row; both give the same
@@ -260,23 +239,24 @@ def test_distinct_faces_in_order_of_first_appearance():
                                           ("torus", {"dim": 2, "size": 16})])
 def test_wide_zero_sum_defects_match_closure_scans(kind, params):
     # with n in the hundreds the plain row sum leaves some l1_0 values of
-    # D theta in doubt; those are added again in dict order
+    # D theta in doubt; those are added again from left to right
     space = cc.generate_family(kind, params)
     fam = cc.ball_average(space, 2.0)
     kw = {"budget": 4000, "sample_size": 300, "seed": 1}
-    ordered = []
-    plain = facetables.ordered_sums
+    signed = []
+    plain = facetables.row_sums
 
-    def counted(vals, keys, absolute):
-        ordered.append(absolute)
-        return plain(vals, keys, absolute)
+    def counted(terms):
+        # norms pass |v|; only the zero-sum check passes signed entries
+        signed.append(bool((terms < 0).any()))
+        return plain(terms)
 
-    with patched("ordered_sums", counted):
+    with patched("row_sums", counted):
         for q in (0, 1):
             theta = cc.random_cochain(space, 0, q, L1_ZERO, 3)
             assert_same(lambda: cc.homotopy_defect(fam, theta, **kw)[1],
                         lambda: homotopy_defect_reference(fam, theta, **kw))
-    assert False in ordered
+    assert True in signed
 
 
 def test_empty_samples_match_closure_scans():

@@ -1,7 +1,8 @@
 """Source hygiene checks that need no linter: every module of the package
 uses each name it imports (`__init__.py` is skipped, since it imports names
-only to re-export them), the command line loads no optional heavy module,
-and the numpy port of the tuple hash matches this interpreter's hash()."""
+only to re-export them), every top-level name is used or exported, the
+command line loads no optional heavy module, and the numpy port of the
+tuple hash matches this interpreter's hash()."""
 
 import ast
 import os
@@ -38,6 +39,46 @@ def test_no_unused_imports():
     assert modules
     unused = [hit for path in modules for hit in _unused_imports(path)]
     assert unused == []
+
+
+def _top_level_names(tree) -> dict:
+    """{name: line} of the functions, classes and constants a module
+    defines at its top level."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    names[target.id] = node.lineno
+    return names
+
+
+def test_every_top_level_name_is_used():
+    # a name that no line of the package reads and that `__init__` does
+    # not export is dead code; cli.main is the entry point
+    import coarsecohom
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    trees.pop("__init__.py")
+    dead = [f"{name}:{line}: {ident}" for name, tree in trees.items()
+            for ident, line in sorted(_top_level_names(tree).items())
+            if ident not in read and ident not in coarsecohom.__all__
+            and (name, ident) != ("cli.py", "main")]
+    assert dead == []
 
 
 def test_cli_import_loads_no_scipy_or_numba():
