@@ -234,7 +234,7 @@ def _walk_rows_sparse(space: FiniteMetricSpace, steps: int,
                 side="right")) - 1)
             lo, hi = entry_at[a], entry_at[b]
             a = b
-            _, owner, _, src = csr_expand(p_ptr, codes[lo:hi] % n)
+            _, owner, src = csr_expand(p_ptr, codes[lo:hi] % n)
             terms = weights[lo:hi][owner] * p_weights[src]
             block, at = np.unique(codes[lo:hi][owner] // n * n + p_cols[src],
                                   return_inverse=True)
@@ -605,7 +605,7 @@ def homotopy_defect(fam: ReiterFamily, phi: Cochain,
         # telescope sums f(x)(z) (D phi)((x, z), ys) over f(x)'s entries
         nonlocal telescope_gap
         dval = evaluate(defect, faces)
-        lengths, owner, _, src = csr_expand(fam.indptr, faces[:, 0])
+        lengths, owner, src = csr_expand(fam.indptr, faces[:, 0])
         tfaces = np.concatenate((faces[owner, :1], fam.cols[src, None],
                                  faces[owner, 1:]), axis=1)
         acc = weighted(phi.module, n, dphi, lengths, tfaces,
@@ -722,7 +722,7 @@ def transfer_cochain(field, zeta: Cochain) -> Cochain:
     pairs = pairs.reshape(-1, 2)
 
     def fill(faces, seen=None):
-        lengths, owner, _, src = csr_expand(indptr, faces[:, 0])
+        lengths, owner, src = csr_expand(indptr, faces[:, 0])
         zfaces = np.concatenate((pairs[src], faces[owner, 1:]), axis=1)
         return weighted(module, zeta.space.n, zeta, lengths, zfaces,
                         weights[src], seen)

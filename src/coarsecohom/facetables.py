@@ -132,14 +132,14 @@ def vectors_csr(vectors):
 
 def csr_expand(indptr: np.ndarray, rows: np.ndarray):
     """The CSR rows rows[0], rows[1], ... laid end to end: (lengths, owner,
-    pos, src) give each row's length, and for each entry the i of its row
-    rows[i], its position in that row and its index in the CSR arrays."""
+    src) give each row's length, and for each entry the i of its row
+    rows[i] and its index in the CSR arrays."""
     starts = indptr[rows]
     lengths = indptr[rows + 1] - starts
     owner = np.repeat(np.arange(len(rows)), lengths)
     pos = np.arange(len(owner)) - np.repeat(np.cumsum(lengths) - lengths,
                                             lengths)
-    return lengths, owner, pos, starts[owner] + pos
+    return lengths, owner, starts[owner] + pos
 
 
 def csr_table(module: str, n: int, indptr, cols, weights,
@@ -147,7 +147,7 @@ def csr_table(module: str, n: int, indptr, cols, weights,
     """Table whose i-th value is CSR row rows[i] (every row if None)."""
     if rows is None:
         rows = np.arange(len(indptr) - 1)
-    _, at, _, src = csr_expand(indptr, rows)
+    _, at, src = csr_expand(indptr, rows)
     vals = np.zeros((len(rows), n))
     vals[at, cols[src]] = weights[src]
     return Table(module, vals)
@@ -337,12 +337,12 @@ def weighted(module: str, n: int, child, lengths: np.ndarray,
 
 def row_entries(tab: Table, rows: np.ndarray):
     """The entries of the values tab[rows] (an l1-type table) in ascending
-    point order, laid end to end: (lengths, owner, cols, weights) as in
-    csr_expand."""
+    point order, laid end to end: (lengths, owner, cols, weights), with
+    lengths and owner as in csr_expand."""
     present = tab.vals != 0.0
     indptr = np.zeros(len(tab.vals) + 1, dtype=np.int64)
     np.cumsum(present.sum(axis=1), out=indptr[1:])
-    lengths, owner, _, src = csr_expand(indptr, rows)
+    lengths, owner, src = csr_expand(indptr, rows)
     cols = np.nonzero(present)[1][src]
     return lengths, owner, cols, tab.vals[rows[owner], cols]
 
