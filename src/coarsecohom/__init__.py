@@ -15,13 +15,13 @@ from .coefficients import (L1, L1_ZERO, MODULES, SCALAR, PairVector,
                            dirac, dirac_diff, entry_gap, include_in_l1,
                            l1_distance, lift_boundary, lift_scalar, pi_sum,
                            scalar_of, zero)
-from .cochains import (AuditRecord, AuditReport, BoundReport, Cochain,
-                       SeminormReport, SupportRadiusReport, audit_equal,
-                       audit_points, audit_zero, cochain_add, cochain_scale,
-                       cochain_sub, constant_one, diff_D, diff_D_norm_audit,
-                       diff_d, diff_d_norm_audit, johnson_cocycles,
-                       johnson_relations, push_scalar, seminorm, split_s,
-                       split_s_norm_audit, support_radius)
+from .cochains import (AuditPoints, AuditRecord, AuditReport, BoundReport,
+                       Cochain, SeminormReport, SupportRadiusReport,
+                       audit_equal, audit_points, audit_zero, cochain_add,
+                       cochain_scale, cochain_sub, constant_one, diff_D,
+                       diff_D_norm_audit, diff_d, diff_d_norm_audit,
+                       johnson_cocycles, johnson_relations, push_scalar,
+                       seminorm, split_s, split_s_norm_audit, support_radius)
 from .randomgen import (random_cochain, random_pair_field,
                         random_prob_family, random_unit_sum_cochain,
                         random_x_independent_cochain, random_zero_sum_vector)

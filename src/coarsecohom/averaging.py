@@ -590,8 +590,8 @@ def homotopy_defect(fam: ReiterFamily, phi: Cochain,
     fam_cochain = fam.as_cochain()
     defect = cochain_sub(convolve(fam_cochain, phi), phi)
     dphi = diff_D(phi)
-    points, exact = audit_points(fam.space, 1, phi.q + 1, 0.0, budget=budget,
-                                 sample_size=sample_size, seed=seed)
+    dom = audit_points(fam.space, 1, phi.q + 1, 0.0, budget=budget,
+                       sample_size=sample_size, seed=seed)
     n = fam.space.n
     dphi_sup = 0.0
     telescope_gap = 0.0
@@ -613,12 +613,11 @@ def homotopy_defect(fam: ReiterFamily, phi: Cochain,
         telescope_gap = sup_of(gaps(dval, acc), telescope_gap)
         return norms(dval)
 
-    worst, witness = sup_scan(points, 1, phi.q + 1, width_of(phi.module, n),
+    worst, witness = sup_scan(dom[0], 1, width_of(phi.module, n),
                               defect_norms)
     fnorm = fam.sup_norm
     report = DefectReport(fam.s, worst, fnorm * dphi_sup, fnorm, dphi_sup,
-                          telescope_gap, exact=exact, witness=witness,
-                          samples=None if exact else len(points))
+                          telescope_gap, witness=witness, **dom.record())
     if not report.ok:
         raise AssertionError(f"homotopy defect bound violated: {report}")
     return defect, report
@@ -651,9 +650,8 @@ def conv_norm_audit(f: Cochain, theta: Cochain, r: float,
                     sample_size: int = DEFAULT_SAMPLE_SIZE,
                     seed: int = 0) -> ConvBoundReport:
     conv = convolve(f, theta)
-    points, exact = audit_points(f.space, f.p + 1, theta.q + 1, r,
-                                 budget=budget, sample_size=sample_size,
-                                 seed=seed)
+    dom = audit_points(f.space, f.p + 1, theta.q + 1, r, budget=budget,
+                       sample_size=sample_size, seed=seed)
     f_sup = 0.0
     theta_sup = 0.0
 
@@ -669,11 +667,10 @@ def conv_norm_audit(f: Cochain, theta: Cochain, r: float,
         # also folds f(xs) and every theta((z,), ys) it weighs into the sups
         return norms(_convolution(f, theta, faces, fold_f, fold_theta))
 
-    lhs, witness = sup_scan(points, f.p + 1, theta.q + 1,
-                            width_of(conv.module, f.space.n), conv_norms)
-    return ConvBoundReport(float(r), lhs, f_sup, theta_sup, exact=exact,
-                           witness=witness,
-                           samples=None if exact else len(points))
+    lhs, witness = sup_scan(dom[0], f.p + 1, width_of(conv.module, f.space.n),
+                            conv_norms)
+    return ConvBoundReport(float(r), lhs, f_sup, theta_sup, witness=witness,
+                           **dom.record())
 
 
 # -- pair fields and the transfer identity ----------------------------------------
@@ -769,8 +766,8 @@ def tf_identity(field, theta: Cochain, radius: float | None = None,
     lhs = convolve(boundary, theta)
     zeta = diff_D(theta)
     rhs = transfer_cochain(field, zeta)
-    points, exact = audit_points(space, 1, theta.q + 1, 0.0, budget=budget,
-                                 sample_size=sample_size, seed=seed)
+    dom = audit_points(space, 1, theta.q + 1, 0.0, budget=budget,
+                       sample_size=sample_size, seed=seed)
     lhs_sup = 0.0
     zeta_sup = 0.0
 
@@ -786,11 +783,10 @@ def tf_identity(field, theta: Cochain, radius: float | None = None,
         lhs_sup = sup_of(norms(right), lhs_sup)
         return gaps(evaluate(lhs, faces), right)
 
-    worst, witness = sup_scan(points, 1, theta.q + 1,
-                              width_of(theta.module, space.n), identity_gaps)
+    worst, witness = sup_scan(dom[0], 1, width_of(theta.module, space.n),
+                              identity_gaps)
     identity = AuditReport("pairing", lhs.p, lhs.q, 0.0, worst, EXACT_TOL,
-                           exact=exact, witness=witness,
-                           samples=None if exact else len(points))
+                           witness=witness, **dom.record())
     f_sup = max((pv.norm for pv in field), default=0.0)
     bound_ok = lhs_sup <= f_sup * zeta_sup + NORM_BOUND_TOL
     return PairingReport(identity, lhs_sup, f_sup, zeta_sup, r_ball, r_pair,

@@ -197,6 +197,8 @@ def _cmd_verify(args) -> int:
                          r_list=tuple(_parse_scales(args.r, "--r")),
                          budget=args.budget, sample_size=args.sample)
     if args.tol is not None:
+        if not (math.isfinite(args.tol) and args.tol >= 0):
+            raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
         opts.identity_tol = args.tol
     results = run_suites(names, space, opts)
     all_ok = True
@@ -274,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--r", default="1,2",
                      help="comma-separated audit radii (default 1,2)")
     ver.add_argument("--tol", type=float, default=None,
-                     help="override the identity tolerance")
+                     help="override the identity tolerance (finite, >= 0)")
     ver.add_argument("--show-failures", type=int, default=5,
                      help="failed checks to print per suite (default 5)")
     ver.add_argument("--out", metavar="FILE", help="write the JSON report")

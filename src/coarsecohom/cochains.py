@@ -20,9 +20,7 @@ the pointwise specification they reproduce.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -38,6 +36,7 @@ EXACT_TOL = 1e-12
 NORM_BOUND_TOL = 1e-10
 DEFAULT_AUDIT_BUDGET = 20_000
 DEFAULT_SAMPLE_SIZE = 10_000
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class Cochain:
@@ -255,32 +254,85 @@ def split_s(phi: Cochain) -> Cochain:
 
 # -- audit domains ------------------------------------------------------------
 
+class AuditPoints(tuple):
+    """The pair (points, exact) that audit_points returns.
+
+    points is a read-only int64 array of faces, one row xs + ys per point,
+    in lexicographic order. A sampled domain also records `requested`, the
+    points asked for, and `attempts`, the sampler's proposals; both are None
+    on an exact domain.
+    """
+
+    def __new__(cls, points: np.ndarray, exact: bool, requested=None,
+                attempts=None):
+        points.flags.writeable = False
+        pair = super().__new__(cls, (points, exact))
+        pair.requested = requested
+        pair.attempts = attempts
+        return pair
+
+    def record(self, extra: int = 0) -> dict:
+        """The AuditRecord fields of an audit over these points and `extra`
+        forced ones."""
+        points, exact = self
+        return {"exact": exact,
+                "samples": None if exact else len(points) + extra,
+                "requested": self.requested, "attempts": self.attempts}
+
+
 def audit_points(space: FiniteMetricSpace, xlen: int, ylen: int, r: float,
                  budget: int = DEFAULT_AUDIT_BUDGET,
                  sample_size: int = DEFAULT_SAMPLE_SIZE,
-                 seed: int = 0):
+                 seed: int = 0) -> AuditPoints:
     """(x, y) evaluation points: x in the radius-r domain, y unrestricted.
 
-    Returns (points, exact). Exhaustive while the joint count fits the
-    budget, otherwise a seeded de-duplicated sample of up to
-    min(sample_size, budget) points. Exhaustive lists are shared by all
-    seeds.
+    Returns the AuditPoints pair (points, exact), one object per domain.
+    Exhaustive while the joint count N = |X| * n**ylen fits the budget,
+    otherwise a seeded sample of k = min(sample_size, budget) distinct
+    points: when the x-domain X itself fits the budget, k distinct indices
+    into the joint domain drawn at once (never fewer than k), else the
+    rejection sampler of space._sample_points. Exhaustive domains are
+    shared by all seeds.
     """
     cache = space._tuple_cache
     key = ("audit", xlen, ylen, float(r), budget)
     got = cache.get(key) or cache.sampled(key + (sample_size,), seed)
     if got is not None:
         return got
+    n = space.n
     xdom = _exact_domain(space, xlen - 1, r, budget)
-    if xdom is not None and len(xdom) * space.n ** ylen <= budget:
-        ypart = list(product(range(space.n), repeat=ylen))
-        got = cache[key] = [(xs, ys) for xs in xdom.tuples
-                            for ys in ypart], True
+    total = None if xdom is None else len(xdom) * n ** ylen
+    if total is not None and total <= budget:
+        xs = np.repeat(xdom.faces, n ** ylen, axis=0)
+        ys = np.indices((n,) * ylen).reshape(ylen, n ** ylen).T
+        got = cache[key] = AuditPoints(
+            np.concatenate((xs, np.tile(ys, (len(xdom), 1))), axis=1), True)
         return got
-    rng = random.Random(derive_seed(seed, "audit-points", xlen, ylen, float(r)))
-    points, _ = _sample_points(space, xlen - 1, r, ylen,
-                               min(sample_size, budget), rng)
-    return cache.keep_sampled(key + (sample_size,), seed, (points, False))
+    want = min(sample_size, budget)
+    rng = np.random.default_rng(
+        derive_seed(seed, "audit-points", xlen, ylen, float(r)))
+    if total is not None and total <= _INT64_MAX:
+        points = _decode(xdom.faces, n, ylen, np.sort(
+            rng.choice(total, size=want, replace=False, shuffle=False)))
+        attempts = want
+    else:
+        points, attempts = _sample_points(space, xlen - 1, r, ylen, want, rng)
+    return cache.keep_sampled(key + (sample_size,), seed,
+                              AuditPoints(points, False, want, attempts))
+
+
+def _decode(xfaces: np.ndarray, n: int, ylen: int,
+            index: np.ndarray) -> np.ndarray:
+    """The faces at the given indices of the joint domain X x n**ylen in
+    lexicographic order: x row index // n**ylen, then the y digits of the
+    rest in base n, most significant first."""
+    xlen = xfaces.shape[1]
+    rows, rest = np.divmod(index, n ** ylen)
+    faces = np.empty((len(index), xlen + ylen), dtype=np.int64)
+    faces[:, :xlen] = xfaces[rows]
+    for j in range(xlen + ylen - 1, xlen - 1, -1):
+        rest, faces[:, j] = np.divmod(rest, n)
+    return faces
 
 
 def _witness_json(witness):
@@ -290,11 +342,11 @@ def _witness_json(witness):
     return [list(xs), list(ys)]
 
 
-def _scan(phi: Cochain, points, measure):
+def _scan(phi: Cochain, points: np.ndarray, measure):
     """Largest measure(faces) over the points of phi's domain and the first
     point attaining it, by facetables.sup_scan."""
-    return sup_scan(points, phi.p + 1, phi.q + 1,
-                    width_of(phi.module, phi.space.n), measure)
+    return sup_scan(points, phi.p + 1, width_of(phi.module, phi.space.n),
+                    measure)
 
 
 @dataclass(kw_only=True)
@@ -302,16 +354,21 @@ class AuditRecord:
     """What every audit report says about the domain it scanned.
 
     exact: the domain was enumerated in full, so the report is a proof on
-    it; otherwise it is a lower bound and samples counts the points
-    obtained. witness: the point attaining the reported sup, or None.
+    it; otherwise it is a lower bound, samples counts the points obtained,
+    requested the points the sampler was asked for and attempts its
+    proposals (all three None when exact). witness: the point attaining the
+    reported sup, or None.
     """
     exact: bool
     witness: tuple | None
     samples: int | None
+    requested: int | None
+    attempts: int | None
 
     def _domain_json(self) -> dict:
         return {"exact": self.exact, "witness": _witness_json(self.witness),
-                "samples": self.samples}
+                "samples": self.samples, "requested": self.requested,
+                "attempts": self.attempts}
 
 
 # -- seminorms -----------------------------------------------------------------
@@ -332,14 +389,15 @@ def seminorm(phi: Cochain, r: float, budget: int = DEFAULT_AUDIT_BUDGET,
              include=()) -> SeminormReport:
     """R-seminorm of phi; `include` forces extra (xs, ys) points into the
     audit so coupled bound checks stay sound under sampling."""
-    points, exact = audit_points(phi.space, phi.p + 1, phi.q + 1, r,
-                                 budget=budget, sample_size=sample_size,
-                                 seed=seed)
-    points = points + list(include)
+    dom = audit_points(phi.space, phi.p + 1, phi.q + 1, r, budget=budget,
+                       sample_size=sample_size, seed=seed)
+    forced = np.array([xs + ys for xs, ys in include], dtype=np.int64)
+    points = np.concatenate((dom[0], forced.reshape(len(include),
+                                                    dom[0].shape[1])))
     best, witness = _scan(phi, points,
                           lambda faces: norms(evaluate(phi, faces)))
-    return SeminormReport(float(r), best, exact=exact, witness=witness,
-                          samples=None if exact else len(points))
+    return SeminormReport(float(r), best, witness=witness,
+                          **dom.record(len(include)))
 
 
 @dataclass
@@ -377,15 +435,17 @@ def support_radius(phi: Cochain, r: float, budget: int = DEFAULT_AUDIT_BUDGET,
         far[tab.vals == 0.0] = 0
         return far.max(axis=1, initial=0)
 
-    worst, witness = sup_scan([(t[:cut], t[cut:]) for t in dom.tuples], cut,
-                              phi.q + 1, space.n, reach)
+    worst, witness = sup_scan(dom.faces, cut, space.n, reach)
     within = None
     if phi.support_witness is not None:
         slack = 0.0 if space.integer_metric else REAL_METRIC_SLACK
         within = worst <= phi.support_witness(float(r)) + slack
-    return SupportRadiusReport(float(r), worst, within, exact=dom.exact,
-                               witness=witness,
-                               samples=None if dom.exact else len(dom.tuples))
+    sampled = not dom.exact
+    return SupportRadiusReport(
+        float(r), worst, within, exact=dom.exact, witness=witness,
+        samples=len(dom) if sampled else None,
+        requested=budget if sampled else None,
+        attempts=dom.attempts if sampled else None)
 
 
 # -- identity audits ------------------------------------------------------------
@@ -417,13 +477,12 @@ def audit_equal(check: str, lhs: Cochain, rhs: Cochain | None, r: float,
     budgeted audit domain of lhs; records the worst per-entry gap."""
     if rhs is not None and (lhs.p, lhs.q, lhs.module) != (rhs.p, rhs.q, rhs.module):
         raise ValueError("audit_equal needs matching bidegree and module")
-    points, exact = audit_points(lhs.space, lhs.p + 1, lhs.q + 1, r,
-                                 budget=budget, sample_size=sample_size,
-                                 seed=seed)
-    worst, witness = _scan(lhs, points, lambda faces: gaps(
+    dom = audit_points(lhs.space, lhs.p + 1, lhs.q + 1, r, budget=budget,
+                       sample_size=sample_size, seed=seed)
+    worst, witness = _scan(lhs, dom[0], lambda faces: gaps(
         evaluate(lhs, faces), None if rhs is None else evaluate(rhs, faces)))
-    return AuditReport(check, lhs.p, lhs.q, float(r), worst, tol, exact=exact,
-                       witness=witness, samples=None if exact else len(points))
+    return AuditReport(check, lhs.p, lhs.q, float(r), worst, tol,
+                       witness=witness, **dom.record())
 
 
 def audit_zero(check: str, lhs: Cochain, r: float, **kw) -> AuditReport:
@@ -462,19 +521,18 @@ def _audit_bound(check: str, result: Cochain, factor: float, r: float,
     """result is D, d or s of a base cochain; at each audited point the
     triangle inequality needs the base at the faces result sums over,
     which are exactly the base values result's table is made from."""
-    points, exact = audit_points(result.space, result.p + 1, result.q + 1, r,
-                                 budget=budget, sample_size=sample_size,
-                                 seed=seed)
+    dom = audit_points(result.space, result.p + 1, result.q + 1, r,
+                       budget=budget, sample_size=sample_size, seed=seed)
     rhs = 0.0
 
     def fold_base(tab):
         nonlocal rhs
         rhs = sup_of(norms(tab), rhs)
 
-    lhs, witness = _scan(result, points,
+    lhs, witness = _scan(result, dom[0],
                          lambda faces: norms(result.fill(faces, fold_base)))
-    return BoundReport(check, float(r), lhs, rhs, factor, exact=exact,
-                       witness=witness, samples=None if exact else len(points))
+    return BoundReport(check, float(r), lhs, rhs, factor, witness=witness,
+                       **dom.record())
 
 
 def diff_D_norm_audit(phi: Cochain, r: float, budget: int = DEFAULT_AUDIT_BUDGET,

@@ -57,12 +57,6 @@ def empty(module: str, n: int, m: int) -> Table:
     return Table(module, np.zeros((m, width_of(module, n))))
 
 
-def face_array(points, xlen: int, ylen: int) -> np.ndarray:
-    """The (xs, ys) points as an int64 array of faces."""
-    return np.array([xs + ys for xs, ys in points],
-                    dtype=np.int64).reshape(len(points), xlen + ylen)
-
-
 def distinct(faces: np.ndarray, n: int):
     """(first, inverse) for an array of faces over n points: the rows of the
     distinct faces in order of first appearance, and for each face the index
@@ -349,24 +343,25 @@ def row_entries(tab: Table, rows: np.ndarray):
 
 # -- audits: sup scans over chunks of points ---------------------------------------
 
-def sup_scan(points, xlen: int, ylen: int, width: int, measure):
-    """Largest measure over the (xs, ys) points, starting from 0.0, and the
-    first point attaining it (None if none exceeds 0.0).
+def sup_scan(faces: np.ndarray, xlen: int, width: int, measure):
+    """Largest measure over the points of an int array of faces (xs, then
+    ys), starting from 0.0, and the first point attaining it as a pair of
+    int tuples (xs, ys) (None if none exceeds 0.0).
 
     measure(faces) gives one value per face; points are measured in chunks
     of about _TABLE_CHUNK_BYTES of value table, and a later chunk wins only
     if it is strictly greater."""
     best, at = 0.0, None
-    if not points:
-        return best, at
-    faces = face_array(points, xlen, ylen)
-    step = _step(len(points), len(points), width)
-    for lo in range(0, len(points), step):
+    step = max(1, _step(len(faces), len(faces), width))
+    for lo in range(0, len(faces), step):
         vals = measure(faces[lo:lo + step])
         k = int(np.argmax(vals))
         if vals[k] > best:
             best, at = vals[k].item(), lo + k
-    return best, (None if at is None else points[at])
+    if at is None:
+        return best, None
+    row = faces[at].tolist()
+    return best, (tuple(row[:xlen]), tuple(row[xlen:]))
 
 
 def sup_of(values: np.ndarray, best: float = 0.0) -> float:

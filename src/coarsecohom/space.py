@@ -12,9 +12,12 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, product
 
 import numpy as np
+
+from .facetables import distinct
 
 REAL_METRIC_SLACK = 1e-12
 TRIANGLE_SCAN_LIMIT = 256
@@ -22,10 +25,12 @@ DEFAULT_TUPLE_BUDGET = 20_000
 # Bytes of neighbour ball rows gathered at once while the balls of a graph
 # grow, so that the gather stays this small whatever the degree.
 _GATHER_CHUNK_BYTES = 1 << 21
-# Bytes of unpacked distance bits added to `dist` at once while balls grow.
+# Bytes of unpacked distance bits added to `dist` at once.
 _UNPACK_CHUNK_BYTES = 1 << 15
 # The 8 bits of each byte value, most significant first (np.unpackbits order)
 _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+# Largest batch of proposals the rejection sampler draws at once.
+_SAMPLE_BATCH = 1 << 16
 
 _FREE_GEN_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
@@ -40,7 +45,7 @@ class _TupleCache(dict):
     """Tuple domains and audit points of one space.
 
     Entries that no seed affects (exact domains, over-budget markers, exact
-    audit-point lists) sit under their plain key. Sampled entries are kept
+    audit-point arrays) sit under their plain key. Sampled entries are kept
     for the most recent seed only, so auditing one space under many seeds
     keeps the cache bounded.
     """
@@ -287,10 +292,13 @@ def _hop_distances(n: int, edges: np.ndarray) -> np.ndarray:
     Row u of `reached` is the closed ball B_L(u) as packed bits, starting
     from B_0(u) = {u}. One level sets B_{L+1}(u) to the union of B_L(v) over
     the closed neighbourhood of u, read from a CSR adjacency in which every
-    vertex is its own neighbour (so no reduceat segment is empty). d(u, w) is
-    the number of levels L at which w lies outside B_L(u); it is summed in
-    the smallest unsigned dtype that holds n - 1. A level that adds nothing
-    while a bit is still clear means the graph is disconnected.
+    vertex is its own neighbour (so no reduceat segment is empty). The bits
+    a level adds are the pairs at distance L + 1; each pair is added once,
+    so OR-ing them into packed bit-plane k for every set bit k of L + 1
+    writes d(u, w) in binary without carries. The planes are unpacked once
+    at the end, into the smallest unsigned dtype that holds n - 1. A level
+    that adds nothing while a bit is still clear means the graph is
+    disconnected.
     """
     dist = np.zeros((n, n), dtype=np.min_scalar_type(max(n - 1, 0)))
     if n == 0:
@@ -323,20 +331,15 @@ def _hop_distances(n: int, edges: np.ndarray) -> np.ndarray:
     missing = np.empty_like(reached)
     gather = np.empty((max(int(starts[b] - starts[a]) for a, b in blocks),
                        width), dtype=np.uint64)
-    # missing rows are unpacked a block at a time into one bit buffer;
-    # every take below passes mode="clip" (its indices are always in range)
-    # because the default mode copies `out` through a temporary
-    unpack_rows = max(1, _UNPACK_CHUNK_BYTES // (64 * width))
-    bits = np.empty((unpack_rows, 8 * width, 8), dtype=np.uint8)
+    planes: list = []
+    level = 0
     while True:
         np.invert(reached, out=missing)
         if not missing.any():
-            return dist
-        for a in range(0, n, unpack_rows):
-            b = min(a + unpack_rows, n)
-            np.take(_BYTE_BITS, missing[a:b].view(np.uint8), axis=0,
-                    out=bits[:b - a], mode="clip")
-            dist[a:b] += bits[:b - a].reshape(b - a, -1)[:, :n]
+            break
+        level += 1
+        # every take below passes mode="clip" (its indices are always in
+        # range) because the default mode copies `out` through a temporary
         for a, b in blocks:
             lo, hi = starts[a], starts[b]
             np.take(reached, nbrs[lo:hi], axis=0, out=gather[:hi - lo],
@@ -353,7 +356,25 @@ def _hop_distances(n: int, edges: np.ndarray) -> np.ndarray:
             raise ValueError(
                 f"graph is disconnected: vertex {far} is unreachable "
                 f"from vertex {src}")
+        for k in range(level.bit_length()):
+            if level >> k & 1:
+                if k == len(planes):
+                    planes.append(np.zeros_like(reached))
+                planes[k] |= missing
         reached, grown = grown, reached
+    # each plane is unpacked a block of rows at a time into one bit buffer
+    # and shifted into place in dist's dtype (a uint8 shift would lose
+    # plane 8 and up)
+    unpack_rows = max(1, _UNPACK_CHUNK_BYTES // (64 * width))
+    bits = np.empty((unpack_rows, 8 * width, 8), dtype=np.uint8)
+    for k, plane in enumerate(planes):
+        for a in range(0, n, unpack_rows):
+            b = min(a + unpack_rows, n)
+            np.take(_BYTE_BITS, plane[a:b].view(np.uint8), axis=0,
+                    out=bits[:b - a], mode="clip")
+            got = bits[:b - a].reshape(b - a, -1)[:, :n]
+            dist[a:b] |= np.left_shift(got, k, dtype=dist.dtype)
+    return dist
 
 
 def load_edge_list(text: str, n: int | None = None) -> FiniteMetricSpace:
@@ -542,6 +563,13 @@ class TupleDomain:
     def __len__(self) -> int:
         return len(self.tuples)
 
+    @cached_property
+    def faces(self) -> np.ndarray:
+        """`tuples` as a read-only int64 array, one row per tuple."""
+        faces = np.array(self.tuples, dtype=np.int64).reshape(-1, self.p + 1)
+        faces.flags.writeable = False
+        return faces
+
     def check_invariants(self) -> None:
         assert len(set(self.tuples)) == len(self.tuples), "duplicate tuples"
         for t in self.tuples:
@@ -581,43 +609,74 @@ def _enumerate_exact(space: FiniteMetricSpace, p: int, r: float, budget: int):
     return out
 
 
-def _sample_points(space: FiniteMetricSpace, p: int, r: float, ylen: int,
-                   count: int, rng: random.Random):
-    """The rejection sampler behind every sampled tuple and audit domain.
+def _proposals(space: FiniteMetricSpace, p: int, r: float, ylen: int,
+               rng: np.random.Generator, want: int, limit: int):
+    """The sampler's proposal stream, `limit` proposals in batches.
 
-    x is drawn from the radius-r (p+1)-tuple domain: the first coordinate
-    with weight |B_r(x0)|^p, the rest uniformly from B_r(x0), rejecting
-    inadmissible proposals, so an accepted x is uniform over the domain.
-    Each accepted x gets ylen free y-coordinates. Returns the sorted distinct
-    (x, y) pairs, at most `count` of them, and the number of proposals.
+    A proposal draws x0 with weight |B_r(x0)|^p, then x1..xp uniformly from
+    B_r(x0) and ylen free y-coordinates; it is admissible when x1..xp are
+    also pairwise within r, which makes an admissible x uniform over the
+    radius-r (p+1)-tuple domain. Yields (faces, ok) per batch: the
+    proposals as rows x0..xp, y0.., and which of them are admissible. Batch
+    sizes depend on want and limit only, so the stream is fixed by the
+    generator's seed.
+    """
+    n = space.n
+    slack = 0.0 if space.integer_metric else REAL_METRIC_SLACK
+    near = space.dist <= r + slack
+    sizes = near.sum(axis=1)
+    members = np.nonzero(near)[1]
+    starts = np.cumsum(sizes) - sizes
+    cum = np.cumsum(sizes.astype(float) ** p)
+    pairs = list(combinations(range(1, p + 1), 2))
+    size = max(2 * want, 64)
+    done = 0
+    while done < limit:
+        b = min(size, _SAMPLE_BATCH, limit - done)
+        x0 = np.searchsorted(cum, rng.random(b) * cum[-1], side="right")
+        np.minimum(x0, n - 1, out=x0)
+        pick = (rng.random((b, p)) * sizes[x0, None]).astype(np.int64)
+        np.minimum(pick, sizes[x0, None] - 1, out=pick)
+        faces = np.concatenate((x0[:, None], members[starts[x0, None] + pick],
+                                rng.integers(n, size=(b, ylen))), axis=1)
+        ok = np.ones(b, dtype=bool)
+        for i, j in pairs:
+            ok &= near[faces[:, i], faces[:, j]]
+        yield faces, ok
+        done += b
+        size *= 2
+
+
+def _sample_points(space: FiniteMetricSpace, p: int, r: float, ylen: int,
+                   count: int, rng: np.random.Generator):
+    """The rejection sampler behind sampled tuple domains and the audit
+    domains whose x-domain is over budget.
+
+    Reads the proposal stream of _proposals as a sequential loop would:
+    the admissible proposals are kept until `want` distinct (x, y) points
+    are in hand or 60 * count + 1000 proposals are spent, and `attempts` is
+    the number of proposals read by then. Returns the points as an int64
+    array of faces in lexicographic order, and attempts.
     """
     n = space.n
     # with p = 0 the whole domain has n ** (ylen + 1) points
     want = min(count, n ** (ylen + 1)) if p == 0 else count
-    limit = 60 * count + 1000
-    if p > 0:
-        balls = space.balls_list(r)
-        cum = np.cumsum([float(len(b)) ** p for b in balls])
-        total = float(cum[-1])
-    picked: set = set()
+    kept = np.zeros((0, p + 1 + ylen), dtype=np.int64)
     attempts = 0
-    while len(picked) < want and attempts < limit:
-        attempts += 1
-        if p == 0:
-            coords = [rng.randrange(n)]
-        else:
-            v0 = int(np.searchsorted(cum, rng.random() * total, side="right"))
-            coords = [min(v0, n - 1)]
-            ball = balls[coords[0]]
-        for _ in range(p):
-            u = ball[rng.randrange(len(ball))]
-            if not all(space.within(u, c, r) for c in coords[1:]):
+    if want > 0:
+        kept_at = np.zeros(0, dtype=np.int64)    # stream index of each point
+        for faces, ok in _proposals(space, p, r, ylen, rng, want,
+                                    60 * count + 1000):
+            pool = np.concatenate((kept, faces[ok]))
+            pool_at = np.concatenate((kept_at, attempts + np.flatnonzero(ok)))
+            first, _ = distinct(pool, n)    # first sightings, stream order
+            kept, kept_at = pool[first], pool_at[first]
+            attempts += len(faces)
+            if len(kept) >= want:
+                attempts = int(kept_at[want - 1]) + 1
+                kept = kept[:want]
                 break
-            coords.append(u)
-        else:
-            picked.add((tuple(coords),
-                        tuple(rng.randrange(n) for _ in range(ylen))))
-    return sorted(picked), attempts
+    return kept[np.lexsort(kept.T[::-1])], attempts
 
 
 def sample_tuples(space: FiniteMetricSpace, p: int, r: float, count: int,
@@ -626,9 +685,9 @@ def sample_tuples(space: FiniteMetricSpace, p: int, r: float, count: int,
 
     Returns (sorted tuples, sampler proposals); see _sample_points.
     """
-    rng = random.Random(derive_seed(seed, tag, p, float(r)))
-    points, attempts = _sample_points(space, p, r, 0, count, rng)
-    return [xs for xs, _ in points], attempts
+    rng = np.random.default_rng(derive_seed(seed, tag, p, float(r)))
+    faces, attempts = _sample_points(space, p, r, 0, count, rng)
+    return list(map(tuple, faces.tolist())), attempts
 
 
 def _exact_domain(space: FiniteMetricSpace, p: int, r: float,

@@ -10,8 +10,24 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+from hypothesis import strategies as st
 
 from coarsecohom.coefficients import PRUNE_TOL
+
+
+@st.composite
+def spaces(draw, low=2, high=8):
+    """Small connected graphs on low..high points, some rescaled to a
+    real-valued metric."""
+    import coarsecohom as cc
+    n = draw(st.integers(low, high))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges += [(u, v) for u, v in draw(st.lists(extra, max_size=n)) if u != v]
+    space = cc.build_graph_metric(edges, n)
+    if draw(st.booleans()):
+        space = cc.scaled_metric(space, draw(st.sampled_from([0.5, 1.5])))
+    return space
 
 
 def cycle_dist(m, i, j):
@@ -269,28 +285,38 @@ def _audit_kw(budget, sample_size, seed):
             "seed": seed}
 
 
+def audit_points_reference(space, xlen, ylen, r, budget=None,
+                           sample_size=None, seed=0):
+    """cc.audit_points, with its rows read back as (xs, ys) int tuples:
+    (points, domain), where domain is the AuditPoints pair itself."""
+    import coarsecohom as cc
+    dom = cc.audit_points(space, xlen, ylen, r,
+                          **_audit_kw(budget, sample_size, seed))
+    return [(tuple(row[:xlen]), tuple(row[xlen:]))
+            for row in dom[0].tolist()], dom
+
+
 def seminorm_reference(phi, r, budget=None, sample_size=None, seed=0,
                        include=()):
     import coarsecohom as cc
-    points, exact = cc.audit_points(phi.space, phi.p + 1, phi.q + 1, r,
-                                    **_audit_kw(budget, sample_size, seed))
+    points, dom = audit_points_reference(phi.space, phi.p + 1, phi.q + 1, r,
+                                         budget, sample_size, seed)
     points = points + list(include)
     best, witness = sup_scan_reference(points,
                                        lambda xs, ys: phi(xs, ys).norm)
-    return cc.SeminormReport(float(r), best, exact=exact, witness=witness,
-                             samples=None if exact else len(points))
+    return cc.SeminormReport(float(r), best, witness=witness,
+                             **dom.record(len(include)))
 
 
 def audit_equal_reference(check, lhs, rhs, r, budget=None, sample_size=None,
                           seed=0, tol=1e-10):
     import coarsecohom as cc
-    points, exact = cc.audit_points(lhs.space, lhs.p + 1, lhs.q + 1, r,
-                                    **_audit_kw(budget, sample_size, seed))
+    points, dom = audit_points_reference(lhs.space, lhs.p + 1, lhs.q + 1, r,
+                                         budget, sample_size, seed)
     worst, witness = sup_scan_reference(points, lambda xs, ys: cc.entry_gap(
         lhs(xs, ys), None if rhs is None else rhs(xs, ys)))
     return cc.AuditReport(check, lhs.p, lhs.q, float(r), worst, tol,
-                          exact=exact, witness=witness,
-                          samples=None if exact else len(points))
+                          witness=witness, **dom.record())
 
 
 def norm_audit_reference(kind, phi, r, budget=None, sample_size=None, seed=0):
@@ -312,23 +338,23 @@ def norm_audit_reference(kind, phi, r, budget=None, sample_size=None, seed=0):
 
         def couple(xs, ys):
             return [(xs, (xs[0],) + ys)]
-    points, exact = cc.audit_points(result.space, result.p + 1, result.q + 1,
-                                    r, **_audit_kw(budget, sample_size, seed))
+    points, dom = audit_points_reference(result.space, result.p + 1,
+                                         result.q + 1, r, budget,
+                                         sample_size, seed)
     lhs, witness = sup_scan_reference(points,
                                       lambda xs, ys: result(xs, ys).norm)
     rhs, _ = sup_scan_reference(
         (pt for xs, ys in points for pt in couple(xs, ys)),
         lambda xs, ys: phi(xs, ys).norm)
     return cc.BoundReport(check, float(r), lhs, rhs, float(factor),
-                          exact=exact, witness=witness,
-                          samples=None if exact else len(points))
+                          witness=witness, **dom.record())
 
 
 def support_radius_reference(phi, r, budget=None, seed=0):
     import coarsecohom as cc
     space = phi.space
-    dom = cc.enumerate_tuples(space, phi.p + phi.q + 1, r,
-                              budget=_audit_kw(budget, None, seed)["budget"],
+    budget = _audit_kw(budget, None, seed)["budget"]
+    dom = cc.enumerate_tuples(space, phi.p + phi.q + 1, r, budget=budget,
                               seed=seed)
     cut = phi.p + 1
 
@@ -343,18 +369,20 @@ def support_radius_reference(phi, r, budget=None, seed=0):
     if phi.support_witness is not None:
         slack = 0.0 if space.integer_metric else 1e-12
         within = worst <= phi.support_witness(float(r)) + slack
-    return cc.SupportRadiusReport(float(r), worst, within, exact=dom.exact,
-                                  witness=witness,
-                                  samples=None if dom.exact
-                                  else len(dom.tuples))
+    sampled = not dom.exact
+    return cc.SupportRadiusReport(
+        float(r), worst, within, exact=dom.exact, witness=witness,
+        samples=len(dom.tuples) if sampled else None,
+        requested=budget if sampled else None,
+        attempts=dom.attempts if sampled else None)
 
 
 def conv_norm_audit_reference(f, theta, r, budget=None, sample_size=None,
                               seed=0):
     import coarsecohom as cc
     conv = cc.convolve(f, theta)
-    points, exact = cc.audit_points(f.space, f.p + 1, theta.q + 1, r,
-                                    **_audit_kw(budget, sample_size, seed))
+    points, dom = audit_points_reference(f.space, f.p + 1, theta.q + 1, r,
+                                         budget, sample_size, seed)
     f_sup = 0.0
     theta_sup = 0.0
 
@@ -368,9 +396,8 @@ def conv_norm_audit_reference(f, theta, r, budget=None, sample_size=None,
         return val
 
     lhs, witness = sup_scan_reference(points, conv_norm)
-    return cc.ConvBoundReport(float(r), lhs, f_sup, theta_sup, exact=exact,
-                              witness=witness,
-                              samples=None if exact else len(points))
+    return cc.ConvBoundReport(float(r), lhs, f_sup, theta_sup,
+                              witness=witness, **dom.record())
 
 
 def homotopy_defect_reference(fam, phi, budget=None, sample_size=None,
@@ -380,8 +407,8 @@ def homotopy_defect_reference(fam, phi, budget=None, sample_size=None,
     import coarsecohom as cc
     defect = cc.cochain_sub(cc.convolve(fam.as_cochain(), phi), phi)
     dphi = cc.diff_D(phi)
-    points, exact = cc.audit_points(fam.space, 1, phi.q + 1, 0.0,
-                                    **_audit_kw(budget, sample_size, seed))
+    points, dom = audit_points_reference(fam.space, 1, phi.q + 1, 0.0,
+                                         budget, sample_size, seed)
     dphi_sup = 0.0
     telescope_gap = 0.0
 
@@ -403,8 +430,8 @@ def homotopy_defect_reference(fam, phi, budget=None, sample_size=None,
     worst, witness = sup_scan_reference(points, defect_norm)
     fnorm = fam.sup_norm
     report = cc.DefectReport(fam.s, worst, fnorm * dphi_sup, fnorm, dphi_sup,
-                             telescope_gap, exact=exact, witness=witness,
-                             samples=None if exact else len(points))
+                             telescope_gap, witness=witness,
+                             **dom.record())
     if not report.ok:
         raise AssertionError(f"homotopy defect bound violated: {report}")
     return report
@@ -429,7 +456,7 @@ def tf_identity_reference(field, theta, budget=None, sample_size=None, seed=0):
     kw = _audit_kw(budget, sample_size, seed)
     identity = audit_equal_reference("pairing", lhs, rhs, 0.0, tol=1e-12,
                                      **kw)
-    points, _ = cc.audit_points(space, 1, theta.q + 1, 0.0, **kw)
+    points, _ = audit_points_reference(space, 1, theta.q + 1, 0.0, **kw)
     lhs_sup, _ = sup_scan_reference(points, lambda xs, ys: rhs(xs, ys).norm)
     zeta_sup, _ = sup_scan_reference(
         ((pair, ys) for xs, ys in points for pair in field[xs[0]].entries),

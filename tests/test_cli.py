@@ -197,6 +197,24 @@ def test_verify_rejects_bad_domain_flags(capsys, args, error):
     assert capsys.readouterr().err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "-0.5"])
+def test_verify_rejects_bad_tolerance(capsys, value):
+    # --tol inf would pass every check, and --tol nan fail every one
+    rc = main(["verify", "--family", "cycle", "--size", "6",
+               "--suite", "complex-identities", "--count", "1",
+               f"--tol={value}"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: --tol must be finite and >= 0, got {float(value)}\n")
+
+
+def test_verify_rejects_non_numeric_tolerance(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--family", "cycle", "--size", "6", "--tol", "tiny"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_verify_report_matches_golden(tmp_path, capsys):
     """The full verify report on cycle8, byte for byte, minus its timestamp.
 

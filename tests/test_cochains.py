@@ -204,8 +204,8 @@ def test_audit_points_exact_and_sampled():
     pts2, exact2 = cc.audit_points(CYCLE8, 2, 1, 1.0, budget=100,
                                    sample_size=60, seed=1)
     assert not exact2 and len(pts2) == 60
-    for (xs, ys) in pts2:
-        assert CYCLE8.d(xs[0], xs[1]) <= 1
+    for x0, x1, _ in pts2.tolist():
+        assert CYCLE8.d(x0, x1) <= 1
 
 
 def test_audit_equal_shape_mismatch():

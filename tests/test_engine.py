@@ -2,15 +2,25 @@
 
 The digest pins every tuple and audit point drawn over a small grid of
 spaces, degrees, radii and seeds: a budget of 300 puts some domains in the
-exhaustive branch and the rest in the sampled one, so a change to either
-branch, to a seed tag or to the draw order shows here.
+exhaustive branch and the rest in the two sampled ones, so a change to any
+branch, to a seed tag or to the draw order shows here. The other tests say
+what the draws must be whatever their bits: admissible, distinct, sorted,
+as many as asked for when the x-domain is exact, uniform, reproducible per
+seed, and counted as the sequential rejection loop would count them.
 """
 
 import hashlib
+from itertools import combinations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coarsecohom as cc
+from coarsecohom.space import REAL_METRIC_SLACK, _proposals
+from helpers import spaces
 
-ENGINE_DIGEST = "4bc212d816b9e6df834dbc45c97371f72fb4320cd424dc5e4730f991b736a667"
+ENGINE_DIGEST = "9b841946c46ac0d6009363df7007e42241511c0d2f5f5314e47ed95ed879b878"
 
 
 def _grid_spaces():
@@ -28,9 +38,13 @@ def test_sampler_and_audit_points_digest():
                     h.update(repr(cc.sample_tuples(space, p, r, 120,
                                                    seed)).encode())
                     for ylen in range(3):
-                        h.update(repr(cc.audit_points(
-                            space, p + 1, ylen, r, budget=300,
-                            sample_size=120, seed=seed)).encode())
+                        dom = cc.audit_points(space, p + 1, ylen, r,
+                                              budget=300, sample_size=120,
+                                              seed=seed)
+                        points, exact = dom
+                        h.update(points.tobytes())
+                        h.update(repr((points.shape, exact, dom.requested,
+                                       dom.attempts)).encode())
     assert h.hexdigest() == ENGINE_DIGEST
 
 
@@ -57,3 +71,171 @@ def test_tuple_cache_bounded_across_seeds():
     for seed in range(1, 200):
         audit(seed)
     assert len(space._tuple_cache) <= after_one
+
+
+# -- what every draw must be ----------------------------------------------------
+
+def _admissible(space, xs, r):
+    return all(space.within(a, b, r) for a, b in combinations(xs, 2))
+
+
+@settings(deadline=None, max_examples=60)
+@given(spaces(1, 7), st.integers(0, 3), st.integers(0, 3),
+       st.sampled_from([0.0, 0.75, 1.0, 2.0]), st.integers(1, 60),
+       st.integers(0, 80), st.integers(0, 3))
+def test_audit_points_are_admissible_distinct_and_sorted(space, p, ylen, r,
+                                                         budget, sample, seed):
+    xdom = cc.enumerate_tuples(space, p, r, budget=10 ** 6).tuples
+    total = len(xdom) * space.n ** ylen
+    dom = cc.audit_points(space, p + 1, ylen, r, budget=budget,
+                          sample_size=sample, seed=seed)
+    points, exact = dom
+    assert points.dtype == np.int64 and points.shape[1] == p + 1 + ylen
+    rows = [tuple(row) for row in points.tolist()]
+    assert rows == sorted(set(rows))            # distinct, lexicographic
+    assert all(_admissible(space, row[:p + 1], r) for row in rows)
+    want = min(sample, budget)
+    if total <= budget:
+        assert exact and len(rows) == total
+        assert (dom.requested, dom.attempts) == (None, None)
+    elif len(xdom) <= budget:
+        # drawn from the exact x-domain: never short, never a rejection
+        assert not exact and len(rows) == min(want, total)
+        assert dom.requested == want and dom.attempts == len(rows)
+    else:
+        assert not exact and len(rows) <= want
+        assert dom.requested == want
+        assert len(rows) <= dom.attempts <= 60 * want + 1000
+    record = dom.record()
+    assert record["exact"] == exact
+    assert record["samples"] == (None if exact else len(rows))
+
+
+def test_draws_do_not_depend_on_the_cache():
+    def fresh():
+        return cc.generate_family("torus", {"dim": 2, "size": 5})
+
+    for xlen, ylen, budget in ((2, 1, 100), (3, 1, 80), (2, 0, 60)):
+        kw = {"budget": budget, "sample_size": 40}
+        cold = cc.audit_points(fresh(), xlen, ylen, 1.0, seed=7, **kw)
+        warm = fresh()
+        cc.audit_points(warm, xlen, ylen, 1.0, budget=10 ** 6)
+        cc.enumerate_tuples(warm, xlen - 1, 1.0, budget=budget, seed=7)
+        cc.audit_points(warm, xlen, ylen, 1.0, seed=8, **kw)
+        again = cc.audit_points(warm, xlen, ylen, 1.0, seed=7, **kw)
+        assert not cold[1] and not again[1]
+        assert np.array_equal(cold[0], again[0])
+        assert (cold.requested, cold.attempts) == (again.requested,
+                                                   again.attempts)
+        other = cc.audit_points(warm, xlen, ylen, 1.0, seed=8, **kw)
+        assert not np.array_equal(cold[0], other[0])
+    tuples = cc.sample_tuples(fresh(), 2, 1.0, 30, seed=5)
+    warm = fresh()
+    cc.sample_tuples(warm, 2, 1.0, 30, seed=6)
+    cc.enumerate_tuples(warm, 2, 1.0, budget=20, seed=5)
+    assert cc.sample_tuples(warm, 2, 1.0, 30, seed=5) == tuples
+
+
+def _chi_square(counts, expected):
+    return float(((counts - expected) ** 2 / expected).sum())
+
+
+def _frequencies(draw, domain, seeds):
+    index = {row: i for i, row in enumerate(domain)}
+    counts = np.zeros(len(domain))
+    for seed in seeds:
+        for row in draw(seed):
+            counts[index[row]] += 1
+    return counts
+
+
+def test_both_sampled_branches_are_uniform():
+    # a path has balls of two sizes, so x0 must be weighted by |B(x0)|^p;
+    # over seeds, each of the N points must turn up k/N of the time
+    space = cc.generate_family("path", {"size": 6})
+    xdom = cc.enumerate_tuples(space, 2, 1.0).tuples      # 36 triples
+    joint = [x + (y,) for x in xdom for y in range(6)]
+    seeds = range(1500)
+
+    def bound(cells):
+        # chi-square with cells - 1 degrees of freedom, 5 sd above the mean
+        return cells - 1 + 5 * (2 * (cells - 1)) ** 0.5
+
+    for budget, sample in ((40, 8), (12, 8)):    # exact x, then rejection
+        counts = _frequencies(
+            lambda seed: map(tuple, cc.audit_points(
+                space, 3, 1, 1.0, budget=budget, sample_size=sample,
+                seed=seed)[0].tolist()), joint, seeds)
+        expected = len(seeds) * sample / len(joint)
+        assert _chi_square(counts, expected) < bound(len(joint))
+    counts = _frequencies(lambda seed: cc.sample_tuples(space, 2, 1.0, 4,
+                                                        seed)[0],
+                          xdom, seeds)
+    assert _chi_square(counts, len(seeds) * 4 / len(xdom)) < bound(len(xdom))
+
+
+def _replay(space, p, r, ylen, count, rng):
+    """The sequential rejection loop over the stream of _proposals, with
+    admissibility checked point by point: (sorted points, attempts)."""
+    n = space.n
+    want = min(count, n ** (ylen + 1)) if p == 0 else count
+    limit = 60 * count + 1000
+    slack = 0.0 if space.integer_metric else REAL_METRIC_SLACK
+    stream = (row for faces, _ in _proposals(space, p, r, ylen, rng, want,
+                                             limit)
+              for row in faces.tolist())
+    picked, attempts = set(), 0
+    while len(picked) < want and attempts < limit:
+        attempts += 1
+        row = next(stream)
+        xs = row[:p + 1]
+        assert all(space.dist[xs[0], u] <= r + slack for u in xs)
+        if _admissible(space, xs, r):
+            picked.add(tuple(row))
+    return sorted(picked), attempts
+
+
+@settings(deadline=None, max_examples=40)
+@given(spaces(1, 7), st.integers(0, 3), st.integers(0, 2),
+       st.sampled_from([0.75, 1.0, 2.0]), st.integers(0, 50),
+       st.integers(0, 3))
+def test_attempts_match_a_sequential_replay(space, p, ylen, r, count, seed):
+    tag = cc.derive_seed(seed, "replay")
+    got, attempts = cc.space._sample_points(space, p, r, ylen, count,
+                                            np.random.default_rng(tag))
+    want, replayed = _replay(space, p, r, ylen, count,
+                             np.random.default_rng(tag))
+    assert [tuple(row) for row in got.tolist()] == want
+    assert attempts == replayed
+
+
+def test_rejection_branch_attempts_match_the_replay():
+    # rr64's x-domain is over a budget of 300, so audit_points rejects
+    space = cc.generate_family("random_regular", {"n": 64, "k": 3}, seed=1)
+    dom = cc.audit_points(space, 3, 1, 2.0, budget=300, sample_size=120,
+                          seed=4)
+    rng = np.random.default_rng(cc.derive_seed(4, "audit-points", 3, 1, 2.0))
+    want, attempts = _replay(space, 2, 2.0, 1, 120, rng)
+    assert [tuple(row) for row in dom[0].tolist()] == want
+    assert dom.attempts == attempts > len(want) == dom.requested
+
+
+def test_sampler_spends_its_limit_on_a_small_domain():
+    # asking for more tuples than the domain holds spends every proposal
+    space = cc.generate_family("path", {"size": 6})
+    xdom = cc.enumerate_tuples(space, 2, 1.0).tuples
+    count = len(xdom) + 4
+    tuples, attempts = cc.sample_tuples(space, 2, 1.0, count, seed=1)
+    assert tuples == xdom
+    assert attempts == 60 * count + 1000
+
+
+def test_joint_count_past_int64_goes_to_the_rejection_sampler():
+    # |X| * n**ylen = 8 * 8**21 = 2**66 does not fit an index draw
+    space = cc.generate_family("complete", {"n": 8})
+    dom = cc.audit_points(space, 1, 21, 1.0, budget=10, sample_size=5,
+                          seed=2)
+    points, exact = dom
+    assert not exact and points.shape == (5, 22)
+    assert len({tuple(row) for row in points.tolist()}) == 5
+    assert dom.requested == 5 and dom.attempts >= 5

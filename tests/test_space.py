@@ -146,6 +146,14 @@ def test_path256_compact_dist_validates_without_wraparound():
     assert sp.d(1, 255) == 254
 
 
+def test_path300_distances_fill_the_high_bit_planes():
+    # d(0, 299) = 299 sets bit-plane 8, which a shift in uint8 would drop
+    sp = cc.generate_family("path", {"size": 300})
+    i = np.arange(300)
+    assert sp.dist.dtype == np.uint16
+    assert np.array_equal(sp.dist, np.abs(i[:, None] - i[None, :]))
+
+
 def test_scaled_compact_metric_widens_first():
     sp = cc.scaled_metric(cc.generate_family("path", {"size": 200}), 3)
     assert sp.integer_metric
