@@ -28,9 +28,8 @@ from .randomgen import (random_cochain, random_pair_field,
 from .sequences import (CochainSequence, DecayDiagnostic, DecayThresholds,
                         asymptotic_invariance, counterexample_s_not_invariant,
                         diagnose, fit_log_rate, verdict_of)
-from .space import (FiniteMetricSpace, TupleDomain, build_graph_metric,
-                    derive_seed, enumerate_tuples, generate_family,
-                    load_edge_list, sample_tuples, scaled_metric)
+from .space import (FiniteMetricSpace, build_graph_metric, derive_seed,
+                    generate_family, load_edge_list, scaled_metric)
 from .verify import (SUITE_NAMES, VerifyOptions, identity_checks_for,
                      pick_bidegree, pick_module, run_suite, run_suites)
 

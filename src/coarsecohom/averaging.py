@@ -17,7 +17,7 @@ from .cochains import (DEFAULT_AUDIT_BUDGET, DEFAULT_SAMPLE_SIZE, EXACT_TOL,
 from .facetables import (csr_expand, distinct, evaluate, gaps, norms,
                          row_entries, rows_fill, sup_of, sup_scan,
                          vectors_csr, weighted, width_of)
-from .space import REAL_METRIC_SLACK, FiniteMetricSpace
+from .space import FiniteMetricSpace, mask_rows
 
 PROB_SUM_TOL = 1e-12
 UNIT_SUM_TOL = 1e-9
@@ -38,7 +38,7 @@ class ReiterFamily:
     """
 
     def __init__(self, space: FiniteMetricSpace, s: float, vectors,
-                 is_prob: bool = True, name: str = "", validate: bool = True):
+                 is_prob: bool = True, name: str = ""):
         vectors = list(vectors)
         if len(vectors) != space.n:
             raise ValueError("need exactly one vector per point")
@@ -46,8 +46,7 @@ class ReiterFamily:
         self._vectors = vectors
         self._scalar_row = next((x for x, v in enumerate(vectors)
                                  if v.module == SCALAR), None)
-        if validate:
-            self.validate()
+        self.validate()
 
     @classmethod
     def _from_rows(cls, space: FiniteMetricSpace, s: float, indptr, cols,
@@ -84,7 +83,7 @@ class ReiterFamily:
         in order (an escape before a negative mass), then its sum."""
         space, indptr = self.space, self.indptr
         rows = np.repeat(np.arange(space.n), np.diff(indptr))
-        escapes = ~(space.dist[rows, self.cols] <= _radius_bound(space, self.s))
+        escapes = ~(space.dist[rows, self.cols] <= space.radius_bound(self.s))
         bad_entry = escapes | (self.weights < 0) if self.is_prob else escapes
         bad = np.zeros(space.n, dtype=bool)
         bad[rows[bad_entry]] = True
@@ -127,11 +126,6 @@ class ReiterFamily:
                 f"is_prob={self.is_prob})")
 
 
-def _radius_bound(space: FiniteMetricSpace, r: float) -> float:
-    """Largest distance that counts as within r (real metrics get slack)."""
-    return r + (0.0 if space.integer_metric else REAL_METRIC_SLACK)
-
-
 def _row_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Sum of each CSR row, added left to right like a Python loop over the
     row, so each sum equals pi_sum of that row bit for bit."""
@@ -143,13 +137,6 @@ def _row_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
     return total
 
 
-def _mask_rows(mask: np.ndarray):
-    """indptr and column arrays of the True entries of a square mask."""
-    n = len(mask)
-    flat = np.flatnonzero(mask)
-    return np.searchsorted(flat, np.arange(n + 1) * n), flat % n
-
-
 def dirac_family(space: FiniteMetricSpace) -> ReiterFamily:
     return ReiterFamily(space, 0.0, [dirac(x) for x in range(space.n)],
                         name="dirac")
@@ -157,7 +144,7 @@ def dirac_family(space: FiniteMetricSpace) -> ReiterFamily:
 
 def ball_average(space: FiniteMetricSpace, s: float) -> ReiterFamily:
     """Uniform probability on the closed s-ball of each point."""
-    indptr, cols = _mask_rows(space.dist <= _radius_bound(space, s))
+    indptr, cols = mask_rows(space.near(s))
     sizes = np.diff(indptr)
     return ReiterFamily._from_rows(space, s, indptr, cols,
                                    np.repeat(1.0 / sizes, sizes),
@@ -184,13 +171,11 @@ def _walk_step_rows(space: FiniteMetricSpace, laziness: float):
     n = space.n
     if n == 1:
         return np.array([0, 1]), np.array([0]), np.array([1.0])
-    mask = space.dist == 1 if space.integer_metric else (
-        (space.dist > 0) & (space.dist <= 1.0 + REAL_METRIC_SLACK))
-    deg = np.count_nonzero(mask, axis=1)
+    # the unit ball of k is k itself and its unit neighbours
+    indptr, cols = mask_rows(space.near(1.0))
+    deg = np.diff(indptr) - 1
     if np.any(deg == 0):
         raise ValueError("lazy walk needs every point to have a unit neighbor")
-    mask.flat[::n + 1] = True
-    indptr, cols = _mask_rows(mask)
     rows = np.repeat(np.arange(n), deg + 1)
     return indptr, cols, np.where(cols == rows, laziness,
                                   (1.0 - laziness) / deg[rows])
@@ -255,11 +240,10 @@ def lazy_walk_family(space: FiniteMetricSpace, steps: int,
     Needs unit-distance graph structure (adjacency = distance 1); support
     after t steps sits inside the t-ball, so S = steps.
 
-    Two kernels compute P^steps. When the widest S-ball, counted as
-    d <= S (1 + REAL_METRIC_SLACK), holds at most n / _SPARSE_WALK_SHARE
-    points, the rows stay sparse on that pattern (_walk_rows_sparse): each
-    entry is summed over k in ascending order, so its bits do not depend on
-    BLAS. Otherwise the rows saturate and dense np.linalg.matrix_power,
+    Two kernels compute P^steps. When the widest S-ball (`near(S)`) holds
+    at most n / _SPARSE_WALK_SHARE points, the rows stay sparse on that
+    pattern (_walk_rows_sparse): each entry is summed over k in ascending
+    order, so its bits do not depend on BLAS. Otherwise the rows saturate and dense np.linalg.matrix_power,
     whose summation order is BLAS's, is faster. Either way entries below
     PRUNE_TOL are dropped.
     """
@@ -267,14 +251,13 @@ def lazy_walk_family(space: FiniteMetricSpace, steps: int,
         raise ValueError("steps must be >= 0")
     if not 0.0 < laziness < 1.0:
         raise ValueError("laziness must sit strictly between 0 and 1")
-    widest = int(np.count_nonzero(
-        space.dist <= steps * (1.0 + REAL_METRIC_SLACK), axis=1).max())
+    widest = int(np.count_nonzero(space.near(steps), axis=1).max())
     if widest * _SPARSE_WALK_SHARE <= space.n:
         indptr, cols, weights = _walk_rows_sparse(space, steps, laziness)
     else:
         mat = np.linalg.matrix_power(_walk_matrix(space, laziness), steps)
         keep = mat >= PRUNE_TOL
-        indptr, cols = _mask_rows(keep)
+        indptr, cols = mask_rows(keep)
         weights = mat[keep]
     return ReiterFamily._from_rows(space, steps, indptr, cols, weights,
                                    f"walk[{steps}]")
@@ -320,8 +303,7 @@ class ProfileTable:
 def _pair_index(space: FiniteMetricSpace, r: float):
     """Arrays (i, j) of the pairs i < j with d(i, j) <= r, in
     lexicographic order."""
-    i, j = np.divmod(np.flatnonzero(space.dist <= _radius_bound(space, r)),
-                     space.n)
+    i, j = np.divmod(np.flatnonzero(space.near(r)), space.n)
     upper = j > i
     return i[upper], j[upper]
 
@@ -744,13 +726,12 @@ def tf_identity(field, theta: Cochain, radius: float | None = None,
         raise ValueError("need exactly one pair vector per point")
     if theta.p != 0:
         raise ValueError("tf_identity needs a column cochain (p = 0)")
-    slack = 0.0 if space.integer_metric else REAL_METRIC_SLACK
     r_ball = 0.0
     r_pair = 0.0
     for x in range(space.n):
         for (z0, z1) in field[x].entries:
             reach = max(space.d(x, z0), space.d(x, z1))
-            if radius is not None and reach > radius + slack:
+            if radius is not None and reach > space.radius_bound(radius):
                 raise ValueError(
                     f"support of F({space.label(x)}) escapes the "
                     f"{radius}-ball at pair ({space.label(z0)}, "

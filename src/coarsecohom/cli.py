@@ -130,10 +130,12 @@ def _cmd_gen(args) -> int:
 
 def _cmd_profile(args) -> int:
     space = _space_from_args(args)
+    if args.smax is not None and args.smax < 1:
+        raise ValueError(f"--smax must be >= 1, got {args.smax}")
     if args.schedule:
         schedule = _parse_scales(args.schedule, "--schedule",
                                  whole=args.method == "walk")
-    elif args.smax:
+    elif args.smax is not None:
         schedule = [float(s) for s in range(1, args.smax + 1)]
     else:
         raise ValueError("profile needs --smax or --schedule")
@@ -190,7 +192,8 @@ def _cmd_verify(args) -> int:
                 raise ValueError(f"unknown suite {name!r}; choose from "
                                  f"{', '.join(SUITE_NAMES)} or 'all'")
     for flag, value in (("--budget", args.budget), ("--sample", args.sample),
-                        ("--count", args.count)):
+                        ("--count", args.count),
+                        ("--show-failures", args.show_failures)):
         if value is not None and value < 0:
             raise ValueError(f"{flag} must be >= 0, got {value}")
     opts = VerifyOptions(seed=args.seed, count=args.count,

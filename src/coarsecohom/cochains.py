@@ -29,7 +29,7 @@ from .coefficients import (L1_ZERO, SCALAR, SupportedVector, dirac_diff,
 from .facetables import (dirac_diff_table, evaluate, gaps, linear, norms,
                          sup_of, sup_scan, width_of)
 from .space import (FiniteMetricSpace, _exact_domain, _sample_points,
-                    REAL_METRIC_SLACK, derive_seed, enumerate_tuples)
+                    derive_seed)
 
 IDENTITY_TOL = 1e-10
 EXACT_TOL = 1e-12
@@ -271,12 +271,11 @@ class AuditPoints(tuple):
         pair.attempts = attempts
         return pair
 
-    def record(self, extra: int = 0) -> dict:
-        """The AuditRecord fields of an audit over these points and `extra`
-        forced ones."""
+    def record(self) -> dict:
+        """The AuditRecord fields of an audit over these points."""
         points, exact = self
         return {"exact": exact,
-                "samples": None if exact else len(points) + extra,
+                "samples": None if exact else len(points),
                 "requested": self.requested, "attempts": self.attempts}
 
 
@@ -287,7 +286,8 @@ def audit_points(space: FiniteMetricSpace, xlen: int, ylen: int, r: float,
     """(x, y) evaluation points: x in the radius-r domain, y unrestricted.
 
     Returns the AuditPoints pair (points, exact), one object per domain.
-    Exhaustive while the joint count N = |X| * n**ylen fits the budget,
+    The x-domain X is the exact join of space._exact_domain. Exhaustive
+    while the joint count N = |X| * n**ylen fits the budget,
     otherwise a seeded sample of k = min(sample_size, budget) distinct
     points: when the x-domain X itself fits the budget, k distinct indices
     into the joint domain drawn at once (never fewer than k), else the
@@ -303,7 +303,7 @@ def audit_points(space: FiniteMetricSpace, xlen: int, ylen: int, r: float,
     xdom = _exact_domain(space, xlen - 1, r, budget)
     total = None if xdom is None else len(xdom) * n ** ylen
     if total is not None and total <= budget:
-        xs = np.repeat(xdom.faces, n ** ylen, axis=0)
+        xs = np.repeat(xdom, n ** ylen, axis=0)
         ys = np.indices((n,) * ylen).reshape(ylen, n ** ylen).T
         got = cache[key] = AuditPoints(
             np.concatenate((xs, np.tile(ys, (len(xdom), 1))), axis=1), True)
@@ -312,7 +312,7 @@ def audit_points(space: FiniteMetricSpace, xlen: int, ylen: int, r: float,
     rng = np.random.default_rng(
         derive_seed(seed, "audit-points", xlen, ylen, float(r)))
     if total is not None and total <= _INT64_MAX:
-        points = _decode(xdom.faces, n, ylen, np.sort(
+        points = _decode(xdom, n, ylen, np.sort(
             rng.choice(total, size=want, replace=False, shuffle=False)))
         attempts = want
     else:
@@ -385,19 +385,14 @@ class SeminormReport(AuditRecord):
 
 
 def seminorm(phi: Cochain, r: float, budget: int = DEFAULT_AUDIT_BUDGET,
-             sample_size: int = DEFAULT_SAMPLE_SIZE, seed: int = 0,
-             include=()) -> SeminormReport:
-    """R-seminorm of phi; `include` forces extra (xs, ys) points into the
-    audit so coupled bound checks stay sound under sampling."""
+             sample_size: int = DEFAULT_SAMPLE_SIZE,
+             seed: int = 0) -> SeminormReport:
+    """R-seminorm of phi over its audit domain."""
     dom = audit_points(phi.space, phi.p + 1, phi.q + 1, r, budget=budget,
                        sample_size=sample_size, seed=seed)
-    forced = np.array([xs + ys for xs, ys in include], dtype=np.int64)
-    points = np.concatenate((dom[0], forced.reshape(len(include),
-                                                    dom[0].shape[1])))
-    best, witness = _scan(phi, points,
+    best, witness = _scan(phi, dom[0],
                           lambda faces: norms(evaluate(phi, faces)))
-    return SeminormReport(float(r), best, witness=witness,
-                          **dom.record(len(include)))
+    return SeminormReport(float(r), best, witness=witness, **dom.record())
 
 
 @dataclass
@@ -417,12 +412,14 @@ def support_radius(phi: Cochain, r: float, budget: int = DEFAULT_AUDIT_BUDGET,
     """Measured controlled-support radius over the joint radius-r domain.
 
     Tuples (x, y) here have all p+q+2 coordinates pairwise within r (the
-    joint domain, unlike seminorms); S is the largest distance from a value's
-    support to any tuple coordinate. Large S is data, not failure.
+    joint domain, unlike seminorms): the audit points of (p+q+2)-tuples
+    with no free y, a sample of `budget` of them when the domain is over
+    budget. S is the largest distance from a value's support to any tuple
+    coordinate. Large S is data, not failure.
     """
     space = phi.space
-    dom = enumerate_tuples(space, phi.p + phi.q + 1, r, budget=budget,
-                           seed=seed)
+    dom = audit_points(space, phi.p + phi.q + 2, 0, r, budget=budget,
+                       sample_size=budget, seed=seed)
     cut = phi.p + 1
     dist = space.wide_dist()
 
@@ -435,17 +432,12 @@ def support_radius(phi: Cochain, r: float, budget: int = DEFAULT_AUDIT_BUDGET,
         far[tab.vals == 0.0] = 0
         return far.max(axis=1, initial=0)
 
-    worst, witness = sup_scan(dom.faces, cut, space.n, reach)
+    worst, witness = sup_scan(dom[0], cut, space.n, reach)
     within = None
     if phi.support_witness is not None:
-        slack = 0.0 if space.integer_metric else REAL_METRIC_SLACK
-        within = worst <= phi.support_witness(float(r)) + slack
-    sampled = not dom.exact
-    return SupportRadiusReport(
-        float(r), worst, within, exact=dom.exact, witness=witness,
-        samples=len(dom) if sampled else None,
-        requested=budget if sampled else None,
-        attempts=dom.attempts if sampled else None)
+        within = worst <= space.radius_bound(phi.support_witness(float(r)))
+    return SupportRadiusReport(float(r), worst, within, witness=witness,
+                               **dom.record())
 
 
 # -- identity audits ------------------------------------------------------------

@@ -21,8 +21,8 @@ import numpy as np
 from .averaging import ReiterFamily
 from .coefficients import L1, L1_ZERO, SCALAR, PairVector, SupportedVector
 from .cochains import Cochain
-from .facetables import Table, csr_rows, finish, rows_fill, vectors_csr
-from .space import FiniteMetricSpace, derive_seed
+from .facetables import Table, finish, rows_fill, vectors_csr
+from .space import FiniteMetricSpace, derive_seed, mask_rows
 
 _XXPRIME_1 = np.uint64(11400714785074694791)
 _XXPRIME_2 = 14029467366897019727
@@ -72,11 +72,6 @@ def _coeffs(h: np.ndarray) -> np.ndarray:
     u = ((h >> 11) % 2_000_003) / 1_000_001.5 - 1.0
     u[(u > -1e-3) & (u < 1e-3)] += 0.25
     return u
-
-
-def _ball_rows(space: FiniteMetricSpace, spread: float):
-    """balls_list(spread) as CSR arrays (indptr, members)."""
-    return csr_rows(space.balls_list(spread))
 
 
 def _scalar_fill(hashes):
@@ -158,7 +153,7 @@ def random_cochain(space: FiniteMetricSpace, p: int, q: int, module: str,
                     ent[c] = ent.get(c, 0.0) - a
             return SupportedVector(module, ent)
 
-        ball_rows = _ball_rows(space, spread)
+        ball_rows = mask_rows(space.near(spread))
         width = p + q + 2
 
         def fill(faces):
@@ -211,7 +206,7 @@ def random_x_independent_cochain(space: FiniteMetricSpace, q: int, module: str,
                     ent[c] = ent.get(c, 0.0) - a
             return SupportedVector(module, ent)
 
-        ball_rows = _ball_rows(space, spread)
+        ball_rows = mask_rows(space.near(spread))
 
         def fill(faces):
             terms_h = hashes(faces)

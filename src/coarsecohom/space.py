@@ -2,8 +2,10 @@
 
 Everything downstream (seminorms, support audits, variation profiles) is a
 supremum over tuples whose coordinates sit pairwise within some radius R.
-This module owns the spaces themselves, the graph families used as test
-beds, and exact-or-sampled enumeration of those tuple sets.
+This module owns the spaces themselves, the one rule for "within R"
+(`FiniteMetricSpace.radius_bound` and `near`), the ball rows built from it,
+the graph families used as test beds, and the exact join and rejection
+sampler behind the audit domains of cochains.audit_points.
 """
 
 from __future__ import annotations
@@ -11,17 +13,14 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations, product
 
 import numpy as np
 
-from .facetables import distinct
+from .facetables import csr_expand, distinct
 
 REAL_METRIC_SLACK = 1e-12
 TRIANGLE_SCAN_LIMIT = 256
-DEFAULT_TUPLE_BUDGET = 20_000
 # Bytes of neighbour ball rows gathered at once while the balls of a graph
 # grow, so that the gather stays this small whatever the degree.
 _GATHER_CHUNK_BYTES = 1 << 21
@@ -42,7 +41,7 @@ def derive_seed(*parts) -> int:
 
 
 class _TupleCache(dict):
-    """Tuple domains and audit points of one space.
+    """Exact tuple domains and audit points of one space.
 
     Entries that no seed affects (exact domains, over-budget markers, exact
     audit-point arrays) sit under their plain key. Sampled entries are kept
@@ -69,9 +68,10 @@ class FiniteMetricSpace:
 
     Graph families carry exact integer hop distances and radius comparisons
     are exact; real-valued metrics get a 1e-12 slack when compared against a
-    radius. Integer distances are stored in the smallest unsigned dtype that
-    holds their maximum, so arithmetic on `dist` must widen it first
-    (`wide_dist`). Instances are treated as immutable after construction.
+    radius (`radius_bound`). Integer distances are stored in the smallest
+    unsigned dtype that holds their maximum, so arithmetic on `dist` must
+    widen it first (`wide_dist`). Instances are treated as immutable after
+    construction.
     """
 
     def __init__(self, dist, labels=None, integer_metric=None, meta=None,
@@ -85,7 +85,6 @@ class FiniteMetricSpace:
         self.labels = list(labels) if labels is not None else None
         self.meta = dict(meta) if meta else {"kind": "custom", "params": {}, "seed": 0}
         self._ball_lists: dict[float, list[tuple[int, ...]]] = {}
-        self._ball_sets: dict[float, list[frozenset]] = {}
         self._dist_rows: list | None = None
         self._tuple_cache = _TupleCache()
         if validate:
@@ -139,9 +138,17 @@ class FiniteMetricSpace:
             self._dist_rows = self.dist.tolist()
         return self._dist_rows[i][j]
 
+    def radius_bound(self, r: float) -> float:
+        """Largest distance that counts as within r: r itself on an
+        integer metric, r + REAL_METRIC_SLACK on a real one."""
+        return r if self.integer_metric else r + REAL_METRIC_SLACK
+
+    def near(self, r: float) -> np.ndarray:
+        """The n x n mask of the point pairs within r of each other."""
+        return self.dist <= self.radius_bound(r)
+
     def within(self, i: int, j: int, r: float) -> bool:
-        slack = 0.0 if self.integer_metric else REAL_METRIC_SLACK
-        return self.d(i, j) <= r + slack
+        return self.d(i, j) <= self.radius_bound(r)
 
     def diameter(self) -> float:
         return float(self.dist.max())
@@ -159,21 +166,12 @@ class FiniteMetricSpace:
         key = float(r)
         got = self._ball_lists.get(key)
         if got is None:
-            slack = 0.0 if self.integer_metric else REAL_METRIC_SLACK
-            mask = self.dist <= r + slack
+            mask = self.near(r)
             # tolist() so ball members are Python ints end to end (hash
             # stability and JSON witnesses both rely on that)
             got = [tuple(np.flatnonzero(mask[i]).tolist())
                    for i in range(self.n)]
             self._ball_lists[key] = got
-        return got
-
-    def ball_sets(self, r: float) -> list[frozenset]:
-        key = float(r)
-        got = self._ball_sets.get(key)
-        if got is None:
-            got = [frozenset(b) for b in self.balls_list(r)]
-            self._ball_sets[key] = got
         return got
 
     def ball(self, i: int, r: float) -> tuple[int, ...]:
@@ -545,68 +543,40 @@ def generate_family(kind: str, params: dict, seed: int = 0) -> FiniteMetricSpace
 
 # -- tuple domains ----------------------------------------------------------
 
-@dataclass
-class TupleDomain:
-    """Ordered (p+1)-tuples with all pairwise distances <= r.
+def mask_rows(mask: np.ndarray):
+    """indptr and column arrays of the True entries of a square mask, row
+    by row in ascending column order: the CSR form of a ball mask."""
+    n = len(mask)
+    flat = np.flatnonzero(mask)
+    return np.searchsorted(flat, np.arange(n + 1) * n), flat % n
 
-    `tuples` is either the full domain (exact=True, lexicographic order) or a
-    de-duplicated uniform sample of size <= budget (exact=False); `attempts`
-    records the rejection-sampler proposals in the sampled case.
+
+def _join(space: FiniteMetricSpace, p: int, r: float, budget: int):
+    """The radius-r (p+1)-tuples in lexicographic order, one level of
+    coordinates at a time, or None once a level holds more than budget.
+
+    Each row is extended by the members of its first coordinate's ball that
+    are also near its other coordinates, in ascending order, so rows stay
+    lexicographic. A row extends at least by repeating one of its own
+    coordinates, so level counts never shrink and an over-budget level
+    means an over-budget domain.
     """
-    space: FiniteMetricSpace
-    p: int
-    r: float
-    tuples: list = field(repr=False)
-    exact: bool = True
-    attempts: int = 0
-
-    def __len__(self) -> int:
-        return len(self.tuples)
-
-    @cached_property
-    def faces(self) -> np.ndarray:
-        """`tuples` as a read-only int64 array, one row per tuple."""
-        faces = np.array(self.tuples, dtype=np.int64).reshape(-1, self.p + 1)
-        faces.flags.writeable = False
-        return faces
-
-    def check_invariants(self) -> None:
-        assert len(set(self.tuples)) == len(self.tuples), "duplicate tuples"
-        for t in self.tuples:
-            assert len(t) == self.p + 1
-            for a in t:
-                for b in t:
-                    assert self.space.within(a, b, self.r), (t, a, b)
-
-
-class _BudgetExceeded(Exception):
-    pass
-
-
-def _enumerate_exact(space: FiniteMetricSpace, p: int, r: float, budget: int):
     n = space.n
-    if p == 0:
-        return [(i,) for i in range(n)] if n <= budget else None
-    balls = space.balls_list(r)
-    ball_sets = space.ball_sets(r)
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple, cands):
-        if len(prefix) == p + 1:
-            out.append(prefix)
-            if len(out) > budget:
-                raise _BudgetExceeded
-            return
-        for u in cands:
-            bu = ball_sets[u]
-            extend(prefix + (u,), [w for w in cands if w in bu])
-
-    try:
-        for v0 in range(n):
-            extend((v0,), list(balls[v0]))
-    except _BudgetExceeded:
+    if n > budget:
         return None
-    return out
+    near = space.near(r)
+    indptr, members = mask_rows(near)
+    faces = np.arange(n, dtype=np.int64)[:, None]
+    for _ in range(p):
+        _, owner, src = csr_expand(indptr, faces[:, 0])
+        cand = members[src]
+        ok = np.ones(len(cand), dtype=bool)
+        for j in range(1, faces.shape[1]):
+            ok &= near[faces[owner, j], cand]
+        if np.count_nonzero(ok) > budget:
+            return None
+        faces = np.concatenate((faces[owner[ok]], cand[ok, None]), axis=1)
+    return faces
 
 
 def _proposals(space: FiniteMetricSpace, p: int, r: float, ylen: int,
@@ -622,11 +592,9 @@ def _proposals(space: FiniteMetricSpace, p: int, r: float, ylen: int,
     generator's seed.
     """
     n = space.n
-    slack = 0.0 if space.integer_metric else REAL_METRIC_SLACK
-    near = space.dist <= r + slack
-    sizes = near.sum(axis=1)
-    members = np.nonzero(near)[1]
-    starts = np.cumsum(sizes) - sizes
+    near = space.near(r)
+    indptr, members = mask_rows(near)
+    starts, sizes = indptr[:-1], np.diff(indptr)
     cum = np.cumsum(sizes.astype(float) ** p)
     pairs = list(combinations(range(1, p + 1), 2))
     size = max(2 * want, 64)
@@ -649,8 +617,8 @@ def _proposals(space: FiniteMetricSpace, p: int, r: float, ylen: int,
 
 def _sample_points(space: FiniteMetricSpace, p: int, r: float, ylen: int,
                    count: int, rng: np.random.Generator):
-    """The rejection sampler behind sampled tuple domains and the audit
-    domains whose x-domain is over budget.
+    """The rejection sampler behind the audit domains whose x-domain is
+    over budget.
 
     Reads the proposal stream of _proposals as a sequential loop would:
     the admissible proposals are kept until `want` distinct (x, y) points
@@ -679,44 +647,16 @@ def _sample_points(space: FiniteMetricSpace, p: int, r: float, ylen: int,
     return kept[np.lexsort(kept.T[::-1])], attempts
 
 
-def sample_tuples(space: FiniteMetricSpace, p: int, r: float, count: int,
-                  seed: int, tag: str = "tuple-sample"):
-    """Uniform seeded sample of distinct tuples from the radius-r domain.
-
-    Returns (sorted tuples, sampler proposals); see _sample_points.
-    """
-    rng = np.random.default_rng(derive_seed(seed, tag, p, float(r)))
-    faces, attempts = _sample_points(space, p, r, 0, count, rng)
-    return list(map(tuple, faces.tolist())), attempts
-
-
 def _exact_domain(space: FiniteMetricSpace, p: int, r: float,
-                  budget: int) -> TupleDomain | None:
-    """The whole domain, or None when it exceeds the budget; neither
-    depends on a seed, so both are cached under a seed-free key."""
+                  budget: int) -> np.ndarray | None:
+    """The radius-r (p+1)-tuple domain as a read-only int64 array (see
+    _join), or None when it exceeds the budget; neither depends on a seed,
+    so both are cached under a seed-free key."""
     key = ("exact", p, float(r), budget)
     cache = space._tuple_cache
     if key not in cache:
-        tuples = _enumerate_exact(space, p, r, budget)
-        cache[key] = (None if tuples is None
-                      else TupleDomain(space, p, float(r), tuples))
+        faces = _join(space, p, r, budget)
+        if faces is not None:
+            faces.flags.writeable = False
+        cache[key] = faces
     return cache[key]
-
-
-def enumerate_tuples(space: FiniteMetricSpace, p: int, r: float,
-                     budget: int = DEFAULT_TUPLE_BUDGET,
-                     seed: int = 0) -> TupleDomain:
-    """Exact domain when it fits the budget, else a seeded uniform sample."""
-    if p < 0:
-        raise ValueError("tuple degree must be >= 0")
-    dom = _exact_domain(space, p, r, budget)
-    if dom is not None:
-        return dom
-    key = ("domain", p, float(r), budget)
-    dom = space._tuple_cache.sampled(key, seed)
-    if dom is None:
-        sampled, attempts = sample_tuples(space, p, r, budget, seed)
-        dom = space._tuple_cache.keep_sampled(
-            key, seed, TupleDomain(space, p, float(r), sampled, exact=False,
-                                   attempts=attempts))
-    return dom

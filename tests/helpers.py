@@ -128,12 +128,18 @@ def ref_split_s(phi, p, xs, ys):
     return out
 
 
+def radius_bound(space, r):
+    return r + (0.0 if space.integer_metric else 1e-12)
+
+
 def brute_tuples(space, p, r):
-    """All (p+1)-tuples with pairwise distances <= r, by full product scan."""
+    """All (p+1)-tuples with pairwise distances within r, by full product
+    scan, in lexicographic order."""
+    bound = radius_bound(space, r)
     pts = range(space.n)
     out = []
     for t in product(pts, repeat=p + 1):
-        if all(space.d(a, b) <= r for a in t for b in t):
+        if all(space.d(a, b) <= bound for a in t for b in t):
             out.append(t)
     return out
 
@@ -154,10 +160,6 @@ def frac_ball_nu(space, s, r):
             if tot > best:
                 best = tot
     return best
-
-
-def radius_bound(space, r):
-    return r + (0.0 if space.integer_metric else 1e-12)
 
 
 def pairs_reference(space, r):
@@ -296,16 +298,13 @@ def audit_points_reference(space, xlen, ylen, r, budget=None,
             for row in dom[0].tolist()], dom
 
 
-def seminorm_reference(phi, r, budget=None, sample_size=None, seed=0,
-                       include=()):
+def seminorm_reference(phi, r, budget=None, sample_size=None, seed=0):
     import coarsecohom as cc
     points, dom = audit_points_reference(phi.space, phi.p + 1, phi.q + 1, r,
                                          budget, sample_size, seed)
-    points = points + list(include)
     best, witness = sup_scan_reference(points,
                                        lambda xs, ys: phi(xs, ys).norm)
-    return cc.SeminormReport(float(r), best, witness=witness,
-                             **dom.record(len(include)))
+    return cc.SeminormReport(float(r), best, witness=witness, **dom.record())
 
 
 def audit_equal_reference(check, lhs, rhs, r, budget=None, sample_size=None,
@@ -351,11 +350,13 @@ def norm_audit_reference(kind, phi, r, budget=None, sample_size=None, seed=0):
 
 
 def support_radius_reference(phi, r, budget=None, seed=0):
+    """The support radius over the joint radius-r domain: the audit points
+    of (p+q+2)-tuples with no free y, `budget` of them when sampled."""
     import coarsecohom as cc
     space = phi.space
     budget = _audit_kw(budget, None, seed)["budget"]
-    dom = cc.enumerate_tuples(space, phi.p + phi.q + 1, r, budget=budget,
-                              seed=seed)
+    points, dom = audit_points_reference(space, phi.p + phi.q + 2, 0, r,
+                                         budget, budget, seed)
     cut = phi.p + 1
 
     def reach(xs, ys):
@@ -364,17 +365,12 @@ def support_radius_reference(phi, r, budget=None, seed=0):
                    default=0.0)
 
     worst, witness = sup_scan_reference(
-        ((t[:cut], t[cut:]) for t in dom.tuples), reach)
+        ((xs[:cut], xs[cut:]) for xs, _ in points), reach)
     within = None
     if phi.support_witness is not None:
-        slack = 0.0 if space.integer_metric else 1e-12
-        within = worst <= phi.support_witness(float(r)) + slack
-    sampled = not dom.exact
-    return cc.SupportRadiusReport(
-        float(r), worst, within, exact=dom.exact, witness=witness,
-        samples=len(dom.tuples) if sampled else None,
-        requested=budget if sampled else None,
-        attempts=dom.attempts if sampled else None)
+        within = worst <= radius_bound(space, phi.support_witness(float(r)))
+    return cc.SupportRadiusReport(float(r), worst, within, witness=witness,
+                                  **dom.record())
 
 
 def conv_norm_audit_reference(f, theta, r, budget=None, sample_size=None,

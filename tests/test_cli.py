@@ -120,7 +120,11 @@ def test_profile_walk_method(capsys):
     (["--schedule", "1.5,2.5", "--method", "walk"], "--schedule value '1.5'",
      "a whole number of walk steps"),
     (["--schedule=-1"], "--schedule value '-1'", "finite and >= 0"),
-], ids=["inf-walk", "nan-r", "fractional-walk", "negative"])
+    # an empty schedule: a header-only CSV and no verdicts
+    (["--smax=-3"], "--smax", ">= 1, got -3"),
+    (["--smax=0"], "--smax", ">= 1, got 0"),
+], ids=["inf-walk", "nan-r", "fractional-walk", "negative", "negative-smax",
+        "zero-smax"])
 def test_profile_rejects_bad_scales_naming_the_token(capsys, args, token,
                                                      rule):
     rc = main(["profile", "--family", "cycle", "--size", "8", *args])
@@ -187,10 +191,12 @@ def test_verify_unknown_suite(capsys):
     (["--budget=-1"], "--budget must be >= 0, got -1"),
     (["--sample=-5"], "--sample must be >= 0, got -5"),
     (["--count=-2"], "--count must be >= 0, got -2"),
+    (["--show-failures=-1"], "--show-failures must be >= 0, got -1"),
 ], ids=["negative-r", "nan-r", "negative-budget", "negative-sample",
-        "negative-count"])
+        "negative-count", "negative-show-failures"])
 def test_verify_rejects_bad_domain_flags(capsys, args, error):
-    # these leave no domain to audit, and an empty audit reads exact and ok
+    # these leave no domain to audit, and an empty audit reads exact and
+    # ok; a negative --show-failures slices failures off the listing
     rc = main(["verify", "--family", "cycle", "--size", "6",
                "--suite", "johnson", *args])
     assert rc == 2

@@ -171,17 +171,6 @@ def test_seminorm_coarse_equivalence():
         assert a.value == b.value
 
 
-def test_seminorm_include_points():
-    phi = cc.Cochain(CYCLE8, 1, -1, L1,
-                     lambda xs, ys: cc.dirac(0, weight=9.0)
-                     if xs == (0, 4) else cc.dirac(0))
-    # (0,4) is outside the radius-1 domain, include forces it in
-    plain = cc.seminorm(phi, 1.0)
-    forced = cc.seminorm(phi, 1.0, include=[((0, 4), ())])
-    assert plain.value == 1.0
-    assert forced.value == 9.0 and forced.witness == ((0, 4), ())
-
-
 def test_support_radius_spread():
     phi = cc.random_cochain(CYCLE8, 0, 0, L1, seed=2, spread=1)
     rep = cc.support_radius(phi, 1.0)

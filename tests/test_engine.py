@@ -1,7 +1,7 @@
 """The audit engine's sampler and caches.
 
-The digest pins every tuple and audit point drawn over a small grid of
-spaces, degrees, radii and seeds: a budget of 300 puts some domains in the
+The digest pins every audit point drawn over a small grid of spaces,
+degrees, radii and seeds: a budget of 300 puts some domains in the
 exhaustive branch and the rest in the two sampled ones, so a change to any
 branch, to a seed tag or to the draw order shows here. The other tests say
 what the draws must be whatever their bits: admissible, distinct, sorted,
@@ -17,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coarsecohom as cc
-from coarsecohom.space import REAL_METRIC_SLACK, _proposals
-from helpers import spaces
+from coarsecohom.space import _exact_domain, _proposals, _sample_points
+from helpers import brute_tuples, spaces
 
-ENGINE_DIGEST = "9b841946c46ac0d6009363df7007e42241511c0d2f5f5314e47ed95ed879b878"
+ENGINE_DIGEST = "f8a1b9bdf9d6f1f5f6668f92127566b02926774fd8e3f28ae52464a54626d59b"
 
 
 def _grid_spaces():
@@ -35,8 +35,6 @@ def test_sampler_and_audit_points_digest():
         for seed in (1, 2):
             for p in range(4):
                 for r in (1.0, 2.0):
-                    h.update(repr(cc.sample_tuples(space, p, r, 120,
-                                                   seed)).encode())
                     for ylen in range(3):
                         dom = cc.audit_points(space, p + 1, ylen, r,
                                               budget=300, sample_size=120,
@@ -54,8 +52,11 @@ def test_audit_points_leaves_no_sampled_domain():
     pts, exact = cc.audit_points(space, 1, 1, 1.0, budget=50,
                                  sample_size=40, seed=3)
     assert not exact and len(pts) == 40
-    assert not any(isinstance(v, cc.TupleDomain) and not v.exact
-                   for v in space._tuple_cache.values())
+    # the over-budget x-domain is cached as None; the one sampled entry is
+    # the audit points themselves
+    assert space._tuple_cache[("exact", 0, 1.0, 50)] is None
+    assert [key for key in space._tuple_cache if key[0] == "sampled"] == [
+        ("sampled", 3, "audit", 1, 1, 1.0, 50, 40)]
 
 
 def test_tuple_cache_bounded_across_seeds():
@@ -85,7 +86,7 @@ def _admissible(space, xs, r):
        st.integers(0, 80), st.integers(0, 3))
 def test_audit_points_are_admissible_distinct_and_sorted(space, p, ylen, r,
                                                          budget, sample, seed):
-    xdom = cc.enumerate_tuples(space, p, r, budget=10 ** 6).tuples
+    xdom = brute_tuples(space, p, r)
     total = len(xdom) * space.n ** ylen
     dom = cc.audit_points(space, p + 1, ylen, r, budget=budget,
                           sample_size=sample, seed=seed)
@@ -120,7 +121,7 @@ def test_draws_do_not_depend_on_the_cache():
         cold = cc.audit_points(fresh(), xlen, ylen, 1.0, seed=7, **kw)
         warm = fresh()
         cc.audit_points(warm, xlen, ylen, 1.0, budget=10 ** 6)
-        cc.enumerate_tuples(warm, xlen - 1, 1.0, budget=budget, seed=7)
+        cc.audit_points(warm, xlen, 0, 1.0, seed=7, **kw)
         cc.audit_points(warm, xlen, ylen, 1.0, seed=8, **kw)
         again = cc.audit_points(warm, xlen, ylen, 1.0, seed=7, **kw)
         assert not cold[1] and not again[1]
@@ -129,11 +130,14 @@ def test_draws_do_not_depend_on_the_cache():
                                                    again.attempts)
         other = cc.audit_points(warm, xlen, ylen, 1.0, seed=8, **kw)
         assert not np.array_equal(cold[0], other[0])
-    tuples = cc.sample_tuples(fresh(), 2, 1.0, 30, seed=5)
+    # the rejection branch with no free y, as support_radius draws it
+    kw = {"budget": 20, "sample_size": 20}
+    points = cc.audit_points(fresh(), 3, 0, 1.0, seed=5, **kw)[0]
     warm = fresh()
-    cc.sample_tuples(warm, 2, 1.0, 30, seed=6)
-    cc.enumerate_tuples(warm, 2, 1.0, budget=20, seed=5)
-    assert cc.sample_tuples(warm, 2, 1.0, 30, seed=5) == tuples
+    cc.audit_points(warm, 3, 0, 1.0, seed=6, **kw)
+    cc.audit_points(warm, 3, 1, 1.0, seed=5, **kw)
+    assert np.array_equal(cc.audit_points(warm, 3, 0, 1.0, seed=5, **kw)[0],
+                          points)
 
 
 def _chi_square(counts, expected):
@@ -153,7 +157,7 @@ def test_both_sampled_branches_are_uniform():
     # a path has balls of two sizes, so x0 must be weighted by |B(x0)|^p;
     # over seeds, each of the N points must turn up k/N of the time
     space = cc.generate_family("path", {"size": 6})
-    xdom = cc.enumerate_tuples(space, 2, 1.0).tuples      # 36 triples
+    xdom = brute_tuples(space, 2, 1.0)      # 36 triples
     joint = [x + (y,) for x in xdom for y in range(6)]
     seeds = range(1500)
 
@@ -168,9 +172,11 @@ def test_both_sampled_branches_are_uniform():
                 seed=seed)[0].tolist()), joint, seeds)
         expected = len(seeds) * sample / len(joint)
         assert _chi_square(counts, expected) < bound(len(joint))
-    counts = _frequencies(lambda seed: cc.sample_tuples(space, 2, 1.0, 4,
-                                                        seed)[0],
-                          xdom, seeds)
+    # with no free y the rejection branch draws x alone
+    counts = _frequencies(
+        lambda seed: map(tuple, cc.audit_points(
+            space, 3, 0, 1.0, budget=4, sample_size=4,
+            seed=seed)[0].tolist()), xdom, seeds)
     assert _chi_square(counts, len(seeds) * 4 / len(xdom)) < bound(len(xdom))
 
 
@@ -180,7 +186,7 @@ def _replay(space, p, r, ylen, count, rng):
     n = space.n
     want = min(count, n ** (ylen + 1)) if p == 0 else count
     limit = 60 * count + 1000
-    slack = 0.0 if space.integer_metric else REAL_METRIC_SLACK
+    bound = space.radius_bound(r)
     stream = (row for faces, _ in _proposals(space, p, r, ylen, rng, want,
                                              limit)
               for row in faces.tolist())
@@ -189,7 +195,7 @@ def _replay(space, p, r, ylen, count, rng):
         attempts += 1
         row = next(stream)
         xs = row[:p + 1]
-        assert all(space.dist[xs[0], u] <= r + slack for u in xs)
+        assert all(space.dist[xs[0], u] <= bound for u in xs)
         if _admissible(space, xs, r):
             picked.add(tuple(row))
     return sorted(picked), attempts
@@ -201,8 +207,8 @@ def _replay(space, p, r, ylen, count, rng):
        st.integers(0, 3))
 def test_attempts_match_a_sequential_replay(space, p, ylen, r, count, seed):
     tag = cc.derive_seed(seed, "replay")
-    got, attempts = cc.space._sample_points(space, p, r, ylen, count,
-                                            np.random.default_rng(tag))
+    got, attempts = _sample_points(space, p, r, ylen, count,
+                                   np.random.default_rng(tag))
     want, replayed = _replay(space, p, r, ylen, count,
                              np.random.default_rng(tag))
     assert [tuple(row) for row in got.tolist()] == want
@@ -222,11 +228,14 @@ def test_rejection_branch_attempts_match_the_replay():
 
 def test_sampler_spends_its_limit_on_a_small_domain():
     # asking for more tuples than the domain holds spends every proposal
+    # (audit_points never asks for that many: it samples only domains
+    # over budget, and asks for at most the budget)
     space = cc.generate_family("path", {"size": 6})
-    xdom = cc.enumerate_tuples(space, 2, 1.0).tuples
+    xdom = _exact_domain(space, 2, 1.0, 10 ** 6)
     count = len(xdom) + 4
-    tuples, attempts = cc.sample_tuples(space, 2, 1.0, count, seed=1)
-    assert tuples == xdom
+    faces, attempts = _sample_points(space, 2, 1.0, 0, count,
+                                     np.random.default_rng(1))
+    assert np.array_equal(faces, xdom)
     assert attempts == 60 * count + 1000
 
 

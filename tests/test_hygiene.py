@@ -1,8 +1,9 @@
 """Source hygiene checks that need no linter: every module of the package
 uses each name it imports (`__init__.py` is skipped, since it imports names
-only to re-export them), every top-level name is used or exported, the
-command line loads no optional heavy module, and the numpy port of the
-tuple hash matches this interpreter's hash()."""
+only to re-export them), every top-level name is used or exported, only
+`space.py` reads the real-metric slack, the command line loads no optional
+heavy module, and the numpy port of the tuple hash matches this
+interpreter's hash()."""
 
 import ast
 import os
@@ -79,6 +80,21 @@ def test_every_top_level_name_is_used():
             if ident not in read and ident not in coarsecohom.__all__
             and (name, ident) != ("cli.py", "main")]
     assert dead == []
+
+
+def test_only_space_reads_the_real_metric_slack():
+    # "within R" is FiniteMetricSpace.radius_bound / near; a module that
+    # reads the slack itself has copied the rule out again
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.ImportFrom) else
+                     [getattr(node, "id", None), getattr(node, "attr", None)])
+            if "REAL_METRIC_SLACK" in names:
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers
+    assert {hit.split(":")[0] for hit in readers} == {"space.py"}
 
 
 def test_cli_import_loads_no_scipy_or_numba():

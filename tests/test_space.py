@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coarsecohom as cc
-from coarsecohom.space import TRIANGLE_SCAN_LIMIT, _hop_distances
-from helpers import bfs_graph_dist, brute_tuples, cycle_dist, torus_dist
+from coarsecohom.space import (TRIANGLE_SCAN_LIMIT, _exact_domain,
+                               _hop_distances)
+from helpers import (bfs_graph_dist, brute_tuples, cycle_dist, spaces,
+                     torus_dist)
 
 
 def test_cycle_metric_matches_closed_form():
@@ -296,12 +298,16 @@ def test_balls():
     assert all(isinstance(v, int) for v in sp.ball(0, 1))
 
 
+def _rows(faces):
+    return [tuple(row) for row in faces.tolist()]
+
+
 def test_cycle5_pair_domain():
     # each point has a 3-ball, so 5*3 ordered pairs within distance 1
     sp = cc.generate_family("cycle", {"size": 5})
-    dom = cc.enumerate_tuples(sp, 1, 1.0)
-    assert dom.exact and len(dom) == 15
-    assert sorted(dom.tuples) == sorted(brute_tuples(sp, 1, 1))
+    points, exact = cc.audit_points(sp, 2, 0, 1.0)
+    assert exact and len(points) == 15
+    assert _rows(points) == brute_tuples(sp, 1, 1)
 
 
 @pytest.mark.parametrize("kind,params,p,r", [
@@ -312,28 +318,46 @@ def test_cycle5_pair_domain():
 ])
 def test_exact_enumeration_matches_brute_force(kind, params, p, r):
     sp = cc.generate_family(kind, params)
-    dom = cc.enumerate_tuples(sp, p, r)
-    assert dom.exact
-    assert sorted(dom.tuples) == sorted(brute_tuples(sp, p, r))
-    dom.check_invariants()
+    faces = _exact_domain(sp, p, r, 20_000)
+    assert faces.dtype == np.int64 and not faces.flags.writeable
+    assert _rows(faces) == brute_tuples(sp, p, r)      # lexicographic
+
+
+@settings(deadline=None, max_examples=60)
+@given(spaces(1, 8), st.integers(0, 3),
+       st.sampled_from([0.0, 0.75, 1.0, 1.5, 2.0]), st.sampled_from([-1, 0, 1]))
+def test_exact_domain_is_the_brute_force_scan_or_none(space, p, r, offset):
+    # budgets just below, at and just above the true count
+    want = brute_tuples(space, p, r)
+    budget = len(want) + offset
+    faces = _exact_domain(space, p, r, budget)
+    if budget < len(want):
+        assert faces is None
+    else:
+        assert faces.shape == (len(want), p + 1)
+        assert _rows(faces) == want
 
 
 def test_sampled_domain():
-    sp = cc.generate_family("torus", {"dim": 2, "size": 8})
-    dom = cc.enumerate_tuples(sp, 2, 2.0, budget=500, seed=3)
-    assert not dom.exact
-    assert len(dom) == 500
-    dom.check_invariants()
-    again = cc.enumerate_tuples(sp, 2, 2.0, budget=500, seed=3)
-    assert again.tuples == dom.tuples
-    other = cc.enumerate_tuples(sp, 2, 2.0, budget=500, seed=4)
-    assert other.tuples != dom.tuples
+    def draw(seed):
+        sp = cc.generate_family("torus", {"dim": 2, "size": 8})
+        return sp, cc.audit_points(sp, 3, 0, 2.0, budget=500,
+                                   sample_size=500, seed=seed)
+
+    sp, (points, exact) = draw(3)
+    assert not exact
+    assert len(points) == 500
+    rows = _rows(points)
+    assert rows == sorted(set(rows))                   # distinct, sorted
+    assert all(sp.within(a, b, 2.0) for row in rows for a in row for b in row)
+    assert np.array_equal(draw(3)[1][0], points)
+    assert not np.array_equal(draw(4)[1][0], points)
 
 
 def test_point_domain():
     sp = cc.generate_family("path", {"size": 7})
-    dom = cc.enumerate_tuples(sp, 0, 1.0)
-    assert dom.tuples == [(i,) for i in range(7)]
+    points, exact = cc.audit_points(sp, 1, 0, 1.0)
+    assert exact and _rows(points) == [(i,) for i in range(7)]
 
 
 def test_derive_seed_stable_and_sensitive():
