@@ -1,6 +1,6 @@
 """Reiter-style averaging: probability families on balls, their variation
-profiles, convolution against cochains, averaged splittings, homotopy
-defects, and the pair-field transfer identity.
+profiles, convolution against cochains, homotopy defects, and the
+pair-field transfer identity.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from .coefficients import (L1, L1_ZERO, PRUNE_TOL, SCALAR, SupportedVector,
                            boundary_pairs, dirac, pi_sum)
 from .cochains import (DEFAULT_AUDIT_BUDGET, DEFAULT_SAMPLE_SIZE, EXACT_TOL,
                        NORM_BOUND_TOL, AuditRecord, AuditReport, Cochain,
-                       audit_points, cochain_sub, diff_D, split_s)
+                       audit_points, cochain_sub, diff_D)
 from .facetables import (csr_expand, distinct, evaluate, gaps, norms,
                          row_entries, rows_fill, sup_of, sup_scan,
                          vectors_csr, weighted, width_of)
@@ -116,7 +116,6 @@ class ReiterFamily:
         vectors = self.vectors
         return Cochain(self.space, 0, -1, L1,
                        lambda xs, ys: vectors[xs[0]],
-                       support_witness=lambda r: self.s,
                        name=self.name or "family",
                        fill=rows_fill(L1, self.space.n, self.indptr,
                                       self.cols, self.weights))
@@ -308,40 +307,35 @@ def _pair_index(space: FiniteMetricSpace, r: float):
     return i[upper], j[upper]
 
 
-def pairs_within(space: FiniteMetricSpace, r: float):
-    """Unordered point pairs (i < j) with d(i, j) <= r."""
-    i, j = _pair_index(space, r)
-    return list(zip(i.tolist(), j.tolist()))
-
-
 # Bytes of the pair scan's largest temporary, its (pairs x 2 width) term
 # array. Small chunks keep the temporaries in cache and below malloc's
 # default mmap threshold (128 KiB), so they are reused, not mapped afresh.
 _SCAN_CHUNK_BYTES = 1 << 16
 
 
-def _padded_rows(fam: ReiterFamily):
-    """The rows as arrays the pair scan can gather from by point.
+def _padded_rows(n: int, indptr, cols, weights):
+    """The CSR rows (one per point: columns ascending, their values in
+    the same slice of `weights`) as arrays the pair scan can gather from by
+    point.
 
     cols (n, width): row x's columns, padded with n, a column no row holds.
-    weights (n, width + 1): row x's masses, padded with 0.0; column `width`
+    weights (n, width + 1): row x's values, padded with 0.0; column `width`
     is 0.0 in every row. offsets (n, n + 1): the slot of column k in row x,
     or `width` where row x lacks k (always in column n). Its dtype is the
     smallest unsigned one that holds `width`: uint8 for rows under 256
     entries, the size of a compact `dist`.
     """
-    n = fam.space.n
-    lengths = np.diff(fam.indptr)
+    lengths = np.diff(indptr)
     width = max(int(lengths.max()), 1)
     rows = np.repeat(np.arange(n), lengths)
-    slot = np.arange(len(rows)) - fam.indptr[rows]
-    cols = np.full((n, width), n, dtype=np.int64)
-    cols[rows, slot] = fam.cols
-    weights = np.zeros((n, width + 1))
-    weights[rows, slot] = fam.weights
+    slot = np.arange(len(rows)) - indptr[rows]
+    padded_cols = np.full((n, width), n, dtype=np.int64)
+    padded_cols[rows, slot] = cols
+    padded_weights = np.zeros((n, width + 1))
+    padded_weights[rows, slot] = weights
     offsets = np.full((n, n + 1), width, dtype=np.min_scalar_type(width))
-    offsets[rows, fam.cols] = slot
-    return cols, weights, offsets
+    offsets[rows, cols] = slot
+    return padded_cols, padded_weights, offsets
 
 
 def _pair_variations(cols, weights, offsets, pi, pj) -> np.ndarray:
@@ -362,9 +356,12 @@ def _pair_variations(cols, weights, offsets, pi, pj) -> np.ndarray:
 
 
 def _max_pair_variation(padded, pi, pj):
-    """Largest pair variation over the pairs (pi[k], pj[k]) of the family
+    """Largest pair variation over the pairs (pi[k], pj[k]) of the rows
     whose _padded_rows are `padded`, and the first pair that attains it,
-    scanned in chunks of about _SCAN_CHUNK_BYTES per array."""
+    scanned in chunks of about _SCAN_CHUNK_BYTES per array; (0.0, (0, 0))
+    when there is no pair."""
+    if not len(pi):
+        return 0.0, (0, 0)
     cols, weights, offsets = padded
     step = max(1, _SCAN_CHUNK_BYTES // (16 * cols.shape[1]))
     best, best_at = -1.0, 0
@@ -388,42 +385,18 @@ def variation_profile(space: FiniteMetricSpace, schedule, r_list,
     rows = []
     pairs: dict = {}
     for s in schedule:
-        padded = _padded_rows(family(space, s))
+        fam = family(space, s)
+        padded = _padded_rows(space.n, fam.indptr, fam.cols, fam.weights)
         for r in r_list:
             if r not in pairs:
                 pairs[r] = _pair_index(space, r)
-            pi, pj = pairs[r]
-            if len(pi):
-                nu, pair = _max_pair_variation(padded, pi, pj)
-            else:
-                nu, pair = 0.0, (0, 0)
+            nu, pair = _max_pair_variation(padded, *pairs[r])
             rows.append(ProfileRow(float(s), float(r), float(nu),
                                    pair[0], pair[1]))
     return ProfileTable(rows)
 
 
 # -- normalization -------------------------------------------------------------
-
-def repair_unit_sum(phi: Cochain) -> Cochain:
-    """phi(x) + (1 - pi(phi(x))) delta_x: restores unit sums exactly
-    without moving supports outside {x} union supp(phi(x))."""
-    if phi.p != 0 or phi.q != -1 or phi.module == SCALAR:
-        raise ValueError("repair_unit_sum expects an l1 family cochain")
-
-    def rule(xs, ys):
-        v = phi(xs, ys)
-        gap = 1.0 - pi_sum(v)
-        if gap == 0.0:
-            return v
-        ent = dict(v.entries)
-        x = xs[0]
-        ent[x] = ent.get(x, 0.0) + gap
-        return SupportedVector(v.module, ent)
-
-    return Cochain(phi.space, 0, -1, phi.module, rule,
-                   support_witness=phi.support_witness,
-                   name=f"repair({phi.name})" if phi.name else "")
-
 
 def normalize_to_prob(phi: Cochain, tol: float = UNIT_SUM_TOL) -> ReiterFamily:
     """f(x) = |phi(x)| / ||phi(x)|| for a unit-sum family cochain.
@@ -491,15 +464,10 @@ def convolve(f: Cochain, theta: Cochain) -> Cochain:
     def fill(faces):
         return _convolution(f, theta, faces)
 
-    wit = None
-    if f.support_witness is not None and theta.support_witness is not None:
-        fw, tw = f.support_witness, theta.support_witness
-        wit = lambda r: fw(r) + tw(fw(r) + r)
     name = ""
     if f.name and theta.name:
         name = f"({f.name}*{theta.name})"
-    return Cochain(f.space, f.p, theta.q, module, rule, support_witness=wit,
-                   name=name, fill=fill)
+    return Cochain(f.space, f.p, theta.q, module, rule, name=name, fill=fill)
 
 
 def _convolution(f: Cochain, theta: Cochain, faces, seen_f=None,
@@ -516,19 +484,6 @@ def _convolution(f: Cochain, theta: Cochain, faces, seen_f=None,
     lengths, owner, z, w = row_entries(ftab, inverse)
     tfaces = np.concatenate((z[:, None], faces[owner, xlen:]), axis=1)
     return weighted(theta.module, n, theta, lengths, tfaces, w, seen_theta)
-
-
-def averaged_split(fam: ReiterFamily, phi: Cochain) -> Cochain:
-    """s_f phi = f * (s phi): the averaged splitting E^{0,q} -> E^{0,q-1}.
-
-    Satisfies (d s_f + s_f d) phi = f * phi, so the homotopy defect of f
-    controls how far s_f is from splitting the identity.
-    """
-    if phi.q < 0:
-        raise ValueError("averaged split needs q >= 0 (nothing below row -1)")
-    if phi.p != 0:
-        raise ValueError("averaged split acts on column cochains (p = 0)")
-    return convolve(fam.as_cochain(), split_s(phi))
 
 
 @dataclass
@@ -740,8 +695,7 @@ def tf_identity(field, theta: Cochain, radius: float | None = None,
             r_pair = max(r_pair, space.d(z0, z1))
     boundary = Cochain(space, 0, -1, L1_ZERO,
                        lambda xs, ys: boundary_pairs(field[xs[0]]),
-                       support_witness=lambda r: r_ball, name="dF",
-                       memoize=True,
+                       name="dF", memoize=True,
                        fill=rows_fill(L1_ZERO, space.n, *vectors_csr(
                            [boundary_pairs(pv) for pv in field])))
     lhs = convolve(boundary, theta)

@@ -74,9 +74,11 @@ def _space_from_args(args) -> FiniteMetricSpace:
     return generate_family(args.family, params, seed=args.seed)
 
 
-def _parse_scales(text: str, flag: str, whole: bool = False) -> list[float]:
-    """Comma-separated scales or radii: finite and >= 0, and whole numbers
-    when `whole`; the error names the first token that is not."""
+def _parse_scales(text: str, flag: str, whole: bool = False,
+                  increasing: bool = False) -> list[float]:
+    """Comma-separated scales or radii: finite, >= 0 and never repeated,
+    whole numbers when `whole`, and each larger than the one before when
+    `increasing`; the error names the first token that is not."""
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     try:
         values = [float(tok) for tok in tokens]
@@ -85,12 +87,18 @@ def _parse_scales(text: str, flag: str, whole: bool = False) -> list[float]:
                          f"got {text!r}")
     if not values:
         raise ValueError(f"{flag} is empty")
-    for tok, value in zip(tokens, values):
+    for k, (tok, value) in enumerate(zip(tokens, values)):
         if not (math.isfinite(value) and value >= 0):
             raise ValueError(f"{flag} value {tok!r} must be finite and >= 0")
         if whole and not value.is_integer():
             raise ValueError(f"{flag} value {tok!r} must be a whole number "
                              "of walk steps")
+        if increasing and k and value <= values[k - 1]:
+            raise ValueError(f"{flag} value {tok!r} must be larger than the "
+                             "value before it")
+        if value in values[:k]:
+            raise ValueError(f"{flag} value {tok!r} must be distinct from the "
+                             "values before it")
     return values
 
 
@@ -134,7 +142,7 @@ def _cmd_profile(args) -> int:
         raise ValueError(f"--smax must be >= 1, got {args.smax}")
     if args.schedule:
         schedule = _parse_scales(args.schedule, "--schedule",
-                                 whole=args.method == "walk")
+                                 whole=args.method == "walk", increasing=True)
     elif args.smax is not None:
         schedule = [float(s) for s in range(1, args.smax + 1)]
     else:

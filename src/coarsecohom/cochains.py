@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import (L1_ZERO, SCALAR, SupportedVector, dirac_diff,
-                           pi_sum, scalar_of)
+from .coefficients import L1_ZERO, SupportedVector, dirac_diff
 from .facetables import (dirac_diff_table, evaluate, gaps, linear, norms,
                          sup_of, sup_scan, width_of)
 from .space import (FiniteMetricSpace, _exact_domain, _sample_points,
@@ -42,10 +41,6 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 class Cochain:
     """Intensional cochain: a pure evaluation rule plus metadata.
 
-    support_witness, when declared, maps a radius R to an S such that values
-    on radius-R tuples are supported within S of every tuple coordinate; it
-    stays None when unknown and support_radius() measures it instead.
-
     fill, when given, maps an int array of faces (one row of p+1 then q+1
     point indices per (xs, ys)) to the facetables.Table of the values rule
     gives there, bit for bit: column k of a row is the value's entry at
@@ -53,12 +48,10 @@ class Cochain:
     SupportedVector keeps. The audits use it in place of calling rule.
     """
 
-    __slots__ = ("space", "p", "q", "module", "rule", "support_witness",
-                 "name", "fill", "_memo")
+    __slots__ = ("space", "p", "q", "module", "rule", "name", "fill", "_memo")
 
     def __init__(self, space: FiniteMetricSpace, p: int, q: int, module: str,
-                 rule, support_witness=None, name: str = "",
-                 memoize: bool = False, fill=None):
+                 rule, name: str = "", memoize: bool = False, fill=None):
         if p < 0 or q < -1:
             raise ValueError("bidegree must satisfy p >= 0, q >= -1")
         self.space = space
@@ -66,7 +59,6 @@ class Cochain:
         self.q = q
         self.module = module
         self.rule = rule
-        self.support_witness = support_witness
         self.name = name
         self.fill = fill
         self._memo = {} if memoize else None
@@ -87,12 +79,6 @@ class Cochain:
         return f"Cochain(p={self.p}, q={self.q}, {self.module}{tag})"
 
 
-def _compose_witness(wit, bump):
-    if wit is None:
-        return None
-    return lambda r: wit(r) + bump(r)
-
-
 # -- arithmetic on cochains --------------------------------------------------
 
 def cochain_add(a: Cochain, b: Cochain) -> Cochain:
@@ -105,10 +91,7 @@ def cochain_add(a: Cochain, b: Cochain) -> Cochain:
     def fill(faces):
         return linear(a.module, a.space.n, [(a, faces, 1.0), (b, faces, 1.0)])
 
-    wit = None
-    if a.support_witness is not None and b.support_witness is not None:
-        wit = lambda r: max(a.support_witness(r), b.support_witness(r))
-    return Cochain(a.space, a.p, a.q, a.module, rule, support_witness=wit,
+    return Cochain(a.space, a.p, a.q, a.module, rule,
                    name=f"({a.name}+{b.name})" if a.name and b.name else "",
                    fill=fill)
 
@@ -125,27 +108,7 @@ def cochain_scale(a: Cochain, factor: float) -> Cochain:
         return linear(a.module, a.space.n, [(a, faces, factor)])
 
     return Cochain(a.space, a.p, a.q, a.module, rule,
-                   support_witness=a.support_witness,
                    name=f"{factor}*{a.name}" if a.name else "", fill=fill)
-
-
-def constant_one(space: FiniteMetricSpace) -> Cochain:
-    one = scalar_of(1.0)
-    return Cochain(space, 0, -1, SCALAR, lambda xs, ys: one,
-                   support_witness=lambda r: 0.0, name="1")
-
-
-def push_scalar(phi: Cochain) -> Cochain:
-    """Apply the summation map to every value: lands in the scalar module."""
-    if phi.module == SCALAR:
-        raise ValueError("push_scalar expects an l1-type cochain")
-
-    def rule(xs, ys):
-        return scalar_of(pi_sum(phi(xs, ys)))
-
-    return Cochain(phi.space, phi.p, phi.q, SCALAR, rule,
-                   support_witness=lambda r: 0.0,
-                   name=f"pi({phi.name})" if phi.name else "")
 
 
 # -- differentials and splitting ----------------------------------------------
@@ -153,8 +116,7 @@ def push_scalar(phi: Cochain) -> Cochain:
 def diff_D(phi: Cochain) -> Cochain:
     """Left differential E^{p,q} -> E^{p+1,q}.
 
-    ||D phi||_R <= (p+2) ||phi||_R and a support witness S(R) gets bumped to
-    S(R) + R (a removed coordinate sits within R of the survivors).
+    ||D phi||_R <= (p+2) ||phi||_R.
     """
     base = phi.__call__
     module = phi.module
@@ -179,8 +141,6 @@ def diff_D(phi: Cochain) -> Cochain:
                        for i in range(phi.p + 2)], seen)
 
     return Cochain(phi.space, phi.p + 1, phi.q, module, rule,
-                   support_witness=_compose_witness(phi.support_witness,
-                                                    lambda r: r),
                    name=f"D({phi.name})" if phi.name else "", fill=fill)
 
 
@@ -213,8 +173,6 @@ def diff_d(phi: Cochain) -> Cochain:
                        for i in range(phi.q + 2)], seen)
 
     return Cochain(phi.space, phi.p, phi.q + 1, module, rule,
-                   support_witness=_compose_witness(phi.support_witness,
-                                                    lambda r: r),
                    name=f"d({phi.name})" if phi.name else "", fill=fill)
 
 
@@ -248,7 +206,6 @@ def split_s(phi: Cochain) -> Cochain:
         return tab
 
     return Cochain(phi.space, phi.p, phi.q - 1, phi.module, rule,
-                   support_witness=phi.support_witness,
                    name=f"s({phi.name})" if phi.name else "", fill=fill)
 
 
@@ -395,51 +352,6 @@ def seminorm(phi: Cochain, r: float, budget: int = DEFAULT_AUDIT_BUDGET,
     return SeminormReport(float(r), best, witness=witness, **dom.record())
 
 
-@dataclass
-class SupportRadiusReport(AuditRecord):
-    """Least S covering every measured support on the joint radius-r domain."""
-    r: float
-    s: float
-    within_witness: bool | None = None
-
-    def to_json(self) -> dict:
-        return {"check": "support_radius", "R": self.r, "value": self.s,
-                "within_witness": self.within_witness, **self._domain_json()}
-
-
-def support_radius(phi: Cochain, r: float, budget: int = DEFAULT_AUDIT_BUDGET,
-                   seed: int = 0) -> SupportRadiusReport:
-    """Measured controlled-support radius over the joint radius-r domain.
-
-    Tuples (x, y) here have all p+q+2 coordinates pairwise within r (the
-    joint domain, unlike seminorms): the audit points of (p+q+2)-tuples
-    with no free y, a sample of `budget` of them when the domain is over
-    budget. S is the largest distance from a value's support to any tuple
-    coordinate. Large S is data, not failure.
-    """
-    space = phi.space
-    dom = audit_points(space, phi.p + phi.q + 2, 0, r, budget=budget,
-                       sample_size=budget, seed=seed)
-    cut = phi.p + 1
-    dist = space.wide_dist()
-
-    def reach(faces):
-        # the distance from each support point to its farthest coordinate
-        tab = evaluate(phi, faces)
-        if phi.module == SCALAR:        # scalar values have no support
-            return np.zeros(len(faces))
-        far = dist[faces].max(axis=1)
-        far[tab.vals == 0.0] = 0
-        return far.max(axis=1, initial=0)
-
-    worst, witness = sup_scan(dom[0], cut, space.n, reach)
-    within = None
-    if phi.support_witness is not None:
-        within = worst <= space.radius_bound(phi.support_witness(float(r)))
-    return SupportRadiusReport(float(r), worst, within, witness=witness,
-                               **dom.record())
-
-
 # -- identity audits ------------------------------------------------------------
 
 @dataclass
@@ -566,21 +478,19 @@ def johnson_cocycles(space: FiniteMetricSpace, audit: bool = True,
     """
     if space.n < 2:
         raise ValueError("Johnson cocycles need at least two points")
-    wit = lambda r: r
     n = space.n
     # faces are (x, y0, y1), (x0, x1, y) and (x, y) respectively
     j01 = Cochain(space, 0, 1, L1_ZERO,
-                  lambda xs, ys: dirac_diff(ys[1], ys[0]),
-                  support_witness=wit, name="j01",
+                  lambda xs, ys: dirac_diff(ys[1], ys[0]), name="j01",
                   fill=lambda f: dirac_diff_table(n, f[:, 2], f[:, 1]))
     # j10 and hom subtract the first coordinate from the second
     second_minus_first = lambda f: dirac_diff_table(n, f[:, 1], f[:, 0])
     j10 = Cochain(space, 1, 0, L1_ZERO,
-                  lambda xs, ys: dirac_diff(xs[1], xs[0]),
-                  support_witness=wit, name="j10", fill=second_minus_first)
+                  lambda xs, ys: dirac_diff(xs[1], xs[0]), name="j10",
+                  fill=second_minus_first)
     hom = Cochain(space, 0, 0, L1_ZERO,
-                  lambda xs, ys: dirac_diff(ys[0], xs[0]),
-                  support_witness=wit, name="hom", fill=second_minus_first)
+                  lambda xs, ys: dirac_diff(ys[0], xs[0]), name="hom",
+                  fill=second_minus_first)
     if audit:
         bad = [c for c in johnson_relations(j01, j10, hom, 1.0, budget=budget,
                                             seed=seed, tol=EXACT_TOL)

@@ -155,10 +155,6 @@ def dirac_diff(a: int, b: int, module: str = L1_ZERO) -> SupportedVector:
     return SupportedVector(module, {a: 1.0, b: -1.0})
 
 
-def scalar_of(value: float) -> SupportedVector:
-    return SupportedVector(SCALAR, scalar=value)
-
-
 def pi_sum(v: SupportedVector) -> float:
     """Sum of entries: the summation map out of l1 / l1_0."""
     if v.module == SCALAR:
@@ -178,32 +174,9 @@ def include_in_l1(v: SupportedVector) -> SupportedVector:
     return out
 
 
-def as_l1_zero(v: SupportedVector) -> SupportedVector:
-    """Retag an l1 vector whose entries sum to zero (checked)."""
-    if v.module == SCALAR:
-        raise ValueError("scalars are not l1_0 vectors")
-    return SupportedVector(L1_ZERO, dict(v.entries))
-
-
 def lift_scalar(lam: float, point: int) -> SupportedVector:
     """Section of pi_sum: lam * delta_point, norm |lam|, support {point}."""
     return SupportedVector(L1, {point: float(lam)})
-
-
-def l1_distance(u: SupportedVector, v: SupportedVector) -> float:
-    """||u - v||_1 without building the difference vector."""
-    if u.module == SCALAR or v.module == SCALAR:
-        raise TypeError("l1_distance is for l1-type vectors")
-    ue, ve = u.entries, v.entries
-    total = 0.0
-    for k, a in ue.items():
-        b = ve.get(k)
-        diff = a - b if b is not None else a
-        total += diff if diff >= 0 else -diff
-    for k, b in ve.items():
-        if k not in ue:
-            total += b if b >= 0 else -b
-    return total
 
 
 def entry_gap(u: SupportedVector, v: SupportedVector | None = None) -> float:

@@ -135,7 +135,6 @@ def random_cochain(space: FiniteMetricSpace, p: int, q: int, module: str,
             return SupportedVector(SCALAR, scalar=sca)
 
         fill = _scalar_fill(hashes)
-        wit = lambda r: 0.0
     else:
         zero_sum = module == L1_ZERO
 
@@ -161,11 +160,9 @@ def random_cochain(space: FiniteMetricSpace, p: int, q: int, module: str,
             coords = [faces[np.arange(len(faces)), h % width] for h in terms_h]
             return _anchored_table(space.n, module, ball_rows, coords,
                                    terms_h)
-        wit = lambda r: r + spread
 
-    return Cochain(space, p, q, module, rule, support_witness=wit,
-                   name=f"rand[{p},{q},{module}]", memoize=True,
-                   fill=fill)
+    return Cochain(space, p, q, module, rule, name=f"rand[{p},{q},{module}]",
+                   memoize=True, fill=fill)
 
 
 def random_x_independent_cochain(space: FiniteMetricSpace, q: int, module: str,
@@ -260,8 +257,7 @@ def random_unit_sum_cochain(space: FiniteMetricSpace, s: float, seed: int,
     def rule(xs, ys):
         return vectors[xs[0]]
 
-    return Cochain(space, 0, -1, L1, rule, support_witness=lambda r: float(s),
-                   name=f"unitfam[{s}]",
+    return Cochain(space, 0, -1, L1, rule, name=f"unitfam[{s}]",
                    fill=rows_fill(L1, space.n, *vectors_csr(vectors)))
 
 

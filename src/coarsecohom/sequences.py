@@ -1,5 +1,5 @@
-"""Cochain sequences as finite prefixes, asymptotic-invariance diagnostics,
-and the certificate that the splitting does not preserve invariance.
+"""Decay diagnostics for asymptotic invariance, and the certificate that
+the splitting does not preserve invariance.
 """
 
 from __future__ import annotations
@@ -7,8 +7,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cochains import (EXACT_TOL, Cochain, audit_zero, diff_D,
-                       johnson_cocycles, seminorm, split_s)
+from .cochains import (EXACT_TOL, audit_zero, diff_D, johnson_cocycles,
+                       seminorm, split_s)
 from .space import FiniteMetricSpace
 
 
@@ -79,59 +79,6 @@ def diagnose(values, r: float, axis=None,
     rate = fit_log_rate(axis, values, thresholds.zero_tol)
     return DecayDiagnostic(float(r), values, values[-1], rate,
                            verdict_of(values, rate, thresholds))
-
-
-class CochainSequence:
-    """Terms n = 1..N of equal bidegree and module on one space.
-
-    `schedule` is the numeric family axis (radii S_n, walk lengths, ...)
-    used for rate fitting; defaults to 1..N. `family_axis` is a label only.
-    """
-
-    def __init__(self, terms: list[Cochain], family_axis: str = "n",
-                 schedule=None):
-        if not terms:
-            raise ValueError("sequence needs at least one term")
-        first = terms[0]
-        for t in terms[1:]:
-            if t.space is not first.space:
-                raise ValueError("sequence terms must share their space")
-            if (t.p, t.q, t.module) != (first.p, first.q, first.module):
-                raise ValueError("sequence terms must share bidegree and module")
-        self.terms = list(terms)
-        self.family_axis = family_axis
-        self.schedule = list(schedule) if schedule is not None else None
-        if self.schedule is not None and len(self.schedule) != len(self.terms):
-            raise ValueError("schedule length must match term count")
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    @property
-    def space(self) -> FiniteMetricSpace:
-        return self.terms[0].space
-
-    @property
-    def bidegree(self):
-        return (self.terms[0].p, self.terms[0].q)
-
-
-def asymptotic_invariance(seq: CochainSequence, r_list,
-                          thresholds: DecayThresholds = DEFAULT_THRESHOLDS,
-                          budget: int = 20_000, sample_size: int = 10_000,
-                          seed: int = 0) -> dict[float, DecayDiagnostic]:
-    """||D phi_n||_R per term and radius, with a decay verdict per radius."""
-    if len(seq) < 2:
-        raise ValueError("asymptotic invariance needs at least two terms")
-    diffs = [diff_D(t) for t in seq.terms]
-    axis = seq.schedule if seq.schedule is not None else list(
-        range(1, len(seq) + 1))
-    out: dict[float, DecayDiagnostic] = {}
-    for r in r_list:
-        values = [seminorm(t, r, budget=budget, sample_size=sample_size,
-                           seed=seed).value for t in diffs]
-        out[float(r)] = diagnose(values, r, axis=axis, thresholds=thresholds)
-    return out
 
 
 def counterexample_s_not_invariant(space: FiniteMetricSpace,

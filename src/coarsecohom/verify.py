@@ -6,17 +6,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .averaging import (ball_average, conv_norm_audit, convolve,
+from .averaging import (_max_pair_variation, _padded_rows, _pair_index,
+                        ball_average, conv_norm_audit, convolve,
                         dirac_family, homotopy_defect, normalize_to_prob,
-                        pairs_within, tf_identity)
+                        tf_identity)
 from .coefficients import (L1, L1_ZERO, SCALAR, boundary_pairs, entry_gap,
-                           include_in_l1, l1_distance, lift_boundary,
-                           lift_scalar, pi_sum)
+                           include_in_l1, lift_boundary, lift_scalar, pi_sum)
 from .cochains import (EXACT_TOL, IDENTITY_TOL, Cochain, _witness_json,
                        audit_equal, audit_zero, cochain_add, cochain_scale,
                        diff_D, diff_D_norm_audit, diff_d, diff_d_norm_audit,
                        johnson_cocycles, johnson_relations, seminorm,
                        split_s, split_s_norm_audit)
+from .facetables import vectors_csr
 from .randomgen import (random_cochain, random_pair_field, random_prob_family,
                         random_unit_sum_cochain, random_x_independent_cochain,
                         random_zero_sum_vector)
@@ -256,12 +257,13 @@ def run_ses(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
         phi_vecs = [phi((x,), ()) for x in range(space.n)]
         supp_ok = all(fam.vectors[x].support == phi_vecs[x].support
                       for x in range(space.n))
+        # the profile's pair scan over the rows of phi and of f
+        phi_rows = _padded_rows(space.n, *vectors_csr(phi_vecs))
+        fam_rows = _padded_rows(space.n, fam.indptr, fam.cols, fam.weights)
         for r in opts.r_list:
-            pairs = pairs_within(space, r)
-            nu_phi = max((l1_distance(phi_vecs[i], phi_vecs[j])
-                          for i, j in pairs), default=0.0)
-            nu_f = max((l1_distance(fam.vectors[i], fam.vectors[j])
-                        for i, j in pairs), default=0.0)
+            pairs = _pair_index(space, r)
+            nu_phi = _max_pair_variation(phi_rows, *pairs)[0]
+            nu_f = _max_pair_variation(fam_rows, *pairs)[0]
             checks.append({
                 "check": "normalize_round_trip", "S": s, "R": r,
                 "nu_f": nu_f, "nu_phi": nu_phi, "supports_unchanged": supp_ok,

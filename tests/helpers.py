@@ -349,30 +349,6 @@ def norm_audit_reference(kind, phi, r, budget=None, sample_size=None, seed=0):
                           witness=witness, **dom.record())
 
 
-def support_radius_reference(phi, r, budget=None, seed=0):
-    """The support radius over the joint radius-r domain: the audit points
-    of (p+q+2)-tuples with no free y, `budget` of them when sampled."""
-    import coarsecohom as cc
-    space = phi.space
-    budget = _audit_kw(budget, None, seed)["budget"]
-    points, dom = audit_points_reference(space, phi.p + phi.q + 2, 0, r,
-                                         budget, budget, seed)
-    cut = phi.p + 1
-
-    def reach(xs, ys):
-        supp = phi(xs, ys).entries
-        return max((space.d(c, w) for c in xs + ys for w in supp),
-                   default=0.0)
-
-    worst, witness = sup_scan_reference(
-        ((xs[:cut], xs[cut:]) for xs, _ in points), reach)
-    within = None
-    if phi.support_witness is not None:
-        within = worst <= radius_bound(space, phi.support_witness(float(r)))
-    return cc.SupportRadiusReport(float(r), worst, within, witness=witness,
-                                  **dom.record())
-
-
 def conv_norm_audit_reference(f, theta, r, budget=None, sample_size=None,
                               seed=0):
     import coarsecohom as cc
@@ -444,8 +420,7 @@ def tf_identity_reference(field, theta, budget=None, sample_size=None, seed=0):
             r_ball = max(r_ball, max(space.d(x, z0), space.d(x, z1)))
             r_pair = max(r_pair, space.d(z0, z1))
     boundary = cc.Cochain(space, 0, -1, "l1_0",
-                          lambda xs, ys: cc.boundary_pairs(field[xs[0]]),
-                          support_witness=lambda r: r_ball)
+                          lambda xs, ys: cc.boundary_pairs(field[xs[0]]))
     lhs = cc.convolve(boundary, theta)
     zeta = cc.diff_D(theta)
     rhs = cc.transfer_cochain(field, zeta)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import coarsecohom as cc
 from coarsecohom import L1, L1_ZERO
+from helpers import max_pair_variation_reference, pairs_reference
 
 CYCLE16 = cc.generate_family("cycle", {"size": 16})
 PATH12 = cc.generate_family("path", {"size": 12})
@@ -186,9 +187,7 @@ def test_criterion_09_ses_chain_level_checks():
             fam = cc.normalize_to_prob(phi)
             phi_vecs = [phi((x,), ()) for x in range(space.n)]
             for r in (1.0, 2.0):
-                pairs = cc.pairs_within(space, r)
-                nu_phi = max(cc.l1_distance(phi_vecs[a], phi_vecs[b])
-                             for a, b in pairs)
-                nu_f = max(cc.l1_distance(fam.vectors[a], fam.vectors[b])
-                           for a, b in pairs)
+                pairs = pairs_reference(space, r)
+                nu_phi = max_pair_variation_reference(phi_vecs, pairs)[0]
+                nu_f = max_pair_variation_reference(fam.vectors, pairs)[0]
                 assert nu_f <= 2.0 * nu_phi + 1e-12, (space.n, s, r)

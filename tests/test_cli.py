@@ -123,8 +123,19 @@ def test_profile_walk_method(capsys):
     # an empty schedule: a header-only CSV and no verdicts
     (["--smax=-3"], "--smax", ">= 1, got -3"),
     (["--smax=0"], "--smax", ">= 1, got 0"),
+    # repeats write identical rows, and the verdicts, keyed by R, collapse;
+    # a decreasing schedule inverts "decaying"
+    (["--schedule", "1,1", "--r", "1"], "--schedule value '1'",
+     "larger than the value before it"),
+    (["--schedule", "2,3,1"], "--schedule value '1'",
+     "larger than the value before it"),
+    (["--schedule", "1,2.0,2", "--method", "walk"], "--schedule value '2'",
+     "larger than the value before it"),
+    (["--schedule", "1,2", "--r", "1,2,1.0"], "--r value '1.0'",
+     "distinct from the values before it"),
 ], ids=["inf-walk", "nan-r", "fractional-walk", "negative", "negative-smax",
-        "zero-smax"])
+        "zero-smax", "repeated-schedule", "decreasing-schedule",
+        "repeated-walk-steps", "repeated-r"])
 def test_profile_rejects_bad_scales_naming_the_token(capsys, args, token,
                                                      rule):
     rc = main(["profile", "--family", "cycle", "--size", "8", *args])
@@ -192,11 +203,14 @@ def test_verify_unknown_suite(capsys):
     (["--sample=-5"], "--sample must be >= 0, got -5"),
     (["--count=-2"], "--count must be >= 0, got -2"),
     (["--show-failures=-1"], "--show-failures must be >= 0, got -1"),
+    (["--r", "2,1,2"],
+     "--r value '2' must be distinct from the values before it"),
 ], ids=["negative-r", "nan-r", "negative-budget", "negative-sample",
-        "negative-count", "negative-show-failures"])
+        "negative-count", "negative-show-failures", "repeated-r"])
 def test_verify_rejects_bad_domain_flags(capsys, args, error):
     # these leave no domain to audit, and an empty audit reads exact and
-    # ok; a negative --show-failures slices failures off the listing
+    # ok; a negative --show-failures slices failures off the listing, and a
+    # repeated --r audits the same radius twice
     rc = main(["verify", "--family", "cycle", "--size", "6",
                "--suite", "johnson", *args])
     assert rc == 2

@@ -111,18 +111,6 @@ def test_memoization_counts_calls():
     assert calls[0] == 1
 
 
-def test_constant_one_and_push_scalar():
-    one = cc.constant_one(CYCLE8)
-    assert one((4,), ()).scalar == 1.0
-    assert cc.seminorm(one, 1.0).value == 1.0
-    j01, _, _ = cc.johnson_cocycles(CYCLE8, audit=False)
-    pushed = cc.push_scalar(j01)
-    assert pushed.module == SCALAR
-    assert cc.audit_zero("pi(j01)", pushed, 1.0, tol=1e-15).ok
-    with pytest.raises(ValueError):
-        cc.push_scalar(pushed)
-
-
 def test_johnson_values_and_identities():
     j01, j10, hom = cc.johnson_cocycles(PATH6)  # audits at construction
     v = j01((2,), (4, 1))
@@ -169,22 +157,6 @@ def test_seminorm_coarse_equivalence():
         b = cc.seminorm(psi, 2.0 * r)
         assert a.exact and b.exact
         assert a.value == b.value
-
-
-def test_support_radius_spread():
-    phi = cc.random_cochain(CYCLE8, 0, 0, L1, seed=2, spread=1)
-    rep = cc.support_radius(phi, 1.0)
-    assert rep.exact
-    assert rep.s <= 2.0  # tuple coords within 1, support within 1 of a coord
-    assert rep.within_witness is True
-
-
-def test_support_radius_detects_far_support():
-    sp = cc.generate_family("cycle", {"size": 16})
-    pinned = cc.Cochain(sp, 0, -1, L1, lambda xs, ys: cc.dirac(0))
-    rep = cc.support_radius(pinned, 1.0)
-    assert rep.s == 8.0  # eccentricity of the pinned point
-    assert rep.within_witness is None  # no witness declared, so no verdict
 
 
 def test_audit_points_exact_and_sampled():

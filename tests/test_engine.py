@@ -130,7 +130,7 @@ def test_draws_do_not_depend_on_the_cache():
                                                    again.attempts)
         other = cc.audit_points(warm, xlen, ylen, 1.0, seed=8, **kw)
         assert not np.array_equal(cold[0], other[0])
-    # the rejection branch with no free y, as support_radius draws it
+    # the rejection branch with no free y, as a row cochain (q = -1) draws it
     kw = {"budget": 20, "sample_size": 20}
     points = cc.audit_points(fresh(), 3, 0, 1.0, seed=5, **kw)[0]
     warm = fresh()

@@ -18,8 +18,7 @@ import coarsecohom as cc
 from coarsecohom import L1, L1_ZERO, MODULES, SCALAR, facetables
 from helpers import (audit_equal_reference, conv_norm_audit_reference,
                      homotopy_defect_reference, norm_audit_reference,
-                     seminorm_reference, spaces, support_radius_reference,
-                     tf_identity_reference)
+                     seminorm_reference, spaces, tf_identity_reference)
 
 
 @contextmanager
@@ -95,12 +94,6 @@ def test_identity_and_norm_audits_match_closure_scans(space, p, q, module, r,
         for wrap in (cc.diff_D, cc.diff_d):
             assert_same(lambda: cc.seminorm(wrap(bare), r, **kw),
                         lambda: cc.seminorm(wrap(phi), r, **kw))
-        assert_same(
-            lambda: cc.support_radius(cc.diff_D(phi), r, budget=kw["budget"],
-                                      seed=kw["seed"]),
-            lambda: support_radius_reference(cc.diff_D(phi), r,
-                                             budget=kw["budget"],
-                                             seed=kw["seed"]))
 
 
 @settings(deadline=None, max_examples=40)

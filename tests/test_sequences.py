@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,36 +10,70 @@ CYCLE64 = cc.generate_family("cycle", {"size": 64})
 CYCLE16 = cc.generate_family("cycle", {"size": 16})
 
 
-def ball_sequence(space, s_values):
-    terms = [cc.ball_average(space, s).as_cochain() for s in s_values]
-    return cc.CochainSequence(terms, family_axis="S", schedule=list(s_values))
+def profile_values(space, schedule, family=cc.ball_average):
+    table = cc.variation_profile(space, schedule, [1.0], family=family)
+    return [table.get(s, 1.0).nu for s in schedule]
 
 
 def test_reiter_decay_matches_closed_form():
     # ||D f_S||_1 on the cycle is exactly 2/(2S+1)
-    seq = ball_sequence(CYCLE64, [1, 2, 3, 4, 5, 6])
-    diags = cc.asymptotic_invariance(seq, [1.0])
-    diag = diags[1.0]
-    for s, value in zip([1, 2, 3, 4, 5, 6], diag.values):
+    schedule = [1, 2, 3, 4, 5, 6]
+    values = profile_values(CYCLE64, schedule)
+    for s, value in zip(schedule, values):
         assert abs(value - float(Fraction(2, 2 * s + 1))) <= 1e-12
+    diag = cc.diagnose(values, 1.0, axis=schedule)
     assert diag.verdict == "decaying"
     assert diag.fitted_rate < -0.5
 
 
 def test_dirac_family_stalls():
-    terms = [cc.dirac_family(CYCLE16).as_cochain() for _ in range(4)]
-    seq = cc.CochainSequence(terms)
-    diag = cc.asymptotic_invariance(seq, [1.0])[1.0]
-    assert diag.values == [2.0, 2.0, 2.0, 2.0]
-    assert diag.verdict == "stalled"
+    values = profile_values(CYCLE16, [1, 2, 3, 4],
+                            family=lambda sp, s: cc.dirac_family(sp))
+    assert values == [2.0, 2.0, 2.0, 2.0]
+    assert cc.diagnose(values, 1.0).verdict == "stalled"
 
 
 def test_constant_family_is_flat():
     # S >= diameter makes every f(x) equal, so D f = 0 identically
-    seq = ball_sequence(CYCLE16, [8, 9, 10])
-    diag = cc.asymptotic_invariance(seq, [1.0])[1.0]
-    assert diag.values == [0.0, 0.0, 0.0]
-    assert diag.verdict == "decaying"
+    values = profile_values(CYCLE16, [8, 9, 10])
+    assert values == [0.0, 0.0, 0.0]
+    assert cc.diagnose(values, 1.0, axis=[8, 9, 10]).verdict == "decaying"
+
+
+def d_reading(space, s, r):
+    """||D f_S||_R of the ball family read as a (0, -1) cochain, over the
+    whole radius-r domain."""
+    rep = cc.seminorm(cc.diff_D(cc.ball_average(space, s).as_cochain()), r,
+                      budget=space.n ** 2)
+    assert rep.exact
+    return rep.value
+
+
+def golden_space(name):
+    golden = json.loads((Path(__file__).parent / "data"
+                         / "golden_separation.json").read_text())
+    entry = golden["instances"][name]
+    return cc.generate_family(entry["kind"], entry["params"],
+                              seed=entry["seed"]), golden["schedule"]
+
+
+def test_profile_is_the_d_reading_of_the_ball_family():
+    # nu(S, R) is the Reiter seminorm ||D f_S||_R: both sum
+    # |f(x1) - f(x0)| over the same entries. On torus12 every ball has the
+    # same size, so every term is equal and the two agree bit for bit.
+    torus12, _ = golden_space("torus12")
+    values = [d_reading(torus12, s, 1.0) for s in (1, 2, 3)]
+    assert values == [1.2, 0.7692307692307692, 0.5599999999999999]
+    assert values == profile_values(torus12, [1, 2, 3])
+    # Balls of rr128 differ in size, and the pair scan adds row x0's terms
+    # before the terms only row x1 holds, where D f adds the union in point
+    # order. Each sum has at most m = 2 * (largest ball) nonnegative terms,
+    # so the two floats differ by at most 2 (m - 1) u of the value.
+    rr128, schedule = golden_space("rr128")
+    for s, nu in zip(schedule, profile_values(rr128, schedule)):
+        m = 2 * int(rr128.near(s).sum(axis=1).max())
+        assert abs(d_reading(rr128, s, 1.0) - nu) <= (
+            2 * (m - 1) * 2.0 ** -53 * nu), s
 
 
 def test_verdict_thresholds():
@@ -64,19 +100,6 @@ def test_fit_log_rate():
     assert abs(cc.fit_log_rate(axis, values) + 2.0) <= 1e-12
     assert cc.fit_log_rate([1, 2], [0.0, 0.0]) is None
     assert cc.fit_log_rate([3, 3], [1.0, 2.0]) is None  # no axis spread
-
-
-def test_sequence_validation():
-    a = cc.random_cochain(CYCLE16, 0, 0, cc.L1, seed=1)
-    b = cc.random_cochain(CYCLE16, 0, 1, cc.L1, seed=1)
-    with pytest.raises(ValueError, match="bidegree"):
-        cc.CochainSequence([a, b])
-    with pytest.raises(ValueError, match="schedule length"):
-        cc.CochainSequence([a, a], schedule=[1])
-    with pytest.raises(ValueError, match="at least one"):
-        cc.CochainSequence([])
-    with pytest.raises(ValueError, match="at least two"):
-        cc.asymptotic_invariance(cc.CochainSequence([a]), [1.0])
 
 
 @pytest.mark.parametrize("space", [CYCLE16, cc.generate_family("path", {"size": 8})])
