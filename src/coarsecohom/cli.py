@@ -75,10 +75,12 @@ def _space_from_args(args) -> FiniteMetricSpace:
 
 
 def _parse_scales(text: str, flag: str, whole: bool = False,
-                  increasing: bool = False) -> list[float]:
-    """Comma-separated scales or radii: finite, >= 0 and never repeated,
-    whole numbers when `whole`, and each larger than the one before when
-    `increasing`; the error names the first token that is not."""
+                  increasing: bool = False,
+                  least: float = 0.0) -> list[float]:
+    """Comma-separated scales or radii: finite, >= 0, at least `least` and
+    never repeated, whole numbers when `whole`, and each larger than the
+    one before when `increasing`; the error names the first token that is
+    not."""
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     try:
         values = [float(tok) for tok in tokens]
@@ -90,6 +92,9 @@ def _parse_scales(text: str, flag: str, whole: bool = False,
     for k, (tok, value) in enumerate(zip(tokens, values)):
         if not (math.isfinite(value) and value >= 0):
             raise ValueError(f"{flag} value {tok!r} must be finite and >= 0")
+        if value < least:
+            raise ValueError(f"{flag} value {tok!r} must be at least the "
+                             f"smallest positive distance, {least!r}")
         if whole and not value.is_integer():
             raise ValueError(f"{flag} value {tok!r} must be a whole number "
                              "of walk steps")
@@ -147,7 +152,10 @@ def _cmd_profile(args) -> int:
         schedule = [float(s) for s in range(1, args.smax + 1)]
     else:
         raise ValueError("profile needs --smax or --schedule")
-    r_list = _parse_scales(args.r, "--r")
+    # below the smallest positive distance R admits no pair, and nu would
+    # read a vacuous 0.0
+    r_list = _parse_scales(args.r, "--r", least=(
+        space.min_positive_distance() if space.n > 1 else 0.0))
     if args.method == "ball":
         family = ball_average
     elif args.method == "walk":

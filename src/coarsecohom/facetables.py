@@ -42,12 +42,6 @@ class Table:
         return Table(self.module, self.vals[rows])
 
 
-def _concat(parts: list) -> Table:
-    if len(parts) == 1:
-        return parts[0]
-    return Table(parts[0].module, np.concatenate([t.vals for t in parts]))
-
-
 def width_of(module: str, n: int) -> int:
     return 1 if module == SCALAR else n
 
@@ -165,17 +159,21 @@ def dirac_diff_table(n: int, a: np.ndarray, b: np.ndarray) -> Table:
 
 # -- finishing a value: prune, zero-sum check ------------------------------------
 
-def finish(module: str, vals: np.ndarray) -> Table:
+def finish(module: str, vals: np.ndarray,
+           scratch: np.ndarray | None = None) -> Table:
     """The table of freshly summed values, as SupportedVector would keep
-    them: l1 entries below PRUNE_TOL dropped, l1_0 sums checked."""
+    them: l1 entries below PRUNE_TOL dropped, l1_0 sums checked. scratch,
+    if given, is a spare array of vals' shape for the check to use."""
     if module == SCALAR:
+        vals += 0.0             # -0.0 becomes 0.0, as in a sum from 0.0
         return Table(module, vals)
-    mag = np.abs(vals)
-    drop = mag >= PRUNE_TOL
-    np.logical_not(drop, out=drop)          # NaN is dropped too
-    np.copyto(vals, 0.0, where=drop)
+    # not |v| >= PRUNE_TOL (so NaN too), found without a table of |v|
+    drop = vals >= PRUNE_TOL
+    drop |= vals <= -PRUNE_TOL
+    np.logical_not(drop, out=drop)
+    np.putmask(vals, drop, 0.0)
     if module == L1_ZERO:
-        _check_zero_sums(vals, mag)
+        _check_zero_sums(vals, np.abs(vals, out=scratch))
     return Table(module, vals)
 
 
@@ -184,8 +182,8 @@ def _check_zero_sums(vals: np.ndarray, mag: np.ndarray) -> None:
     added in ascending point order, are not zero within ZERO_SUM_TOL.
 
     Any order of adding differs from that one by less than
-    width * eps * sum |v| (mag holds |v| before pruning, an upper bound),
-    so only the rows a plain sum leaves in doubt are added in order."""
+    width * eps * sum |v| (mag holds |v|), so only the rows a plain sum
+    leaves in doubt are added in order."""
     slack = 4.0 * vals.shape[1] * np.finfo(float).eps
     doubt = np.abs(vals.sum(axis=1)) + slack * mag.sum(axis=1)
     rows = np.flatnonzero(doubt > ZERO_SUM_TOL)
@@ -200,8 +198,9 @@ def _check_zero_sums(vals: np.ndarray, mag: np.ndarray) -> None:
 
 def row_sums(terms: np.ndarray) -> np.ndarray:
     """Each row added from left to right, like a loop over the entries of a
-    SupportedVector: the absent entries in between add 0.0, which is exact."""
-    return np.cumsum(terms, axis=1)[:, -1]
+    SupportedVector: the absent entries in between add 0.0, which is exact.
+    The running sums overwrite terms."""
+    return np.cumsum(terms, axis=1, out=terms)[:, -1]
 
 
 def norms(tab: Table) -> np.ndarray:
@@ -213,35 +212,47 @@ def norms(tab: Table) -> np.ndarray:
 
 def gaps(lhs: Table, rhs: Table | None = None) -> np.ndarray:
     """entry_gap per face: the largest |lhs[k] - rhs[k]| (rhs None = 0)."""
-    diff = lhs.vals if rhs is None else lhs.vals - rhs.vals
-    return np.abs(diff).max(axis=1, initial=0.0)
+    if rhs is None:
+        diff = np.abs(lhs.vals)
+    else:
+        diff = np.subtract(lhs.vals, rhs.vals)
+        np.abs(diff, out=diff)
+    return diff.max(axis=1, initial=0.0)
 
 
 # -- sums of operand rows ----------------------------------------------------------
 
-def combine(module: str, m: int, slots: list) -> Table:
-    """Values of m faces, each a sum of operand rows added slot by slot.
+def combine(module: str, vals: np.ndarray, slots: list) -> None:
+    """Fill vals with values each a sum of operand rows added slot by slot,
+    and finish it in place.
 
     A slot (tab, rows, coef) adds coef * tab row rows[i] to face i; coef is
     a float or one float per face. Each entry adds its slots in slot
-    order, as the closures do."""
-    width = slots[0][0].vals.shape[1]
-    vals = np.zeros((m, width))
-    part = np.empty((m, width))
-    for tab, rows, coef in slots:
-        # mode="clip" writes straight into the buffer ("raise" would copy);
-        # every row index is in range
-        np.take(tab.vals, rows, axis=0, out=part, mode="clip")
-        if isinstance(coef, np.ndarray):
-            part *= coef[:, None]
-            vals += part
-        elif coef == -1.0:
+    order, as the closures do. The first slot is written straight into
+    vals: coef * x is 0.0 + coef * x but for the sign of a zero, and
+    finish turns every zero into 0.0."""
+    part = np.empty_like(vals)
+    for k, (tab, rows, coef) in enumerate(slots):
+        if not k:
+            _gather(tab, rows, coef, vals)
+        elif not isinstance(coef, np.ndarray) and coef == -1.0:
+            _gather(tab, rows, 1.0, part)
             vals -= part                    # a - b is a + (-1.0 * b)
         else:
-            if coef != 1.0:
-                part *= coef
+            _gather(tab, rows, coef, part)
             vals += part
-    return finish(module, vals)
+    finish(module, vals, part)
+
+
+def _gather(tab: Table, rows: np.ndarray, coef, out: np.ndarray) -> None:
+    """out[i] = coef * tab row rows[i], coef a float or one per face."""
+    # mode="clip" writes straight into the buffer ("raise" would copy);
+    # every row index is in range
+    np.take(tab.vals, rows, axis=0, out=out, mode="clip")
+    if isinstance(coef, np.ndarray):
+        out *= coef[:, None]
+    elif coef != 1.0:
+        out *= coef
 
 
 def _step(m: int, rows: int, width: int) -> int:
@@ -267,29 +278,42 @@ def linear(module: str, n: int, terms: list, seen=None) -> Table:
     for j, (c, _, _) in enumerate(terms):
         groups.setdefault(id(c), (c, []))[1].append(j)
 
-    def operands(lo, hi):
-        out = []
-        for c, js in groups.values():
-            stacked = np.concatenate([terms[j][1][lo:hi] for j in js])
-            out.append((c, js, stacked) + distinct(stacked, n))
-        return out
-
-    whole = operands(0, m)
-    step = _step(m, max(len(g[3]) for g in whole), width_of(module, n))
-    parts = []
+    whole = []
+    for c, js in groups.values():
+        stacked = np.concatenate([terms[j][1] for j in js])
+        first, inverse = distinct(stacked, n)
+        whole.append((c, js, stacked[first], inverse.reshape(len(js), m)))
+    width = width_of(module, n)
+    step = _step(m, max(len(g[2]) for g in whole), width)
+    vals = None
     for lo in range(0, m, step):
         hi = min(lo + step, m)
         slots = [None] * len(terms)
-        for c, js, stacked, first, inverse in (
-                whole if step == m else operands(lo, hi)):
-            tab = evaluate(c, stacked[first])
+        for c, js, faces, inverse in whole:
+            used, rows = _piece(len(faces), inverse[:, lo:hi], step == m)
+            tab = evaluate(c, faces if used is None else faces[used])
             if seen is not None:
                 seen(tab)
             for i, j in enumerate(js):
-                slots[j] = (tab, inverse[i * (hi - lo):(i + 1) * (hi - lo)],
-                            terms[j][2])
-        parts.append(combine(module, hi - lo, slots))
-    return _concat(parts)
+                slots[j] = (tab, rows[i], terms[j][2])
+        if vals is None:
+            # made once the first operands exist, so that evaluating them
+            # does not run with this table held
+            vals = np.zeros((m, width))
+        combine(module, vals[lo:hi], slots)
+    return Table(module, vals)
+
+
+def _piece(count: int, rows: np.ndarray, whole: bool):
+    """(used, local) for a piece of faces that needs the given rows of a
+    table of `count` distinct faces: the mask of the rows it uses (None
+    when it is the whole) and its rows renumbered within them."""
+    if whole:
+        return None, rows
+    used = np.zeros(count, dtype=bool)
+    used[rows] = True
+    local = np.cumsum(used) - 1
+    return used, local[rows]
 
 
 def weighted(module: str, n: int, child, lengths: np.ndarray,
@@ -301,32 +325,33 @@ def weighted(module: str, n: int, child, lengths: np.ndarray,
     if not lengths.any():
         return empty(module, n, m)
     starts = np.cumsum(lengths) - lengths
-    whole = distinct(faces, n)
-    step = _step(m, len(whole[0]), width_of(module, n))
-    parts = []
+    first, inverse = distinct(faces, n)
+    faces = faces[first]
+    width = width_of(module, n)
+    step = _step(m, len(faces), width)
+    vals = None
     for lo in range(0, m, step):
         hi = min(lo + step, m)
         part_len = lengths[lo:hi]
         slots_n = int(part_len.max())
         if not slots_n:
-            parts.append(empty(module, n, hi - lo))
             continue
         t0, t1 = starts[lo], starts[hi - 1] + lengths[hi - 1]
-        first, inverse = whole if step == m else distinct(faces[t0:t1], n)
-        tab = evaluate(child, faces[t0:t1][first])
+        used, local = _piece(len(faces), inverse[t0:t1], step == m)
+        tab = evaluate(child, faces if used is None else faces[used])
         if seen is not None:
             seen(tab)
-        # faces with fewer terms add 0.0 times an appended row of no entries
-        tab = Table(module, np.concatenate(
-            (tab.vals, np.zeros((1, tab.vals.shape[1])))))
+        # faces with fewer terms add 0.0 times row 0
         live = np.arange(slots_n) < part_len[:, None]
-        rows = np.full((hi - lo, slots_n), len(first))
-        rows[live] = inverse
+        rows = np.zeros((hi - lo, slots_n), dtype=np.int64)
+        rows[live] = local
         coefs = np.zeros((hi - lo, slots_n))
         coefs[live] = weights[t0:t1]
-        parts.append(combine(module, hi - lo, [
-            (tab, rows[:, j], coefs[:, j]) for j in range(slots_n)]))
-    return _concat(parts)
+        if vals is None:
+            vals = np.zeros((m, width))
+        combine(module, vals[lo:hi], [(tab, rows[:, j], coefs[:, j])
+                                      for j in range(slots_n)])
+    return Table(module, vals)
 
 
 def row_entries(tab: Table, rows: np.ndarray):

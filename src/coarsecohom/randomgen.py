@@ -9,7 +9,10 @@ within R + spread of every coordinate on a radius-R tuple.
 The rules hash with CPython's builtin hash() of integer tuples. The audits
 fill whole face tables at once through _tuple_hash, a numpy port of
 CPython's tuple hash (3.8 and later) that reproduces hash() bit for bit, so
-a table holds exactly the values the rule gives.
+a table holds exactly the values the rule gives. A fill is one pass over
+all terms (_leaf_fill): the hashes of every term and face come out as one
+(terms, faces) array, and one np.add.at writes the entries in term order,
+so each cell adds its terms in the order the rule does.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from .averaging import ReiterFamily
 from .coefficients import L1, L1_ZERO, SCALAR, PairVector, SupportedVector
 from .cochains import Cochain
-from .facetables import Table, finish, rows_fill, vectors_csr
+from .facetables import finish, rows_fill, vectors_csr
 from .space import FiniteMetricSpace, derive_seed, mask_rows
 
 _XXPRIME_1 = np.uint64(11400714785074694791)
@@ -32,11 +35,13 @@ _MASK64 = (1 << 64) - 1
 
 def _tuple_hash(lanes, size: int, acc: np.ndarray | None = None,
                 done: int = 0) -> np.ndarray:
-    """hash() of `size` tuples at once, as int64, given the hashes of their
-    items: one lane per item, either an int64 array of `size` item hashes
-    or one int shared by every tuple. (An int's hash is itself for
-    0 <= i < 2**61 - 1.) This is CPython's xxHash-based tuplehash. acc
-    may carry the state after the first `done` items (see _hash_state)."""
+    """hash() of many tuples at once, as int64, given the hashes of their
+    items: one lane per item, either an int64 array of item hashes or one
+    int shared by every tuple. (An int's hash is itself for
+    0 <= i < 2**61 - 1.) Lanes broadcast against each other and against
+    acc, so a (terms, 1) lane after a state of `size` tuples hashes
+    terms x size tuples. This is CPython's xxHash-based tuplehash. acc may
+    carry the state after the first `done` items (see _hash_state)."""
     acc = _hash_state(lanes, size, acc)
     acc += np.uint64((done + len(lanes)) ^ (_XXPRIME_5 ^ 3527539))
     out = acc.view(np.int64)
@@ -45,17 +50,15 @@ def _tuple_hash(lanes, size: int, acc: np.ndarray | None = None,
 
 
 def _hash_state(lanes, size: int, acc: np.ndarray | None = None):
-    """tuplehash's accumulator after the given lanes, starting from acc (a
-    copy of it) or from the empty tuple's."""
+    """tuplehash's accumulator after the given lanes, starting from acc
+    (left unchanged) or from the empty tuple's for `size` tuples."""
     if acc is None:
         acc = np.full(size, _XXPRIME_5, dtype=np.uint64)
-    else:
-        acc = acc.copy()
     for lane in lanes:
         if isinstance(lane, np.ndarray):
-            acc += lane.view(np.uint64) * np.uint64(_XXPRIME_2)
+            acc = acc + lane.view(np.uint64) * np.uint64(_XXPRIME_2)
         else:
-            acc += np.uint64((lane * _XXPRIME_2) & _MASK64)
+            acc = acc + np.uint64((lane * _XXPRIME_2) & _MASK64)
         acc = (acc << np.uint64(31)) | (acc >> np.uint64(33))
         acc *= _XXPRIME_1
     return acc
@@ -67,6 +70,12 @@ def _row_hashes(faces: np.ndarray) -> np.ndarray:
                        len(faces))
 
 
+def _term_hashes(state: np.ndarray, done: int, terms: int) -> np.ndarray:
+    """hash(prefix + (t,)) for t < terms as a (terms, faces) array, given
+    the state after each face's prefix of `done` items."""
+    return _tuple_hash([np.arange(terms)[:, None]], 0, state, done)
+
+
 def _coeffs(h: np.ndarray) -> np.ndarray:
     """_coeff of each hash in an int64 array."""
     u = ((h >> 11) % 2_000_003) / 1_000_001.5 - 1.0
@@ -74,35 +83,43 @@ def _coeffs(h: np.ndarray) -> np.ndarray:
     return u
 
 
-def _scalar_fill(hashes):
-    """Table rule of a scalar rule that adds _coeff(hash) over its terms;
-    hashes(faces) gives the hashes of each term."""
-    def fill(faces):
-        sca = np.zeros(len(faces))
-        for h in hashes(faces):
-            sca += _coeffs(h)
-        return Table(SCALAR, sca[:, None])
-    return fill
+def _leaf_fill(space: FiniteMetricSpace, module: str, spread: int, hashes,
+               anchors):
+    """Table rule of the rules that add, over their terms t in order,
+    a = _coeff(h) for the term's hash h: to the scalar, or for l1/l1_0 to
+    entry u, and for l1_0 also -a to entry c, where c is the term's anchor
+    and u the member of c's spread-ball that h picks. hashes(faces) gives
+    every term's hash as a (terms, faces) array, and anchors(faces, h) the
+    anchors c in the same shape."""
+    width = 1 if module == SCALAR else space.n
+    if module != SCALAR:
+        ball_ptr, members = mask_rows(space.near(spread))
 
-
-def _anchored_table(n: int, module: str, balls, coords, hashes) -> Table:
-    """The table the l1 rules build over `len(hashes)` terms: term t adds
-    a to entry u and, for l1_0, subtracts a from entry c, where c =
-    coords[t], u is the member of c's ball (CSR `balls`) that the hash
-    picks and a = _coeff(hash)."""
-    ball_ptr, members = balls
-    m = len(hashes[0]) if hashes else 0
-    rows = np.arange(m)
-    vals = np.zeros((m, n))
-    zero_sum = module == L1_ZERO
-    for c, h in zip(coords, hashes):
-        size = ball_ptr[c + 1] - ball_ptr[c]
-        u = members[ball_ptr[c] + (h >> 17) % size]
+    def summed(faces):
+        # the terms added in order, before finish; the (terms, faces)
+        # arrays go when it returns
+        h = hashes(faces)
         a = _coeffs(h)
-        vals[rows, u] += a
-        if zero_sum:
-            vals[rows, c] -= a
-    return finish(module, vals)
+        m = len(faces)
+        cells = np.arange(m) * width           # each face's first cell
+        if module == SCALAR:
+            cells = np.broadcast_to(cells, h.shape)
+        else:
+            c = anchors(faces, h)
+            start = ball_ptr[c]
+            u = members[start + (h >> 17) % (ball_ptr[c + 1] - start)]
+            if module == L1_ZERO:
+                # term t adds a at u, then -a at c
+                u = np.stack((u, c), axis=1)
+                a = np.stack((a, -a), axis=1)
+            cells = cells + u
+        # one sequential pass over the terms in order, so each cell adds
+        # its terms as the rule does
+        vals = np.zeros(m * width)
+        np.add.at(vals, cells.ravel(), a.ravel())
+        return vals.reshape(m, width)
+
+    return lambda faces: finish(module, summed(faces))
 
 
 def _coeff(h: int) -> float:
@@ -122,10 +139,14 @@ def random_cochain(space: FiniteMetricSpace, p: int, q: int, module: str,
     xlen = p + 1
 
     def hashes(faces):
-        # hash((base, xs, ys, t)) for each face and each term t
+        # hash((base, xs, ys, t)) for each term t and each face
         hx, hy = _row_hashes(faces[:, :xlen]), _row_hashes(faces[:, xlen:])
-        state = _hash_state([hbase, hx, hy], len(faces))
-        return [_tuple_hash([t], len(faces), state, 3) for t in range(terms)]
+        return _term_hashes(_hash_state([hbase, hx, hy], len(faces)), 3,
+                            terms)
+
+    def anchors(faces, h):
+        # coords[h % len(coords)]
+        return faces[np.arange(len(faces)), h % (p + q + 2)]
 
     if module == SCALAR:
         def rule(xs, ys):
@@ -133,8 +154,6 @@ def random_cochain(space: FiniteMetricSpace, p: int, q: int, module: str,
             for t in range(terms):
                 sca += _coeff(hash((base, xs, ys, t)))
             return SupportedVector(SCALAR, scalar=sca)
-
-        fill = _scalar_fill(hashes)
     else:
         zero_sum = module == L1_ZERO
 
@@ -152,17 +171,9 @@ def random_cochain(space: FiniteMetricSpace, p: int, q: int, module: str,
                     ent[c] = ent.get(c, 0.0) - a
             return SupportedVector(module, ent)
 
-        ball_rows = mask_rows(space.near(spread))
-        width = p + q + 2
-
-        def fill(faces):
-            terms_h = hashes(faces)
-            coords = [faces[np.arange(len(faces)), h % width] for h in terms_h]
-            return _anchored_table(space.n, module, ball_rows, coords,
-                                   terms_h)
-
     return Cochain(space, p, q, module, rule, name=f"rand[{p},{q},{module}]",
-                   memoize=True, fill=fill)
+                   memoize=True,
+                   fill=_leaf_fill(space, module, spread, hashes, anchors))
 
 
 def random_x_independent_cochain(space: FiniteMetricSpace, q: int, module: str,
@@ -175,9 +186,15 @@ def random_x_independent_cochain(space: FiniteMetricSpace, q: int, module: str,
     hbase = hash(base)
 
     def hashes(faces):
-        # hash((base, ys, t)) for each face and each term t
+        # hash((base, ys, t)) for each term t and each face
         state = _hash_state([hbase, _row_hashes(faces[:, 1:])], len(faces))
-        return [_tuple_hash([t], len(faces), state, 2) for t in range(terms)]
+        return _term_hashes(state, 2, terms)
+
+    def anchors(faces, h):
+        # ys[t % len(ys)] if ys else (h >> 5) % n, for each term t
+        if q < 0:
+            return (h >> 5) % space.n
+        return faces[:, 1 + np.arange(terms) % (q + 1)].T
 
     if module == SCALAR:
         def rule(xs, ys):
@@ -185,8 +202,6 @@ def random_x_independent_cochain(space: FiniteMetricSpace, q: int, module: str,
             for t in range(terms):
                 sca += _coeff(hash((base, ys, t)))
             return SupportedVector(SCALAR, scalar=sca)
-
-        fill = _scalar_fill(hashes)
     else:
         zero_sum = module == L1_ZERO
 
@@ -203,17 +218,9 @@ def random_x_independent_cochain(space: FiniteMetricSpace, q: int, module: str,
                     ent[c] = ent.get(c, 0.0) - a
             return SupportedVector(module, ent)
 
-        ball_rows = mask_rows(space.near(spread))
-
-        def fill(faces):
-            terms_h = hashes(faces)
-            coords = [faces[:, 1 + t % (q + 1)] if q >= 0 else
-                      (h >> 5) % space.n for t, h in enumerate(terms_h)]
-            return _anchored_table(space.n, module, ball_rows, coords,
-                                   terms_h)
-
     return Cochain(space, 0, q, module, rule, name=f"xind[{q},{module}]",
-                   memoize=True, fill=fill)
+                   memoize=True,
+                   fill=_leaf_fill(space, module, spread, hashes, anchors))
 
 
 def random_prob_family(space: FiniteMetricSpace, s: float, seed: int,

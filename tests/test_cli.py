@@ -133,9 +133,18 @@ def test_profile_walk_method(capsys):
      "larger than the value before it"),
     (["--schedule", "1,2", "--r", "1,2,1.0"], "--r value '1.0'",
      "distinct from the values before it"),
+    # below the smallest positive distance (1.0 on a cycle) R admits no
+    # pair: nu 0.0 at witness (0, 0) in every row, and a "decaying" verdict
+    (["--smax", "3", "--r", "0"], "--r value '0'",
+     "at least the smallest positive distance, 1.0"),
+    (["--smax", "3", "--r", "0.5"], "--r value '0.5'",
+     "at least the smallest positive distance, 1.0"),
+    (["--schedule", "1,2", "--r", "2,0.999"], "--r value '0.999'",
+     "at least the smallest positive distance, 1.0"),
 ], ids=["inf-walk", "nan-r", "fractional-walk", "negative", "negative-smax",
         "zero-smax", "repeated-schedule", "decreasing-schedule",
-        "repeated-walk-steps", "repeated-r"])
+        "repeated-walk-steps", "repeated-r", "zero-r", "half-r",
+        "r-below-after-valid"])
 def test_profile_rejects_bad_scales_naming_the_token(capsys, args, token,
                                                      rule):
     rc = main(["profile", "--family", "cycle", "--size", "8", *args])

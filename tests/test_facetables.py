@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import coarsecohom as cc
 from coarsecohom import L1, L1_ZERO, MODULES, SCALAR, facetables
+from coarsecohom.coefficients import PRUNE_TOL
 from helpers import (audit_equal_reference, conv_norm_audit_reference,
                      homotopy_defect_reference, norm_audit_reference,
                      seminorm_reference, spaces, tf_identity_reference)
@@ -262,3 +263,171 @@ def test_empty_samples_match_closure_scans():
                 lambda: homotopy_defect_reference(fam, theta, **kw))
     assert_same(lambda: cc.tf_identity(field, theta, **kw),
                 lambda: tf_identity_reference(field, theta, **kw))
+
+
+# -- leaf fills, weighted sums and operand sorts -------------------------------
+
+_LEAF_SPACES = (("cycle", {"size": 5}), ("free_ball", {"rank": 2, "radius": 1}))
+
+
+def _dense_rule_image(cochain, faces):
+    """The table of cochain.rule on faces, one rule call per face."""
+    width = 1 if cochain.module == SCALAR else cochain.space.n
+    dense = np.zeros((len(faces), width))
+    xlen = cochain.p + 1
+    for i, row in enumerate(faces.tolist()):
+        value = cochain.rule(tuple(row[:xlen]), tuple(row[xlen:]))
+        if cochain.module == SCALAR:
+            dense[i, 0] = value.scalar
+        for k, w in value.entries.items():
+            dense[i, k] = w
+    return dense
+
+
+def _term_cells(space, seed_tag, coords, spread, terms, key, anchor):
+    """(u, c) of each term of a leaf rule at one face, recomputed from its
+    hashes, to tell which faces have terms that share a cell."""
+    base = cc.derive_seed(*seed_tag)
+    balls = space.balls_list(spread)
+    cells = []
+    for t in range(terms):
+        h = hash(key(base) + (t,))
+        c = anchor(h, t)
+        ball = balls[c]
+        cells.append((ball[(h >> 17) % len(ball)], c))
+    return cells
+
+
+@pytest.mark.parametrize("kind, params", _LEAF_SPACES)
+def test_leaf_fills_equal_the_rule_bit_for_bit(kind, params):
+    # one fill adds every term of every face at once; each cell must add
+    # its terms in the rule's order, also where two terms share a cell or,
+    # for l1_0, where a term's u is its anchor c
+    space = cc.generate_family(kind, params)
+    n = space.n
+    rng = np.random.default_rng(12)
+    shared = same_anchor = 0
+    for q in (-1, 0, 1):
+        for p in (0, 1):
+            faces = rng.integers(0, n, size=(160, p + q + 2))
+            faces = np.concatenate((faces, faces[:20]))   # repeated faces
+            for module in MODULES:
+                for spread in (1, 2):
+                    for terms in (1, 3, 4):
+                        cases = [(cc.random_cochain(space, p, q, module, 7,
+                                                    spread, terms),
+                                  ("random-cochain", p, q, module))]
+                        if p == 0:
+                            cases.append((cc.random_x_independent_cochain(
+                                space, q, module, 7, spread, terms),
+                                ("x-indep-cochain", q, module)))
+                        for phi, tag in cases:
+                            got = phi.fill(faces).vals
+                            want = _dense_rule_image(phi, faces)
+                            assert got.shape == want.shape
+                            assert got.tobytes() == want.tobytes(), (
+                                phi.name, spread, terms)
+                            if module != L1_ZERO or terms == 1:
+                                continue
+                            for row in faces.tolist():
+                                xs, ys = tuple(row[:p + 1]), tuple(row[p + 1:])
+                                if tag[0] == "random-cochain":
+                                    key = lambda b: (b, xs, ys)
+                                    anchor = lambda h, t: row[h % len(row)]
+                                else:
+                                    key = lambda b: (b, ys)
+                                    anchor = lambda h, t: (
+                                        ys[t % len(ys)] if ys else
+                                        (h >> 5) % n)
+                                cells = _term_cells(
+                                    space, (7,) + tag + (spread, terms),
+                                    row, spread, terms, key, anchor)
+                                touched = [u for u, _ in cells] + [
+                                    c for _, c in cells]
+                                shared += len(set(touched)) < len(touched)
+                                same_anchor += any(u == c for u, c in cells)
+    assert shared and same_anchor
+
+
+def _weighted_reference(module, child, lengths, faces, weights):
+    """Each face's terms added in order, row by row, then pruned."""
+    dense = child.fill(faces).vals
+    out = np.zeros((len(lengths), dense.shape[1]))
+    at = 0
+    for i, length in enumerate(lengths.tolist()):
+        for t in range(at, at + length):
+            out[i] += weights[t] * dense[t]
+        at += length
+    if module != SCALAR:
+        out[np.abs(out) < PRUNE_TOL] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_weighted_and_linear_do_not_depend_on_chunks(module):
+    # uneven term counts, zero-length faces at both ends and a run of them
+    # in the middle: the short faces add 0.0 times row 0, which changes no
+    # value
+    space = cc.generate_family("cycle", {"size": 7})
+    child = cc.random_cochain(space, 0, 1, module, 4)
+    other = cc.random_cochain(space, 0, 1, module, 5)
+    rng = np.random.default_rng(3)
+    lengths = rng.integers(0, 6, size=48)
+    lengths[[0, 1, -1]] = 0
+    lengths[20:26] = 0
+    faces = rng.integers(0, 7, size=(int(lengths.sum()), 3))
+    weights = rng.uniform(-1.0, 1.0, size=len(faces))
+    m = 60
+    picks = [rng.integers(0, len(faces), size=m) for _ in range(3)]
+    terms = [(child, faces[picks[0]], 1.0), (other, faces[picks[1]], -0.5),
+             (child, faces[picks[2]], -1.0)]
+    tables = {}
+    for chunk in (8, 1 << 40):
+        with chunk_bytes(chunk):
+            tables[chunk] = (
+                facetables.weighted(module, 7, child, lengths, faces,
+                                    weights).vals,
+                facetables.linear(module, 7, terms).vals)
+    for got in tables.values():
+        want = _weighted_reference(module, child, lengths, faces, weights)
+        assert got[0].tobytes() == want.tobytes()
+        assert got[1].tobytes() == tables[1 << 40][1].tobytes()
+    # linear against its terms added in order
+    dense = [c.fill(f).vals * coef for c, f, coef in terms]
+    want = np.zeros_like(dense[0]) + dense[0] + dense[1] + dense[2]
+    if module != SCALAR:
+        want[np.abs(want) < PRUNE_TOL] = 0.0
+    assert tables[8][1].tobytes() == want.tobytes()
+
+
+def test_each_operand_is_sorted_once_however_many_pieces():
+    # an 8-byte chunk puts one face in each piece; the pieces take their
+    # faces from the one sort of the whole operand
+    space = cc.generate_family("cycle", {"size": 9})
+    phi = cc.random_cochain(space, 0, 1, L1_ZERO, 2)
+    psi = cc.random_cochain(space, 0, 1, L1_ZERO, 3)
+    rng = np.random.default_rng(1)
+    faces = rng.integers(0, 9, size=(40, 3))
+    calls, pieces = [], []
+    plain, fill = facetables.distinct, phi.fill
+
+    def counted(faces, n):
+        calls.append(len(faces))
+        return plain(faces, n)
+
+    def filled(faces):
+        pieces.append(len(faces))
+        return fill(faces)
+
+    phi.fill = filled
+    with patched("distinct", counted), chunk_bytes(8):
+        facetables.linear(L1_ZERO, 9, [(phi, faces, 1.0),
+                                       (psi, faces[::-1], -1.0),
+                                       (phi, faces[:, [1, 0, 2]], 0.5)])
+        assert calls == [80, 40] and len(pieces) == 40
+        calls.clear(), pieces.clear()
+        lengths = np.array([0, 3, 1, 0, 4, 2] * 4)
+        terms = int(lengths.sum())
+        facetables.weighted(L1_ZERO, 9, phi, lengths, faces[:terms],
+                            np.linspace(-1.0, 1.0, terms))
+        assert calls == [terms] and len(pieces) == 16

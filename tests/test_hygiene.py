@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from coarsecohom.randomgen import _hash_state, _row_hashes, _tuple_hash
+from coarsecohom.randomgen import (_hash_state, _row_hashes, _term_hashes,
+                                   _tuple_hash)
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "coarsecohom"
 
@@ -141,3 +142,23 @@ def test_tuple_hash_port_matches_builtin_hash():
         # the leaves hash (base, xs, ys) once, then each term t
         state = _hash_state([hash(base), hx, hy], 1)
         assert int(_tuple_hash([t], 1, state, 3)[0]) == want
+        # the fills hash every term at once: a (terms, faces) array
+        terms = _term_hashes(state, 3, 4)
+        assert terms.shape == (4, 1)
+        assert [int(h) for h in terms[:, 0]] == [
+            hash((base, xs, ys, u)) for u in range(4)]
+    # many faces at once, for both leaf kinds: (base, xs, ys, t) and
+    # (base, ys, t)
+    for xlen, ylen in ((1, 0), (2, 1), (1, 3), (3, 2)):
+        faces = np.array([[rng.randrange(5000) for _ in range(xlen + ylen)]
+                          for _ in range(300)], dtype=np.int64)
+        base = rng.randrange(2 ** 64)
+        hx, hy = _row_hashes(faces[:, :xlen]), _row_hashes(faces[:, xlen:])
+        with_x = _term_hashes(_hash_state([hash(base), hx, hy], 300), 3, 5)
+        no_x = _term_hashes(_hash_state([hash(base), hy], 300), 2, 5)
+        assert with_x.shape == no_x.shape == (5, 300)
+        for i, row in enumerate(faces.tolist()):
+            xs, ys = tuple(row[:xlen]), tuple(row[xlen:])
+            for t in range(5):
+                assert int(with_x[t, i]) == hash((base, xs, ys, t))
+                assert int(no_x[t, i]) == hash((base, ys, t))
