@@ -167,11 +167,11 @@ def finish(module: str, vals: np.ndarray,
     if module == SCALAR:
         vals += 0.0             # -0.0 becomes 0.0, as in a sum from 0.0
         return Table(module, vals)
-    # not |v| >= PRUNE_TOL (so NaN too), found without a table of |v|
-    drop = vals >= PRUNE_TOL
-    drop |= vals <= -PRUNE_TOL
-    np.logical_not(drop, out=drop)
-    np.putmask(vals, drop, 0.0)
+    # drop every entry that is not |v| >= PRUNE_TOL, NaN too, without a
+    # table of |v|
+    keep = vals >= PRUNE_TOL
+    keep |= vals <= -PRUNE_TOL
+    np.putmask(vals, np.logical_not(keep, out=keep), 0.0)
     if module == L1_ZERO:
         _check_zero_sums(vals, np.abs(vals, out=scratch))
     return Table(module, vals)

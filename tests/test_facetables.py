@@ -8,6 +8,7 @@ values, bounds and witnesses, as dicts and as JSON text.
 
 import json
 from contextlib import contextmanager
+from itertools import product
 
 import numpy as np
 import pytest
@@ -284,18 +285,29 @@ def _dense_rule_image(cochain, faces):
     return dense
 
 
-def _term_cells(space, seed_tag, coords, spread, terms, key, anchor):
-    """(u, c) of each term of a leaf rule at one face, recomputed from its
-    hashes, to tell which faces have terms that share a cell."""
-    base = cc.derive_seed(*seed_tag)
-    balls = space.balls_list(spread)
-    cells = []
-    for t in range(terms):
-        h = hash(key(base) + (t,))
-        c = anchor(h, t)
-        ball = balls[c]
-        cells.append((ball[(h >> 17) % len(ball)], c))
-    return cells
+def _leaf_cases(space, rng):
+    """(cochain, faces, spread, terms, prefix, anchor) for both leaf kinds
+    over every (p, q, module), spread 1 and 2, and 1, 3 or 4 terms: term t
+    hashes prefix(xs, ys) + (t,) and is anchored at anchor(h, t, xs, ys).
+    The faces repeat some rows."""
+    n = space.n
+    for p, q, module, spread, terms in product((0, 1), (-1, 0, 1), MODULES,
+                                               (1, 2), (1, 3, 4)):
+        faces = rng.integers(0, n, size=(160, p + q + 2))
+        faces = np.concatenate((faces, faces[:20]))
+        base = cc.derive_seed(7, "random-cochain", p, q, module, spread,
+                              terms)
+        yield (cc.random_cochain(space, p, q, module, 7, spread, terms),
+               faces, spread, terms, lambda xs, ys, b=base: (b, xs, ys),
+               lambda h, t, xs, ys: (xs + ys)[h % len(xs + ys)])
+        if p == 0:
+            base = cc.derive_seed(7, "x-indep-cochain", q, module, spread,
+                                  terms)
+            yield (cc.random_x_independent_cochain(space, q, module, 7,
+                                                   spread, terms),
+                   faces, spread, terms, lambda xs, ys, b=base: (b, ys),
+                   lambda h, t, xs, ys: (ys[t % len(ys)] if ys else
+                                         (h >> 5) % n))
 
 
 @pytest.mark.parametrize("kind, params", _LEAF_SPACES)
@@ -304,48 +316,29 @@ def test_leaf_fills_equal_the_rule_bit_for_bit(kind, params):
     # its terms in the rule's order, also where two terms share a cell or,
     # for l1_0, where a term's u is its anchor c
     space = cc.generate_family(kind, params)
-    n = space.n
-    rng = np.random.default_rng(12)
     shared = same_anchor = 0
-    for q in (-1, 0, 1):
-        for p in (0, 1):
-            faces = rng.integers(0, n, size=(160, p + q + 2))
-            faces = np.concatenate((faces, faces[:20]))   # repeated faces
-            for module in MODULES:
-                for spread in (1, 2):
-                    for terms in (1, 3, 4):
-                        cases = [(cc.random_cochain(space, p, q, module, 7,
-                                                    spread, terms),
-                                  ("random-cochain", p, q, module))]
-                        if p == 0:
-                            cases.append((cc.random_x_independent_cochain(
-                                space, q, module, 7, spread, terms),
-                                ("x-indep-cochain", q, module)))
-                        for phi, tag in cases:
-                            got = phi.fill(faces).vals
-                            want = _dense_rule_image(phi, faces)
-                            assert got.shape == want.shape
-                            assert got.tobytes() == want.tobytes(), (
-                                phi.name, spread, terms)
-                            if module != L1_ZERO or terms == 1:
-                                continue
-                            for row in faces.tolist():
-                                xs, ys = tuple(row[:p + 1]), tuple(row[p + 1:])
-                                if tag[0] == "random-cochain":
-                                    key = lambda b: (b, xs, ys)
-                                    anchor = lambda h, t: row[h % len(row)]
-                                else:
-                                    key = lambda b: (b, ys)
-                                    anchor = lambda h, t: (
-                                        ys[t % len(ys)] if ys else
-                                        (h >> 5) % n)
-                                cells = _term_cells(
-                                    space, (7,) + tag + (spread, terms),
-                                    row, spread, terms, key, anchor)
-                                touched = [u for u, _ in cells] + [
-                                    c for _, c in cells]
-                                shared += len(set(touched)) < len(touched)
-                                same_anchor += any(u == c for u, c in cells)
+    for phi, faces, spread, terms, prefix, anchor in _leaf_cases(
+            space, np.random.default_rng(12)):
+        got = phi.fill(faces).vals
+        want = _dense_rule_image(phi, faces)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (phi.name, spread, terms)
+        if phi.module == SCALAR:
+            continue
+        # the cells each term writes, recomputed from its hash as the rule
+        # does, to show that the faces hold the cases above
+        balls = space.balls_list(spread)
+        for row in faces.tolist():
+            xs, ys = tuple(row[:phi.p + 1]), tuple(row[phi.p + 1:])
+            cells = []
+            for t in range(terms):
+                h = hash(prefix(xs, ys) + (t,))
+                c = anchor(h, t, xs, ys)
+                u = balls[c][(h >> 17) % len(balls[c])]
+                cells.append({u, c} if phi.module == L1_ZERO else {u})
+                same_anchor += phi.module == L1_ZERO and u == c
+            shared += any(a & b for i, a in enumerate(cells)
+                          for b in cells[i + 1:])
     assert shared and same_anchor
 
 
