@@ -212,8 +212,14 @@ def _cmd_verify(args) -> int:
                         ("--show-failures", args.show_failures)):
         if value is not None and value < 0:
             raise ValueError(f"{flag} must be >= 0, got {value}")
+    # ses measures nu at each R, and below the smallest positive distance R
+    # admits no pair, so nu would read a vacuous 0.0; the other suites'
+    # R = 0 domains are real audits
+    least = (space.min_positive_distance()
+             if "ses" in names and space.n > 1 else 0.0)
     opts = VerifyOptions(seed=args.seed, count=args.count,
-                         r_list=tuple(_parse_scales(args.r, "--r")),
+                         r_list=tuple(_parse_scales(args.r, "--r",
+                                                    least=least)),
                          budget=args.budget, sample_size=args.sample)
     if args.tol is not None:
         if not (math.isfinite(args.tol) and args.tol >= 0):

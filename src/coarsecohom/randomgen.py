@@ -1,18 +1,33 @@
 """Seeded pseudo-random cochains, families, and pair fields for law audits.
 
-Evaluation rules are pure functions of (seed, arguments) via integer tuple
+Evaluation rules are pure functions of (seed, arguments) via integer
 hashing, so audits are reproducible without storing any tables. Values are
 anchored near the tuple coordinates, giving honest controlled supports:
 a value is supported within `spread` of one of its own coordinates, hence
 within R + spread of every coordinate on a radius-R tuple.
 
-The rules hash with CPython's builtin hash() of integer tuples. The audits
-fill whole face tables at once through _tuple_hash, a numpy port of
-CPython's tuple hash (3.8 and later) that reproduces hash() bit for bit, so
-a table holds exactly the values the rule gives. A fill is one pass over
-all terms (_leaf_fill): the hashes of every term and face come out as one
-(terms, faces) array, and one np.add.at writes the entries in term order,
-so each cell adds its terms in the order the rule does.
+The random leaves hash with one 64-bit mixer, the finalizer of splitmix64
+(Steele, Lea & Flood, "Fast splittable pseudorandom number generators",
+OOPSLA 2014), in uint64 arithmetic:
+
+    mix(z):  z ^= z >> 30;  z *= 0xBF58476D1CE4E5B9
+             z ^= z >> 27;  z *= 0x94D049BB133111EB
+             z ^= z >> 31
+
+The hash of a face's term t starts at h = base, the cochain's derive_seed
+(blake2b of its parameters), and takes in one lane v at a time as
+h = mix(h + 0x9E3779B97F4A7C15 + v). random_cochain's lanes are the
+face's coordinates (*xs, *ys), then t; random_x_independent_cochain's are
+(*ys), then t. Every reading of h (the anchor, the ball member, the
+coefficient) takes it as unsigned. The values therefore do not depend on
+the interpreter. tests/helpers.py holds a pure-Python reference of the
+mixer and the leaves, which tests/test_facetables.py checks bit for bit,
+with known answers of the mixer.
+
+A fill is one pass over all terms (_leaf_fill): the hashes of every term
+and face come out as one (terms, faces) array, and one np.add.at writes
+the entries in term order. A leaf's rule is its fill on one face, so the
+rules and the tables are one implementation.
 """
 
 from __future__ import annotations
@@ -27,57 +42,35 @@ from .cochains import Cochain
 from .facetables import finish, rows_fill, vectors_csr
 from .space import FiniteMetricSpace, derive_seed, mask_rows
 
-_XXPRIME_1 = np.uint64(11400714785074694791)
-_XXPRIME_2 = 14029467366897019727
-_XXPRIME_5 = 2870177450012600261
-_MASK64 = (1 << 64) - 1
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
 
 
-def _tuple_hash(lanes, size: int, acc: np.ndarray | None = None,
-                done: int = 0) -> np.ndarray:
-    """hash() of many tuples at once, as int64, given the hashes of their
-    items: one lane per item, either an int64 array of item hashes or one
-    int shared by every tuple. (An int's hash is itself for
-    0 <= i < 2**61 - 1.) Lanes broadcast against each other and against
-    acc, so a (terms, 1) lane after a state of `size` tuples hashes
-    terms x size tuples. This is CPython's xxHash-based tuplehash. acc may
-    carry the state after the first `done` items (see _hash_state)."""
-    acc = _hash_state(lanes, size, acc)
-    acc += np.uint64((done + len(lanes)) ^ (_XXPRIME_5 ^ 3527539))
-    out = acc.view(np.int64)
-    out[out == -1] = 1546275796
-    return out
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer of a uint64 array, in place."""
+    z ^= z >> 30
+    z *= _MIX_1
+    z ^= z >> 27
+    z *= _MIX_2
+    z ^= z >> 31
+    return z
 
 
-def _hash_state(lanes, size: int, acc: np.ndarray | None = None):
-    """tuplehash's accumulator after the given lanes, starting from acc
-    (left unchanged) or from the empty tuple's for `size` tuples."""
-    if acc is None:
-        acc = np.full(size, _XXPRIME_5, dtype=np.uint64)
-    for lane in lanes:
-        if isinstance(lane, np.ndarray):
-            acc = acc + lane.view(np.uint64) * np.uint64(_XXPRIME_2)
-        else:
-            acc = acc + np.uint64((lane * _XXPRIME_2) & _MASK64)
-        acc = (acc << np.uint64(31)) | (acc >> np.uint64(33))
-        acc *= _XXPRIME_1
-    return acc
-
-
-def _row_hashes(faces: np.ndarray) -> np.ndarray:
-    """hash(tuple(row)) for each row of a non-negative int64 array."""
-    return _tuple_hash([faces[:, j] for j in range(faces.shape[1])],
-                       len(faces))
-
-
-def _term_hashes(state: np.ndarray, done: int, terms: int) -> np.ndarray:
-    """hash(prefix + (t,)) for t < terms as a (terms, faces) array, given
-    the state after each face's prefix of `done` items."""
-    return _tuple_hash([np.arange(terms)[:, None]], 0, state, done)
+def _leaf_hashes(base: int, lanes: np.ndarray, terms: int) -> np.ndarray:
+    """The hash of each term t < terms on each row of lanes (non-negative
+    ints, one column per lane) as a (terms, rows) uint64 array: h = base,
+    then h = mix(h + _GAMMA + v) for each lane v of the row and then t."""
+    h = np.full(len(lanes), base, dtype=np.uint64)
+    for lane in lanes.T:
+        h += _GAMMA
+        h += lane.astype(np.uint64)
+        _mix(h)
+    return _mix(h + (_GAMMA + np.arange(terms, dtype=np.uint64))[:, None])
 
 
 def _coeffs(h: np.ndarray) -> np.ndarray:
-    """_coeff of each hash in an int64 array."""
+    """A quasi-uniform value in [-1, 1), never tiny, for each hash."""
     u = ((h >> 11) % 2_000_003) / 1_000_001.5 - 1.0
     u[(u > -1e-3) & (u < 1e-3)] += 0.25
     return u
@@ -85,8 +78,8 @@ def _coeffs(h: np.ndarray) -> np.ndarray:
 
 def _leaf_fill(space: FiniteMetricSpace, module: str, spread: int, hashes,
                anchors):
-    """Table rule of the rules that add, over their terms t in order,
-    a = _coeff(h) for the term's hash h: to the scalar, or for l1/l1_0 to
+    """Table rule of the values that add, over their terms t in order,
+    a = _coeffs(h) for the term's hash h: to the scalar, or for l1/l1_0 to
     entry u, and for l1_0 also -a to entry c, where c is the term's anchor
     and u the member of c's spread-ball that h picks. hashes(faces) gives
     every term's hash as a (terms, faces) array, and anchors(faces, h) the
@@ -107,14 +100,15 @@ def _leaf_fill(space: FiniteMetricSpace, module: str, spread: int, hashes,
         else:
             c = anchors(faces, h)
             start = ball_ptr[c]
-            u = members[start + (h >> 17) % (ball_ptr[c + 1] - start)]
+            pick = (h >> 17).view(np.int64) % (ball_ptr[c + 1] - start)
+            u = members[start + pick]
             if module == L1_ZERO:
                 # term t adds a at u, then -a at c
                 u = np.stack((u, c), axis=1)
                 a = np.stack((a, -a), axis=1)
             cells = cells + u
         # one sequential pass over the terms in order, so each cell adds
-        # its terms as the rule does
+        # its terms in term order
         vals = np.zeros(m * width)
         np.add.at(vals, cells.ravel(), a.ravel())
         return vals.reshape(m, width)
@@ -122,58 +116,36 @@ def _leaf_fill(space: FiniteMetricSpace, module: str, spread: int, hashes,
     return lambda faces: finish(module, summed(faces))
 
 
-def _coeff(h: int) -> float:
-    """Map a hash to a quasi-uniform value in [-1, 1), never tiny."""
-    u = ((h >> 11) % 2_000_003) / 1_000_001.5 - 1.0
-    if -1e-3 < u < 1e-3:
-        u += 0.25
-    return u
+def _leaf_cochain(space: FiniteMetricSpace, p: int, q: int, module: str,
+                  name: str, fill) -> Cochain:
+    """The memoized cochain whose rule is fill on the one face xs + ys."""
+    def rule(xs, ys):
+        row = fill(np.array([xs + ys], dtype=np.int64)).vals[0]
+        if module == SCALAR:
+            return SupportedVector(SCALAR, scalar=row[0])
+        cols = np.flatnonzero(row)
+        return SupportedVector(module, dict(zip(cols.tolist(),
+                                                row[cols].tolist())))
+
+    return Cochain(space, p, q, module, rule, name=name, memoize=True,
+                   fill=fill)
 
 
 def random_cochain(space: FiniteMetricSpace, p: int, q: int, module: str,
                    seed: int, spread: int = 1, terms: int = 3) -> Cochain:
     """Deterministic random cochain with supports near the tuple coordinates."""
-    balls = space.balls_list(spread)
     base = derive_seed(seed, "random-cochain", p, q, module, spread, terms)
-    hbase = hash(base)
-    xlen = p + 1
 
     def hashes(faces):
-        # hash((base, xs, ys, t)) for each term t and each face
-        hx, hy = _row_hashes(faces[:, :xlen]), _row_hashes(faces[:, xlen:])
-        return _term_hashes(_hash_state([hbase, hx, hy], len(faces)), 3,
-                            terms)
+        # lanes (*xs, *ys), then t
+        return _leaf_hashes(base, faces, terms)
 
     def anchors(faces, h):
         # coords[h % len(coords)]
         return faces[np.arange(len(faces)), h % (p + q + 2)]
 
-    if module == SCALAR:
-        def rule(xs, ys):
-            sca = 0.0
-            for t in range(terms):
-                sca += _coeff(hash((base, xs, ys, t)))
-            return SupportedVector(SCALAR, scalar=sca)
-    else:
-        zero_sum = module == L1_ZERO
-
-        def rule(xs, ys):
-            coords = xs + ys
-            ent: dict = {}
-            for t in range(terms):
-                h = hash((base, xs, ys, t))
-                c = coords[h % len(coords)]
-                ball = balls[c]
-                u = ball[(h >> 17) % len(ball)]
-                a = _coeff(h)
-                ent[u] = ent.get(u, 0.0) + a
-                if zero_sum:
-                    ent[c] = ent.get(c, 0.0) - a
-            return SupportedVector(module, ent)
-
-    return Cochain(space, p, q, module, rule, name=f"rand[{p},{q},{module}]",
-                   memoize=True,
-                   fill=_leaf_fill(space, module, spread, hashes, anchors))
+    return _leaf_cochain(space, p, q, module, f"rand[{p},{q},{module}]",
+                         _leaf_fill(space, module, spread, hashes, anchors))
 
 
 def random_x_independent_cochain(space: FiniteMetricSpace, q: int, module: str,
@@ -181,46 +153,20 @@ def random_x_independent_cochain(space: FiniteMetricSpace, q: int, module: str,
                                  terms: int = 3) -> Cochain:
     """Column cochain whose values ignore the x-coordinate entirely
     (so any probability family convolves to the identity on it)."""
-    balls = space.balls_list(spread)
     base = derive_seed(seed, "x-indep-cochain", q, module, spread, terms)
-    hbase = hash(base)
 
     def hashes(faces):
-        # hash((base, ys, t)) for each term t and each face
-        state = _hash_state([hbase, _row_hashes(faces[:, 1:])], len(faces))
-        return _term_hashes(state, 2, terms)
+        # lanes (*ys), then t
+        return _leaf_hashes(base, faces[:, 1:], terms)
 
     def anchors(faces, h):
         # ys[t % len(ys)] if ys else (h >> 5) % n, for each term t
         if q < 0:
-            return (h >> 5) % space.n
+            return ((h >> 5) % space.n).view(np.int64)
         return faces[:, 1 + np.arange(terms) % (q + 1)].T
 
-    if module == SCALAR:
-        def rule(xs, ys):
-            sca = 0.0
-            for t in range(terms):
-                sca += _coeff(hash((base, ys, t)))
-            return SupportedVector(SCALAR, scalar=sca)
-    else:
-        zero_sum = module == L1_ZERO
-
-        def rule(xs, ys):
-            ent: dict = {}
-            for t in range(terms):
-                h = hash((base, ys, t))
-                c = ys[t % len(ys)] if ys else (h >> 5) % space.n
-                ball = balls[c]
-                u = ball[(h >> 17) % len(ball)]
-                a = _coeff(h)
-                ent[u] = ent.get(u, 0.0) + a
-                if zero_sum:
-                    ent[c] = ent.get(c, 0.0) - a
-            return SupportedVector(module, ent)
-
-    return Cochain(space, 0, q, module, rule, name=f"xind[{q},{module}]",
-                   memoize=True,
-                   fill=_leaf_fill(space, module, spread, hashes, anchors))
+    return _leaf_cochain(space, 0, q, module, f"xind[{q},{module}]",
+                         _leaf_fill(space, module, spread, hashes, anchors))
 
 
 def random_prob_family(space: FiniteMetricSpace, s: float, seed: int,

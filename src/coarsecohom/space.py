@@ -167,8 +167,8 @@ class FiniteMetricSpace:
         got = self._ball_lists.get(key)
         if got is None:
             mask = self.near(r)
-            # tolist() so ball members are Python ints end to end (hash
-            # stability and JSON witnesses both rely on that)
+            # tolist() so ball members are Python ints end to end (the
+            # entry keys of SupportedVector and JSON witnesses rely on that)
             got = [tuple(np.flatnonzero(mask[i]).tolist())
                    for i in range(self.n)]
             self._ball_lists[key] = got

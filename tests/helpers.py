@@ -104,6 +104,56 @@ def dict_norm(d):
     return sum(abs(w) for w in d.values())
 
 
+# -- the random leaves, on Python ints ------------------------------------------
+
+MASK64 = 2 ** 64 - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64_mix(z):
+    """The splitmix64 finalizer of an int in [0, 2**64)."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK64
+    return z ^ (z >> 31)
+
+
+def lanes_hash(base, lanes):
+    """h = base, then h = mix(h + GAMMA + v) for each lane v in order."""
+    h = base
+    for v in lanes:
+        h = splitmix64_mix((h + GAMMA + v) & MASK64)
+    return h
+
+
+def leaf_reference(module, balls, base, lanes, terms, anchor):
+    """One face's value of a random leaf, added term by term into a dict
+    keyed as vec_dict keys it, and the points each term writes. Term t
+    hashes (*lanes, t) to h and adds a coefficient read from h: to the
+    scalar, or at u = balls[c][(h >> 17) % len(balls[c])] for the anchor
+    c = anchor(h, t), and for l1_0 also its negative at c."""
+    ent = {}
+    cells = []
+    for t in range(terms):
+        h = lanes_hash(base, (*lanes, t))
+        a = ((h >> 11) % 2_000_003) / 1_000_001.5 - 1.0
+        if -1e-3 < a < 1e-3:
+            a += 0.25
+        if module == "scalar":
+            ent["scalar"] = ent.get("scalar", 0.0) + a
+            continue
+        c = anchor(h, t)
+        u = balls[c][(h >> 17) % len(balls[c])]
+        ent[u] = ent.get(u, 0.0) + a
+        cells.append((u,))
+        if module == "l1_0":
+            ent[c] = ent.get(c, 0.0) - a
+            cells[-1] += (c,)
+    if module == "scalar":
+        return {k: w for k, w in ent.items() if w != 0.0}, cells
+    return {k: w for k, w in sorted(ent.items())
+            if abs(w) >= PRUNE_TOL}, cells
+
+
 def ref_diff_D(phi, xs, ys):
     """Alternating sum over dropped x-coordinates, signs +,-,+,..."""
     out = {}

@@ -214,16 +214,36 @@ def test_verify_unknown_suite(capsys):
     (["--show-failures=-1"], "--show-failures must be >= 0, got -1"),
     (["--r", "2,1,2"],
      "--r value '2' must be distinct from the values before it"),
+    (["--suite", "ses", "--r", "0"], "--r value '0' must be at least the "
+     "smallest positive distance, 1.0"),
+    (["--suite", "ses", "--r", "0.5"], "--r value '0.5' must be at least "
+     "the smallest positive distance, 1.0"),
+    (["--suite", "johnson,ses", "--r", "1,0.5"], "--r value '0.5' must be "
+     "at least the smallest positive distance, 1.0"),
+    (["--suite", "all", "--r", "0"], "--r value '0' must be at least the "
+     "smallest positive distance, 1.0"),
 ], ids=["negative-r", "nan-r", "negative-budget", "negative-sample",
-        "negative-count", "negative-show-failures", "repeated-r"])
+        "negative-count", "negative-show-failures", "repeated-r", "ses-r0",
+        "ses-r-half", "johnson-ses-r-half", "all-r0"])
 def test_verify_rejects_bad_domain_flags(capsys, args, error):
     # these leave no domain to audit, and an empty audit reads exact and
     # ok; a negative --show-failures slices failures off the listing, and a
-    # repeated --r audits the same radius twice
+    # repeated --r audits the same radius twice. ses measures nu at each R,
+    # and below the smallest positive distance (1.0 on a cycle) no pair is
+    # within R, so nu would read a vacuous 0.0 (the last --suite given
+    # wins)
     rc = main(["verify", "--family", "cycle", "--size", "6",
                "--suite", "johnson", *args])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_verify_other_suites_keep_the_zero_radius(capsys):
+    # R = 0 is a real audit domain for the other suites
+    rc = main(["verify", "--family", "cycle", "--size", "6", "--suite",
+               "splitting", "--count", "1", "--r", "0"])
+    assert rc == 0
+    assert "ok   splitting" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "-0.5"])
@@ -248,9 +268,9 @@ def test_verify_report_matches_golden(tmp_path, capsys):
     """The full verify report on cycle8, byte for byte, minus its timestamp.
 
     The budget and sample size put some audits in the exhaustive branch and
-    the rest in the sampled one. The values rest on CPython's hash() of
-    integer tuples, which seeds the random cochains (see randomgen), so
-    another Python implementation may produce a different report.
+    the rest in the sampled one. The random cochains' values come from
+    randomgen's splitmix64 mixer on integers, so the report does not depend
+    on the interpreter.
     """
     target = tmp_path / "report.json"
     rc = main(["verify", "--family", "cycle", "--size", "8", "--suite", "all",
@@ -268,7 +288,7 @@ def test_verify_free_ball_report_matches_golden(tmp_path, capsys):
     """The full verify report on free_ball(2,3), byte for byte, minus its
     timestamp. The space is not vertex-transitive (ball sizes differ), and
     the audits cover exact and sampled domains, all three modules and
-    every suite. Like the cycle8 golden, it rests on CPython's hash()."""
+    every suite. Like the cycle8 golden, it rests on randomgen's mixer."""
     target = tmp_path / "report.json"
     rc = main(["verify", "--family", "free_ball", "--rank", "2", "--radius",
                "3", "--suite", "all", "--count", "3", "--budget", "4000",

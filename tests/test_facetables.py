@@ -18,9 +18,11 @@ from hypothesis import strategies as st
 import coarsecohom as cc
 from coarsecohom import L1, L1_ZERO, MODULES, SCALAR, facetables
 from coarsecohom.coefficients import PRUNE_TOL
-from helpers import (audit_equal_reference, conv_norm_audit_reference,
-                     homotopy_defect_reference, norm_audit_reference,
-                     seminorm_reference, spaces, tf_identity_reference)
+from helpers import (GAMMA, MASK64, audit_equal_reference,
+                     conv_norm_audit_reference, homotopy_defect_reference,
+                     lanes_hash, leaf_reference, norm_audit_reference,
+                     seminorm_reference, spaces, splitmix64_mix,
+                     tf_identity_reference, vec_dict)
 
 
 @contextmanager
@@ -271,75 +273,111 @@ def test_empty_samples_match_closure_scans():
 _LEAF_SPACES = (("cycle", {"size": 5}), ("free_ball", {"rank": 2, "radius": 1}))
 
 
-def _dense_rule_image(cochain, faces):
-    """The table of cochain.rule on faces, one rule call per face."""
+def _dense_image(cochain, faces, value):
+    """The table of value(xs, ys) on faces, a SupportedVector or a dict
+    keyed as vec_dict keys it, one call per face."""
     width = 1 if cochain.module == SCALAR else cochain.space.n
     dense = np.zeros((len(faces), width))
     xlen = cochain.p + 1
     for i, row in enumerate(faces.tolist()):
-        value = cochain.rule(tuple(row[:xlen]), tuple(row[xlen:]))
-        if cochain.module == SCALAR:
-            dense[i, 0] = value.scalar
-        for k, w in value.entries.items():
-            dense[i, k] = w
+        got = value(tuple(row[:xlen]), tuple(row[xlen:]))
+        for k, w in (got if isinstance(got, dict) else vec_dict(got)).items():
+            dense[i, 0 if k == "scalar" else k] = w
     return dense
 
 
 def _leaf_cases(space, rng):
-    """(cochain, faces, spread, terms, prefix, anchor) for both leaf kinds
-    over every (p, q, module), spread 1 and 2, and 1, 3 or 4 terms: term t
-    hashes prefix(xs, ys) + (t,) and is anchored at anchor(h, t, xs, ys).
+    """(cochain, faces, reference) for both leaf kinds over every
+    (p, q, module), spread 1 and 2, and 1, 3 or 4 terms, where
+    reference(xs, ys) is leaf_reference's (value, points per term) there.
     The faces repeat some rows."""
     n = space.n
     for p, q, module, spread, terms in product((0, 1), (-1, 0, 1), MODULES,
                                                (1, 2), (1, 3, 4)):
         faces = rng.integers(0, n, size=(160, p + q + 2))
         faces = np.concatenate((faces, faces[:20]))
+        balls = space.balls_list(spread)
         base = cc.derive_seed(7, "random-cochain", p, q, module, spread,
                               terms)
+
+        def reference(xs, ys, base=base):
+            # lanes (*xs, *ys), anchored at coords[h % len(coords)]
+            coords = xs + ys
+            return leaf_reference(module, balls, base, coords, terms,
+                                  lambda h, t: coords[h % len(coords)])
+
         yield (cc.random_cochain(space, p, q, module, 7, spread, terms),
-               faces, spread, terms, lambda xs, ys, b=base: (b, xs, ys),
-               lambda h, t, xs, ys: (xs + ys)[h % len(xs + ys)])
+               faces, reference)
         if p == 0:
             base = cc.derive_seed(7, "x-indep-cochain", q, module, spread,
                                   terms)
+
+            def reference(xs, ys, base=base):
+                # lanes (*ys), anchored at ys[t % len(ys)], or at
+                # (h >> 5) % n when ys is empty
+                return leaf_reference(
+                    module, balls, base, ys, terms,
+                    lambda h, t: ys[t % len(ys)] if ys else (h >> 5) % n)
+
             yield (cc.random_x_independent_cochain(space, q, module, 7,
                                                    spread, terms),
-                   faces, spread, terms, lambda xs, ys, b=base: (b, ys),
-                   lambda h, t, xs, ys: (ys[t % len(ys)] if ys else
-                                         (h >> 5) % n))
+                   faces, reference)
 
 
 @pytest.mark.parametrize("kind, params", _LEAF_SPACES)
 def test_leaf_fills_equal_the_rule_bit_for_bit(kind, params):
-    # one fill adds every term of every face at once; each cell must add
-    # its terms in the rule's order, also where two terms share a cell or,
-    # for l1_0, where a term's u is its anchor c
+    # one fill adds every term of every face at once, and a rule is the
+    # fill on one face; both must equal the term-by-term reference on
+    # Python ints, also where two terms share a cell or, for l1_0, where a
+    # term's u is its anchor c
     space = cc.generate_family(kind, params)
     shared = same_anchor = 0
-    for phi, faces, spread, terms, prefix, anchor in _leaf_cases(
-            space, np.random.default_rng(12)):
+    for phi, faces, reference in _leaf_cases(space,
+                                             np.random.default_rng(12)):
+        want = _dense_image(phi, faces, lambda xs, ys: reference(xs, ys)[0])
         got = phi.fill(faces).vals
-        want = _dense_rule_image(phi, faces)
         assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes(), (phi.name, spread, terms)
+        assert got.tobytes() == want.tobytes(), phi.name
+        # a rule call runs the fill on its one face, at numpy's per-call
+        # cost, so the rule is checked on the first rows only
+        head = faces[:24]
+        assert (_dense_image(phi, head, phi.rule).tobytes()
+                == want[:24].tobytes()), phi.name
         if phi.module == SCALAR:
             continue
-        # the cells each term writes, recomputed from its hash as the rule
-        # does, to show that the faces hold the cases above
-        balls = space.balls_list(spread)
+        # the points each term writes, to show that the faces hold the
+        # cases above
+        xlen = phi.p + 1
         for row in faces.tolist():
-            xs, ys = tuple(row[:phi.p + 1]), tuple(row[phi.p + 1:])
-            cells = []
-            for t in range(terms):
-                h = hash(prefix(xs, ys) + (t,))
-                c = anchor(h, t, xs, ys)
-                u = balls[c][(h >> 17) % len(balls[c])]
-                cells.append({u, c} if phi.module == L1_ZERO else {u})
-                same_anchor += phi.module == L1_ZERO and u == c
-            shared += any(a & b for i, a in enumerate(cells)
+            cells = reference(tuple(row[:xlen]), tuple(row[xlen:]))[1]
+            same_anchor += sum(len(set(cell)) == 1 < len(cell)
+                               for cell in cells)
+            shared += any(set(a) & set(b) for i, a in enumerate(cells)
                           for b in cells[i + 1:])
     assert shared and same_anchor
+
+
+def test_leaf_mixer_known_answers():
+    # splitmix64's first outputs from state 0 and from state 1234567
+    # (output k is mix(state + k * GAMMA)); a changed constant or shift
+    # in either mixer fails here
+    from coarsecohom.randomgen import _leaf_hashes, _mix
+    want = {0: [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
+                0xF88BB8A8724C81EC],
+            1234567: [6457827717110365317, 3203168211198807973,
+                      9817491932198370423, 4593380528125082431]}
+    for state, outputs in want.items():
+        z = [(state + k * GAMMA) & MASK64 for k in range(1, 5)]
+        assert [splitmix64_mix(v) for v in z] == outputs
+        assert _mix(np.array(z, dtype=np.uint64)).tolist() == outputs
+    # a leaf of base 0 and no lanes hashes only t: term 0 is output 1
+    assert _leaf_hashes(0, np.zeros((1, 0), dtype=np.int64),
+                        1).tolist() == [[want[0][0]]]
+    rows = np.array([[0, 5, 2 ** 40], [7, 7, 1]])
+    got = _leaf_hashes(MASK64, rows, 3)
+    assert got.dtype == np.uint64 and got.shape == (3, 2)
+    assert got.T.tolist() == [[lanes_hash(MASK64, (*row, t))
+                               for t in range(3)] for row in rows.tolist()]
 
 
 def _weighted_reference(module, child, lengths, faces, weights):
