@@ -203,15 +203,22 @@ def _cmd_verify(args) -> int:
         names = list(SUITE_NAMES)
     else:
         names = [s.strip() for s in args.suite.split(",") if s.strip()]
-        for name in names:
+        if not names:
+            raise ValueError(f"--suite is empty, got {args.suite!r}")
+        for k, name in enumerate(names):
             if name not in SUITE_NAMES:
                 raise ValueError(f"unknown suite {name!r}; choose from "
                                  f"{', '.join(SUITE_NAMES)} or 'all'")
-    for flag, value in (("--budget", args.budget), ("--sample", args.sample),
-                        ("--count", args.count),
-                        ("--show-failures", args.show_failures)):
-        if value is not None and value < 0:
-            raise ValueError(f"{flag} must be >= 0, got {value}")
+            if name in names[:k]:
+                raise ValueError(f"--suite value {name!r} must be distinct "
+                                 "from the values before it")
+    # zero audit points, or zero instances, would pass every check vacuously
+    for flag, value, least in (("--budget", args.budget, 1),
+                               ("--sample", args.sample, 1),
+                               ("--count", args.count, 1),
+                               ("--show-failures", args.show_failures, 0)):
+        if value is not None and value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
     # ses measures nu at each R, and below the smallest positive distance R
     # admits no pair, so nu would read a vacuous 0.0; the other suites'
     # R = 0 domains are real audits

@@ -19,6 +19,10 @@ once per distinct face, so any closure-built cochain can be audited.
 
 from __future__ import annotations
 
+import bisect
+import math
+import weakref
+
 import numpy as np
 
 from .coefficients import L1_ZERO, PRUNE_TOL, SCALAR, ZERO_SUM_TOL
@@ -26,6 +30,69 @@ from .coefficients import L1_ZERO, PRUNE_TOL, SCALAR, ZERO_SUM_TOL
 # Bytes of the largest operand value table one step gathers from. Work is
 # split over the faces to stay near it, which bounds memory.
 _TABLE_CHUNK_BYTES = 1 << 18
+
+# Arrays of at least this many bytes are table buffers, served from the
+# free list (see table_buffer), which holds at most _POOL_BYTES.
+_POOLED_MIN_BYTES = _TABLE_CHUNK_BYTES // 4
+_POOL_BYTES = 8 * _TABLE_CHUNK_BYTES
+
+
+# -- table buffers: a bounded free list ---------------------------------------------
+#
+# A table above malloc's mmap threshold is mapped afresh and faulted in page
+# by page each time it is made, and an audit makes thousands of them. So
+# table-sized float arrays come from a free list of the buffers of tables
+# that died (the object cache of Bonwick, "The Slab Allocator", USENIX
+# Summer 1994). A table is a view of np.frombuffer(memoryview(buf)): numpy
+# stops collapsing a view's base at that array, since its own base is not
+# an array, so every slice and reshape of the table keeps it alive, and
+# its finalizer puts buf back only when the last of them dies.
+
+class _FreeList:
+    """Buffers (1-D float64 arrays) of dead tables, smallest first, holding
+    at most _POOL_BYTES; misses counts the requests none of them served."""
+
+    def __init__(self):
+        self.buffers: list = []
+        self.nbytes = 0
+        self.misses = 0
+
+    def take(self, count: int, zero: bool) -> np.ndarray:
+        """A 1-D array of count floats over the smallest free buffer that
+        holds them, or over a new one; its buffer comes back when it dies."""
+        k = bisect.bisect_left(self.buffers, count, key=len)
+        fresh = k == len(self.buffers)
+        if fresh:
+            self.misses += 1
+            buf = np.zeros(count) if zero else np.empty(count)
+        else:
+            buf = self.buffers.pop(k)
+            self.nbytes -= buf.nbytes
+        flat = np.frombuffer(memoryview(buf), count=count)
+        if zero and not fresh:
+            flat.fill(0.0)
+        weakref.finalize(flat, self.give, buf).atexit = False
+        return flat
+
+    def give(self, buf: np.ndarray) -> None:
+        """Keep a dead table's buffer, then drop the smallest buffers kept
+        until they fit in _POOL_BYTES."""
+        bisect.insort(self.buffers, buf, key=len)
+        self.nbytes += buf.nbytes
+        while self.nbytes > _POOL_BYTES:
+            self.nbytes -= self.buffers.pop(0).nbytes
+
+
+_free = _FreeList()
+
+
+def table_buffer(shape, zero: bool = False) -> np.ndarray:
+    """A float64 array of the given shape, all 0.0 if zero, else with any
+    contents. Table-sized ones come from the free list."""
+    count = math.prod(shape)
+    if 8 * count < _POOLED_MIN_BYTES:
+        return np.zeros(shape) if zero else np.empty(shape)
+    return _free.take(count, zero).reshape(shape)
 
 
 class Table:
@@ -136,7 +203,7 @@ def csr_table(module: str, n: int, indptr, cols, weights,
     if rows is None:
         rows = np.arange(len(indptr) - 1)
     _, at, src = csr_expand(indptr, rows)
-    vals = np.zeros((len(rows), n))
+    vals = table_buffer((len(rows), n), zero=True)
     vals[at, cols[src]] = weights[src]
     return Table(module, vals)
 
@@ -151,7 +218,7 @@ def dirac_diff_table(n: int, a: np.ndarray, b: np.ndarray) -> Table:
     """delta_a - delta_b per face (no entries where a == b), as dirac_diff
     builds it."""
     live = np.flatnonzero(a != b)
-    vals = np.zeros((len(a), n))
+    vals = table_buffer((len(a), n), zero=True)
     vals[live, a[live]] = 1.0
     vals[live, b[live]] = -1.0
     return Table(L1_ZERO, vals)
@@ -173,6 +240,8 @@ def finish(module: str, vals: np.ndarray,
     keep |= vals <= -PRUNE_TOL
     np.putmask(vals, np.logical_not(keep, out=keep), 0.0)
     if module == L1_ZERO:
+        if scratch is None:
+            scratch = table_buffer(vals.shape)
         _check_zero_sums(vals, np.abs(vals, out=scratch))
     return Table(module, vals)
 
@@ -207,15 +276,18 @@ def norms(tab: Table) -> np.ndarray:
     """||value|| per face: |scalar|, or the l1 norm in ascending order."""
     if tab.module == SCALAR:
         return np.abs(tab.vals[:, 0])
-    return row_sums(np.abs(tab.vals))
+    mag = np.abs(tab.vals, out=table_buffer(tab.vals.shape))
+    # a copy, so that the table of running sums can go back to the pool
+    return row_sums(mag).copy()
 
 
 def gaps(lhs: Table, rhs: Table | None = None) -> np.ndarray:
     """entry_gap per face: the largest |lhs[k] - rhs[k]| (rhs None = 0)."""
+    diff = table_buffer(lhs.vals.shape)
     if rhs is None:
-        diff = np.abs(lhs.vals)
+        np.abs(lhs.vals, out=diff)
     else:
-        diff = np.subtract(lhs.vals, rhs.vals)
+        np.subtract(lhs.vals, rhs.vals, out=diff)
         np.abs(diff, out=diff)
     return diff.max(axis=1, initial=0.0)
 
@@ -231,7 +303,7 @@ def combine(module: str, vals: np.ndarray, slots: list) -> None:
     order, as the closures do. The first slot is written straight into
     vals: coef * x is 0.0 + coef * x but for the sign of a zero, and
     finish turns every zero into 0.0."""
-    part = np.empty_like(vals)
+    part = table_buffer(vals.shape)
     for k, (tab, rows, coef) in enumerate(slots):
         if not k:
             _gather(tab, rows, coef, vals)
@@ -298,8 +370,8 @@ def linear(module: str, n: int, terms: list, seen=None) -> Table:
                 slots[j] = (tab, rows[i], terms[j][2])
         if vals is None:
             # made once the first operands exist, so that evaluating them
-            # does not run with this table held
-            vals = np.zeros((m, width))
+            # does not run with this table held; every row gets written
+            vals = table_buffer((m, width))
         combine(module, vals[lo:hi], slots)
     return Table(module, vals)
 
@@ -329,12 +401,13 @@ def weighted(module: str, n: int, child, lengths: np.ndarray,
     faces = faces[first]
     width = width_of(module, n)
     step = _step(m, len(faces), width)
-    vals = None
+    vals, skipped = None, []
     for lo in range(0, m, step):
         hi = min(lo + step, m)
         part_len = lengths[lo:hi]
         slots_n = int(part_len.max())
         if not slots_n:
+            skipped.append((lo, hi))        # values with no terms
             continue
         t0, t1 = starts[lo], starts[hi - 1] + lengths[hi - 1]
         used, local = _piece(len(faces), inverse[t0:t1], step == m)
@@ -348,9 +421,11 @@ def weighted(module: str, n: int, child, lengths: np.ndarray,
         coefs = np.zeros((hi - lo, slots_n))
         coefs[live] = weights[t0:t1]
         if vals is None:
-            vals = np.zeros((m, width))
+            vals = table_buffer((m, width))
         combine(module, vals[lo:hi], [(tab, rows[:, j], coefs[:, j])
                                       for j in range(slots_n)])
+    for lo, hi in skipped:
+        vals[lo:hi] = 0.0
     return Table(module, vals)
 
 

@@ -39,7 +39,7 @@ import numpy as np
 from .averaging import ReiterFamily
 from .coefficients import L1, L1_ZERO, SCALAR, PairVector, SupportedVector
 from .cochains import Cochain
-from .facetables import finish, rows_fill, vectors_csr
+from .facetables import finish, rows_fill, table_buffer, vectors_csr
 from .space import FiniteMetricSpace, derive_seed, mask_rows
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -109,9 +109,9 @@ def _leaf_fill(space: FiniteMetricSpace, module: str, spread: int, hashes,
             cells = cells + u
         # one sequential pass over the terms in order, so each cell adds
         # its terms in term order
-        vals = np.zeros(m * width)
-        np.add.at(vals, cells.ravel(), a.ravel())
-        return vals.reshape(m, width)
+        vals = table_buffer((m, width), zero=True)
+        np.add.at(vals.reshape(-1), cells.ravel(), a.ravel())
+        return vals
 
     return lambda faces: finish(module, summed(faces))
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import coarsecohom as cc
+from coarsecohom import facetables
 from coarsecohom.cli import main
 
 
@@ -208,9 +209,12 @@ def test_verify_unknown_suite(capsys):
 @pytest.mark.parametrize("args,error", [
     (["--r=-1"], "--r value '-1' must be finite and >= 0"),
     (["--r", "nan"], "--r value 'nan' must be finite and >= 0"),
-    (["--budget=-1"], "--budget must be >= 0, got -1"),
-    (["--sample=-5"], "--sample must be >= 0, got -5"),
-    (["--count=-2"], "--count must be >= 0, got -2"),
+    (["--budget=-1"], "--budget must be >= 1, got -1"),
+    (["--sample=-5"], "--sample must be >= 1, got -5"),
+    (["--count=-2"], "--count must be >= 1, got -2"),
+    (["--budget", "0"], "--budget must be >= 1, got 0"),
+    (["--sample", "0"], "--sample must be >= 1, got 0"),
+    (["--count", "0"], "--count must be >= 1, got 0"),
     (["--show-failures=-1"], "--show-failures must be >= 0, got -1"),
     (["--r", "2,1,2"],
      "--r value '2' must be distinct from the values before it"),
@@ -222,16 +226,21 @@ def test_verify_unknown_suite(capsys):
      "at least the smallest positive distance, 1.0"),
     (["--suite", "all", "--r", "0"], "--r value '0' must be at least the "
      "smallest positive distance, 1.0"),
+    (["--suite", ","], "--suite is empty, got ','"),
+    (["--suite", "complex-identities,complex-identities"],
+     "--suite value 'complex-identities' must be distinct from the values "
+     "before it"),
 ], ids=["negative-r", "nan-r", "negative-budget", "negative-sample",
-        "negative-count", "negative-show-failures", "repeated-r", "ses-r0",
-        "ses-r-half", "johnson-ses-r-half", "all-r0"])
+        "negative-count", "zero-budget", "zero-sample", "zero-count",
+        "negative-show-failures", "repeated-r", "ses-r0", "ses-r-half",
+        "johnson-ses-r-half", "all-r0", "empty-suite", "repeated-suite"])
 def test_verify_rejects_bad_domain_flags(capsys, args, error):
-    # these leave no domain to audit, and an empty audit reads exact and
-    # ok; a negative --show-failures slices failures off the listing, and a
-    # repeated --r audits the same radius twice. ses measures nu at each R,
-    # and below the smallest positive distance (1.0 on a cycle) no pair is
-    # within R, so nu would read a vacuous 0.0 (the last --suite given
-    # wins)
+    # these leave no domain to audit, or no check to run, and an empty
+    # audit reads exact and ok; a negative --show-failures slices failures
+    # off the listing, and a repeated --r or --suite audits the same thing
+    # twice. ses measures nu at each R, and below the smallest positive
+    # distance (1.0 on a cycle) no pair is within R, so nu would read a
+    # vacuous 0.0 (the last --suite given wins)
     rc = main(["verify", "--family", "cycle", "--size", "6",
                "--suite", "johnson", *args])
     assert rc == 2
@@ -299,3 +308,29 @@ def test_verify_free_ball_report_matches_golden(tmp_path, capsys):
                   if not line.startswith('  "generated_at": '))
     golden = Path(__file__).parent / "data" / "verify_free_ball_golden.json"
     assert got == golden.read_text()
+
+
+def test_verify_report_does_not_depend_on_buffer_reuse(tmp_path, capsys,
+                                                      monkeypatch):
+    # with no free list every table buffer is fresh; the report is the
+    # golden one either way, and the default run does reuse buffers
+    target = tmp_path / "report.json"
+
+    def report(bound):
+        monkeypatch.setattr(facetables, "_POOL_BYTES", bound)
+        monkeypatch.setattr(facetables, "_free", facetables._FreeList())
+        rc = main(["verify", "--family", "free_ball", "--rank", "2",
+                   "--radius", "3", "--suite", "all", "--count", "3",
+                   "--budget", "4000", "--sample", "200", "--out",
+                   str(target)])
+        assert rc == 0
+        capsys.readouterr()
+        return facetables._free.misses, "".join(
+            line for line in target.read_text().splitlines(True)
+            if not line.startswith('  "generated_at": '))
+
+    pooled_misses, pooled = report(facetables._POOL_BYTES)
+    fresh_misses, fresh = report(0)
+    golden = Path(__file__).parent / "data" / "verify_free_ball_golden.json"
+    assert pooled == fresh == golden.read_text()
+    assert pooled_misses < fresh_misses

@@ -462,3 +462,110 @@ def test_each_operand_is_sorted_once_however_many_pieces():
         facetables.weighted(L1_ZERO, 9, phi, lengths, faces[:terms],
                             np.linspace(-1.0, 1.0, terms))
         assert calls == [terms] and len(pieces) == 16
+
+
+# -- the free list of table buffers ----------------------------------------------
+
+def fresh_pool():
+    return patched("_free", facetables._FreeList())
+
+
+def test_a_slice_keeps_its_table_buffer_off_the_free_list():
+    # numpy collapses a slice's base to the array that owns the memory, so
+    # the buffer may come back only when the frombuffer array over it dies
+    with fresh_pool():
+        pool = facetables._free
+        vals = facetables.table_buffer((512, 64))
+        part = vals[10:20]
+        del vals
+        assert pool.buffers == []
+        part[:] = 1.0
+        other = facetables.table_buffer((512, 64))
+        other[:] = 2.0
+        assert (part == 1.0).all() and pool.misses == 2
+        del part
+        assert len(pool.buffers) == 1
+        del other
+        assert len(pool.buffers) == 2 and pool.nbytes == 2 * 512 * 64 * 8
+
+
+def test_zeroed_buffers_read_zero_when_they_reuse_a_dirty_one():
+    with fresh_pool():
+        pool = facetables._free
+        dirty = facetables.table_buffer((512, 64))
+        dirty.fill(np.nan)
+        del dirty
+        clean = facetables.table_buffer((500, 64), zero=True)
+        assert pool.misses == 1 and pool.buffers == []
+        assert (clean == 0.0).all()
+        assert clean.shape == (500, 64)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_tables_do_not_read_what_dirty_buffers_held(module):
+    # every array pooled and every free buffer full of NaN: the tables that
+    # rely on zeros (leaf fills, weighted's faces without terms, csr and
+    # Dirac tables) must zero what they reuse
+    space = cc.generate_family("cycle", {"size": 7})
+    child = cc.random_cochain(space, 0, 1, module, 4)
+    rng = np.random.default_rng(5)
+    lengths = rng.integers(0, 4, size=40)
+    lengths[:6] = 0
+    lengths[20:30] = 0
+    faces = rng.integers(0, 7, size=(int(lengths.sum()), 3))
+    weights = rng.uniform(-1.0, 1.0, size=len(faces))
+    indptr = np.array([0, 2, 2, 5])
+    cols, csr_w = np.array([1, 4, 0, 2, 6]), np.arange(1.0, 6.0)
+
+    def tables():
+        return [facetables.weighted(module, 7, child, lengths, faces,
+                                    weights).vals,
+                facetables.csr_table(L1, 7, indptr, cols, csr_w).vals,
+                facetables.dirac_diff_table(7, faces[:, 1], faces[:, 2]).vals]
+
+    with fresh_pool(), patched("_POOL_BYTES", 0):
+        want = tables()
+    with fresh_pool(), chunk_bytes(64), patched("_POOLED_MIN_BYTES", 8), \
+            patched("_POOL_BYTES", 1 << 30):
+        facetables._free.buffers.extend(np.full(1 << k, np.nan)
+                                        for k in range(3, 12)
+                                        for _ in range(20))
+        facetables._free.nbytes = sum(
+            b.nbytes for b in facetables._free.buffers)
+        got = tables()
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_the_free_list_never_exceeds_its_bound():
+    with fresh_pool():
+        pool = facetables._free
+        give, held = pool.give, []
+
+        def counted(buf):
+            give(buf)
+            held.append((pool.nbytes, sum(b.nbytes for b in pool.buffers)))
+
+        pool.give = counted
+        tables = [facetables.table_buffer((512, 64 + k)) for k in range(12)]
+        assert 12 * 512 * 64 * 8 > facetables._POOL_BYTES
+        del tables
+        assert len(held) == 12
+        assert all(total == listed <= facetables._POOL_BYTES
+                   for total, listed in held)
+        sizes = [len(b) for b in pool.buffers]
+        assert sizes == sorted(sizes)
+
+
+def test_a_repeated_audit_takes_no_fresh_buffer():
+    # the first audit leaves its dead tables' buffers on the free list, and
+    # the same audit again finds a buffer for every table it makes
+    space = cc.generate_family("free_ball", {"rank": 2, "radius": 3})
+    lhs = cc.diff_D(cc.diff_D(cc.random_cochain(space, 0, 0, L1_ZERO, 3)))
+    with fresh_pool():
+        pool = facetables._free
+        first = cc.audit_zero("DD", lhs, 1.0).to_json()
+        assert pool.misses > 0
+        misses = pool.misses
+        assert cc.audit_zero("DD", lhs, 1.0).to_json() == first
+        assert pool.misses == misses
