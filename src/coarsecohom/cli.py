@@ -143,6 +143,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_profile(args) -> int:
     space = _space_from_args(args)
+    if args.smax is not None and args.schedule is not None:
+        raise ValueError("give --smax or --schedule, not both")
     if args.smax is not None and args.smax < 1:
         raise ValueError(f"--smax must be >= 1, got {args.smax}")
     if args.schedule:

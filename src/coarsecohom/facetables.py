@@ -5,16 +5,19 @@ indices: the p+1 x-coordinates, then the q+1 y-coordinates. A `Table` holds
 one value per face in `vals` (faces x width): width n for l1/l1_0, where
 column k is the entry at point k (0.0 where absent), and width 1 for
 scalars, so the module is a column count rather than a branch. A row lists
-its entries in ascending point order, the order SupportedVector keeps, so a
-norm adds |v| along the row from left to right.
+its entries in ascending point order, the order SupportedVector keeps.
+Norms are only read as sups: the rows that can reach the sup are added
+along the row from left to right, as SupportedVector adds them, and the
+other rows are only bounded (see norms).
 
 A derived cochain (D, d, s, sums, scalings, convolutions, transfers) makes
-its table from its operands' tables on the distinct faces it needs: a signed
-gather added term by term in face order, which is the order the closures
-add in. After every operator the l1 entries below PRUNE_TOL are dropped and
-every l1_0 value passes the zero-sum check, as in SupportedVector; scalars
-are never pruned. A cochain without a table rule (`Cochain.fill`) is called
-once per distinct face, so any closure-built cochain can be audited.
+its table from its operands' tables on the distinct faces it needs, listed
+in code (lexicographic) order: a signed gather added term by term in face
+order, which is the order the closures add in. After every operator the l1
+entries below PRUNE_TOL are dropped and every l1_0 value passes the
+zero-sum check, as in SupportedVector; scalars are never pruned. A cochain
+without a table rule (`Cochain.fill`) is called once per distinct face, so
+any closure-built cochain can be audited.
 """
 
 from __future__ import annotations
@@ -119,9 +122,9 @@ def empty(module: str, n: int, m: int) -> Table:
 
 
 def distinct(faces: np.ndarray, n: int):
-    """(first, inverse) for an array of faces over n points: the rows of the
-    distinct faces in order of first appearance, and for each face the index
-    of its distinct face in that list."""
+    """(first, inverse) for an array of faces over n points: a row of each
+    distinct face, the faces in code (lexicographic) order, and for each
+    face the index of its distinct face in that list."""
     m, k = faces.shape
     if m == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
@@ -132,17 +135,14 @@ def distinct(faces: np.ndarray, n: int):
             codes += faces[:, j]
     else:
         codes = np.unique(faces, axis=0, return_inverse=True)[1].ravel()
-    order = np.argsort(codes, kind="stable")
+    order = np.argsort(codes)
     ordered = codes[order]
     new = np.empty(m, dtype=bool)
     new[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    first = order[new]              # stable sort: each group's first face
-    relabel = np.empty(len(first), dtype=np.int64)
-    relabel[np.argsort(first)] = np.arange(len(first))
     inverse = np.empty(m, dtype=np.int64)
-    inverse[order] = relabel[np.cumsum(new) - 1]
-    return np.sort(first), inverse
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 def evaluate(cochain, faces: np.ndarray) -> Table:
@@ -153,8 +153,8 @@ def evaluate(cochain, faces: np.ndarray) -> Table:
 
 
 def _rule_table(cochain, faces: np.ndarray) -> Table:
-    """Call the cochain once per distinct face, in order of first
-    appearance, and keep each value as it comes (no re-pruning)."""
+    """Call the cochain once per distinct face, in code order, and keep
+    each value as it comes (no re-pruning)."""
     first, inverse = distinct(faces, cochain.space.n)
     xlen = cochain.p + 1
     values = [cochain(tuple(row[:xlen]), tuple(row[xlen:]))
@@ -165,7 +165,7 @@ def _rule_table(cochain, faces: np.ndarray) -> Table:
     else:
         tab = csr_table(cochain.module, cochain.space.n,
                         *vectors_csr(values))
-    return tab if len(first) == len(faces) else tab.take(inverse)
+    return tab.take(inverse)
 
 
 def csr_rows(rows, dtype=np.int64):
@@ -251,10 +251,11 @@ def _check_zero_sums(vals: np.ndarray, mag: np.ndarray) -> None:
     added in ascending point order, are not zero within ZERO_SUM_TOL.
 
     Any order of adding differs from that one by less than
-    width * eps * sum |v| (mag holds |v|), so only the rows a plain sum
-    leaves in doubt are added in order."""
-    slack = 4.0 * vals.shape[1] * np.finfo(float).eps
-    doubt = np.abs(vals.sum(axis=1)) + slack * mag.sum(axis=1)
+    _order_slack * sum |v| (mag holds |v|), so only the rows that sums in
+    any order leave in doubt are added in order."""
+    ones = np.ones(vals.shape[1])
+    doubt = np.abs(vals @ ones)
+    doubt += _order_slack(vals.shape[1]) * (mag @ ones)
     rows = np.flatnonzero(doubt > ZERO_SUM_TOL)
     if not len(rows):
         return
@@ -265,6 +266,15 @@ def _check_zero_sums(vals: np.ndarray, mag: np.ndarray) -> None:
         raise ValueError(f"l1_0 entries must sum to 0, got {total!r}")
 
 
+def _order_slack(width: int) -> float:
+    """How far, relative to sum |v|, two sums of the same `width` terms v
+    added in different orders can differ, with room to spare: each is
+    within about (width - 1) * eps / 2 of the exact sum (Higham, SIAM J.
+    Sci. Comput. 14, 1993), so they differ by about (width - 1) * eps at
+    most."""
+    return 4.0 * width * np.finfo(float).eps
+
+
 def row_sums(terms: np.ndarray) -> np.ndarray:
     """Each row added from left to right, like a loop over the entries of a
     SupportedVector: the absent entries in between add 0.0, which is exact.
@@ -273,12 +283,24 @@ def row_sums(terms: np.ndarray) -> np.ndarray:
 
 
 def norms(tab: Table) -> np.ndarray:
-    """||value|| per face: |scalar|, or the l1 norm in ascending order."""
+    """||value|| per face, for taking a sup: |scalar|, or an l1 norm.
+
+    The rows that can reach the largest norm are added in ascending point
+    order, as SupportedVector adds them, so the sup and the first row that
+    attains it are exact. The other rows are summed in any order and are
+    below that sup by more than any order of adding can move them."""
     if tab.module == SCALAR:
         return np.abs(tab.vals[:, 0])
+    width = tab.vals.shape[1]
     mag = np.abs(tab.vals, out=table_buffer(tab.vals.shape))
-    # a copy, so that the table of running sums can go back to the pool
-    return row_sums(mag).copy()
+    fast = mag @ np.ones(width)
+    top = fast.max(initial=0.0)
+    if not 0.0 < top < np.inf:          # none, all zero, or inf or NaN
+        # a copy, so that the table of running sums can go back to the pool
+        return row_sums(mag).copy()
+    near = np.flatnonzero(fast >= top - _order_slack(width) * top)
+    fast[near] = row_sums(mag[near])
+    return fast
 
 
 def gaps(lhs: Table, rhs: Table | None = None) -> np.ndarray:

@@ -637,7 +637,11 @@ def _sample_points(space: FiniteMetricSpace, p: int, r: float, ylen: int,
                                     60 * count + 1000):
             pool = np.concatenate((kept, faces[ok]))
             pool_at = np.concatenate((kept_at, attempts + np.flatnonzero(ok)))
-            first, _ = distinct(pool, n)    # first sightings, stream order
+            # the first sighting of each distinct point, in stream order
+            groups, inverse = distinct(pool, n)
+            first = np.full(len(groups), len(pool))
+            np.minimum.at(first, inverse, np.arange(len(pool)))
+            first.sort()
             kept, kept_at = pool[first], pool_at[first]
             attempts += len(faces)
             if len(kept) >= want:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,6 +106,14 @@ def test_profile_needs_a_schedule(capsys):
     rc = main(["profile", "--family", "cycle", "--size", "8", "--r", "1"])
     assert rc == 2
     assert "--smax or --schedule" in capsys.readouterr().err
+
+
+def test_profile_takes_smax_or_schedule_not_both(capsys):
+    rc = main(["profile", "--family", "cycle", "--size", "8", "--r", "1",
+               "--smax", "3", "--schedule", "1,2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--smax" in err and "--schedule" in err
 
 
 def test_profile_walk_method(capsys):
@@ -308,6 +319,27 @@ def test_verify_free_ball_report_matches_golden(tmp_path, capsys):
                   if not line.startswith('  "generated_at": '))
     golden = Path(__file__).parent / "data" / "verify_free_ball_golden.json"
     assert got == golden.read_text()
+
+
+def test_verify_report_does_not_depend_on_blas_threads(tmp_path):
+    # norms and the zero-sum check sum rows by matrix-vector products,
+    # whose order of adding may follow BLAS's blocking and threads; only
+    # bounds are read from those sums, so the report stays the golden one
+    golden = Path(__file__).parent / "data" / "verify_free_ball_golden.json"
+    src = str(Path(cc.__file__).parent.parent)
+    for threads in ("1", "2"):
+        target = tmp_path / f"report{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "coarsecohom.cli", "verify",
+                        "--family", "free_ball", "--rank", "2", "--radius",
+                        "3", "--suite", "all", "--count", "3", "--budget",
+                        "4000", "--sample", "200", "--out", str(target)],
+                       check=True, capture_output=True, env=env)
+        got = "".join(line for line in target.read_text().splitlines(True)
+                      if not line.startswith('  "generated_at": '))
+        assert got == golden.read_text()
 
 
 def test_verify_report_does_not_depend_on_buffer_reuse(tmp_path, capsys,

@@ -10,7 +10,7 @@ seed, and counted as the sequential rejection loop would count them.
 """
 
 import hashlib
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 from hypothesis import given, settings
@@ -224,6 +224,28 @@ def test_rejection_branch_attempts_match_the_replay():
     want, attempts = _replay(space, 2, 2.0, 1, 120, rng)
     assert [tuple(row) for row in dom[0].tolist()] == want
     assert dom.attempts == attempts > len(want) == dom.requested
+
+
+def test_sampler_keeps_first_sightings_in_stream_order():
+    # on K3 with p = 0 every proposal is admissible and the first batch
+    # repeats points, so the sample is the first five distinct points
+    # seen, not the five smallest
+    space = cc.generate_family("complete", {"n": 3})
+    faces, ok = next(_proposals(space, 0, 1.0, 1, np.random.default_rng(0),
+                                5, 1000))
+    assert ok.all()
+    seen = []
+    for attempts, row in enumerate(map(tuple, faces.tolist()), 1):
+        if row not in seen:
+            seen.append(row)
+        if len(seen) == 5:
+            break
+    assert attempts > 5                         # a repeat came first
+    assert sorted(seen) != sorted(product(range(3), repeat=2))[:5]
+    got, got_attempts = _sample_points(space, 0, 1.0, 1, 5,
+                                       np.random.default_rng(0))
+    assert [tuple(row) for row in got.tolist()] == sorted(seen)
+    assert got_attempts == attempts
 
 
 def test_sampler_spends_its_limit_on_a_small_domain():

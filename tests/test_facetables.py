@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import coarsecohom as cc
 from coarsecohom import L1, L1_ZERO, MODULES, SCALAR, facetables
-from coarsecohom.coefficients import PRUNE_TOL
+from coarsecohom.coefficients import PRUNE_TOL, ZERO_SUM_TOL
 from helpers import (GAMMA, MASK64, audit_equal_reference,
                      conv_norm_audit_reference, homotopy_defect_reference,
                      lanes_hash, leaf_reference, norm_audit_reference,
@@ -203,19 +203,131 @@ def test_zero_sum_violation_raises_the_closure_error(checked):
     assert str(got.value).startswith("l1_0 entries must sum to 0, got ")
 
 
-def test_distinct_faces_in_order_of_first_appearance():
+def test_distinct_groups_faces_in_code_order():
     # faces over few points are coded as one int64 each; over many points
     # (n ** k past 2**62) they are compared row by row; both give the same
+    # groups. Which face of a group is its representative is unspecified.
     rng = np.random.default_rng(5)
     for k in (1, 2, 4):
         faces = rng.integers(0, 4, size=(300, k))
         first, inverse = facetables.distinct(faces, 4)
-        assert np.array_equal(faces[first][inverse], faces)
-        assert np.array_equal(first, np.sort(first))
-        assert np.array_equal(np.unique(inverse, return_index=True)[1], first)
-        wide = facetables.distinct(faces, 2 ** 62)
-        assert np.array_equal(wide[0], first)
-        assert np.array_equal(wide[1], inverse)
+        groups = faces[first]
+        assert np.array_equal(groups[inverse], faces)
+        codes = groups @ 4 ** np.arange(k)[::-1]
+        assert (np.diff(codes) > 0).all()       # distinct, ascending
+        wide_first, wide_inverse = facetables.distinct(faces, 2 ** 62)
+        assert np.array_equal(faces[wide_first], groups)
+        assert np.array_equal(wide_inverse, inverse)
+    empty = facetables.distinct(np.zeros((0, 3), dtype=np.int64), 4)
+    assert [len(a) for a in empty] == [0, 0]
+
+
+def test_rule_tables_follow_the_faces_order():
+    # a cochain with no table rule is called once per distinct face, in
+    # code order; its rows still come back in the order of the faces asked
+    space = cc.generate_family("cycle", {"size": 8})
+    phi = cc.Cochain(space, 0, 0, L1,
+                     lambda xs, ys: cc.dirac(xs[0], weight=1.0 + ys[0]))
+    faces = np.array([[3, 1], [1, 2], [0, 5], [3, 1]])
+    want = [vec_dict(phi(tuple(row[:1]), tuple(row[1:])))
+            for row in faces.tolist()]
+    for rows in (faces, faces[:3]):
+        tab = facetables.evaluate(phi, rows)
+        assert [{k: v for k, v in enumerate(row) if v}
+                for row in tab.vals.tolist()] == want[:len(rows)]
+
+
+def _ordered_norms(vals):
+    """The l1 norm of each row added from left to right."""
+    return np.cumsum(np.abs(vals), axis=1)[:, -1]
+
+
+def _near_ties(rng, m, width):
+    """Rows that each hold the same entries in another order, so that
+    their sums differ only in the last bits."""
+    entries = rng.random(width) * 10.0 ** rng.integers(-3, 3, size=width)
+    return np.array([rng.permutation(entries) for _ in range(m)])
+
+
+def _sparse(rng, m, width):
+    scale = 10.0 ** rng.integers(-4, 4, size=(m, 1))
+    vals = rng.normal(size=(m, width)) * scale
+    vals[rng.random((m, width)) < 0.85] = 0.0
+    return vals
+
+
+def _with_nonfinite(rng, m, width):
+    vals = _sparse(rng, m, width)
+    vals[3, 5] = np.inf
+    vals[7, 2] = np.nan
+    return vals
+
+
+@pytest.mark.parametrize("make", [
+    _sparse,
+    lambda rng, m, width: np.tile(rng.random(width), (m, 1)),
+    _near_ties,
+    lambda rng, m, width: np.zeros((0, width)),
+    lambda rng, m, width: np.zeros((m, width)),
+    _with_nonfinite,
+], ids=["sparse", "all-equal", "near-ties", "empty", "zero", "inf-nan"])
+def test_norms_keep_the_ordered_sup_and_its_first_row(make):
+    # only the rows near the largest norm are added from left to right, so
+    # the sup and the first row attaining it are those of ordered sums
+    rng = np.random.default_rng(11)
+    for width in (16, 64, 300):
+        for _ in range(20):
+            vals = make(rng, 200, width)
+            want = _ordered_norms(vals)
+            got = facetables.norms(facetables.Table(L1, vals.copy()))
+            assert got.shape == want.shape
+            if not len(want):
+                continue
+            assert np.array_equal(got.max(), want.max(), equal_nan=True)
+            assert np.argmax(got) == np.argmax(want)
+            assert facetables.sup_of(got, 0.5) == facetables.sup_of(want, 0.5)
+
+
+def test_near_ties_do_differ_between_orders():
+    # the near-tie case above is only a test if some fast sum (any order)
+    # differs from the ordered one
+    vals = _near_ties(np.random.default_rng(11), 200, 64)
+    fast = np.abs(vals) @ np.ones(64)
+    assert (fast != _ordered_norms(vals)).any()
+    assert len(np.unique(_ordered_norms(vals))) > 1
+
+
+def _straddling_rows(width=64, tries=2000):
+    """Rows of l1_0-like entries of size about 1 whose ordered sum and
+    matvec sum fall on opposite sides of ZERO_SUM_TOL: (ordered above,
+    ordered at or below), one row each."""
+    rng = np.random.default_rng(3)
+    vals = rng.uniform(-1.0, 1.0, size=(tries, width))
+    prefix = np.cumsum(vals[:, :-1], axis=1)[:, -1]
+    # the last entry brings the ordered sum within a few ulps of the bound
+    vals[:, -1] = ZERO_SUM_TOL - prefix
+    vals[:, -1] += rng.integers(-40, 40, size=tries) * 2.0 ** -53
+    ordered = np.cumsum(vals, axis=1)[:, -1]
+    fast = vals @ np.ones(width)
+    above = np.flatnonzero((ordered > ZERO_SUM_TOL) & (fast <= ZERO_SUM_TOL))
+    below = np.flatnonzero((ordered <= ZERO_SUM_TOL) & (fast > ZERO_SUM_TOL))
+    assert len(above) and len(below)
+    return (vals[above[0]], ordered[above[0]].item()), vals[below[0]]
+
+
+def test_zero_sum_check_judges_by_the_ordered_sum():
+    (bad, total), good = _straddling_rows()
+    with pytest.raises(ValueError) as err:
+        facetables.finish(L1_ZERO, bad[None].copy())
+    assert str(err.value) == f"l1_0 entries must sum to 0, got {total!r}"
+    facetables.finish(L1_ZERO, good[None].copy())
+    # large entries whose ordered sum is exactly zero pass as well, though
+    # sums in other orders may miss zero by more than the bound
+    rng = np.random.default_rng(4)
+    big = rng.normal(size=(50, 64)) * 1e6
+    big[:, -1] = -np.cumsum(big[:, :-1], axis=1)[:, -1]
+    assert not np.cumsum(big, axis=1)[:, -1].any()
+    facetables.finish(L1_ZERO, big)
 
 
 @pytest.mark.parametrize("kind, params", [("cycle", {"size": 512}),
