@@ -13,10 +13,9 @@ from .coefficients import (L1, L1_ZERO, PRUNE_TOL, SCALAR, SupportedVector,
                            boundary_pairs, dirac, pi_sum)
 from .cochains import (DEFAULT_AUDIT_BUDGET, DEFAULT_SAMPLE_SIZE, EXACT_TOL,
                        NORM_BOUND_TOL, AuditRecord, AuditReport, Cochain,
-                       audit_points, cochain_sub, diff_D)
+                       _audit, _Sup, cochain_sub, diff_D)
 from .facetables import (csr_expand, distinct, evaluate, gaps, norms,
-                         row_entries, rows_fill, sup_of, sup_scan,
-                         vectors_csr, weighted, width_of)
+                         row_entries, rows_fill, vectors_csr, weighted)
 from .space import FiniteMetricSpace, mask_rows
 
 PROB_SUM_TOL = 1e-12
@@ -242,9 +241,9 @@ def lazy_walk_family(space: FiniteMetricSpace, steps: int,
     Two kernels compute P^steps. When the widest S-ball (`near(S)`) holds
     at most n / _SPARSE_WALK_SHARE points, the rows stay sparse on that
     pattern (_walk_rows_sparse): each entry is summed over k in ascending
-    order, so its bits do not depend on BLAS. Otherwise the rows saturate and dense np.linalg.matrix_power,
-    whose summation order is BLAS's, is faster. Either way entries below
-    PRUNE_TOL are dropped.
+    order, so its bits do not depend on BLAS. Otherwise the rows saturate
+    and dense np.linalg.matrix_power, whose summation order is BLAS's, is
+    faster. Either way entries below PRUNE_TOL are dropped.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -491,9 +490,10 @@ class DefectReport(AuditRecord):
     """Audited ||f*phi - phi|| against ||f|| ||D phi||_S with S = f.s.
 
     telescope_gap is the worst per-entry violation of the exact rewriting
-    (f*phi - phi)(x,y) = sum_z f(x)(z) (D phi)((x,z), y), evaluated on the
-    same audited points; the bound uses the coupled sup of ||D phi|| so a
-    sampled audit stays sound.
+    (f*phi - phi)(x,y) = sum_z f(x)(z) (D phi)((x,z), y), which is
+    T_F(D phi) for the pair field F(x) = sum_z f(x)(z) (x, z), evaluated on
+    the same audited points; the bound uses the coupled sup of ||D phi|| so
+    a sampled audit stays sound.
     """
     s: float
     defect_norm: float
@@ -526,35 +526,23 @@ def homotopy_defect(fam: ReiterFamily, phi: Cochain,
         raise ValueError("homotopy defect acts on column cochains (p = 0)")
     fam_cochain = fam.as_cochain()
     defect = cochain_sub(convolve(fam_cochain, phi), phi)
-    dphi = diff_D(phi)
-    dom = audit_points(fam.space, 1, phi.q + 1, 0.0, budget=budget,
-                       sample_size=sample_size, seed=seed)
-    n = fam.space.n
-    dphi_sup = 0.0
-    telescope_gap = 0.0
-
-    def fold_dphi(tab):
-        nonlocal dphi_sup
-        dphi_sup = sup_of(norms(tab), dphi_sup)
+    # T_F(D phi) for the pairs (x, z) of f's entries
+    rows = np.repeat(np.arange(fam.space.n), np.diff(fam.indptr))
+    telescope = _transfer_fill(fam.indptr, np.stack((rows, fam.cols), axis=1),
+                               fam.weights, diff_D(phi))
+    dphi_sup, telescope_gap = _Sup(), _Sup()
 
     def defect_norms(faces):
-        # also folds these points into dphi_sup and telescope_gap: the
-        # telescope sums f(x)(z) (D phi)((x, z), ys) over f(x)'s entries
-        nonlocal telescope_gap
+        # also folds these points into dphi_sup and telescope_gap
         dval = evaluate(defect, faces)
-        lengths, owner, src = csr_expand(fam.indptr, faces[:, 0])
-        tfaces = np.concatenate((faces[owner, :1], fam.cols[src, None],
-                                 faces[owner, 1:]), axis=1)
-        acc = weighted(phi.module, n, dphi, lengths, tfaces,
-                       fam.weights[src], fold_dphi)
-        telescope_gap = sup_of(gaps(dval, acc), telescope_gap)
+        telescope_gap.add(gaps(dval, telescope(faces, dphi_sup)))
         return norms(dval)
 
-    worst, witness = sup_scan(dom[0], 1, width_of(phi.module, n),
-                              defect_norms)
+    worst, record = _audit(fam.space, 1, phi.q + 1, 0.0, phi.module,
+                           defect_norms, budget, sample_size, seed)
     fnorm = fam.sup_norm
-    report = DefectReport(fam.s, worst, fnorm * dphi_sup, fnorm, dphi_sup,
-                          telescope_gap, witness=witness, **dom.record())
+    report = DefectReport(fam.s, worst, fnorm * dphi_sup.value, fnorm,
+                          dphi_sup.value, telescope_gap.value, **record)
     if not report.ok:
         raise AssertionError(f"homotopy defect bound violated: {report}")
     return defect, report
@@ -587,27 +575,16 @@ def conv_norm_audit(f: Cochain, theta: Cochain, r: float,
                     sample_size: int = DEFAULT_SAMPLE_SIZE,
                     seed: int = 0) -> ConvBoundReport:
     conv = convolve(f, theta)
-    dom = audit_points(f.space, f.p + 1, theta.q + 1, r, budget=budget,
-                       sample_size=sample_size, seed=seed)
-    f_sup = 0.0
-    theta_sup = 0.0
-
-    def fold_f(tab):
-        nonlocal f_sup
-        f_sup = sup_of(norms(tab), f_sup)
-
-    def fold_theta(tab):
-        nonlocal theta_sup
-        theta_sup = sup_of(norms(tab), theta_sup)
+    f_sup, theta_sup = _Sup(), _Sup()
 
     def conv_norms(faces):
         # also folds f(xs) and every theta((z,), ys) it weighs into the sups
-        return norms(_convolution(f, theta, faces, fold_f, fold_theta))
+        return norms(_convolution(f, theta, faces, f_sup, theta_sup))
 
-    lhs, witness = sup_scan(dom[0], f.p + 1, width_of(conv.module, f.space.n),
-                            conv_norms)
-    return ConvBoundReport(float(r), lhs, f_sup, theta_sup, witness=witness,
-                           **dom.record())
+    lhs, record = _audit(f.space, f.p + 1, theta.q + 1, r, conv.module,
+                         conv_norms, budget, sample_size, seed)
+    return ConvBoundReport(float(r), lhs, f_sup.value, theta_sup.value,
+                           **record)
 
 
 # -- pair fields and the transfer identity ----------------------------------------
@@ -653,16 +630,22 @@ def transfer_cochain(field, zeta: Cochain) -> Cochain:
         return SupportedVector(module, ent, sca)
 
     indptr, pairs, weights = vectors_csr(field)
-    pairs = pairs.reshape(-1, 2)
+    return Cochain(zeta.space, 0, zeta.q, module, rule, name="T_F",
+                   fill=_transfer_fill(indptr, pairs.reshape(-1, 2), weights,
+                                       zeta))
 
+
+def _transfer_fill(indptr, pairs, weights, zeta: Cochain):
+    """Table rule of T_F zeta for the field with CSR rows (indptr, pairs,
+    weights), pairs an (entries, 2) int array; seen, if given, gets the
+    tables of zeta values."""
     def fill(faces, seen=None):
         lengths, owner, src = csr_expand(indptr, faces[:, 0])
         zfaces = np.concatenate((pairs[src], faces[owner, 1:]), axis=1)
-        return weighted(module, zeta.space.n, zeta, lengths, zfaces,
+        return weighted(zeta.module, zeta.space.n, zeta, lengths, zfaces,
                         weights[src], seen)
 
-    return Cochain(zeta.space, 0, zeta.q, module, rule, name="T_F",
-                   fill=fill)
+    return fill
 
 
 def tf_identity(field, theta: Cochain, radius: float | None = None,
@@ -701,28 +684,20 @@ def tf_identity(field, theta: Cochain, radius: float | None = None,
     lhs = convolve(boundary, theta)
     zeta = diff_D(theta)
     rhs = transfer_cochain(field, zeta)
-    dom = audit_points(space, 1, theta.q + 1, 0.0, budget=budget,
-                       sample_size=sample_size, seed=seed)
-    lhs_sup = 0.0
-    zeta_sup = 0.0
-
-    def fold_zeta(tab):
-        nonlocal zeta_sup
-        zeta_sup = sup_of(norms(tab), zeta_sup)
+    zeta_sup, lhs_sup = _Sup(), _Sup()
 
     def identity_gaps(faces):
         # the audit_equal of lhs and rhs, folding ||rhs|| and every
         # ||zeta(pair, ys)|| that rhs weighs into lhs_sup and zeta_sup
-        nonlocal lhs_sup
-        right = rhs.fill(faces, fold_zeta)
-        lhs_sup = sup_of(norms(right), lhs_sup)
+        right = rhs.fill(faces, zeta_sup)
+        lhs_sup(right)
         return gaps(evaluate(lhs, faces), right)
 
-    worst, witness = sup_scan(dom[0], 1, width_of(theta.module, space.n),
-                              identity_gaps)
+    worst, record = _audit(space, 1, theta.q + 1, 0.0, theta.module,
+                           identity_gaps, budget, sample_size, seed)
     identity = AuditReport("pairing", lhs.p, lhs.q, 0.0, worst, EXACT_TOL,
-                           witness=witness, **dom.record())
+                           **record)
     f_sup = max((pv.norm for pv in field), default=0.0)
-    bound_ok = lhs_sup <= f_sup * zeta_sup + NORM_BOUND_TOL
-    return PairingReport(identity, lhs_sup, f_sup, zeta_sup, r_ball, r_pair,
-                         bound_ok)
+    bound_ok = lhs_sup.value <= f_sup * zeta_sup.value + NORM_BOUND_TOL
+    return PairingReport(identity, lhs_sup.value, f_sup, zeta_sup.value,
+                         r_ball, r_pair, bound_ok)

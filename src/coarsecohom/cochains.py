@@ -13,8 +13,10 @@ Sign conventions, chosen so every identity below is exact for all p, q:
 
 Seminorms constrain x to the radius-R tuple domain and leave y unrestricted;
 audits enumerate exactly within a budget and fall back to seeded uniform
-samples, reporting which one happened. Every audit evaluates its cochains
-as face tables (see facetables), chunk by chunk over its points; `rule` is
+samples, reporting which one happened. Every audit, here and in averaging,
+is one scan of its domain by _audit; a bound's right-hand side is a _Sup,
+the `seen` of the result's table rule. The audits evaluate cochains as
+face tables (see facetables), chunk by chunk over their points; `rule` is
 the pointwise specification they reproduce.
 """
 
@@ -26,7 +28,7 @@ import numpy as np
 
 from .coefficients import L1_ZERO, SupportedVector, dirac_diff
 from .facetables import (dirac_diff_table, evaluate, gaps, linear, norms,
-                         sup_of, sup_scan, width_of)
+                         sup_of, sup_scan)
 from .space import (FiniteMetricSpace, _exact_domain, _sample_points,
                     derive_seed)
 
@@ -299,13 +301,6 @@ def _witness_json(witness):
     return [list(xs), list(ys)]
 
 
-def _scan(phi: Cochain, points: np.ndarray, measure):
-    """Largest measure(faces) over the points of phi's domain and the first
-    point attaining it, by facetables.sup_scan."""
-    return sup_scan(points, phi.p + 1, width_of(phi.module, phi.space.n),
-                    measure)
-
-
 @dataclass(kw_only=True)
 class AuditRecord:
     """What every audit report says about the domain it scanned.
@@ -328,6 +323,34 @@ class AuditRecord:
                 "attempts": self.attempts}
 
 
+# -- the audit loop ------------------------------------------------------------
+
+class _Sup:
+    """A running sup from 0.0 in `value`: add folds an array of values, and
+    a call folds the norms of a table's values, so a _Sup is the `seen` of
+    a table rule."""
+
+    def __init__(self):
+        self.value = 0.0
+
+    def add(self, values: np.ndarray) -> None:
+        self.value = sup_of(values, self.value)
+
+    def __call__(self, tab) -> None:
+        self.add(norms(tab))
+
+
+def _audit(space: FiniteMetricSpace, xlen: int, ylen: int, r: float,
+           module: str, measure, budget: int, sample_size: int, seed: int):
+    """(sup, record): the largest measure(faces) over the radius-r audit
+    domain of (xlen, ylen) faces, whose values lie in module, and the
+    AuditRecord fields of the scan, its witness included."""
+    dom = audit_points(space, xlen, ylen, r, budget=budget,
+                       sample_size=sample_size, seed=seed)
+    best, witness = sup_scan(dom[0], xlen, module, space.n, measure)
+    return best, dom.record() | {"witness": witness}
+
+
 # -- seminorms -----------------------------------------------------------------
 
 @dataclass
@@ -345,11 +368,10 @@ def seminorm(phi: Cochain, r: float, budget: int = DEFAULT_AUDIT_BUDGET,
              sample_size: int = DEFAULT_SAMPLE_SIZE,
              seed: int = 0) -> SeminormReport:
     """R-seminorm of phi over its audit domain."""
-    dom = audit_points(phi.space, phi.p + 1, phi.q + 1, r, budget=budget,
-                       sample_size=sample_size, seed=seed)
-    best, witness = _scan(phi, dom[0],
-                          lambda faces: norms(evaluate(phi, faces)))
-    return SeminormReport(float(r), best, witness=witness, **dom.record())
+    best, record = _audit(phi.space, phi.p + 1, phi.q + 1, r, phi.module,
+                          lambda faces: norms(evaluate(phi, faces)), budget,
+                          sample_size, seed)
+    return SeminormReport(float(r), best, **record)
 
 
 # -- identity audits ------------------------------------------------------------
@@ -381,12 +403,12 @@ def audit_equal(check: str, lhs: Cochain, rhs: Cochain | None, r: float,
     budgeted audit domain of lhs; records the worst per-entry gap."""
     if rhs is not None and (lhs.p, lhs.q, lhs.module) != (rhs.p, rhs.q, rhs.module):
         raise ValueError("audit_equal needs matching bidegree and module")
-    dom = audit_points(lhs.space, lhs.p + 1, lhs.q + 1, r, budget=budget,
-                       sample_size=sample_size, seed=seed)
-    worst, witness = _scan(lhs, dom[0], lambda faces: gaps(
-        evaluate(lhs, faces), None if rhs is None else evaluate(rhs, faces)))
-    return AuditReport(check, lhs.p, lhs.q, float(r), worst, tol,
-                       witness=witness, **dom.record())
+    worst, record = _audit(lhs.space, lhs.p + 1, lhs.q + 1, r, lhs.module,
+                           lambda faces: gaps(
+                               evaluate(lhs, faces),
+                               None if rhs is None else evaluate(rhs, faces)),
+                           budget, sample_size, seed)
+    return AuditReport(check, lhs.p, lhs.q, float(r), worst, tol, **record)
 
 
 def audit_zero(check: str, lhs: Cochain, r: float, **kw) -> AuditReport:
@@ -425,18 +447,12 @@ def _audit_bound(check: str, result: Cochain, factor: float, r: float,
     """result is D, d or s of a base cochain; at each audited point the
     triangle inequality needs the base at the faces result sums over,
     which are exactly the base values result's table is made from."""
-    dom = audit_points(result.space, result.p + 1, result.q + 1, r,
-                       budget=budget, sample_size=sample_size, seed=seed)
-    rhs = 0.0
-
-    def fold_base(tab):
-        nonlocal rhs
-        rhs = sup_of(norms(tab), rhs)
-
-    lhs, witness = _scan(result, dom[0],
-                         lambda faces: norms(result.fill(faces, fold_base)))
-    return BoundReport(check, float(r), lhs, rhs, factor, witness=witness,
-                       **dom.record())
+    rhs = _Sup()
+    lhs, record = _audit(result.space, result.p + 1, result.q + 1, r,
+                         result.module,
+                         lambda faces: norms(result.fill(faces, rhs)),
+                         budget, sample_size, seed)
+    return BoundReport(check, float(r), lhs, rhs.value, factor, **record)
 
 
 def diff_D_norm_audit(phi: Cochain, r: float, budget: int = DEFAULT_AUDIT_BUDGET,
@@ -465,16 +481,14 @@ def split_s_norm_audit(phi: Cochain, r: float, budget: int = DEFAULT_AUDIT_BUDGE
 
 # -- Johnson cocycles --------------------------------------------------------------
 
-def johnson_cocycles(space: FiniteMetricSpace, audit: bool = True,
-                     budget: int = 800, seed: int = 0):
+def johnson_cocycles(space: FiniteMetricSpace):
     """The three basic zero-sum cochains on a space with >= 2 points.
 
     j01(x,(y0,y1)) = delta_y1 - delta_y0   (D-flat and d-flat),
     j10((x0,x1),(y)) = delta_x1 - delta_x0,
     hom(x,(y)) = delta_y - delta_x   with  D hom = -j10  and  d hom = j01.
 
-    The two identities (and flatness of j01) are audited on a budgeted domain
-    unless audit=False.
+    johnson_relations audits the two identities and the flatness of j01.
     """
     if space.n < 2:
         raise ValueError("Johnson cocycles need at least two points")
@@ -491,12 +505,6 @@ def johnson_cocycles(space: FiniteMetricSpace, audit: bool = True,
     hom = Cochain(space, 0, 0, L1_ZERO,
                   lambda xs, ys: dirac_diff(ys[0], xs[0]), name="hom",
                   fill=second_minus_first)
-    if audit:
-        bad = [c for c in johnson_relations(j01, j10, hom, 1.0, budget=budget,
-                                            seed=seed, tol=EXACT_TOL)
-               if not c.ok]
-        if bad:
-            raise AssertionError(f"Johnson identities failed: {bad[0]}")
     return j01, j10, hom
 
 

@@ -18,6 +18,10 @@ entries below PRUNE_TOL are dropped and every l1_0 value passes the
 zero-sum check, as in SupportedVector; scalars are never pruned. A cochain
 without a table rule (`Cochain.fill`) is called once per distinct face, so
 any closure-built cochain can be audited.
+
+The layout is private to this module: other modules build tables with its
+constructors and operators and read them through norms, gaps, row_entries,
+value_at and sup_scan, never through `vals` or a width.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ import weakref
 
 import numpy as np
 
-from .coefficients import L1_ZERO, PRUNE_TOL, SCALAR, ZERO_SUM_TOL
+from .coefficients import (L1_ZERO, PRUNE_TOL, SCALAR, ZERO_SUM_TOL,
+                           SupportedVector)
 
 # Bytes of the largest operand value table one step gathers from. Work is
 # split over the faces to stay near it, which bounds memory.
@@ -212,6 +217,30 @@ def rows_fill(module: str, n: int, indptr, cols, weights):
     """Table rule of a cochain whose value at (xs, ys) is CSR row xs[0]."""
     return lambda faces: csr_table(module, n, indptr, cols, weights,
                                    faces[:, 0])
+
+
+def scatter(module: str, n: int, m: int, rows, cols, values) -> Table:
+    """The finished table of m values made by adding each values[k] to
+    entry cols[k] of value rows[k], one term after another in the order
+    given (cols are 0 for scalars); rows and cols broadcast to the shape
+    of the values array."""
+    width = width_of(module, n)
+    cells = np.add(rows * width, cols,
+                   out=np.empty(values.shape, dtype=np.int64))
+    vals = table_buffer((m, width), zero=True)
+    # np.add.at adds sequentially, so each cell adds its terms in order
+    np.add.at(vals.reshape(-1), cells.ravel(), values.ravel())
+    return finish(module, vals)
+
+
+def value_at(tab: Table, i: int) -> SupportedVector:
+    """The i-th value of tab as a SupportedVector."""
+    row = tab.vals[i]
+    if tab.module == SCALAR:
+        return SupportedVector(SCALAR, scalar=row[0])
+    cols = np.flatnonzero(row)
+    return SupportedVector(tab.module, dict(zip(cols.tolist(),
+                                                row[cols].tolist())))
 
 
 def dirac_diff_table(n: int, a: np.ndarray, b: np.ndarray) -> Table:
@@ -465,16 +494,16 @@ def row_entries(tab: Table, rows: np.ndarray):
 
 # -- audits: sup scans over chunks of points ---------------------------------------
 
-def sup_scan(faces: np.ndarray, xlen: int, width: int, measure):
+def sup_scan(faces: np.ndarray, xlen: int, module: str, n: int, measure):
     """Largest measure over the points of an int array of faces (xs, then
     ys), starting from 0.0, and the first point attaining it as a pair of
     int tuples (xs, ys) (None if none exceeds 0.0).
 
     measure(faces) gives one value per face; points are measured in chunks
-    of about _TABLE_CHUNK_BYTES of value table, and a later chunk wins only
-    if it is strictly greater."""
+    of about _TABLE_CHUNK_BYTES of a table of values of the module over n
+    points, and a later chunk wins only if it is strictly greater."""
     best, at = 0.0, None
-    step = max(1, _step(len(faces), len(faces), width))
+    step = max(1, _step(len(faces), len(faces), width_of(module, n)))
     for lo in range(0, len(faces), step):
         vals = measure(faces[lo:lo + step])
         k = int(np.argmax(vals))

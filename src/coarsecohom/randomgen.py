@@ -25,9 +25,9 @@ mixer and the leaves, which tests/test_facetables.py checks bit for bit,
 with known answers of the mixer.
 
 A fill is one pass over all terms (_leaf_fill): the hashes of every term
-and face come out as one (terms, faces) array, and one np.add.at writes
-the entries in term order. A leaf's rule is its fill on one face, so the
-rules and the tables are one implementation.
+and face come out as one (terms, faces) array, and one facetables.scatter
+writes the entries in term order. A leaf's rule is its fill on one face,
+so the rules and the tables are one implementation.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 from .averaging import ReiterFamily
 from .coefficients import L1, L1_ZERO, SCALAR, PairVector, SupportedVector
 from .cochains import Cochain
-from .facetables import finish, rows_fill, table_buffer, vectors_csr
+from .facetables import rows_fill, scatter, value_at, vectors_csr
 from .space import FiniteMetricSpace, derive_seed, mask_rows
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -84,20 +84,14 @@ def _leaf_fill(space: FiniteMetricSpace, module: str, spread: int, hashes,
     and u the member of c's spread-ball that h picks. hashes(faces) gives
     every term's hash as a (terms, faces) array, and anchors(faces, h) the
     anchors c in the same shape."""
-    width = 1 if module == SCALAR else space.n
     if module != SCALAR:
         ball_ptr, members = mask_rows(space.near(spread))
 
-    def summed(faces):
-        # the terms added in order, before finish; the (terms, faces)
-        # arrays go when it returns
+    def fill(faces):
         h = hashes(faces)
         a = _coeffs(h)
-        m = len(faces)
-        cells = np.arange(m) * width           # each face's first cell
-        if module == SCALAR:
-            cells = np.broadcast_to(cells, h.shape)
-        else:
+        u = 0
+        if module != SCALAR:
             c = anchors(faces, h)
             start = ball_ptr[c]
             pick = (h >> 17).view(np.int64) % (ball_ptr[c + 1] - start)
@@ -106,26 +100,17 @@ def _leaf_fill(space: FiniteMetricSpace, module: str, spread: int, hashes,
                 # term t adds a at u, then -a at c
                 u = np.stack((u, c), axis=1)
                 a = np.stack((a, -a), axis=1)
-            cells = cells + u
-        # one sequential pass over the terms in order, so each cell adds
-        # its terms in term order
-        vals = table_buffer((m, width), zero=True)
-        np.add.at(vals.reshape(-1), cells.ravel(), a.ravel())
-        return vals
+        return scatter(module, space.n, len(faces), np.arange(len(faces)), u,
+                       a)
 
-    return lambda faces: finish(module, summed(faces))
+    return fill
 
 
 def _leaf_cochain(space: FiniteMetricSpace, p: int, q: int, module: str,
                   name: str, fill) -> Cochain:
     """The memoized cochain whose rule is fill on the one face xs + ys."""
     def rule(xs, ys):
-        row = fill(np.array([xs + ys], dtype=np.int64)).vals[0]
-        if module == SCALAR:
-            return SupportedVector(SCALAR, scalar=row[0])
-        cols = np.flatnonzero(row)
-        return SupportedVector(module, dict(zip(cols.tolist(),
-                                                row[cols].tolist())))
+        return value_at(fill(np.array([xs + ys], dtype=np.int64)), 0)
 
     return Cochain(space, p, q, module, rule, name=name, memoize=True,
                    fill=fill)

@@ -7,8 +7,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cochains import (EXACT_TOL, audit_zero, diff_D, johnson_cocycles,
-                       seminorm, split_s)
+from .cochains import (DEFAULT_SAMPLE_SIZE, EXACT_TOL, audit_zero, diff_D,
+                       johnson_cocycles, seminorm, split_s)
 from .space import FiniteMetricSpace
 
 
@@ -83,6 +83,7 @@ def diagnose(values, r: float, axis=None,
 
 def counterexample_s_not_invariant(space: FiniteMetricSpace,
                                    budget: int = 4000,
+                                   sample_size: int = DEFAULT_SAMPLE_SIZE,
                                    seed: int = 0) -> dict:
     """Certificate that s can destroy asymptotic invariance.
 
@@ -93,12 +94,12 @@ def counterexample_s_not_invariant(space: FiniteMetricSpace,
     """
     if space.n < 2:
         raise ValueError("need at least two points for the certificate")
-    phi, _, _ = johnson_cocycles(space, audit=False)
+    phi, _, _ = johnson_cocycles(space)
     r_used = max(1.0, space.min_positive_distance())
-    flat = audit_zero("D(j01)=0", diff_D(phi), r_used, budget=budget,
-                      seed=seed, tol=EXACT_TOL)
+    audit = {"budget": budget, "sample_size": sample_size, "seed": seed}
+    flat = audit_zero("D(j01)=0", diff_D(phi), r_used, tol=EXACT_TOL, **audit)
     ds = diff_D(split_s(phi))
-    norm_report = seminorm(ds, r_used, budget=budget, seed=seed)
+    norm_report = seminorm(ds, r_used, **audit)
     passed = flat.ok and abs(norm_report.value - 2.0) <= EXACT_TOL
     return {
         "space_n": space.n,

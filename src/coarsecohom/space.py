@@ -153,9 +153,6 @@ class FiniteMetricSpace:
     def diameter(self) -> float:
         return float(self.dist.max())
 
-    def eccentricity(self, i: int) -> float:
-        return float(self.dist[i].max())
-
     def min_positive_distance(self) -> float:
         if self.n < 2:
             raise ValueError("no positive distances on a single point")

@@ -41,7 +41,6 @@ class VerifyOptions:
     budget: int = 4000
     sample_size: int = 700
     identity_tol: float = IDENTITY_TOL
-    exact_tol: float = EXACT_TOL
 
     @property
     def audit(self) -> dict:
@@ -128,15 +127,15 @@ def run_splitting(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
 
 
 def run_johnson(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
-    j01, j10, hom = johnson_cocycles(space, audit=False)
+    j01, j10, hom = johnson_cocycles(space)
     checks = []
     for r in opts.r_list:
         checks += [c.to_json() for c in johnson_relations(
-            j01, j10, hom, r, tol=opts.exact_tol, **opts.audit)]
+            j01, j10, hom, r, tol=EXACT_TOL, **opts.audit)]
         rep = seminorm(j01, r, **opts.audit)
         checks.append(rep.to_json() | {
             "check": "seminorm(j01)=2",
-            "ok": abs(rep.value - 2.0) <= opts.exact_tol})
+            "ok": abs(rep.value - 2.0) <= EXACT_TOL})
     return _suite("johnson", checks)
 
 
@@ -145,7 +144,7 @@ def run_convolution(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
     checks = []
     delta = dirac_family(space).as_cochain()
     r0 = opts.r_list[0]
-    tight = dict(tol=opts.exact_tol, **opts.audit)
+    tight = dict(tol=EXACT_TOL, **opts.audit)
     loose = dict(tol=opts.identity_tol, **opts.audit)
     for i in range(count):
         q = _ROWS[i % 3]
@@ -201,7 +200,7 @@ def run_defect_bound(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
             continue
         checks.append(rep.to_json() | {
             "instance": i,
-            "ok": rep.ok and rep.telescope_gap <= opts.exact_tol})
+            "ok": rep.ok and rep.telescope_gap <= EXACT_TOL})
     return _suite("defect-bound", checks)
 
 
@@ -222,16 +221,16 @@ def run_pairing(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
         base = derive_seed(opts.seed, "lift-base", i) % rng_points
         lifted = lift_boundary(h, base)
         round_trip = entry_gap(boundary_pairs(lifted), h)
-        norm_ok = lifted.norm <= h.norm + opts.exact_tol
+        norm_ok = lifted.norm <= h.norm + EXACT_TOL
         supp_ok = all(z0 == base and z1 in h.support
                       for z0, z1 in lifted.support)
         bd = boundary_pairs(lifted)
-        contract = bd.norm <= 2.0 * lifted.norm + opts.exact_tol
+        contract = bd.norm <= 2.0 * lifted.norm + EXACT_TOL
         checks.append({"check": "lift_round_trip", "instance": i,
                        "max_violation": round_trip,
                        "norm_ok": norm_ok, "support_ok": supp_ok,
                        "boundary_contraction_ok": contract,
-                       "ok": (round_trip <= opts.exact_tol and norm_ok
+                       "ok": (round_trip <= EXACT_TOL and norm_ok
                               and supp_ok and contract)})
     return _suite("pairing", checks)
 
@@ -243,13 +242,13 @@ def run_ses(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
         drift = abs(pi_sum(include_in_l1(v)))
         checks.append({"check": "pi.iota=0", "instance": i,
                        "max_violation": drift,
-                       "ok": drift <= opts.exact_tol})
+                       "ok": drift <= EXACT_TOL})
         lam = 0.5 + i
         point = derive_seed(opts.seed, "ses-p", i) % space.n
         got = pi_sum(lift_scalar(lam, point))
         checks.append({"check": "pi.lift_scalar=id", "instance": i,
                        "max_violation": abs(got - lam),
-                       "ok": abs(got - lam) <= opts.exact_tol})
+                       "ok": abs(got - lam) <= EXACT_TOL})
     for s in (1.0, 2.0):
         phi = random_unit_sum_cochain(space, s,
                                       derive_seed(opts.seed, "ses-fam", s))
@@ -267,13 +266,12 @@ def run_ses(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
             checks.append({
                 "check": "normalize_round_trip", "S": s, "R": r,
                 "nu_f": nu_f, "nu_phi": nu_phi, "supports_unchanged": supp_ok,
-                "ok": supp_ok and nu_f <= 2.0 * nu_phi + opts.exact_tol})
+                "ok": supp_ok and nu_f <= 2.0 * nu_phi + EXACT_TOL})
     return _suite("ses", checks)
 
 
 def run_counterexample(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
-    rep = counterexample_s_not_invariant(space, budget=opts.budget,
-                                         seed=opts.seed)
+    rep = counterexample_s_not_invariant(space, **opts.audit)
     check = rep | {"check": "s_breaks_invariance",
                    "witness": _witness_json(rep["witness"]),
                    "ok": rep["passed"]}

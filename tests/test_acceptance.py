@@ -80,7 +80,7 @@ def test_criterion_02_norm_bounds_never_violated():
 
 def test_criterion_03_johnson_suite_exact():
     for space in SPACES + (CYCLE3, PATH8, CYCLE64):
-        j01, j10, hom = cc.johnson_cocycles(space, audit=True, budget=800)
+        j01, j10, hom = cc.johnson_cocycles(space)
         checks = [
             cc.audit_zero("D j01", cc.diff_D(j01), 1.0, budget=800,
                           tol=1e-12),

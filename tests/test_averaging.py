@@ -183,7 +183,7 @@ def test_normalize_dirac_fixed_point():
 
 
 def test_normalize_rejects_bad_sum():
-    j01, _, _ = cc.johnson_cocycles(CYCLE8, audit=False)
+    j01, _, _ = cc.johnson_cocycles(CYCLE8)
     bad = cc.Cochain(CYCLE8, 0, -1, L1,
                      lambda xs, ys: cc.dirac(xs[0], weight=0.5))
     with pytest.raises(ValueError, match=r"pi_sum\(phi\(0\)\) = 0\.5"):
@@ -286,7 +286,7 @@ def test_averaged_split_homotopy():
 def test_averaged_split_of_flat_cocycle_splits_exactly():
     # D j01 = 0 makes f * j01 = j01, so the homotopy recovers j01 itself
     fam = cc.ball_average(CYCLE8, 2.0)
-    j01, _, _ = cc.johnson_cocycles(CYCLE8, audit=False)
+    j01, _, _ = cc.johnson_cocycles(CYCLE8)
     lhs = averaged_homotopy(fam, j01)
     assert cc.audit_equal("splits j01", lhs, j01, 2.0, budget=6000,
                           tol=1e-12).ok
@@ -308,13 +308,37 @@ def test_homotopy_defect_exact_instance():
 
 
 def test_homotopy_defect_vanishes_for_flat_cochains():
-    j01, _, _ = cc.johnson_cocycles(CYCLE8, audit=False)
+    j01, _, _ = cc.johnson_cocycles(CYCLE8)
     fam = cc.ball_average(CYCLE8, 2.0)
     _, rep = cc.homotopy_defect(fam, j01)
     assert rep.defect_norm == 0.0
     _, rep = cc.homotopy_defect(cc.dirac_family(CYCLE8),
                                 cc.random_cochain(CYCLE8, 0, 0, L1, seed=12))
     assert rep.defect_norm == 0.0
+
+
+@pytest.mark.parametrize("module, q", [(L1, 1), (L1_ZERO, 0),
+                                       (SCALAR, -1)])
+def test_defect_telescope_is_the_transfer_of_d_phi(module, q):
+    # for F(x) = sum_z f(x)(z) (x, z), dF(x) = f(x) - delta_x, so the
+    # defect f*phi - phi is (dF)*phi = T_F(D phi): the telescope the
+    # defect audit compares against is transfer_cochain(F, D phi), and the
+    # pairing identity holds for this F
+    fam = cc.ball_average(TORUS8, 1.0)
+    phi = cc.random_cochain(TORUS8, 0, q, module, seed=21)
+    field = [cc.PairVector({(x, z): w for z, w in v.entries.items()})
+             for x, v in enumerate(fam.vectors)]
+    boundary = cc.Cochain(TORUS8, 0, -1, L1_ZERO,
+                          lambda xs, ys: cc.boundary_pairs(field[xs[0]]))
+    transfer = cc.transfer_cochain(field, cc.diff_D(phi))
+    kw = {"budget": 4000, "sample_size": 300, "seed": 2}
+    defect, rep = cc.homotopy_defect(fam, phi, **kw)
+    assert cc.audit_equal("telescope", defect, transfer, 0.0,
+                          **kw).max_violation == rep.telescope_gap
+    pairing = cc.audit_equal("dF*phi=T_F(D phi)", cc.convolve(boundary, phi),
+                             transfer, 0.0, tol=1e-12, **kw)
+    assert pairing.ok and rep.telescope_gap <= 1e-12
+    assert (pairing.exact, pairing.samples) == (rep.exact, rep.samples)
 
 
 def test_homotopy_defect_validation():
@@ -331,7 +355,7 @@ def test_tf_identity_lift_example():
     # F(x) = lift of delta_{x+1} - delta_x at x, the canonical cycle case
     field = [cc.lift_boundary(cc.dirac_diff((x + 1) % 8, x), x)
              for x in range(8)]
-    j01, _, _ = cc.johnson_cocycles(CYCLE8, audit=False)
+    j01, _, _ = cc.johnson_cocycles(CYCLE8)
     rep = cc.tf_identity(field, j01)
     assert rep.ok and rep.identity.max_violation <= 1e-12
     assert rep.r_ball == 1.0 and rep.r_pair == 1.0

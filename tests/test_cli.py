@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import coarsecohom as cc
-from coarsecohom import facetables
+from coarsecohom import cochains, facetables
 from coarsecohom.cli import main
 
 
@@ -319,6 +319,27 @@ def test_verify_free_ball_report_matches_golden(tmp_path, capsys):
                   if not line.startswith('  "generated_at": '))
     golden = Path(__file__).parent / "data" / "verify_free_ball_golden.json"
     assert got == golden.read_text()
+
+
+def test_counterexample_suite_honours_sample(tmp_path, capsys, monkeypatch):
+    # --budget and --sample bound every audit domain, the counterexample's
+    # two audits too: over budget, each draws exactly --sample points
+    drawn = []
+
+    def recording(*args, **kwargs):
+        dom = real(*args, **kwargs)
+        drawn.append(dom)
+        return dom
+
+    real = cochains.audit_points
+    monkeypatch.setattr(cochains, "audit_points", recording)
+    rc = main(["verify", "--family", "cycle", "--size", "16", "--suite",
+               "counterexample", "--budget", "50", "--sample", "7",
+               "--out", str(tmp_path / "report.json")])
+    assert rc == 0
+    capsys.readouterr()
+    assert len(drawn) == 2
+    assert [dom.requested for dom in drawn] == [7, 7]
 
 
 def test_verify_report_does_not_depend_on_blas_threads(tmp_path):

@@ -112,7 +112,10 @@ def test_memoization_counts_calls():
 
 
 def test_johnson_values_and_identities():
-    j01, j10, hom = cc.johnson_cocycles(PATH6)  # audits at construction
+    j01, j10, hom = cc.johnson_cocycles(PATH6)
+    for rep in cc.johnson_relations(j01, j10, hom, 1.0, budget=800,
+                                    tol=1e-12):
+        assert rep.ok, rep.to_json()
     v = j01((2,), (4, 1))
     assert v.get(1) == 1.0 and v.get(4) == -1.0
     assert j01((2,), (3, 3)).is_zero()
@@ -133,7 +136,7 @@ def test_johnson_needs_two_points():
 
 
 def test_seminorm_j01_is_two():
-    j01, _, _ = cc.johnson_cocycles(CYCLE8, audit=False)
+    j01, _, _ = cc.johnson_cocycles(CYCLE8)
     rep = cc.seminorm(j01, 1.0)
     assert rep.exact and rep.value == 2.0
     xs, ys = rep.witness

@@ -144,7 +144,7 @@ def test_johnson_ties_keep_the_first_witness(chunk):
     # ||j01|| is 2 wherever y0 != y1: every chunk ties, and only the first
     # point attaining 2 may be the witness
     space = cc.generate_family("cycle", {"size": 8})
-    j01, j10, hom = cc.johnson_cocycles(space, audit=False)
+    j01, j10, hom = cc.johnson_cocycles(space)
     kw = {"budget": 4000, "sample_size": 100, "seed": 1}
     with chunk_bytes(chunk):
         rep = cc.seminorm(j01, 2.0, **kw)
@@ -235,6 +235,53 @@ def test_rule_tables_follow_the_faces_order():
         tab = facetables.evaluate(phi, rows)
         assert [{k: v for k, v in enumerate(row) if v}
                 for row in tab.vals.tolist()] == want[:len(rows)]
+
+
+def test_scatter_adds_in_the_order_given_then_finishes():
+    # three terms into one cell: the running sum rounds 1e16 + 1.0 back to
+    # 1e16, so only the order given decides whether the 1.0 survives
+    for terms, want in (([1e16, 1.0, -1e16], 0.0), ([1e16, -1e16, 1.0], 1.0)):
+        tab = facetables.scatter(SCALAR, 4, 2, np.zeros(3, dtype=np.int64),
+                                 0, np.array(terms))
+        assert [facetables.value_at(tab, i).scalar for i in (0, 1)] == [
+            want, 0.0]
+    # l1 entries below PRUNE_TOL are dropped, as SupportedVector drops them
+    tab = facetables.scatter(L1, 4, 2, np.array([0, 0, 1, 0]),
+                             np.array([1, 2, 3, 1]),
+                             np.array([0.5, PRUNE_TOL / 2, -0.25, 0.25]))
+    assert [vec_dict(facetables.value_at(tab, i)) for i in (0, 1)] == [
+        {1: 0.75}, {3: -0.25}]
+    # and an l1_0 value that does not sum to zero raises SupportedVector's
+    # error
+    with pytest.raises(ValueError) as want:
+        cc.SupportedVector(L1_ZERO, {0: 1.0, 1: -0.5})
+    with pytest.raises(ValueError) as got:
+        facetables.scatter(L1_ZERO, 4, 1, 0, np.array([0, 1]),
+                           np.array([1.0, -0.5]))
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_value_at_reads_back_the_rule_value(module):
+    # a rule table read row by row gives the rule's values back: entries,
+    # their order and the scalar, also at a repeated face
+    space = cc.generate_family("cycle", {"size": 8})
+
+    def rule(xs, ys):
+        x, y = xs[0], ys[0]
+        if module == SCALAR:
+            return cc.SupportedVector(SCALAR, scalar=0.5 * x - y)
+        w = 1.0 + 0.25 * x
+        return cc.SupportedVector(module, {y: w, x: -w} if x != y else {})
+
+    bare = cc.Cochain(space, 0, 0, module, rule)
+    faces = np.array([[3, 1], [1, 2], [0, 5], [4, 4], [3, 1]])
+    tab = facetables.evaluate(bare, faces)
+    for i, (x, y) in enumerate(faces.tolist()):
+        got, want = facetables.value_at(tab, i), rule((x,), (y,))
+        assert got.module == module
+        assert list(got.entries.items()) == list(want.entries.items())
+        assert got.scalar == want.scalar
 
 
 def _ordered_norms(vals):

@@ -1,10 +1,11 @@
 """Source hygiene checks that need no linter: every module of the package
 uses each name it imports (`__init__.py` is skipped, since it imports names
-only to re-export them), every top-level name and every export is read by
-a module of the package other than `__init__.py`, only
-`space.py` reads the real-metric slack, the command line loads no optional
-heavy module, and no module calls the builtin hash(), whose values belong
-to the interpreter."""
+only to re-export them), every top-level name, public method and export is
+read by a module of the package other than `__init__.py`, only
+`space.py` reads the real-metric slack, only `facetables.py` knows how a
+face table is laid out, the command line loads no optional heavy module,
+and no module calls the builtin hash(), whose values belong to the
+interpreter."""
 
 import ast
 import os
@@ -40,11 +41,15 @@ def test_no_unused_imports():
 
 def _top_level_names(tree) -> dict:
     """{name: line} of the functions, classes and constants a module
-    defines at its top level."""
+    defines at its top level, and of the public methods of its classes."""
     names = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names[node.name] = node.lineno
+            if isinstance(node, ast.ClassDef):
+                names.update((item.name, item.lineno) for item in node.body
+                             if isinstance(item, ast.FunctionDef)
+                             and not item.name.startswith("_"))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [
                 node.target]
@@ -59,10 +64,15 @@ def _top_level_names(tree) -> dict:
 # coefficient modules.
 _EXPORTED_FOR_TESTS = {"scaled_metric", "zero"}
 
+# Public methods that only the test suite reads: within is the pointwise
+# form of the one within-R rule that near applies to whole rows, and
+# is_zero the predicate the tests state vanishing values with.
+_METHODS_FOR_TESTS = {"within", "is_zero"}
+
 
 def test_every_top_level_name_is_used():
-    # a top-level name or an export that no module of the package but
-    # `__init__` reads is dead code; cli.main is the entry point
+    # a top-level name, public method or export that no module of the
+    # package but `__init__` reads is dead code; cli.main is the entry point
     import coarsecohom
     trees = {p.name: ast.parse(p.read_text(), filename=str(p))
              for p in sorted(PACKAGE.glob("*.py"))}
@@ -77,7 +87,7 @@ def test_every_top_level_name_is_used():
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
-    alive = read | _EXPORTED_FOR_TESTS
+    alive = read | _EXPORTED_FOR_TESTS | _METHODS_FOR_TESTS
     dead = [f"{name}:{line}: {ident}" for name, tree in trees.items()
             for ident, line in sorted(_top_level_names(tree).items())
             if ident not in alive and (name, ident) != ("cli.py", "main")]
@@ -101,6 +111,23 @@ def test_only_space_reads_the_real_metric_slack():
                 readers.append(f"{path.name}:{node.lineno}")
     assert readers
     assert {hit.split(":")[0] for hit in readers} == {"space.py"}
+
+
+def test_only_facetables_knows_the_table_layout():
+    # a face table's `vals` array, its width and its buffers are one
+    # module's decision; a module that reads them has copied it out again
+    layout = {"vals", "table_buffer", "finish", "width_of"}
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.ImportFrom) else
+                     [getattr(node, "id", None), getattr(node, "attr", None)])
+            readers += [f"{path.name}:{node.lineno}: {name}"
+                        for name in layout.intersection(names)]
+    assert readers
+    assert [hit for hit in readers
+            if not hit.startswith("facetables.py:")] == []
 
 
 def test_cli_import_loads_no_scipy_or_numba():
