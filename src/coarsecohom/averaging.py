@@ -373,15 +373,66 @@ def _max_pair_variation(padded, pi, pj):
     return best, (int(pi[best_at]), int(pj[best_at]))
 
 
+def _one_row_variation(space, hops, s: float, r_list) -> list:
+    """(nu, pair) of the ball average at scale s for each R in r_list, on
+    a space with a group law, from the distances `hops` to the identity e.
+
+    The law is left-invariant, so the pair (x, y) varies as (e, x^-1 y)
+    does, and nu is the largest variation nu_t of the pairs (e, t) with
+    0 < d(e, t) <= R. With B = B_s(e), the ball of t is t * B. Every ball
+    row holds the single value w = 1.0 / |B|, so the dense scan adds only
+    0.0 or w for a pair, left to right, and its total is w added
+    k = 2 |B - t * B| times in sequence (a set difference). That sum is
+    read here from one cumulative sum of w, never formed as k * w, so nu is
+    the dense scan's float bit for bit. Every value is attained by a pair
+    from point 0 = e, so the dense scan's first maximising pair is
+    (e, least maximising t), and the t are read in ascending order.
+    """
+    law = space.group
+    inside = hops <= space.radius_bound(s)
+    ball = np.flatnonzero(inside)
+    # sums[k] is w added k times, from sums[0] = 0.0
+    sums = np.zeros(2 * len(ball) + 1)
+    np.cumsum(np.full(2 * len(ball), 1.0 / len(ball)), out=sums[1:])
+    step = max(1, _SCAN_CHUNK_BYTES // (8 * len(ball)))
+    out = []
+    for r in r_list:
+        moves = np.flatnonzero((hops > 0) & (hops <= space.radius_bound(r)))
+        if not len(moves):
+            out.append((0.0, (0, 0)))
+            continue
+        shared = np.concatenate([
+            np.count_nonzero(inside[law.translate(moves[lo:lo + step, None],
+                                                  ball)], axis=1)
+            for lo in range(0, len(moves), step)])
+        nu = sums[2 * (len(ball) - shared)]
+        k = int(np.argmax(nu))
+        out.append((float(nu[k]), (law.identity, int(moves[k]))))
+    return out
+
+
 def variation_profile(space: FiniteMetricSpace, schedule, r_list,
                       family=ball_average) -> ProfileTable:
     """nu(S, R) = max over pairs within R of ||f_S(x1) - f_S(x0)||_1.
 
-    Exact O(n^2) pair enumeration; the witness pair is the lexicographically
-    first maximizer. Single points never vary (nu uses x0 != x1 pairs; none
-    exist for n = 1, giving nu = 0).
+    The witness pair is the lexicographically first maximizer. Single
+    points never vary (nu uses x0 != x1 pairs; none exist for n = 1, giving
+    nu = 0). Which path runs depends on the space and the family, and both
+    give the same floats and witnesses:
+    - the ball average on a space with a group law (`space.group`: the
+      cycle and torus families) reads one row from the identity
+      (_one_row_variation), in O(n * degree) time and O(n) memory;
+    - every other family or space takes the exact O(n^2) scan of all pairs
+      within R.
     """
     rows = []
+    if space.group is not None and family is ball_average:
+        hops = space.hops_from_identity()
+        for s in schedule:
+            for r, (nu, pair) in zip(r_list, _one_row_variation(
+                    space, hops, s, r_list)):
+                rows.append(ProfileRow(float(s), float(r), nu, *pair))
+        return ProfileTable(rows)
     pairs: dict = {}
     for s in schedule:
         fam = family(space, s)

@@ -74,21 +74,29 @@ class FiniteMetricSpace:
     construction.
     """
 
+    # The group law of a space whose metric is left-invariant (see
+    # CayleyGraphSpace); None on every other space.
+    group = None
+
     def __init__(self, dist, labels=None, integer_metric=None, meta=None,
                  validate=True):
         dist = np.asarray(dist)
         if integer_metric is None:
             integer_metric = np.issubdtype(dist.dtype, np.integer)
         self.dist = _compact(dist) if integer_metric else dist.astype(float)
+        self._setup(int(dist.shape[0]), integer_metric, labels, meta)
+        if validate:
+            self.validate()
+
+    def _setup(self, n, integer_metric, labels, meta) -> None:
+        """Everything but the distance matrix."""
         self.integer_metric = bool(integer_metric)
-        self.n = int(dist.shape[0])
+        self.n = n
         self.labels = list(labels) if labels is not None else None
         self.meta = dict(meta) if meta else {"kind": "custom", "params": {}, "seed": 0}
         self._ball_lists: dict[float, list[tuple[int, ...]]] = {}
         self._dist_rows: list | None = None
         self._tuple_cache = _TupleCache()
-        if validate:
-            self.validate()
 
     # -- invariants ---------------------------------------------------------
 
@@ -280,6 +288,19 @@ def build_graph_metric(edges, n: int, labels=None, meta=None) -> FiniteMetricSpa
     return FiniteMetricSpace(dist, labels=labels, integer_metric=True, meta=meta)
 
 
+def _closed_adjacency(n: int, edges: np.ndarray):
+    """CSR adjacency (starts, nbrs) of the graph on 0..n-1 with the given
+    (m, 2) edge array, in which every vertex is also its own neighbour, so
+    that no row is empty; nbrs is int32."""
+    ids = np.arange(n, dtype=np.int32)
+    heads = np.concatenate([edges[:, 0], edges[:, 1], ids]).astype(np.int32)
+    tails = np.concatenate([edges[:, 1], edges[:, 0], ids]).astype(np.int32)
+    nbrs = tails[np.argsort(heads, kind="stable")]
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(heads, minlength=n), out=starts[1:])
+    return starts, nbrs
+
+
 def _hop_distances(n: int, edges: np.ndarray) -> np.ndarray:
     """All-pairs hop distances of the graph on 0..n-1 with the given
     (m, 2) edge array, every ball grown at once.
@@ -298,13 +319,8 @@ def _hop_distances(n: int, edges: np.ndarray) -> np.ndarray:
     dist = np.zeros((n, n), dtype=np.min_scalar_type(max(n - 1, 0)))
     if n == 0:
         return dist
+    starts, nbrs = _closed_adjacency(n, edges)
     ids = np.arange(n, dtype=np.int32)
-    heads = np.concatenate([edges[:, 0], edges[:, 1], ids]).astype(np.int32)
-    tails = np.concatenate([edges[:, 1], edges[:, 0], ids]).astype(np.int32)
-    nbrs = tails[np.argsort(heads, kind="stable")]
-    starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(heads, minlength=n), out=starts[1:])
-    del heads, tails
     # vertex blocks [a, b) whose gathered neighbour rows fit the chunk;
     # rows are 64-bit words, so each OR handles 64 vertices at once
     width = (n + 63) // 64
@@ -370,6 +386,83 @@ def _hop_distances(n: int, edges: np.ndarray) -> np.ndarray:
             got = bits[:b - a].reshape(b - a, -1)[:, :n]
             dist[a:b] |= np.left_shift(got, k, dtype=dist.dtype)
     return dist
+
+
+def _hop_row(n: int, edges: np.ndarray, source: int) -> np.ndarray:
+    """Hop distances from `source` in the connected graph on 0..n-1 with
+    the given (m, 2) edge array: a BFS one frontier at a time over a CSR
+    adjacency, in O(n + m) time and memory."""
+    starts, nbrs = _closed_adjacency(n, edges)
+    row = np.full(n, -1, dtype=np.int64)
+    row[source] = 0
+    frontier = np.array([source])
+    level = 0
+    while len(frontier):
+        level += 1
+        _, _, src = csr_expand(starts, frontier)
+        frontier = np.unique(nbrs[src])
+        frontier = frontier[row[frontier] < 0]
+        row[frontier] = level
+    return row
+
+
+class TorusLaw:
+    """The group (Z/size)^dim on point indices.
+
+    A point's index is its coordinate tuple read in mixed radix, last axis
+    fastest: the itertools.product order in which _torus_edges numbers the
+    vertices. So the identity (0, ..., 0) is index 0, and a cycle is the
+    case dim = 1.
+    """
+
+    identity = 0
+
+    def __init__(self, size: int, dim: int):
+        self.shape = (size,) * dim
+
+    def translate(self, t, g) -> np.ndarray:
+        """The indices of t * g, coordinatewise sums mod size, for index
+        arrays t and g that broadcast together."""
+        return np.ravel_multi_index(
+            tuple(a + b for a, b in zip(np.unravel_index(t, self.shape),
+                                        np.unravel_index(g, self.shape))),
+            self.shape, mode="wrap")
+
+
+class CayleyGraphSpace(FiniteMetricSpace):
+    """The hop metric of a Cayley graph: the points are the elements of a
+    group whose law is `group`, and each edge joins g to g * a for a
+    generator a.
+
+    The metric is left-invariant, d(t * x, t * y) = d(x, y), so the
+    distances from the identity (`hops_from_identity`, one BFS) determine
+    all the others. The n x n `dist` is built from the edges, and
+    validated, when something first reads it; n, labels, meta, to_json and
+    content_hash never do. Only generate_family builds these spaces, from
+    edges it generates itself, so there is no input to reject up front.
+    """
+
+    def __init__(self, edges, n: int, law, labels=None, meta=None):
+        self._setup(n, True, labels, meta)
+        self.group = law
+        self._edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        self._dist = None
+
+    @property
+    def dist(self) -> np.ndarray:
+        if self._dist is None:
+            self._dist = _compact(_hop_distances(self.n, self._edges))
+            self.validate()
+        return self._dist
+
+    def hops_from_identity(self) -> np.ndarray:
+        """d(e, .) for the identity e, as an int64 row."""
+        return _hop_row(self.n, self._edges, self.group.identity)
+
+    def min_positive_distance(self) -> float:
+        # a Cayley graph here has at least one edge, whose two points are at
+        # distance 1
+        return 1.0
 
 
 def load_edge_list(text: str, n: int | None = None) -> FiniteMetricSpace:
@@ -513,17 +606,24 @@ def generate_family(kind: str, params: dict, seed: int = 0) -> FiniteMetricSpace
 
     kind in {cycle, path, complete, torus, free_ball, random_regular};
     identical (kind, params, seed) always serializes byte-for-byte equal.
+    The cycle and torus families are Cayley graphs of (Z/size)^dim and
+    carry that group law (CayleyGraphSpace); the others are eager
+    FiniteMetricSpaces.
     """
     kind = kind.lower()
     extra: dict = {}
+    law = None
     if kind == "cycle":
         edges, n, labels = _cycle_edges(int(params["size"]))
+        law = TorusLaw(n, 1)
     elif kind == "path":
         edges, n, labels = _path_edges(int(params["size"]))
     elif kind == "complete":
         edges, n, labels = _complete_edges(int(params.get("n", params.get("size", 0))))
     elif kind == "torus":
-        edges, n, labels = _torus_edges(int(params.get("dim", 2)), int(params["size"]))
+        dim, size = int(params.get("dim", 2)), int(params["size"])
+        edges, n, labels = _torus_edges(dim, size)
+        law = TorusLaw(size, dim)
     elif kind == "free_ball":
         edges, n, labels = _free_ball_edges(int(params["rank"]), int(params["radius"]))
     elif kind == "random_regular":
@@ -535,6 +635,9 @@ def generate_family(kind: str, params: dict, seed: int = 0) -> FiniteMetricSpace
     canon = {key: int(val) for key, val in params.items()}
     meta = {"kind": kind, "params": canon, "seed": seed,
             "edges": sorted((min(e), max(e)) for e in edges), **extra}
+    if law is not None:
+        return CayleyGraphSpace(meta["edges"], n, law, labels=labels,
+                                meta=meta)
     return build_graph_metric(edges, n, labels=labels, meta=meta)
 
 

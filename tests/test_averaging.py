@@ -21,6 +21,14 @@ CYCLE64 = cc.generate_family("cycle", {"size": 64})
 TORUS8 = cc.generate_family("torus", {"dim": 2, "size": 8})
 
 
+def _law_free(space):
+    """The same graph with no group law, so that its ball profile takes the
+    dense pair scan."""
+    plain = cc.build_graph_metric(space.meta["edges"], space.n)
+    assert plain.group is None
+    return plain
+
+
 def test_ball_average_cycle3_is_uniform():
     sp = cc.generate_family("cycle", {"size": 3})
     fam = cc.ball_average(sp, 1.0)
@@ -71,7 +79,7 @@ def test_profile_agrees_with_seminorm_of_D():
 
 
 def test_profile_witness_is_first_maximizer():
-    table = cc.variation_profile(CYCLE8, [1], [1.0])
+    table = cc.variation_profile(_law_free(CYCLE8), [1], [1.0])
     row = table.get(1, 1.0)
     assert (row.x0, row.x1) == (0, 1)  # symmetric space: all pairs tie
     assert row.exact
@@ -503,6 +511,7 @@ def _families(draw):
        st.sampled_from([8, 64, 1 << 21]))
 def test_profile_scan_matches_dict_loop(fam, r, chunk_bytes):
     space = fam.space
+    assert space.group is None
     with mock.patch.object(averaging, "_SCAN_CHUNK_BYTES", chunk_bytes):
         row = cc.variation_profile(space, [fam.s], [r],
                                    family=lambda sp, s: fam).rows[0]
@@ -513,7 +522,8 @@ def test_profile_scan_matches_dict_loop(fam, r, chunk_bytes):
     assert type(row.x0) is int and type(row.x1) is int
 
 
-@pytest.mark.parametrize("space", [CYCLE8, TORUS8, CYCLE64,
+@pytest.mark.parametrize("space", [_law_free(CYCLE8), _law_free(TORUS8),
+                                   _law_free(CYCLE64),
                                    cc.generate_family("path", {"size": 1})],
                          ids=["cycle8", "torus8", "cycle64", "n1"])
 def test_profile_ties_and_empty_pairs_match_dict_loop(space):
@@ -525,6 +535,53 @@ def test_profile_ties_and_empty_pairs_match_dict_loop(space):
         assert (row.nu, (row.x0, row.x1)) == want
     assert table.get(1.0, 0.0).nu == 0.0
     assert (table.get(1.0, 0.0).x0, table.get(1.0, 0.0).x1) == (0, 0)
+
+
+def _group_spaces():
+    """Cycles of sizes 3-19, 2-tori of sizes 3-9, 3-tori of sizes 3-5."""
+    return ([("cycle", {"size": m}) for m in range(3, 20)]
+            + [("torus", {"dim": 2, "size": m}) for m in range(3, 10)]
+            + [("torus", {"dim": 3, "size": m}) for m in range(3, 6)])
+
+
+def _assert_one_row_is_the_dense_scan(space, schedule, r_list):
+    dense = cc.variation_profile(_law_free(space), schedule, r_list)
+    with mock.patch.object(averaging, "_pair_index") as scan:
+        routed = cc.variation_profile(space, schedule, r_list)
+    assert not scan.called and space._dist is None
+    assert [(row.s, row.r, row.nu.hex(), row.x0, row.x1, row.exact)
+            for row in routed.rows] == [
+        (row.s, row.r, row.nu.hex(), row.x0, row.x1, row.exact)
+        for row in dense.rows]
+    assert routed.to_csv() == dense.to_csv()
+    assert all(type(row.x1) is int for row in routed.rows)
+
+
+@pytest.mark.parametrize("kind,params", _group_spaces(),
+                         ids=lambda v: v if isinstance(v, str) else "-".join(
+                             str(x) for x in v.values()))
+def test_one_row_profile_matches_dense_scan_bit_for_bit(kind, params):
+    space = cc.generate_family(kind, params)
+    diameter = int(_law_free(space).diameter())
+    # S = 0 and R = 0 add the one-point balls and the empty pair set
+    _assert_one_row_is_the_dense_scan(
+        space, list(range(0, diameter + 2)),
+        [float(r) for r in range(0, min(diameter, 3) + 1)])
+
+
+@pytest.mark.parametrize("size", [12, 48])
+def test_one_row_profile_matches_dense_scan_on_large_tori(size):
+    space = cc.generate_family("torus", {"dim": 2, "size": size})
+    _assert_one_row_is_the_dense_scan(space, [1, 2, 3, 4, 5], [1.0, 2.0])
+
+
+def test_walk_profile_on_a_group_space_keeps_the_dense_scan():
+    walk = lambda sp, s: cc.lazy_walk_family(sp, int(s))
+    with mock.patch.object(averaging, "_one_row_variation") as one_row:
+        table = cc.variation_profile(TORUS8, [1, 2], [1.0, 2.0], family=walk)
+    assert not one_row.called
+    assert table.to_csv() == cc.variation_profile(
+        _law_free(TORUS8), [1, 2], [1.0, 2.0], family=walk).to_csv()
 
 
 @settings(deadline=None, max_examples=100)

@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
 import coarsecohom as cc
-from coarsecohom import cochains, facetables
+from coarsecohom import averaging, cochains, facetables, space
 from coarsecohom.cli import main
 
 
@@ -79,6 +82,69 @@ def test_profile_matches_closed_form(tmp_path):
     assert verdict["config"]["method"] == "ball"
     assert verdict["config"]["schedule"] == [1.0, 2.0, 3.0, 4.0, 5.0]
     assert verdict["space"]["kind"] == "cycle"
+
+
+def _verdict_without_timestamp(prefix):
+    report = json.loads(Path(f"{prefix}.verdict.json").read_text())
+    del report["generated_at"]
+    return report
+
+
+def test_routed_torus_profile_builds_no_distance_matrix(tmp_path,
+                                                       monkeypatch):
+    args = ["profile", "--smax", "4", "--r", "1,2", "--out"]
+    torus = cc.generate_family("torus", {"dim": 2, "size": 48})
+    saved = tmp_path / "torus48.json"
+    saved.write_text(json.dumps(torus.to_json()))
+    dense, routed = tmp_path / "dense", tmp_path / "routed"
+    assert main(args + [str(dense), "--space", str(saved)]) == 0
+
+    def refuse(n, edges):
+        raise AssertionError("built the n x n distance matrix")
+
+    monkeypatch.setattr(space, "_hop_distances", refuse)
+    tracemalloc.start()
+    try:
+        code = main(args + [str(routed), "--family", "torus", "--size", "48"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < torus.n ** 2  # one compact n x n uint8 matrix
+    assert (Path(f"{routed}.csv").read_bytes()
+            == Path(f"{dense}.csv").read_bytes())
+    assert (_verdict_without_timestamp(routed)
+            == _verdict_without_timestamp(dense))
+    assert torus.min_positive_distance() == 1.0 and torus._dist is None
+    monkeypatch.undo()
+    edges = np.array(torus.meta["edges"])
+    assert np.array_equal(torus.dist, space._hop_distances(torus.n, edges))
+    torus.validate()
+
+
+def test_torus_from_a_file_takes_the_dense_path_with_the_same_bytes(
+        tmp_path, capsys):
+    saved, edges = tmp_path / "torus12.json", tmp_path / "torus12.txt"
+    assert main(["gen", "--family", "torus", "--size", "12",
+                 "--out", str(saved)]) == 0
+    payload = json.loads(saved.read_text())
+    edges.write_text("".join(f"{u} {v}\n" for u, v in payload["edges"]))
+    assert cc.FiniteMetricSpace.from_json(payload).group is None
+    assert cc.load_edge_list(edges.read_text()).group is None
+    args = ["profile", "--smax", "5", "--r", "1,2", "--out"]
+    assert main(args + [str(tmp_path / "family"),
+                        "--family", "torus", "--size", "12"]) == 0
+    with mock.patch.object(averaging, "_one_row_variation",
+                           side_effect=AssertionError("routed")):
+        assert main(args + [str(tmp_path / "space"),
+                            "--space", str(saved)]) == 0
+        assert main(args + [str(tmp_path / "edges"),
+                            "--edges", str(edges)]) == 0
+    csv = {src: (tmp_path / f"{src}.csv").read_bytes()
+           for src in ("family", "space", "edges")}
+    assert csv["space"] == csv["family"] and csv["edges"] == csv["family"]
+    assert (_verdict_without_timestamp(tmp_path / "space")
+            == _verdict_without_timestamp(tmp_path / "family"))
 
 
 def test_profile_is_reproducible(tmp_path):

@@ -35,6 +35,60 @@ def test_torus_metric_matches_closed_form():
     assert sp.label(9) == "(1,1)"
 
 
+def _coordinates(space):
+    """Each point's coordinates, read from its label on a torus and from
+    its index on a cycle."""
+    if space.labels is None:
+        return np.arange(space.n)[:, None]
+    return np.array([[int(c) for c in label.strip("()").split(",")]
+                     for label in space.labels])
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("cycle", {"size": 7}), ("torus", {"dim": 2, "size": 5}),
+    ("torus", {"dim": 3, "size": 3})])
+def test_cycle_and_torus_laws_are_symmetries_of_their_metrics(kind, params):
+    sp = cc.generate_family(kind, params)
+    law, size, ids = sp.group, params["size"], np.arange(sp.n)
+    coords = _coordinates(sp)
+    assert law.identity == 0 and not coords[0].any()
+    # t * g adds coordinates mod size, in the labels' own numbering
+    table = law.translate(ids[:, None], ids[None, :])
+    index = {tuple(c): i for i, c in enumerate(coords.tolist())}
+    for t in range(sp.n):
+        sums = (coords[t] + coords) % size
+        assert table[t].tolist() == [index[tuple(c)] for c in sums.tolist()]
+    # left translation preserves the hop metric, which is what lets one row
+    # from the identity stand for every pair
+    dist = sp.dist
+    for t in range(sp.n):
+        assert np.array_equal(dist[np.ix_(table[t], table[t])], dist)
+    assert np.array_equal(sp.hops_from_identity(), dist[0])
+
+
+def test_group_space_builds_its_distance_matrix_on_first_read(monkeypatch):
+    sp = cc.generate_family("torus", {"dim": 2, "size": 5})
+    want = cc.build_graph_metric(sp.meta["edges"], sp.n).dist
+    assert sp.n == 25 and sp.label(6) == "(1,1)"
+    sp.to_json()
+    sp.content_hash()
+    assert sp.min_positive_distance() == 1.0
+    assert sp._dist is None
+    checked = []
+    validate = cc.FiniteMetricSpace.validate
+    monkeypatch.setattr(cc.FiniteMetricSpace, "validate",
+                        lambda self: checked.append(self) or validate(self))
+    first = sp.dist
+    assert checked == [sp]
+    assert first.dtype == want.dtype and np.array_equal(first, want)
+    assert sp.dist is first and checked == [sp]
+    # every other family stays eager and has no group law
+    for kind, params in (("path", {"size": 4}), ("complete", {"n": 4}),
+                         ("free_ball", {"rank": 1, "radius": 1})):
+        other = cc.generate_family(kind, params)
+        assert other.group is None and "dist" in vars(other)
+
+
 def test_path_and_complete():
     path = cc.generate_family("path", {"size": 12})
     assert path.n == 12 and path.d(0, 11) == 11
