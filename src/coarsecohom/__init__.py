@@ -3,8 +3,7 @@ spaces: the two-differential complex, its splitting, radius-R seminorms,
 averaging families, and variation profiles across graph test beds.
 """
 
-from .averaging import (ConvBoundReport, DefectReport, PairingReport,
-                        ProfileRow, ProfileTable, ReiterFamily, ball_average,
+from .averaging import (ProfileRow, ProfileTable, ReiterFamily, ball_average,
                         conv_norm_audit, convolve, dirac_family,
                         homotopy_defect, lazy_walk_family, normalize_to_prob,
                         tf_identity, transfer_cochain, variation_profile)
@@ -12,8 +11,7 @@ from .coefficients import (L1, L1_ZERO, MODULES, SCALAR, PairVector,
                            SupportedVector, boundary_pairs, dirac, dirac_diff,
                            entry_gap, include_in_l1, lift_boundary,
                            lift_scalar, pi_sum, zero)
-from .cochains import (AuditPoints, AuditRecord, AuditReport, BoundReport,
-                       Cochain, SeminormReport, audit_equal, audit_points,
+from .cochains import (AuditPoints, Check, Cochain, audit_equal, audit_points,
                        audit_zero, cochain_add, cochain_scale, cochain_sub,
                        diff_D, diff_D_norm_audit, diff_d, diff_d_norm_audit,
                        johnson_cocycles, johnson_relations, seminorm, split_s,

@@ -12,8 +12,8 @@ import numpy as np
 from .coefficients import (L1, L1_ZERO, PRUNE_TOL, SCALAR, SupportedVector,
                            boundary_pairs, dirac, pi_sum)
 from .cochains import (DEFAULT_AUDIT_BUDGET, DEFAULT_SAMPLE_SIZE, EXACT_TOL,
-                       NORM_BOUND_TOL, AuditRecord, AuditReport, Cochain,
-                       _audit, _Sup, cochain_sub, diff_D)
+                       Check, Cochain, _audit, _Sup, bound_check, cochain_sub,
+                       diff_D, identity_check)
 from .facetables import (csr_expand, distinct, evaluate, gaps, norms,
                          row_entries, rows_fill, vectors_csr, weighted)
 from .space import FiniteMetricSpace, mask_rows
@@ -536,41 +536,20 @@ def _convolution(f: Cochain, theta: Cochain, faces, seen_f=None,
     return weighted(theta.module, n, theta, lengths, tfaces, w, seen_theta)
 
 
-@dataclass
-class DefectReport(AuditRecord):
-    """Audited ||f*phi - phi|| against ||f|| ||D phi||_S with S = f.s.
-
-    telescope_gap is the worst per-entry violation of the exact rewriting
-    (f*phi - phi)(x,y) = sum_z f(x)(z) (D phi)((x,z), y), which is
-    T_F(D phi) for the pair field F(x) = sum_z f(x)(z) (x, z), evaluated on
-    the same audited points; the bound uses the coupled sup of ||D phi|| so
-    a sampled audit stays sound.
-    """
-    s: float
-    defect_norm: float
-    bound: float
-    family_norm: float
-    dphi_sup: float
-    telescope_gap: float
-    tol: float = NORM_BOUND_TOL
-
-    @property
-    def ok(self) -> bool:
-        return self.defect_norm <= self.bound + self.tol
-
-    def to_json(self) -> dict:
-        return {"check": "homotopy_defect", "S": self.s,
-                "value": self.defect_norm, "bound": self.bound,
-                "family_norm": self.family_norm, "dphi_sup": self.dphi_sup,
-                "telescope_gap": self.telescope_gap, "ok": self.ok,
-                **self._domain_json()}
-
-
 def homotopy_defect(fam: ReiterFamily, phi: Cochain,
                     budget: int = DEFAULT_AUDIT_BUDGET,
                     sample_size: int = DEFAULT_SAMPLE_SIZE,
-                    seed: int = 0):
-    """Defect cochain f*phi - phi plus its audited bound report."""
+                    seed: int = 0) -> tuple[Cochain, Check]:
+    """Defect cochain f*phi - phi plus its audited bound check.
+
+    The check bounds ||f*phi - phi|| ("value") by ||f|| ||D phi||_S with
+    S = f.s ("bound"), using the coupled sup of ||D phi|| so a sampled
+    audit stays sound. telescope_gap is the worst per-entry violation of the
+    exact rewriting (f*phi - phi)(x,y) = sum_z f(x)(z) (D phi)((x,z), y),
+    which is T_F(D phi) for the pair field F(x) = sum_z f(x)(z) (x, z),
+    evaluated on the same audited points. ok says the bound holds and
+    telescope_gap <= EXACT_TOL; a failing check is returned, not raised.
+    """
     if not fam.is_prob:
         raise ValueError("homotopy defect needs a probability family")
     if phi.p != 0:
@@ -592,39 +571,20 @@ def homotopy_defect(fam: ReiterFamily, phi: Cochain,
     worst, record = _audit(fam.space, 1, phi.q + 1, 0.0, phi.module,
                            defect_norms, budget, sample_size, seed)
     fnorm = fam.sup_norm
-    report = DefectReport(fam.s, worst, fnorm * dphi_sup.value, fnorm,
-                          dphi_sup.value, telescope_gap.value, **record)
-    if not report.ok:
-        raise AssertionError(f"homotopy defect bound violated: {report}")
-    return defect, report
+    return defect, bound_check(
+        "homotopy_defect", worst, fnorm * dphi_sup.value,
+        {"S": fam.s, "family_norm": fnorm, "dphi_sup": dphi_sup.value,
+         "telescope_gap": telescope_gap.value},
+        telescope_gap.value <= EXACT_TOL, **record)
 
 
 # -- convolution norm bound ------------------------------------------------------
 
-@dataclass
-class ConvBoundReport(AuditRecord):
-    """Audited ||f*theta||_R <= ||f||_R ||theta|| with coupled theta points."""
-    r: float
-    lhs: float
-    f_sup: float
-    theta_sup: float
-    tol: float = NORM_BOUND_TOL
-
-    @property
-    def ok(self) -> bool:
-        return self.lhs <= self.f_sup * self.theta_sup + self.tol
-
-    def to_json(self) -> dict:
-        return {"check": "norm_bound_conv", "R": self.r, "value": self.lhs,
-                "bound": self.f_sup * self.theta_sup, "f_sup": self.f_sup,
-                "theta_sup": self.theta_sup, "ok": self.ok,
-                **self._domain_json()}
-
-
 def conv_norm_audit(f: Cochain, theta: Cochain, r: float,
                     budget: int = DEFAULT_AUDIT_BUDGET,
                     sample_size: int = DEFAULT_SAMPLE_SIZE,
-                    seed: int = 0) -> ConvBoundReport:
+                    seed: int = 0) -> Check:
+    """Audited ||f*theta||_R <= ||f||_R ||theta|| with coupled theta points."""
     conv = convolve(f, theta)
     f_sup, theta_sup = _Sup(), _Sup()
 
@@ -634,34 +594,12 @@ def conv_norm_audit(f: Cochain, theta: Cochain, r: float,
 
     lhs, record = _audit(f.space, f.p + 1, theta.q + 1, r, conv.module,
                          conv_norms, budget, sample_size, seed)
-    return ConvBoundReport(float(r), lhs, f_sup.value, theta_sup.value,
-                           **record)
+    return bound_check("norm_bound_conv", lhs, f_sup.value * theta_sup.value,
+                       {"R": float(r), "f_sup": f_sup.value,
+                        "theta_sup": theta_sup.value}, **record)
 
 
 # -- pair fields and the transfer identity ----------------------------------------
-
-@dataclass
-class PairingReport:
-    """(boundary F) * theta = T_F(D theta), audited, plus the T_F bound."""
-    identity: AuditReport
-    lhs_sup: float
-    f_sup: float
-    zeta_sup: float
-    r_ball: float
-    r_pair: float
-    bound_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.identity.ok and self.bound_ok
-
-    def to_json(self) -> dict:
-        return {"check": "pairing", "identity": self.identity.to_json(),
-                "value": self.lhs_sup, "bound": self.f_sup * self.zeta_sup,
-                "f_sup": self.f_sup, "zeta_sup": self.zeta_sup,
-                "r_ball": self.r_ball, "r_pair": self.r_pair,
-                "ok": self.ok}
-
 
 def transfer_cochain(field, zeta: Cochain) -> Cochain:
     """(T_F zeta)(x, y) = sum over pairs F(x)(z0,z1) zeta((z0,z1), y)."""
@@ -702,13 +640,16 @@ def _transfer_fill(indptr, pairs, weights, zeta: Cochain):
 def tf_identity(field, theta: Cochain, radius: float | None = None,
                 budget: int = DEFAULT_AUDIT_BUDGET,
                 sample_size: int = DEFAULT_SAMPLE_SIZE,
-                seed: int = 0) -> PairingReport:
+                seed: int = 0) -> Check:
     """Audit (boundary F) * theta = T_F(D theta) for a ball-bounded pair field.
 
     field is one PairVector per point. The supports' ball radius is measured
     (or checked against `radius` when given; escaping supports raise with a
     witness); the T_F norm bound is audited at the measured pairwise radius
     of the supports, which is what the triangle inequality actually uses.
+    The "pairing" check bounds sup ||T_F(D theta)|| ("value") by
+    ||F|| sup ||D theta|| ("bound") and nests the identity's audit under
+    "identity"; ok needs both.
     """
     space = theta.space
     if len(field) != space.n:
@@ -746,9 +687,10 @@ def tf_identity(field, theta: Cochain, radius: float | None = None,
 
     worst, record = _audit(space, 1, theta.q + 1, 0.0, theta.module,
                            identity_gaps, budget, sample_size, seed)
-    identity = AuditReport("pairing", lhs.p, lhs.q, 0.0, worst, EXACT_TOL,
-                           **record)
+    identity = identity_check("pairing", lhs.p, lhs.q, 0.0, worst, EXACT_TOL,
+                              **record)
     f_sup = max((pv.norm for pv in field), default=0.0)
-    bound_ok = lhs_sup.value <= f_sup * zeta_sup.value + NORM_BOUND_TOL
-    return PairingReport(identity, lhs_sup.value, f_sup, zeta_sup.value,
-                         r_ball, r_pair, bound_ok)
+    return bound_check("pairing", lhs_sup.value, f_sup * zeta_sup.value,
+                       {"identity": identity, "f_sup": f_sup,
+                        "zeta_sup": zeta_sup.value, "r_ball": r_ball,
+                        "r_pair": r_pair}, identity.ok)

@@ -124,6 +124,12 @@ def _space_summary(space: FiniteMetricSpace) -> str:
     return " ".join(parts)
 
 
+def _exact_flag(check: dict) -> bool | None:
+    """Whether a check's audit was exhaustive, read from its own "exact" or
+    from its nested identity's; None for a check that scanned no domain."""
+    return check.get("exact", check.get("identity", {}).get("exact"))
+
+
 def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -239,9 +245,11 @@ def _cmd_verify(args) -> int:
     for suite in results:
         checks = suite["checks"]
         bad = [c for c in checks if not c.get("ok")]
+        flags = [flag for flag in map(_exact_flag, checks) if flag is not None]
         status = "ok" if not bad else "FAIL"
         print(f"{status:4s} {suite['suite']}: "
-              f"{len(checks) - len(bad)}/{len(checks)} checks passed")
+              f"{len(checks) - len(bad)}/{len(checks)} checks passed, "
+              f"{sum(flags)}/{len(flags)} exact")
         for c in bad[:args.show_failures]:
             print(f"     failed: {json.dumps(c, sort_keys=True)}")
         all_ok = all_ok and not bad

@@ -22,7 +22,7 @@ the pointwise specification they reproduce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -231,7 +231,7 @@ class AuditPoints(tuple):
         return pair
 
     def record(self) -> dict:
-        """The AuditRecord fields of an audit over these points."""
+        """The Check domain fields of an audit over these points."""
         points, exact = self
         return {"exact": exact,
                 "samples": None if exact else len(points),
@@ -302,25 +302,65 @@ def _witness_json(witness):
 
 
 @dataclass(kw_only=True)
-class AuditRecord:
-    """What every audit report says about the domain it scanned.
+class Check:
+    """One verdict of a law audit, as every report prints it.
 
-    exact: the domain was enumerated in full, so the report is a proof on
-    it; otherwise it is a lower bound, samples counts the points obtained,
-    requested the points the sampler was asked for and attempts its
-    proposals (all three None when exact). witness: the point attaining the
-    reported sup, or None.
+    check names the law, and ok is the verdict: None for a bare measurement
+    such as a seminorm, which then prints no "ok". values holds the numbers
+    the verdict was read from, each under its report key ("value", "bound",
+    "max_violation", ...), in print order; a nested Check prints as its
+    JSON. The domain fields belong to an audit only, and a check whose exact
+    is None prints none of them: exact says the domain was enumerated in
+    full, so the check is a proof on it; otherwise it is a lower bound,
+    samples counts the points obtained, requested the points the sampler
+    was asked for and attempts its proposals (all three None when exact).
+    witness is the point attaining the reported sup, or None. instance
+    numbers the random instance a suite drew the check from.
     """
-    exact: bool
-    witness: tuple | None
-    samples: int | None
-    requested: int | None
-    attempts: int | None
+    check: str
+    ok: bool | None = None
+    values: dict = field(default_factory=dict)
+    exact: bool | None = None
+    witness: tuple | None = None
+    samples: int | None = None
+    requested: int | None = None
+    attempts: int | None = None
+    instance: int | None = None
 
-    def _domain_json(self) -> dict:
-        return {"exact": self.exact, "witness": _witness_json(self.witness),
-                "samples": self.samples, "requested": self.requested,
-                "attempts": self.attempts}
+    def __getitem__(self, key: str):
+        return self.values[key]
+
+    def to_json(self) -> dict:
+        out = {"check": self.check}
+        out.update((key, val.to_json() if isinstance(val, Check) else val)
+                   for key, val in self.values.items())
+        if self.ok is not None:
+            out["ok"] = self.ok
+        if self.exact is not None:
+            out.update(exact=self.exact, witness=_witness_json(self.witness),
+                       samples=self.samples, requested=self.requested,
+                       attempts=self.attempts)
+        if self.instance is not None:
+            out["instance"] = self.instance
+        return out
+
+
+def identity_check(check: str, p: int, q: int, r: float, worst: float,
+                   tol: float, **record) -> Check:
+    """The verdict of an identity audit whose worst per-entry gap was
+    worst: it holds within tol; record is the audit's domain."""
+    return Check(check=check, ok=worst <= tol,
+                 values={"p": p, "q": q, "R": float(r), "max_violation": worst,
+                         "tol": tol}, **record)
+
+
+def bound_check(check: str, value: float, bound: float, more: dict,
+                holds: bool = True, **record) -> Check:
+    """The verdict of a norm bound: value <= bound + NORM_BOUND_TOL, and
+    holds, the bound's other conditions; more's numbers print after
+    "value" and "bound", and record is the audit's domain, if any."""
+    return Check(check=check, ok=holds and value <= bound + NORM_BOUND_TOL,
+                 values={"value": value, "bound": bound, **more}, **record)
 
 
 # -- the audit loop ------------------------------------------------------------
@@ -344,7 +384,7 @@ def _audit(space: FiniteMetricSpace, xlen: int, ylen: int, r: float,
            module: str, measure, budget: int, sample_size: int, seed: int):
     """(sup, record): the largest measure(faces) over the radius-r audit
     domain of (xlen, ylen) faces, whose values lie in module, and the
-    AuditRecord fields of the scan, its witness included."""
+    Check domain fields of the scan, its witness included."""
     dom = audit_points(space, xlen, ylen, r, budget=budget,
                        sample_size=sample_size, seed=seed)
     best, witness = sup_scan(dom[0], xlen, module, space.n, measure)
@@ -353,52 +393,23 @@ def _audit(space: FiniteMetricSpace, xlen: int, ylen: int, r: float,
 
 # -- seminorms -----------------------------------------------------------------
 
-@dataclass
-class SeminormReport(AuditRecord):
-    """sup over audited tuples of the value norm; a lower bound if sampled."""
-    r: float
-    value: float
-
-    def to_json(self) -> dict:
-        return {"check": "seminorm", "R": self.r, "value": self.value,
-                **self._domain_json()}
-
-
 def seminorm(phi: Cochain, r: float, budget: int = DEFAULT_AUDIT_BUDGET,
-             sample_size: int = DEFAULT_SAMPLE_SIZE,
-             seed: int = 0) -> SeminormReport:
-    """R-seminorm of phi over its audit domain."""
+             sample_size: int = DEFAULT_SAMPLE_SIZE, seed: int = 0) -> Check:
+    """R-seminorm of phi over its audit domain, as the bare measurement
+    "value" (a lower bound if sampled)."""
     best, record = _audit(phi.space, phi.p + 1, phi.q + 1, r, phi.module,
                           lambda faces: norms(evaluate(phi, faces)), budget,
                           sample_size, seed)
-    return SeminormReport(float(r), best, **record)
+    return Check(check="seminorm", values={"R": float(r), "value": best},
+                 **record)
 
 
 # -- identity audits ------------------------------------------------------------
 
-@dataclass
-class AuditReport(AuditRecord):
-    check: str
-    p: int
-    q: int
-    r: float
-    max_violation: float
-    tol: float = IDENTITY_TOL
-
-    @property
-    def ok(self) -> bool:
-        return self.max_violation <= self.tol
-
-    def to_json(self) -> dict:
-        return {"check": self.check, "p": self.p, "q": self.q, "R": self.r,
-                "max_violation": self.max_violation, "tol": self.tol,
-                "ok": self.ok, **self._domain_json()}
-
-
 def audit_equal(check: str, lhs: Cochain, rhs: Cochain | None, r: float,
                 budget: int = DEFAULT_AUDIT_BUDGET,
                 sample_size: int = DEFAULT_SAMPLE_SIZE, seed: int = 0,
-                tol: float = IDENTITY_TOL) -> AuditReport:
+                tol: float = IDENTITY_TOL) -> Check:
     """Pointwise comparison of two cochains (rhs None = zero) over the
     budgeted audit domain of lhs; records the worst per-entry gap."""
     if rhs is not None and (lhs.p, lhs.q, lhs.module) != (rhs.p, rhs.q, rhs.module):
@@ -408,56 +419,36 @@ def audit_equal(check: str, lhs: Cochain, rhs: Cochain | None, r: float,
                                evaluate(lhs, faces),
                                None if rhs is None else evaluate(rhs, faces)),
                            budget, sample_size, seed)
-    return AuditReport(check, lhs.p, lhs.q, float(r), worst, tol, **record)
+    return identity_check(check, lhs.p, lhs.q, r, worst, tol, **record)
 
 
-def audit_zero(check: str, lhs: Cochain, r: float, **kw) -> AuditReport:
+def audit_zero(check: str, lhs: Cochain, r: float, **kw) -> Check:
     return audit_equal(check, lhs, None, r, **kw)
 
 
 # -- operator norm bounds ---------------------------------------------------------
 
-@dataclass
-class BoundReport(AuditRecord):
+def _audit_bound(check: str, result: Cochain, factor: float, r: float,
+                 budget: int, sample_size: int, seed: int) -> Check:
     """Audited ||result||_R <= factor * ||base|| with coupled base points.
 
-    rhs is the sup of ||base|| over exactly the points the triangle
-    inequality needs for each audited result point, so a sampled audit can
-    never produce a spurious violation.
-    """
-    check: str
-    r: float
-    lhs: float
-    rhs: float
-    factor: float
-    tol: float = NORM_BOUND_TOL
-
-    @property
-    def ok(self) -> bool:
-        return self.lhs <= self.factor * self.rhs + self.tol
-
-    def to_json(self) -> dict:
-        return {"check": self.check, "R": self.r, "value": self.lhs,
-                "bound": self.factor * self.rhs, "factor": self.factor,
-                "ok": self.ok, **self._domain_json()}
-
-
-def _audit_bound(check: str, result: Cochain, factor: float, r: float,
-                 budget: int, sample_size: int, seed: int) -> BoundReport:
-    """result is D, d or s of a base cochain; at each audited point the
+    result is D, d or s of a base cochain; at each audited point the
     triangle inequality needs the base at the faces result sums over,
-    which are exactly the base values result's table is made from."""
+    which are exactly the base values result's table is made from. So the
+    sup of ||base|| is taken over exactly those points, and a sampled audit
+    can never produce a spurious violation."""
     rhs = _Sup()
     lhs, record = _audit(result.space, result.p + 1, result.q + 1, r,
                          result.module,
                          lambda faces: norms(result.fill(faces, rhs)),
                          budget, sample_size, seed)
-    return BoundReport(check, float(r), lhs, rhs.value, factor, **record)
+    return bound_check(check, lhs, factor * rhs.value,
+                       {"R": float(r), "factor": factor}, **record)
 
 
 def diff_D_norm_audit(phi: Cochain, r: float, budget: int = DEFAULT_AUDIT_BUDGET,
                       sample_size: int = DEFAULT_SAMPLE_SIZE,
-                      seed: int = 0) -> BoundReport:
+                      seed: int = 0) -> Check:
     """||D phi||_R <= (p+2) ||phi||_R."""
     return _audit_bound("norm_bound_D", diff_D(phi), float(phi.p + 2), r,
                         budget, sample_size, seed)
@@ -465,7 +456,7 @@ def diff_D_norm_audit(phi: Cochain, r: float, budget: int = DEFAULT_AUDIT_BUDGET
 
 def diff_d_norm_audit(phi: Cochain, r: float, budget: int = DEFAULT_AUDIT_BUDGET,
                       sample_size: int = DEFAULT_SAMPLE_SIZE,
-                      seed: int = 0) -> BoundReport:
+                      seed: int = 0) -> Check:
     """||d phi||_R <= (q+2) ||phi||_R."""
     return _audit_bound("norm_bound_d", diff_d(phi), float(phi.q + 2), r,
                         budget, sample_size, seed)
@@ -473,7 +464,7 @@ def diff_d_norm_audit(phi: Cochain, r: float, budget: int = DEFAULT_AUDIT_BUDGET
 
 def split_s_norm_audit(phi: Cochain, r: float, budget: int = DEFAULT_AUDIT_BUDGET,
                        sample_size: int = DEFAULT_SAMPLE_SIZE,
-                       seed: int = 0) -> BoundReport:
+                       seed: int = 0) -> Check:
     """||s phi||_R <= ||phi||_R (the splitting never grows norms)."""
     return _audit_bound("norm_bound_s", split_s(phi), 1.0, r, budget,
                         sample_size, seed)
@@ -509,7 +500,7 @@ def johnson_cocycles(space: FiniteMetricSpace):
 
 
 def johnson_relations(j01: Cochain, j10: Cochain, hom: Cochain, r: float,
-                      **kw) -> list[AuditReport]:
+                      **kw) -> list[Check]:
     """Audits of D j01 = 0, d j01 = 0, D hom = -j10 and d hom = j01 at
     radius r; kw goes to every audit."""
     return [

@@ -5,10 +5,10 @@ the splitting does not preserve invariance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .cochains import (DEFAULT_SAMPLE_SIZE, EXACT_TOL, audit_zero, diff_D,
-                       johnson_cocycles, seminorm, split_s)
+from .cochains import (DEFAULT_SAMPLE_SIZE, EXACT_TOL, Check, _witness_json,
+                       audit_zero, diff_D, johnson_cocycles, seminorm, split_s)
 from .space import FiniteMetricSpace
 
 
@@ -26,15 +26,21 @@ DEFAULT_THRESHOLDS = DecayThresholds()
 
 @dataclass
 class DecayDiagnostic:
+    """A profile verdict and its inputs: the thresholds it was read with,
+    and how many values at or below zero_tol the rate fit dropped."""
     r: float
     values: list[float]
     last: float
     fitted_rate: float | None
     verdict: str
+    thresholds: DecayThresholds
+    dropped: int
 
     def to_json(self) -> dict:
         return {"R": self.r, "values": self.values, "last": self.last,
-                "fitted_rate": self.fitted_rate, "verdict": self.verdict}
+                "fitted_rate": self.fitted_rate, "verdict": self.verdict,
+                "thresholds": asdict(self.thresholds),
+                "dropped": self.dropped}
 
 
 def fit_log_rate(axis, values, zero_tol: float = 1e-14) -> float | None:
@@ -77,20 +83,24 @@ def diagnose(values, r: float, axis=None,
     if axis is None:
         axis = list(range(1, len(values) + 1))
     rate = fit_log_rate(axis, values, thresholds.zero_tol)
+    dropped = sum(not v > thresholds.zero_tol for v in values)
     return DecayDiagnostic(float(r), values, values[-1], rate,
-                           verdict_of(values, rate, thresholds))
+                           verdict_of(values, rate, thresholds), thresholds,
+                           dropped)
 
 
 def counterexample_s_not_invariant(space: FiniteMetricSpace,
                                    budget: int = 4000,
                                    sample_size: int = DEFAULT_SAMPLE_SIZE,
-                                   seed: int = 0) -> dict:
+                                   seed: int = 0) -> Check:
     """Certificate that s can destroy asymptotic invariance.
 
     Take phi(x,(y0,y1)) = delta_y1 - delta_y0: it is D-flat (audited), yet
     D s phi ((x0,x1),(y0)) = delta_x0 - delta_x1 has seminorm exactly 2 at
     any radius admitting a distinct pair. Uses the smallest positive
-    distance as that radius so the witness pair always exists.
+    distance as that radius so the witness pair always exists. The
+    "s_breaks_invariance" check carries the verdict twice, as "passed" and
+    as "ok".
     """
     if space.n < 2:
         raise ValueError("need at least two points for the certificate")
@@ -100,13 +110,13 @@ def counterexample_s_not_invariant(space: FiniteMetricSpace,
     flat = audit_zero("D(j01)=0", diff_D(phi), r_used, tol=EXACT_TOL, **audit)
     ds = diff_D(split_s(phi))
     norm_report = seminorm(ds, r_used, **audit)
-    passed = flat.ok and abs(norm_report.value - 2.0) <= EXACT_TOL
-    return {
+    passed = flat.ok and abs(norm_report["value"] - 2.0) <= EXACT_TOL
+    return Check(check="s_breaks_invariance", ok=passed, values={
         "space_n": space.n,
         "r_used": r_used,
-        "d_flat_max_violation": flat.max_violation,
+        "d_flat_max_violation": flat["max_violation"],
         "d_flat_exact": flat.exact,
-        "split_defect_seminorm": norm_report.value,
-        "witness": norm_report.witness,
+        "split_defect_seminorm": norm_report["value"],
+        "witness": _witness_json(norm_report.witness),
         "passed": passed,
-    }
+    })

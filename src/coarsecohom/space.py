@@ -437,9 +437,10 @@ class CayleyGraphSpace(FiniteMetricSpace):
     The metric is left-invariant, d(t * x, t * y) = d(x, y), so the
     distances from the identity (`hops_from_identity`, one BFS) determine
     all the others. The n x n `dist` is built from the edges, and
-    validated, when something first reads it; n, labels, meta, to_json and
-    content_hash never do. Only generate_family builds these spaces, from
-    edges it generates itself, so there is no input to reject up front.
+    validated, when something first reads it; n, labels, meta, to_json,
+    content_hash and diameter never do. Only generate_family builds these
+    spaces, from edges it generates itself, so there is no input to reject
+    up front.
     """
 
     def __init__(self, edges, n: int, law, labels=None, meta=None):
@@ -458,6 +459,10 @@ class CayleyGraphSpace(FiniteMetricSpace):
     def hops_from_identity(self) -> np.ndarray:
         """d(e, .) for the identity e, as an int64 row."""
         return _hop_row(self.n, self._edges, self.group.identity)
+
+    def diameter(self) -> float:
+        # every point is as far from the others as the identity is
+        return float(self.hops_from_identity().max())
 
     def min_positive_distance(self) -> float:
         # a Cayley graph here has at least one edge, whose two points are at

@@ -4,7 +4,7 @@ into a pass/fail report the CLI can run and serialize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .averaging import (_max_pair_variation, _padded_rows, _pair_index,
                         ball_average, conv_norm_audit, convolve,
@@ -12,8 +12,8 @@ from .averaging import (_max_pair_variation, _padded_rows, _pair_index,
                         tf_identity)
 from .coefficients import (L1, L1_ZERO, SCALAR, boundary_pairs, entry_gap,
                            include_in_l1, lift_boundary, lift_scalar, pi_sum)
-from .cochains import (EXACT_TOL, IDENTITY_TOL, Cochain, _witness_json,
-                       audit_equal, audit_zero, cochain_add, cochain_scale,
+from .cochains import (EXACT_TOL, IDENTITY_TOL, Check, Cochain, audit_equal,
+                       audit_zero, cochain_add, cochain_scale,
                        diff_D, diff_D_norm_audit, diff_d, diff_d_norm_audit,
                        johnson_cocycles, johnson_relations, seminorm,
                        split_s, split_s_norm_audit)
@@ -86,9 +86,13 @@ def identity_checks_for(phi: Cochain, r_list, budget: int, sample_size: int,
     return checks
 
 
-def _suite(name: str, checks: list) -> dict:
-    return {"suite": name, "passed": all(c.get("ok") for c in checks),
-            "checks": checks}
+def _suite(name: str, checks: list[Check]) -> dict:
+    return {"suite": name, "passed": all(c.ok for c in checks),
+            "checks": [c.to_json() for c in checks]}
+
+
+def _numbered(reports, i: int) -> list[Check]:
+    return [replace(rep, instance=i) for rep in reports]
 
 
 def run_complex_identities(space: FiniteMetricSpace,
@@ -105,7 +109,7 @@ def run_complex_identities(space: FiniteMetricSpace,
         for r in opts.r_list:
             reports += [diff_D_norm_audit(phi, r, **opts.audit),
                         diff_d_norm_audit(phi, r, **opts.audit)]
-        checks += [rep.to_json() | {"instance": i} for rep in reports]
+        checks += _numbered(reports, i)
     return _suite("complex-identities", checks)
 
 
@@ -122,7 +126,7 @@ def run_splitting(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
                                        tol=opts.identity_tol, **opts.audit))
             if phi.q >= 0:
                 reports.append(split_s_norm_audit(phi, r, **opts.audit))
-        checks += [rep.to_json() | {"instance": i} for rep in reports]
+        checks += _numbered(reports, i)
     return _suite("splitting", checks)
 
 
@@ -130,12 +134,11 @@ def run_johnson(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
     j01, j10, hom = johnson_cocycles(space)
     checks = []
     for r in opts.r_list:
-        checks += [c.to_json() for c in johnson_relations(
-            j01, j10, hom, r, tol=EXACT_TOL, **opts.audit)]
+        checks += johnson_relations(j01, j10, hom, r, tol=EXACT_TOL,
+                                    **opts.audit)
         rep = seminorm(j01, r, **opts.audit)
-        checks.append(rep.to_json() | {
-            "check": "seminorm(j01)=2",
-            "ok": abs(rep.value - 2.0) <= EXACT_TOL})
+        checks.append(replace(rep, check="seminorm(j01)=2",
+                              ok=abs(rep["value"] - 2.0) <= EXACT_TOL))
     return _suite("johnson", checks)
 
 
@@ -173,7 +176,7 @@ def run_convolution(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
             audit_equal("prob*xindep=xindep",
                         convolve(prob.as_cochain(), xind), xind, r0, **tight),
         ]
-        checks += [rep.to_json() | {"instance": i} for rep in reports]
+        checks += _numbered(reports, i)
     return _suite("convolution", checks)
 
 
@@ -192,15 +195,8 @@ def run_defect_bound(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
             fam = dirac_family(space)
         phi = random_cochain(space, 0, _ROWS[i % 3], pick_module(i % 2),
                              derive_seed(opts.seed, "def-t", i))
-        try:
-            _, rep = homotopy_defect(fam, phi, **opts.audit)
-        except AssertionError as exc:
-            checks.append({"check": "homotopy_defect", "instance": i,
-                           "ok": False, "error": str(exc)})
-            continue
-        checks.append(rep.to_json() | {
-            "instance": i,
-            "ok": rep.ok and rep.telescope_gap <= EXACT_TOL})
+        _, rep = homotopy_defect(fam, phi, **opts.audit)
+        checks.append(replace(rep, instance=i))
     return _suite("defect-bound", checks)
 
 
@@ -213,8 +209,8 @@ def run_pairing(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
                                   lift_style=i % 2 == 1)
         theta = random_cochain(space, 0, _ROWS[i % 3], pick_module(i),
                                derive_seed(opts.seed, "pair-t", i))
-        rep = tf_identity(field, theta, **opts.audit)
-        checks.append(rep.to_json() | {"instance": i})
+        checks.append(replace(tf_identity(field, theta, **opts.audit),
+                              instance=i))
     rng_points = space.n
     for i in range(opts.resolved_count(20)):
         h = random_zero_sum_vector(space, derive_seed(opts.seed, "lift", i))
@@ -226,12 +222,12 @@ def run_pairing(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
                       for z0, z1 in lifted.support)
         bd = boundary_pairs(lifted)
         contract = bd.norm <= 2.0 * lifted.norm + EXACT_TOL
-        checks.append({"check": "lift_round_trip", "instance": i,
-                       "max_violation": round_trip,
-                       "norm_ok": norm_ok, "support_ok": supp_ok,
-                       "boundary_contraction_ok": contract,
-                       "ok": (round_trip <= EXACT_TOL and norm_ok
-                              and supp_ok and contract)})
+        checks.append(Check(
+            check="lift_round_trip", instance=i,
+            ok=round_trip <= EXACT_TOL and norm_ok and supp_ok and contract,
+            values={"max_violation": round_trip, "norm_ok": norm_ok,
+                    "support_ok": supp_ok,
+                    "boundary_contraction_ok": contract}))
     return _suite("pairing", checks)
 
 
@@ -240,15 +236,15 @@ def run_ses(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
     for i in range(opts.resolved_count(25)):
         v = random_zero_sum_vector(space, derive_seed(opts.seed, "ses-v", i))
         drift = abs(pi_sum(include_in_l1(v)))
-        checks.append({"check": "pi.iota=0", "instance": i,
-                       "max_violation": drift,
-                       "ok": drift <= EXACT_TOL})
+        checks.append(Check(check="pi.iota=0", instance=i,
+                            ok=drift <= EXACT_TOL,
+                            values={"max_violation": drift}))
         lam = 0.5 + i
         point = derive_seed(opts.seed, "ses-p", i) % space.n
         got = pi_sum(lift_scalar(lam, point))
-        checks.append({"check": "pi.lift_scalar=id", "instance": i,
-                       "max_violation": abs(got - lam),
-                       "ok": abs(got - lam) <= EXACT_TOL})
+        checks.append(Check(check="pi.lift_scalar=id", instance=i,
+                            ok=abs(got - lam) <= EXACT_TOL,
+                            values={"max_violation": abs(got - lam)}))
     for s in (1.0, 2.0):
         phi = random_unit_sum_cochain(space, s,
                                       derive_seed(opts.seed, "ses-fam", s))
@@ -263,19 +259,17 @@ def run_ses(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
             pairs = _pair_index(space, r)
             nu_phi = _max_pair_variation(phi_rows, *pairs)[0]
             nu_f = _max_pair_variation(fam_rows, *pairs)[0]
-            checks.append({
-                "check": "normalize_round_trip", "S": s, "R": r,
-                "nu_f": nu_f, "nu_phi": nu_phi, "supports_unchanged": supp_ok,
-                "ok": supp_ok and nu_f <= 2.0 * nu_phi + EXACT_TOL})
+            checks.append(Check(
+                check="normalize_round_trip",
+                ok=supp_ok and nu_f <= 2.0 * nu_phi + EXACT_TOL,
+                values={"S": s, "R": r, "nu_f": nu_f, "nu_phi": nu_phi,
+                        "supports_unchanged": supp_ok}))
     return _suite("ses", checks)
 
 
 def run_counterexample(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
-    rep = counterexample_s_not_invariant(space, **opts.audit)
-    check = rep | {"check": "s_breaks_invariance",
-                   "witness": _witness_json(rep["witness"]),
-                   "ok": rep["passed"]}
-    return _suite("counterexample", [check])
+    return _suite("counterexample",
+                  [counterexample_s_not_invariant(space, **opts.audit)])
 
 
 _RUNNERS = {

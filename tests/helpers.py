@@ -354,17 +354,19 @@ def seminorm_reference(phi, r, budget=None, sample_size=None, seed=0):
                                          budget, sample_size, seed)
     best, witness = sup_scan_reference(points,
                                        lambda xs, ys: phi(xs, ys).norm)
-    return cc.SeminormReport(float(r), best, witness=witness, **dom.record())
+    return cc.Check(check="seminorm", values={"R": float(r), "value": best},
+                    witness=witness, **dom.record())
 
 
 def audit_equal_reference(check, lhs, rhs, r, budget=None, sample_size=None,
                           seed=0, tol=1e-10):
     import coarsecohom as cc
+    from coarsecohom.cochains import identity_check
     points, dom = audit_points_reference(lhs.space, lhs.p + 1, lhs.q + 1, r,
                                          budget, sample_size, seed)
     worst, witness = sup_scan_reference(points, lambda xs, ys: cc.entry_gap(
         lhs(xs, ys), None if rhs is None else rhs(xs, ys)))
-    return cc.AuditReport(check, lhs.p, lhs.q, float(r), worst, tol,
+    return identity_check(check, lhs.p, lhs.q, r, worst, tol,
                           witness=witness, **dom.record())
 
 
@@ -372,6 +374,7 @@ def norm_audit_reference(kind, phi, r, budget=None, sample_size=None, seed=0):
     """diff_D_norm_audit, diff_d_norm_audit or split_s_norm_audit (kind
     "D", "d" or "s") with the coupled base points listed per point."""
     import coarsecohom as cc
+    from coarsecohom.cochains import bound_check
     if kind == "D":
         check, result, factor = "norm_bound_D", cc.diff_D(phi), phi.p + 2
 
@@ -395,13 +398,15 @@ def norm_audit_reference(kind, phi, r, budget=None, sample_size=None, seed=0):
     rhs, _ = sup_scan_reference(
         (pt for xs, ys in points for pt in couple(xs, ys)),
         lambda xs, ys: phi(xs, ys).norm)
-    return cc.BoundReport(check, float(r), lhs, rhs, float(factor),
-                          witness=witness, **dom.record())
+    return bound_check(check, lhs, float(factor) * rhs,
+                       {"R": float(r), "factor": float(factor)},
+                       witness=witness, **dom.record())
 
 
 def conv_norm_audit_reference(f, theta, r, budget=None, sample_size=None,
                               seed=0):
     import coarsecohom as cc
+    from coarsecohom.cochains import bound_check
     conv = cc.convolve(f, theta)
     points, dom = audit_points_reference(f.space, f.p + 1, theta.q + 1, r,
                                          budget, sample_size, seed)
@@ -418,15 +423,16 @@ def conv_norm_audit_reference(f, theta, r, budget=None, sample_size=None,
         return val
 
     lhs, witness = sup_scan_reference(points, conv_norm)
-    return cc.ConvBoundReport(float(r), lhs, f_sup, theta_sup,
-                              witness=witness, **dom.record())
+    return bound_check("norm_bound_conv", lhs, f_sup * theta_sup,
+                       {"R": float(r), "f_sup": f_sup, "theta_sup": theta_sup},
+                       witness=witness, **dom.record())
 
 
 def homotopy_defect_reference(fam, phi, budget=None, sample_size=None,
                               seed=0):
-    """The defect report (not the cochain); raises like the package when
-    the bound fails."""
+    """The defect check (not the cochain)."""
     import coarsecohom as cc
+    from coarsecohom.cochains import EXACT_TOL, bound_check
     defect = cc.cochain_sub(cc.convolve(fam.as_cochain(), phi), phi)
     dphi = cc.diff_D(phi)
     points, dom = audit_points_reference(fam.space, 1, phi.q + 1, 0.0,
@@ -451,17 +457,17 @@ def homotopy_defect_reference(fam, phi, budget=None, sample_size=None,
 
     worst, witness = sup_scan_reference(points, defect_norm)
     fnorm = fam.sup_norm
-    report = cc.DefectReport(fam.s, worst, fnorm * dphi_sup, fnorm, dphi_sup,
-                             telescope_gap, witness=witness,
-                             **dom.record())
-    if not report.ok:
-        raise AssertionError(f"homotopy defect bound violated: {report}")
-    return report
+    return bound_check("homotopy_defect", worst, fnorm * dphi_sup,
+                       {"S": fam.s, "family_norm": fnorm, "dphi_sup": dphi_sup,
+                        "telescope_gap": telescope_gap},
+                       telescope_gap <= EXACT_TOL, witness=witness,
+                       **dom.record())
 
 
 def tf_identity_reference(field, theta, budget=None, sample_size=None, seed=0):
-    """The pairing report of tf_identity with radius=None."""
+    """The pairing check of tf_identity with radius=None."""
     import coarsecohom as cc
+    from coarsecohom.cochains import bound_check
     space = theta.space
     r_ball = 0.0
     r_pair = 0.0
@@ -483,6 +489,7 @@ def tf_identity_reference(field, theta, budget=None, sample_size=None, seed=0):
         ((pair, ys) for xs, ys in points for pair in field[xs[0]].entries),
         lambda zs, ys: zeta(zs, ys).norm)
     f_sup = max((pv.norm for pv in field), default=0.0)
-    bound_ok = lhs_sup <= f_sup * zeta_sup + 1e-10
-    return cc.PairingReport(identity, lhs_sup, f_sup, zeta_sup, r_ball,
-                            r_pair, bound_ok)
+    return bound_check("pairing", lhs_sup, f_sup * zeta_sup,
+                       {"identity": identity, "f_sup": f_sup,
+                        "zeta_sup": zeta_sup, "r_ball": r_ball,
+                        "r_pair": r_pair}, identity.ok)

@@ -75,7 +75,7 @@ def test_profile_agrees_with_seminorm_of_D():
         nu = cc.variation_profile(CYCLE8, [s], [r]).get(s, r).nu
         rep = cc.seminorm(cc.diff_D(fam.as_cochain()), r, budget=20000)
         assert rep.exact
-        assert abs(nu - rep.value) <= 1e-12
+        assert abs(nu - rep["value"]) <= 1e-12
 
 
 def test_profile_witness_is_first_maximizer():
@@ -271,7 +271,7 @@ def test_conv_norm_audit():
     theta = cc.random_cochain(CYCLE8, 0, 0, L1_ZERO, seed=10)
     rep = cc.conv_norm_audit(f, theta, 1.0, budget=6000)
     assert rep.ok
-    assert rep.lhs <= rep.f_sup * rep.theta_sup + 1e-10
+    assert rep["value"] <= rep["f_sup"] * rep["theta_sup"] + 1e-10
 
 
 def averaged_homotopy(fam, phi):
@@ -305,9 +305,9 @@ def test_homotopy_defect_exact_instance():
     fam = cc.ball_average(sp, 1.0)
     phi = cc.dirac_family(sp).as_cochain()
     defect, rep = cc.homotopy_defect(fam, phi)
-    assert abs(rep.defect_norm - 4 / 3) <= 1e-12
-    assert abs(rep.bound - 2.0) <= 1e-12
-    assert rep.telescope_gap <= 1e-12
+    assert abs(rep["value"] - 4 / 3) <= 1e-12
+    assert abs(rep["bound"] - 2.0) <= 1e-12
+    assert rep["telescope_gap"] <= 1e-12
     assert rep.exact
     # the defect itself is uniform(1/3) - delta_x
     v = defect((0,), ())
@@ -319,10 +319,10 @@ def test_homotopy_defect_vanishes_for_flat_cochains():
     j01, _, _ = cc.johnson_cocycles(CYCLE8)
     fam = cc.ball_average(CYCLE8, 2.0)
     _, rep = cc.homotopy_defect(fam, j01)
-    assert rep.defect_norm == 0.0
+    assert rep["value"] == 0.0
     _, rep = cc.homotopy_defect(cc.dirac_family(CYCLE8),
                                 cc.random_cochain(CYCLE8, 0, 0, L1, seed=12))
-    assert rep.defect_norm == 0.0
+    assert rep["value"] == 0.0
 
 
 @pytest.mark.parametrize("module, q", [(L1, 1), (L1_ZERO, 0),
@@ -342,11 +342,28 @@ def test_defect_telescope_is_the_transfer_of_d_phi(module, q):
     kw = {"budget": 4000, "sample_size": 300, "seed": 2}
     defect, rep = cc.homotopy_defect(fam, phi, **kw)
     assert cc.audit_equal("telescope", defect, transfer, 0.0,
-                          **kw).max_violation == rep.telescope_gap
+                          **kw)["max_violation"] == rep["telescope_gap"]
     pairing = cc.audit_equal("dF*phi=T_F(D phi)", cc.convolve(boundary, phi),
                              transfer, 0.0, tol=1e-12, **kw)
-    assert pairing.ok and rep.telescope_gap <= 1e-12
+    assert pairing.ok and rep["telescope_gap"] <= 1e-12
     assert (pairing.exact, pairing.samples) == (rep.exact, rep.samples)
+
+
+def test_failing_defect_bound_is_returned_not_raised(monkeypatch):
+    fam = cc.ball_average(CYCLE8, 1.0)
+    phi = cc.random_cochain(CYCLE8, 0, 0, L1, seed=12)
+    _, want = cc.homotopy_defect(fam, phi)
+    assert want.ok and want["family_norm"] == 1.0
+    monkeypatch.setattr(cc.ReiterFamily, "sup_norm", property(lambda f: 0.0))
+    _, rep = cc.homotopy_defect(fam, phi)
+    assert rep.ok is False
+    assert rep["value"] == want["value"] > 0.0
+    assert rep["bound"] == rep["family_norm"] == 0.0
+    assert rep["dphi_sup"] == want["dphi_sup"] > 0.0
+    assert rep["telescope_gap"] == want["telescope_gap"] <= 1e-12
+    assert (rep.exact, rep.witness) == (want.exact, want.witness)
+    assert rep.to_json() == want.to_json() | {
+        "bound": 0.0, "family_norm": 0.0, "ok": False}
 
 
 def test_homotopy_defect_validation():
@@ -365,15 +382,15 @@ def test_tf_identity_lift_example():
              for x in range(8)]
     j01, _, _ = cc.johnson_cocycles(CYCLE8)
     rep = cc.tf_identity(field, j01)
-    assert rep.ok and rep.identity.max_violation <= 1e-12
-    assert rep.r_ball == 1.0 and rep.r_pair == 1.0
+    assert rep.ok and rep["identity"]["max_violation"] <= 1e-12
+    assert rep["r_ball"] == 1.0 and rep["r_pair"] == 1.0
 
 
 def test_tf_identity_zero_field():
     field = [cc.PairVector() for _ in range(8)]
     theta = cc.random_cochain(CYCLE8, 0, 0, L1, seed=13)
     rep = cc.tf_identity(field, theta)
-    assert rep.ok and rep.lhs_sup == 0.0
+    assert rep.ok and rep["value"] == 0.0
 
 
 def test_tf_identity_x_independent_theta():
@@ -394,7 +411,7 @@ def test_tf_identity_radius_escape():
     with pytest.raises(ValueError, match="escapes"):
         cc.tf_identity(field, theta, radius=1.0)
     rep = cc.tf_identity(field, theta)  # no declared radius, measured instead
-    assert rep.r_ball == 3.0
+    assert rep["r_ball"] == 3.0
 
 
 def test_transfer_validation():

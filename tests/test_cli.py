@@ -21,6 +21,21 @@ def test_gen_cycle_summary(capsys):
     assert "degrees=2/2/2" in out
 
 
+def test_gen_torus_diameter_builds_no_distance_matrix(capsys, monkeypatch):
+    # the diameter of a Cayley graph is the farthest point from the identity
+    torus = cc.generate_family("torus", {"dim": 2, "size": 48})
+    dense = cc.build_graph_metric(torus.meta["edges"], torus.n)
+
+    def refuse(n, edges):
+        raise AssertionError("built the n x n distance matrix")
+
+    monkeypatch.setattr(space, "_hop_distances", refuse)
+    assert main(["gen", "--family", "torus", "--size", "48"]) == 0
+    out = capsys.readouterr().out
+    assert f" diameter={dense.diameter()!r} " in out
+    assert " diameter=48.0 " in out
+
+
 def test_gen_writes_loadable_space(tmp_path, capsys):
     target = tmp_path / "ball.json"
     rc = main(["gen", "--family", "free_ball", "--rank", "2", "--radius", "2",
@@ -245,6 +260,51 @@ def test_verify_johnson_suite(capsys):
                "--suite", "johnson"])
     assert rc == 0
     assert "ok   johnson" in capsys.readouterr().out
+
+
+def test_verify_summary_counts_exact_checks(tmp_path, capsys):
+    # a check's own exact flag counts, a pairing check's identity flag
+    # stands for it, and checks with no flag stay out of the denominator
+    report = tmp_path / "report.json"
+    for suite in ("johnson", "pairing", "ses"):
+        assert main(["verify", "--family", "cycle", "--size", "8",
+                     "--suite", suite, "--count", "3",
+                     "--out", str(report)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        checks = json.loads(report.read_text())["suites"][0]["checks"]
+        flags = [c["exact"] if "exact" in c else c["identity"]["exact"]
+                 for c in checks if "exact" in c or "identity" in c]
+        assert out[0] == (
+            f"ok   {suite}: {len(checks)}/{len(checks)} checks passed, "
+            f"{sum(flags)}/{len(flags)} exact")
+        assert len(flags) == {"johnson": len(checks), "pairing": 3,
+                              "ses": 0}[suite]
+    assert main(["verify", "--family", "cycle", "--size", "8",
+                 "--suite", "johnson"]) == 0
+    assert capsys.readouterr().out == (
+        "ok   johnson: 10/10 checks passed, 8/10 exact\n")
+
+
+def test_verify_reports_a_failing_defect_bound(tmp_path, capsys,
+                                               monkeypatch):
+    # with the family norm read as 0 every nonzero defect breaks its bound;
+    # the check comes back failing with its numbers, and verify exits 1
+    monkeypatch.setattr(cc.ReiterFamily, "sup_norm", property(lambda f: 0.0))
+    report = tmp_path / "report.json"
+    assert main(["verify", "--family", "cycle", "--size", "8",
+                 "--suite", "defect-bound", "--count", "3",
+                 "--out", str(report)]) == 1
+    assert capsys.readouterr().out.startswith(
+        "FAIL defect-bound: 1/3 checks passed, ")
+    data = json.loads(report.read_text())
+    assert data["passed"] is False
+    checks = data["suites"][0]["checks"]
+    assert [c["ok"] for c in checks] == [False, False, True]
+    for check in checks[:2]:
+        assert check["check"] == "homotopy_defect" and "error" not in check
+        assert check["value"] > 0.0 and check["bound"] == 0.0
+        assert check["family_norm"] == 0.0 and check["dphi_sup"] > 0.0
+        assert check["telescope_gap"] <= 1e-12
 
 
 def test_verify_small_run_all_suites(tmp_path, capsys):

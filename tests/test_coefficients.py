@@ -64,7 +64,7 @@ def test_entries_are_kept_in_ascending_point_order():
     # the face tables add each row in the same order
     space = cc.generate_family("cycle", {"size": 4})
     bare = cc.Cochain(space, 0, -1, L1, lambda xs, ys: v)
-    assert cc.seminorm(bare, 0.0).value == want
+    assert cc.seminorm(bare, 0.0)["value"] == want
     dh = cc.boundary_pairs(cc.PairVector({(3, 2): 16.0, (3, 1): tiny,
                                           (3, 0): tiny}))
     assert list(dh.entries) == [0, 1, 2, 3]

@@ -3,7 +3,8 @@ uses each name it imports (`__init__.py` is skipped, since it imports names
 only to re-export them), every top-level name, public method and export is
 read by a module of the package other than `__init__.py`, only
 `space.py` reads the real-metric slack, only `facetables.py` knows how a
-face table is laid out, the command line loads no optional heavy module,
+face table is laid out, only `cochains.py` builds a check record, the
+command line loads no optional heavy module,
 and no module calls the builtin hash(), whose values belong to the
 interpreter."""
 
@@ -128,6 +129,44 @@ def test_only_facetables_knows_the_table_layout():
     assert readers
     assert [hit for hit in readers
             if not hit.startswith("facetables.py:")] == []
+
+
+# Serialisable dataclasses that are no check: the profile's rows and table,
+# and its decay verdict with the inputs it was read from.
+_NOT_CHECKS = {"ProfileRow", "ProfileTable", "DecayDiagnostic"}
+
+
+def _is_dataclass(decorator) -> bool:
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return (getattr(decorator, "id", None) == "dataclass"
+            or getattr(decorator, "attr", None) == "dataclass")
+
+
+def _check_builders(path: Path) -> list:
+    """The dataclasses with a to_json, other than _NOT_CHECKS, and the dict
+    literals with a "check" key, of one module."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (isinstance(node, ast.ClassDef) and node.name not in _NOT_CHECKS
+                and any(map(_is_dataclass, node.decorator_list))
+                and any(isinstance(item, ast.FunctionDef)
+                        and item.name == "to_json" for item in node.body)):
+            hits.append(f"{path.name}:{node.lineno}: class {node.name}")
+        elif isinstance(node, ast.Dict) and any(
+                isinstance(key, ast.Constant) and key.value == "check"
+                for key in node.keys):
+            hits.append(f"{path.name}:{node.lineno}: {{\"check\": ...}}")
+    return hits
+
+
+def test_only_cochains_builds_check_records():
+    # every verdict is one cochains.Check; a second report class or a check
+    # dict built by hand is a near-copy of its to_json
+    assert _check_builders(PACKAGE / "cochains.py")
+    hits = [hit for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "cochains.py" for hit in _check_builders(path)]
+    assert hits == []
 
 
 def test_cli_import_loads_no_scipy_or_numba():

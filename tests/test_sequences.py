@@ -46,7 +46,7 @@ def d_reading(space, s, r):
     rep = cc.seminorm(cc.diff_D(cc.ball_average(space, s).as_cochain()), r,
                       budget=space.n ** 2)
     assert rep.exact
-    return rep.value
+    return rep["value"]
 
 
 def golden_space(name):
@@ -111,6 +111,18 @@ def test_counterexample_certificate(space):
     assert out["r_used"] == 1.0
     xs, ys = out["witness"]
     assert space.d(xs[0], xs[1]) <= 1.0 and xs[0] != xs[1]
+
+
+def test_diagnostic_records_its_inputs():
+    thresholds = cc.DecayThresholds(zero_tol=1e-3)
+    got = cc.diagnose([1.0, 0.5, 1e-3, 0.0], 1.0,
+                      thresholds=thresholds).to_json()
+    assert got["thresholds"] == {"decay_ratio": 0.5, "decay_rate": -0.5,
+                                 "growth_rate": 0.25, "zero_tol": 1e-3}
+    # the two values at or below zero_tol are the ones the fit skipped
+    assert got["dropped"] == 2
+    assert got["fitted_rate"] == cc.fit_log_rate([1, 2], [1.0, 0.5])
+    assert cc.diagnose([1.0, 0.5], 1.0).to_json()["dropped"] == 0
 
 
 def test_counterexample_needs_two_points():
