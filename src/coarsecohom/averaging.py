@@ -12,8 +12,8 @@ import numpy as np
 from .coefficients import (L1, L1_ZERO, PRUNE_TOL, SCALAR, SupportedVector,
                            boundary_pairs, dirac, pi_sum)
 from .cochains import (DEFAULT_AUDIT_BUDGET, DEFAULT_SAMPLE_SIZE, EXACT_TOL,
-                       Check, Cochain, _audit, _Sup, bound_check, cochain_sub,
-                       diff_D, identity_check)
+                       Check, Cochain, _accumulate, _audit, _Sup, bound_check,
+                       cochain_sub, diff_D, identity_check)
 from .facetables import (csr_expand, distinct, evaluate, gaps, norms,
                          row_entries, rows_fill, vectors_csr, weighted)
 from .space import FiniteMetricSpace, mask_rows
@@ -502,14 +502,8 @@ def convolve(f: Cochain, theta: Cochain) -> Cochain:
     tcall = theta.__call__
 
     def rule(xs, ys):
-        ent: dict = {}
-        sca = 0.0
-        for z, w in fcall(xs, ()).entries.items():
-            v = tcall((z,), ys)
-            sca += w * v.scalar
-            for k, u in v.entries.items():
-                ent[k] = ent.get(k, 0.0) + w * u
-        return SupportedVector(module, ent, sca)
+        return _accumulate(module, ((w, tcall((z,), ys))
+                                    for z, w in fcall(xs, ()).entries.items()))
 
     def fill(faces):
         return _convolution(f, theta, faces)
@@ -609,14 +603,8 @@ def transfer_cochain(field, zeta: Cochain) -> Cochain:
     zcall = zeta.__call__
 
     def rule(xs, ys):
-        ent: dict = {}
-        sca = 0.0
-        for pair, w in field[xs[0]].entries.items():
-            v = zcall(pair, ys)
-            sca += w * v.scalar
-            for k, u in v.entries.items():
-                ent[k] = ent.get(k, 0.0) + w * u
-        return SupportedVector(module, ent, sca)
+        return _accumulate(module, ((w, zcall(pair, ys))
+                                    for pair, w in field[xs[0]].entries.items()))
 
     indptr, pairs, weights = vectors_csr(field)
     return Cochain(zeta.space, 0, zeta.q, module, rule, name="T_F",

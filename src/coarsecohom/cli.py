@@ -16,11 +16,9 @@ from datetime import datetime, timezone
 
 from .averaging import ball_average, lazy_walk_family, variation_profile
 from .sequences import diagnose
-from .space import FiniteMetricSpace, generate_family, load_edge_list
+from .space import (FAMILY_PARAMS, FiniteMetricSpace, generate_family,
+                    load_edge_list)
 from .verify import SUITE_NAMES, VerifyOptions, run_suites
-
-_FAMILY_KINDS = ("cycle", "path", "complete", "torus", "free_ball",
-                 "random_regular")
 
 
 def _add_space_args(sub: argparse.ArgumentParser) -> None:
@@ -29,7 +27,7 @@ def _add_space_args(sub: argparse.ArgumentParser) -> None:
                      help="load a space from its JSON serialization")
     src.add_argument("--edges", metavar="FILE",
                      help="load a graph from a 'u v' edge list")
-    src.add_argument("--family", choices=_FAMILY_KINDS,
+    src.add_argument("--family", choices=tuple(FAMILY_PARAMS),
                      help="generate a named test family")
     fam = sub.add_argument_group("family parameters")
     fam.add_argument("--size", type=int, help="cycle/path/torus size")
@@ -52,25 +50,12 @@ def _space_from_args(args) -> FiniteMetricSpace:
     if args.edges:
         with open(args.edges) as fh:
             return load_edge_list(fh.read(), n=args.n)
-    params: dict = {}
-    if args.family in ("cycle", "path", "torus"):
-        if args.size is None:
-            raise ValueError(f"--family {args.family} needs --size")
-        params["size"] = args.size
-    if args.family == "torus":
-        params["dim"] = args.dim
-    if args.family == "complete":
-        if args.n is None:
-            raise ValueError("--family complete needs --n")
-        params["n"] = args.n
-    if args.family == "free_ball":
-        if args.rank is None or args.radius is None:
-            raise ValueError("--family free_ball needs --rank and --radius")
-        params.update(rank=args.rank, radius=args.radius)
-    if args.family == "random_regular":
-        if args.n is None or args.k is None:
-            raise ValueError("--family random_regular needs --n and --k")
-        params.update(n=args.n, k=args.k)
+    names = FAMILY_PARAMS[args.family]
+    required = [key for key, default in names.items() if default is None]
+    if any(getattr(args, key) is None for key in required):
+        raise ValueError(f"--family {args.family} needs "
+                         + " and ".join(f"--{key}" for key in required))
+    params = {key: getattr(args, key) for key in names}
     return generate_family(args.family, params, seed=args.seed)
 
 

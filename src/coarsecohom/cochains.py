@@ -11,6 +11,10 @@ Sign conventions, chosen so every identity below is exact for all p, q:
     is what makes Dd + dD = 0 and s(d phi) = phi hold at every p);
   s moves x_0 to the front of the y-tuple with sign (-1)**p.
 
+Each of these, and every sum, difference and scaling, is one linear
+combination (_combination): a list of terms, each an operand read at a
+column map of the face with a sign or factor.
+
 Seminorms constrain x to the radius-R tuple domain and leave y unrestricted;
 audits enumerate exactly within a budget and fall back to seeded uniform
 samples, reporting which one happened. Every audit, here and in averaging,
@@ -23,6 +27,7 @@ the pointwise specification they reproduce.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -81,134 +86,128 @@ class Cochain:
         return f"Cochain(p={self.p}, q={self.q}, {self.module}{tag})"
 
 
-# -- arithmetic on cochains --------------------------------------------------
+# -- linear combinations -------------------------------------------------------
 
-def cochain_add(a: Cochain, b: Cochain) -> Cochain:
-    if a.space is not b.space or (a.p, a.q) != (b.p, b.q) or a.module != b.module:
-        raise ValueError("cochain_add needs matching space, bidegree, module")
+def _accumulate(module: str, pairs) -> SupportedVector:
+    """The sum of coef * value over the (coef, value) pairs, added from 0.0
+    pair by pair and entry by entry: the order a table adds its terms in."""
+    ent: dict = {}
+    sca = 0.0
+    for coef, v in pairs:
+        sca += coef * v.scalar
+        for k, u in v.entries.items():
+            ent[k] = ent.get(k, 0.0) + coef * u
+    return SupportedVector(module, ent, sca)
+
+
+def _picker(columns: list):
+    """face -> the tuple of face[c] for c in columns (at least one)."""
+    if len(columns) == 1:
+        c = columns[0]
+        return lambda face: (face[c],)
+    return itemgetter(*columns)
+
+
+def _combination(p: int, q: int, terms: list, name: str) -> Cochain:
+    """The (p, q)-cochain sum_j coef_j * c_j(face[columns_j]), added in
+    term order, for its terms (c_j, columns_j, coef_j).
+
+    columns_j lists the positions of the result's face (xs + ys) that make
+    c_j's face, which splits after c_j's own p+1 x-coordinates; the terms
+    of D, d and s only delete, repeat or move positions. The rule adds the
+    terms' values through _accumulate and the table rule is one
+    facetables.linear call, in the same order, so the two agree bit for
+    bit. The operands share one space and module."""
+    space, module = terms[0][0].space, terms[0][0].module
+    reads = [(c.__call__, _picker(cols), c.p + 1, coef)
+             for c, cols, coef in terms]
+
+    def values(face):
+        for call, pick, xlen, coef in reads:
+            args = pick(face)
+            yield coef, call(args[:xlen], args[xlen:])
 
     def rule(xs, ys):
-        return a(xs, ys) + b(xs, ys)
+        return _accumulate(module, values(xs + ys))
 
-    def fill(faces):
-        return linear(a.module, a.space.n, [(a, faces, 1.0), (b, faces, 1.0)])
+    def fill(faces, seen=None):
+        return linear(module, space.n, [(c, faces[:, cols], coef)
+                                        for c, cols, coef in terms], seen)
 
-    return Cochain(a.space, a.p, a.q, a.module, rule,
-                   name=f"({a.name}+{b.name})" if a.name and b.name else "",
-                   fill=fill)
+    return Cochain(space, p, q, module, rule, name=name, fill=fill)
+
+
+def _every(a: Cochain) -> list:
+    """All positions of a's faces, in order."""
+    return list(range(a.p + a.q + 2))
+
+
+def _sum(op: str, a: Cochain, b: Cochain, sign: float) -> Cochain:
+    """a + sign * b."""
+    if a.space is not b.space or (a.p, a.q) != (b.p, b.q) or a.module != b.module:
+        raise ValueError(f"{op} needs matching space, bidegree, module")
+    mark = "+" if sign > 0 else "-"
+    return _combination(a.p, a.q, [(a, _every(a), 1.0), (b, _every(b), sign)],
+                        f"({a.name}{mark}{b.name})" if a.name and b.name
+                        else "")
+
+
+def cochain_add(a: Cochain, b: Cochain) -> Cochain:
+    return _sum("cochain_add", a, b, 1.0)
 
 
 def cochain_sub(a: Cochain, b: Cochain) -> Cochain:
-    return cochain_add(a, cochain_scale(b, -1.0))
+    return _sum("cochain_sub", a, b, -1.0)
 
 
 def cochain_scale(a: Cochain, factor: float) -> Cochain:
-    def rule(xs, ys):
-        return a(xs, ys) * factor
-
-    def fill(faces):
-        return linear(a.module, a.space.n, [(a, faces, factor)])
-
-    return Cochain(a.space, a.p, a.q, a.module, rule,
-                   name=f"{factor}*{a.name}" if a.name else "", fill=fill)
+    return _combination(a.p, a.q, [(a, _every(a), factor)],
+                        f"{factor}*{a.name}" if a.name else "")
 
 
 # -- differentials and splitting ----------------------------------------------
 
+def _sign(i: int) -> float:
+    return -1.0 if i % 2 else 1.0
+
+
 def diff_D(phi: Cochain) -> Cochain:
-    """Left differential E^{p,q} -> E^{p+1,q}.
+    """Left differential E^{p,q} -> E^{p+1,q}: x-coordinate i dropped with
+    sign (-1)**i.
 
     ||D phi||_R <= (p+2) ||phi||_R.
     """
-    base = phi.__call__
-    module = phi.module
-
-    def rule(xs, ys):
-        ent: dict = {}
-        sca = 0.0
-        sign = 1.0
-        for i in range(len(xs)):
-            v = base(xs[:i] + xs[i + 1:], ys)
-            if v.entries:
-                for k, w in v.entries.items():
-                    ent[k] = ent.get(k, 0.0) + sign * w
-            else:
-                sca += sign * v.scalar
-            sign = -sign
-        return SupportedVector(module, ent, sca)
-
-    def fill(faces, seen=None):
-        return linear(module, phi.space.n,
-                      [(phi, np.delete(faces, i, axis=1), -1.0 if i % 2 else 1.0)
-                       for i in range(phi.p + 2)], seen)
-
-    return Cochain(phi.space, phi.p + 1, phi.q, module, rule,
-                   name=f"D({phi.name})" if phi.name else "", fill=fill)
+    width = phi.p + phi.q + 3
+    return _combination(phi.p + 1, phi.q,
+                        [(phi, [j for j in range(width) if j != i], _sign(i))
+                         for i in range(phi.p + 2)],
+                        f"D({phi.name})" if phi.name else "")
 
 
 def diff_d(phi: Cochain) -> Cochain:
-    """Right differential E^{p,q} -> E^{p,q+1}, signs (-1)**(i+p)."""
-    base = phi.__call__
-    module = phi.module
-    start = 1.0 if phi.p % 2 == 0 else -1.0
-
-    def rule(xs, ys):
-        ent: dict = {}
-        sca = 0.0
-        sign = start
-        for i in range(len(ys)):
-            v = base(xs, ys[:i] + ys[i + 1:])
-            if v.entries:
-                for k, w in v.entries.items():
-                    ent[k] = ent.get(k, 0.0) + sign * w
-            else:
-                sca += sign * v.scalar
-            sign = -sign
-        return SupportedVector(module, ent, sca)
-
-    xlen = phi.p + 1
-
-    def fill(faces, seen=None):
-        return linear(module, phi.space.n,
-                      [(phi, np.delete(faces, xlen + i, axis=1),
-                        start if i % 2 == 0 else -start)
-                       for i in range(phi.q + 2)], seen)
-
-    return Cochain(phi.space, phi.p, phi.q + 1, module, rule,
-                   name=f"d({phi.name})" if phi.name else "", fill=fill)
+    """Right differential E^{p,q} -> E^{p,q+1}: y-coordinate i dropped with
+    sign (-1)**(i+p)."""
+    xlen, width = phi.p + 1, phi.p + phi.q + 3
+    return _combination(phi.p, phi.q + 1,
+                        [(phi, [j for j in range(width) if j != xlen + i],
+                          _sign(i + phi.p))
+                         for i in range(phi.q + 2)],
+                        f"d({phi.name})" if phi.name else "")
 
 
 def split_s(phi: Cochain) -> Cochain:
-    """Splitting E^{p,q} -> E^{p,q-1}: reuse x_0 as the leading y-coordinate.
+    """Splitting E^{p,q} -> E^{p,q-1}: reuse x_0 as the leading
+    y-coordinate, with sign (-1)**p.
 
     Then ds + sd = id for q >= 0 and s(d phi) = phi on the row q = -1;
     ||s phi||_R <= ||phi||_R. Refuses q = -1 (nothing below the row).
     """
     if phi.q < 0:
         raise ValueError("cannot split below the augmentation row (q = -1)")
-    base = phi.__call__
-    negate = phi.p % 2 == 1
-
-    def rule(xs, ys):
-        v = base(xs, (xs[0],) + ys)
-        return -v if negate else v
-
     xlen = phi.p + 1
-
-    def fill(faces, seen=None):
-        lifted = np.concatenate((faces[:, :xlen], faces[:, :1],
-                                 faces[:, xlen:]), axis=1)
-        if negate:
-            return linear(phi.module, phi.space.n, [(phi, lifted, -1.0)],
-                          seen)
-        # the closure passes v on unchanged
-        tab = evaluate(phi, lifted)
-        if seen is not None:
-            seen(tab)
-        return tab
-
-    return Cochain(phi.space, phi.p, phi.q - 1, phi.module, rule,
-                   name=f"s({phi.name})" if phi.name else "", fill=fill)
+    lifted = [*range(xlen), 0, *range(xlen, xlen + phi.q)]
+    return _combination(phi.p, phi.q - 1, [(phi, lifted, _sign(phi.p))],
+                        f"s({phi.name})" if phi.name else "")
 
 
 # -- audit domains ------------------------------------------------------------

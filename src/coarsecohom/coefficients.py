@@ -76,68 +76,11 @@ class SupportedVector:
     def get(self, point: int) -> float:
         return self.entries.get(point, 0.0)
 
-    # -- arithmetic (module tags must match) ---------------------------------
-
-    def _require_same(self, other: "SupportedVector") -> None:
-        if not isinstance(other, SupportedVector):
-            raise TypeError("expected a SupportedVector")
-        if self.module != other.module:
-            raise ValueError(
-                f"module mismatch: {self.module} vs {other.module}")
-
-    def __add__(self, other: "SupportedVector") -> "SupportedVector":
-        self._require_same(other)
-        if self.module == SCALAR:
-            return SupportedVector(SCALAR, scalar=self.scalar + other.scalar)
-        ent = dict(self.entries)
-        for k, v in other.entries.items():
-            ent[k] = ent.get(k, 0.0) + v
-        return SupportedVector(self.module, ent)
-
-    def __sub__(self, other: "SupportedVector") -> "SupportedVector":
-        self._require_same(other)
-        if self.module == SCALAR:
-            return SupportedVector(SCALAR, scalar=self.scalar - other.scalar)
-        ent = dict(self.entries)
-        for k, v in other.entries.items():
-            ent[k] = ent.get(k, 0.0) - v
-        return SupportedVector(self.module, ent)
-
-    def __mul__(self, factor: float) -> "SupportedVector":
-        if self.module == SCALAR:
-            return SupportedVector(SCALAR, scalar=self.scalar * factor)
-        return SupportedVector(self.module,
-                               {k: v * factor for k, v in self.entries.items()})
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SupportedVector":
-        return self * -1.0
-
     def __repr__(self) -> str:
         if self.module == SCALAR:
             return f"SupportedVector(scalar, {self.scalar!r})"
         body = ", ".join(f"{k}: {v:.4g}" for k, v in self.entries.items())
         return f"SupportedVector({self.module}, {{{body}}})"
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self) -> dict:
-        if self.module == SCALAR:
-            return {"module": SCALAR, "entries": [[0, self.scalar]]}
-        return {"module": self.module,
-                "entries": [[int(k), float(v)]
-                            for k, v in self.entries.items()]}
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "SupportedVector":
-        module = payload["module"]
-        if module == SCALAR:
-            return cls(SCALAR, scalar=sum(v for _, v in payload["entries"]))
-        ent: dict = {}
-        for k, v in payload["entries"]:
-            ent[int(k)] = ent.get(int(k), 0.0) + float(v)
-        return cls(module, ent)
 
 
 def zero(module: str = L1) -> SupportedVector:

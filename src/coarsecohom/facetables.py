@@ -393,7 +393,13 @@ def linear(module: str, n: int, terms: list, seen=None) -> Table:
 
     terms: (cochain, faces, coef) with one operand face per output face;
     terms that share a cochain evaluate it once on their distinct faces.
-    seen, if given, is called with each table of operand values."""
+    A single term with coef 1.0 is its cochain's table on faces, as it
+    is. seen, if given, is called with each table of operand values."""
+    if len(terms) == 1 and terms[0][2] == 1.0:
+        tab = evaluate(terms[0][0], terms[0][1])
+        if seen is not None:
+            seen(tab)
+        return tab
     m = len(terms[0][1])
     if not m:
         return empty(module, n, 0)

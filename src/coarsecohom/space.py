@@ -389,9 +389,9 @@ def _hop_distances(n: int, edges: np.ndarray) -> np.ndarray:
 
 
 def _hop_row(n: int, edges: np.ndarray, source: int) -> np.ndarray:
-    """Hop distances from `source` in the connected graph on 0..n-1 with
-    the given (m, 2) edge array: a BFS one frontier at a time over a CSR
-    adjacency, in O(n + m) time and memory."""
+    """Hop distances from `source` in the graph on 0..n-1 with the given
+    (m, 2) edge array, -1 where it does not reach: a BFS one frontier at a
+    time over a CSR adjacency, in O(n + m) time and memory."""
     starts, nbrs = _closed_adjacency(n, edges)
     row = np.full(n, -1, dtype=np.int64)
     row[source] = 0
@@ -564,22 +564,6 @@ def _free_ball_edges(rank: int, radius: int):
     return edges, len(words), [name(w) for w in words]
 
 
-def _connected(n: int, edges: np.ndarray) -> bool:
-    """Whether the (m, 2) edge array reaches every vertex from vertex 0,
-    growing the reached set along all edges at once until it stops."""
-    heads = np.concatenate([edges[:, 0], edges[:, 1]])
-    tails = np.concatenate([edges[:, 1], edges[:, 0]])
-    reach = np.zeros(n, dtype=bool)
-    reach[0] = True
-    count = 1
-    while True:
-        reach[tails[reach[heads]]] = True
-        grown = int(np.count_nonzero(reach))
-        if grown == count:
-            return count == n
-        count = grown
-
-
 def _random_regular_edges(n: int, k: int, seed: int, max_attempts: int = 10_000):
     """Seeded pairing model, rejecting multigraphs and disconnected draws."""
     if n < 1 or k < 1 or k >= n:
@@ -601,42 +585,64 @@ def _random_regular_edges(n: int, k: int, seed: int, max_attempts: int = 10_000)
             seen.add(key)
         if not ok:
             continue
-        if _connected(n, np.array(list(seen))):
+        if (_hop_row(n, np.array(list(seen)), 0) >= 0).all():
             return sorted(seen), n, None, attempt
     raise ValueError(f"random_regular gave up after {max_attempts} attempts")
+
+
+# Each family kind's parameters, in order: name -> default, None where the
+# parameter is required. The command line reads its --family choices and
+# flags from here.
+FAMILY_PARAMS = {
+    "cycle": {"size": None},
+    "path": {"size": None},
+    "complete": {"n": None},
+    "torus": {"size": None, "dim": 2},
+    "free_ball": {"rank": None, "radius": None},
+    "random_regular": {"n": None, "k": None},
+}
 
 
 def generate_family(kind: str, params: dict, seed: int = 0) -> FiniteMetricSpace:
     """Deterministic test-family constructor.
 
-    kind in {cycle, path, complete, torus, free_ball, random_regular};
-    identical (kind, params, seed) always serializes byte-for-byte equal.
+    kind is a key of FAMILY_PARAMS and params gives its parameters: every
+    required one, and no other; a missing or unknown one raises ValueError.
+    Identical (kind, params, seed) always serializes byte-for-byte equal.
     The cycle and torus families are Cayley graphs of (Z/size)^dim and
     carry that group law (CayleyGraphSpace); the others are eager
     FiniteMetricSpaces.
     """
     kind = kind.lower()
+    if kind not in FAMILY_PARAMS:
+        raise ValueError(f"unknown family kind {kind!r}")
+    names = FAMILY_PARAMS[kind]
+    for key in params:
+        if key not in names:
+            raise ValueError(f"family {kind} takes no parameter {key!r}")
+    for key, default in names.items():
+        if default is None and key not in params:
+            raise ValueError(f"family {kind} needs parameter {key!r}")
+    arg = {key: int(params.get(key, default))
+           for key, default in names.items()}
     extra: dict = {}
     law = None
     if kind == "cycle":
-        edges, n, labels = _cycle_edges(int(params["size"]))
+        edges, n, labels = _cycle_edges(arg["size"])
         law = TorusLaw(n, 1)
     elif kind == "path":
-        edges, n, labels = _path_edges(int(params["size"]))
+        edges, n, labels = _path_edges(arg["size"])
     elif kind == "complete":
-        edges, n, labels = _complete_edges(int(params.get("n", params.get("size", 0))))
+        edges, n, labels = _complete_edges(arg["n"])
     elif kind == "torus":
-        dim, size = int(params.get("dim", 2)), int(params["size"])
-        edges, n, labels = _torus_edges(dim, size)
-        law = TorusLaw(size, dim)
+        edges, n, labels = _torus_edges(arg["dim"], arg["size"])
+        law = TorusLaw(arg["size"], arg["dim"])
     elif kind == "free_ball":
-        edges, n, labels = _free_ball_edges(int(params["rank"]), int(params["radius"]))
-    elif kind == "random_regular":
-        edges, n, labels, retries = _random_regular_edges(
-            int(params["n"]), int(params["k"]), seed)
-        extra["retries"] = retries
+        edges, n, labels = _free_ball_edges(arg["rank"], arg["radius"])
     else:
-        raise ValueError(f"unknown family kind {kind!r}")
+        edges, n, labels, retries = _random_regular_edges(
+            arg["n"], arg["k"], seed)
+        extra["retries"] = retries
     canon = {key: int(val) for key, val in params.items()}
     meta = {"kind": kind, "params": canon, "seed": seed,
             "edges": sorted((min(e), max(e)) for e in edges), **extra}

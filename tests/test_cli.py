@@ -53,6 +53,33 @@ def test_gen_infeasible_degree_sequence(capsys):
     assert "error: random_regular infeasible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["--family", "cycle"], "--family cycle needs --size"),
+    (["--family", "path", "--n", "4"], "--family path needs --size"),
+    (["--family", "torus", "--dim", "3"], "--family torus needs --size"),
+    (["--family", "complete", "--size", "5"], "--family complete needs --n"),
+    (["--family", "free_ball", "--rank", "2"],
+     "--family free_ball needs --rank and --radius"),
+    (["--family", "random_regular", "--k", "3"],
+     "--family random_regular needs --n and --k"),
+])
+def test_each_family_names_its_missing_flags(argv, error, capsys):
+    assert main(["gen", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_family_flags_build_the_library_spaces(capsys):
+    # the flags a kind reads, --dim at its default 2 included
+    for argv, kind, params in (
+            (["--size", "5"], "torus", {"size": 5, "dim": 2}),
+            (["--n", "5", "--size", "9"], "complete", {"n": 5}),
+            (["--rank", "2", "--radius", "1"], "free_ball",
+             {"rank": 2, "radius": 1})):
+        assert main(["gen", "--family", kind, *argv]) == 0
+        want = cc.generate_family(kind, params).content_hash()[:16]
+        assert f"hash={want}" in capsys.readouterr().out
+
+
 def test_space_source_must_be_unique(tmp_path, capsys):
     assert main(["gen"]) == 2
     assert "exactly one of" in capsys.readouterr().err

@@ -3,7 +3,8 @@ uses each name it imports (`__init__.py` is skipped, since it imports names
 only to re-export them), every top-level name, public method and export is
 read by a module of the package other than `__init__.py`, only
 `space.py` reads the real-metric slack, only `facetables.py` knows how a
-face table is laid out, only `cochains.py` builds a check record, the
+face table is laid out, only the combination constructor of `cochains.py`
+calls `facetables.linear`, only `cochains.py` builds a check record, the
 command line loads no optional heavy module,
 and no module calls the builtin hash(), whose values belong to the
 interpreter."""
@@ -129,6 +130,30 @@ def test_only_facetables_knows_the_table_layout():
     assert readers
     assert [hit for hit in readers
             if not hit.startswith("facetables.py:")] == []
+
+
+def _linear_calls(node, path: Path) -> list:
+    return [f"{path.name}:{call.lineno}" for call in ast.walk(node)
+            if isinstance(call, ast.Call) and "linear" in (
+                getattr(call.func, "id", None),
+                getattr(call.func, "attr", None))]
+
+
+def test_only_the_combination_constructor_calls_linear():
+    # D, d, s, sums, differences and scalings are term lists of one
+    # constructor; a second caller of facetables.linear is a hand-written
+    # table rule again
+    calls, constructor = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls += _linear_calls(tree, path)
+        if path.name == "cochains.py":
+            constructor += [hit for node in ast.walk(tree)
+                            if isinstance(node, ast.FunctionDef)
+                            and node.name == "_combination"
+                            for hit in _linear_calls(node, path)]
+    assert [hit for hit in calls if hit not in constructor] == []
+    assert len(constructor) == 1
 
 
 # Serialisable dataclasses that are no check: the profile's rows and table,

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import coarsecohom as cc
 from coarsecohom.space import (TRIANGLE_SCAN_LIMIT, _exact_domain,
-                               _hop_distances)
+                               _hop_distances, _hop_row)
 from helpers import (bfs_graph_dist, brute_tuples, cycle_dist, spaces,
                      torus_dist)
 
@@ -277,6 +277,50 @@ def test_random_regular_properties():
     assert again.canonical_json() == sp.canonical_json()
     other = cc.generate_family("random_regular", {"n": 32, "k": 3}, seed=2)
     assert other.meta["edges"] != sp.meta["edges"]
+
+
+@pytest.mark.parametrize("n, k, seed, retries, digest", [
+    (8, 2, 0, 2, "a6da8242a2694721"), (12, 2, 1, 4, "926f0bd3c43f78fc"),
+    (20, 2, 3, 0, "e29f19dbf0422d97"), (30, 2, 4, 7, "4e247be8c9b76f2b"),
+    (10, 3, 0, 8, "db0ee412bbbfe74e"), (16, 3, 5, 5, "9d91d192b404bca5"),
+    (64, 3, 2, 0, "28447a7446fab53f"), (40, 4, 1, 111, "92d2fb098b7c73df"),
+])
+def test_random_regular_draws_are_stable(n, k, seed, retries, digest):
+    # retries and edges as written when connectivity had its own routine;
+    # k = 2 draws are often disconnected, so several of these reject some
+    sp = cc.generate_family("random_regular", {"n": n, "k": k}, seed=seed)
+    assert sp.meta["retries"] == retries
+    edges = json.dumps(sp.meta["edges"]).encode()
+    assert hashlib.sha256(edges).hexdigest()[:16] == digest
+
+
+def test_hop_row_marks_unreached_vertices():
+    two_paths = np.array([[0, 1], [1, 2], [3, 4], [4, 5]])
+    assert _hop_row(6, two_paths, 0).tolist() == [0, 1, 2, -1, -1, -1]
+
+
+@pytest.mark.parametrize("kind, params, error", [
+    ("cycle", {}, "family cycle needs parameter 'size'"),
+    ("torus", {"dim": 2}, "family torus needs parameter 'size'"),
+    ("torus", {"size": 4, "dim": 2, "rank": 3},
+     "family torus takes no parameter 'rank'"),
+    ("complete", {"size": 5}, "family complete takes no parameter 'size'"),
+    ("complete", {}, "family complete needs parameter 'n'"),
+    ("free_ball", {"rank": 2}, "family free_ball needs parameter 'radius'"),
+    ("random_regular", {"n": 8}, "family random_regular needs parameter 'k'"),
+    ("path", {"size": 4, "n": 4}, "family path takes no parameter 'n'"),
+])
+def test_family_parameters_are_checked(kind, params, error):
+    with pytest.raises(ValueError) as info:
+        cc.generate_family(kind, params)
+    assert str(info.value) == error
+
+
+def test_optional_torus_dim_stays_out_of_the_params():
+    # an omitted dim is 2, but the params (and so the hash) are as given
+    sp = cc.generate_family("torus", {"size": 4})
+    assert sp.meta["params"] == {"size": 4} and sp.n == 16
+    assert sp.content_hash()[:16] == "7c96adb2bc18aeaf"
 
 
 def test_random_regular_odd_product_rejected():
