@@ -1,6 +1,10 @@
 """Reiter-style averaging: probability families on balls, their variation
 profiles, convolution against cochains, homotopy defects, and the
 pair-field transfer identity.
+
+The convolution, the transfer and the defect's telescope are each one
+ragged term of cochains._combination: the rule reads f's or F's own values,
+and the table rule reads the same entries off CSR rows or an f table.
 """
 
 from __future__ import annotations
@@ -12,10 +16,10 @@ import numpy as np
 from .coefficients import (L1, L1_ZERO, PRUNE_TOL, SCALAR, SupportedVector,
                            boundary_pairs, dirac, pi_sum)
 from .cochains import (DEFAULT_AUDIT_BUDGET, DEFAULT_SAMPLE_SIZE, EXACT_TOL,
-                       Check, Cochain, _accumulate, _audit, _Sup, bound_check,
-                       cochain_sub, diff_D, identity_check)
+                       Check, Cochain, _audit, _combination, _Sup,
+                       bound_check, cochain_sub, diff_D, identity_check)
 from .facetables import (csr_expand, distinct, evaluate, gaps, norms,
-                         row_entries, rows_fill, vectors_csr, weighted)
+                         row_entries, rows_fill, vectors_csr)
 from .space import FiniteMetricSpace, mask_rows
 
 PROB_SUM_TOL = 1e-12
@@ -109,12 +113,14 @@ class ReiterFamily:
 
     @property
     def sup_norm(self) -> float:
-        return max(v.norm for v in self.vectors)
+        """The largest ||f(x)||, each added left to right as
+        SupportedVector.norm adds it."""
+        return _row_sums(self.indptr, np.abs(self.weights)).max().item()
 
     def as_cochain(self) -> Cochain:
-        vectors = self.vectors
+        """f as a (0, -1)-cochain; its rule builds `vectors` when called."""
         return Cochain(self.space, 0, -1, L1,
-                       lambda xs, ys: vectors[xs[0]],
+                       lambda xs, ys: self.vectors[xs[0]],
                        name=self.name or "family",
                        fill=rows_fill(L1, self.space.n, self.indptr,
                                       self.cols, self.weights))
@@ -373,6 +379,19 @@ def _max_pair_variation(padded, pi, pj):
     return best, (int(pi[best_at]), int(pj[best_at]))
 
 
+def pair_scan(fam: ReiterFamily, r_list, pairs: dict) -> list:
+    """(nu, pair) of the family's CSR rows for each R in r_list, as
+    _max_pair_variation gives them; pairs caches each R's _pair_index, so
+    that the families on one space share them."""
+    padded = _padded_rows(fam.space.n, fam.indptr, fam.cols, fam.weights)
+    out = []
+    for r in r_list:
+        if r not in pairs:
+            pairs[r] = _pair_index(fam.space, r)
+        out.append(_max_pair_variation(padded, *pairs[r]))
+    return out
+
+
 def _one_row_variation(space, hops, s: float, r_list) -> list:
     """(nu, pair) of the ball average at scale s for each R in r_list, on
     a space with a group law, from the distances `hops` to the identity e.
@@ -435,14 +454,9 @@ def variation_profile(space: FiniteMetricSpace, schedule, r_list,
         return ProfileTable(rows)
     pairs: dict = {}
     for s in schedule:
-        fam = family(space, s)
-        padded = _padded_rows(space.n, fam.indptr, fam.cols, fam.weights)
-        for r in r_list:
-            if r not in pairs:
-                pairs[r] = _pair_index(space, r)
-            nu, pair = _max_pair_variation(padded, *pairs[r])
-            rows.append(ProfileRow(float(s), float(r), float(nu),
-                                   pair[0], pair[1]))
+        for r, (nu, pair) in zip(r_list, pair_scan(family(space, s), r_list,
+                                                   pairs)):
+            rows.append(ProfileRow(float(s), float(r), nu, *pair))
     return ProfileTable(rows)
 
 
@@ -489,6 +503,9 @@ def convolve(f: Cochain, theta: Cochain) -> Cochain:
     d(f*phi) = (-1)**f.p f*(d phi) (on the nose for the p = 0 averaging
     uses; the sign is forced by d's p-dependent signs), and
     ||f*theta||_R <= ||f||_R ||theta||.
+
+    One ragged term reads theta at ((z,), ys) over the entries of f(xs), in
+    ascending z: on a face array, f is evaluated once per distinct xs.
     """
     if f.space is not theta.space:
         raise ValueError("convolution operands must share their space")
@@ -497,37 +514,23 @@ def convolve(f: Cochain, theta: Cochain) -> Cochain:
                          f"on the left, got q={f.q}, module={f.module}")
     if theta.p != 0:
         raise ValueError("convolve needs a column cochain (p = 0) on the right")
-    module = theta.module
-    fcall = f.__call__
-    tcall = theta.__call__
+    xlen = f.p + 1
 
-    def rule(xs, ys):
-        return _accumulate(module, ((w, tcall((z,), ys))
-                                    for z, w in fcall(xs, ()).entries.items()))
+    def at(face):
+        ys = face[xlen:]
+        return ((w, (z,) + ys) for z, w in f(face[:xlen]).entries.items())
 
-    def fill(faces):
-        return _convolution(f, theta, faces)
+    def on(faces):
+        first, inverse = distinct(faces[:, :xlen], f.space.n)
+        lengths, owner, z, w = row_entries(evaluate(f, faces[first, :xlen]),
+                                           inverse)
+        return (np.concatenate((z[:, None], faces[owner, xlen:]), axis=1), w,
+                lengths)
 
     name = ""
     if f.name and theta.name:
         name = f"({f.name}*{theta.name})"
-    return Cochain(f.space, f.p, theta.q, module, rule, name=name, fill=fill)
-
-
-def _convolution(f: Cochain, theta: Cochain, faces, seen_f=None,
-                 seen_theta=None):
-    """Table of f * theta on faces: f once per distinct x, then theta at
-    ((z,), ys) weighted by f(xs)(z), over f's entries in ascending order. The
-    seen_* callbacks get the tables of f and of theta values."""
-    xlen = f.p + 1
-    n = f.space.n
-    first, inverse = distinct(faces[:, :xlen], n)
-    ftab = evaluate(f, faces[first, :xlen])
-    if seen_f is not None:
-        seen_f(ftab)
-    lengths, owner, z, w = row_entries(ftab, inverse)
-    tfaces = np.concatenate((z[:, None], faces[owner, xlen:]), axis=1)
-    return weighted(theta.module, n, theta, lengths, tfaces, w, seen_theta)
+    return _combination(f.p, theta.q, [(theta, at, on)], name)
 
 
 def homotopy_defect(fam: ReiterFamily, phi: Cochain,
@@ -548,18 +551,19 @@ def homotopy_defect(fam: ReiterFamily, phi: Cochain,
         raise ValueError("homotopy defect needs a probability family")
     if phi.p != 0:
         raise ValueError("homotopy defect acts on column cochains (p = 0)")
-    fam_cochain = fam.as_cochain()
-    defect = cochain_sub(convolve(fam_cochain, phi), phi)
+    defect = cochain_sub(convolve(fam.as_cochain(), phi), phi)
     # T_F(D phi) for the pairs (x, z) of f's entries
     rows = np.repeat(np.arange(fam.space.n), np.diff(fam.indptr))
-    telescope = _transfer_fill(fam.indptr, np.stack((rows, fam.cols), axis=1),
-                               fam.weights, diff_D(phi))
+    telescope = _transfer(
+        diff_D(phi), lambda x: (((x, z), w)
+                                for z, w in fam.vectors[x].entries.items()),
+        fam.indptr, np.stack((rows, fam.cols), axis=1), fam.weights)
     dphi_sup, telescope_gap = _Sup(), _Sup()
 
     def defect_norms(faces):
         # also folds these points into dphi_sup and telescope_gap
         dval = evaluate(defect, faces)
-        telescope_gap.add(gaps(dval, telescope(faces, dphi_sup)))
+        telescope_gap.add(gaps(dval, telescope.fill(faces, dphi_sup)))
         return norms(dval)
 
     worst, record = _audit(fam.space, 1, phi.q + 1, 0.0, phi.module,
@@ -578,16 +582,21 @@ def conv_norm_audit(f: Cochain, theta: Cochain, r: float,
                     budget: int = DEFAULT_AUDIT_BUDGET,
                     sample_size: int = DEFAULT_SAMPLE_SIZE,
                     seed: int = 0) -> Check:
-    """Audited ||f*theta||_R <= ||f||_R ||theta|| with coupled theta points."""
-    conv = convolve(f, theta)
+    """Audited ||f*theta||_R <= ||f||_R ||theta|| with coupled theta points:
+    the sups fold the f and theta tables the convolution is made from."""
     f_sup, theta_sup = _Sup(), _Sup()
 
-    def conv_norms(faces):
-        # also folds f(xs) and every theta((z,), ys) it weighs into the sups
-        return norms(_convolution(f, theta, faces, f_sup, theta_sup))
+    def f_fill(faces):
+        # f's table rule, folding each f table the convolution reads
+        tab = evaluate(f, faces)
+        f_sup(tab)
+        return tab
 
+    conv = convolve(Cochain(f.space, f.p, f.q, f.module, f.__call__,
+                            fill=f_fill), theta)
     lhs, record = _audit(f.space, f.p + 1, theta.q + 1, r, conv.module,
-                         conv_norms, budget, sample_size, seed)
+                         lambda faces: norms(conv.fill(faces, theta_sup)),
+                         budget, sample_size, seed)
     return bound_check("norm_bound_conv", lhs, f_sup.value * theta_sup.value,
                        {"R": float(r), "f_sup": f_sup.value,
                         "theta_sup": theta_sup.value}, **record)
@@ -599,30 +608,26 @@ def transfer_cochain(field, zeta: Cochain) -> Cochain:
     """(T_F zeta)(x, y) = sum over pairs F(x)(z0,z1) zeta((z0,z1), y)."""
     if zeta.p != 1:
         raise ValueError("transfer consumes (1,q)-cochains")
-    module = zeta.module
-    zcall = zeta.__call__
-
-    def rule(xs, ys):
-        return _accumulate(module, ((w, zcall(pair, ys))
-                                    for pair, w in field[xs[0]].entries.items()))
-
     indptr, pairs, weights = vectors_csr(field)
-    return Cochain(zeta.space, 0, zeta.q, module, rule, name="T_F",
-                   fill=_transfer_fill(indptr, pairs.reshape(-1, 2), weights,
-                                       zeta))
+    return _transfer(zeta, lambda x: field[x].entries.items(), indptr,
+                     pairs.reshape(-1, 2), weights)
 
 
-def _transfer_fill(indptr, pairs, weights, zeta: Cochain):
-    """Table rule of T_F zeta for the field with CSR rows (indptr, pairs,
-    weights), pairs an (entries, 2) int array; seen, if given, gets the
-    tables of zeta values."""
-    def fill(faces, seen=None):
+def _transfer(zeta: Cochain, entries, indptr, pairs, weights) -> Cochain:
+    """T_F zeta for the pair field F whose value at x has the (pair, w)
+    entries entries(x), read by the rule, and the CSR row x of (indptr,
+    pairs, weights), pairs an (entries, 2) int array, read by the table
+    rule: one ragged term reads zeta at (pair, ys) over that row."""
+    def at(face):
+        ys = face[1:]
+        return ((w, pair + ys) for pair, w in entries(face[0]))
+
+    def on(faces):
         lengths, owner, src = csr_expand(indptr, faces[:, 0])
-        zfaces = np.concatenate((pairs[src], faces[owner, 1:]), axis=1)
-        return weighted(zeta.module, zeta.space.n, zeta, lengths, zfaces,
-                        weights[src], seen)
+        return (np.concatenate((pairs[src], faces[owner, 1:]), axis=1),
+                weights[src], lengths)
 
-    return fill
+    return _combination(0, zeta.q, [(zeta, at, on)], "T_F")
 
 
 def tf_identity(field, theta: Cochain, radius: float | None = None,

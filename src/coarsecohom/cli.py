@@ -63,9 +63,9 @@ def _parse_scales(text: str, flag: str, whole: bool = False,
                   increasing: bool = False,
                   least: float = 0.0) -> list[float]:
     """Comma-separated scales or radii: finite, >= 0, at least `least` and
-    never repeated, whole numbers when `whole`, and each larger than the
-    one before when `increasing`; the error names the first token that is
-    not."""
+    never repeated, whole numbers when `whole`, and, when `increasing`,
+    each larger than the one before and the first larger than 0; the error
+    names the first token that is not."""
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     try:
         values = [float(tok) for tok in tokens]
@@ -83,9 +83,9 @@ def _parse_scales(text: str, flag: str, whole: bool = False,
         if whole and not value.is_integer():
             raise ValueError(f"{flag} value {tok!r} must be a whole number "
                              "of walk steps")
-        if increasing and k and value <= values[k - 1]:
-            raise ValueError(f"{flag} value {tok!r} must be larger than the "
-                             "value before it")
+        if increasing and value <= (values[k - 1] if k else 0.0):
+            raise ValueError(f"{flag} value {tok!r} must be larger than "
+                             + ("the value before it" if k else "0"))
         if value in values[:k]:
             raise ValueError(f"{flag} value {tok!r} must be distinct from the "
                              "values before it")

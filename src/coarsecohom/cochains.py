@@ -13,7 +13,9 @@ Sign conventions, chosen so every identity below is exact for all p, q:
 
 Each of these, and every sum, difference and scaling, is one linear
 combination (_combination): a list of terms, each an operand read at a
-column map of the face with a sign or factor.
+column map of the face with a sign or factor (_columns). The convolution
+and the transfer of averaging are combinations too, of one term that reads
+its operand at a run of faces per face.
 
 Seminorms constrain x to the radius-R tuple domain and leave y unrestricted;
 audits enumerate exactly within a budget and fall back to seeded uniform
@@ -27,7 +29,6 @@ the pointwise specification they reproduce.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
@@ -100,41 +101,41 @@ def _accumulate(module: str, pairs) -> SupportedVector:
     return SupportedVector(module, ent, sca)
 
 
-def _picker(columns: list):
-    """face -> the tuple of face[c] for c in columns (at least one)."""
-    if len(columns) == 1:
-        c = columns[0]
-        return lambda face: (face[c],)
-    return itemgetter(*columns)
-
-
 def _combination(p: int, q: int, terms: list, name: str) -> Cochain:
-    """The (p, q)-cochain sum_j coef_j * c_j(face[columns_j]), added in
-    term order, for its terms (c_j, columns_j, coef_j).
+    """The (p, q)-cochain that adds, in term order, what its terms read.
 
-    columns_j lists the positions of the result's face (xs + ys) that make
-    c_j's face, which splits after c_j's own p+1 x-coordinates; the terms
-    of D, d and s only delete, repeat or move positions. The rule adds the
-    terms' values through _accumulate and the table rule is one
-    facetables.linear call, in the same order, so the two agree bit for
-    bit. The operands share one space and module."""
+    A term (c, at, on) reads its operand c at faces made from the result's
+    face, each with a coefficient. For one face xs + ys, at(face) gives
+    the (coef, c's face) pairs in order; for an int array of faces, on(faces)
+    gives the rest of the term facetables.linear takes: (c's faces, coef),
+    or, for a ragged term, (c's faces, coefs, lengths). c's face splits
+    after c's own p+1 x-coordinates. The rule adds the terms' values
+    through _accumulate and the table rule is one linear call, in the same
+    order, so the two agree bit for bit. The operands share one space and
+    module."""
     space, module = terms[0][0].space, terms[0][0].module
-    reads = [(c.__call__, _picker(cols), c.p + 1, coef)
-             for c, cols, coef in terms]
+    reads = [(c.__call__, c.p + 1, at) for c, at, _ in terms]
 
     def values(face):
-        for call, pick, xlen, coef in reads:
-            args = pick(face)
-            yield coef, call(args[:xlen], args[xlen:])
+        for call, xlen, at in reads:
+            for coef, args in at(face):
+                yield coef, call(args[:xlen], args[xlen:])
 
     def rule(xs, ys):
         return _accumulate(module, values(xs + ys))
 
     def fill(faces, seen=None):
-        return linear(module, space.n, [(c, faces[:, cols], coef)
-                                        for c, cols, coef in terms], seen)
+        return linear(module, space.n, [(c, *on(faces))
+                                        for c, _, on in terms], seen)
 
     return Cochain(space, p, q, module, rule, name=name, fill=fill)
+
+
+def _columns(c: Cochain, columns: list, coef: float) -> tuple:
+    """The term that reads c at face[columns] with a fixed coef, as D, d,
+    s, sums and scalings do: they only delete, repeat or move positions."""
+    return (c, lambda face: ((coef, tuple(face[k] for k in columns)),),
+            lambda faces: (faces[:, columns], coef))
 
 
 def _every(a: Cochain) -> list:
@@ -147,7 +148,8 @@ def _sum(op: str, a: Cochain, b: Cochain, sign: float) -> Cochain:
     if a.space is not b.space or (a.p, a.q) != (b.p, b.q) or a.module != b.module:
         raise ValueError(f"{op} needs matching space, bidegree, module")
     mark = "+" if sign > 0 else "-"
-    return _combination(a.p, a.q, [(a, _every(a), 1.0), (b, _every(b), sign)],
+    return _combination(a.p, a.q, [_columns(a, _every(a), 1.0),
+                                   _columns(b, _every(b), sign)],
                         f"({a.name}{mark}{b.name})" if a.name and b.name
                         else "")
 
@@ -161,7 +163,7 @@ def cochain_sub(a: Cochain, b: Cochain) -> Cochain:
 
 
 def cochain_scale(a: Cochain, factor: float) -> Cochain:
-    return _combination(a.p, a.q, [(a, _every(a), factor)],
+    return _combination(a.p, a.q, [_columns(a, _every(a), factor)],
                         f"{factor}*{a.name}" if a.name else "")
 
 
@@ -179,7 +181,8 @@ def diff_D(phi: Cochain) -> Cochain:
     """
     width = phi.p + phi.q + 3
     return _combination(phi.p + 1, phi.q,
-                        [(phi, [j for j in range(width) if j != i], _sign(i))
+                        [_columns(phi, [j for j in range(width) if j != i],
+                                  _sign(i))
                          for i in range(phi.p + 2)],
                         f"D({phi.name})" if phi.name else "")
 
@@ -189,8 +192,8 @@ def diff_d(phi: Cochain) -> Cochain:
     sign (-1)**(i+p)."""
     xlen, width = phi.p + 1, phi.p + phi.q + 3
     return _combination(phi.p, phi.q + 1,
-                        [(phi, [j for j in range(width) if j != xlen + i],
-                          _sign(i + phi.p))
+                        [_columns(phi, [j for j in range(width)
+                                        if j != xlen + i], _sign(i + phi.p))
                          for i in range(phi.q + 2)],
                         f"d({phi.name})" if phi.name else "")
 
@@ -206,7 +209,8 @@ def split_s(phi: Cochain) -> Cochain:
         raise ValueError("cannot split below the augmentation row (q = -1)")
     xlen = phi.p + 1
     lifted = [*range(xlen), 0, *range(xlen, xlen + phi.q)]
-    return _combination(phi.p, phi.q - 1, [(phi, lifted, _sign(phi.p))],
+    return _combination(phi.p, phi.q - 1,
+                        [_columns(phi, lifted, _sign(phi.p))],
                         f"s({phi.name})" if phi.name else "")
 
 

@@ -11,13 +11,15 @@ along the row from left to right, as SupportedVector adds them, and the
 other rows are only bounded (see norms).
 
 A derived cochain (D, d, s, sums, scalings, convolutions, transfers) makes
-its table from its operands' tables on the distinct faces it needs, listed
-in code (lexicographic) order: a signed gather added term by term in face
-order, which is the order the closures add in. After every operator the l1
-entries below PRUNE_TOL are dropped and every l1_0 value passes the
-zero-sum check, as in SupportedVector; scalars are never pruned. A cochain
-without a table rule (`Cochain.fill`) is called once per distinct face, so
-any closure-built cochain can be audited.
+its table with one engine, `linear`, from its operands' tables on the
+distinct faces it needs, listed in code (lexicographic) order: a signed
+gather added term by term in face order, which is the order the closures
+add in. A term reads one operand face per face, or, ragged, a run of them
+per face. After every operator the l1 entries below PRUNE_TOL are dropped
+and every l1_0 value passes the zero-sum check, as in SupportedVector;
+scalars are never pruned. A cochain without a table rule (`Cochain.fill`)
+is called once per distinct face, so any closure-built cochain can be
+audited.
 
 The layout is private to this module: other modules build tables with its
 constructors and operators and read them through norms, gaps, row_entries,
@@ -391,99 +393,93 @@ def _step(m: int, rows: int, width: int) -> int:
 def linear(module: str, n: int, terms: list, seen=None) -> Table:
     """sum_j coef_j * c_j(faces_j) per face, in term order.
 
-    terms: (cochain, faces, coef) with one operand face per output face;
-    terms that share a cochain evaluate it once on their distinct faces.
-    A single term with coef 1.0 is its cochain's table on faces, as it
-    is. seen, if given, is called with each table of operand values."""
-    if len(terms) == 1 and terms[0][2] == 1.0:
+    A term (cochain, faces, coef) reads one operand face per output face,
+    coef a float. A ragged term (cochain, faces, coefs, lengths) gives
+    output face i the next lengths[i] faces and coefs, added in order; a
+    face with fewer of them than another in its piece adds 0.0 times a row
+    the piece already uses. Terms that share a cochain evaluate it once on
+    their distinct faces. A single term with coef 1.0 is its cochain's
+    table on faces, as it is. seen, if given, is called with each table of
+    operand values."""
+    if len(terms) == 1 and len(terms[0]) == 3 and terms[0][2] == 1.0:
         tab = evaluate(terms[0][0], terms[0][1])
         if seen is not None:
             seen(tab)
         return tab
-    m = len(terms[0][1])
+    m = len(terms[0][3] if len(terms[0]) == 4 else terms[0][1])
     if not m:
         return empty(module, n, 0)
     groups: dict = {}
-    for j, (c, _, _) in enumerate(terms):
-        groups.setdefault(id(c), (c, []))[1].append(j)
+    for j, term in enumerate(terms):
+        groups.setdefault(id(term[0]), (term[0], [], []))[
+            1 if len(term) == 3 else 2].append(j)
 
     whole = []
-    for c, js in groups.values():
-        stacked = np.concatenate([terms[j][1] for j in js])
+    for c, fixed, ragged in groups.values():
+        js = fixed + ragged
+        stacked = (terms[js[0]][1] if len(js) == 1
+                   else np.concatenate([terms[j][1] for j in js]))
         first, inverse = distinct(stacked, n)
-        whole.append((c, js, stacked[first], inverse.reshape(len(js), m)))
+        # each ragged term's part of the inverse, and where each output
+        # face's operand faces start in it
+        block, rest = inverse[:len(fixed) * m], inverse[len(fixed) * m:]
+        spans = []
+        for j in ragged:
+            starts = np.concatenate(([0], np.cumsum(terms[j][3])))
+            spans.append((j, rest[:starts[-1]], starts))
+            rest = rest[starts[-1]:]
+        whole.append((c, fixed, stacked[first], block.reshape(len(fixed), m),
+                      spans))
     width = width_of(module, n)
     step = _step(m, max(len(g[2]) for g in whole), width)
     vals = None
     for lo in range(0, m, step):
         hi = min(lo + step, m)
-        slots = [None] * len(terms)
-        for c, js, faces, inverse in whole:
-            used, rows = _piece(len(faces), inverse[:, lo:hi], step == m)
+        slots = [[] for _ in terms]
+        for c, fixed, faces, block, spans in whole:
+            parts = [block[:, lo:hi]] + [rows[starts[lo]:starts[hi]]
+                                         for _, rows, starts in spans]
+            if not any(map(len, parts)):
+                continue                    # no term of c reads this piece
+            used, local = _piece(len(faces), parts, step == m)
             tab = evaluate(c, faces if used is None else faces[used])
             if seen is not None:
                 seen(tab)
-            for i, j in enumerate(js):
-                slots[j] = (tab, rows[i], terms[j][2])
+            for i, j in enumerate(fixed):
+                slots[j].append((tab, local[0][i], terms[j][2]))
+            for (j, _, starts), rows in zip(spans, local[1:]):
+                # slot k holds each face's k-th operand face, or row 0
+                lengths = terms[j][3][lo:hi]
+                live = np.arange(lengths.max()) < lengths[:, None]
+                index = np.zeros(live.shape, dtype=np.int64)
+                index[live] = rows
+                coefs = np.zeros(live.shape)
+                coefs[live] = terms[j][2][starts[lo]:starts[hi]]
+                slots[j] = [(tab, index[:, k], coefs[:, k])
+                            for k in range(live.shape[1])]
         if vals is None:
             # made once the first operands exist, so that evaluating them
             # does not run with this table held; every row gets written
             vals = table_buffer((m, width))
-        combine(module, vals[lo:hi], slots)
+        if any(slots):
+            combine(module, vals[lo:hi], [s for term in slots for s in term])
+        else:
+            vals[lo:hi] = 0.0               # values with no terms
     return Table(module, vals)
 
 
-def _piece(count: int, rows: np.ndarray, whole: bool):
-    """(used, local) for a piece of faces that needs the given rows of a
-    table of `count` distinct faces: the mask of the rows it uses (None
-    when it is the whole) and its rows renumbered within them."""
+def _piece(count: int, parts: list, whole: bool):
+    """(used, local) for a piece of faces that needs the rows in parts (a
+    list of index arrays) of a table of `count` distinct faces: the mask of
+    the rows it uses (None when it is the whole) and the parts' rows
+    renumbered within them."""
     if whole:
-        return None, rows
+        return None, parts
     used = np.zeros(count, dtype=bool)
-    used[rows] = True
+    for rows in parts:
+        used[rows] = True
     local = np.cumsum(used) - 1
-    return used, local[rows]
-
-
-def weighted(module: str, n: int, child, lengths: np.ndarray,
-             faces: np.ndarray, weights: np.ndarray, seen=None) -> Table:
-    """sum_t weights[t] * child(faces[t]) per output face, over its terms t
-    in order: face i owns the next lengths[i] rows of faces and weights.
-    seen, if given, is called with each table of child values."""
-    m = len(lengths)
-    if not lengths.any():
-        return empty(module, n, m)
-    starts = np.cumsum(lengths) - lengths
-    first, inverse = distinct(faces, n)
-    faces = faces[first]
-    width = width_of(module, n)
-    step = _step(m, len(faces), width)
-    vals, skipped = None, []
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        part_len = lengths[lo:hi]
-        slots_n = int(part_len.max())
-        if not slots_n:
-            skipped.append((lo, hi))        # values with no terms
-            continue
-        t0, t1 = starts[lo], starts[hi - 1] + lengths[hi - 1]
-        used, local = _piece(len(faces), inverse[t0:t1], step == m)
-        tab = evaluate(child, faces if used is None else faces[used])
-        if seen is not None:
-            seen(tab)
-        # faces with fewer terms add 0.0 times row 0
-        live = np.arange(slots_n) < part_len[:, None]
-        rows = np.zeros((hi - lo, slots_n), dtype=np.int64)
-        rows[live] = local
-        coefs = np.zeros((hi - lo, slots_n))
-        coefs[live] = weights[t0:t1]
-        if vals is None:
-            vals = table_buffer((m, width))
-        combine(module, vals[lo:hi], [(tab, rows[:, j], coefs[:, j])
-                                      for j in range(slots_n)])
-    for lo, hi in skipped:
-        vals[lo:hi] = 0.0
-    return Table(module, vals)
+    return used, [local[rows] for rows in parts]
 
 
 def row_entries(tab: Table, rows: np.ndarray):

@@ -82,6 +82,10 @@ def diagnose(values, r: float, axis=None,
         raise ValueError("decay diagnostics need at least two terms")
     if axis is None:
         axis = list(range(1, len(values) + 1))
+    for scale in axis:
+        if not scale > 0:
+            raise ValueError(f"decay diagnostics need scales > 0, got "
+                             f"{scale!r}")
     rate = fit_log_rate(axis, values, thresholds.zero_tol)
     dropped = sum(not v > thresholds.zero_tol for v in values)
     return DecayDiagnostic(float(r), values, values[-1], rate,

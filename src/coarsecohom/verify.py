@@ -6,10 +6,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .averaging import (_max_pair_variation, _padded_rows, _pair_index,
-                        ball_average, conv_norm_audit, convolve,
+from .averaging import (ReiterFamily, ball_average, conv_norm_audit, convolve,
                         dirac_family, homotopy_defect, normalize_to_prob,
-                        tf_identity)
+                        pair_scan, tf_identity)
 from .coefficients import (L1, L1_ZERO, SCALAR, boundary_pairs, entry_gap,
                            include_in_l1, lift_boundary, lift_scalar, pi_sum)
 from .cochains import (EXACT_TOL, IDENTITY_TOL, Check, Cochain, audit_equal,
@@ -17,7 +16,6 @@ from .cochains import (EXACT_TOL, IDENTITY_TOL, Check, Cochain, audit_equal,
                        diff_D, diff_D_norm_audit, diff_d, diff_d_norm_audit,
                        johnson_cocycles, johnson_relations, seminorm,
                        split_s, split_s_norm_audit)
-from .facetables import vectors_csr
 from .randomgen import (random_cochain, random_pair_field, random_prob_family,
                         random_unit_sum_cochain, random_x_independent_cochain,
                         random_zero_sum_vector)
@@ -245,6 +243,7 @@ def run_ses(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
         checks.append(Check(check="pi.lift_scalar=id", instance=i,
                             ok=abs(got - lam) <= EXACT_TOL,
                             values={"max_violation": abs(got - lam)}))
+    pairs: dict = {}
     for s in (1.0, 2.0):
         phi = random_unit_sum_cochain(space, s,
                                       derive_seed(opts.seed, "ses-fam", s))
@@ -253,12 +252,10 @@ def run_ses(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
         supp_ok = all(fam.vectors[x].support == phi_vecs[x].support
                       for x in range(space.n))
         # the profile's pair scan over the rows of phi and of f
-        phi_rows = _padded_rows(space.n, *vectors_csr(phi_vecs))
-        fam_rows = _padded_rows(space.n, fam.indptr, fam.cols, fam.weights)
-        for r in opts.r_list:
-            pairs = _pair_index(space, r)
-            nu_phi = _max_pair_variation(phi_rows, *pairs)[0]
-            nu_f = _max_pair_variation(fam_rows, *pairs)[0]
+        phi_rows = ReiterFamily(space, s, phi_vecs, is_prob=False)
+        for r, (nu_phi, _), (nu_f, _) in zip(
+                opts.r_list, pair_scan(phi_rows, opts.r_list, pairs),
+                pair_scan(fam, opts.r_list, pairs)):
             checks.append(Check(
                 check="normalize_round_trip",
                 ok=supp_ok and nu_f <= 2.0 * nu_phi + EXACT_TOL,

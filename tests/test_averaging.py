@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coarsecohom as cc
-from coarsecohom import L1, L1_ZERO, SCALAR, averaging
+from coarsecohom import (L1, L1_ZERO, SCALAR, averaging, cochains,
+                         facetables)
 from coarsecohom.coefficients import PRUNE_TOL
 from helpers import (frac_ball_nu, max_pair_variation_reference,
                      pairs_reference, validate_family_reference,
@@ -364,6 +365,62 @@ def test_failing_defect_bound_is_returned_not_raised(monkeypatch):
     assert (rep.exact, rep.witness) == (want.exact, want.witness)
     assert rep.to_json() == want.to_json() | {
         "bound": 0.0, "family_norm": 0.0, "ok": False}
+
+
+def test_family_sup_norm_reads_the_csr_rows():
+    # each row's |w| added left to right, as SupportedVector.norm adds
+    # them, so the sup equals the vectors' bit for bit
+    space = cc.generate_family("random_regular", {"n": 40, "k": 3}, seed=2)
+    unit = cc.random_unit_sum_cochain(space, 2.0, 5)
+    # a family that is no probability family, with signed masses
+    signed = cc.ReiterFamily(space, 0.0, [cc.dirac(x, weight=(-1.0) ** x * x)
+                                          for x in range(space.n)],
+                             is_prob=False)
+    for fam in (cc.ball_average(space, 2.0), cc.lazy_walk_family(space, 3),
+                cc.random_prob_family(space, 2.0, 4), cc.dirac_family(space),
+                cc.normalize_to_prob(unit), signed):
+        got = fam.sup_norm
+        assert type(got) is float
+        assert got.hex() == max(v.norm for v in fam.vectors).hex(), fam.name
+
+
+@pytest.mark.parametrize("make", [lambda sp: cc.ball_average(sp, 2.0),
+                                  lambda sp: cc.lazy_walk_family(sp, 2)],
+                         ids=["ball", "walk"])
+def test_homotopy_defect_builds_no_family_vectors(make):
+    fam = make(CYCLE8)
+    phi = cc.random_cochain(CYCLE8, 0, 1, L1, seed=3)
+    _, rep = cc.homotopy_defect(fam, phi)
+    assert rep.ok and fam._vectors is None
+    # the rules still read the vectors, built on the first call
+    assert fam.as_cochain()((3,)).entries == fam.vectors[3].entries
+
+
+def test_conv_norm_audit_fills_f_once_per_piece():
+    # the f-sup folds the f table the convolution itself evaluates, so f
+    # is filled once per audited piece, never a second time
+    space = cc.generate_family("cycle", {"size": 9})
+    f = cc.random_cochain(space, 1, -1, L1, 3)
+    theta = cc.random_cochain(space, 0, 1, L1_ZERO, 4)
+    fills, pieces = [], []
+    fill, scan = f.fill, cochains.sup_scan
+
+    def counted_fill(faces):
+        fills.append(len(faces))
+        return fill(faces)
+
+    def counted_scan(faces, xlen, module, n, measure):
+        def counted(part):
+            pieces.append(len(part))
+            return measure(part)
+        return scan(faces, xlen, module, n, counted)
+
+    f.fill = counted_fill
+    with mock.patch.object(cochains, "sup_scan", counted_scan), \
+            mock.patch.object(facetables, "_TABLE_CHUNK_BYTES", 1 << 12):
+        rep = cc.conv_norm_audit(f, theta, 2.0, budget=4000)
+    assert rep.ok and len(pieces) > 1
+    assert len(fills) == len(pieces)
 
 
 def test_homotopy_defect_validation():

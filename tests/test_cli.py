@@ -240,6 +240,9 @@ def test_profile_walk_method(capsys):
     (["--schedule", "1.5,2.5", "--method", "walk"], "--schedule value '1.5'",
      "a whole number of walk steps"),
     (["--schedule=-1"], "--schedule value '-1'", "finite and >= 0"),
+    # the verdict fits log(S), which has no value at S = 0
+    (["--schedule", "0,1,2", "--r", "1"], "--schedule value '0'",
+     "larger than 0"),
     # an empty schedule: a header-only CSV and no verdicts
     (["--smax=-3"], "--smax", ">= 1, got -3"),
     (["--smax=0"], "--smax", ">= 1, got 0"),
@@ -261,7 +264,8 @@ def test_profile_walk_method(capsys):
      "at least the smallest positive distance, 1.0"),
     (["--schedule", "1,2", "--r", "2,0.999"], "--r value '0.999'",
      "at least the smallest positive distance, 1.0"),
-], ids=["inf-walk", "nan-r", "fractional-walk", "negative", "negative-smax",
+], ids=["inf-walk", "nan-r", "fractional-walk", "negative", "zero-schedule",
+        "negative-smax",
         "zero-smax", "repeated-schedule", "decreasing-schedule",
         "repeated-walk-steps", "repeated-r", "zero-r", "half-r",
         "r-below-after-valid"])

@@ -427,7 +427,7 @@ def test_empty_samples_match_closure_scans():
                 lambda: tf_identity_reference(field, theta, **kw))
 
 
-# -- leaf fills, weighted sums and operand sorts -------------------------------
+# -- leaf fills, ragged sums and operand sorts --------------------------------
 
 _LEAF_SPACES = (("cycle", {"size": 5}), ("free_ball", {"rank": 2, "radius": 1}))
 
@@ -532,9 +532,25 @@ def _rule_image(cochain, faces):
 
 def _combinations(space, p, q, module):
     """(name, cochain) for each linear operator on random (p, q)-cochains
-    of the module: D, d, s (q >= 0), sums, differences and scalings."""
+    of the module: D, d, s (q >= 0), sums, differences and scalings; the
+    convolution of a (0, q)-cochain with an l1 (p, -1)-cochain, and with a
+    family that has an empty row (p = 0); the transfer of a (1, q)-cochain
+    along a pair field with an empty value (p = 1)."""
     phi = cc.random_cochain(space, p, q, module, 3)
     psi = cc.random_cochain(space, p, q, module, 4)
+    theta = cc.random_cochain(space, 0, q, module, 5)
+    yield "convolve", cc.convolve(cc.random_cochain(space, p, -1, L1, 6),
+                                  theta)
+    if p == 0:
+        rows = [cc.SupportedVector(L1)] + [
+            cc.SupportedVector(L1, {x: 0.75, (x + 1) % space.n: -0.5})
+            for x in range(1, space.n)]
+        gappy = cc.ReiterFamily(space, 1.0, rows, is_prob=False)
+        yield "convolve-empty-row", cc.convolve(gappy.as_cochain(), theta)
+    if p == 1:
+        field = cc.random_pair_field(space, 1.0, 7)
+        field[2] = cc.PairVector()
+        yield "transfer", cc.transfer_cochain(field, phi)
     yield "D", cc.diff_D(phi)
     yield "d", cc.diff_d(phi)
     if q >= 0:
@@ -585,15 +601,26 @@ def test_leaf_mixer_known_answers():
                                for t in range(3)] for row in rows.tolist()]
 
 
-def _weighted_reference(module, child, lengths, faces, weights):
-    """Each face's terms added in order, row by row, then pruned."""
-    dense = child.fill(faces).vals
-    out = np.zeros((len(lengths), dense.shape[1]))
-    at = 0
-    for i, length in enumerate(lengths.tolist()):
-        for t in range(at, at + length):
-            out[i] += weights[t] * dense[t]
-        at += length
+def _linear_reference(module, terms):
+    """Each face's terms added in order, row by row, then pruned: a term
+    (child, faces, coef) adds coef times row i at face i, and a ragged term
+    (child, faces, coefs, lengths) adds the next lengths[i] rows, each
+    times its coef."""
+    m = len(terms[0][3] if len(terms[0]) == 4 else terms[0][1])
+    out = None
+    for term in terms:
+        dense = term[0].fill(term[1]).vals
+        if out is None:
+            out = np.zeros((m, dense.shape[1]))
+        if len(term) == 3:
+            for i in range(m):
+                out[i] += term[2] * dense[i]
+            continue
+        at = 0
+        for i, length in enumerate(term[3].tolist()):
+            for t in range(at, at + length):
+                out[i] += term[2][t] * dense[t]
+            at += length
     if module != SCALAR:
         out[np.abs(out) < PRUNE_TOL] = 0.0
     return out
@@ -603,7 +630,8 @@ def _weighted_reference(module, child, lengths, faces, weights):
 def test_weighted_and_linear_do_not_depend_on_chunks(module):
     # uneven term counts, zero-length faces at both ends and a run of them
     # in the middle: the short faces add 0.0 times row 0, which changes no
-    # value
+    # value; ragged terms alone, fixed terms alone, and both kinds of terms
+    # of one shared operand in one call
     space = cc.generate_family("cycle", {"size": 7})
     child = cc.random_cochain(space, 0, 1, module, 4)
     other = cc.random_cochain(space, 0, 1, module, 5)
@@ -617,17 +645,21 @@ def test_weighted_and_linear_do_not_depend_on_chunks(module):
     picks = [rng.integers(0, len(faces), size=m) for _ in range(3)]
     terms = [(child, faces[picks[0]], 1.0), (other, faces[picks[1]], -0.5),
              (child, faces[picks[2]], -1.0)]
+    ragged = [(child, faces, weights, lengths)]
+    mixed = [(child, faces[picks[0][:48]], 1.0),
+             (child, faces, weights, lengths),
+             (other, faces[picks[1][:48]], -0.5),
+             (child, faces[::-1], -weights, lengths)]
     tables = {}
     for chunk in (8, 1 << 40):
         with chunk_bytes(chunk):
-            tables[chunk] = (
-                facetables.weighted(module, 7, child, lengths, faces,
-                                    weights).vals,
-                facetables.linear(module, 7, terms).vals)
+            tables[chunk] = [facetables.linear(module, 7, t).vals
+                             for t in (ragged, terms, mixed)]
     for got in tables.values():
-        want = _weighted_reference(module, child, lengths, faces, weights)
-        assert got[0].tobytes() == want.tobytes()
+        assert got[0].tobytes() == _linear_reference(module,
+                                                     ragged).tobytes()
         assert got[1].tobytes() == tables[1 << 40][1].tobytes()
+        assert got[2].tobytes() == _linear_reference(module, mixed).tobytes()
     # linear against its terms added in order
     dense = [c.fill(f).vals * coef for c, f, coef in terms]
     want = np.zeros_like(dense[0]) + dense[0] + dense[1] + dense[2]
@@ -664,8 +696,9 @@ def test_each_operand_is_sorted_once_however_many_pieces():
         calls.clear(), pieces.clear()
         lengths = np.array([0, 3, 1, 0, 4, 2] * 4)
         terms = int(lengths.sum())
-        facetables.weighted(L1_ZERO, 9, phi, lengths, faces[:terms],
-                            np.linspace(-1.0, 1.0, terms))
+        facetables.linear(L1_ZERO, 9, [(phi, faces[:terms],
+                                        np.linspace(-1.0, 1.0, terms),
+                                        lengths)])
         assert calls == [terms] and len(pieces) == 16
 
 
@@ -709,8 +742,8 @@ def test_zeroed_buffers_read_zero_when_they_reuse_a_dirty_one():
 @pytest.mark.parametrize("module", MODULES)
 def test_tables_do_not_read_what_dirty_buffers_held(module):
     # every array pooled and every free buffer full of NaN: the tables that
-    # rely on zeros (leaf fills, weighted's faces without terms, csr and
-    # Dirac tables) must zero what they reuse
+    # rely on zeros (leaf fills, the faces of a ragged term without terms,
+    # csr and Dirac tables) must zero what they reuse
     space = cc.generate_family("cycle", {"size": 7})
     child = cc.random_cochain(space, 0, 1, module, 4)
     rng = np.random.default_rng(5)
@@ -723,8 +756,8 @@ def test_tables_do_not_read_what_dirty_buffers_held(module):
     cols, csr_w = np.array([1, 4, 0, 2, 6]), np.arange(1.0, 6.0)
 
     def tables():
-        return [facetables.weighted(module, 7, child, lengths, faces,
-                                    weights).vals,
+        return [facetables.linear(module, 7, [(child, faces, weights,
+                                                lengths)]).vals,
                 facetables.csr_table(L1, 7, indptr, cols, csr_w).vals,
                 facetables.dirac_diff_table(7, faces[:, 1], faces[:, 2]).vals]
 

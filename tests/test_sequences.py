@@ -125,6 +125,19 @@ def test_diagnostic_records_its_inputs():
     assert cc.diagnose([1.0, 0.5], 1.0).to_json()["dropped"] == 0
 
 
+@pytest.mark.parametrize("axis, token", [([0, 1, 2], "0"),
+                                          ([1.0, -2.0, 3.0], "-2.0"),
+                                          ([1.0, float("nan")], "nan")])
+def test_diagnose_names_a_scale_that_is_not_positive(axis, token):
+    # log(S) needs S > 0: with a zero scale the fit used to fail with a
+    # bare "math domain error" after the whole profile had run
+    values = [0.5] * len(axis)
+    with pytest.raises(ValueError,
+                       match=f"^decay diagnostics need scales > 0, got "
+                             f"{token}$"):
+        cc.diagnose(values, 1.0, axis=axis)
+
+
 def test_counterexample_needs_two_points():
     single = cc.FiniteMetricSpace([[0]], integer_metric=True)
     with pytest.raises(ValueError):
