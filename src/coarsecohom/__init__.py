@@ -4,13 +4,11 @@ averaging families, and variation profiles across graph test beds.
 """
 
 from .averaging import (ProfileRow, ProfileTable, ReiterFamily, ball_average,
-                        conv_norm_audit, convolve, dirac_family,
-                        homotopy_defect, lazy_walk_family, normalize_to_prob,
-                        tf_identity, transfer_cochain, variation_profile)
-from .coefficients import (L1, L1_ZERO, MODULES, SCALAR, PairVector,
-                           SupportedVector, boundary_pairs, dirac, dirac_diff,
-                           entry_gap, include_in_l1, lift_boundary,
-                           lift_scalar, pi_sum, zero)
+                        conv_norm_audit, convolve, dirac_family, family_rows,
+                        homotopy_defect, lazy_walk_family, lift_boundary,
+                        normalize_to_prob, pair_boundary, tf_identity,
+                        transfer_cochain, variation_profile)
+from .coefficients import L1, L1_ZERO, MODULES, SCALAR
 from .cochains import (AuditPoints, Check, Cochain, audit_equal, audit_points,
                        audit_zero, cochain_add, cochain_scale, cochain_sub,
                        diff_D, diff_D_norm_audit, diff_d, diff_d_norm_audit,

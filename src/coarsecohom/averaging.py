@@ -2,9 +2,9 @@
 profiles, convolution against cochains, homotopy defects, and the
 pair-field transfer identity.
 
-The convolution, the transfer and the defect's telescope are each one
-ragged term of cochains._combination: the rule reads f's or F's own values,
-and the table rule reads the same entries off CSR rows or an f table.
+Families and pair fields are CSR rows, one row per point. The convolution,
+the transfer and the defect's telescope are each one ragged term of
+cochains._combination, which reads its entries off CSR rows or an f table.
 """
 
 from __future__ import annotations
@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import (L1, L1_ZERO, PRUNE_TOL, SCALAR, SupportedVector,
-                           boundary_pairs, dirac, pi_sum)
+from .coefficients import L1, L1_ZERO, PRUNE_TOL, ZERO_SUM_TOL
 from .cochains import (DEFAULT_AUDIT_BUDGET, DEFAULT_SAMPLE_SIZE, EXACT_TOL,
                        Check, Cochain, _audit, _combination, _Sup,
                        bound_check, cochain_sub, diff_D, identity_check)
-from .facetables import (csr_expand, distinct, evaluate, gaps, norms,
-                         row_entries, rows_fill, vectors_csr)
+from .facetables import (csr_add, csr_expand, csr_row_sums, distinct,
+                         evaluate, gaps, norms, row_entries, rows_fill,
+                         sup_of)
 from .space import FiniteMetricSpace, mask_rows
 
 PROB_SUM_TOL = 1e-12
@@ -27,42 +27,18 @@ UNIT_SUM_TOL = 1e-9
 
 
 class ReiterFamily:
-    """One probability (or near-probability) vector per point.
+    """One probability (or near-probability) vector per point, as CSR rows.
 
-    The family is stored as CSR rows: f(x) has support
-    `cols[indptr[x]:indptr[x + 1]]` and masses in the same slice of
-    `weights`, in ascending point order (the entry order of every
-    SupportedVector). `vectors`, the same rows as SupportedVectors, is
-    built on first use.
+    f(x) has support `cols[indptr[x]:indptr[x + 1]]`, strictly ascending,
+    and masses in the same slice of `weights`; every mass is finite.
 
     is_prob certifies: entries nonnegative, entry sum within 1e-12 of 1,
     support of f(x) inside the closed S-ball of x. Violations raise at
     construction, so downstream bounds may rely on the flag.
     """
 
-    def __init__(self, space: FiniteMetricSpace, s: float, vectors,
-                 is_prob: bool = True, name: str = ""):
-        vectors = list(vectors)
-        if len(vectors) != space.n:
-            raise ValueError("need exactly one vector per point")
-        self._setup(space, s, *vectors_csr(vectors), is_prob, name)
-        self._vectors = vectors
-        self._scalar_row = next((x for x, v in enumerate(vectors)
-                                 if v.module == SCALAR), None)
-        self.validate()
-
-    @classmethod
-    def _from_rows(cls, space: FiniteMetricSpace, s: float, indptr, cols,
-                   weights, name: str) -> "ReiterFamily":
-        """A probability family given as CSR rows, one row per point."""
-        fam = cls.__new__(cls)
-        fam._setup(space, s, indptr, cols, weights, True, name)
-        fam._vectors = None
-        fam._scalar_row = None
-        fam.validate()
-        return fam
-
-    def _setup(self, space, s, indptr, cols, weights, is_prob, name):
+    def __init__(self, space: FiniteMetricSpace, s: float, indptr, cols,
+                 weights, is_prob: bool = True, name: str = ""):
         self.space = space
         self.s = float(s)
         self.indptr = np.asarray(indptr, dtype=np.int64)
@@ -70,89 +46,87 @@ class ReiterFamily:
         self.weights = np.asarray(weights, dtype=float)
         self.is_prob = bool(is_prob)
         self.name = name
-
-    @property
-    def vectors(self) -> list:
-        if self._vectors is None:
-            cols, weights = self.cols.tolist(), self.weights.tolist()
-            bounds = self.indptr.tolist()
-            self._vectors = [
-                SupportedVector(L1, dict(zip(cols[lo:hi], weights[lo:hi])))
-                for lo, hi in zip(bounds, bounds[1:])]
-        return self._vectors
+        self.validate()
 
     def validate(self) -> None:
-        """Raise the first violation: points in order, each point's entries
-        in order (an escape before a negative mass), then its sum."""
-        space, indptr = self.space, self.indptr
-        rows = np.repeat(np.arange(space.n), np.diff(indptr))
-        escapes = ~(space.dist[rows, self.cols] <= space.radius_bound(self.s))
-        bad_entry = escapes | (self.weights < 0) if self.is_prob else escapes
-        bad = np.zeros(space.n, dtype=bool)
+        """Raise the first violation: the row bounds, then points in order,
+        each point's entries in order (a column out of range or not above
+        the one before, a non-finite mass, an escape, a negative mass),
+        then its sum. Every check fails on NaN."""
+        space, indptr, cols, weights = (self.space, self.indptr, self.cols,
+                                        self.weights)
+        n = space.n
+        if indptr.shape != (n + 1,):
+            raise ValueError(f"need exactly one row per point: indptr has "
+                             f"{len(indptr)} entries for {n} points")
+        spans = ~(indptr[:-1] <= indptr[1:])
+        spans[0] |= indptr[0] != 0
+        spans[-1] |= indptr[-1] != len(cols)
+        if spans.any():
+            x = int(np.argmax(spans))
+            raise ValueError(
+                f"CSR rows must rise from 0 to {len(cols)}: "
+                f"f({space.label(x)}) spans [{indptr[x]}, {indptr[x + 1]})")
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        outside = ~((cols >= 0) & (cols < n))
+        misplaced = outside.copy()
+        misplaced[1:] |= ~(cols[1:] > cols[:-1]) & (rows[1:] == rows[:-1])
+        infinite = ~(np.abs(weights) <= np.finfo(float).max)
+        escapes = ~(space.dist[rows, np.where(outside, rows, cols)]
+                    <= space.radius_bound(self.s))
+        negative = ~(weights >= 0) if self.is_prob else np.zeros_like(escapes)
+        bad_entry = misplaced | infinite | escapes | negative
+        bad = np.zeros(n, dtype=bool)
         bad[rows[bad_entry]] = True
         if self.is_prob:
-            sums = _row_sums(indptr, self.weights)
-            bad |= np.abs(sums - 1.0) > PROB_SUM_TOL
-        if self._scalar_row is not None:
-            bad[self._scalar_row] = True
+            sums = csr_row_sums(indptr, weights)
+            bad |= ~(np.abs(sums - 1.0) <= PROB_SUM_TOL)
         if not bad.any():
             return
         x = int(np.argmax(bad))
-        if x == self._scalar_row:
-            raise ValueError("family vectors must be l1-type")
+        at = f"f({space.label(x)})"
         for k in range(indptr[x], indptr[x + 1]):
+            col, w = int(cols[k]), float(weights[k])
+            if misplaced[k]:
+                raise ValueError(f"columns of {at} must rise strictly within "
+                                 f"0..{n - 1}, got {col}")
+            if infinite[k]:
+                raise ValueError(f"non-finite mass {w!r} in {at}")
             if escapes[k]:
-                raise ValueError(
-                    f"support of f({space.label(x)}) escapes its "
-                    f"{self.s}-ball at {space.label(int(self.cols[k]))}")
-            if self.is_prob and self.weights[k] < 0:
-                raise ValueError(f"negative mass {float(self.weights[k])!r} "
-                                 f"in f({space.label(x)})")
-        raise ValueError(
-            f"f({space.label(x)}) sums to {float(sums[x])!r}, not 1")
+                raise ValueError(f"support of {at} escapes its {self.s}-ball "
+                                 f"at {space.label(col)}")
+            if negative[k]:
+                raise ValueError(f"negative mass {w!r} in {at}")
+        raise ValueError(f"{at} sums to {float(sums[x])!r}, not 1")
 
     @property
     def sup_norm(self) -> float:
-        """The largest ||f(x)||, each added left to right as
-        SupportedVector.norm adds it."""
-        return _row_sums(self.indptr, np.abs(self.weights)).max().item()
+        """The largest ||f(x)||, each added left to right."""
+        return csr_row_sums(self.indptr, np.abs(self.weights)).max().item()
 
     def as_cochain(self) -> Cochain:
-        """f as a (0, -1)-cochain; its rule builds `vectors` when called."""
+        """f as a (0, -1)-cochain."""
         return Cochain(self.space, 0, -1, L1,
-                       lambda xs, ys: self.vectors[xs[0]],
-                       name=self.name or "family",
-                       fill=rows_fill(L1, self.space.n, self.indptr,
-                                      self.cols, self.weights))
+                       rows_fill(L1, self.space.n, self.indptr, self.cols,
+                                 self.weights), name=self.name or "family")
 
     def __repr__(self) -> str:
         return (f"ReiterFamily(s={self.s}, n={self.space.n}, "
                 f"is_prob={self.is_prob})")
 
 
-def _row_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Sum of each CSR row, added left to right like a Python loop over the
-    row, so each sum equals pi_sum of that row bit for bit."""
-    lengths = np.diff(indptr)
-    total = np.zeros(len(lengths))
-    for c in range(int(lengths.max(initial=0))):
-        live = np.flatnonzero(lengths > c)
-        total[live] += values[indptr[live] + c]
-    return total
-
-
 def dirac_family(space: FiniteMetricSpace) -> ReiterFamily:
-    return ReiterFamily(space, 0.0, [dirac(x) for x in range(space.n)],
-                        name="dirac")
+    n = space.n
+    return ReiterFamily(space, 0.0, np.arange(n + 1), np.arange(n),
+                        np.ones(n), name="dirac")
 
 
 def ball_average(space: FiniteMetricSpace, s: float) -> ReiterFamily:
     """Uniform probability on the closed s-ball of each point."""
     indptr, cols = mask_rows(space.near(s))
     sizes = np.diff(indptr)
-    return ReiterFamily._from_rows(space, s, indptr, cols,
-                                   np.repeat(1.0 / sizes, sizes),
-                                   f"ball[{s}]")
+    return ReiterFamily(space, s, indptr, cols, np.repeat(1.0 / sizes, sizes),
+                        name=f"ball[{s}]")
 
 
 # The walk keeps its rows sparse when the widest S-ball holds at most
@@ -230,7 +204,7 @@ def _walk_rows_sparse(space: FiniteMetricSpace, steps: int,
             parts.append((block, np.bincount(at, weights=terms)))
         codes = np.concatenate([block for block, _ in parts])
         weights = np.concatenate([sums for _, sums in parts])
-    # the positive entries a SupportedVector keeps (it prunes below PRUNE_TOL)
+    # the positive entries a family keeps (values prune below PRUNE_TOL)
     keep = weights >= PRUNE_TOL
     codes = codes[keep]
     return (np.searchsorted(codes, np.arange(n + 1) * n), codes % n,
@@ -263,8 +237,8 @@ def lazy_walk_family(space: FiniteMetricSpace, steps: int,
         keep = mat >= PRUNE_TOL
         indptr, cols = mask_rows(keep)
         weights = mat[keep]
-    return ReiterFamily._from_rows(space, steps, indptr, cols, weights,
-                                   f"walk[{steps}]")
+    return ReiterFamily(space, steps, indptr, cols, weights,
+                        name=f"walk[{steps}]")
 
 
 # -- variation profiles -------------------------------------------------------
@@ -462,34 +436,47 @@ def variation_profile(space: FiniteMetricSpace, schedule, r_list,
 
 # -- normalization -------------------------------------------------------------
 
+def family_rows(phi: Cochain):
+    """CSR rows (indptr, cols, weights) of the values phi((x,), ()) of an
+    l1-type (0, -1)-cochain, one row per point x, entries ascending."""
+    n = phi.space.n
+    points = np.arange(n)
+    lengths, _, cols, weights = row_entries(evaluate(phi, points[:, None]),
+                                            points)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return indptr, cols, weights
+
+
 def normalize_to_prob(phi: Cochain, tol: float = UNIT_SUM_TOL) -> ReiterFamily:
     """f(x) = |phi(x)| / ||phi(x)|| for a unit-sum family cochain.
 
     Since pi(phi(x)) = 1 forces ||phi(x)|| >= 1, the rescaling factor never
-    exceeds 1; supports are unchanged and the variation at most doubles:
-    ||f(x1) - f(x0)|| <= 2 ||phi(x1) - phi(x0)||.
+    exceeds 1; supports are unchanged (but for masses that fall below
+    PRUNE_TOL) and the variation at most doubles:
+    ||f(x1) - f(x0)|| <= 2 ||phi(x1) - phi(x0)||. S is the farthest entry
+    of phi from its point.
     """
     if phi.p != 0 or phi.q != -1 or phi.module != L1:
         raise ValueError("normalize_to_prob expects an l1 family cochain")
     space = phi.space
-    vectors = []
-    s_measured = 0.0
-    for x in range(space.n):
-        v = phi((x,), ())
-        total = pi_sum(v)
-        if abs(total - 1.0) > tol:
-            raise ValueError(
-                f"pi_sum(phi({space.label(x)})) = {total!r}, expected 1 "
-                f"within {tol}")
-        norm = v.norm
-        vectors.append(SupportedVector(
-            L1, {k: (w if w >= 0 else -w) / norm for k, w in v.entries.items()}))
-        for w in v.entries:
-            dxw = space.d(x, w)
-            if dxw > s_measured:
-                s_measured = dxw
-    return ReiterFamily(space, s_measured, vectors,
-                        name=f"normalized({phi.name})" if phi.name else "normalized")
+    indptr, cols, weights = family_rows(phi)
+    totals = csr_row_sums(indptr, weights)
+    off = np.abs(totals - 1.0) > tol
+    if off.any():
+        x = int(np.argmax(off))
+        raise ValueError(
+            f"pi_sum(phi({space.label(x)})) = {totals[x].item()!r}, expected "
+            f"1 within {tol}")
+    owner = np.repeat(np.arange(space.n), np.diff(indptr))
+    masses = np.abs(weights)
+    masses /= csr_row_sums(indptr, masses)[owner]
+    keep = masses >= PRUNE_TOL
+    return ReiterFamily(space, sup_of(space.dist[owner, cols]),
+                        np.searchsorted(owner[keep], np.arange(space.n + 1)),
+                        cols[keep], masses[keep],
+                        name=f"normalized({phi.name})" if phi.name
+                        else "normalized")
 
 
 # -- convolution ---------------------------------------------------------------
@@ -516,13 +503,9 @@ def convolve(f: Cochain, theta: Cochain) -> Cochain:
         raise ValueError("convolve needs a column cochain (p = 0) on the right")
     xlen = f.p + 1
 
-    def at(face):
-        ys = face[xlen:]
-        return ((w, (z,) + ys) for z, w in f(face[:xlen]).entries.items())
-
-    def on(faces):
+    def on(faces, read):
         first, inverse = distinct(faces[:, :xlen], f.space.n)
-        lengths, owner, z, w = row_entries(evaluate(f, faces[first, :xlen]),
+        lengths, owner, z, w = row_entries(read(f, faces[first, :xlen]),
                                            inverse)
         return (np.concatenate((z[:, None], faces[owner, xlen:]), axis=1), w,
                 lengths)
@@ -530,7 +513,7 @@ def convolve(f: Cochain, theta: Cochain) -> Cochain:
     name = ""
     if f.name and theta.name:
         name = f"({f.name}*{theta.name})"
-    return _combination(f.p, theta.q, [(theta, at, on)], name)
+    return _combination(f.p, theta.q, [(theta, on)], name)
 
 
 def homotopy_defect(fam: ReiterFamily, phi: Cochain,
@@ -554,10 +537,9 @@ def homotopy_defect(fam: ReiterFamily, phi: Cochain,
     defect = cochain_sub(convolve(fam.as_cochain(), phi), phi)
     # T_F(D phi) for the pairs (x, z) of f's entries
     rows = np.repeat(np.arange(fam.space.n), np.diff(fam.indptr))
-    telescope = _transfer(
-        diff_D(phi), lambda x: (((x, z), w)
-                                for z, w in fam.vectors[x].entries.items()),
-        fam.indptr, np.stack((rows, fam.cols), axis=1), fam.weights)
+    telescope = transfer_cochain(
+        (fam.indptr, np.stack((rows, fam.cols), axis=1), fam.weights),
+        diff_D(phi))
     dphi_sup, telescope_gap = _Sup(), _Sup()
 
     def defect_norms(faces):
@@ -587,13 +569,12 @@ def conv_norm_audit(f: Cochain, theta: Cochain, r: float,
     f_sup, theta_sup = _Sup(), _Sup()
 
     def f_fill(faces):
-        # f's table rule, folding each f table the convolution reads
+        # f's fill, folding each f table the convolution reads
         tab = evaluate(f, faces)
         f_sup(tab)
         return tab
 
-    conv = convolve(Cochain(f.space, f.p, f.q, f.module, f.__call__,
-                            fill=f_fill), theta)
+    conv = convolve(Cochain(f.space, f.p, f.q, f.module, f_fill), theta)
     lhs, record = _audit(f.space, f.p + 1, theta.q + 1, r, conv.module,
                          lambda faces: norms(conv.fill(faces, theta_sup)),
                          budget, sample_size, seed)
@@ -603,31 +584,48 @@ def conv_norm_audit(f: Cochain, theta: Cochain, r: float,
 
 
 # -- pair fields and the transfer identity ----------------------------------------
+#
+# A pair field F is one row per point of weighted ordered pairs, as CSR rows
+# (indptr, pairs, weights) with pairs an (entries, 2) int array; a row keeps
+# its pairs in the order they were made.
+
+def pair_boundary(n: int, field):
+    """CSR rows (indptr, cols, weights) of the boundary (dH)(w) = sum_z
+    H(z, w) - H(w, z) of each row H of a pair field over n points: an l1_0
+    value with ||dH|| <= 2||H||. Each pair (z0, z1) of weight h adds h at
+    z1, then -h at z0, in the row's order."""
+    indptr, pairs, weights = field
+    rows = np.repeat(np.arange(len(indptr) - 1), 2 * np.diff(indptr))
+    return csr_add(L1_ZERO, len(indptr) - 1, rows, pairs[:, ::-1].ravel(),
+                   np.stack((weights, -weights), axis=1).ravel(), n)
+
+
+def lift_boundary(cols, weights, base: int):
+    """Section of pair_boundary at one zero-sum vector h, given as a CSR
+    row (cols, weights): the pairs (base, z) of weight h(z) for z != base,
+    in h's order, as (pairs, weights). Then dH = h, ||H|| <= ||h|| and
+    supp H lies in {base} x supp(h)."""
+    drift = csr_row_sums(np.array([0, len(weights)]), weights)[0].item()
+    if abs(drift) > ZERO_SUM_TOL:
+        raise ValueError(f"lift_boundary needs pi_sum(h) = 0, got {drift!r}")
+    keep = cols != base
+    return (np.stack((np.full(int(keep.sum()), base), cols[keep]), axis=1),
+            weights[keep])
+
 
 def transfer_cochain(field, zeta: Cochain) -> Cochain:
-    """(T_F zeta)(x, y) = sum over pairs F(x)(z0,z1) zeta((z0,z1), y)."""
+    """(T_F zeta)(x, y) = sum over pairs F(x)(z0,z1) zeta((z0,z1), y): one
+    ragged term reads zeta at (pair, ys) over the row of F(xs[0])."""
     if zeta.p != 1:
         raise ValueError("transfer consumes (1,q)-cochains")
-    indptr, pairs, weights = vectors_csr(field)
-    return _transfer(zeta, lambda x: field[x].entries.items(), indptr,
-                     pairs.reshape(-1, 2), weights)
+    indptr, pairs, weights = field
 
-
-def _transfer(zeta: Cochain, entries, indptr, pairs, weights) -> Cochain:
-    """T_F zeta for the pair field F whose value at x has the (pair, w)
-    entries entries(x), read by the rule, and the CSR row x of (indptr,
-    pairs, weights), pairs an (entries, 2) int array, read by the table
-    rule: one ragged term reads zeta at (pair, ys) over that row."""
-    def at(face):
-        ys = face[1:]
-        return ((w, pair + ys) for pair, w in entries(face[0]))
-
-    def on(faces):
+    def on(faces, read):
         lengths, owner, src = csr_expand(indptr, faces[:, 0])
         return (np.concatenate((pairs[src], faces[owner, 1:]), axis=1),
                 weights[src], lengths)
 
-    return _combination(0, zeta.q, [(zeta, at, on)], "T_F")
+    return _combination(0, zeta.q, [(zeta, on)], "T_F")
 
 
 def tf_identity(field, theta: Cochain, radius: float | None = None,
@@ -636,36 +634,34 @@ def tf_identity(field, theta: Cochain, radius: float | None = None,
                 seed: int = 0) -> Check:
     """Audit (boundary F) * theta = T_F(D theta) for a ball-bounded pair field.
 
-    field is one PairVector per point. The supports' ball radius is measured
-    (or checked against `radius` when given; escaping supports raise with a
-    witness); the T_F norm bound is audited at the measured pairwise radius
-    of the supports, which is what the triangle inequality actually uses.
-    The "pairing" check bounds sup ||T_F(D theta)|| ("value") by
-    ||F|| sup ||D theta|| ("bound") and nests the identity's audit under
-    "identity"; ok needs both.
+    field is a pair field with one row per point. The supports' ball radius
+    is measured (or checked against `radius` when given; escaping supports
+    raise with a witness); the T_F norm bound is audited at the measured
+    pairwise radius of the supports, which is what the triangle inequality
+    actually uses. The "pairing" check bounds sup ||T_F(D theta)||
+    ("value") by ||F|| sup ||D theta|| ("bound") and nests the identity's
+    audit under "identity"; ok needs both.
     """
     space = theta.space
-    if len(field) != space.n:
-        raise ValueError("need exactly one pair vector per point")
+    indptr, pairs, weights = field
+    if len(indptr) != space.n + 1:
+        raise ValueError("need exactly one pair row per point")
     if theta.p != 0:
         raise ValueError("tf_identity needs a column cochain (p = 0)")
-    r_ball = 0.0
-    r_pair = 0.0
-    for x in range(space.n):
-        for (z0, z1) in field[x].entries:
-            reach = max(space.d(x, z0), space.d(x, z1))
-            if radius is not None and reach > space.radius_bound(radius):
-                raise ValueError(
-                    f"support of F({space.label(x)}) escapes the "
-                    f"{radius}-ball at pair ({space.label(z0)}, "
-                    f"{space.label(z1)})")
-            r_ball = max(r_ball, reach)
-            r_pair = max(r_pair, space.d(z0, z1))
+    rows = np.repeat(np.arange(space.n), np.diff(indptr))
+    dist = space.dist
+    reach = np.maximum(dist[rows, pairs[:, 0]], dist[rows, pairs[:, 1]])
+    if radius is not None:
+        out = np.flatnonzero(reach > space.radius_bound(radius))
+        if len(out):
+            x, (z0, z1) = rows[out[0]].item(), pairs[out[0]].tolist()
+            raise ValueError(
+                f"support of F({space.label(x)}) escapes the "
+                f"{radius}-ball at pair ({space.label(z0)}, "
+                f"{space.label(z1)})")
     boundary = Cochain(space, 0, -1, L1_ZERO,
-                       lambda xs, ys: boundary_pairs(field[xs[0]]),
-                       name="dF", memoize=True,
-                       fill=rows_fill(L1_ZERO, space.n, *vectors_csr(
-                           [boundary_pairs(pv) for pv in field])))
+                       rows_fill(L1_ZERO, space.n,
+                                 *pair_boundary(space.n, field)), name="dF")
     lhs = convolve(boundary, theta)
     zeta = diff_D(theta)
     rhs = transfer_cochain(field, zeta)
@@ -682,8 +678,9 @@ def tf_identity(field, theta: Cochain, radius: float | None = None,
                            identity_gaps, budget, sample_size, seed)
     identity = identity_check("pairing", lhs.p, lhs.q, 0.0, worst, EXACT_TOL,
                               **record)
-    f_sup = max((pv.norm for pv in field), default=0.0)
+    f_sup = sup_of(csr_row_sums(indptr, np.abs(weights)))
     return bound_check("pairing", lhs_sup.value, f_sup * zeta_sup.value,
                        {"identity": identity, "f_sup": f_sup,
-                        "zeta_sup": zeta_sup.value, "r_ball": r_ball,
-                        "r_pair": r_pair}, identity.ok)
+                        "zeta_sup": zeta_sup.value, "r_ball": sup_of(reach),
+                        "r_pair": sup_of(dist[pairs[:, 0], pairs[:, 1]])},
+                       identity.ok)

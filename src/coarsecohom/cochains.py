@@ -13,17 +13,17 @@ Sign conventions, chosen so every identity below is exact for all p, q:
 
 Each of these, and every sum, difference and scaling, is one linear
 combination (_combination): a list of terms, each an operand read at a
-column map of the face with a sign or factor (_columns). The convolution
-and the transfer of averaging are combinations too, of one term that reads
-its operand at a run of faces per face.
+column map of the face with a sign or factor (_columns), kept on the
+result as its `terms`. The convolution and the transfer of averaging are
+combinations too, of one term that reads its operand at a run of faces per
+face.
 
 Seminorms constrain x to the radius-R tuple domain and leave y unrestricted;
 audits enumerate exactly within a budget and fall back to seeded uniform
 samples, reporting which one happened. Every audit, here and in averaging,
 is one scan of its domain by _audit; a bound's right-hand side is a _Sup,
-the `seen` of the result's table rule. The audits evaluate cochains as
-face tables (see facetables), chunk by chunk over their points; `rule` is
-the pointwise specification they reproduce.
+the `seen` of the result's fill. The audits evaluate cochains as
+face tables (see facetables), chunk by chunk over their points.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import L1_ZERO, SupportedVector, dirac_diff
+from .coefficients import L1_ZERO, MODULES
 from .facetables import (dirac_diff_table, evaluate, gaps, linear, norms,
                          sup_of, sup_scan)
 from .space import (FiniteMetricSpace, _exact_domain, _sample_points,
@@ -47,40 +47,30 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class Cochain:
-    """Intensional cochain: a pure evaluation rule plus metadata.
+    """A cochain given by its fill, plus metadata.
 
-    fill, when given, maps an int array of faces (one row of p+1 then q+1
-    point indices per (xs, ys)) to the facetables.Table of the values rule
-    gives there, bit for bit: column k of a row is the value's entry at
-    point k, so the row lists the entries in the ascending order
-    SupportedVector keeps. The audits use it in place of calling rule.
+    fill maps an int array of faces (one row of p+1 then q+1 point indices
+    per (xs, ys)) to the facetables.Table of the values there: column k of
+    a row is the value's entry at point k, in ascending point order. A
+    linear combination of other cochains (see _combination) keeps its
+    terms; a leaf has terms None.
     """
 
-    __slots__ = ("space", "p", "q", "module", "rule", "name", "fill", "_memo")
+    __slots__ = ("space", "p", "q", "module", "fill", "name", "terms")
 
     def __init__(self, space: FiniteMetricSpace, p: int, q: int, module: str,
-                 rule, name: str = "", memoize: bool = False, fill=None):
+                 fill, name: str = "", terms: list | None = None):
         if p < 0 or q < -1:
             raise ValueError("bidegree must satisfy p >= 0, q >= -1")
+        if module not in MODULES:
+            raise ValueError(f"unknown module tag {module!r}")
         self.space = space
         self.p = p
         self.q = q
         self.module = module
-        self.rule = rule
-        self.name = name
         self.fill = fill
-        self._memo = {} if memoize else None
-
-    def __call__(self, xs: tuple, ys: tuple = ()) -> SupportedVector:
-        memo = self._memo
-        if memo is None:
-            return self.rule(xs, ys)
-        key = (xs, ys)
-        got = memo.get(key)
-        if got is None:
-            got = self.rule(xs, ys)
-            memo[key] = got
-        return got
+        self.name = name
+        self.terms = terms
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
@@ -89,53 +79,31 @@ class Cochain:
 
 # -- linear combinations -------------------------------------------------------
 
-def _accumulate(module: str, pairs) -> SupportedVector:
-    """The sum of coef * value over the (coef, value) pairs, added from 0.0
-    pair by pair and entry by entry: the order a table adds its terms in."""
-    ent: dict = {}
-    sca = 0.0
-    for coef, v in pairs:
-        sca += coef * v.scalar
-        for k, u in v.entries.items():
-            ent[k] = ent.get(k, 0.0) + coef * u
-    return SupportedVector(module, ent, sca)
-
-
 def _combination(p: int, q: int, terms: list, name: str) -> Cochain:
     """The (p, q)-cochain that adds, in term order, what its terms read.
 
-    A term (c, at, on) reads its operand c at faces made from the result's
-    face, each with a coefficient. For one face xs + ys, at(face) gives
-    the (coef, c's face) pairs in order; for an int array of faces, on(faces)
-    gives the rest of the term facetables.linear takes: (c's faces, coef),
-    or, for a ragged term, (c's faces, coefs, lengths). c's face splits
-    after c's own p+1 x-coordinates. The rule adds the terms' values
-    through _accumulate and the table rule is one linear call, in the same
-    order, so the two agree bit for bit. The operands share one space and
-    module."""
+    A term (c, on) reads its operand c at faces made from the result's
+    faces, each with a coefficient: for an int array of faces,
+    on(faces, read) gives the rest of the term facetables.linear takes,
+    (c's faces, coef) or, for a ragged term, (c's faces, coefs, lengths).
+    c's face splits after c's own p+1 x-coordinates. A term whose faces
+    depend on another cochain's values (a convolution's f) reads that
+    cochain's table as read(cochain, faces): facetables.evaluate in the
+    fill, which is one linear call, and whatever a caller that walks the
+    terms passes. The operands share one space and module."""
     space, module = terms[0][0].space, terms[0][0].module
-    reads = [(c.__call__, c.p + 1, at) for c, at, _ in terms]
-
-    def values(face):
-        for call, xlen, at in reads:
-            for coef, args in at(face):
-                yield coef, call(args[:xlen], args[xlen:])
-
-    def rule(xs, ys):
-        return _accumulate(module, values(xs + ys))
 
     def fill(faces, seen=None):
-        return linear(module, space.n, [(c, *on(faces))
-                                        for c, _, on in terms], seen)
+        return linear(module, space.n,
+                      [(c, *on(faces, evaluate)) for c, on in terms], seen)
 
-    return Cochain(space, p, q, module, rule, name=name, fill=fill)
+    return Cochain(space, p, q, module, fill, name=name, terms=terms)
 
 
 def _columns(c: Cochain, columns: list, coef: float) -> tuple:
     """The term that reads c at face[columns] with a fixed coef, as D, d,
     s, sums and scalings do: they only delete, repeat or move positions."""
-    return (c, lambda face: ((coef, tuple(face[k] for k in columns)),),
-            lambda faces: (faces[:, columns], coef))
+    return c, lambda faces, read: (faces[:, columns], coef)
 
 
 def _every(a: Cochain) -> list:
@@ -371,7 +339,7 @@ def bound_check(check: str, value: float, bound: float, more: dict,
 class _Sup:
     """A running sup from 0.0 in `value`: add folds an array of values, and
     a call folds the norms of a table's values, so a _Sup is the `seen` of
-    a table rule."""
+    a combination's fill."""
 
     def __init__(self):
         self.value = 0.0
@@ -489,16 +457,11 @@ def johnson_cocycles(space: FiniteMetricSpace):
     n = space.n
     # faces are (x, y0, y1), (x0, x1, y) and (x, y) respectively
     j01 = Cochain(space, 0, 1, L1_ZERO,
-                  lambda xs, ys: dirac_diff(ys[1], ys[0]), name="j01",
-                  fill=lambda f: dirac_diff_table(n, f[:, 2], f[:, 1]))
+                  lambda f: dirac_diff_table(n, f[:, 2], f[:, 1]), name="j01")
     # j10 and hom subtract the first coordinate from the second
     second_minus_first = lambda f: dirac_diff_table(n, f[:, 1], f[:, 0])
-    j10 = Cochain(space, 1, 0, L1_ZERO,
-                  lambda xs, ys: dirac_diff(xs[1], xs[0]), name="j10",
-                  fill=second_minus_first)
-    hom = Cochain(space, 0, 0, L1_ZERO,
-                  lambda xs, ys: dirac_diff(ys[0], xs[0]), name="hom",
-                  fill=second_minus_first)
+    j10 = Cochain(space, 1, 0, L1_ZERO, second_minus_first, name="j10")
+    hom = Cochain(space, 0, 0, L1_ZERO, second_minus_first, name="hom")
     return j01, j10, hom
 
 

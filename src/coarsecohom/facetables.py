@@ -5,25 +5,25 @@ indices: the p+1 x-coordinates, then the q+1 y-coordinates. A `Table` holds
 one value per face in `vals` (faces x width): width n for l1/l1_0, where
 column k is the entry at point k (0.0 where absent), and width 1 for
 scalars, so the module is a column count rather than a branch. A row lists
-its entries in ascending point order, the order SupportedVector keeps.
-Norms are only read as sups: the rows that can reach the sup are added
-along the row from left to right, as SupportedVector adds them, and the
-other rows are only bounded (see norms).
+its entries in ascending point order, and every sum over a value (a norm,
+the zero-sum check) adds them in that order. Norms are only read as sups:
+the rows that can reach the sup are added along the row from left to
+right, and the other rows are only bounded (see norms). Families, pair
+fields and single vectors are CSR rows (indptr, items, weights) instead;
+csr_add builds them from entries added one at a time.
 
 A derived cochain (D, d, s, sums, scalings, convolutions, transfers) makes
 its table with one engine, `linear`, from its operands' tables on the
 distinct faces it needs, listed in code (lexicographic) order: a signed
-gather added term by term in face order, which is the order the closures
-add in. A term reads one operand face per face, or, ragged, a run of them
-per face. After every operator the l1 entries below PRUNE_TOL are dropped
-and every l1_0 value passes the zero-sum check, as in SupportedVector;
-scalars are never pruned. A cochain without a table rule (`Cochain.fill`)
-is called once per distinct face, so any closure-built cochain can be
-audited.
+gather added term by term in face order. A term reads one operand face per
+face, or, ragged, a run of them per face. After every operator the l1
+entries below PRUNE_TOL are dropped and every l1_0 value passes the
+zero-sum check; scalars are never pruned. One value of a cochain is its
+table (`Cochain.fill`) on a one-row face array.
 
 The layout is private to this module: other modules build tables with its
-constructors and operators and read them through norms, gaps, row_entries,
-value_at and sup_scan, never through `vals` or a width.
+constructors and operators and read them through norms, gaps, row_entries
+and sup_scan, never through `vals` or a width.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ import weakref
 
 import numpy as np
 
-from .coefficients import (L1_ZERO, PRUNE_TOL, SCALAR, ZERO_SUM_TOL,
-                           SupportedVector)
+from .coefficients import L1_ZERO, PRUNE_TOL, SCALAR, ZERO_SUM_TOL
 
 # Bytes of the largest operand value table one step gathers from. Work is
 # split over the faces to stay near it, which bounds memory.
@@ -115,9 +114,6 @@ class Table:
         self.module = module
         self.vals = vals
 
-    def take(self, rows) -> "Table":
-        return Table(self.module, self.vals[rows])
-
 
 def width_of(module: str, n: int) -> int:
     return 1 if module == SCALAR else n
@@ -154,42 +150,7 @@ def distinct(faces: np.ndarray, n: int):
 
 def evaluate(cochain, faces: np.ndarray) -> Table:
     """The table of `cochain` on `faces`."""
-    if cochain.fill is None:
-        return _rule_table(cochain, faces)
     return cochain.fill(faces)
-
-
-def _rule_table(cochain, faces: np.ndarray) -> Table:
-    """Call the cochain once per distinct face, in code order, and keep
-    each value as it comes (no re-pruning)."""
-    first, inverse = distinct(faces, cochain.space.n)
-    xlen = cochain.p + 1
-    values = [cochain(tuple(row[:xlen]), tuple(row[xlen:]))
-              for row in faces[first].tolist()]
-    if cochain.module == SCALAR:
-        tab = Table(SCALAR, np.array([v.scalar for v in values],
-                                     dtype=float).reshape(-1, 1))
-    else:
-        tab = csr_table(cochain.module, cochain.space.n,
-                        *vectors_csr(values))
-    return tab.take(inverse)
-
-
-def csr_rows(rows, dtype=np.int64):
-    """CSR arrays (indptr, items) of a list of sized iterables: row i is
-    items[indptr[i]:indptr[i + 1]]. Tuple items give a 2-D items array."""
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([len(row) for row in rows], out=indptr[1:])
-    return indptr, np.array([x for row in rows for x in row], dtype=dtype)
-
-
-def vectors_csr(vectors):
-    """CSR rows (indptr, items, weights) of l1-type or pair vectors, entries
-    in dict order: ascending points for l1-type vectors, the field's own
-    order for pair vectors."""
-    indptr, items = csr_rows([v.entries for v in vectors])
-    return indptr, items, csr_rows([v.entries.values() for v in vectors],
-                                  float)[1]
 
 
 def csr_expand(indptr: np.ndarray, rows: np.ndarray):
@@ -204,11 +165,8 @@ def csr_expand(indptr: np.ndarray, rows: np.ndarray):
     return lengths, owner, starts[owner] + pos
 
 
-def csr_table(module: str, n: int, indptr, cols, weights,
-              rows=None) -> Table:
-    """Table whose i-th value is CSR row rows[i] (every row if None)."""
-    if rows is None:
-        rows = np.arange(len(indptr) - 1)
+def csr_table(module: str, n: int, indptr, cols, weights, rows) -> Table:
+    """Table whose i-th value is CSR row rows[i]."""
     _, at, src = csr_expand(indptr, rows)
     vals = table_buffer((len(rows), n), zero=True)
     vals[at, cols[src]] = weights[src]
@@ -216,9 +174,44 @@ def csr_table(module: str, n: int, indptr, cols, weights,
 
 
 def rows_fill(module: str, n: int, indptr, cols, weights):
-    """Table rule of a cochain whose value at (xs, ys) is CSR row xs[0]."""
+    """Fill of a cochain whose value at (xs, ys) is CSR row xs[0]."""
     return lambda faces: csr_table(module, n, indptr, cols, weights,
                                    faces[:, 0])
+
+
+def csr_add(module: str, m: int, rows, keys, values, width: int,
+            ascending: bool = True):
+    """CSR rows (indptr, keys, sums) of m values made by adding each
+    values[k] at key keys[k] (0 <= key < width) of value rows[k], one after
+    another in the order given, as acc[key] = acc.get(key, 0.0) + value
+    adds them. A row lists its keys in ascending order, or in the order
+    they first appear; sums below PRUNE_TOL are dropped, and l1_0 rows must
+    sum to 0 in that order."""
+    codes = (np.asarray(rows, dtype=np.int64) * width
+             + np.asarray(keys, dtype=np.int64))
+    codes, first, inverse = np.unique(codes, return_index=True,
+                                      return_inverse=True)
+    sums = np.zeros(len(codes))
+    np.add.at(sums, inverse, values)
+    keep = np.flatnonzero((sums >= PRUNE_TOL) | (sums <= -PRUNE_TOL))
+    if not ascending:
+        keep = keep[np.lexsort((first[keep], codes[keep] // width))]
+    owner, keys = np.divmod(codes[keep], width)
+    indptr = np.searchsorted(owner, np.arange(m + 1))
+    if module == L1_ZERO:
+        _check_sums(csr_row_sums(indptr, sums[keep]))
+    return indptr, keys, sums[keep]
+
+
+def csr_row_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sum of each CSR row, added left to right like a Python loop over the
+    row."""
+    lengths = np.diff(indptr)
+    total = np.zeros(len(lengths))
+    for c in range(int(lengths.max(initial=0))):
+        live = np.flatnonzero(lengths > c)
+        total[live] += values[indptr[live] + c]
+    return total
 
 
 def scatter(module: str, n: int, m: int, rows, cols, values) -> Table:
@@ -235,19 +228,8 @@ def scatter(module: str, n: int, m: int, rows, cols, values) -> Table:
     return finish(module, vals)
 
 
-def value_at(tab: Table, i: int) -> SupportedVector:
-    """The i-th value of tab as a SupportedVector."""
-    row = tab.vals[i]
-    if tab.module == SCALAR:
-        return SupportedVector(SCALAR, scalar=row[0])
-    cols = np.flatnonzero(row)
-    return SupportedVector(tab.module, dict(zip(cols.tolist(),
-                                                row[cols].tolist())))
-
-
 def dirac_diff_table(n: int, a: np.ndarray, b: np.ndarray) -> Table:
-    """delta_a - delta_b per face (no entries where a == b), as dirac_diff
-    builds it."""
+    """delta_a - delta_b per face (no entries where a == b)."""
     live = np.flatnonzero(a != b)
     vals = table_buffer((len(a), n), zero=True)
     vals[live, a[live]] = 1.0
@@ -259,9 +241,9 @@ def dirac_diff_table(n: int, a: np.ndarray, b: np.ndarray) -> Table:
 
 def finish(module: str, vals: np.ndarray,
            scratch: np.ndarray | None = None) -> Table:
-    """The table of freshly summed values, as SupportedVector would keep
-    them: l1 entries below PRUNE_TOL dropped, l1_0 sums checked. scratch,
-    if given, is a spare array of vals' shape for the check to use."""
+    """The table of freshly summed values, as every value is kept: l1
+    entries below PRUNE_TOL dropped, l1_0 sums checked. scratch, if given,
+    is a spare array of vals' shape for the check to use."""
     if module == SCALAR:
         vals += 0.0             # -0.0 becomes 0.0, as in a sum from 0.0
         return Table(module, vals)
@@ -278,8 +260,8 @@ def finish(module: str, vals: np.ndarray,
 
 
 def _check_zero_sums(vals: np.ndarray, mag: np.ndarray) -> None:
-    """Raise SupportedVector's error for the first value whose entries,
-    added in ascending point order, are not zero within ZERO_SUM_TOL.
+    """Raise the zero-sum error for the first value whose entries, added
+    in ascending point order, are not zero within ZERO_SUM_TOL.
 
     Any order of adding differs from that one by less than
     _order_slack * sum |v| (mag holds |v|), so only the rows that sums in
@@ -290,7 +272,12 @@ def _check_zero_sums(vals: np.ndarray, mag: np.ndarray) -> None:
     rows = np.flatnonzero(doubt > ZERO_SUM_TOL)
     if not len(rows):
         return
-    sums = row_sums(vals[rows])
+    _check_sums(row_sums(vals[rows]))
+
+
+def _check_sums(sums: np.ndarray) -> None:
+    """Raise for the first of the sums of l1_0 values that is not zero
+    within ZERO_SUM_TOL."""
     bad = np.abs(sums) > ZERO_SUM_TOL
     if bad.any():
         total = sums[int(np.argmax(bad))].item()
@@ -307,9 +294,9 @@ def _order_slack(width: int) -> float:
 
 
 def row_sums(terms: np.ndarray) -> np.ndarray:
-    """Each row added from left to right, like a loop over the entries of a
-    SupportedVector: the absent entries in between add 0.0, which is exact.
-    The running sums overwrite terms."""
+    """Each row added from left to right, like a loop over its entries in
+    ascending point order: the absent entries in between add 0.0, which is
+    exact. The running sums overwrite terms."""
     return np.cumsum(terms, axis=1, out=terms)[:, -1]
 
 
@@ -317,9 +304,9 @@ def norms(tab: Table) -> np.ndarray:
     """||value|| per face, for taking a sup: |scalar|, or an l1 norm.
 
     The rows that can reach the largest norm are added in ascending point
-    order, as SupportedVector adds them, so the sup and the first row that
-    attains it are exact. The other rows are summed in any order and are
-    below that sup by more than any order of adding can move them."""
+    order, so the sup and the first row that attains it are exact. The
+    other rows are summed in any order and are below that sup by more than
+    any order of adding can move them."""
     if tab.module == SCALAR:
         return np.abs(tab.vals[:, 0])
     width = tab.vals.shape[1]
@@ -353,9 +340,9 @@ def combine(module: str, vals: np.ndarray, slots: list) -> None:
 
     A slot (tab, rows, coef) adds coef * tab row rows[i] to face i; coef is
     a float or one float per face. Each entry adds its slots in slot
-    order, as the closures do. The first slot is written straight into
-    vals: coef * x is 0.0 + coef * x but for the sign of a zero, and
-    finish turns every zero into 0.0."""
+    order. The first slot is written straight into vals: coef * x is
+    0.0 + coef * x but for the sign of a zero, and finish turns every zero
+    into 0.0."""
     part = table_buffer(vals.shape)
     for k, (tab, rows, coef) in enumerate(slots):
         if not k:

@@ -1,6 +1,6 @@
 """Seeded pseudo-random cochains, families, and pair fields for law audits.
 
-Evaluation rules are pure functions of (seed, arguments) via integer
+A random leaf's values are pure functions of (seed, face) via integer
 hashing, so audits are reproducible without storing any tables. Values are
 anchored near the tuple coordinates, giving honest controlled supports:
 a value is supported within `spread` of one of its own coordinates, hence
@@ -26,8 +26,13 @@ with known answers of the mixer.
 
 A fill is one pass over all terms (_leaf_fill): the hashes of every term
 and face come out as one (terms, faces) array, and one facetables.scatter
-writes the entries in term order. A leaf's rule is its fill on one face,
-so the rules and the tables are one implementation.
+writes the entries in term order. One value is the fill on a one-row face
+array.
+
+Families, unit-sum family cochains, zero-sum vectors and pair fields draw
+their numbers from one random.Random each, point by point, and add them
+into CSR rows with facetables.csr_add: a row lists its points in
+ascending order, or a pair field its pairs in the order they were drawn.
 """
 
 from __future__ import annotations
@@ -37,9 +42,9 @@ import random
 import numpy as np
 
 from .averaging import ReiterFamily
-from .coefficients import L1, L1_ZERO, SCALAR, PairVector, SupportedVector
+from .coefficients import L1, L1_ZERO, SCALAR
 from .cochains import Cochain
-from .facetables import rows_fill, scatter, value_at, vectors_csr
+from .facetables import csr_add, rows_fill, scatter
 from .space import FiniteMetricSpace, derive_seed, mask_rows
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -78,7 +83,7 @@ def _coeffs(h: np.ndarray) -> np.ndarray:
 
 def _leaf_fill(space: FiniteMetricSpace, module: str, spread: int, hashes,
                anchors):
-    """Table rule of the values that add, over their terms t in order,
+    """Fill of the values that add, over their terms t in order,
     a = _coeffs(h) for the term's hash h: to the scalar, or for l1/l1_0 to
     entry u, and for l1_0 also -a to entry c, where c is the term's anchor
     and u the member of c's spread-ball that h picks. hashes(faces) gives
@@ -106,16 +111,6 @@ def _leaf_fill(space: FiniteMetricSpace, module: str, spread: int, hashes,
     return fill
 
 
-def _leaf_cochain(space: FiniteMetricSpace, p: int, q: int, module: str,
-                  name: str, fill) -> Cochain:
-    """The memoized cochain whose rule is fill on the one face xs + ys."""
-    def rule(xs, ys):
-        return value_at(fill(np.array([xs + ys], dtype=np.int64)), 0)
-
-    return Cochain(space, p, q, module, rule, name=name, memoize=True,
-                   fill=fill)
-
-
 def random_cochain(space: FiniteMetricSpace, p: int, q: int, module: str,
                    seed: int, spread: int = 1, terms: int = 3) -> Cochain:
     """Deterministic random cochain with supports near the tuple coordinates."""
@@ -129,8 +124,9 @@ def random_cochain(space: FiniteMetricSpace, p: int, q: int, module: str,
         # coords[h % len(coords)]
         return faces[np.arange(len(faces)), h % (p + q + 2)]
 
-    return _leaf_cochain(space, p, q, module, f"rand[{p},{q},{module}]",
-                         _leaf_fill(space, module, spread, hashes, anchors))
+    return Cochain(space, p, q, module,
+                   _leaf_fill(space, module, spread, hashes, anchors),
+                   name=f"rand[{p},{q},{module}]")
 
 
 def random_x_independent_cochain(space: FiniteMetricSpace, q: int, module: str,
@@ -150,22 +146,25 @@ def random_x_independent_cochain(space: FiniteMetricSpace, q: int, module: str,
             return ((h >> 5) % space.n).view(np.int64)
         return faces[:, 1 + np.arange(terms) % (q + 1)].T
 
-    return _leaf_cochain(space, 0, q, module, f"xind[{q},{module}]",
-                         _leaf_fill(space, module, spread, hashes, anchors))
+    return Cochain(space, 0, q, module,
+                   _leaf_fill(space, module, spread, hashes, anchors),
+                   name=f"xind[{q},{module}]")
 
 
 def random_prob_family(space: FiniteMetricSpace, s: float, seed: int,
                        density: float = 1.0) -> ReiterFamily:
     """Probability family supported on s-balls with seeded positive masses."""
     rng = random.Random(derive_seed(seed, "prob-family", float(s)))
-    vectors = []
-    for ball in space.balls_list(s):
+    rows, cols, masses = [], [], []
+    for x, ball in enumerate(space.balls_list(s)):
         keep = [z for z in ball if rng.random() <= density] or [ball[0]]
-        raw = {z: 0.05 + rng.random() for z in keep}
-        total = sum(raw.values())
-        vectors.append(SupportedVector(L1, {z: w / total
-                                            for z, w in raw.items()}))
-    return ReiterFamily(space, s, vectors, name=f"randprob[{s}]")
+        raw = [0.05 + rng.random() for _ in keep]
+        total = sum(raw)
+        rows += [x] * len(keep)
+        cols += keep
+        masses += [w / total for w in raw]
+    return ReiterFamily(space, s, *csr_add(L1, space.n, rows, cols, masses,
+                                           space.n), name=f"randprob[{s}]")
 
 
 def random_unit_sum_cochain(space: FiniteMetricSpace, s: float, seed: int,
@@ -177,44 +176,46 @@ def random_unit_sum_cochain(space: FiniteMetricSpace, s: float, seed: int,
     plus 2*eps.
     """
     rng = random.Random(derive_seed(seed, "unit-family", float(s), eps))
-    balls = space.balls_list(s)
-    vectors = []
-    for x in range(space.n):
-        ball = balls[x]
-        w = 1.0 / len(ball)
-        ent = {z: w for z in ball}
+    rows, cols, values = [], [], []
+    for x, ball in enumerate(space.balls_list(s)):
+        rows += [x] * len(ball)
+        cols += ball
+        values += [1.0 / len(ball)] * len(ball)
         if len(ball) >= 2:
             for _ in range(2):
                 u = ball[rng.randrange(len(ball))]
                 v = ball[rng.randrange(len(ball))]
                 c = eps * (rng.random() - 0.5)
-                ent[u] = ent.get(u, 0.0) + c
-                ent[v] = ent.get(v, 0.0) - c
-        vectors.append(SupportedVector(L1, ent))
-
-    def rule(xs, ys):
-        return vectors[xs[0]]
-
-    return Cochain(space, 0, -1, L1, rule, name=f"unitfam[{s}]",
-                   fill=rows_fill(L1, space.n, *vectors_csr(vectors)))
+                rows += [x, x]
+                cols += [u, v]
+                values += [c, -c]
+    return Cochain(space, 0, -1, L1,
+                   rows_fill(L1, space.n, *csr_add(L1, space.n, rows, cols,
+                                                   values, space.n)),
+                   name=f"unitfam[{s}]")
 
 
 def random_zero_sum_vector(space: FiniteMetricSpace, seed: int,
-                           terms: int = 3) -> SupportedVector:
+                           terms: int = 3):
+    """A seeded l1_0 vector as one CSR row (cols, weights), cols
+    ascending: terms times c at a point u and -c at a point v."""
     rng = random.Random(derive_seed(seed, "zero-sum-vector", terms))
-    ent: dict = {}
+    cols, values = [], []
     for _ in range(terms):
         u = rng.randrange(space.n)
         v = rng.randrange(space.n)
         c = rng.uniform(-2.0, 2.0)
-        ent[u] = ent.get(u, 0.0) + c
-        ent[v] = ent.get(v, 0.0) - c
-    return SupportedVector(L1_ZERO, ent)
+        cols += [u, v]
+        values += [c, -c]
+    _, cols, weights = csr_add(L1_ZERO, 1, 0, cols, values, space.n)
+    return cols, weights
 
 
 def random_pair_field(space: FiniteMetricSpace, radius: float, seed: int,
                       terms: int = 3, lift_style: bool = False):
-    """One ball-bounded PairVector per point.
+    """A pair field (indptr, pairs, weights) whose row at x holds terms
+    pairs of the radius-ball of x, in the order drawn (a pair drawn twice
+    adds up).
 
     lift_style=True pins the first pair coordinate to the base point, the
     shape the boundary lift produces; otherwise both coordinates roam the
@@ -222,15 +223,15 @@ def random_pair_field(space: FiniteMetricSpace, radius: float, seed: int,
     """
     rng = random.Random(derive_seed(seed, "pair-field", float(radius),
                                     terms, lift_style))
-    balls = space.balls_list(radius)
-    field = []
-    for x in range(space.n):
-        ball = balls[x]
-        ent: dict = {}
+    n = space.n
+    rows, codes, values = [], [], []
+    for x, ball in enumerate(space.balls_list(radius)):
         for _ in range(terms):
             z0 = x if lift_style else ball[rng.randrange(len(ball))]
             z1 = ball[rng.randrange(len(ball))]
-            key = (z0, z1)
-            ent[key] = ent.get(key, 0.0) + rng.uniform(-1.5, 1.5)
-        field.append(PairVector(ent))
-    return field
+            rows.append(x)
+            codes.append(z0 * n + z1)
+            values.append(rng.uniform(-1.5, 1.5))
+    indptr, codes, weights = csr_add(L1, n, rows, codes, values, n * n,
+                                     ascending=False)
+    return indptr, np.stack(np.divmod(codes, n), axis=1), weights

@@ -6,11 +6,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .averaging import (ReiterFamily, ball_average, conv_norm_audit, convolve,
-                        dirac_family, homotopy_defect, normalize_to_prob,
+                        dirac_family, family_rows, homotopy_defect,
+                        lift_boundary, normalize_to_prob, pair_boundary,
                         pair_scan, tf_identity)
-from .coefficients import (L1, L1_ZERO, SCALAR, boundary_pairs, entry_gap,
-                           include_in_l1, lift_boundary, lift_scalar, pi_sum)
+from .coefficients import L1, L1_ZERO, SCALAR
 from .cochains import (EXACT_TOL, IDENTITY_TOL, Check, Cochain, audit_equal,
                        audit_zero, cochain_add, cochain_scale,
                        diff_D, diff_D_norm_audit, diff_d, diff_d_norm_audit,
@@ -82,6 +84,11 @@ def identity_checks_for(phi: Cochain, r_list, budget: int, sample_size: int,
         checks.append(audit_zero("Dd+dD=0", anti, r, **kw))
         checks.append(audit_equal(split_name, split, phi, r, **kw))
     return checks
+
+
+def _total(weights: np.ndarray) -> float:
+    """The entries of one vector added left to right from 0.0: its pi_sum."""
+    return np.cumsum(np.r_[0.0, weights])[-1].item()
 
 
 def _suite(name: str, checks: list[Check]) -> dict:
@@ -209,17 +216,21 @@ def run_pairing(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
                                derive_seed(opts.seed, "pair-t", i))
         checks.append(replace(tf_identity(field, theta, **opts.audit),
                               instance=i))
-    rng_points = space.n
+    n = space.n
     for i in range(opts.resolved_count(20)):
-        h = random_zero_sum_vector(space, derive_seed(opts.seed, "lift", i))
-        base = derive_seed(opts.seed, "lift-base", i) % rng_points
-        lifted = lift_boundary(h, base)
-        round_trip = entry_gap(boundary_pairs(lifted), h)
-        norm_ok = lifted.norm <= h.norm + EXACT_TOL
-        supp_ok = all(z0 == base and z1 in h.support
-                      for z0, z1 in lifted.support)
-        bd = boundary_pairs(lifted)
-        contract = bd.norm <= 2.0 * lifted.norm + EXACT_TOL
+        cols, weights = random_zero_sum_vector(
+            space, derive_seed(opts.seed, "lift", i))
+        base = derive_seed(opts.seed, "lift-base", i) % n
+        pairs, lifted = lift_boundary(cols, weights, base)
+        _, bd_cols, bd = pair_boundary(n, (np.array([0, len(lifted)]), pairs,
+                                           lifted))
+        round_trip = np.abs(np.bincount(bd_cols, bd, n)
+                            - np.bincount(cols, weights, n)).max().item()
+        lifted_norm = _total(np.abs(lifted))
+        norm_ok = lifted_norm <= _total(np.abs(weights)) + EXACT_TOL
+        supp_ok = bool((pairs[:, 0] == base).all()
+                       and np.isin(pairs[:, 1], cols).all())
+        contract = _total(np.abs(bd)) <= 2.0 * lifted_norm + EXACT_TOL
         checks.append(Check(
             check="lift_round_trip", instance=i,
             ok=round_trip <= EXACT_TOL and norm_ok and supp_ok and contract,
@@ -232,14 +243,16 @@ def run_pairing(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
 def run_ses(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
     checks = []
     for i in range(opts.resolved_count(25)):
-        v = random_zero_sum_vector(space, derive_seed(opts.seed, "ses-v", i))
-        drift = abs(pi_sum(include_in_l1(v)))
+        _, v = random_zero_sum_vector(space,
+                                      derive_seed(opts.seed, "ses-v", i))
+        # pi of the inclusion of v, which is v itself
+        drift = abs(_total(v))
         checks.append(Check(check="pi.iota=0", instance=i,
                             ok=drift <= EXACT_TOL,
                             values={"max_violation": drift}))
         lam = 0.5 + i
-        point = derive_seed(opts.seed, "ses-p", i) % space.n
-        got = pi_sum(lift_scalar(lam, point))
+        # pi of the lift lam * delta_point, one entry
+        got = _total(np.array([lam]))
         checks.append(Check(check="pi.lift_scalar=id", instance=i,
                             ok=abs(got - lam) <= EXACT_TOL,
                             values={"max_violation": abs(got - lam)}))
@@ -248,11 +261,12 @@ def run_ses(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
         phi = random_unit_sum_cochain(space, s,
                                       derive_seed(opts.seed, "ses-fam", s))
         fam = normalize_to_prob(phi)
-        phi_vecs = [phi((x,), ()) for x in range(space.n)]
-        supp_ok = all(fam.vectors[x].support == phi_vecs[x].support
-                      for x in range(space.n))
+        indptr, cols, weights = family_rows(phi)
+        supp_ok = (np.array_equal(fam.indptr, indptr)
+                   and np.array_equal(fam.cols, cols))
         # the profile's pair scan over the rows of phi and of f
-        phi_rows = ReiterFamily(space, s, phi_vecs, is_prob=False)
+        phi_rows = ReiterFamily(space, s, indptr, cols, weights,
+                                is_prob=False)
         for r, (nu_phi, _), (nu_f, _) in zip(
                 opts.r_list, pair_scan(phi_rows, opts.r_list, pairs),
                 pair_scan(fam, opts.r_list, pairs)):

@@ -3,8 +3,14 @@
 Everything here recomputes values straight from definitions, in a
 deliberately different style from the package (plain dicts, itertools
 filtering, Fraction arithmetic), so agreement is evidence, not tautology.
+
+A value is a plain dict here: {point: entry} over the entries of an
+l1-type value in ascending point order, or {"scalar": number}. Pointwise
+evaluates a cochain at one face from its terms; rule_cochain makes a leaf
+cochain out of a closure that returns such dicts.
 """
 
+import random
 from collections import deque
 from fractions import Fraction
 from itertools import product
@@ -12,14 +18,17 @@ from itertools import product
 import numpy as np
 from hypothesis import strategies as st
 
-from coarsecohom.coefficients import PRUNE_TOL
+import coarsecohom as cc
+from coarsecohom import facetables
+from coarsecohom.coefficients import PRUNE_TOL, SCALAR, ZERO_SUM_TOL
+from coarsecohom.cochains import (DEFAULT_AUDIT_BUDGET, DEFAULT_SAMPLE_SIZE,
+                                  EXACT_TOL, bound_check, identity_check)
 
 
 @st.composite
 def spaces(draw, low=2, high=8):
     """Small connected graphs on low..high points, some rescaled to a
     real-valued metric."""
-    import coarsecohom as cc
     n = draw(st.integers(low, high))
     edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
@@ -81,13 +90,6 @@ def bfs_graph_dist(edges, n):
     return dist
 
 
-def vec_dict(v):
-    """SupportedVector -> plain dict; scalars keyed under 'scalar'."""
-    if v.module == "scalar":
-        return {"scalar": v.scalar} if v.scalar != 0.0 else {}
-    return dict(v.entries)
-
-
 def dict_add(acc, d, sign):
     for k, w in d.items():
         acc[k] = acc.get(k, 0.0) + sign * w
@@ -100,8 +102,227 @@ def dict_gap(a, b):
     return worst
 
 
+def dict_total(d):
+    """The entries of d added in dict order: pi_sum of an l1-type value."""
+    total = 0.0
+    for w in d.values():
+        total += w
+    return total
+
+
 def dict_norm(d):
-    return sum(abs(w) for w in d.values())
+    """||d||: |scalar|, or the l1 norm added entry by entry in dict order."""
+    return dict_total({k: abs(w) for k, w in d.items()})
+
+
+def kept(module, entries):
+    """The value of a module made from a dict of entries, as every value is
+    kept: l1 entries in ascending point order without those below
+    PRUNE_TOL, and an l1_0 value must add to 0 within ZERO_SUM_TOL."""
+    if module == SCALAR:
+        return dict(entries)
+    out = {k: w for k, w in sorted(entries.items())
+           if w >= PRUNE_TOL or -w >= PRUNE_TOL}
+    total = dict_total(out)
+    if module == "l1_0" and abs(total) > ZERO_SUM_TOL:
+        raise ValueError(f"l1_0 entries must sum to 0, got {total!r}")
+    return out
+
+
+def table_dicts(tab):
+    """Each value of a face table as a plain dict."""
+    if tab.module == SCALAR:
+        return [{"scalar": v} for v in tab.vals[:, 0].tolist()]
+    return [{k: w for k, w in enumerate(row) if w != 0.0}
+            for row in tab.vals.tolist()]
+
+
+def dicts_table(module, n, rows):
+    """The face table whose values are the plain dicts rows, as given."""
+    vals = np.zeros((len(rows), 1 if module == SCALAR else n))
+    for i, row in enumerate(rows):
+        for k, w in row.items():
+            vals[i, 0 if k == "scalar" else k] = w
+    return facetables.Table(module, vals)
+
+
+def one_value(cochain, xs, ys=()):
+    """The value of a cochain at (xs, ys): its table on that one face."""
+    return table_dicts(facetables.evaluate(
+        cochain, np.array([tuple(xs) + tuple(ys)], dtype=np.int64)))[0]
+
+
+class Pointwise:
+    """The pointwise reference of every cochain: value(c, xs, ys) as a
+    plain dict.
+
+    A linear combination applies each term's `on` to the one face and adds
+    coef times each operand value, read the same way, dict-wise and in term
+    order from 0.0; then the value is kept (see kept). A term that reads
+    another cochain's values (a convolution's f) reads them the same way.
+    A leaf is its fill on the one face. Each value is computed once per
+    cochain and face."""
+
+    def __init__(self):
+        self.memo = {}
+
+    def __call__(self, c, xs, ys=()):
+        face = tuple(xs) + tuple(ys)
+        memo = self.memo.setdefault(id(c), (c, {}))[1]
+        if face not in memo:
+            memo[face] = self._walk(c, face)
+        return memo[face]
+
+    def table(self, c, faces):
+        """The table of c's values on faces, read one face at a time."""
+        xlen = c.p + 1
+        return dicts_table(c.module, c.space.n, [
+            self(c, f[:xlen], f[xlen:]) for f in faces.tolist()])
+
+    def _walk(self, c, face):
+        if c.terms is None:
+            return one_value(c, face)
+        acc = {"scalar": 0.0} if c.module == SCALAR else {}
+        row = np.array([face], dtype=np.int64)
+        for child, on in c.terms:
+            faces, coefs = on(row, self.table)[:2]
+            faces = faces.tolist()
+            coefs = (coefs.tolist() if isinstance(coefs, np.ndarray)
+                     else [coefs] * len(faces))
+            xlen = child.p + 1
+            for f, coef in zip(faces, coefs):
+                dict_add(acc, self(child, f[:xlen], f[xlen:]), coef)
+        return kept(c.module, acc)
+
+
+def rule_cochain(space, p, q, module, rule, name="", checked=True):
+    """The leaf cochain whose value at (xs, ys) is the plain dict
+    rule(xs, ys). Its fill calls rule once per distinct face, in code
+    order; the values are kept as every value is (facetables.finish), or,
+    unchecked, exactly as rule gives them."""
+
+    def fill(faces):
+        first, inverse = facetables.distinct(faces, space.n)
+        tab = dicts_table(module, space.n, [
+            rule(tuple(f[:p + 1]), tuple(f[p + 1:]))
+            for f in faces[first].tolist()])
+        if checked:
+            tab = facetables.finish(module, tab.vals)
+        return facetables.Table(module, tab.vals[inverse])
+
+    return cc.Cochain(space, p, q, module, fill, name=name)
+
+
+# -- CSR rows and the dict-built values they replaced ----------------------------
+
+def csr_dicts(indptr, items, weights):
+    """CSR rows as dicts {item: weight} in row order; 2-D items (pairs)
+    become tuple keys."""
+    items, weights = items.tolist(), weights.tolist()
+    bounds = indptr.tolist()
+    return [{(tuple(k) if isinstance(k, list) else k): w
+             for k, w in zip(items[lo:hi], weights[lo:hi])}
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+def family_dicts(fam):
+    return csr_dicts(fam.indptr, fam.cols, fam.weights)
+
+
+def dicts_csr(rows, pairs=False):
+    """(indptr, items, weights) of dict rows, in dict order; the tuple keys
+    of pair rows become an (entries, 2) array."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    items = [k for row in rows for k in row]
+    return (indptr,
+            np.array(items, dtype=np.int64).reshape((-1, 2) if pairs else -1),
+            np.array([w for row in rows for w in row.values()], dtype=float))
+
+
+def prob_family_reference(space, s, seed, density=1.0):
+    rng = random.Random(cc.derive_seed(seed, "prob-family", float(s)))
+    rows = []
+    for ball in space.balls_list(s):
+        keep = [z for z in ball if rng.random() <= density] or [ball[0]]
+        raw = {z: 0.05 + rng.random() for z in keep}
+        total = sum(raw.values())
+        rows.append(kept("l1", {z: w / total for z, w in raw.items()}))
+    return rows
+
+
+def unit_sum_reference(space, s, seed, eps=0.05):
+    rng = random.Random(cc.derive_seed(seed, "unit-family", float(s), eps))
+    rows = []
+    for ball in space.balls_list(s):
+        w = 1.0 / len(ball)
+        ent = {z: w for z in ball}
+        if len(ball) >= 2:
+            for _ in range(2):
+                u = ball[rng.randrange(len(ball))]
+                v = ball[rng.randrange(len(ball))]
+                c = eps * (rng.random() - 0.5)
+                ent[u] = ent.get(u, 0.0) + c
+                ent[v] = ent.get(v, 0.0) - c
+        rows.append(kept("l1", ent))
+    return rows
+
+
+def zero_sum_vector_reference(space, seed, terms=3):
+    rng = random.Random(cc.derive_seed(seed, "zero-sum-vector", terms))
+    ent = {}
+    for _ in range(terms):
+        u = rng.randrange(space.n)
+        v = rng.randrange(space.n)
+        c = rng.uniform(-2.0, 2.0)
+        ent[u] = ent.get(u, 0.0) + c
+        ent[v] = ent.get(v, 0.0) - c
+    return kept("l1_0", ent)
+
+
+def pair_field_reference(space, radius, seed, terms=3, lift_style=False):
+    """One dict {(z0, z1): weight} per point, pairs in the order drawn,
+    weights below PRUNE_TOL dropped."""
+    rng = random.Random(cc.derive_seed(seed, "pair-field", float(radius),
+                                       terms, lift_style))
+    balls = space.balls_list(radius)
+    field = []
+    for x in range(space.n):
+        ball = balls[x]
+        ent = {}
+        for _ in range(terms):
+            z0 = x if lift_style else ball[rng.randrange(len(ball))]
+            z1 = ball[rng.randrange(len(ball))]
+            ent[(z0, z1)] = ent.get((z0, z1), 0.0) + rng.uniform(-1.5, 1.5)
+        field.append({k: w for k, w in ent.items()
+                      if w >= PRUNE_TOL or -w >= PRUNE_TOL})
+    return field
+
+
+def boundary_reference(pairs):
+    """(dH)(w) = sum_z H(z, w) - H(w, z) of one pair dict."""
+    ent = {}
+    for (z0, z1), w in pairs.items():
+        ent[z1] = ent.get(z1, 0.0) + w
+        ent[z0] = ent.get(z0, 0.0) - w
+    return kept("l1_0", ent)
+
+
+def normalize_reference(space, rows, tol=1e-9):
+    """(rows, S) of normalize_to_prob on the dict rows of phi: |phi(x)|
+    divided by its norm, kept, and the farthest entry of phi."""
+    out, s = [], 0.0
+    for x, v in enumerate(rows):
+        total = dict_total(v)
+        if abs(total - 1.0) > tol:
+            raise ValueError(f"pi_sum(phi({space.label(x)})) = {total!r}, "
+                             f"expected 1 within {tol}")
+        norm = dict_norm(v)
+        out.append(kept("l1", {k: abs(w) / norm for k, w in v.items()}))
+        for k in v:
+            if space.d(x, k) > s:
+                s = space.d(x, k)
+    return out, s
 
 
 # -- the random leaves, on Python ints ------------------------------------------
@@ -127,7 +348,7 @@ def lanes_hash(base, lanes):
 
 def leaf_reference(module, balls, base, lanes, terms, anchor):
     """One face's value of a random leaf, added term by term into a dict
-    keyed as vec_dict keys it, and the points each term writes. Term t
+    keyed as plain-dict values are, and the points each term writes. Term t
     hashes (*lanes, t) to h and adds a coefficient read from h: to the
     scalar, or at u = balls[c][(h >> 17) % len(balls[c])] for the anchor
     c = anchor(h, t), and for l1_0 also its negative at c."""
@@ -220,12 +441,13 @@ def pairs_reference(space, r):
 
 
 def max_pair_variation_reference(vectors, pairs):
-    """The per-pair dict loop: the largest ||v_j - v_i||_1 over the pairs,
+    """The per-pair dict loop over dict rows: the largest ||v_j - v_i||_1
+    over the pairs,
     summed entry by entry in dict order, and the first pair attaining it.
     No pairs give (0.0, (0, 0))."""
     if not pairs:
         return 0.0, (0, 0)
-    entries_list = [v.entries for v in vectors]
+    entries_list = vectors
     best = -1.0
     best_pair = None
     for i, j in pairs:
@@ -245,13 +467,12 @@ def max_pair_variation_reference(vectors, pairs):
 
 
 def validate_family_reference(space, s, vectors, is_prob=True):
-    """The per-entry family check: raises the first violation's ValueError,
-    points in order, entries in dict order, then the entry sum."""
+    """The per-entry family check of dict rows: raises the first
+    violation's ValueError, points in order, entries in ascending order,
+    then the entry sum."""
     for x, v in enumerate(vectors):
-        if v.module == "scalar":
-            raise ValueError("family vectors must be l1-type")
         total = 0.0
-        for w, weight in v.entries.items():
+        for w, weight in sorted(v.items()):
             if not space.d(x, w) <= radius_bound(space, s):
                 raise ValueError(
                     f"support of f({space.label(x)}) escapes its "
@@ -311,12 +532,14 @@ def walk_rows_reference(space, steps, laziness=0.5):
             for row in rows]
 
 
-# -- the per-point closure audits -------------------------------------------------
+# -- the per-point audits -----------------------------------------------------------
 #
-# The package audits by face tables (coarsecohom.facetables). These are the
-# scans it replaced: one point at a time through Cochain.__call__, folding
-# each value's norm or entry gap into a running sup with a strict `>`, so
-# the first maximiser is the witness. The report types are the package's.
+# The package audits by face tables (coarsecohom.facetables). These scan the
+# same points one at a time through a Pointwise walker, folding each value's
+# norm or entry gap into a running sup with a strict `>`, so the first
+# maximiser is the witness. The report types are the package's. Each takes
+# the walker as `value`, so that references over the same cochains can
+# share the values it keeps; by default it makes its own.
 
 def sup_scan_reference(points, measure):
     best = 0.0
@@ -330,7 +553,6 @@ def sup_scan_reference(points, measure):
 
 
 def _audit_kw(budget, sample_size, seed):
-    from coarsecohom.cochains import DEFAULT_AUDIT_BUDGET, DEFAULT_SAMPLE_SIZE
     return {"budget": DEFAULT_AUDIT_BUDGET if budget is None else budget,
             "sample_size": (DEFAULT_SAMPLE_SIZE if sample_size is None
                             else sample_size),
@@ -341,40 +563,38 @@ def audit_points_reference(space, xlen, ylen, r, budget=None,
                            sample_size=None, seed=0):
     """cc.audit_points, with its rows read back as (xs, ys) int tuples:
     (points, domain), where domain is the AuditPoints pair itself."""
-    import coarsecohom as cc
     dom = cc.audit_points(space, xlen, ylen, r,
                           **_audit_kw(budget, sample_size, seed))
     return [(tuple(row[:xlen]), tuple(row[xlen:]))
             for row in dom[0].tolist()], dom
 
 
-def seminorm_reference(phi, r, budget=None, sample_size=None, seed=0):
-    import coarsecohom as cc
+def seminorm_reference(phi, r, budget=None, sample_size=None, seed=0,
+                       value=None):
+    value = value or Pointwise()
     points, dom = audit_points_reference(phi.space, phi.p + 1, phi.q + 1, r,
                                          budget, sample_size, seed)
-    best, witness = sup_scan_reference(points,
-                                       lambda xs, ys: phi(xs, ys).norm)
+    best, witness = sup_scan_reference(
+        points, lambda xs, ys: dict_norm(value(phi, xs, ys)))
     return cc.Check(check="seminorm", values={"R": float(r), "value": best},
                     witness=witness, **dom.record())
 
 
 def audit_equal_reference(check, lhs, rhs, r, budget=None, sample_size=None,
-                          seed=0, tol=1e-10):
-    import coarsecohom as cc
-    from coarsecohom.cochains import identity_check
+                          seed=0, tol=1e-10, value=None):
+    value = value or Pointwise()
     points, dom = audit_points_reference(lhs.space, lhs.p + 1, lhs.q + 1, r,
                                          budget, sample_size, seed)
-    worst, witness = sup_scan_reference(points, lambda xs, ys: cc.entry_gap(
-        lhs(xs, ys), None if rhs is None else rhs(xs, ys)))
+    worst, witness = sup_scan_reference(points, lambda xs, ys: dict_gap(
+        value(lhs, xs, ys), {} if rhs is None else value(rhs, xs, ys)))
     return identity_check(check, lhs.p, lhs.q, r, worst, tol,
                           witness=witness, **dom.record())
 
 
-def norm_audit_reference(kind, phi, r, budget=None, sample_size=None, seed=0):
+def norm_audit_reference(kind, phi, r, budget=None, sample_size=None, seed=0,
+                         value=None):
     """diff_D_norm_audit, diff_d_norm_audit or split_s_norm_audit (kind
     "D", "d" or "s") with the coupled base points listed per point."""
-    import coarsecohom as cc
-    from coarsecohom.cochains import bound_check
     if kind == "D":
         check, result, factor = "norm_bound_D", cc.diff_D(phi), phi.p + 2
 
@@ -390,23 +610,23 @@ def norm_audit_reference(kind, phi, r, budget=None, sample_size=None, seed=0):
 
         def couple(xs, ys):
             return [(xs, (xs[0],) + ys)]
+    value = value or Pointwise()
     points, dom = audit_points_reference(result.space, result.p + 1,
                                          result.q + 1, r, budget,
                                          sample_size, seed)
-    lhs, witness = sup_scan_reference(points,
-                                      lambda xs, ys: result(xs, ys).norm)
+    lhs, witness = sup_scan_reference(
+        points, lambda xs, ys: dict_norm(value(result, xs, ys)))
     rhs, _ = sup_scan_reference(
         (pt for xs, ys in points for pt in couple(xs, ys)),
-        lambda xs, ys: phi(xs, ys).norm)
+        lambda xs, ys: dict_norm(value(phi, xs, ys)))
     return bound_check(check, lhs, float(factor) * rhs,
                        {"R": float(r), "factor": float(factor)},
                        witness=witness, **dom.record())
 
 
 def conv_norm_audit_reference(f, theta, r, budget=None, sample_size=None,
-                              seed=0):
-    import coarsecohom as cc
-    from coarsecohom.cochains import bound_check
+                              seed=0, value=None):
+    value = value or Pointwise()
     conv = cc.convolve(f, theta)
     points, dom = audit_points_reference(f.space, f.p + 1, theta.q + 1, r,
                                          budget, sample_size, seed)
@@ -415,11 +635,11 @@ def conv_norm_audit_reference(f, theta, r, budget=None, sample_size=None,
 
     def conv_norm(xs, ys):
         nonlocal f_sup, theta_sup
-        val = conv(xs, ys).norm
-        fv = f(xs, ())
-        f_sup = max(f_sup, fv.norm)
-        for z in fv.entries:
-            theta_sup = max(theta_sup, theta((z,), ys).norm)
+        val = dict_norm(value(conv, xs, ys))
+        fv = value(f, xs)
+        f_sup = max(f_sup, dict_norm(fv))
+        for z in fv:
+            theta_sup = max(theta_sup, dict_norm(value(theta, (z,), ys)))
         return val
 
     lhs, witness = sup_scan_reference(points, conv_norm)
@@ -429,10 +649,10 @@ def conv_norm_audit_reference(f, theta, r, budget=None, sample_size=None,
 
 
 def homotopy_defect_reference(fam, phi, budget=None, sample_size=None,
-                              seed=0):
+                              seed=0, value=None):
     """The defect check (not the cochain)."""
-    import coarsecohom as cc
-    from coarsecohom.cochains import EXACT_TOL, bound_check
+    value = value or Pointwise()
+    rows = family_dicts(fam)
     defect = cc.cochain_sub(cc.convolve(fam.as_cochain(), phi), phi)
     dphi = cc.diff_D(phi)
     points, dom = audit_points_reference(fam.space, 1, phi.q + 1, 0.0,
@@ -442,18 +662,15 @@ def homotopy_defect_reference(fam, phi, budget=None, sample_size=None,
 
     def defect_norm(xs, ys):
         nonlocal dphi_sup, telescope_gap
-        dval = defect(xs, ys)
-        ent = {}
-        sca = 0.0
-        for z, w in fam.vectors[xs[0]].entries.items():
-            term = dphi((xs[0], z), ys)
-            dphi_sup = max(dphi_sup, term.norm)
-            sca += w * term.scalar
-            for k, u in term.entries.items():
-                ent[k] = ent.get(k, 0.0) + w * u
-        acc = cc.SupportedVector(phi.module, ent, sca)
-        telescope_gap = max(telescope_gap, cc.entry_gap(dval, acc))
-        return dval.norm
+        dval = value(defect, xs, ys)
+        acc = {"scalar": 0.0} if phi.module == SCALAR else {}
+        for z, w in rows[xs[0]].items():
+            term = value(dphi, (xs[0], z), ys)
+            dphi_sup = max(dphi_sup, dict_norm(term))
+            dict_add(acc, term, w)
+        telescope_gap = max(telescope_gap,
+                            dict_gap(dval, kept(phi.module, acc)))
+        return dict_norm(dval)
 
     worst, witness = sup_scan_reference(points, defect_norm)
     fnorm = fam.sup_norm
@@ -464,31 +681,33 @@ def homotopy_defect_reference(fam, phi, budget=None, sample_size=None,
                        **dom.record())
 
 
-def tf_identity_reference(field, theta, budget=None, sample_size=None, seed=0):
+def tf_identity_reference(field, theta, budget=None, sample_size=None, seed=0,
+                          value=None):
     """The pairing check of tf_identity with radius=None."""
-    import coarsecohom as cc
-    from coarsecohom.cochains import bound_check
     space = theta.space
+    value = value or Pointwise()
+    rows = csr_dicts(*field)
     r_ball = 0.0
     r_pair = 0.0
     for x in range(space.n):
-        for z0, z1 in field[x].entries:
+        for z0, z1 in rows[x]:
             r_ball = max(r_ball, max(space.d(x, z0), space.d(x, z1)))
             r_pair = max(r_pair, space.d(z0, z1))
-    boundary = cc.Cochain(space, 0, -1, "l1_0",
-                          lambda xs, ys: cc.boundary_pairs(field[xs[0]]))
+    boundary = rule_cochain(space, 0, -1, "l1_0",
+                            lambda xs, ys: boundary_reference(rows[xs[0]]))
     lhs = cc.convolve(boundary, theta)
     zeta = cc.diff_D(theta)
     rhs = cc.transfer_cochain(field, zeta)
     kw = _audit_kw(budget, sample_size, seed)
     identity = audit_equal_reference("pairing", lhs, rhs, 0.0, tol=1e-12,
-                                     **kw)
+                                     value=value, **kw)
     points, _ = audit_points_reference(space, 1, theta.q + 1, 0.0, **kw)
-    lhs_sup, _ = sup_scan_reference(points, lambda xs, ys: rhs(xs, ys).norm)
+    lhs_sup, _ = sup_scan_reference(
+        points, lambda xs, ys: dict_norm(value(rhs, xs, ys)))
     zeta_sup, _ = sup_scan_reference(
-        ((pair, ys) for xs, ys in points for pair in field[xs[0]].entries),
-        lambda zs, ys: zeta(zs, ys).norm)
-    f_sup = max((pv.norm for pv in field), default=0.0)
+        ((pair, ys) for xs, ys in points for pair in rows[xs[0]]),
+        lambda zs, ys: dict_norm(value(zeta, zs, ys)))
+    f_sup = max((dict_norm(row) for row in rows), default=0.0)
     return bound_check("pairing", lhs_sup, f_sup * zeta_sup,
                        {"identity": identity, "f_sup": f_sup,
                         "zeta_sup": zeta_sup, "r_ball": r_ball,

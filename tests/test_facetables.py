@@ -1,9 +1,10 @@
-"""The face-table audits against the per-point closure scans they replaced.
+"""The face-table audits against the per-point scans of tests/helpers.py.
 
 Every audit of the package evaluates its cochains as face tables
 (coarsecohom.facetables). The references in tests/helpers.py scan the same
-points one at a time through Cochain.__call__. Reports must agree exactly:
-values, bounds and witnesses, as dicts and as JSON text.
+points one at a time through the Pointwise walker, which reads each
+cochain's terms at one face. Reports must agree exactly: values, bounds
+and witnesses, as dicts and as JSON text.
 """
 
 import json
@@ -18,11 +19,12 @@ from hypothesis import strategies as st
 import coarsecohom as cc
 from coarsecohom import L1, L1_ZERO, MODULES, SCALAR, facetables
 from coarsecohom.coefficients import PRUNE_TOL, ZERO_SUM_TOL
-from helpers import (GAMMA, MASK64, audit_equal_reference,
-                     conv_norm_audit_reference, homotopy_defect_reference,
-                     lanes_hash, leaf_reference, norm_audit_reference,
+from helpers import (GAMMA, MASK64, Pointwise, audit_equal_reference,
+                     conv_norm_audit_reference, dicts_csr,
+                     homotopy_defect_reference, lanes_hash, leaf_reference,
+                     norm_audit_reference, one_value, rule_cochain,
                      seminorm_reference, spaces, splitmix64_mix,
-                     tf_identity_reference, vec_dict)
+                     table_dicts, tf_identity_reference)
 
 
 @contextmanager
@@ -75,6 +77,8 @@ def test_identity_and_norm_audits_match_closure_scans(space, p, q, module, r,
     else:
         split = cc.split_s(cc.diff_d(phi))
     scaled = cc.cochain_scale(phi, -0.37)
+    # one walker for every reference, so that each leaf value is read once
+    value = Pointwise()
     with chunk_bytes(chunk):
         for name, lhs, rhs in (("DD=0", cc.diff_D(cc.diff_D(phi)), None),
                                ("dd=0", cc.diff_d(cc.diff_d(phi)), None),
@@ -83,18 +87,20 @@ def test_identity_and_norm_audits_match_closure_scans(space, p, q, module, r,
                                ("scale", scaled, cc.cochain_sub(phi, phi))):
             assert_same(lambda: cc.audit_equal(name, lhs, rhs, r, **kw),
                         lambda: audit_equal_reference(name, lhs, rhs, r,
-                                                      **kw))
+                                                      value=value, **kw))
         kinds = [("D", cc.diff_D_norm_audit), ("d", cc.diff_d_norm_audit)]
         if q >= 0:
             kinds.append(("s", cc.split_s_norm_audit))
         for kind, audit in kinds:
             assert_same(lambda: audit(phi, r, **kw),
-                        lambda: norm_audit_reference(kind, phi, r, **kw))
+                        lambda: norm_audit_reference(kind, phi, r,
+                                                     value=value, **kw))
         for c in (phi, cc.diff_D(phi), anti):
             assert_same(lambda: cc.seminorm(c, r, **kw),
-                        lambda: seminorm_reference(c, r, **kw))
-        # the same rule without its table rule is called once per face
-        bare = cc.Cochain(space, p, q, module, phi.rule)
+                        lambda: seminorm_reference(c, r, value=value, **kw))
+        # the same values from a closure called once per face
+        bare = rule_cochain(space, p, q, module,
+                            lambda xs, ys: value(phi, xs, ys))
         for wrap in (cc.diff_D, cc.diff_d):
             assert_same(lambda: cc.seminorm(wrap(bare), r, **kw),
                         lambda: cc.seminorm(wrap(phi), r, **kw))
@@ -118,6 +124,7 @@ def test_averaging_audits_match_closure_scans(space, q, module, r, seed, kw,
     fams = [cc.ball_average(space, 1.0), prob, cc.dirac_family(space)]
     field = cc.random_pair_field(space, 1.0 + seed % 2, seed,
                                  lift_style=seed % 3 == 0)
+    value = Pointwise()
     with chunk_bytes(chunk):
         for name, lhs, rhs in (
                 ("delta", cc.convolve(delta, theta), theta),
@@ -127,16 +134,18 @@ def test_averaging_audits_match_closure_scans(space, q, module, r, seed, kw,
                 ("prob*xind", cc.convolve(prob.as_cochain(), xind), xind)):
             assert_same(lambda: cc.audit_equal(name, lhs, rhs, r, **kw),
                         lambda: audit_equal_reference(name, lhs, rhs, r,
-                                                      **kw))
+                                                      value=value, **kw))
         for left in (f, cc.diff_D(f)):
             assert_same(lambda: cc.conv_norm_audit(left, theta, r, **kw),
-                        lambda: conv_norm_audit_reference(left, theta, r,
-                                                          **kw))
+                        lambda: conv_norm_audit_reference(
+                            left, theta, r, value=value, **kw))
         for fam in fams:
             assert_same(lambda: cc.homotopy_defect(fam, theta, **kw)[1],
-                        lambda: homotopy_defect_reference(fam, theta, **kw))
+                        lambda: homotopy_defect_reference(
+                            fam, theta, value=value, **kw))
         assert_same(lambda: cc.tf_identity(field, theta, **kw),
-                    lambda: tf_identity_reference(field, theta, **kw))
+                    lambda: tf_identity_reference(field, theta, value=value,
+                                                  **kw))
 
 
 @pytest.mark.parametrize("chunk", [8, 1 << 40])
@@ -178,15 +187,11 @@ def test_scalar_roundoff_is_reported_not_pruned(p, q, check):
 
 def _bad_zero_sum(space, checked):
     """A user-written (0, 0) l1_0 rule whose values sum to 1 at (x, (x,)):
-    built through SupportedVector (which raises) or around it."""
+    its fill checks them (and raises) or keeps them as they come."""
     def rule(xs, ys):
-        entries = {xs[0]: 1.0, ys[0]: -1.0} if xs[0] != ys[0] else {xs[0]: 1.0}
-        if checked:
-            return cc.SupportedVector(L1_ZERO, entries)
-        value = cc.SupportedVector(L1_ZERO)
-        value.entries = entries
-        return value
-    return cc.Cochain(space, 0, 0, L1_ZERO, rule, name="bad")
+        return {xs[0]: 1.0, ys[0]: -1.0} if xs[0] != ys[0] else {xs[0]: 1.0}
+    return rule_cochain(space, 0, 0, L1_ZERO, rule, name="bad",
+                        checked=checked)
 
 
 @pytest.mark.parametrize("checked", [True, False])
@@ -223,18 +228,16 @@ def test_distinct_groups_faces_in_code_order():
 
 
 def test_rule_tables_follow_the_faces_order():
-    # a cochain with no table rule is called once per distinct face, in
-    # code order; its rows still come back in the order of the faces asked
+    # a cochain whose value at (xs, ys) is CSR row xs[0] gives its rows
+    # back in the order of the faces asked, a repeated face too
     space = cc.generate_family("cycle", {"size": 8})
+    rows = [{x: 1.0 + x, (x + 2) % 8: -0.5} for x in range(8)]
     phi = cc.Cochain(space, 0, 0, L1,
-                     lambda xs, ys: cc.dirac(xs[0], weight=1.0 + ys[0]))
+                     facetables.rows_fill(L1, 8, *dicts_csr(rows)))
     faces = np.array([[3, 1], [1, 2], [0, 5], [3, 1]])
-    want = [vec_dict(phi(tuple(row[:1]), tuple(row[1:])))
-            for row in faces.tolist()]
-    for rows in (faces, faces[:3]):
-        tab = facetables.evaluate(phi, rows)
-        assert [{k: v for k, v in enumerate(row) if v}
-                for row in tab.vals.tolist()] == want[:len(rows)]
+    want = [dict(sorted(rows[x].items())) for x in (3, 1, 0, 3)]
+    for part in (faces, faces[:3]):
+        assert table_dicts(facetables.evaluate(phi, part)) == want[:len(part)]
 
 
 def test_scatter_adds_in_the_order_given_then_finishes():
@@ -243,18 +246,16 @@ def test_scatter_adds_in_the_order_given_then_finishes():
     for terms, want in (([1e16, 1.0, -1e16], 0.0), ([1e16, -1e16, 1.0], 1.0)):
         tab = facetables.scatter(SCALAR, 4, 2, np.zeros(3, dtype=np.int64),
                                  0, np.array(terms))
-        assert [facetables.value_at(tab, i).scalar for i in (0, 1)] == [
-            want, 0.0]
-    # l1 entries below PRUNE_TOL are dropped, as SupportedVector drops them
+        assert table_dicts(tab) == [{"scalar": want}, {"scalar": 0.0}]
+    # l1 entries below PRUNE_TOL are dropped
     tab = facetables.scatter(L1, 4, 2, np.array([0, 0, 1, 0]),
                              np.array([1, 2, 3, 1]),
                              np.array([0.5, PRUNE_TOL / 2, -0.25, 0.25]))
-    assert [vec_dict(facetables.value_at(tab, i)) for i in (0, 1)] == [
-        {1: 0.75}, {3: -0.25}]
-    # and an l1_0 value that does not sum to zero raises SupportedVector's
-    # error
+    assert table_dicts(tab) == [{1: 0.75}, {3: -0.25}]
+    # and an l1_0 value that does not sum to zero raises the error every
+    # value raises
     with pytest.raises(ValueError) as want:
-        cc.SupportedVector(L1_ZERO, {0: 1.0, 1: -0.5})
+        facetables.csr_add(L1_ZERO, 1, [0, 0], [0, 1], [1.0, -0.5], 4)
     with pytest.raises(ValueError) as got:
         facetables.scatter(L1_ZERO, 4, 1, 0, np.array([0, 1]),
                            np.array([1.0, -0.5]))
@@ -263,25 +264,25 @@ def test_scatter_adds_in_the_order_given_then_finishes():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_value_at_reads_back_the_rule_value(module):
-    # a rule table read row by row gives the rule's values back: entries,
-    # their order and the scalar, also at a repeated face
+    # one value is the table on a one-row face array: it gives the rule's
+    # values back, entries, their order and the scalar, also at a
+    # repeated face, and equals that row of the table on all the faces
     space = cc.generate_family("cycle", {"size": 8})
 
     def rule(xs, ys):
         x, y = xs[0], ys[0]
         if module == SCALAR:
-            return cc.SupportedVector(SCALAR, scalar=0.5 * x - y)
+            return {"scalar": 0.5 * x - y}
         w = 1.0 + 0.25 * x
-        return cc.SupportedVector(module, {y: w, x: -w} if x != y else {})
+        return dict(sorted({y: w, x: -w}.items())) if x != y else {}
 
-    bare = cc.Cochain(space, 0, 0, module, rule)
+    bare = rule_cochain(space, 0, 0, module, rule)
     faces = np.array([[3, 1], [1, 2], [0, 5], [4, 4], [3, 1]])
-    tab = facetables.evaluate(bare, faces)
+    whole = table_dicts(facetables.evaluate(bare, faces))
     for i, (x, y) in enumerate(faces.tolist()):
-        got, want = facetables.value_at(tab, i), rule((x,), (y,))
-        assert got.module == module
-        assert list(got.entries.items()) == list(want.entries.items())
-        assert got.scalar == want.scalar
+        got = one_value(bare, (x,), (y,))
+        assert list(got.items()) == list(rule((x,), (y,)).items())
+        assert list(whole[i].items()) == list(got.items())
 
 
 def _ordered_norms(vals):
@@ -433,14 +434,14 @@ _LEAF_SPACES = (("cycle", {"size": 5}), ("free_ball", {"rank": 2, "radius": 1}))
 
 
 def _dense_image(cochain, faces, value):
-    """The table of value(xs, ys) on faces, a SupportedVector or a dict
-    keyed as vec_dict keys it, one call per face."""
+    """The table of the plain dicts value(xs, ys) on faces, one call per
+    face, holding each entry and scalar exactly as value gives it, a -0.0
+    too."""
     width = 1 if cochain.module == SCALAR else cochain.space.n
     dense = np.zeros((len(faces), width))
     xlen = cochain.p + 1
     for i, row in enumerate(faces.tolist()):
-        got = value(tuple(row[:xlen]), tuple(row[xlen:]))
-        for k, w in (got if isinstance(got, dict) else vec_dict(got)).items():
+        for k, w in value(tuple(row[:xlen]), tuple(row[xlen:])).items():
             dense[i, 0 if k == "scalar" else k] = w
     return dense
 
@@ -485,7 +486,7 @@ def _leaf_cases(space, rng):
 
 @pytest.mark.parametrize("kind, params", _LEAF_SPACES)
 def test_leaf_fills_equal_the_rule_bit_for_bit(kind, params):
-    # one fill adds every term of every face at once, and a rule is the
+    # one fill adds every term of every face at once, and one value is the
     # fill on one face; both must equal the term-by-term reference on
     # Python ints, also where two terms share a cell or, for l1_0, where a
     # term's u is its anchor c
@@ -497,11 +498,11 @@ def test_leaf_fills_equal_the_rule_bit_for_bit(kind, params):
         got = phi.fill(faces).vals
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes(), phi.name
-        # a rule call runs the fill on its one face, at numpy's per-call
-        # cost, so the rule is checked on the first rows only
+        # one value runs the fill on its one face, at numpy's per-call
+        # cost, so it is checked on the first rows only
         head = faces[:24]
-        assert (_dense_image(phi, head, phi.rule).tobytes()
-                == want[:24].tobytes()), phi.name
+        assert (_dense_image(phi, head, lambda xs, ys: one_value(
+            phi, xs, ys)).tobytes() == want[:24].tobytes()), phi.name
         if phi.module == SCALAR:
             continue
         # the points each term writes, to show that the faces hold the
@@ -516,18 +517,11 @@ def test_leaf_fills_equal_the_rule_bit_for_bit(kind, params):
     assert shared and same_anchor
 
 
-def _rule_image(cochain, faces):
-    """The table of cochain.rule on faces, one call per face, holding each
-    entry and scalar exactly as the rule returns it, a -0.0 too."""
-    width = 1 if cochain.module == SCALAR else cochain.space.n
-    dense = np.zeros((len(faces), width))
-    xlen = cochain.p + 1
-    for i, row in enumerate(faces.tolist()):
-        v = cochain.rule(tuple(row[:xlen]), tuple(row[xlen:]))
-        dense[i, 0] = v.scalar
-        for k, w in v.entries.items():
-            dense[i, k] = w
-    return dense
+def _rule_image(cochain, faces, value):
+    """The table of the pointwise reference value of cochain on faces, one
+    walk per face."""
+    return _dense_image(cochain, faces,
+                        lambda xs, ys: value(cochain, xs, ys))
 
 
 def _combinations(space, p, q, module):
@@ -542,15 +536,17 @@ def _combinations(space, p, q, module):
     yield "convolve", cc.convolve(cc.random_cochain(space, p, -1, L1, 6),
                                   theta)
     if p == 0:
-        rows = [cc.SupportedVector(L1)] + [
-            cc.SupportedVector(L1, {x: 0.75, (x + 1) % space.n: -0.5})
-            for x in range(1, space.n)]
-        gappy = cc.ReiterFamily(space, 1.0, rows, is_prob=False)
+        rows = [{}] + [dict(sorted({x: 0.75, (x + 1) % space.n: -0.5}.items()))
+                       for x in range(1, space.n)]
+        gappy = cc.ReiterFamily(space, 1.0, *dicts_csr(rows), is_prob=False)
         yield "convolve-empty-row", cc.convolve(gappy.as_cochain(), theta)
     if p == 1:
-        field = cc.random_pair_field(space, 1.0, 7)
-        field[2] = cc.PairVector()
-        yield "transfer", cc.transfer_cochain(field, phi)
+        indptr, pairs, weights = cc.random_pair_field(space, 1.0, 7)
+        # the row of point 2 emptied
+        keep = np.r_[0:indptr[2], indptr[3]:len(weights)]
+        indptr = indptr - np.clip(indptr - indptr[2], 0, indptr[3] - indptr[2])
+        yield "transfer", cc.transfer_cochain(
+            (indptr, pairs[keep], weights[keep]), phi)
     yield "D", cc.diff_D(phi)
     yield "d", cc.diff_d(phi)
     if q >= 0:
@@ -564,17 +560,19 @@ def _combinations(space, p, q, module):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_combination_fills_equal_the_rule_bit_for_bit(module):
-    # each linear operator builds its rule and its table rule from the same
-    # terms; the table must hold the rule's values byte for byte, zeros'
-    # signs included, also on repeated faces
+    # each linear operator keeps the terms its fill sums; the table must
+    # hold the values the pointwise walk of those terms adds, byte for
+    # byte, zeros' signs included, also on repeated faces
     space = cc.generate_family("cycle", {"size": 5})
     rng = np.random.default_rng(19)
     for p, q in product((0, 1, 2), (-1, 0, 1, 2)):
+        # one walker for the combinations of the same leaves
+        value = Pointwise()
         for name, c in _combinations(space, p, q, module):
             faces = rng.integers(0, space.n, size=(60, c.p + c.q + 2))
             faces = np.concatenate((faces, faces[:20]))
             got = c.fill(faces).vals
-            assert got.tobytes() == _rule_image(c, faces).tobytes(), (
+            assert got.tobytes() == _rule_image(c, faces, value).tobytes(), (
                 name, p, q)
 
 
@@ -758,7 +756,8 @@ def test_tables_do_not_read_what_dirty_buffers_held(module):
     def tables():
         return [facetables.linear(module, 7, [(child, faces, weights,
                                                 lengths)]).vals,
-                facetables.csr_table(L1, 7, indptr, cols, csr_w).vals,
+                facetables.csr_table(L1, 7, indptr, cols, csr_w,
+                                     np.arange(3)).vals,
                 facetables.dirac_diff_table(7, faces[:, 1], faces[:, 2]).vals]
 
     with fresh_pool(), patched("_POOL_BYTES", 0):

@@ -4,10 +4,10 @@ only to re-export them), every top-level name, public method and export is
 read by a module of the package other than `__init__.py`, only
 `space.py` reads the real-metric slack, only `facetables.py` knows how a
 face table is laid out, only the combination constructor of `cochains.py`
-calls `facetables.linear`, only `cochains.py` builds a check record, the
-command line loads no optional heavy module,
-and no module calls the builtin hash(), whose values belong to the
-interpreter."""
+calls `facetables.linear`, only `cochains.py` builds a check record, face
+tables and CSR rows are the one value representation, the command line
+loads no optional heavy module, and no module calls the builtin hash(),
+whose values belong to the interpreter."""
 
 import ast
 import os
@@ -62,14 +62,12 @@ def _top_level_names(tree) -> dict:
 
 
 # Exported names that only the test suite reads: scaled_metric builds the
-# real-metric test spaces, and zero is the additive identity of the
-# coefficient modules.
-_EXPORTED_FOR_TESTS = {"scaled_metric", "zero"}
+# real-metric test spaces.
+_EXPORTED_FOR_TESTS = {"scaled_metric"}
 
 # Public methods that only the test suite reads: within is the pointwise
-# form of the one within-R rule that near applies to whole rows, and
-# is_zero the predicate the tests state vanishing values with.
-_METHODS_FOR_TESTS = {"within", "is_zero"}
+# form of the one within-R rule that near applies to whole rows.
+_METHODS_FOR_TESTS = {"within"}
 
 
 def test_every_top_level_name_is_used():
@@ -217,3 +215,42 @@ def test_no_module_calls_builtin_hash():
                     and node.func.id == "hash"):
                 calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+# The pointwise value classes that face tables and CSR rows replaced.
+_VALUE_CLASSES = {"SupportedVector", "PairVector"}
+_COEFFICIENT_NAMES = {"L1", "L1_ZERO", "SCALAR", "MODULES", "PRUNE_TOL",
+                      "ZERO_SUM_TOL"}
+
+
+def test_tables_and_csr_rows_are_the_one_value_representation():
+    # a value is a face-table row or a CSR row: no module defines or
+    # imports a class of its own for one, a cochain is no callable with a
+    # rule or a memo, and coefficients holds only the module tags and the
+    # tolerances
+    hits = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.ImportFrom) else
+                     [getattr(node, "id", None), getattr(node, "attr", None),
+                      getattr(node, "name", None)])
+            hits += [f"{path.name}:{node.lineno}: {name}"
+                     for name in _VALUE_CLASSES.intersection(names)]
+    assert hits == []
+    from coarsecohom import coefficients
+    from coarsecohom.cochains import Cochain
+    assert {"rule", "memoize", "_memo"}.isdisjoint(Cochain.__slots__)
+    assert "__call__" not in vars(Cochain)
+    assert Cochain.__init__.__code__.co_varnames[:8] == (
+        "self", "space", "p", "q", "module", "fill", "name", "terms")
+    tree = ast.parse((PACKAGE / "coefficients.py").read_text())
+    defined = [target.id for node in tree.body
+               if isinstance(node, ast.Assign) for target in node.targets]
+    others = [node for node in tree.body
+              if not isinstance(node, (ast.Assign, ast.ImportFrom))
+              and not (isinstance(node, ast.Expr)
+                       and isinstance(node.value, ast.Constant))]
+    assert set(defined) == _COEFFICIENT_NAMES and others == []
+    public = {name for name in vars(coefficients) if not name.startswith("_")}
+    assert public == _COEFFICIENT_NAMES | {"annotations"}
