@@ -252,10 +252,6 @@ class ProfileRow:
     x1: int
     exact: bool = True
 
-    def to_json(self) -> dict:
-        return {"S": self.s, "R": self.r, "nu": self.nu,
-                "x0": self.x0, "x1": self.x1, "exact": self.exact}
-
 
 @dataclass
 class ProfileTable:
@@ -273,9 +269,6 @@ class ProfileTable:
             lines.append(f"{row.s!r},{row.r!r},{row.nu!r},{row.x0},{row.x1},"
                          f"{'true' if row.exact else 'false'}")
         return "\n".join(lines) + "\n"
-
-    def to_json(self) -> list:
-        return [row.to_json() for row in self.rows]
 
 
 def _pair_index(space: FiniteMetricSpace, r: float):

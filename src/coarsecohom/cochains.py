@@ -20,23 +20,27 @@ face.
 
 Seminorms constrain x to the radius-R tuple domain and leave y unrestricted;
 audits enumerate exactly within a budget and fall back to seeded uniform
-samples, reporting which one happened. Every audit, here and in averaging,
-is one scan of its domain by _audit; a bound's right-hand side is a _Sup,
-the `seen` of the result's fill. The audits evaluate cochains as
+samples, reporting which one happened. The domains are audit_points's
+alone: the exact join (_join), the rejection sampler (_sample_points) and
+the one cache of every space's domains (_DOMAINS), which drops a space's
+entries along with the space. Every audit, here and in averaging, is one
+scan of its domain by _audit; a bound's right-hand side is a _Sup, the
+`seen` of the result's fill. The audits evaluate cochains as
 face tables (see facetables), chunk by chunk over their points.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
 from .coefficients import L1_ZERO, MODULES
-from .facetables import (dirac_diff_table, evaluate, gaps, linear, norms,
-                         sup_of, sup_scan)
-from .space import (FiniteMetricSpace, _exact_domain, _sample_points,
-                    derive_seed)
+from .facetables import (csr_expand, dirac_diff_table, distinct, evaluate,
+                         gaps, linear, norms, sup_of, sup_scan)
+from .space import FiniteMetricSpace, derive_seed, mask_rows
 
 IDENTITY_TOL = 1e-10
 EXACT_TOL = 1e-12
@@ -44,6 +48,8 @@ NORM_BOUND_TOL = 1e-10
 DEFAULT_AUDIT_BUDGET = 20_000
 DEFAULT_SAMPLE_SIZE = 10_000
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# Largest batch of proposals the rejection sampler draws at once.
+_SAMPLE_BATCH = 1 << 16
 
 
 class Cochain:
@@ -209,33 +215,46 @@ class AuditPoints(tuple):
                 "requested": self.requested, "attempts": self.attempts}
 
 
+# space -> {key: domain}, read by audit_points only. Seed-free entries: the
+# x-domains ("join", p, r, budget), None when over budget, shared by every
+# ylen; and the exact AuditPoints ("exact", xlen, ylen, r, budget). Sampled
+# AuditPoints ("sampled", seed, xlen, ylen, r, budget, sample_size) are kept
+# for the latest seed only, so auditing one space under many seeds stays
+# bounded.
+_DOMAINS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def audit_points(space: FiniteMetricSpace, xlen: int, ylen: int, r: float,
                  budget: int = DEFAULT_AUDIT_BUDGET,
                  sample_size: int = DEFAULT_SAMPLE_SIZE,
                  seed: int = 0) -> AuditPoints:
     """(x, y) evaluation points: x in the radius-r domain, y unrestricted.
 
-    Returns the AuditPoints pair (points, exact), one object per domain.
-    The x-domain X is the exact join of space._exact_domain. Exhaustive
-    while the joint count N = |X| * n**ylen fits the budget,
-    otherwise a seeded sample of k = min(sample_size, budget) distinct
-    points: when the x-domain X itself fits the budget, k distinct indices
-    into the joint domain drawn at once (never fewer than k), else the
-    rejection sampler of space._sample_points. Exhaustive domains are
-    shared by all seeds.
+    Returns the AuditPoints pair (points, exact), one object per domain, so
+    a repeated request returns the same object. The x-domain X is the exact
+    join of _join. Exhaustive while the joint count N = |X| * n**ylen fits
+    the budget, otherwise a seeded sample of k = min(sample_size, budget)
+    distinct points: when the x-domain X itself fits the budget, k
+    distinct indices into the joint domain drawn at once (never fewer than
+    k), else the rejection sampler of _sample_points. Exhaustive domains
+    are shared by all seeds.
     """
-    cache = space._tuple_cache
-    key = ("audit", xlen, ylen, float(r), budget)
-    got = cache.get(key) or cache.sampled(key + (sample_size,), seed)
+    cache = _DOMAINS.setdefault(space, {})
+    key = (xlen, ylen, float(r), budget)
+    exact, sampled = ("exact", *key), ("sampled", seed, *key, sample_size)
+    got = cache.get(exact) or cache.get(sampled)
     if got is not None:
         return got
     n = space.n
-    xdom = _exact_domain(space, xlen - 1, r, budget)
+    join = ("join", xlen - 1, float(r), budget)
+    if join not in cache:
+        cache[join] = _join(space, xlen - 1, r, budget)
+    xdom = cache[join]
     total = None if xdom is None else len(xdom) * n ** ylen
     if total is not None and total <= budget:
         xs = np.repeat(xdom, n ** ylen, axis=0)
         ys = np.indices((n,) * ylen).reshape(ylen, n ** ylen).T
-        got = cache[key] = AuditPoints(
+        got = cache[exact] = AuditPoints(
             np.concatenate((xs, np.tile(ys, (len(xdom), 1))), axis=1), True)
         return got
     want = min(sample_size, budget)
@@ -247,8 +266,112 @@ def audit_points(space: FiniteMetricSpace, xlen: int, ylen: int, r: float,
         attempts = want
     else:
         points, attempts = _sample_points(space, xlen - 1, r, ylen, want, rng)
-    return cache.keep_sampled(key + (sample_size,), seed,
-                              AuditPoints(points, False, want, attempts))
+    for old in [k for k in cache if k[0] == "sampled" and k[1] != seed]:
+        del cache[old]
+    got = cache[sampled] = AuditPoints(points, False, want, attempts)
+    return got
+
+
+def _join(space: FiniteMetricSpace, p: int, r: float, budget: int):
+    """The radius-r (p+1)-tuples in lexicographic order as a read-only
+    int64 array, one level of coordinates at a time, or None once a level
+    holds more than budget.
+
+    Each row is extended by the members of its first coordinate's ball that
+    are also near its other coordinates, in ascending order, so rows stay
+    lexicographic. A row extends at least by repeating one of its own
+    coordinates, so level counts never shrink and an over-budget level
+    means an over-budget domain.
+    """
+    n = space.n
+    if n > budget:
+        return None
+    near = space.near(r)
+    indptr, members = mask_rows(near)
+    faces = np.arange(n, dtype=np.int64)[:, None]
+    for _ in range(p):
+        _, owner, src = csr_expand(indptr, faces[:, 0])
+        cand = members[src]
+        ok = np.ones(len(cand), dtype=bool)
+        for j in range(1, faces.shape[1]):
+            ok &= near[faces[owner, j], cand]
+        if np.count_nonzero(ok) > budget:
+            return None
+        faces = np.concatenate((faces[owner[ok]], cand[ok, None]), axis=1)
+    faces.flags.writeable = False
+    return faces
+
+
+def _proposals(space: FiniteMetricSpace, p: int, r: float, ylen: int,
+               rng: np.random.Generator, want: int, limit: int):
+    """The sampler's proposal stream, `limit` proposals in batches.
+
+    A proposal draws x0 with weight |B_r(x0)|^p, then x1..xp uniformly from
+    B_r(x0) and ylen free y-coordinates; it is admissible when x1..xp are
+    also pairwise within r, which makes an admissible x uniform over the
+    radius-r (p+1)-tuple domain. Yields (faces, ok) per batch: the
+    proposals as rows x0..xp, y0.., and which of them are admissible. Batch
+    sizes depend on want and limit only, so the stream is fixed by the
+    generator's seed.
+    """
+    n = space.n
+    near = space.near(r)
+    indptr, members = mask_rows(near)
+    starts, sizes = indptr[:-1], np.diff(indptr)
+    cum = np.cumsum(sizes.astype(float) ** p)
+    pairs = list(combinations(range(1, p + 1), 2))
+    size = max(2 * want, 64)
+    done = 0
+    while done < limit:
+        b = min(size, _SAMPLE_BATCH, limit - done)
+        x0 = np.searchsorted(cum, rng.random(b) * cum[-1], side="right")
+        np.minimum(x0, n - 1, out=x0)
+        pick = (rng.random((b, p)) * sizes[x0, None]).astype(np.int64)
+        np.minimum(pick, sizes[x0, None] - 1, out=pick)
+        faces = np.concatenate((x0[:, None], members[starts[x0, None] + pick],
+                                rng.integers(n, size=(b, ylen))), axis=1)
+        ok = np.ones(b, dtype=bool)
+        for i, j in pairs:
+            ok &= near[faces[:, i], faces[:, j]]
+        yield faces, ok
+        done += b
+        size *= 2
+
+
+def _sample_points(space: FiniteMetricSpace, p: int, r: float, ylen: int,
+                   count: int, rng: np.random.Generator):
+    """The rejection sampler behind the audit domains whose x-domain is
+    over budget.
+
+    Reads the proposal stream of _proposals as a sequential loop would:
+    the admissible proposals are kept until `want` distinct (x, y) points
+    are in hand or 60 * count + 1000 proposals are spent, and `attempts` is
+    the number of proposals read by then. Returns the points as an int64
+    array of faces in lexicographic order, and attempts.
+    """
+    n = space.n
+    # with p = 0 the whole domain has n ** (ylen + 1) points
+    want = min(count, n ** (ylen + 1)) if p == 0 else count
+    kept = np.zeros((0, p + 1 + ylen), dtype=np.int64)
+    attempts = 0
+    if want > 0:
+        kept_at = np.zeros(0, dtype=np.int64)    # stream index of each point
+        for faces, ok in _proposals(space, p, r, ylen, rng, want,
+                                    60 * count + 1000):
+            pool = np.concatenate((kept, faces[ok]))
+            pool_at = np.concatenate((kept_at, attempts + np.flatnonzero(ok)))
+            # the first sighting of each distinct point, in stream order
+            groups, inverse = distinct(pool, n)
+            first = np.full(len(groups), len(pool))
+            np.minimum.at(first, inverse, np.arange(len(pool)))
+            first.sort()
+            kept, kept_at = pool[first], pool_at[first]
+            attempts += len(faces)
+            if len(kept) >= want:
+                attempts = int(kept_at[want - 1]) + 1
+                kept = kept[:want]
+                break
+    return kept[np.lexsort(kept.T[::-1])], attempts
 
 
 def _decode(xfaces: np.ndarray, n: int, ylen: int,

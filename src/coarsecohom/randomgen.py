@@ -30,8 +30,9 @@ writes the entries in term order. One value is the fill on a one-row face
 array.
 
 Families, unit-sum family cochains, zero-sum vectors and pair fields draw
-their numbers from one random.Random each, point by point, and add them
-into CSR rows with facetables.csr_add: a row lists its points in
+their numbers from one random.Random each, point by point, over the
+point's ball row (mask_rows of the space's near mask) as Python ints, and
+add them into CSR rows with facetables.csr_add: a row lists its points in
 ascending order, or a pair field its pairs in the order they were drawn.
 """
 
@@ -156,7 +157,9 @@ def random_prob_family(space: FiniteMetricSpace, s: float, seed: int,
     """Probability family supported on s-balls with seeded positive masses."""
     rng = random.Random(derive_seed(seed, "prob-family", float(s)))
     rows, cols, masses = [], [], []
-    for x, ball in enumerate(space.balls_list(s)):
+    indptr, members = mask_rows(space.near(s))
+    for x in range(space.n):
+        ball = members[indptr[x]:indptr[x + 1]].tolist()
         keep = [z for z in ball if rng.random() <= density] or [ball[0]]
         raw = [0.05 + rng.random() for _ in keep]
         total = sum(raw)
@@ -177,7 +180,9 @@ def random_unit_sum_cochain(space: FiniteMetricSpace, s: float, seed: int,
     """
     rng = random.Random(derive_seed(seed, "unit-family", float(s), eps))
     rows, cols, values = [], [], []
-    for x, ball in enumerate(space.balls_list(s)):
+    indptr, members = mask_rows(space.near(s))
+    for x in range(space.n):
+        ball = members[indptr[x]:indptr[x + 1]].tolist()
         rows += [x] * len(ball)
         cols += ball
         values += [1.0 / len(ball)] * len(ball)
@@ -225,7 +230,9 @@ def random_pair_field(space: FiniteMetricSpace, radius: float, seed: int,
                                     terms, lift_style))
     n = space.n
     rows, codes, values = [], [], []
-    for x, ball in enumerate(space.balls_list(radius)):
+    ball_ptr, members = mask_rows(space.near(radius))
+    for x in range(n):
+        ball = members[ball_ptr[x]:ball_ptr[x + 1]].tolist()
         for _ in range(terms):
             z0 = x if lift_style else ball[rng.randrange(len(ball))]
             z1 = ball[rng.randrange(len(ball))]

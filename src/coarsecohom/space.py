@@ -1,11 +1,12 @@
-"""Finite metric spaces and the bounded-diameter tuple sets they carry.
+"""Finite metric spaces: the metric, and the graph families built on it.
 
 Everything downstream (seminorms, support audits, variation profiles) is a
 supremum over tuples whose coordinates sit pairwise within some radius R.
 This module owns the spaces themselves, the one rule for "within R"
-(`FiniteMetricSpace.radius_bound` and `near`), the ball rows built from it,
-the graph families used as test beds, and the exact join and rejection
-sampler behind the audit domains of cochains.audit_points.
+(`FiniteMetricSpace.radius_bound`, and `near` for whole rows, which
+`mask_rows` turns into CSR ball rows) and the graph families used as test
+beds. It keeps no audit state: the tuple domains an audit scans, and their
+cache, belong to cochains.audit_points.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .facetables import csr_expand, distinct
+from .facetables import csr_expand
 
 REAL_METRIC_SLACK = 1e-12
 TRIANGLE_SCAN_LIMIT = 256
@@ -28,8 +29,6 @@ _GATHER_CHUNK_BYTES = 1 << 21
 _UNPACK_CHUNK_BYTES = 1 << 15
 # The 8 bits of each byte value, most significant first (np.unpackbits order)
 _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-# Largest batch of proposals the rejection sampler draws at once.
-_SAMPLE_BATCH = 1 << 16
 
 _FREE_GEN_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
@@ -38,29 +37,6 @@ def derive_seed(*parts) -> int:
     """Stable 64-bit sub-seed from a master seed plus context tags."""
     blob = repr(parts).encode()
     return int.from_bytes(hashlib.blake2b(blob, digest_size=8).digest(), "big")
-
-
-class _TupleCache(dict):
-    """Exact tuple domains and audit points of one space.
-
-    Entries that no seed affects (exact domains, over-budget markers, exact
-    audit-point arrays) sit under their plain key. Sampled entries are kept
-    for the most recent seed only, so auditing one space under many seeds
-    keeps the cache bounded.
-    """
-
-    seed = None
-
-    def sampled(self, key: tuple, seed: int):
-        return self.get(("sampled", seed) + key)
-
-    def keep_sampled(self, key: tuple, seed: int, value):
-        if seed != self.seed:
-            for old in [k for k in self if k[0] == "sampled"]:
-                del self[old]
-            self.seed = seed
-        self[("sampled", seed) + key] = value
-        return value
 
 
 class FiniteMetricSpace:
@@ -78,15 +54,13 @@ class FiniteMetricSpace:
     # CayleyGraphSpace); None on every other space.
     group = None
 
-    def __init__(self, dist, labels=None, integer_metric=None, meta=None,
-                 validate=True):
+    def __init__(self, dist, labels=None, integer_metric=None, meta=None):
         dist = np.asarray(dist)
         if integer_metric is None:
             integer_metric = np.issubdtype(dist.dtype, np.integer)
         self.dist = _compact(dist) if integer_metric else dist.astype(float)
         self._setup(int(dist.shape[0]), integer_metric, labels, meta)
-        if validate:
-            self.validate()
+        self.validate()
 
     def _setup(self, n, integer_metric, labels, meta) -> None:
         """Everything but the distance matrix."""
@@ -94,9 +68,7 @@ class FiniteMetricSpace:
         self.n = n
         self.labels = list(labels) if labels is not None else None
         self.meta = dict(meta) if meta else {"kind": "custom", "params": {}, "seed": 0}
-        self._ball_lists: dict[float, list[tuple[int, ...]]] = {}
         self._dist_rows: list | None = None
-        self._tuple_cache = _TupleCache()
 
     # -- invariants ---------------------------------------------------------
 
@@ -166,22 +138,6 @@ class FiniteMetricSpace:
             raise ValueError("no positive distances on a single point")
         return float(_off_diagonal(self.dist).min())
 
-    def balls_list(self, r: float) -> list[tuple[int, ...]]:
-        """Sorted closed-ball membership per point, cached per radius."""
-        key = float(r)
-        got = self._ball_lists.get(key)
-        if got is None:
-            mask = self.near(r)
-            # tolist() so ball members are Python ints end to end (JSON
-            # witnesses rely on that)
-            got = [tuple(np.flatnonzero(mask[i]).tolist())
-                   for i in range(self.n)]
-            self._ball_lists[key] = got
-        return got
-
-    def ball(self, i: int, r: float) -> tuple[int, ...]:
-        return self.balls_list(r)[i]
-
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -211,7 +167,16 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_json(cls, payload: dict) -> "FiniteMetricSpace":
-        n = payload["n"]
+        """The space a to_json payload describes. A payload that is not an
+        object, lacks an integer `n`, has neither `dist` nor `edges`, lists
+        an edge that is not two integers, or has a `dist` of other than n
+        rows raises ValueError naming the key or entry."""
+        if not isinstance(payload, dict):
+            raise ValueError("space JSON must be an object, got "
+                             f"{type(payload).__name__}")
+        n = payload.get("n")
+        if not _is_int(n):
+            raise ValueError(f"space JSON needs an integer 'n', got {n!r}")
         labels = payload.get("labels")
         meta = {
             "kind": payload.get("kind", "custom"),
@@ -221,14 +186,33 @@ class FiniteMetricSpace:
         if "retries" in payload:
             meta["retries"] = payload["retries"]
         if "edges" in payload:
-            edges = [tuple(e) for e in payload["edges"]]
+            edges = payload["edges"]
+            if not isinstance(edges, list):
+                raise ValueError("space JSON 'edges' must be a list")
+            for k, e in enumerate(edges):
+                if not (isinstance(e, (list, tuple)) and len(e) == 2
+                        and all(map(_is_int, e))):
+                    raise ValueError(f"space JSON 'edges' entry {k} is not "
+                                     f"two integers: {e!r}")
+            edges = [tuple(e) for e in edges]
             meta["edges"] = sorted(edges)
             return build_graph_metric(edges, n, labels=labels, meta=meta)
-        return cls(np.asarray(payload["dist"]), labels=labels, meta=meta)
+        if "dist" not in payload:
+            raise ValueError("space JSON needs 'dist' or 'edges'")
+        dist = np.asarray(payload["dist"])
+        if dist.shape[:1] != (n,):
+            rows = len(dist) if dist.ndim else 0
+            raise ValueError(f"space JSON 'dist' has {rows} rows, but n is "
+                             f"{n}")
+        return cls(dist, labels=labels, meta=meta)
 
     def __repr__(self) -> str:
         kind = self.meta.get("kind", "custom")
         return f"FiniteMetricSpace(n={self.n}, kind={kind!r})"
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _compact(dist: np.ndarray) -> np.ndarray:
@@ -608,7 +592,9 @@ def generate_family(kind: str, params: dict, seed: int = 0) -> FiniteMetricSpace
 
     kind is a key of FAMILY_PARAMS and params gives its parameters: every
     required one, and no other; a missing or unknown one raises ValueError.
-    Identical (kind, params, seed) always serializes byte-for-byte equal.
+    meta["params"] holds them resolved, defaults filled in, so a space has
+    one hash however its defaults were given. Identical (kind, params, seed)
+    always serializes byte-for-byte equal.
     The cycle and torus families are Cayley graphs of (Z/size)^dim and
     carry that group law (CayleyGraphSpace); the others are eager
     FiniteMetricSpaces.
@@ -643,8 +629,7 @@ def generate_family(kind: str, params: dict, seed: int = 0) -> FiniteMetricSpace
         edges, n, labels, retries = _random_regular_edges(
             arg["n"], arg["k"], seed)
         extra["retries"] = retries
-    canon = {key: int(val) for key, val in params.items()}
-    meta = {"kind": kind, "params": canon, "seed": seed,
+    meta = {"kind": kind, "params": arg, "seed": seed,
             "edges": sorted((min(e), max(e)) for e in edges), **extra}
     if law is not None:
         return CayleyGraphSpace(meta["edges"], n, law, labels=labels,
@@ -652,7 +637,7 @@ def generate_family(kind: str, params: dict, seed: int = 0) -> FiniteMetricSpace
     return build_graph_metric(edges, n, labels=labels, meta=meta)
 
 
-# -- tuple domains ----------------------------------------------------------
+# -- ball rows --------------------------------------------------------------
 
 def mask_rows(mask: np.ndarray):
     """indptr and column arrays of the True entries of a square mask, row
@@ -660,118 +645,3 @@ def mask_rows(mask: np.ndarray):
     n = len(mask)
     flat = np.flatnonzero(mask)
     return np.searchsorted(flat, np.arange(n + 1) * n), flat % n
-
-
-def _join(space: FiniteMetricSpace, p: int, r: float, budget: int):
-    """The radius-r (p+1)-tuples in lexicographic order, one level of
-    coordinates at a time, or None once a level holds more than budget.
-
-    Each row is extended by the members of its first coordinate's ball that
-    are also near its other coordinates, in ascending order, so rows stay
-    lexicographic. A row extends at least by repeating one of its own
-    coordinates, so level counts never shrink and an over-budget level
-    means an over-budget domain.
-    """
-    n = space.n
-    if n > budget:
-        return None
-    near = space.near(r)
-    indptr, members = mask_rows(near)
-    faces = np.arange(n, dtype=np.int64)[:, None]
-    for _ in range(p):
-        _, owner, src = csr_expand(indptr, faces[:, 0])
-        cand = members[src]
-        ok = np.ones(len(cand), dtype=bool)
-        for j in range(1, faces.shape[1]):
-            ok &= near[faces[owner, j], cand]
-        if np.count_nonzero(ok) > budget:
-            return None
-        faces = np.concatenate((faces[owner[ok]], cand[ok, None]), axis=1)
-    return faces
-
-
-def _proposals(space: FiniteMetricSpace, p: int, r: float, ylen: int,
-               rng: np.random.Generator, want: int, limit: int):
-    """The sampler's proposal stream, `limit` proposals in batches.
-
-    A proposal draws x0 with weight |B_r(x0)|^p, then x1..xp uniformly from
-    B_r(x0) and ylen free y-coordinates; it is admissible when x1..xp are
-    also pairwise within r, which makes an admissible x uniform over the
-    radius-r (p+1)-tuple domain. Yields (faces, ok) per batch: the
-    proposals as rows x0..xp, y0.., and which of them are admissible. Batch
-    sizes depend on want and limit only, so the stream is fixed by the
-    generator's seed.
-    """
-    n = space.n
-    near = space.near(r)
-    indptr, members = mask_rows(near)
-    starts, sizes = indptr[:-1], np.diff(indptr)
-    cum = np.cumsum(sizes.astype(float) ** p)
-    pairs = list(combinations(range(1, p + 1), 2))
-    size = max(2 * want, 64)
-    done = 0
-    while done < limit:
-        b = min(size, _SAMPLE_BATCH, limit - done)
-        x0 = np.searchsorted(cum, rng.random(b) * cum[-1], side="right")
-        np.minimum(x0, n - 1, out=x0)
-        pick = (rng.random((b, p)) * sizes[x0, None]).astype(np.int64)
-        np.minimum(pick, sizes[x0, None] - 1, out=pick)
-        faces = np.concatenate((x0[:, None], members[starts[x0, None] + pick],
-                                rng.integers(n, size=(b, ylen))), axis=1)
-        ok = np.ones(b, dtype=bool)
-        for i, j in pairs:
-            ok &= near[faces[:, i], faces[:, j]]
-        yield faces, ok
-        done += b
-        size *= 2
-
-
-def _sample_points(space: FiniteMetricSpace, p: int, r: float, ylen: int,
-                   count: int, rng: np.random.Generator):
-    """The rejection sampler behind the audit domains whose x-domain is
-    over budget.
-
-    Reads the proposal stream of _proposals as a sequential loop would:
-    the admissible proposals are kept until `want` distinct (x, y) points
-    are in hand or 60 * count + 1000 proposals are spent, and `attempts` is
-    the number of proposals read by then. Returns the points as an int64
-    array of faces in lexicographic order, and attempts.
-    """
-    n = space.n
-    # with p = 0 the whole domain has n ** (ylen + 1) points
-    want = min(count, n ** (ylen + 1)) if p == 0 else count
-    kept = np.zeros((0, p + 1 + ylen), dtype=np.int64)
-    attempts = 0
-    if want > 0:
-        kept_at = np.zeros(0, dtype=np.int64)    # stream index of each point
-        for faces, ok in _proposals(space, p, r, ylen, rng, want,
-                                    60 * count + 1000):
-            pool = np.concatenate((kept, faces[ok]))
-            pool_at = np.concatenate((kept_at, attempts + np.flatnonzero(ok)))
-            # the first sighting of each distinct point, in stream order
-            groups, inverse = distinct(pool, n)
-            first = np.full(len(groups), len(pool))
-            np.minimum.at(first, inverse, np.arange(len(pool)))
-            first.sort()
-            kept, kept_at = pool[first], pool_at[first]
-            attempts += len(faces)
-            if len(kept) >= want:
-                attempts = int(kept_at[want - 1]) + 1
-                kept = kept[:want]
-                break
-    return kept[np.lexsort(kept.T[::-1])], attempts
-
-
-def _exact_domain(space: FiniteMetricSpace, p: int, r: float,
-                  budget: int) -> np.ndarray | None:
-    """The radius-r (p+1)-tuple domain as a read-only int64 array (see
-    _join), or None when it exceeds the budget; neither depends on a seed,
-    so both are cached under a seed-free key."""
-    key = ("exact", p, float(r), budget)
-    cache = space._tuple_cache
-    if key not in cache:
-        faces = _join(space, p, r, budget)
-        if faces is not None:
-            faces.flags.writeable = False
-        cache[key] = faces
-    return cache[key]

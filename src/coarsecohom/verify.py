@@ -13,6 +13,7 @@ from .averaging import (ReiterFamily, ball_average, conv_norm_audit, convolve,
                         lift_boundary, normalize_to_prob, pair_boundary,
                         pair_scan, tf_identity)
 from .coefficients import L1, L1_ZERO, SCALAR
+from .facetables import csr_row_sums
 from .cochains import (EXACT_TOL, IDENTITY_TOL, Check, Cochain, audit_equal,
                        audit_zero, cochain_add, cochain_scale,
                        diff_D, diff_D_norm_audit, diff_d, diff_d_norm_audit,
@@ -84,11 +85,6 @@ def identity_checks_for(phi: Cochain, r_list, budget: int, sample_size: int,
         checks.append(audit_zero("Dd+dD=0", anti, r, **kw))
         checks.append(audit_equal(split_name, split, phi, r, **kw))
     return checks
-
-
-def _total(weights: np.ndarray) -> float:
-    """The entries of one vector added left to right from 0.0: its pi_sum."""
-    return np.cumsum(np.r_[0.0, weights])[-1].item()
 
 
 def _suite(name: str, checks: list[Check]) -> dict:
@@ -226,11 +222,14 @@ def run_pairing(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
                                            lifted))
         round_trip = np.abs(np.bincount(bd_cols, bd, n)
                             - np.bincount(cols, weights, n)).max().item()
-        lifted_norm = _total(np.abs(lifted))
-        norm_ok = lifted_norm <= _total(np.abs(weights)) + EXACT_TOL
+        # the l1 norms of H, h and dH, each added left to right from 0.0
+        lifted_norm, norm, bd_norm = csr_row_sums(
+            np.cumsum([0, len(lifted), len(weights), len(bd)]),
+            np.abs(np.concatenate((lifted, weights, bd)))).tolist()
+        norm_ok = lifted_norm <= norm + EXACT_TOL
         supp_ok = bool((pairs[:, 0] == base).all()
                        and np.isin(pairs[:, 1], cols).all())
-        contract = _total(np.abs(bd)) <= 2.0 * lifted_norm + EXACT_TOL
+        contract = bd_norm <= 2.0 * lifted_norm + EXACT_TOL
         checks.append(Check(
             check="lift_round_trip", instance=i,
             ok=round_trip <= EXACT_TOL and norm_ok and supp_ok and contract,
@@ -246,13 +245,13 @@ def run_ses(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
         _, v = random_zero_sum_vector(space,
                                       derive_seed(opts.seed, "ses-v", i))
         # pi of the inclusion of v, which is v itself
-        drift = abs(_total(v))
+        drift = abs(csr_row_sums(np.array([0, len(v)]), v)[0].item())
         checks.append(Check(check="pi.iota=0", instance=i,
                             ok=drift <= EXACT_TOL,
                             values={"max_violation": drift}))
         lam = 0.5 + i
         # pi of the lift lam * delta_point, one entry
-        got = _total(np.array([lam]))
+        got = csr_row_sums(np.array([0, 1]), np.array([lam]))[0].item()
         checks.append(Check(check="pi.lift_scalar=id", instance=i,
                             ok=abs(got - lam) <= EXACT_TOL,
                             values={"max_violation": abs(got - lam)}))

@@ -240,10 +240,18 @@ def dicts_csr(rows, pairs=False):
             np.array([w for row in rows for w in row.values()], dtype=float))
 
 
+def ref_balls(space, r):
+    """The closed r-ball of each point as a sorted list, by a double loop
+    over the distance oracle."""
+    bound = radius_bound(space, r)
+    return [[z for z in range(space.n) if space.d(x, z) <= bound]
+            for x in range(space.n)]
+
+
 def prob_family_reference(space, s, seed, density=1.0):
     rng = random.Random(cc.derive_seed(seed, "prob-family", float(s)))
     rows = []
-    for ball in space.balls_list(s):
+    for ball in ref_balls(space, s):
         keep = [z for z in ball if rng.random() <= density] or [ball[0]]
         raw = {z: 0.05 + rng.random() for z in keep}
         total = sum(raw.values())
@@ -254,7 +262,7 @@ def prob_family_reference(space, s, seed, density=1.0):
 def unit_sum_reference(space, s, seed, eps=0.05):
     rng = random.Random(cc.derive_seed(seed, "unit-family", float(s), eps))
     rows = []
-    for ball in space.balls_list(s):
+    for ball in ref_balls(space, s):
         w = 1.0 / len(ball)
         ent = {z: w for z in ball}
         if len(ball) >= 2:
@@ -285,7 +293,7 @@ def pair_field_reference(space, radius, seed, terms=3, lift_style=False):
     weights below PRUNE_TOL dropped."""
     rng = random.Random(cc.derive_seed(seed, "pair-field", float(radius),
                                        terms, lift_style))
-    balls = space.balls_list(radius)
+    balls = ref_balls(space, radius)
     field = []
     for x in range(space.n):
         ball = balls[x]
@@ -417,7 +425,7 @@ def brute_tuples(space, p, r):
 
 def frac_ball_nu(space, s, r):
     """Exact rational ball-averaging variation nu(s, r)."""
-    balls = [set(space.ball(i, s)) for i in range(space.n)]
+    balls = [set(ball) for ball in ref_balls(space, s)]
     best = Fraction(0)
     for i in range(space.n):
         for j in range(i + 1, space.n):

@@ -15,7 +15,7 @@ from coarsecohom.coefficients import PRUNE_TOL
 from helpers import (csr_dicts, dict_norm, dict_total, dicts_csr,
                      family_dicts, frac_ball_nu, kept,
                      max_pair_variation_reference, one_value, pairs_reference,
-                     rule_cochain, validate_family_reference,
+                     ref_balls, rule_cochain, validate_family_reference,
                      walk_dicts_reference, walk_matrix_reference,
                      walk_rows_reference)
 
@@ -108,7 +108,7 @@ def test_profile_table_lookup_and_csv():
     lines = table.to_csv().splitlines()
     assert lines[0] == "S,R,nu,x0,x1,exact"
     assert lines[1].endswith(",true")
-    assert table.to_json()[0]["S"] == 1.0
+    assert table.rows[0].s == 1.0
 
 
 def test_lazy_walk_family():
@@ -597,7 +597,7 @@ def _families(draw):
             space.n == 1 or space.diameter() > 0):
         return cc.lazy_walk_family(space, int(s))
     is_prob = draw(st.booleans())
-    balls = space.balls_list(s)
+    balls = ref_balls(space, s)
     vectors = []
     for x in range(space.n):
         ball = list(balls[x])

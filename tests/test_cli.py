@@ -101,6 +101,22 @@ def test_space_roundtrip_through_file(tmp_path, capsys):
     assert first.split("hash=")[1] == again.split("hash=")[1]
 
 
+@pytest.mark.parametrize("payload, error", [
+    ({"dist": [[0, 1], [1, 0]]}, "needs an integer 'n', got None"),
+    ({"n": 2}, "needs 'dist' or 'edges'"),
+    ([1, 2], "must be an object, got list"),
+    ({"n": 2, "edges": [[0, "x"]]}, "'edges' entry 0 is not two integers"),
+    ({"n": 3, "dist": [[0, 1], [1, 0]]}, "'dist' has 2 rows, but n is 3"),
+], ids=["no-n", "no-metric", "not-an-object", "bad-edge", "n-disagrees"])
+def test_malformed_space_file_is_a_usage_error(tmp_path, capsys, payload,
+                                              error):
+    target = tmp_path / "bad.json"
+    target.write_text(json.dumps(payload))
+    assert main(["gen", "--space", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: space JSON ") and error in err
+
+
 def test_edges_import(tmp_path, capsys):
     edges = tmp_path / "square.txt"
     edges.write_text("0 1\n1 2\n2 3\n3 0\n")

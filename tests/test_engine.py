@@ -9,7 +9,9 @@ as many as asked for when the x-domain is exact, uniform, reproducible per
 seed, and counted as the sequential rejection loop would count them.
 """
 
+import gc
 import hashlib
+import weakref
 from itertools import combinations, product
 
 import numpy as np
@@ -17,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coarsecohom as cc
-from coarsecohom.space import _exact_domain, _proposals, _sample_points
+from coarsecohom import cochains
+from coarsecohom.cochains import _DOMAINS, _join, _proposals, _sample_points
 from helpers import brute_tuples, spaces
 
 ENGINE_DIGEST = "f8a1b9bdf9d6f1f5f6668f92127566b02926774fd8e3f28ae52464a54626d59b"
@@ -54,9 +57,11 @@ def test_audit_points_leaves_no_sampled_domain():
     assert not exact and len(pts) == 40
     # the over-budget x-domain is cached as None; the one sampled entry is
     # the audit points themselves
-    assert space._tuple_cache[("exact", 0, 1.0, 50)] is None
-    assert [key for key in space._tuple_cache if key[0] == "sampled"] == [
-        ("sampled", 3, "audit", 1, 1, 1.0, 50, 40)]
+    cache = _DOMAINS[space]
+    assert cache[("join", 0, 1.0, 50)] is None
+    assert [key for key in cache if key[0] == "sampled"] == [
+        ("sampled", 3, 1, 1, 1.0, 50, 40)]
+    assert cache[("sampled", 3, 1, 1, 1.0, 50, 40)][0] is pts
 
 
 def test_tuple_cache_bounded_across_seeds():
@@ -68,10 +73,42 @@ def test_tuple_cache_bounded_across_seeds():
                         seed=seed)                                 # sampled
 
     audit(0)
-    after_one = len(space._tuple_cache)
+    after_one = len(_DOMAINS[space])
     for seed in range(1, 200):
         audit(seed)
-    assert len(space._tuple_cache) <= after_one
+        assert {key[1] for key in _DOMAINS[space]
+                if key[0] == "sampled"} == {seed}
+    assert len(_DOMAINS[space]) <= after_one
+
+
+def test_one_join_serves_every_ylen(monkeypatch):
+    # the x-domain is seed-free and shared across ylen: one join for three
+    # exact domains and a repeat, and a repeated request is the same object
+    space = cc.generate_family("cycle", {"size": 8})
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _join(*args)
+
+    monkeypatch.setattr(cochains, "_join", counted)
+    doms = [cc.audit_points(space, 2, ylen, 1.0, budget=2000)
+            for ylen in (0, 1, 2)]
+    assert [dom[1] for dom in doms] == [True, True, True]
+    assert cc.audit_points(space, 2, 1, 1.0, budget=2000) is doms[1]
+    assert len(calls) == 1
+
+
+def test_domains_leave_the_cache_with_their_space():
+    gc.collect()
+    before = len(_DOMAINS)
+    space = cc.generate_family("cycle", {"size": 8})
+    cc.audit_points(space, 2, 1, 1.0, budget=40, sample_size=10, seed=1)
+    assert len(_DOMAINS) == before + 1
+    gone = weakref.ref(space)
+    del space
+    gc.collect()
+    assert gone() is None and len(_DOMAINS) == before
 
 
 # -- what every draw must be ----------------------------------------------------
@@ -253,7 +290,7 @@ def test_sampler_spends_its_limit_on_a_small_domain():
     # (audit_points never asks for that many: it samples only domains
     # over budget, and asks for at most the budget)
     space = cc.generate_family("path", {"size": 6})
-    xdom = _exact_domain(space, 2, 1.0, 10 ** 6)
+    xdom = _join(space, 2, 1.0, 10 ** 6)
     count = len(xdom) + 4
     faces, attempts = _sample_points(space, 2, 1.0, 0, count,
                                      np.random.default_rng(1))

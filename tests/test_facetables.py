@@ -22,8 +22,8 @@ from coarsecohom.coefficients import PRUNE_TOL, ZERO_SUM_TOL
 from helpers import (GAMMA, MASK64, Pointwise, audit_equal_reference,
                      conv_norm_audit_reference, dicts_csr,
                      homotopy_defect_reference, lanes_hash, leaf_reference,
-                     norm_audit_reference, one_value, rule_cochain,
-                     seminorm_reference, spaces, splitmix64_mix,
+                     norm_audit_reference, one_value, ref_balls,
+                     rule_cochain, seminorm_reference, spaces, splitmix64_mix,
                      table_dicts, tf_identity_reference)
 
 
@@ -456,7 +456,7 @@ def _leaf_cases(space, rng):
                                                (1, 2), (1, 3, 4)):
         faces = rng.integers(0, n, size=(160, p + q + 2))
         faces = np.concatenate((faces, faces[:20]))
-        balls = space.balls_list(spread)
+        balls = ref_balls(space, spread)
         base = cc.derive_seed(7, "random-cochain", p, q, module, spread,
                               terms)
 

@@ -5,9 +5,10 @@ read by a module of the package other than `__init__.py`, only
 `space.py` reads the real-metric slack, only `facetables.py` knows how a
 face table is laid out, only the combination constructor of `cochains.py`
 calls `facetables.linear`, only `cochains.py` builds a check record, face
-tables and CSR rows are the one value representation, the command line
-loads no optional heavy module, and no module calls the builtin hash(),
-whose values belong to the interpreter."""
+tables and CSR rows are the one value representation, the audit domains
+and their cache live in `cochains.py` and not in `space.py`, the command
+line loads no optional heavy module, and no module calls the builtin
+hash(), whose values belong to the interpreter."""
 
 import ast
 import os
@@ -154,9 +155,9 @@ def test_only_the_combination_constructor_calls_linear():
     assert len(constructor) == 1
 
 
-# Serialisable dataclasses that are no check: the profile's rows and table,
-# and its decay verdict with the inputs it was read from.
-_NOT_CHECKS = {"ProfileRow", "ProfileTable", "DecayDiagnostic"}
+# Serialisable dataclasses that are no check: the profile's decay verdict
+# with the inputs it was read from.
+_NOT_CHECKS = {"DecayDiagnostic"}
 
 
 def _is_dataclass(decorator) -> bool:
@@ -254,3 +255,42 @@ def test_tables_and_csr_rows_are_the_one_value_representation():
     assert set(defined) == _COEFFICIENT_NAMES and others == []
     public = {name for name in vars(coefficients) if not name.startswith("_")}
     assert public == _COEFFICIENT_NAMES | {"annotations"}
+
+
+# The audit-domain code that cochains.audit_points owns, and the ball lists
+# that mask_rows(space.near(r)) replaced.
+_DOMAIN_NAMES = {"_join", "_proposals", "_sample_points", "_SAMPLE_BATCH",
+                 "_DOMAINS"}
+_BALL_LISTS = {"balls_list", "ball", "_ball_lists"}
+
+
+def test_audit_domains_live_in_cochains_not_in_space():
+    # space keeps the metric; which tuples an audit scans, and the cache of
+    # them, is one decision in cochains, read by no other module
+    tree = ast.parse((PACKAGE / "space.py").read_text())
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Store):
+            defined.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module != "cochains", "space imports from cochains"
+    assert defined & (_DOMAIN_NAMES | _BALL_LISTS) == set()
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.ImportFrom) else
+                     [getattr(node, "id", None), getattr(node, "attr", None)])
+            if "_DOMAINS" in names:
+                readers.append(path.name)
+    assert set(readers) == {"cochains.py"}
+    private = [alias.name for node in ast.walk(
+                   ast.parse((PACKAGE / "cochains.py").read_text()))
+               if isinstance(node, ast.ImportFrom) and node.module == "space"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coarsecohom as cc
-from coarsecohom.space import (TRIANGLE_SCAN_LIMIT, _exact_domain,
-                               _hop_distances, _hop_row)
+from coarsecohom.cochains import _join
+from coarsecohom.space import (TRIANGLE_SCAN_LIMIT, _compact, _hop_distances,
+                               _hop_row, mask_rows)
 from helpers import (bfs_graph_dist, brute_tuples, cycle_dist, spaces,
                      torus_dist)
 
@@ -220,8 +221,8 @@ def test_scaled_compact_metric_widens_first():
 def test_negative_integer_distance_is_still_rejected():
     with pytest.raises(ValueError, match="positive"):
         cc.FiniteMetricSpace(np.array([[0, -1], [-1, 0]]))
-    raw = cc.FiniteMetricSpace(np.array([[0, -1], [-1, 0]]), validate=False)
-    assert raw.dist.dtype == np.int64
+    # the matrix stays int64, so that validate sees the negative entry
+    assert _compact(np.array([[0, -1], [-1, 0]])).dtype == np.int64
 
 
 def test_dense_integer_matrix_keeps_its_values():
@@ -316,11 +317,14 @@ def test_family_parameters_are_checked(kind, params, error):
     assert str(info.value) == error
 
 
-def test_optional_torus_dim_stays_out_of_the_params():
-    # an omitted dim is 2, but the params (and so the hash) are as given
+def test_optional_torus_dim_is_filled_into_the_params():
+    # an omitted dim is 2, and the params (and so the hash) say so: one
+    # torus, one hash
     sp = cc.generate_family("torus", {"size": 4})
-    assert sp.meta["params"] == {"size": 4} and sp.n == 16
-    assert sp.content_hash()[:16] == "7c96adb2bc18aeaf"
+    assert sp.meta["params"] == {"size": 4, "dim": 2} and sp.n == 16
+    same = cc.generate_family("torus", {"size": 4, "dim": 2})
+    assert sp.content_hash() == same.content_hash()
+    assert sp.content_hash()[:16] == "c70c7bb24009c37c"
 
 
 def test_random_regular_odd_product_rejected():
@@ -389,11 +393,16 @@ def test_scaled_metric():
         cc.scaled_metric(sp, 0.0)
 
 
+def _ball(sp, i, r):
+    indptr, members = mask_rows(sp.near(r))
+    return members[indptr[i]:indptr[i + 1]].tolist()
+
+
 def test_balls():
     sp = cc.generate_family("cycle", {"size": 4})
-    assert sp.ball(0, 1) == (0, 1, 3)
-    assert sp.ball(0, 2) == (0, 1, 2, 3)
-    assert all(isinstance(v, int) for v in sp.ball(0, 1))
+    assert _ball(sp, 0, 1) == [0, 1, 3]
+    assert _ball(sp, 0, 2) == [0, 1, 2, 3]
+    assert all(isinstance(v, int) for v in _ball(sp, 0, 1))
 
 
 def _rows(faces):
@@ -416,7 +425,7 @@ def test_cycle5_pair_domain():
 ])
 def test_exact_enumeration_matches_brute_force(kind, params, p, r):
     sp = cc.generate_family(kind, params)
-    faces = _exact_domain(sp, p, r, 20_000)
+    faces = _join(sp, p, r, 20_000)
     assert faces.dtype == np.int64 and not faces.flags.writeable
     assert _rows(faces) == brute_tuples(sp, p, r)      # lexicographic
 
@@ -428,7 +437,7 @@ def test_exact_domain_is_the_brute_force_scan_or_none(space, p, r, offset):
     # budgets just below, at and just above the true count
     want = brute_tuples(space, p, r)
     budget = len(want) + offset
-    faces = _exact_domain(space, p, r, budget)
+    faces = _join(space, p, r, budget)
     if budget < len(want):
         assert faces is None
     else:
@@ -472,5 +481,5 @@ def test_ball_symmetry_property(m, r, data):
     sp = cc.generate_family("cycle", {"size": m})
     i = data.draw(st.integers(0, m - 1))
     j = data.draw(st.integers(0, m - 1))
-    assert (j in sp.ball(i, r)) == (i in sp.ball(j, r))
+    assert (j in _ball(sp, i, r)) == (i in _ball(sp, j, r))
     assert sp.within(i, j, r) == (sp.d(i, j) <= r)
