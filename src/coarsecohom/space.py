@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from itertools import combinations, product
 
@@ -22,11 +23,9 @@ from .facetables import csr_expand
 
 REAL_METRIC_SLACK = 1e-12
 TRIANGLE_SCAN_LIMIT = 256
-# Bytes of neighbour ball rows gathered at once while the balls of a graph
-# grow, so that the gather stays this small whatever the degree.
-_GATHER_CHUNK_BYTES = 1 << 21
-# Bytes of unpacked distance bits added to `dist` at once.
-_UNPACK_CHUNK_BYTES = 1 << 15
+# Bytes a chunked step touches at once: a block of unpacked distance bits,
+# or one tile of the symmetry check.
+_CHUNK_BYTES = 1 << 15
 # The 8 bits of each byte value, most significant first (np.unpackbits order)
 _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
 
@@ -73,6 +72,8 @@ class FiniteMetricSpace:
     # -- invariants ---------------------------------------------------------
 
     def validate(self) -> None:
+        """Reject a matrix that is not a metric; each error names the first
+        offending entry in row-major order, and its value."""
         d = self.dist
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("distance matrix must be square")
@@ -80,15 +81,26 @@ class FiniteMetricSpace:
             raise ValueError("space needs at least one point")
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError("labels length does not match point count")
-        if not np.array_equal(d, d.T):
-            raise ValueError("distance matrix must be symmetric")
-        if np.any(np.diagonal(d) != 0):
-            raise ValueError("diagonal distances must be zero")
+        # finiteness first: a NaN is unequal to itself, so the symmetry
+        # check would misreport it
+        if not self.integer_metric and not np.all(np.isfinite(d)):
+            i, j = _first(~np.isfinite(d))
+            raise ValueError(f"distances must be finite: d({i},{j}) = "
+                             f"{d[i, j]}")
+        if not _is_symmetric(d):
+            i, j = _first(d != d.T)
+            raise ValueError(f"distance matrix must be symmetric: d({i},{j}) "
+                             f"= {d[i, j]} but d({j},{i}) = {d[j, i]}")
+        diagonal = np.diagonal(d)
+        if np.any(diagonal != 0):
+            i = int(np.flatnonzero(diagonal)[0])
+            raise ValueError(f"diagonal distances must be zero: d({i},{i}) = "
+                             f"{d[i, i]}")
         off = _off_diagonal(d)
         if off.size and off.min() <= 0:
-            raise ValueError("off-diagonal distances must be positive")
-        if not self.integer_metric and not np.all(np.isfinite(d)):
-            raise ValueError("distances must be finite")
+            i, j = _first((d <= 0) & ~np.eye(self.n, dtype=bool))
+            raise ValueError(f"off-diagonal distances must be positive: "
+                             f"d({i},{j}) = {d[i, j]}")
         if self.n <= TRIANGLE_SCAN_LIMIT:
             # full triple scan, vectorized one intermediate point at a time
             d = self.wide_dist()
@@ -217,13 +229,34 @@ def _is_int(value) -> bool:
 
 def _compact(dist: np.ndarray) -> np.ndarray:
     """Integer distances in the smallest unsigned dtype that holds their
-    maximum. A matrix with a negative entry stays int64, so that validate
-    still sees the entry and rejects it."""
+    maximum, the matrix itself when it already has that dtype. A matrix
+    with a negative entry stays int64, so that validate still sees the
+    entry and rejects it."""
     if dist.dtype.kind not in "iu":
         dist = dist.astype(np.int64)
     if dist.size and dist.min() >= 0:
-        return dist.astype(np.min_scalar_type(dist.max()))
-    return dist.astype(np.int64)
+        return dist.astype(np.min_scalar_type(dist.max()), copy=False)
+    return dist.astype(np.int64, copy=False)
+
+
+def _first(bad: np.ndarray) -> tuple:
+    """(i, j) of the first True entry of a 2-d mask in row-major order."""
+    i, j = np.argwhere(bad)[0]
+    return int(i), int(j)
+
+
+def _is_symmetric(d: np.ndarray) -> bool:
+    """Whether d equals d.T, compared one pair of square tiles of about
+    _CHUNK_BYTES at a time (d[I, J] against d[J, I].T), which reads far
+    less scattered memory than comparing d with its whole transpose."""
+    n = len(d)
+    side = max(1, math.isqrt(_CHUNK_BYTES // d.itemsize))
+    for a in range(0, n, side):
+        for b in range(a, n, side):
+            if not np.array_equal(d[a:a + side, b:b + side],
+                                  d[b:b + side, a:a + side].T):
+                return False
+    return True
 
 
 def _off_diagonal(d: np.ndarray) -> np.ndarray:
@@ -272,17 +305,16 @@ def build_graph_metric(edges, n: int, labels=None, meta=None) -> FiniteMetricSpa
     return FiniteMetricSpace(dist, labels=labels, integer_metric=True, meta=meta)
 
 
-def _closed_adjacency(n: int, edges: np.ndarray):
+def _adjacency(n: int, edges: np.ndarray):
     """CSR adjacency (starts, nbrs) of the graph on 0..n-1 with the given
-    (m, 2) edge array, in which every vertex is also its own neighbour, so
-    that no row is empty; nbrs is int32."""
-    ids = np.arange(n, dtype=np.int32)
-    heads = np.concatenate([edges[:, 0], edges[:, 1], ids]).astype(np.int32)
-    tails = np.concatenate([edges[:, 1], edges[:, 0], ids]).astype(np.int32)
-    nbrs = tails[np.argsort(heads, kind="stable")]
-    starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(heads, minlength=n), out=starts[1:])
-    return starts, nbrs
+    (m, 2) edge array, each row in ascending order; nbrs is int32. The arcs
+    u -> v are sorted as the keys u * n + v, in the smallest unsigned dtype
+    that holds them, which sorts faster than an argsort of the heads."""
+    u, v = edges.astype(np.min_scalar_type(max(n * n - 1, 0))).T
+    keys = np.concatenate([u * n + v, v * n + u])
+    keys.sort()
+    starts = np.searchsorted(keys, np.arange(n + 1) * n)
+    return starts, (keys % n).astype(np.int32)
 
 
 def _hop_distances(n: int, edges: np.ndarray) -> np.ndarray:
@@ -290,64 +322,84 @@ def _hop_distances(n: int, edges: np.ndarray) -> np.ndarray:
     (m, 2) edge array, every ball grown at once.
 
     Row u of `reached` is the closed ball B_L(u) as packed bits, starting
-    from B_0(u) = {u}. One level sets B_{L+1}(u) to the union of B_L(v) over
-    the closed neighbourhood of u, read from a CSR adjacency in which every
-    vertex is its own neighbour (so no reduceat segment is empty). The bits
-    a level adds are the pairs at distance L + 1; each pair is added once,
-    so OR-ing them into packed bit-plane k for every set bit k of L + 1
-    writes d(u, w) in binary without carries. The planes are unpacked once
-    at the end, into the smallest unsigned dtype that holds n - 1. A level
-    that adds nothing while a bit is still clear means the graph is
-    disconnected.
+    from B_0(u) = {u}. One level sets B_{L+1}(u) to the union of B_L(u)
+    and of B_L(v) over the neighbours v of u, read from a CSR adjacency.
+    With J the least degree, the first J neighbours of every row are OR-ed
+    in one slot at a time, each slot a whole-array take; a row with more
+    neighbours ORs its extra ones through a reduceat over blocks of at most
+    n gathered rows, so a dense graph's memory stays that of a few copies
+    of `reached`. The bits a level adds are the pairs at distance L + 1;
+    each pair is added once, so OR-ing them into packed bit-plane k for
+    every set bit k of L + 1 writes d(u, w) in binary without carries.
+    After the last level the planes are unpacked into `dist`, in the
+    smallest unsigned dtype that holds the diameter. A level that adds
+    nothing while a bit is still clear means the graph is disconnected.
     """
-    dist = np.zeros((n, n), dtype=np.min_scalar_type(max(n - 1, 0)))
     if n == 0:
-        return dist
-    starts, nbrs = _closed_adjacency(n, edges)
-    ids = np.arange(n, dtype=np.int32)
-    # vertex blocks [a, b) whose gathered neighbour rows fit the chunk;
+        return np.zeros((0, 0), dtype=np.uint8)
+    starts, nbrs = _adjacency(n, edges)
+    degree = np.diff(starts)
+    slots = int(degree.min())
+    # slot j of every row, j < J
+    slot_nbrs = nbrs[starts[:-1] + np.arange(slots)[:, None]]
+    # the neighbours past the first J of each longer row, laid end to end:
+    # row rows[i] owns extra[seg[i]:ends[i]]
+    rows = np.flatnonzero(degree > slots)
+    counts = degree[rows] - slots
+    ends = np.cumsum(counts)
+    seg = ends - counts
+    extra = nbrs[np.repeat(starts[rows] + slots - seg, counts)
+                 + np.arange(ends[-1] if len(ends) else 0)]
+    # blocks rows[a:b] whose extra neighbours, at most n, fit in `buf`: the
+    # neighbours, their reduceat offsets (None when each row has just one,
+    # which is then its own union) and the rows, as a slice when consecutive
+    blocks = []
+    a = 0
+    while a < len(rows):
+        b = int(np.searchsorted(ends, seg[a] + n, side="right"))
+        lo, hi = seg[a], ends[b - 1]
+        firsts = seg[a:b] - lo if hi - lo > b - a else None
+        block = rows[a:b]
+        if block[-1] - block[0] == b - a - 1:
+            block = slice(block[0], block[-1] + 1)
+        blocks.append((extra[lo:hi], firsts, block))
+        a = b
+
     # rows are 64-bit words, so each OR handles 64 vertices at once
     width = (n + 63) // 64
-    rows = max(1, _GATHER_CHUNK_BYTES // (8 * width))
-    bounds = [0]
-    while bounds[-1] < n:
-        a = bounds[-1]
-        b = int(np.searchsorted(starts, starts[a] + rows, side="right")) - 1
-        bounds.append(max(a + 1, b))
-    blocks = list(zip(bounds, bounds[1:]))
-
+    ids = np.arange(n, dtype=np.int32)
     reached = np.zeros((n, width), dtype=np.uint64)
     packed = reached.view(np.uint8)
     packed[ids, ids >> 3] = 0x80 >> (ids & 7)  # packbits order
-    # the padding bits past n count as reached from the start, so a row of
-    # `missing` words is zero exactly when its ball is the whole graph
+    # the padding bits past n count as reached from the start, so every
+    # word of `reached` is all ones exactly when each ball is the whole graph
     packed |= np.packbits(np.arange(64 * width) >= n)
+    full = np.iinfo(np.uint64).max
     grown = np.empty_like(reached)
-    missing = np.empty_like(reached)
-    gather = np.empty((max(int(starts[b] - starts[a]) for a, b in blocks),
-                       width), dtype=np.uint64)
+    buf = np.empty_like(reached)
     planes: list = []
     level = 0
-    while True:
-        np.invert(reached, out=missing)
-        if not missing.any():
-            break
+    while reached.min() != full:
         level += 1
         # every take below passes mode="clip" (its indices are always in
         # range) because the default mode copies `out` through a temporary
-        for a, b in blocks:
-            lo, hi = starts[a], starts[b]
-            np.take(reached, nbrs[lo:hi], axis=0, out=gather[:hi - lo],
-                    mode="clip")
-            np.bitwise_or.reduceat(gather[:hi - lo], starts[a:b] - lo,
-                                   axis=0, out=grown[a:b])
+        np.copyto(grown, reached)
+        for nbr in slot_nbrs:
+            grown |= np.take(reached, nbr, axis=0, out=buf, mode="clip")
+        for nbr, firsts, block in blocks:
+            got = np.take(reached, nbr, axis=0, out=buf[:len(nbr)],
+                          mode="clip")
+            if firsts is not None:
+                got = np.bitwise_or.reduceat(got, firsts, axis=0)
+            got |= grown[block]
+            grown[block] = got
         # growth only sets bits, so nothing changed iff grown ^ reached is 0
-        np.bitwise_xor(grown, reached, out=missing)
-        if not missing.any():
-            np.invert(reached, out=missing)
-            src = int(np.flatnonzero(missing.any(axis=1))[0])
+        np.bitwise_xor(grown, reached, out=buf)
+        if not np.count_nonzero(buf):
+            np.invert(reached, out=buf)
+            src = int(np.flatnonzero(buf.any(axis=1))[0])
             far = int(np.flatnonzero(np.unpackbits(
-                missing[src].view(np.uint8), count=n))[0])
+                buf[src].view(np.uint8), count=n))[0])
             raise ValueError(
                 f"graph is disconnected: vertex {far} is unreachable "
                 f"from vertex {src}")
@@ -355,20 +407,26 @@ def _hop_distances(n: int, edges: np.ndarray) -> np.ndarray:
             if level >> k & 1:
                 if k == len(planes):
                     planes.append(np.zeros_like(reached))
-                planes[k] |= missing
+                planes[k] |= buf
         reached, grown = grown, reached
-    # each plane is unpacked a block of rows at a time into one bit buffer
-    # and shifted into place in dist's dtype (a uint8 shift would lose
-    # plane 8 and up)
-    unpack_rows = max(1, _UNPACK_CHUNK_BYTES // (64 * width))
-    bits = np.empty((unpack_rows, 8 * width, 8), dtype=np.uint8)
-    for k, plane in enumerate(planes):
-        for a in range(0, n, unpack_rows):
-            b = min(a + unpack_rows, n)
-            np.take(_BYTE_BITS, plane[a:b].view(np.uint8), axis=0,
-                    out=bits[:b - a], mode="clip")
-            got = bits[:b - a].reshape(b - a, -1)[:, :n]
-            dist[a:b] |= np.left_shift(got, k, dtype=dist.dtype)
+    del reached, grown, buf
+    # a block of rows at a time, each plane k is unpacked through a table of
+    # the 8 bits of every byte value, shifted by k, and OR-ed into `bits`,
+    # which then goes into `dist` in one copy
+    dist = np.empty((n, n), dtype=np.min_scalar_type(level))
+    tables = [np.left_shift(_BYTE_BITS, k, dtype=dist.dtype)
+              for k in range(len(planes))]
+    unpack_rows = max(1, _CHUNK_BYTES // (64 * width))
+    bits = np.empty((unpack_rows, 8 * width, 8), dtype=dist.dtype)
+    plane_bits = np.empty_like(bits)
+    for a in range(0, n, unpack_rows):
+        b = min(a + unpack_rows, n)
+        got = bits[:b - a]
+        got.fill(0)
+        for plane, table in zip(planes, tables):
+            got |= np.take(table, plane[a:b].view(np.uint8), axis=0,
+                           out=plane_bits[:b - a], mode="clip")
+        dist[a:b] = got.reshape(b - a, -1)[:, :n]
     return dist
 
 
@@ -376,7 +434,7 @@ def _hop_row(n: int, edges: np.ndarray, source: int) -> np.ndarray:
     """Hop distances from `source` in the graph on 0..n-1 with the given
     (m, 2) edge array, -1 where it does not reach: a BFS one frontier at a
     time over a CSR adjacency, in O(n + m) time and memory."""
-    starts, nbrs = _closed_adjacency(n, edges)
+    starts, nbrs = _adjacency(n, edges)
     row = np.full(n, -1, dtype=np.int64)
     row[source] = 0
     frontier = np.array([source])
@@ -558,19 +616,15 @@ def _random_regular_edges(n: int, k: int, seed: int, max_attempts: int = 10_000)
     stubs = [v for v in range(n) for _ in range(k)]
     for attempt in range(max_attempts):
         rng.shuffle(stubs)
-        seen = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            key = (u, v) if u < v else (v, u)
-            if u == v or key in seen:
-                ok = False
-                break
-            seen.add(key)
-        if not ok:
+        pairs = np.sort(np.array(stubs).reshape(-1, 2), axis=1)
+        # each pair (u, v), u <= v, as u * n + v, so sorted keys are sorted
+        # pairs; a self-loop or a repeated pair makes a multigraph
+        keys = np.sort(pairs[:, 0] * n + pairs[:, 1])
+        if (pairs[:, 0] == pairs[:, 1]).any() or (keys[1:] == keys[:-1]).any():
             continue
-        if (_hop_row(n, np.array(list(seen)), 0) >= 0).all():
-            return sorted(seen), n, None, attempt
+        edges = np.stack([keys // n, keys % n], axis=1)
+        if (_hop_row(n, edges, 0) >= 0).all():
+            return list(map(tuple, edges.tolist())), n, None, attempt
     raise ValueError(f"random_regular gave up after {max_attempts} attempts")
 
 

@@ -117,6 +117,22 @@ def test_malformed_space_file_is_a_usage_error(tmp_path, capsys, payload,
     assert err.startswith("error: space JSON ") and error in err
 
 
+@pytest.mark.parametrize("text, error", [
+    # a NaN is unequal to itself, so unless finiteness is checked first
+    # this symmetric matrix reads as asymmetric
+    ('{"n": 3, "dist": [[0, NaN, 1], [NaN, 0, 1], [1, 1, 0]]}',
+     "distances must be finite: d(0,1) = nan"),
+    ('{"n": 3, "dist": [[0, 1, 1], [1, 2, 1], [1, 1, 0]]}',
+     "diagonal distances must be zero: d(1,1) = 2"),
+], ids=["nan", "nonzero-diagonal"])
+def test_non_metric_space_file_exits_2_naming_the_entry(tmp_path, capsys,
+                                                       text, error):
+    target = tmp_path / "bad.json"
+    target.write_text(text)
+    assert main(["gen", "--space", str(target)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_edges_import(tmp_path, capsys):
     edges = tmp_path / "square.txt"
     edges.write_text("0 1\n1 2\n2 3\n3 0\n")

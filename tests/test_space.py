@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 import coarsecohom as cc
 from coarsecohom.cochains import _join
-from coarsecohom.space import (TRIANGLE_SCAN_LIMIT, _compact, _hop_distances,
-                               _hop_row, mask_rows)
+from coarsecohom.space import (TRIANGLE_SCAN_LIMIT, _compact, _free_ball_edges,
+                               _hop_distances, _hop_row, _torus_edges,
+                               mask_rows)
 from helpers import (bfs_graph_dist, brute_tuples, cycle_dist, spaces,
                      torus_dist)
 
@@ -254,6 +255,78 @@ def test_distance_step_memory_is_bounded():
     assert peak < 16 * 2 ** 20
 
 
+def test_hop_distances_come_in_the_diameters_dtype():
+    # the matrix is allocated after the BFS, in the smallest unsigned dtype
+    # that holds the diameter, and the space keeps it as it is: a uint16
+    # matrix and a uint8 copy of it would take 12 MiB on their own
+    tracemalloc.start()
+    try:
+        rr = cc.generate_family("random_regular", {"n": 2048, "k": 3}, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
+    dist = _hop_distances(rr.n, np.array(rr.meta["edges"]))
+    assert dist.dtype == np.uint8 == np.min_scalar_type(int(dist.max()))
+    assert np.array_equal(rr.dist, dist)
+    # so the space keeps the matrix itself, with no copy
+    assert _compact(dist) is dist
+    path = np.array([(i, i + 1) for i in range(299)])
+    assert _hop_distances(300, path).dtype == np.uint16
+
+
+def _star(n: int) -> list:
+    return [(0, v) for v in range(1, n)]
+
+
+def _hub_and_path(leaves: int, length: int) -> list:
+    """A hub with `leaves` leaves, and a path of `length` more vertices
+    hanging off it."""
+    tail = range(leaves + 1, leaves + 1 + length)
+    return _star(leaves + 1) + [(0, leaves + 1)] + list(zip(tail, tail[1:]))
+
+
+def test_star_hop_distances():
+    # every row has 1 neighbour but the hub, whose 2998 extra neighbours
+    # take the reduceat alone
+    n = 3000
+    want = np.full((n, n), 2)
+    want[0] = want[:, 0] = 1
+    np.fill_diagonal(want, 0)
+    assert np.array_equal(_hop_distances(n, np.array(_star(n))), want)
+
+
+@pytest.mark.parametrize("graph", [
+    # leaves and the path's end have 1 neighbour, the path 2 and the hub
+    # 101, so one block of extra neighbours mixes one-entry rows with a
+    # long one
+    lambda: (_hub_and_path(100, 600), 701),
+    # inner words have 4 neighbours, the leaves 1, and the inner words
+    # come first, so their rows are one slice
+    lambda: _free_ball_edges(2, 5)[:2],
+    # every row has 4 neighbours, all of them slots
+    lambda: _torus_edges(2, 20)[:2],
+], ids=["hub-and-path", "free_ball-2-5", "torus-20x20"])
+def test_hop_distances_match_reference_bfs(graph):
+    edges, n = graph()
+    assert np.array_equal(_hop_distances(n, np.array(edges)),
+                          bfs_graph_dist(edges, n))
+
+
+@pytest.mark.parametrize("n, edges", [
+    (10, _star(9)),  # vertex 9 is isolated, so J = 0 and there is no slot
+    (400, _star(150) + [(v, v + 1) for v in range(200, 399)]),
+    (701, [(u, v) for u, v in _hub_and_path(100, 600) if (u, v) != (0, 101)]),
+], ids=["isolated-vertex", "star-and-path", "cut-hub-and-path"])
+def test_disconnected_error_matches_reference_bfs(n, edges):
+    with pytest.raises(ValueError) as want:
+        bfs_graph_dist(edges, n)
+    with pytest.raises(ValueError) as got:
+        _hop_distances(n, np.array(edges))
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("graph is disconnected: vertex ")
+
+
 def test_edge_validation():
     with pytest.raises(ValueError, match="out of range"):
         cc.build_graph_metric([(0, 5)], 3)
@@ -380,6 +453,75 @@ def test_metric_validation():
         cc.FiniteMetricSpace(np.array([[0, 1, 9], [1, 0, 1], [9, 1, 0]]))
     # a single point is a legal space
     assert cc.FiniteMetricSpace(np.zeros((1, 1), dtype=int)).n == 1
+
+
+@pytest.mark.parametrize("dist, error", [
+    ([[0, 1], [2, 0]],
+     "distance matrix must be symmetric: d(0,1) = 1 but d(1,0) = 2"),
+    ([[0, 1, 1], [1, 3, 1], [1, 1, 5]],
+     "diagonal distances must be zero: d(1,1) = 3"),
+    ([[0, 1, 1], [1, 0, 0], [1, 0, 0]],
+     "off-diagonal distances must be positive: d(1,2) = 0"),
+    ([[0.0, 1.0, np.inf], [1.0, 0.0, 1.0], [np.inf, 1.0, 0.0]],
+     "distances must be finite: d(0,2) = inf"),
+    # finiteness comes first, so a symmetric NaN is named as what it is
+    ([[0.0, np.nan], [np.nan, 0.0]], "distances must be finite: d(0,1) = nan"),
+    ([[np.nan, 1.0], [2.0, 0.0]], "distances must be finite: d(0,0) = nan"),
+])
+def test_metric_errors_name_the_first_offending_entry(dist, error):
+    with pytest.raises(ValueError) as info:
+        cc.FiniteMetricSpace(np.array(dist))
+    assert str(info.value) == error
+
+
+def _line_metric(n: int) -> np.ndarray:
+    """|x_i - x_j| for n distinct sorted reals: a metric far above the
+    triangle scan limit, so symmetry is the check under test."""
+    x = np.sort(np.random.default_rng(3).uniform(0.0, 100.0, n))
+    return np.abs(x[:, None] - x[None, :])
+
+
+@pytest.mark.parametrize("i, j", [
+    (3, 590),    # in the last, partial tile column
+    (590, 3),    # its mirror, reported from the upper triangle
+    (100, 300),  # an off-diagonal tile pair
+    (598, 599),  # next to the diagonal in the last, partial tile
+])
+@pytest.mark.parametrize("kind", ["real", "integer"])
+def test_symmetry_check_catches_a_lone_asymmetric_entry(i, j, kind):
+    # the tiles have about 32 KiB: 64 x 64 float64 entries and 128 x 128
+    # uint16 ones, so 600 points leave a partial tile at the end
+    if kind == "real":
+        dist = _line_metric(600)
+    else:
+        dist = cc.generate_family("path", {"size": 600}).dist.copy()
+        assert dist.dtype == np.uint16
+    assert cc.FiniteMetricSpace(dist).n == 600
+    dist[i, j] += 1
+    a, b = min(i, j), max(i, j)
+    with pytest.raises(ValueError) as info:
+        cc.FiniteMetricSpace(dist)
+    assert str(info.value) == (
+        f"distance matrix must be symmetric: d({a},{b}) = {dist[a, b]} but "
+        f"d({b},{a}) = {dist[b, a]}")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 299), st.integers(0, 299))
+def test_symmetry_check_sees_every_entry(i, j):
+    dist = cc.generate_family("path", {"size": 300}).dist.copy()
+    dist[i, j] += 1
+    with pytest.raises(ValueError, match="symmetric" if i != j else
+                       "diagonal"):
+        cc.FiniteMetricSpace(dist)
+
+
+def test_fortran_ordered_matrix_validates():
+    for dist in (_line_metric(600),
+                 cc.generate_family("path", {"size": 600}).dist):
+        sp = cc.FiniteMetricSpace(np.asfortranarray(dist))
+        assert sp.dist.dtype == dist.dtype
+        assert np.array_equal(sp.dist, dist)
 
 
 def test_scaled_metric():
