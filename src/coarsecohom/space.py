@@ -307,9 +307,10 @@ def build_graph_metric(edges, n: int, labels=None, meta=None) -> FiniteMetricSpa
 
 def _adjacency(n: int, edges: np.ndarray):
     """CSR adjacency (starts, nbrs) of the graph on 0..n-1 with the given
-    (m, 2) edge array, each row in ascending order; nbrs is int32. The arcs
-    u -> v are sorted as the keys u * n + v, in the smallest unsigned dtype
-    that holds them, which sorts faster than an argsort of the heads."""
+    (m, 2) edge array, in which the order of the two ends of an edge does
+    not matter; nbrs is int32. The arcs u -> v are sorted as the keys
+    u * n + v, in the smallest unsigned dtype that holds them, which sorts
+    faster than an argsort of the heads."""
     u, v = edges.astype(np.min_scalar_type(max(n * n - 1, 0))).T
     keys = np.concatenate([u * n + v, v * n + u])
     keys.sort()
@@ -351,18 +352,17 @@ def _hop_distances(n: int, edges: np.ndarray) -> np.ndarray:
     extra = nbrs[np.repeat(starts[rows] + slots - seg, counts)
                  + np.arange(ends[-1] if len(ends) else 0)]
     # blocks rows[a:b] whose extra neighbours, at most n, fit in `buf`: the
-    # neighbours, their reduceat offsets (None when each row has just one,
-    # which is then its own union) and the rows, as a slice when consecutive
+    # neighbours, their reduceat offsets and the rows
     blocks = []
     a = 0
     while a < len(rows):
         b = int(np.searchsorted(ends, seg[a] + n, side="right"))
-        lo, hi = seg[a], ends[b - 1]
-        firsts = seg[a:b] - lo if hi - lo > b - a else None
         block = rows[a:b]
         if block[-1] - block[0] == b - a - 1:
+            # consecutive rows, as on a path: a slice reads and writes them
+            # in place, where a fancy index would gather and scatter them
             block = slice(block[0], block[-1] + 1)
-        blocks.append((extra[lo:hi], firsts, block))
+        blocks.append((extra[seg[a]:ends[b - 1]], seg[a:b] - seg[a], block))
         a = b
 
     # rows are 64-bit words, so each OR handles 64 vertices at once
@@ -387,10 +387,9 @@ def _hop_distances(n: int, edges: np.ndarray) -> np.ndarray:
         for nbr in slot_nbrs:
             grown |= np.take(reached, nbr, axis=0, out=buf, mode="clip")
         for nbr, firsts, block in blocks:
-            got = np.take(reached, nbr, axis=0, out=buf[:len(nbr)],
-                          mode="clip")
-            if firsts is not None:
-                got = np.bitwise_or.reduceat(got, firsts, axis=0)
+            got = np.bitwise_or.reduceat(
+                np.take(reached, nbr, axis=0, out=buf[:len(nbr)], mode="clip"),
+                firsts, axis=0)
             got |= grown[block]
             grown[block] = got
         # growth only sets bits, so nothing changed iff grown ^ reached is 0
@@ -494,7 +493,7 @@ class CayleyGraphSpace(FiniteMetricSpace):
     @property
     def dist(self) -> np.ndarray:
         if self._dist is None:
-            self._dist = _compact(_hop_distances(self.n, self._edges))
+            self._dist = _hop_distances(self.n, self._edges)
             self.validate()
         return self._dist
 
