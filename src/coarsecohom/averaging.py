@@ -20,7 +20,7 @@ from .cochains import (DEFAULT_AUDIT_BUDGET, DEFAULT_SAMPLE_SIZE, EXACT_TOL,
 from .facetables import (csr_add, csr_expand, csr_row_sums, distinct,
                          evaluate, gaps, norms, row_entries, rows_fill,
                          sup_of)
-from .space import FiniteMetricSpace, mask_rows
+from .space import FiniteMetricSpace
 
 PROB_SUM_TOL = 1e-12
 UNIT_SUM_TOL = 1e-9
@@ -121,9 +121,60 @@ def dirac_family(space: FiniteMetricSpace) -> ReiterFamily:
                         np.ones(n), name="dirac")
 
 
-def ball_average(space: FiniteMetricSpace, s: float) -> ReiterFamily:
-    """Uniform probability on the closed s-ball of each point."""
-    indptr, cols = mask_rows(space.near(s))
+class _Balls:
+    """The closed balls of every radius up to `radius` on one space, from
+    one read of its distances (`rows_within`): CSR rows that keep each
+    entry's distance, so that a smaller radius's rows are a filter of them,
+    columns still ascending. A profile builds one for its widest scale and
+    hands it to its families and its pair scan; a lazy walk carries its
+    sparse powers on it from one call to the next (`walks`, by laziness).
+    """
+
+    def __init__(self, space: FiniteMetricSpace, radius: float):
+        self.space = space
+        self.radius = radius
+        self.indptr, cols, self.dists = space.rows_within(radius)
+        # kept in the smallest dtype that holds a point
+        self.cols = cols.astype(np.min_scalar_type(space.n - 1))
+        self.walks: dict = {}
+
+    def _within(self, r: float):
+        """The mask of the entries within r, or None when r is the radius
+        and every entry is."""
+        if r > self.radius:
+            raise ValueError(f"balls of radius {self.radius} hold no "
+                             f"{r}-ball")
+        if r == self.radius:
+            return None
+        return self.dists <= self.space.radius_bound(r)
+
+    def rows(self, r: float):
+        """(indptr, cols) of the closed r-balls, r <= radius: the rows of
+        rows_within(r)."""
+        keep = self._within(r)
+        if keep is None:
+            return self.indptr, self.cols
+        before = np.zeros(len(keep) + 1, dtype=np.int64)
+        np.cumsum(keep, out=before[1:])
+        return before[self.indptr], self.cols[keep]
+
+    def pairs(self, r: float):
+        """Arrays (i, j, d(i, j)) of the pairs i < j within r <= radius, in
+        lexicographic order."""
+        rows = np.repeat(np.arange(self.space.n), np.diff(self.indptr))
+        keep = self.cols > rows
+        within = self._within(r)
+        if within is not None:
+            keep &= within
+        return rows[keep], self.cols[keep].astype(np.int64), self.dists[keep]
+
+
+def ball_average(space: FiniteMetricSpace, s: float,
+                 balls: _Balls | None = None) -> ReiterFamily:
+    """Uniform probability on the closed s-ball of each point, read off
+    `balls` (of a radius >= s) when given."""
+    indptr, cols = (balls.rows(s) if balls is not None
+                    else space.rows_within(s)[:2])
     sizes = np.diff(indptr)
     return ReiterFamily(space, s, indptr, cols, np.repeat(1.0 / sizes, sizes),
                         name=f"ball[{s}]")
@@ -140,17 +191,17 @@ _SPARSE_WALK_SHARE = 8
 _WALK_CHUNK_TERMS = 1 << 13
 
 
-def _walk_step_rows(space: FiniteMetricSpace, laziness: float):
-    """One step of the lazy walk as CSR rows (indptr, cols, weights): stay
-    with probability `laziness`, else move to a uniform unit neighbour. Row
-    k holds `laziness` at k and fl((1 - laziness) / deg k) at each unit
-    neighbour, in ascending column order; a single point stays with
-    probability 1."""
-    n = space.n
+def _walk_step_rows(balls: _Balls, laziness: float):
+    """One step of the lazy walk on the space of `balls` (of a radius >=
+    1) as CSR rows (indptr, cols, weights): stay with probability
+    `laziness`, else move to a uniform unit neighbour. Row k holds
+    `laziness` at k and fl((1 - laziness) / deg k) at each unit neighbour,
+    in ascending column order; a single point stays with probability 1."""
+    n = balls.space.n
     if n == 1:
         return np.array([0, 1]), np.array([0]), np.array([1.0])
     # the unit ball of k is k itself and its unit neighbours
-    indptr, cols = mask_rows(space.near(1.0))
+    indptr, cols = balls.rows(1.0)
     deg = np.diff(indptr) - 1
     if np.any(deg == 0):
         raise ValueError("lazy walk needs every point to have a unit neighbor")
@@ -159,35 +210,44 @@ def _walk_step_rows(space: FiniteMetricSpace, laziness: float):
                                   (1.0 - laziness) / deg[rows])
 
 
-def _walk_matrix(space: FiniteMetricSpace, laziness: float) -> np.ndarray:
+def _walk_matrix(balls: _Balls, laziness: float) -> np.ndarray:
     """The dense n x n matrix of _walk_step_rows."""
-    indptr, cols, weights = _walk_step_rows(space, laziness)
-    mat = np.zeros((space.n, space.n))
-    mat[np.repeat(np.arange(space.n), np.diff(indptr)), cols] = weights
+    n = balls.space.n
+    indptr, cols, weights = _walk_step_rows(balls, laziness)
+    mat = np.zeros((n, n))
+    mat[np.repeat(np.arange(n), np.diff(indptr)), cols] = weights
     return mat
 
 
-def _walk_rows_sparse(space: FiniteMetricSpace, steps: int,
-                      laziness: float):
-    """CSR rows (indptr, cols, weights) of P^steps, kept to the entries >=
-    PRUNE_TOL, with P = _walk_step_rows.
+class _WalkPowers:
+    """P^t of the lazy walk for t = 0, 1, 2, ..., with P the CSR rows
+    `step` of _walk_step_rows, as unpruned entries: codes x * n + j in
+    ascending order and their weights. Asking for a larger t carries on
+    from the power in hand; a smaller one starts again from the identity.
 
-    Starting from the identity, each step sets row x to the sum over k of
-    row[x, k] * P[k, .]. Entries are tracked as codes x * n + j; every term
-    of (x, j) is added left to right in ascending k, from the first term,
-    because bincount adds its weights in input order and the terms are laid
-    out by (x, k, j).
+    Each step sets row x to the sum over k of row[x, k] * P[k, .]; every
+    term of (x, j) is added left to right in ascending k, from the first
+    term, because bincount adds its weights in input order and the terms
+    are laid out by (x, k, j). So a power's bits do not depend on the
+    powers it was carried through.
     """
-    n = space.n
-    p_ptr, p_cols, p_weights = _walk_step_rows(space, laziness)
-    p_lengths = np.diff(p_ptr)
-    codes = np.arange(n) * (n + 1)
-    weights = np.ones(n)
-    for _ in range(steps):
+
+    def __init__(self, n: int, step):
+        self.n, self.step = n, step
+        self._restart()
+
+    def _restart(self) -> None:
+        self.t = 0
+        self.codes = np.arange(self.n) * (self.n + 1)
+        self.weights = np.ones(self.n)
+
+    def _advance(self) -> None:
+        n, codes, weights = self.n, self.codes, self.weights
+        p_ptr, p_cols, p_weights = self.step
         # rows [a, b) at a time, each block with about _WALK_CHUNK_TERMS terms
         entry_at = np.searchsorted(codes, np.arange(n + 1) * n)
         terms_before = np.zeros(len(codes) + 1, dtype=np.int64)
-        np.cumsum(p_lengths[codes % n], out=terms_before[1:])
+        np.cumsum(np.diff(p_ptr)[codes % n], out=terms_before[1:])
         row_terms_at = terms_before[entry_at]
         parts = []
         a = 0
@@ -202,41 +262,61 @@ def _walk_rows_sparse(space: FiniteMetricSpace, steps: int,
             block, at = np.unique(codes[lo:hi][owner] // n * n + p_cols[src],
                                   return_inverse=True)
             parts.append((block, np.bincount(at, weights=terms)))
-        codes = np.concatenate([block for block, _ in parts])
-        weights = np.concatenate([sums for _, sums in parts])
-    # the positive entries a family keeps (values prune below PRUNE_TOL)
-    keep = weights >= PRUNE_TOL
-    codes = codes[keep]
-    return (np.searchsorted(codes, np.arange(n + 1) * n), codes % n,
-            weights[keep])
+        self.codes = np.concatenate([block for block, _ in parts])
+        self.weights = np.concatenate([sums for _, sums in parts])
+        self.t += 1
+
+    def rows(self, steps: int):
+        """CSR rows (indptr, cols, weights) of P^steps, kept to the entries
+        >= PRUNE_TOL."""
+        if steps < self.t:
+            self._restart()
+        while self.t < steps:
+            self._advance()
+        # the positive entries a family keeps (values prune below PRUNE_TOL)
+        keep = self.weights >= PRUNE_TOL
+        codes = self.codes[keep]
+        return (np.searchsorted(codes, np.arange(self.n + 1) * self.n),
+                codes % self.n, self.weights[keep])
 
 
 def lazy_walk_family(space: FiniteMetricSpace, steps: int,
-                     laziness: float = 0.5) -> ReiterFamily:
+                     laziness: float = 0.5,
+                     balls: _Balls | None = None) -> ReiterFamily:
     """Row distributions of a lazy random walk after `steps` steps.
 
     Needs unit-distance graph structure (adjacency = distance 1); support
     after t steps sits inside the t-ball, so S = steps.
 
-    Two kernels compute P^steps. When the widest S-ball (`near(S)`) holds
-    at most n / _SPARSE_WALK_SHARE points, the rows stay sparse on that
-    pattern (_walk_rows_sparse): each entry is summed over k in ascending
-    order, so its bits do not depend on BLAS. Otherwise the rows saturate
-    and dense np.linalg.matrix_power, whose summation order is BLAS's, is
-    faster. Either way entries below PRUNE_TOL are dropped.
+    Two kernels compute P^steps. When the widest S-ball holds at most
+    n / _SPARSE_WALK_SHARE points, the rows stay sparse on that pattern
+    (_WalkPowers): each entry is summed over k in ascending order, so its
+    bits do not depend on BLAS. Otherwise the rows saturate and dense
+    np.linalg.matrix_power, whose summation order is BLAS's, is faster.
+    Either way entries below PRUNE_TOL are dropped.
+
+    `balls` (of a radius >= max(steps, 1)) gives the unit rows and the
+    S-ball sizes, and carries the sparse powers from one call to the next,
+    so a profile's walks of increasing steps each take only the steps
+    since the last; without it they are read from the space afresh.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if not 0.0 < laziness < 1.0:
         raise ValueError("laziness must sit strictly between 0 and 1")
-    widest = int(np.count_nonzero(space.near(steps), axis=1).max())
+    if balls is None:
+        balls = _Balls(space, max(steps, 1.0))
+    widest = int(np.diff(balls.rows(steps)[0]).max())
     if widest * _SPARSE_WALK_SHARE <= space.n:
-        indptr, cols, weights = _walk_rows_sparse(space, steps, laziness)
+        if laziness not in balls.walks:
+            balls.walks[laziness] = _WalkPowers(
+                space.n, _walk_step_rows(balls, laziness))
+        indptr, cols, weights = balls.walks[laziness].rows(steps)
     else:
-        mat = np.linalg.matrix_power(_walk_matrix(space, laziness), steps)
-        keep = mat >= PRUNE_TOL
-        indptr, cols = mask_rows(keep)
-        weights = mat[keep]
+        mat = np.linalg.matrix_power(_walk_matrix(balls, laziness), steps)
+        rows, cols = np.nonzero(mat >= PRUNE_TOL)
+        indptr = np.searchsorted(rows, np.arange(space.n + 1))
+        weights = mat[rows, cols]
     return ReiterFamily(space, steps, indptr, cols, weights,
                         name=f"walk[{steps}]")
 
@@ -271,14 +351,6 @@ class ProfileTable:
         return "\n".join(lines) + "\n"
 
 
-def _pair_index(space: FiniteMetricSpace, r: float):
-    """Arrays (i, j) of the pairs i < j with d(i, j) <= r, in
-    lexicographic order."""
-    i, j = np.divmod(np.flatnonzero(space.near(r)), space.n)
-    upper = j > i
-    return i[upper], j[upper]
-
-
 # Bytes of the pair scan's largest temporary, its (pairs x 2 width) term
 # array. Small chunks keep the temporaries in cache and below malloc's
 # default mmap threshold (128 KiB), so they are reused, not mapped afresh.
@@ -290,23 +362,28 @@ def _padded_rows(n: int, indptr, cols, weights):
     the same slice of `weights`) as arrays the pair scan can gather from by
     point.
 
-    cols (n, width): row x's columns, padded with n, a column no row holds.
-    weights (n, width + 1): row x's values, padded with 0.0; column `width`
-    is 0.0 in every row. offsets (n, n + 1): the slot of column k in row x,
-    or `width` where row x lacks k (always in column n). Its dtype is the
-    smallest unsigned one that holds `width`: uint8 for rows under 256
-    entries, the size of a compact `dist`.
+    cols (n, width): row x's columns, padded with n, a column no row holds,
+    in the smallest unsigned dtype that holds n. weights (n, width + 1):
+    row x's values, padded with 0.0; column `width` is 0.0 in every row.
+    offsets (n, n + 1): the slot of column k in row x, or `width` where
+    row x lacks k (always in column n). Its dtype is the smallest unsigned
+    one that holds `width`: uint8 for rows under 256 entries, the size of a
+    compact `dist`. No temporary is larger than the padded arrays.
     """
     lengths = np.diff(indptr)
     width = max(int(lengths.max()), 1)
-    rows = np.repeat(np.arange(n), lengths)
-    slot = np.arange(len(rows)) - indptr[rows]
-    padded_cols = np.full((n, width), n, dtype=np.int64)
-    padded_cols[rows, slot] = cols
+    # the slots that hold an entry, in CSR order when read row by row
+    filled = np.arange(width) < lengths[:, None]
+    padded_cols = np.full((n, width), n, dtype=np.min_scalar_type(n))
+    padded_cols[filled] = cols
     padded_weights = np.zeros((n, width + 1))
-    padded_weights[rows, slot] = weights
+    padded_weights[:, :width][filled] = weights
     offsets = np.full((n, n + 1), width, dtype=np.min_scalar_type(width))
-    offsets[rows, cols] = slot
+    # every slot of row x names its column; the padding slots all name
+    # column n, which is then set back to `width`
+    offsets[np.arange(n)[:, None], padded_cols] = np.arange(
+        width, dtype=offsets.dtype)
+    offsets[:, n] = width
     return padded_cols, padded_weights, offsets
 
 
@@ -327,35 +404,41 @@ def _pair_variations(cols, weights, offsets, pi, pj) -> np.ndarray:
     return np.cumsum(terms, axis=1)[:, -1]
 
 
-def _max_pair_variation(padded, pi, pj):
-    """Largest pair variation over the pairs (pi[k], pj[k]) of the rows
-    whose _padded_rows are `padded`, and the first pair that attains it,
-    scanned in chunks of about _SCAN_CHUNK_BYTES per array; (0.0, (0, 0))
-    when there is no pair."""
-    if not len(pi):
-        return 0.0, (0, 0)
+def _pair_totals(padded, pi, pj) -> np.ndarray:
+    """The pair variation of every pair (pi[k], pj[k]) of the rows whose
+    _padded_rows are `padded`, computed in chunks of about
+    _SCAN_CHUNK_BYTES per array."""
     cols, weights, offsets = padded
     step = max(1, _SCAN_CHUNK_BYTES // (16 * cols.shape[1]))
-    best, best_at = -1.0, 0
+    total = np.empty(len(pi))
     for lo in range(0, len(pi), step):
-        total = _pair_variations(cols, weights, offsets, pi[lo:lo + step],
-                                 pj[lo:lo + step])
-        k = int(np.argmax(total))
-        if total[k] > best:
-            best, best_at = float(total[k]), lo + k
-    return best, (int(pi[best_at]), int(pj[best_at]))
+        total[lo:lo + step] = _pair_variations(
+            cols, weights, offsets, pi[lo:lo + step], pj[lo:lo + step])
+    return total
 
 
-def pair_scan(fam: ReiterFamily, r_list, pairs: dict) -> list:
-    """(nu, pair) of the family's CSR rows for each R in r_list, as
-    _max_pair_variation gives them; pairs caches each R's _pair_index, so
-    that the families on one space share them."""
-    padded = _padded_rows(fam.space.n, fam.indptr, fam.cols, fam.weights)
+def pair_scan(fam: ReiterFamily, r_list, pairs=None) -> list:
+    """(nu, pair) of the family's CSR rows for each R in r_list: the
+    largest pair variation over the pairs within R and the first pair that
+    attains it, (0.0, (0, 0)) when there is no pair. `pairs` are the
+    (i, j, d(i, j)) of _Balls.pairs at a radius >= every R (read from the
+    space when None), so that each pair's variation is computed once and
+    each R reads its own."""
+    if pairs is None:
+        r_max = max(r_list, default=0.0)
+        pairs = _Balls(fam.space, r_max).pairs(r_max)
+    pi, pj, pd = pairs
+    total = _pair_totals(
+        _padded_rows(fam.space.n, fam.indptr, fam.cols, fam.weights), pi, pj)
     out = []
     for r in r_list:
-        if r not in pairs:
-            pairs[r] = _pair_index(fam.space, r)
-        out.append(_max_pair_variation(padded, *pairs[r]))
+        inside = pd <= fam.space.radius_bound(r)
+        if not inside.any():
+            out.append((0.0, (0, 0)))
+            continue
+        # variations are >= 0, so -1.0 never wins; argmax takes the first
+        k = int(np.argmax(np.where(inside, total, -1.0)))
+        out.append((float(total[k]), (int(pi[k]), int(pj[k]))))
     return out
 
 
@@ -409,7 +492,14 @@ def variation_profile(space: FiniteMetricSpace, schedule, r_list,
       cycle and torus families) reads one row from the identity
       (_one_row_variation), in O(n * degree) time and O(n) memory;
     - every other family or space takes the exact O(n^2) scan of all pairs
-      within R.
+      within R. It reads the distances once, as the rows of the widest
+      ball (_Balls) over max(schedule, R list): the pairs within the
+      largest R are taken from them, and each family's pair variations
+      are computed once over those pairs, each R reading its sup off them.
+      The ball average and lazy_walk_family (whose S is int(S)) build
+      their rows from the same balls, and the walk carries its sparse
+      powers from one S to the next; any other family is called as
+      family(space, S).
     """
     rows = []
     if space.group is not None and family is ball_average:
@@ -419,10 +509,26 @@ def variation_profile(space: FiniteMetricSpace, schedule, r_list,
                     space, hops, s, r_list)):
                 rows.append(ProfileRow(float(s), float(r), nu, *pair))
         return ProfileTable(rows)
-    pairs: dict = {}
+    r_max = max(r_list, default=0.0)
+    radius = r_max
+    if family is ball_average:
+        radius = max([radius, *schedule])
+    elif family is lazy_walk_family:
+        # the walk reads its unit rows too
+        radius = max([radius, 1.0, *map(int, schedule)])
+    balls = _Balls(space, radius)
+    pairs = balls.pairs(r_max)
+
+    def build(s):
+        if family is ball_average:
+            return ball_average(space, s, balls=balls)
+        if family is lazy_walk_family:
+            return lazy_walk_family(space, int(s), balls=balls)
+        return family(space, s)
+
     for s in schedule:
-        for r, (nu, pair) in zip(r_list, pair_scan(family(space, s), r_list,
-                                                   pairs)):
+        # each family lives only through its scan
+        for r, (nu, pair) in zip(r_list, pair_scan(build(s), r_list, pairs)):
             rows.append(ProfileRow(float(s), float(r), nu, *pair))
     return ProfileTable(rows)
 

@@ -152,7 +152,7 @@ def _cmd_profile(args) -> int:
     if args.method == "ball":
         family = ball_average
     elif args.method == "walk":
-        family = lambda sp, s: lazy_walk_family(sp, int(s))
+        family = lazy_walk_family
     else:
         raise ValueError(f"unknown profile method {args.method!r}")
     table = variation_profile(space, schedule, r_list, family=family)

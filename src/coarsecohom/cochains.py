@@ -40,7 +40,7 @@ import numpy as np
 from .coefficients import L1_ZERO, MODULES
 from .facetables import (csr_expand, dirac_diff_table, distinct, evaluate,
                          gaps, linear, norms, sup_of, sup_scan)
-from .space import FiniteMetricSpace, derive_seed, mask_rows
+from .space import FiniteMetricSpace, derive_seed
 
 IDENTITY_TOL = 1e-10
 EXACT_TOL = 1e-12
@@ -286,15 +286,15 @@ def _join(space: FiniteMetricSpace, p: int, r: float, budget: int):
     n = space.n
     if n > budget:
         return None
-    near = space.near(r)
-    indptr, members = mask_rows(near)
+    indptr, members, _ = space.rows_within(r)
+    dist, bound = space.dist, space.radius_bound(r)
     faces = np.arange(n, dtype=np.int64)[:, None]
     for _ in range(p):
         _, owner, src = csr_expand(indptr, faces[:, 0])
         cand = members[src]
         ok = np.ones(len(cand), dtype=bool)
         for j in range(1, faces.shape[1]):
-            ok &= near[faces[owner, j], cand]
+            ok &= dist[faces[owner, j], cand] <= bound
         if np.count_nonzero(ok) > budget:
             return None
         faces = np.concatenate((faces[owner[ok]], cand[ok, None]), axis=1)
@@ -315,8 +315,8 @@ def _proposals(space: FiniteMetricSpace, p: int, r: float, ylen: int,
     generator's seed.
     """
     n = space.n
-    near = space.near(r)
-    indptr, members = mask_rows(near)
+    indptr, members, _ = space.rows_within(r)
+    dist, bound = space.dist, space.radius_bound(r)
     starts, sizes = indptr[:-1], np.diff(indptr)
     cum = np.cumsum(sizes.astype(float) ** p)
     pairs = list(combinations(range(1, p + 1), 2))
@@ -332,7 +332,7 @@ def _proposals(space: FiniteMetricSpace, p: int, r: float, ylen: int,
                                 rng.integers(n, size=(b, ylen))), axis=1)
         ok = np.ones(b, dtype=bool)
         for i, j in pairs:
-            ok &= near[faces[:, i], faces[:, j]]
+            ok &= dist[faces[:, i], faces[:, j]] <= bound
         yield faces, ok
         done += b
         size *= 2

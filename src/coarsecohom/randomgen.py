@@ -31,7 +31,7 @@ array.
 
 Families, unit-sum family cochains, zero-sum vectors and pair fields draw
 their numbers from one random.Random each, point by point, over the
-point's ball row (mask_rows of the space's near mask) as Python ints, and
+point's ball row (the space's rows_within) as Python ints, and
 add them into CSR rows with facetables.csr_add: a row lists its points in
 ascending order, or a pair field its pairs in the order they were drawn.
 """
@@ -46,7 +46,7 @@ from .averaging import ReiterFamily
 from .coefficients import L1, L1_ZERO, SCALAR
 from .cochains import Cochain
 from .facetables import csr_add, rows_fill, scatter
-from .space import FiniteMetricSpace, derive_seed, mask_rows
+from .space import FiniteMetricSpace, derive_seed
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -91,7 +91,7 @@ def _leaf_fill(space: FiniteMetricSpace, module: str, spread: int, hashes,
     every term's hash as a (terms, faces) array, and anchors(faces, h) the
     anchors c in the same shape."""
     if module != SCALAR:
-        ball_ptr, members = mask_rows(space.near(spread))
+        ball_ptr, members, _ = space.rows_within(spread)
 
     def fill(faces):
         h = hashes(faces)
@@ -157,7 +157,7 @@ def random_prob_family(space: FiniteMetricSpace, s: float, seed: int,
     """Probability family supported on s-balls with seeded positive masses."""
     rng = random.Random(derive_seed(seed, "prob-family", float(s)))
     rows, cols, masses = [], [], []
-    indptr, members = mask_rows(space.near(s))
+    indptr, members, _ = space.rows_within(s)
     for x in range(space.n):
         ball = members[indptr[x]:indptr[x + 1]].tolist()
         keep = [z for z in ball if rng.random() <= density] or [ball[0]]
@@ -180,7 +180,7 @@ def random_unit_sum_cochain(space: FiniteMetricSpace, s: float, seed: int,
     """
     rng = random.Random(derive_seed(seed, "unit-family", float(s), eps))
     rows, cols, values = [], [], []
-    indptr, members = mask_rows(space.near(s))
+    indptr, members, _ = space.rows_within(s)
     for x in range(space.n):
         ball = members[indptr[x]:indptr[x + 1]].tolist()
         rows += [x] * len(ball)
@@ -230,7 +230,7 @@ def random_pair_field(space: FiniteMetricSpace, radius: float, seed: int,
                                     terms, lift_style))
     n = space.n
     rows, codes, values = [], [], []
-    ball_ptr, members = mask_rows(space.near(radius))
+    ball_ptr, members, _ = space.rows_within(radius)
     for x in range(n):
         ball = members[ball_ptr[x]:ball_ptr[x + 1]].tolist()
         for _ in range(terms):

@@ -3,8 +3,8 @@
 Everything downstream (seminorms, support audits, variation profiles) is a
 supremum over tuples whose coordinates sit pairwise within some radius R.
 This module owns the spaces themselves, the one rule for "within R"
-(`FiniteMetricSpace.radius_bound`, and `near` for whole rows, which
-`mask_rows` turns into CSR ball rows) and the graph families used as test
+(`FiniteMetricSpace.radius_bound`, `near` for the whole mask, and
+`rows_within` for its CSR ball rows) and the graph families used as test
 beds. It keeps no audit state: the tuple domains an audit scans, and their
 cache, belong to cochains.audit_points.
 """
@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import random
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -138,6 +138,14 @@ class FiniteMetricSpace:
     def near(self, r: float) -> np.ndarray:
         """The n x n mask of the point pairs within r of each other."""
         return self.dist <= self.radius_bound(r)
+
+    def rows_within(self, r: float):
+        """The CSR rows of `near(r)`, one row per point, in one read of the
+        distances: indptr, each row's columns in ascending order, and the
+        distance of each entry, in the dtype of `dist`."""
+        flat = np.flatnonzero(self.near(r))
+        return (np.searchsorted(flat, np.arange(self.n + 1) * self.n),
+                flat % self.n, np.take(self.dist, flat))
 
     def within(self, i: int, j: int, r: float) -> bool:
         return self.d(i, j) <= self.radius_bound(r)
@@ -287,22 +295,56 @@ def build_graph_metric(edges, n: int, labels=None, meta=None) -> FiniteMetricSpa
     """Hop metric of an undirected graph; see _hop_distances.
 
     Raises on vertex indices out of range, self-loops, or a disconnected
-    graph (the error names two mutually unreachable vertices).
+    graph (the error names two mutually unreachable vertices). The range
+    and self-loop checks name the first offending edge in the given order,
+    a range error before a self-loop on the same edge. A repeated edge, in
+    either orientation, counts once; meta["edges"] defaults to the edges
+    as sorted (min, max) pairs.
     """
-    seen = set()
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u} is not allowed")
-        seen.add((u, v) if u < v else (v, u))
+    keys = _distinct_edge_keys(edges, n)
     meta = dict(meta) if meta else {"kind": "graph", "params": {"n": n}, "seed": 0}
     if "edges" not in meta:
-        meta["edges"] = sorted(seen)
-    pairs = np.array(list(seen), dtype=np.int64).reshape(-1, 2)
-    del seen  # before the distance step, which needs room of its own
-    dist = _hop_distances(n, pairs)
+        meta["edges"] = _key_pairs(keys, n)
+    dist = _hop_distances(n, np.stack((keys // n, keys % n), axis=1))
     return FiniteMetricSpace(dist, labels=labels, integer_metric=True, meta=meta)
+
+
+def _distinct_edge_keys(edges, n: int) -> np.ndarray:
+    """The keys min * n + max of the distinct edges, sorted. Raises on the
+    first offending edge in the given order: a range error before a
+    self-loop on the same edge."""
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    ends = np.asarray(edges)
+    ends = ends.reshape(-1, 2) if ends.size else np.zeros((0, 2), np.int64)
+    u, v = ends.T
+    outside = ~((0 <= u) & (u < n) & (0 <= v) & (v < n))
+    bad = outside | (u == v)
+    if bad.any():
+        k = int(np.argmax(bad))
+        a, b = edges[k]
+        if outside[k]:
+            raise ValueError(f"edge ({a},{b}) out of range for n={n}")
+        raise ValueError(f"self-loop at vertex {a} is not allowed")
+    # a sort and a neighbour compare: np.unique hashes, and is far slower
+    keys = _edge_keys(ends, n)
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
+def _edge_keys(ends: np.ndarray, n: int) -> np.ndarray:
+    """The keys min * n + max of an (m, 2) array of in-range edges, sorted,
+    repeats kept."""
+    u, v = ends.astype(np.int64, copy=False).T
+    keys = np.minimum(u, v) * n + np.maximum(u, v)
+    keys.sort()
+    return keys
+
+
+def _key_pairs(keys: np.ndarray, n: int) -> list:
+    """The edges of sorted keys as (min, max) tuples of Python ints."""
+    return list(zip((keys // n).tolist(), (keys % n).tolist()))
 
 
 def _adjacency(n: int, edges: np.ndarray):
@@ -544,7 +586,7 @@ def _path_edges(m: int):
 def _complete_edges(m: int):
     if m < 1:
         raise ValueError("complete graph needs n >= 1")
-    return [(i, j) for i, j in combinations(range(m), 2)], m, None
+    return list(combinations(range(m), 2)), m, None
 
 
 def _torus_edges(dim: int, size: int):
@@ -682,19 +724,13 @@ def generate_family(kind: str, params: dict, seed: int = 0) -> FiniteMetricSpace
         edges, n, labels, retries = _random_regular_edges(
             arg["n"], arg["k"], seed)
         extra["retries"] = retries
+    # the edges as sorted (min, max) pairs, repeats kept
+    keys = _edge_keys(np.fromiter(chain.from_iterable(edges), dtype=np.int64,
+                                  count=2 * len(edges)).reshape(-1, 2), n)
+    ends = np.stack((keys // n, keys % n), axis=1)
     meta = {"kind": kind, "params": arg, "seed": seed,
-            "edges": sorted((min(e), max(e)) for e in edges), **extra}
+            "edges": _key_pairs(keys, n), **extra}
     if law is not None:
-        return CayleyGraphSpace(meta["edges"], n, law, labels=labels,
-                                meta=meta)
-    return build_graph_metric(edges, n, labels=labels, meta=meta)
+        return CayleyGraphSpace(ends, n, law, labels=labels, meta=meta)
+    return build_graph_metric(ends, n, labels=labels, meta=meta)
 
-
-# -- ball rows --------------------------------------------------------------
-
-def mask_rows(mask: np.ndarray):
-    """indptr and column arrays of the True entries of a square mask, row
-    by row in ascending column order: the CSR form of a ball mask."""
-    n = len(mask)
-    flat = np.flatnonzero(mask)
-    return np.searchsorted(flat, np.arange(n + 1) * n), flat % n

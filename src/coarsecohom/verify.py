@@ -255,7 +255,6 @@ def run_ses(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
         checks.append(Check(check="pi.lift_scalar=id", instance=i,
                             ok=abs(got - lam) <= EXACT_TOL,
                             values={"max_violation": abs(got - lam)}))
-    pairs: dict = {}
     for s in (1.0, 2.0):
         phi = random_unit_sum_cochain(space, s,
                                       derive_seed(opts.seed, "ses-fam", s))
@@ -267,8 +266,8 @@ def run_ses(space: FiniteMetricSpace, opts: VerifyOptions) -> dict:
         phi_rows = ReiterFamily(space, s, indptr, cols, weights,
                                 is_prob=False)
         for r, (nu_phi, _), (nu_f, _) in zip(
-                opts.r_list, pair_scan(phi_rows, opts.r_list, pairs),
-                pair_scan(fam, opts.r_list, pairs)):
+                opts.r_list, pair_scan(phi_rows, opts.r_list),
+                pair_scan(fam, opts.r_list)):
             checks.append(Check(
                 check="normalize_round_trip",
                 ok=supp_ok and nu_f <= 2.0 * nu_phi + EXACT_TOL,

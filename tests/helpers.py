@@ -19,7 +19,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 import coarsecohom as cc
-from coarsecohom import facetables
+from coarsecohom import averaging, facetables
 from coarsecohom.coefficients import PRUNE_TOL, SCALAR, ZERO_SUM_TOL
 from coarsecohom.cochains import (DEFAULT_AUDIT_BUDGET, DEFAULT_SAMPLE_SIZE,
                                   EXACT_TOL, bound_check, identity_check)
@@ -472,6 +472,40 @@ def max_pair_variation_reference(vectors, pairs):
             best = total
             best_pair = (i, j)
     return best, best_pair
+
+
+def pair_index(space, r):
+    """Arrays (i, j) of the pairs i < j with d(i, j) <= r, in lexicographic
+    order, from the space's whole near(r) mask: the per-R reference for the
+    pairs a profile reads off its widest balls."""
+    i, j = np.divmod(np.flatnonzero(space.near(r)), space.n)
+    upper = j > i
+    return i[upper], j[upper]
+
+
+def max_pair_variation(padded, pi, pj):
+    """The per-R pair scan: the largest pair variation over the pairs
+    (pi[k], pj[k]) of the rows whose averaging._padded_rows are `padded`,
+    and the first pair that attains it, scanned chunk by chunk with a
+    running best; (0.0, (0, 0)) when there is no pair."""
+    if not len(pi):
+        return 0.0, (0, 0)
+    cols, weights, offsets = padded
+    step = max(1, averaging._SCAN_CHUNK_BYTES // (16 * cols.shape[1]))
+    best, best_at = -1.0, 0
+    for lo in range(0, len(pi), step):
+        total = averaging._pair_variations(cols, weights, offsets,
+                                           pi[lo:lo + step], pj[lo:lo + step])
+        k = int(np.argmax(total))
+        if total[k] > best:
+            best, best_at = float(total[k]), lo + k
+    return best, (int(pi[best_at]), int(pj[best_at]))
+
+
+def sparse_walk_rows(space, steps, laziness=0.5):
+    """CSR rows of P^steps by the sparse walk kernel, from the identity."""
+    return averaging._WalkPowers(space.n, averaging._walk_step_rows(
+        averaging._Balls(space, 1.0), laziness)).rows(steps)
 
 
 def validate_family_reference(space, s, vectors, is_prob=True):

@@ -13,9 +13,10 @@ from coarsecohom import (L1, L1_ZERO, SCALAR, averaging, cochains,
                          facetables)
 from coarsecohom.coefficients import PRUNE_TOL
 from helpers import (csr_dicts, dict_norm, dict_total, dicts_csr,
-                     family_dicts, frac_ball_nu, kept,
-                     max_pair_variation_reference, one_value, pairs_reference,
-                     ref_balls, rule_cochain, validate_family_reference,
+                     family_dicts, frac_ball_nu, kept, max_pair_variation,
+                     max_pair_variation_reference, one_value, pair_index,
+                     pairs_reference, ref_balls, rule_cochain,
+                     sparse_walk_rows, validate_family_reference,
                      walk_dicts_reference, walk_matrix_reference,
                      walk_rows_reference)
 
@@ -89,16 +90,23 @@ def test_profile_witness_is_first_maximizer():
 
 
 def test_pairs_within():
-    # the pair scan's pairs i < j within R, in lexicographic order
+    # the pair scan's pairs i < j within R, in lexicographic order, read
+    # off balls of radius R or wider, and the per-R reference list
     for r, count in ((1.0, 8), (2.0, 16), (0.0, 0)):
-        pi, pj = averaging._pair_index(CYCLE8, r)
-        got = list(zip(pi.tolist(), pj.tolist()))
-        assert got == pairs_reference(CYCLE8, r) and len(got) == count
+        want = pairs_reference(CYCLE8, r)
+        assert len(want) == count
+        for wider in (0.0, 2.0):
+            pi, pj, pd = averaging._Balls(CYCLE8, r + wider).pairs(r)
+            got = list(zip(pi.tolist(), pj.tolist()))
+            assert got == want
+            assert pd.tolist() == [CYCLE8.d(i, j) for i, j in got]
+        pi, pj = pair_index(CYCLE8, r)
+        assert list(zip(pi.tolist(), pj.tolist())) == want
     # no pair within R reads 0.0, as the profile and the ses suite report
     fam = cc.ball_average(CYCLE8, 1.0)
     padded = averaging._padded_rows(8, fam.indptr, fam.cols, fam.weights)
-    assert averaging._max_pair_variation(
-        padded, *averaging._pair_index(CYCLE8, 0.0)) == (0.0, (0, 0))
+    assert max_pair_variation(padded, *pair_index(CYCLE8, 0.0)) == (
+        0.0, (0, 0))
 
 
 def test_profile_table_lookup_and_csv():
@@ -542,7 +550,8 @@ def _spaces_for_walk():
 @pytest.mark.parametrize("laziness", [0.5, 0.3])
 def test_walk_matrix_matches_sum_expression(space, laziness):
     want = walk_matrix_reference(space, laziness)
-    assert np.array_equal(averaging._walk_matrix(space, laziness), want)
+    assert np.array_equal(
+        averaging._walk_matrix(averaging._Balls(space, 1.0), laziness), want)
     fam = cc.lazy_walk_family(space, 2, laziness)
     wanted = walk_dicts_reference(space, 2, laziness)
     assert family_dicts(fam) == [kept(L1, row) for row in wanted]
@@ -651,7 +660,7 @@ def _group_spaces():
 
 def _assert_one_row_is_the_dense_scan(space, schedule, r_list):
     dense = cc.variation_profile(_law_free(space), schedule, r_list)
-    with mock.patch.object(averaging, "_pair_index") as scan:
+    with mock.patch.object(averaging, "_Balls") as scan:
         routed = cc.variation_profile(space, schedule, r_list)
     assert not scan.called and space._dist is None
     assert [(row.s, row.r, row.nu.hex(), row.x0, row.x1, row.exact)
@@ -711,7 +720,7 @@ def test_family_validation_matches_per_entry_loop(space, s, is_prob, data):
 def _check_sparse_walk(space, steps, laziness):
     """The sparse kernel equals the dict loop bit for bit, in entry order,
     and matrix_power within 1e-13."""
-    got = csr_dicts(*averaging._walk_rows_sparse(space, steps, laziness))
+    got = csr_dicts(*sparse_walk_rows(space, steps, laziness))
     want = walk_rows_reference(space, steps, laziness)
     assert got == want
     assert [list(row) for row in got] == [list(row) for row in want]
@@ -737,7 +746,7 @@ def test_sparse_walk_rows_match_dict_loop(space, steps, laziness, chunk):
             _check_sparse_walk(space, steps, laziness)
         else:
             with pytest.raises(ValueError, match="unit neighbor"):
-                averaging._walk_rows_sparse(space, steps, laziness)
+                sparse_walk_rows(space, steps, laziness)
 
 
 @pytest.mark.parametrize("laziness", [0.5, 0.3])
@@ -759,7 +768,8 @@ def test_sparse_walk_rows_prune_like_supported_vectors():
                               "real", "n1"])
 @pytest.mark.parametrize("laziness", [0.5, 0.3])
 def test_walk_step_rows_are_the_reference_nonzeros(space, laziness):
-    indptr, cols, weights = averaging._walk_step_rows(space, laziness)
+    indptr, cols, weights = averaging._walk_step_rows(
+        averaging._Balls(space, 1.0), laziness)
     mat = walk_matrix_reference(space, laziness)
     rows, want_cols = np.nonzero(mat)
     assert np.array_equal(indptr, np.searchsorted(rows, np.arange(space.n + 1)))
@@ -776,18 +786,134 @@ def test_walk_on_thin_balls_builds_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 8 * space.n * space.n  # one n x n float64 matrix
-    assert np.array_equal(fam.weights, averaging._walk_rows_sparse(
-        space, 4, 0.5)[2])
+    assert np.array_equal(fam.weights, sparse_walk_rows(space, 4, 0.5)[2])
 
 
 @pytest.mark.parametrize("laziness", [0.5, 0.3])
 def test_walk_on_saturated_balls_stays_matrix_power(laziness):
     space = cc.generate_family("complete", {"n": 64})
     for steps in (1, 2, 3):
-        with mock.patch.object(averaging, "_walk_rows_sparse") as sparse:
+        with mock.patch.object(averaging, "_WalkPowers") as sparse:
             fam = cc.lazy_walk_family(space, steps, laziness)
         assert not sparse.called
         want = walk_dicts_reference(space, steps, laziness)
         got = csr_dicts(fam.indptr, fam.cols, fam.weights)
         assert got == [{j: w for j, w in row.items() if w >= PRUNE_TOL}
                        for row in want]
+
+
+# -- one read of the distances per profile ----------------------------------------
+
+def _scan_key(results):
+    return [(nu.hex(), pair, type(nu), type(pair[0]), type(pair[1]))
+            for nu, pair in results]
+
+
+@settings(deadline=None, max_examples=150)
+@given(_families(),
+       st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0]),
+                min_size=1, max_size=5),
+       st.sampled_from([0.0, 1.0, 4.0]), st.sampled_from([8, 64, 1 << 21]))
+def test_one_scan_over_the_widest_r_is_one_scan_per_r(fam, r_list, wider,
+                                                      chunk_bytes):
+    # R lists in any order, with R = 0 and R past the diameter; the balls
+    # may be wider than the largest R, as a profile's are
+    space = fam.space
+    r_max = max(r_list)
+    padded = averaging._padded_rows(space.n, fam.indptr, fam.cols,
+                                    fam.weights)
+    with mock.patch.object(averaging, "_SCAN_CHUNK_BYTES", chunk_bytes):
+        got = averaging.pair_scan(
+            fam, r_list, averaging._Balls(space, r_max + wider).pairs(r_max))
+        want = [max_pair_variation(padded, *pair_index(space, r))
+                for r in r_list]
+    assert _scan_key(got) == _scan_key(want)
+    assert _scan_key(averaging.pair_scan(fam, r_list)) == _scan_key(want)
+
+
+def test_one_scan_keeps_ties_and_empty_pair_sets():
+    # on a law-free cycle the pairs at one distance all tie, and the
+    # variation of the unit balls peaks at distance 3, so the first pair
+    # at the farthest distance up to 3 wins; R = 0 and 0.5 hold no pair
+    # and read (0.0, (0, 0))
+    space = _law_free(CYCLE8)
+    fam = cc.ball_average(space, 1.0)
+    r_list = [2.0, 0.0, 1.0, 0.5, 4.0]
+    got = averaging.pair_scan(fam, r_list)
+    assert [pair for _, pair in got] == [(0, 2), (0, 0), (0, 1), (0, 0),
+                                         (0, 3)]
+    assert got[1] == got[3] == (0.0, (0, 0))
+    padded = averaging._padded_rows(8, fam.indptr, fam.cols, fam.weights)
+    assert _scan_key(got) == _scan_key(
+        [max_pair_variation(padded, *pair_index(space, r)) for r in r_list])
+
+
+def _csr_bits(fam):
+    return (fam.indptr.tobytes(), fam.cols.tobytes(), fam.weights.tobytes(),
+            fam.indptr.dtype, fam.cols.dtype, fam.weights.dtype)
+
+
+@pytest.mark.parametrize("kind,params,seed,schedule", [
+    ("random_regular", {"n": 512, "k": 3}, 5, (1, 2, 4, 7)),
+    ("torus", {"dim": 2, "size": 32}, 0, (1, 2, 4, 7)),
+    ("free_ball", {"rank": 2, "radius": 4}, 0, (1, 2, 4, 7)),
+    # sparse at S = 1, dense matrix_power from S = 2 on
+    ("random_regular", {"n": 64, "k": 3}, 3, (1, 2, 3)),
+    # a smaller S than the power in hand starts again from the identity
+    ("random_regular", {"n": 512, "k": 3}, 5, (3, 1, 4, 2)),
+], ids=["rr512", "torus32", "free_ball", "rr64-to-dense", "rr512-unsorted"])
+@pytest.mark.parametrize("laziness", [0.5, 0.3])
+def test_walks_carried_along_a_schedule_equal_walks_from_the_identity(
+        kind, params, seed, schedule, laziness):
+    space = cc.generate_family(kind, params, seed)
+    balls = averaging._Balls(space, max(schedule))
+    kernels = []
+    for steps in schedule:
+        got = cc.lazy_walk_family(space, steps, laziness, balls=balls)
+        want = cc.lazy_walk_family(space, steps, laziness)
+        assert _csr_bits(got) == _csr_bits(want)
+        powers = balls.walks.get(laziness)
+        kernels.append(powers is not None and powers.t == steps)
+    if kind == "random_regular" and space.n == 64:
+        assert kernels == [True, False, False]
+    elif kind == "free_ball":
+        assert kernels == [True, True, False, False]
+    else:
+        assert kernels[:3] == [True, True, True]
+
+
+def test_ball_and_walk_profiles_read_the_distances_once():
+    space = cc.generate_family("random_regular", {"n": 256, "k": 3}, seed=4)
+    near = cc.FiniteMetricSpace.near
+    for family in (cc.ball_average, cc.lazy_walk_family):
+        with mock.patch.object(cc.FiniteMetricSpace, "near", autospec=True,
+                               side_effect=near) as calls:
+            table = cc.variation_profile(space, [1, 2, 3, 4], [1.0, 2.0],
+                                         family=family)
+        assert calls.call_count == 1
+        assert len(table.rows) == 8
+
+
+def test_walk_profile_equals_the_profile_of_each_walk_alone():
+    space = cc.generate_family("random_regular", {"n": 256, "k": 3}, seed=4)
+    alone = lambda sp, s: cc.lazy_walk_family(sp, int(s))
+    schedule, r_list = [1, 2, 3, 5, 8], [2.0, 1.0]
+    assert cc.variation_profile(
+        space, schedule, r_list, family=cc.lazy_walk_family).to_csv() == (
+        cc.variation_profile(space, schedule, r_list, family=alone).to_csv())
+
+
+def test_saturating_ball_profile_memory_is_bounded():
+    # the widest balls hold every point: this rr512 has diameter 12
+    space = cc.generate_family("random_regular", {"n": 512, "k": 3}, seed=1)
+    schedule = [2.0, 6.0, 12.0]
+    assert space.diameter() <= max(schedule)
+    tracemalloc.start()
+    try:
+        cc.variation_profile(space, schedule, [1.0, 2.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the tracemalloc peak of the same profile when each S and each R read
+    # their own near mask (measured once, numpy 2.4.6)
+    assert peak <= 13_198_639

@@ -258,7 +258,7 @@ def test_tables_and_csr_rows_are_the_one_value_representation():
 
 
 # The audit-domain code that cochains.audit_points owns, and the ball lists
-# that mask_rows(space.near(r)) replaced.
+# that space.rows_within replaced.
 _DOMAIN_NAMES = {"_join", "_proposals", "_sample_points", "_SAMPLE_BATCH",
                  "_DOMAINS"}
 _BALL_LISTS = {"balls_list", "ball", "_ball_lists"}

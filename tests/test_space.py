@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 import coarsecohom as cc
 from coarsecohom.cochains import _join
-from coarsecohom.space import (TRIANGLE_SCAN_LIMIT, _compact, _free_ball_edges,
-                               _hop_distances, _hop_row, _torus_edges,
-                               mask_rows)
+from coarsecohom.space import (TRIANGLE_SCAN_LIMIT, _compact, _complete_edges,
+                               _cycle_edges, _free_ball_edges, _hop_distances,
+                               _hop_row, _path_edges, _random_regular_edges,
+                               _torus_edges)
 from helpers import (bfs_graph_dist, brute_tuples, cycle_dist, spaces,
                      torus_dist)
 
@@ -327,6 +328,68 @@ def test_disconnected_error_matches_reference_bfs(n, edges):
     assert str(got.value).startswith("graph is disconnected: vertex ")
 
 
+@st.composite
+def edge_lists_with_bad_edges(draw):
+    """(n, edges): a random edge list with several bad edges at random
+    places: self-loops, ends past n or below 0, and loops out of range,
+    which are both."""
+    n = draw(st.integers(1, 12))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = [e for e in draw(st.lists(pair, max_size=3 * n)) if e[0] != e[1]]
+    v = st.integers(0, n - 1)
+    bad = st.one_of(v.map(lambda a: (a, a)),
+                    st.tuples(v, st.integers(n, n + 3)),
+                    st.tuples(st.integers(-3, -1), v),
+                    st.integers(n, n + 3).map(lambda a: (a, a)))
+    for edge in draw(st.lists(bad, min_size=1, max_size=4)):
+        edges.insert(draw(st.integers(0, len(edges))), edge)
+    return n, edges
+
+
+@settings(deadline=None, max_examples=200)
+@given(edge_lists_with_bad_edges(), st.booleans())
+def test_edge_errors_name_the_first_bad_edge_like_the_edge_loop(case,
+                                                                as_array):
+    # the vectorised checks raise what the per-edge loop raised: the first
+    # offending edge in the given order, a range error before a self-loop
+    n, edges = case
+    with pytest.raises(ValueError) as want:
+        bfs_graph_dist(edges, n)
+    with pytest.raises(ValueError) as got:
+        cc.build_graph_metric(np.array(edges) if as_array else edges, n)
+    assert str(got.value) == str(want.value)
+
+
+@settings(deadline=None, max_examples=100)
+@given(edge_lists())
+def test_meta_edges_are_the_sorted_distinct_edges(case):
+    n, edges = case
+    if isinstance(_outcome(bfs_graph_dist, edges, n), str):
+        return
+    sp = cc.build_graph_metric(edges, n)
+    assert sp.meta["edges"] == sorted({(min(e), max(e)) for e in edges})
+    assert all(type(a) is int and type(b) is int for a, b in sp.meta["edges"])
+
+
+@pytest.mark.parametrize("kind,params,seed,make", [
+    ("cycle", {"size": 9}, 0, lambda: _cycle_edges(9)),
+    ("path", {"size": 1}, 0, lambda: _path_edges(1)),
+    ("complete", {"n": 7}, 0, lambda: _complete_edges(7)),
+    ("torus", {"size": 3, "dim": 3}, 0, lambda: _torus_edges(3, 3)),
+    ("free_ball", {"rank": 3, "radius": 2}, 0,
+     lambda: _free_ball_edges(3, 2)),
+    ("random_regular", {"n": 30, "k": 4}, 2,
+     lambda: _random_regular_edges(30, 4, 2))],
+    ids=lambda v: v if isinstance(v, str) else None)
+def test_family_meta_edges_are_the_sorted_min_max_pairs(kind, params, seed,
+                                                        make):
+    # the family's edges as the one sort of (min, max) pairs made them
+    edges = make()[0]
+    sp = cc.generate_family(kind, params, seed)
+    assert sp.meta["edges"] == sorted((min(e), max(e)) for e in edges)
+    assert all(type(a) is int and type(b) is int for a, b in sp.meta["edges"])
+
+
 def test_edge_validation():
     with pytest.raises(ValueError, match="out of range"):
         cc.build_graph_metric([(0, 5)], 3)
@@ -536,7 +599,7 @@ def test_scaled_metric():
 
 
 def _ball(sp, i, r):
-    indptr, members = mask_rows(sp.near(r))
+    indptr, members, _ = sp.rows_within(r)
     return members[indptr[i]:indptr[i + 1]].tolist()
 
 
