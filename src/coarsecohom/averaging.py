@@ -34,11 +34,29 @@ class ReiterFamily:
 
     is_prob certifies: entries nonnegative, entry sum within 1e-12 of 1,
     support of f(x) inside the closed S-ball of x. Violations raise at
-    construction, so downstream bounds may rely on the flag.
+    construction (validate), so downstream bounds may rely on the flag. The
+    one exception is _from_balls, the constructor of the ball averages and
+    lazy walks built from a _Balls, whose rows hold no escape by
+    construction; validate still passes on them.
     """
 
     def __init__(self, space: FiniteMetricSpace, s: float, indptr, cols,
                  weights, is_prob: bool = True, name: str = ""):
+        self._set(space, s, indptr, cols, weights, is_prob, name)
+        self.validate()
+
+    @classmethod
+    def _from_balls(cls, space: FiniteMetricSpace, s: float, indptr, cols,
+                    weights, name: str) -> "ReiterFamily":
+        """A probability family read off a _Balls, not validated: its rows
+        are members of the s-balls in ascending order, with weights that
+        sum to 1 (a ball's uniform mass, or a walk's), so validate would
+        read the distances only to find nothing."""
+        fam = cls.__new__(cls)
+        fam._set(space, s, indptr, cols, weights, True, name)
+        return fam
+
+    def _set(self, space, s, indptr, cols, weights, is_prob, name) -> None:
         self.space = space
         self.s = float(s)
         self.indptr = np.asarray(indptr, dtype=np.int64)
@@ -46,7 +64,6 @@ class ReiterFamily:
         self.weights = np.asarray(weights, dtype=float)
         self.is_prob = bool(is_prob)
         self.name = name
-        self.validate()
 
     def validate(self) -> None:
         """Raise the first violation: the row bounds, then points in order,
@@ -123,11 +140,14 @@ def dirac_family(space: FiniteMetricSpace) -> ReiterFamily:
 
 class _Balls:
     """The closed balls of every radius up to `radius` on one space, from
-    one read of its distances (`rows_within`): CSR rows that keep each
+    one call of its `rows_within` (on a graph space, balls grown for
+    floor(radius) levels, with no n x n matrix): CSR rows that keep each
     entry's distance, so that a smaller radius's rows are a filter of them,
     columns still ascending. A profile builds one for its widest scale and
     hands it to its families and its pair scan; a lazy walk carries its
     sparse powers on it from one call to the next (`walks`, by laziness).
+    The families built from it skip ReiterFamily.validate
+    (ReiterFamily._from_balls): their supports lie in these rows.
     """
 
     def __init__(self, space: FiniteMetricSpace, radius: float):
@@ -172,12 +192,16 @@ class _Balls:
 def ball_average(space: FiniteMetricSpace, s: float,
                  balls: _Balls | None = None) -> ReiterFamily:
     """Uniform probability on the closed s-ball of each point, read off
-    `balls` (of a radius >= s) when given."""
-    indptr, cols = (balls.rows(s) if balls is not None
-                    else space.rows_within(s)[:2])
+    `balls` (of a radius >= s), and then not validated, when given."""
+    if balls is None:
+        indptr, cols = space.rows_within(s)[:2]
+        build = ReiterFamily
+    else:
+        indptr, cols = balls.rows(s)
+        build = ReiterFamily._from_balls
     sizes = np.diff(indptr)
-    return ReiterFamily(space, s, indptr, cols, np.repeat(1.0 / sizes, sizes),
-                        name=f"ball[{s}]")
+    return build(space, s, indptr, cols, np.repeat(1.0 / sizes, sizes),
+                 name=f"ball[{s}]")
 
 
 # The walk keeps its rows sparse when the widest S-ball holds at most
@@ -298,14 +322,17 @@ def lazy_walk_family(space: FiniteMetricSpace, steps: int,
     `balls` (of a radius >= max(steps, 1)) gives the unit rows and the
     S-ball sizes, and carries the sparse powers from one call to the next,
     so a profile's walks of increasing steps each take only the steps
-    since the last; without it they are read from the space afresh.
+    since the last; the family is then not validated. Without it they are
+    read from the space afresh, and the family is validated.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if not 0.0 < laziness < 1.0:
         raise ValueError("laziness must sit strictly between 0 and 1")
+    build = ReiterFamily._from_balls
     if balls is None:
         balls = _Balls(space, max(steps, 1.0))
+        build = ReiterFamily
     widest = int(np.diff(balls.rows(steps)[0]).max())
     if widest * _SPARSE_WALK_SHARE <= space.n:
         if laziness not in balls.walks:
@@ -317,8 +344,7 @@ def lazy_walk_family(space: FiniteMetricSpace, steps: int,
         rows, cols = np.nonzero(mat >= PRUNE_TOL)
         indptr = np.searchsorted(rows, np.arange(space.n + 1))
         weights = mat[rows, cols]
-    return ReiterFamily(space, steps, indptr, cols, weights,
-                        name=f"walk[{steps}]")
+    return build(space, steps, indptr, cols, weights, name=f"walk[{steps}]")
 
 
 # -- variation profiles -------------------------------------------------------

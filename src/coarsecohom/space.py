@@ -5,8 +5,10 @@ supremum over tuples whose coordinates sit pairwise within some radius R.
 This module owns the spaces themselves, the one rule for "within R"
 (`FiniteMetricSpace.radius_bound`, `near` for the whole mask, and
 `rows_within` for its CSR ball rows) and the graph families used as test
-beds. It keeps no audit state: the tuple domains an audit scans, and their
-cache, belong to cochains.audit_points.
+beds. A graph space (`GraphSpace`) keeps its edges and answers
+`rows_within` from balls grown to the radius, building its n x n matrix
+only when something reads `dist`. It keeps no audit state: the tuple
+domains an audit scans, and their cache, belong to cochains.audit_points.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ class FiniteMetricSpace:
     radius (`radius_bound`). Integer distances are stored in the smallest
     unsigned dtype that holds their maximum, so arithmetic on `dist` must
     widen it first (`wide_dist`). Instances are treated as immutable after
-    construction.
+    construction. A space given as a matrix builds and validates it here;
+    a graph's hop metric is a GraphSpace, which builds it on first read.
     """
 
     # The group law of a space whose metric is left-invariant (see
@@ -291,22 +294,33 @@ def scaled_metric(space: FiniteMetricSpace, factor: float) -> FiniteMetricSpace:
 
 # -- graph construction -----------------------------------------------------
 
-def build_graph_metric(edges, n: int, labels=None, meta=None) -> FiniteMetricSpace:
-    """Hop metric of an undirected graph; see _hop_distances.
+def build_graph_metric(edges, n: int, labels=None, meta=None) -> "GraphSpace":
+    """Hop metric of an undirected graph, as a GraphSpace.
 
-    Raises on vertex indices out of range, self-loops, or a disconnected
-    graph (the error names two mutually unreachable vertices). The range
-    and self-loop checks name the first offending edge in the given order,
-    a range error before a self-loop on the same edge. A repeated edge, in
-    either orientation, counts once; meta["edges"] defaults to the edges
-    as sorted (min, max) pairs.
+    Raises on vertex indices out of range, self-loops, no points, a
+    disconnected graph (the error names two mutually unreachable vertices)
+    or labels that do not match n. The range and self-loop checks name the
+    first offending edge in the given order, a range error before a
+    self-loop on the same edge. A repeated edge, in either orientation,
+    counts once; meta["edges"] defaults to the edges as sorted (min, max)
+    pairs.
     """
     keys = _distinct_edge_keys(edges, n)
+    if n < 1:
+        raise ValueError("space needs at least one point")
     meta = dict(meta) if meta else {"kind": "graph", "params": {"n": n}, "seed": 0}
     if "edges" not in meta:
         meta["edges"] = _key_pairs(keys, n)
-    dist = _hop_distances(n, np.stack((keys // n, keys % n), axis=1))
-    return FiniteMetricSpace(dist, labels=labels, integer_metric=True, meta=meta)
+    ends = np.stack((keys // n, keys % n), axis=1)
+    # vertex 0 reaches every vertex of a connected graph; in any other, the
+    # least vertex it misses is the first unreachable pair in row-major order
+    unreached = np.flatnonzero(_hop_row(n, ends, 0) < 0)
+    if len(unreached):
+        raise ValueError(f"graph is disconnected: vertex {unreached[0]} is "
+                         "unreachable from vertex 0")
+    if labels is not None and len(labels) != n:
+        raise ValueError("labels length does not match point count")
+    return GraphSpace(ends, n, labels=labels, meta=meta)
 
 
 def _distinct_edge_keys(edges, n: int) -> np.ndarray:
@@ -360,26 +374,27 @@ def _adjacency(n: int, edges: np.ndarray):
     return starts, (keys % n).astype(np.int32)
 
 
-def _hop_distances(n: int, edges: np.ndarray) -> np.ndarray:
-    """All-pairs hop distances of the graph on 0..n-1 with the given
-    (m, 2) edge array, every ball grown at once.
+def _grow_balls(n: int, edges: np.ndarray):
+    """Every closed ball of the graph on 0..n-1 with the given (m, 2) edge
+    array, n >= 1, grown at once: yields (level, reached, added) for L = 0,
+    1, ... up to the diameter, the last time when every ball is the whole
+    graph.
 
-    Row u of `reached` is the closed ball B_L(u) as packed bits, starting
-    from B_0(u) = {u}. One level sets B_{L+1}(u) to the union of B_L(u)
-    and of B_L(v) over the neighbours v of u, read from a CSR adjacency.
-    With J the least degree, the first J neighbours of every row are OR-ed
-    in one slot at a time, each slot a whole-array take; a row with more
-    neighbours ORs its extra ones through a reduceat over blocks of at most
-    n gathered rows, so a dense graph's memory stays that of a few copies
-    of `reached`. The bits a level adds are the pairs at distance L + 1;
-    each pair is added once, so OR-ing them into packed bit-plane k for
-    every set bit k of L + 1 writes d(u, w) in binary without carries.
-    After the last level the planes are unpacked into `dist`, in the
-    smallest unsigned dtype that holds the diameter. A level that adds
-    nothing while a bit is still clear means the graph is disconnected.
+    Row u of `reached` is the closed ball B_L(u) as packed bits, 64-bit
+    words in np.packbits bit order, starting from B_0(u) = {u}; the bits
+    past n are set throughout. `added` holds the bits of the pairs at
+    distance exactly L (None at L = 0). Both are overwritten on the next
+    step, so a caller reads them before asking for it.
+
+    One level sets B_{L+1}(u) to the union of B_L(u) and of B_L(v) over the
+    neighbours v of u, read from a CSR adjacency. With J the least degree,
+    the first J neighbours of every row are OR-ed in one slot at a time,
+    each slot a whole-array take; a row with more neighbours ORs its extra
+    ones through a reduceat over blocks of at most n gathered rows, so a
+    dense graph's memory stays that of a few copies of `reached`. A level
+    that adds nothing while a bit is still clear means the graph is
+    disconnected, and raises.
     """
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.uint8)
     starts, nbrs = _adjacency(n, edges)
     degree = np.diff(starts)
     slots = int(degree.min())
@@ -415,12 +430,12 @@ def _hop_distances(n: int, edges: np.ndarray) -> np.ndarray:
     packed[ids, ids >> 3] = 0x80 >> (ids & 7)  # packbits order
     # the padding bits past n count as reached from the start, so every
     # word of `reached` is all ones exactly when each ball is the whole graph
-    packed |= np.packbits(np.arange(64 * width) >= n)
+    packed |= _padding(n, width).view(np.uint8)
     full = np.iinfo(np.uint64).max
     grown = np.empty_like(reached)
     buf = np.empty_like(reached)
-    planes: list = []
     level = 0
+    yield level, reached, None
     while reached.min() != full:
         level += 1
         # every take below passes mode="clip" (its indices are always in
@@ -444,13 +459,42 @@ def _hop_distances(n: int, edges: np.ndarray) -> np.ndarray:
             raise ValueError(
                 f"graph is disconnected: vertex {far} is unreachable "
                 f"from vertex {src}")
-        for k in range(level.bit_length()):
-            if level >> k & 1:
-                if k == len(planes):
-                    planes.append(np.zeros_like(reached))
-                planes[k] |= buf
         reached, grown = grown, reached
-    del reached, grown, buf
+        yield level, reached, buf
+
+
+def _padding(n: int, width: int) -> np.ndarray:
+    """The bits past n of a packed row of `width` 64-bit words."""
+    return np.packbits(np.arange(64 * width) >= n).view(np.uint64)
+
+
+def _add_level(planes: list, level: int, added: np.ndarray) -> None:
+    """OR the pairs at distance `level` into packed bit-plane k for every
+    set bit k of `level`. Each pair is added at one level only, so the
+    planes hold every distance in binary, without carries."""
+    for k in range(level.bit_length()):
+        if level >> k & 1:
+            if k < len(planes):
+                planes[k] |= added
+            else:
+                # plane k is first set at level 2^k
+                planes.append(added.copy())
+
+
+def _hop_distances(n: int, edges: np.ndarray) -> np.ndarray:
+    """All-pairs hop distances of the graph on 0..n-1 with the given
+    (m, 2) edge array: every ball grown to the diameter (_grow_balls), each
+    level's bits OR-ed into the bit-planes of its distance, and the planes
+    then unpacked into `dist`, in the smallest unsigned dtype that holds
+    the diameter. Raises on a disconnected graph."""
+    if n == 0:
+        return np.zeros((0, 0), dtype=np.uint8)
+    planes: list = []
+    for level, reached, added in _grow_balls(n, edges):
+        if added is not None:
+            _add_level(planes, level, added)
+    del reached, added
+    width = (n + 63) // 64
     # a block of rows at a time, each plane k is unpacked through a table of
     # the 8 bits of every byte value, shifted by k, and OR-ed into `bits`,
     # which then goes into `dist` in one copy
@@ -469,6 +513,47 @@ def _hop_distances(n: int, edges: np.ndarray) -> np.ndarray:
                            out=plane_bits[:b - a], mode="clip")
         dist[a:b] = got.reshape(b - a, -1)[:, :n]
     return dist
+
+
+def _ball_rows(n: int, edges: np.ndarray, levels: int):
+    """The closed balls of radius `levels` >= 0 of the connected graph on
+    0..n-1 with the given (m, 2) edge array, as the CSR rows of
+    FiniteMetricSpace.rows_within: indptr, each row's columns ascending
+    (int64) and each entry's hop distance, in the smallest unsigned dtype
+    that holds `levels`. Also returns the diameter when the balls filled
+    the graph before `levels`, else None.
+
+    The balls grow for at most `levels` levels (_grow_balls), each level's
+    bits OR-ed into the bit-planes of its distance. The set bits of the
+    nonzero bytes of the balls are read through the table of every byte
+    value's bits, and each entry's distance off the same bit of every
+    plane, so nothing of n x n bytes is made.
+    """
+    planes: list = []
+    for level, reached, added in _grow_balls(n, edges):
+        if added is not None:
+            _add_level(planes, level, added)
+        if level == levels:
+            break
+    diameter = level if level < levels else None
+    reached &= ~_padding(n, reached.shape[1])
+    flat = reached.view(np.uint8).reshape(-1)
+    row_bytes = reached.shape[1] * 8
+    # numpy finds the nonzeros of a bool array far faster than of uint8
+    at = np.flatnonzero(flat != 0)
+    # entry e is bit bit[e] (most significant first) of byte byte[e]; bytes
+    # ascend, and bits ascend within a byte, so entries are row-major
+    hits = np.flatnonzero(np.take(_BYTE_BITS.view(bool), flat[at], axis=0))
+    byte, bit = at[hits >> 3], hits & 7
+    del at, hits
+    shift = (7 - bit).astype(np.uint8)
+    dists = np.zeros(len(byte), dtype=np.min_scalar_type(levels))
+    for k, plane in enumerate(planes):
+        on = plane.view(np.uint8).reshape(-1)[byte] >> shift & 1
+        dists |= on.astype(dists.dtype, copy=False) << k
+    indptr = np.searchsorted(byte, np.arange(n + 1) * row_bytes)
+    cols = byte % row_bytes * 8 + bit
+    return (indptr, cols, dists), diameter
 
 
 def _hop_row(n: int, edges: np.ndarray, source: int) -> np.ndarray:
@@ -512,25 +597,26 @@ class TorusLaw:
             self.shape, mode="wrap")
 
 
-class CayleyGraphSpace(FiniteMetricSpace):
-    """The hop metric of a Cayley graph: the points are the elements of a
-    group whose law is `group`, and each edge joins g to g * a for a
-    generator a.
+class GraphSpace(FiniteMetricSpace):
+    """The hop metric of a connected graph on 0..n-1, kept as its edges.
 
-    The metric is left-invariant, d(t * x, t * y) = d(x, y), so the
-    distances from the identity (`hops_from_identity`, one BFS) determine
-    all the others. The n x n `dist` is built from the edges, and
-    validated, when something first reads it; n, labels, meta, to_json,
-    content_hash and diameter never do. Only generate_family builds these
-    spaces, from edges it generates itself, so there is no input to reject
-    up front.
+    The n x n `dist` is built from the edges, and validated, when something
+    first reads it; n, labels, meta, to_json, content_hash, diameter,
+    min_positive_distance and rows_within never do. rows_within(r) grows
+    every ball for floor(r) levels (_ball_rows) and keeps the rows of each
+    radius, so a profile reads no matrix and repeated calls cost nothing.
+    The constructor trusts its edges: build_graph_metric checks the edges
+    that come from outside, and generate_family's are connected by
+    construction.
     """
 
-    def __init__(self, edges, n: int, law, labels=None, meta=None):
+    def __init__(self, edges, n: int, labels=None, meta=None):
         self._setup(n, True, labels, meta)
-        self.group = law
-        self._edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        self._edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         self._dist = None
+        self._diameter = None
+        # levels -> the rows of rows_within, levels at most the diameter
+        self._rows: dict = {}
 
     @property
     def dist(self) -> np.ndarray:
@@ -539,6 +625,55 @@ class CayleyGraphSpace(FiniteMetricSpace):
             self.validate()
         return self._dist
 
+    def rows_within(self, r: float):
+        """The rows of FiniteMetricSpace.rows_within, from balls grown for
+        floor(r) levels; the arrays are read-only, as they are shared by
+        every call at the same radius."""
+        if not r >= 0:
+            return (np.zeros(self.n + 1, dtype=np.int64),
+                    np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8))
+        levels = int(min(r, self.n - 1))
+        if self._diameter is not None:
+            levels = min(levels, self._diameter)
+        if levels not in self._rows:
+            rows, diameter = _ball_rows(self.n, self._edges, levels)
+            for part in rows:
+                part.flags.writeable = False
+            if diameter is not None:
+                self._diameter = levels = diameter
+            self._rows[levels] = rows
+        return self._rows[levels]
+
+    def diameter(self) -> float:
+        # the levels it takes every ball to fill the graph
+        if self._diameter is None:
+            for level, _, _ in _grow_balls(self.n, self._edges):
+                pass
+            self._diameter = level
+        return float(self._diameter)
+
+    def min_positive_distance(self) -> float:
+        # the two points of an edge are at distance 1
+        if len(self._edges):
+            return 1.0
+        return super().min_positive_distance()
+
+
+class CayleyGraphSpace(GraphSpace):
+    """The hop metric of a Cayley graph: the points are the elements of a
+    group whose law is `group`, and each edge joins g to g * a for a
+    generator a.
+
+    The metric is left-invariant, d(t * x, t * y) = d(x, y), so the
+    distances from the identity (`hops_from_identity`, one BFS) determine
+    all the others, the diameter among them. Everything else is a
+    GraphSpace's.
+    """
+
+    def __init__(self, edges, n: int, law, labels=None, meta=None):
+        super().__init__(edges, n, labels=labels, meta=meta)
+        self.group = law
+
     def hops_from_identity(self) -> np.ndarray:
         """d(e, .) for the identity e, as an int64 row."""
         return _hop_row(self.n, self._edges, self.group.identity)
@@ -546,11 +681,6 @@ class CayleyGraphSpace(FiniteMetricSpace):
     def diameter(self) -> float:
         # every point is as far from the others as the identity is
         return float(self.hops_from_identity().max())
-
-    def min_positive_distance(self) -> float:
-        # a Cayley graph here has at least one edge, whose two points are at
-        # distance 1
-        return 1.0
 
 
 def load_edge_list(text: str, n: int | None = None) -> FiniteMetricSpace:
@@ -690,9 +820,9 @@ def generate_family(kind: str, params: dict, seed: int = 0) -> FiniteMetricSpace
     meta["params"] holds them resolved, defaults filled in, so a space has
     one hash however its defaults were given. Identical (kind, params, seed)
     always serializes byte-for-byte equal.
-    The cycle and torus families are Cayley graphs of (Z/size)^dim and
-    carry that group law (CayleyGraphSpace); the others are eager
-    FiniteMetricSpaces.
+    Every family is a GraphSpace, connected by construction, so its edges
+    are not checked again. The cycle and torus families are Cayley graphs
+    of (Z/size)^dim and carry that group law (CayleyGraphSpace).
     """
     kind = kind.lower()
     if kind not in FAMILY_PARAMS:
@@ -732,5 +862,5 @@ def generate_family(kind: str, params: dict, seed: int = 0) -> FiniteMetricSpace
             "edges": _key_pairs(keys, n), **extra}
     if law is not None:
         return CayleyGraphSpace(ends, n, law, labels=labels, meta=meta)
-    return build_graph_metric(ends, n, labels=labels, meta=meta)
+    return GraphSpace(ends, n, labels=labels, meta=meta)
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import coarsecohom as cc
 from coarsecohom import (L1, L1_ZERO, SCALAR, averaging, cochains,
                          facetables)
+from coarsecohom import space as spacemod
 from coarsecohom.coefficients import PRUNE_TOL
 from helpers import (csr_dicts, dict_norm, dict_total, dicts_csr,
                      family_dicts, frac_ball_nu, kept, max_pair_variation,
@@ -883,15 +884,48 @@ def test_walks_carried_along_a_schedule_equal_walks_from_the_identity(
 
 
 def test_ball_and_walk_profiles_read_the_distances_once():
+    # a graph space's profile grows its widest balls once, the two
+    # profiles share them, and no n x n mask or matrix is made
     space = cc.generate_family("random_regular", {"n": 256, "k": 3}, seed=4)
     near = cc.FiniteMetricSpace.near
-    for family in (cc.ball_average, cc.lazy_walk_family):
-        with mock.patch.object(cc.FiniteMetricSpace, "near", autospec=True,
-                               side_effect=near) as calls:
+    with mock.patch.object(cc.FiniteMetricSpace, "near", autospec=True,
+                           side_effect=near) as calls, \
+            mock.patch.object(spacemod, "_ball_rows",
+                              wraps=spacemod._ball_rows) as grown:
+        for family in (cc.ball_average, cc.lazy_walk_family):
             table = cc.variation_profile(space, [1, 2, 3, 4], [1.0, 2.0],
                                          family=family)
-        assert calls.call_count == 1
-        assert len(table.rows) == 8
+            assert len(table.rows) == 8
+    assert calls.call_count == 0 and grown.call_count == 1
+    assert space._dist is None
+
+
+@settings(deadline=None, max_examples=80)
+@given(_space_strategy(), st.integers(0, 4), st.sampled_from([0.5, 0.3]))
+def test_families_built_from_balls_pass_validate(space, smax, laziness):
+    # the ball averages and walks a profile reads off its _Balls skip
+    # validate at construction: each still passes it, and equals the
+    # family built, and validated, from the space alone
+    balls = averaging._Balls(space, max(smax, 1.0))
+    walks = _has_unit_neighbours(space)
+    checked = []
+    validate = cc.ReiterFamily.validate
+    with mock.patch.object(cc.ReiterFamily, "validate",
+                           lambda fam: checked.append(fam) or validate(fam)):
+        built = []
+        for s in range(smax + 1):
+            built.append((cc.ball_average(space, float(s), balls=balls),
+                           cc.ball_average(space, float(s))))
+            if walks:
+                built.append((
+                    cc.lazy_walk_family(space, s, laziness, balls=balls),
+                    cc.lazy_walk_family(space, s, laziness)))
+    assert [id(fam) for fam in checked] == [id(alone) for _, alone in built]
+    for fam, alone in built:
+        fam.validate()
+        assert _csr_bits(fam) == _csr_bits(alone)
+        assert (fam.s, fam.name, fam.is_prob) == (alone.s, alone.name,
+                                                  alone.is_prob)
 
 
 def test_walk_profile_equals_the_profile_of_each_walk_alone():

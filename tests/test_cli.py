@@ -21,19 +21,44 @@ def test_gen_cycle_summary(capsys):
     assert "degrees=2/2/2" in out
 
 
+def _refuse(n, edges):
+    raise AssertionError("built the n x n distance matrix")
+
+
+def _family_argv(kind, params, seed):
+    argv = ["--family", kind, "--seed", str(seed)]
+    for key, val in params.items():
+        argv += [f"--{key}", str(val)]
+    return argv
+
+
 def test_gen_torus_diameter_builds_no_distance_matrix(capsys, monkeypatch):
     # the diameter of a Cayley graph is the farthest point from the identity
     torus = cc.generate_family("torus", {"dim": 2, "size": 48})
-    dense = cc.build_graph_metric(torus.meta["edges"], torus.n)
-
-    def refuse(n, edges):
-        raise AssertionError("built the n x n distance matrix")
-
-    monkeypatch.setattr(space, "_hop_distances", refuse)
+    dense = cc.build_graph_metric(torus.meta["edges"], torus.n).dist
+    diameter = float(dense.max())
+    monkeypatch.setattr(space, "_hop_distances", _refuse)
     assert main(["gen", "--family", "torus", "--size", "48"]) == 0
     out = capsys.readouterr().out
-    assert f" diameter={dense.diameter()!r} " in out
+    assert f" diameter={diameter!r} " in out
     assert " diameter=48.0 " in out
+
+
+@pytest.mark.parametrize("kind, params, seed, diameter", [
+    ("random_regular", {"n": 512, "k": 3}, 5, 12.0),
+    ("free_ball", {"rank": 2, "radius": 4}, 0, 8.0),
+    ("path", {"size": 300}, 0, 299.0),
+], ids=["random_regular", "free_ball", "path"])
+def test_gen_diameter_builds_no_distance_matrix(kind, params, seed, diameter,
+                                                capsys, monkeypatch):
+    # the diameter of any graph space is the levels its balls take to fill
+    # the graph, and gen prints what it printed from the matrix
+    dense = cc.generate_family(kind, params, seed).dist
+    monkeypatch.setattr(space, "_hop_distances", _refuse)
+    assert main(["gen", *_family_argv(kind, params, seed)]) == 0
+    out = capsys.readouterr().out
+    assert f" diameter={float(dense.max())!r} " in out
+    assert f" diameter={diameter!r} " in out
 
 
 def test_gen_writes_loadable_space(tmp_path, capsys):
@@ -194,6 +219,59 @@ def test_routed_torus_profile_builds_no_distance_matrix(tmp_path,
     edges = np.array(torus.meta["edges"])
     assert np.array_equal(torus.dist, space._hop_distances(torus.n, edges))
     torus.validate()
+
+
+@pytest.mark.parametrize("kind, params, seed", [
+    ("random_regular", {"n": 256, "k": 3}, 4),
+    ("free_ball", {"rank": 2, "radius": 4}, 0),
+    ("path", {"size": 40}, 0),
+], ids=["random_regular", "free_ball", "path"])
+@pytest.mark.parametrize("method", ["ball", "walk"])
+def test_graph_profile_builds_no_distance_matrix(kind, params, seed, method,
+                                                 tmp_path, monkeypatch):
+    # a generated graph's profile grows its balls and never builds `dist`,
+    # and writes what the same space given as its matrix writes
+    args = ["profile", "--smax", "4", "--r", "1,2", "--method", method,
+            "--out"]
+    payload = cc.generate_family(kind, params, seed).to_json()
+    payload["dist"] = cc.build_graph_metric(payload.pop("edges"),
+                                            payload["n"]).dist.tolist()
+    saved = tmp_path / "dense.json"
+    saved.write_text(json.dumps(payload))
+    dense, routed = tmp_path / "dense", tmp_path / "routed"
+    assert main(args + [str(dense), "--space", str(saved),
+                        "--seed", str(seed)]) == 0
+    monkeypatch.setattr(space, "_hop_distances", _refuse)
+    assert main(args + [str(routed), *_family_argv(kind, params, seed)]) == 0
+    assert (Path(f"{routed}.csv").read_bytes()
+            == Path(f"{dense}.csv").read_bytes())
+    got, want = (_verdict_without_timestamp(p) for p in (routed, dense))
+    assert got["verdicts"] == want["verdicts"]
+    assert got["config"] == want["config"]
+
+
+@pytest.mark.parametrize("text, argv, payload, error", [
+    ("0 1\n2 3\n", [], {"n": 4, "edges": [[0, 1], [2, 3]]},
+     "graph is disconnected: vertex 2 is unreachable from vertex 0"),
+    ("0 1\n1 1\n", [], {"n": 3, "edges": [[0, 1], [1, 1]]},
+     "self-loop at vertex 1 is not allowed"),
+    ("0 1\n1 2\n", ["--n", "2"], {"n": 2, "edges": [[0, 1], [1, 2]]},
+     "edge (1,2) out of range for n=2"),
+], ids=["disconnected", "self-loop", "out-of-range"])
+def test_profile_rejects_bad_graphs_at_load(text, argv, payload, error,
+                                            tmp_path, capsys):
+    # the loaders raise, before anything reads the metric
+    with pytest.raises(ValueError) as loaded:
+        cc.load_edge_list(text, n=int(argv[1]) if argv else None)
+    with pytest.raises(ValueError) as parsed:
+        cc.FiniteMetricSpace.from_json(payload)
+    assert str(loaded.value) == str(parsed.value) == error
+    edges, saved = tmp_path / "bad.txt", tmp_path / "bad.json"
+    edges.write_text(text)
+    saved.write_text(json.dumps(payload))
+    for source in (["--edges", str(edges), *argv], ["--space", str(saved)]):
+        assert main(["profile", "--smax", "2", *source]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_torus_from_a_file_takes_the_dense_path_with_the_same_bytes(

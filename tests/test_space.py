@@ -2,17 +2,19 @@ import hashlib
 import json
 import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import coarsecohom as cc
 from coarsecohom.cochains import _join
-from coarsecohom.space import (TRIANGLE_SCAN_LIMIT, _compact, _complete_edges,
-                               _cycle_edges, _free_ball_edges, _hop_distances,
-                               _hop_row, _path_edges, _random_regular_edges,
+from coarsecohom.space import (FAMILY_PARAMS, TRIANGLE_SCAN_LIMIT, _ball_rows,
+                               _compact, _complete_edges, _cycle_edges,
+                               _free_ball_edges, _hop_distances, _hop_row,
+                               _path_edges, _random_regular_edges,
                                _torus_edges)
 from helpers import (bfs_graph_dist, brute_tuples, cycle_dist, spaces,
                      torus_dist)
@@ -85,11 +87,22 @@ def test_group_space_builds_its_distance_matrix_on_first_read(monkeypatch):
     assert checked == [sp]
     assert first.dtype == want.dtype and np.array_equal(first, want)
     assert sp.dist is first and checked == [sp]
-    # every other family stays eager and has no group law
-    for kind, params in (("path", {"size": 4}), ("complete", {"n": 4}),
-                         ("free_ball", {"rank": 1, "radius": 1})):
-        other = cc.generate_family(kind, params)
-        assert other.group is None and "dist" in vars(other)
+    # every other graph space is as lazy, with no group law; a space given
+    # as a matrix is eager
+    for other in (cc.generate_family("path", {"size": 4}),
+                  cc.generate_family("complete", {"n": 4}),
+                  cc.generate_family("free_ball", {"rank": 1, "radius": 1}),
+                  cc.generate_family("random_regular", {"n": 8, "k": 3}),
+                  cc.build_graph_metric([(0, 1), (1, 2)], 3),
+                  cc.load_edge_list("0 1\n1 2\n")):
+        assert other.group is None and other._dist is None
+        other.diameter(), other.rows_within(1.0), other.content_hash()
+        assert other.min_positive_distance() == 1.0
+        assert other._dist is None and checked[-1] is not other
+        want = _hop_distances(other.n, np.array(other.meta["edges"]))
+        assert np.array_equal(other.dist, want) and checked[-1] is other
+    dense = cc.FiniteMetricSpace(np.array([[0, 1], [1, 0]]))
+    assert "dist" in vars(dense) and checked[-1] is dense
 
 
 def test_path_and_complete():
@@ -173,6 +186,77 @@ def test_graph_metric_matches_reference_bfs(case):
     else:
         assert got.dtype.kind == "u"
         assert np.array_equal(got, want)
+
+
+@st.composite
+def graph_spaces(draw):
+    """Graph spaces of every family kind, and the connected graphs of
+    edge_lists."""
+    kind = draw(st.sampled_from(["edges", *FAMILY_PARAMS]))
+    if kind == "edges":
+        n, edges = draw(edge_lists())
+        space = _outcome(cc.build_graph_metric, edges, n)
+        assume(not isinstance(space, str))
+        return space
+    params = {
+        "cycle": lambda: {"size": draw(st.integers(3, 12))},
+        "path": lambda: {"size": draw(st.integers(1, 12))},
+        "complete": lambda: {"n": draw(st.integers(1, 8))},
+        "torus": lambda: draw(st.sampled_from(
+            [{"size": m, "dim": 1} for m in (3, 7)]
+            + [{"size": m, "dim": 2} for m in (3, 4, 6)]
+            + [{"size": 3, "dim": 3}])),
+        "free_ball": lambda: {"rank": draw(st.integers(1, 2)),
+                              "radius": draw(st.integers(0, 3))},
+        "random_regular": lambda: draw(st.sampled_from(
+            [{"n": 4, "k": 3}, {"n": 10, "k": 3}, {"n": 24, "k": 3},
+             {"n": 9, "k": 2}, {"n": 12, "k": 4}])),
+    }[kind]()
+    return cc.generate_family(kind, params, seed=draw(st.integers(0, 3)))
+
+
+def _as_int64(rows):
+    return [part.astype(np.int64) for part in rows]
+
+
+@settings(deadline=None, max_examples=150)
+@given(graph_spaces(), st.randoms(use_true_random=False))
+def test_graph_rows_within_are_the_dense_rows(space, rng):
+    # the rows of balls grown to the radius, before and after the matrix
+    # is built, in any order of radii, are the rows read off the matrix
+    twin = cc.FiniteMetricSpace.from_json(space.to_json())
+    radii = [0.0, 0.5, 1.0, 2.5]
+    radii += [float(r) for r in range(2, int(space.diameter()) + 2)]
+    rng.shuffle(radii)
+    before = {r: _as_int64(space.rows_within(r)) for r in radii}
+    assert space._dist is None
+    dense = {r: _as_int64(cc.FiniteMetricSpace.rows_within(space, r))
+             for r in radii}
+    assert space.diameter() == float(space.dist.max())
+    rng.shuffle(radii)
+    for r in radii:
+        after = _as_int64(twin.rows_within(r))
+        for got in (before[r], after, _as_int64(space.rows_within(r))):
+            assert all(np.array_equal(a, b) for a, b in zip(got, dense[r]))
+    assert twin.diameter() == space.diameter()
+
+
+def test_graph_rows_within_are_shared_and_read_only():
+    # verify asks for a few radii hundreds of times: each grows its balls
+    # once, and every radius past the diameter shares the full rows
+    sp = cc.generate_family("random_regular", {"n": 64, "k": 3}, seed=2)
+    with mock.patch("coarsecohom.space._ball_rows",
+                    wraps=_ball_rows) as grown:
+        first = sp.rows_within(2.0)
+        assert sp.rows_within(2.5) is first and grown.call_count == 1
+        whole = sp.rows_within(1e9)
+        assert sp.rows_within(float("inf")) is whole
+        assert sp.rows_within(sp.diameter() + 0.5) is whole
+        assert grown.call_count == 2
+    assert len(whole[1]) == 64 * 64
+    with pytest.raises(ValueError, match="read-only"):
+        first[1][0] = 1
+    assert all(len(part) == 0 for part in sp.rows_within(-1.0)[1:])
 
 
 @pytest.mark.parametrize("kind,params,seed,digest", [
