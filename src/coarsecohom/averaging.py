@@ -9,6 +9,7 @@ cochains._combination, which reads its entries off CSR rows or an f table.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +33,16 @@ class ReiterFamily:
     f(x) has support `cols[indptr[x]:indptr[x + 1]]`, strictly ascending,
     and masses in the same slice of `weights`; every mass is finite.
 
-    is_prob certifies: entries nonnegative, entry sum within 1e-12 of 1,
-    support of f(x) inside the closed S-ball of x. Violations raise at
-    construction (validate), so downstream bounds may rely on the flag. The
-    one exception is _from_balls, the constructor of the ball averages and
-    lazy walks built from a _Balls, whose rows hold no escape by
-    construction; validate still passes on them.
+    is_prob certifies: entries nonnegative and support of f(x) inside the
+    closed S-ball of x. A family built by ReiterFamily is checked at
+    construction (validate), entry sums within 1e-12 of 1 too, so
+    downstream bounds may rely on the flag. The ball averages and lazy
+    walks are not checked (_from_balls): their rows are the space's own
+    ball rows (rows_within), and their masses are nonnegative, so they
+    hold no escape by construction. Their sums are 1 only up to rounding:
+    a ball row adds 1/|B| to itself |B| times, left to right, which can
+    miss 1 by more than 1e-12 on large balls (by -1.008e-12 at |B| =
+    36,376), and a walk row drops the masses below PRUNE_TOL.
     """
 
     def __init__(self, space: FiniteMetricSpace, s: float, indptr, cols,
@@ -48,10 +53,11 @@ class ReiterFamily:
     @classmethod
     def _from_balls(cls, space: FiniteMetricSpace, s: float, indptr, cols,
                     weights, name: str) -> "ReiterFamily":
-        """A probability family read off a _Balls, not validated: its rows
-        are members of the s-balls in ascending order, with weights that
-        sum to 1 (a ball's uniform mass, or a walk's), so validate would
-        read the distances only to find nothing."""
+        """A probability family on the space's own s-ball rows, not
+        validated: its rows are members of the s-balls in ascending order,
+        with nonnegative weights that sum to 1 up to rounding (a ball's
+        uniform mass, or a walk's), so validate would read the distances
+        only to find nothing."""
         fam = cls.__new__(cls)
         fam._set(space, s, indptr, cols, weights, True, name)
         return fam
@@ -138,70 +144,16 @@ def dirac_family(space: FiniteMetricSpace) -> ReiterFamily:
                         np.ones(n), name="dirac")
 
 
-class _Balls:
-    """The closed balls of every radius up to `radius` on one space, from
-    one call of its `rows_within` (on a graph space, balls grown for
-    floor(radius) levels, with no n x n matrix): CSR rows that keep each
-    entry's distance, so that a smaller radius's rows are a filter of them,
-    columns still ascending. A profile builds one for its widest scale and
-    hands it to its families and its pair scan; a lazy walk carries its
-    sparse powers on it from one call to the next (`walks`, by laziness).
-    The families built from it skip ReiterFamily.validate
-    (ReiterFamily._from_balls): their supports lie in these rows.
-    """
-
-    def __init__(self, space: FiniteMetricSpace, radius: float):
-        self.space = space
-        self.radius = radius
-        self.indptr, cols, self.dists = space.rows_within(radius)
-        # kept in the smallest dtype that holds a point
-        self.cols = cols.astype(np.min_scalar_type(space.n - 1))
-        self.walks: dict = {}
-
-    def _within(self, r: float):
-        """The mask of the entries within r, or None when r is the radius
-        and every entry is."""
-        if r > self.radius:
-            raise ValueError(f"balls of radius {self.radius} hold no "
-                             f"{r}-ball")
-        if r == self.radius:
-            return None
-        return self.dists <= self.space.radius_bound(r)
-
-    def rows(self, r: float):
-        """(indptr, cols) of the closed r-balls, r <= radius: the rows of
-        rows_within(r)."""
-        keep = self._within(r)
-        if keep is None:
-            return self.indptr, self.cols
-        before = np.zeros(len(keep) + 1, dtype=np.int64)
-        np.cumsum(keep, out=before[1:])
-        return before[self.indptr], self.cols[keep]
-
-    def pairs(self, r: float):
-        """Arrays (i, j, d(i, j)) of the pairs i < j within r <= radius, in
-        lexicographic order."""
-        rows = np.repeat(np.arange(self.space.n), np.diff(self.indptr))
-        keep = self.cols > rows
-        within = self._within(r)
-        if within is not None:
-            keep &= within
-        return rows[keep], self.cols[keep].astype(np.int64), self.dists[keep]
-
-
-def ball_average(space: FiniteMetricSpace, s: float,
-                 balls: _Balls | None = None) -> ReiterFamily:
-    """Uniform probability on the closed s-ball of each point, read off
-    `balls` (of a radius >= s), and then not validated, when given."""
-    if balls is None:
-        indptr, cols = space.rows_within(s)[:2]
-        build = ReiterFamily
-    else:
-        indptr, cols = balls.rows(s)
-        build = ReiterFamily._from_balls
+def ball_average(space: FiniteMetricSpace, s: float) -> ReiterFamily:
+    """Uniform probability on the closed s-ball of each point, s >= 0:
+    the rows of space.rows_within(s), so the family is not validated."""
+    if not s >= 0:
+        raise ValueError(f"ball_average needs a scale s >= 0, got {s!r}")
+    indptr, cols = space.rows_within(s)[:2]
     sizes = np.diff(indptr)
-    return build(space, s, indptr, cols, np.repeat(1.0 / sizes, sizes),
-                 name=f"ball[{s}]")
+    return ReiterFamily._from_balls(space, s, indptr, cols,
+                                    np.repeat(1.0 / sizes, sizes),
+                                    name=f"ball[{s}]")
 
 
 # The walk keeps its rows sparse when the widest S-ball holds at most
@@ -215,17 +167,17 @@ _SPARSE_WALK_SHARE = 8
 _WALK_CHUNK_TERMS = 1 << 13
 
 
-def _walk_step_rows(balls: _Balls, laziness: float):
-    """One step of the lazy walk on the space of `balls` (of a radius >=
-    1) as CSR rows (indptr, cols, weights): stay with probability
-    `laziness`, else move to a uniform unit neighbour. Row k holds
-    `laziness` at k and fl((1 - laziness) / deg k) at each unit neighbour,
-    in ascending column order; a single point stays with probability 1."""
-    n = balls.space.n
+def _walk_step_rows(space: FiniteMetricSpace, laziness: float):
+    """One step of the lazy walk on the space as CSR rows (indptr, cols,
+    weights): stay with probability `laziness`, else move to a uniform
+    unit neighbour. Row k holds `laziness` at k and fl((1 - laziness) /
+    deg k) at each unit neighbour, in ascending column order; a single
+    point stays with probability 1."""
+    n = space.n
     if n == 1:
         return np.array([0, 1]), np.array([0]), np.array([1.0])
     # the unit ball of k is k itself and its unit neighbours
-    indptr, cols = balls.rows(1.0)
+    indptr, cols = space.rows_within(1.0)[:2]
     deg = np.diff(indptr) - 1
     if np.any(deg == 0):
         raise ValueError("lazy walk needs every point to have a unit neighbor")
@@ -234,10 +186,10 @@ def _walk_step_rows(balls: _Balls, laziness: float):
                                   (1.0 - laziness) / deg[rows])
 
 
-def _walk_matrix(balls: _Balls, laziness: float) -> np.ndarray:
+def _walk_matrix(space: FiniteMetricSpace, laziness: float) -> np.ndarray:
     """The dense n x n matrix of _walk_step_rows."""
-    n = balls.space.n
-    indptr, cols, weights = _walk_step_rows(balls, laziness)
+    n = space.n
+    indptr, cols, weights = _walk_step_rows(space, laziness)
     mat = np.zeros((n, n))
     mat[np.repeat(np.arange(n), np.diff(indptr)), cols] = weights
     return mat
@@ -304,9 +256,14 @@ class _WalkPowers:
                 codes % self.n, self.weights[keep])
 
 
+# space -> (laziness, _WalkPowers) of the latest sparse walk on it, so that
+# walks of increasing steps each take only the steps since the last; an
+# entry goes with its space.
+_WALKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def lazy_walk_family(space: FiniteMetricSpace, steps: int,
-                     laziness: float = 0.5,
-                     balls: _Balls | None = None) -> ReiterFamily:
+                     laziness: float = 0.5) -> ReiterFamily:
     """Row distributions of a lazy random walk after `steps` steps.
 
     Needs unit-distance graph structure (adjacency = distance 1); support
@@ -319,32 +276,31 @@ def lazy_walk_family(space: FiniteMetricSpace, steps: int,
     np.linalg.matrix_power, whose summation order is BLAS's, is faster.
     Either way entries below PRUNE_TOL are dropped.
 
-    `balls` (of a radius >= max(steps, 1)) gives the unit rows and the
-    S-ball sizes, and carries the sparse powers from one call to the next,
-    so a profile's walks of increasing steps each take only the steps
-    since the last; the family is then not validated. Without it they are
-    read from the space afresh, and the family is validated.
+    The unit rows and the S-ball sizes are the space's rows_within, so the
+    family is not validated. The sparse powers of the latest laziness are
+    kept for the space (_WALKS) and carried from one call to the next.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if not float(steps).is_integer():
+        raise ValueError(f"steps must be a whole number, got {steps!r}")
     if not 0.0 < laziness < 1.0:
         raise ValueError("laziness must sit strictly between 0 and 1")
-    build = ReiterFamily._from_balls
-    if balls is None:
-        balls = _Balls(space, max(steps, 1.0))
-        build = ReiterFamily
-    widest = int(np.diff(balls.rows(steps)[0]).max())
+    steps = int(steps)
+    widest = int(np.diff(space.rows_within(steps)[0]).max())
     if widest * _SPARSE_WALK_SHARE <= space.n:
-        if laziness not in balls.walks:
-            balls.walks[laziness] = _WalkPowers(
-                space.n, _walk_step_rows(balls, laziness))
-        indptr, cols, weights = balls.walks[laziness].rows(steps)
+        kept = _WALKS.get(space)
+        if kept is None or kept[0] != laziness:
+            kept = _WALKS[space] = laziness, _WalkPowers(
+                space.n, _walk_step_rows(space, laziness))
+        indptr, cols, weights = kept[1].rows(steps)
     else:
-        mat = np.linalg.matrix_power(_walk_matrix(balls, laziness), steps)
+        mat = np.linalg.matrix_power(_walk_matrix(space, laziness), steps)
         rows, cols = np.nonzero(mat >= PRUNE_TOL)
         indptr = np.searchsorted(rows, np.arange(space.n + 1))
         weights = mat[rows, cols]
-    return build(space, steps, indptr, cols, weights, name=f"walk[{steps}]")
+    return ReiterFamily._from_balls(space, steps, indptr, cols, weights,
+                                    name=f"walk[{steps}]")
 
 
 # -- variation profiles -------------------------------------------------------
@@ -443,16 +399,24 @@ def _pair_totals(padded, pi, pj) -> np.ndarray:
     return total
 
 
+def _ball_pairs(space: FiniteMetricSpace, r: float):
+    """Arrays (i, j, d(i, j)) of the pairs i < j within r, in
+    lexicographic order, off space.rows_within(r)."""
+    indptr, cols, dists = space.rows_within(r)
+    rows = np.repeat(np.arange(space.n), np.diff(indptr))
+    upper = np.flatnonzero(cols > rows)
+    return rows[upper], cols[upper].astype(np.int64), dists[upper]
+
+
 def pair_scan(fam: ReiterFamily, r_list, pairs=None) -> list:
     """(nu, pair) of the family's CSR rows for each R in r_list: the
     largest pair variation over the pairs within R and the first pair that
     attains it, (0.0, (0, 0)) when there is no pair. `pairs` are the
-    (i, j, d(i, j)) of _Balls.pairs at a radius >= every R (read from the
+    (i, j, d(i, j)) of _ball_pairs at a radius >= every R (read from the
     space when None), so that each pair's variation is computed once and
     each R reads its own."""
     if pairs is None:
-        r_max = max(r_list, default=0.0)
-        pairs = _Balls(fam.space, r_max).pairs(r_max)
+        pairs = _ball_pairs(fam.space, max(r_list, default=0.0))
     pi, pj, pd = pairs
     total = _pair_totals(
         _padded_rows(fam.space.n, fam.indptr, fam.cols, fam.weights), pi, pj)
@@ -518,14 +482,12 @@ def variation_profile(space: FiniteMetricSpace, schedule, r_list,
       cycle and torus families) reads one row from the identity
       (_one_row_variation), in O(n * degree) time and O(n) memory;
     - every other family or space takes the exact O(n^2) scan of all pairs
-      within R. It reads the distances once, as the rows of the widest
-      ball (_Balls) over max(schedule, R list): the pairs within the
-      largest R are taken from them, and each family's pair variations
-      are computed once over those pairs, each R reading its sup off them.
-      The ball average and lazy_walk_family (whose S is int(S)) build
-      their rows from the same balls, and the walk carries its sparse
-      powers from one S to the next; any other family is called as
-      family(space, S).
+      within R. It reads the distances once, as the space's rows_within
+      of the widest radius, max(schedule, R list), which the space keeps:
+      the pairs within the largest R are a filter of them, and so are the
+      rows of the ball average and lazy_walk_family. Each family is
+      family(space, S), and its pair variations are computed once over
+      those pairs, each R reading its sup off them.
     """
     rows = []
     if space.group is not None and family is ball_average:
@@ -536,25 +498,13 @@ def variation_profile(space: FiniteMetricSpace, schedule, r_list,
                 rows.append(ProfileRow(float(s), float(r), nu, *pair))
         return ProfileTable(rows)
     r_max = max(r_list, default=0.0)
-    radius = r_max
-    if family is ball_average:
-        radius = max([radius, *schedule])
-    elif family is lazy_walk_family:
-        # the walk reads its unit rows too
-        radius = max([radius, 1.0, *map(int, schedule)])
-    balls = _Balls(space, radius)
-    pairs = balls.pairs(r_max)
-
-    def build(s):
-        if family is ball_average:
-            return ball_average(space, s, balls=balls)
-        if family is lazy_walk_family:
-            return lazy_walk_family(space, int(s), balls=balls)
-        return family(space, s)
-
+    # every smaller radius read below is a filter of these rows
+    space.rows_within(max([r_max, *schedule]))
+    pairs = _ball_pairs(space, r_max)
     for s in schedule:
         # each family lives only through its scan
-        for r, (nu, pair) in zip(r_list, pair_scan(build(s), r_list, pairs)):
+        for r, (nu, pair) in zip(r_list, pair_scan(family(space, s), r_list,
+                                                   pairs)):
             rows.append(ProfileRow(float(s), float(r), nu, *pair))
     return ProfileTable(rows)
 

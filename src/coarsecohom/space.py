@@ -4,11 +4,13 @@ Everything downstream (seminorms, support audits, variation profiles) is a
 supremum over tuples whose coordinates sit pairwise within some radius R.
 This module owns the spaces themselves, the one rule for "within R"
 (`FiniteMetricSpace.radius_bound`, `near` for the whole mask, and
-`rows_within` for its CSR ball rows) and the graph families used as test
-beds. A graph space (`GraphSpace`) keeps its edges and answers
-`rows_within` from balls grown to the radius, building its n x n matrix
-only when something reads `dist`. It keeps no audit state: the tuple
-domains an audit scans, and their cache, belong to cochains.audit_points.
+`rows_within` for its CSR ball rows, the one owner of them: a space keeps
+the rows of the widest radius it has read and filters every smaller one)
+and the graph families used as test beds. A graph space (`GraphSpace`)
+keeps its edges and reads its widest rows from balls grown to the radius,
+building its n x n matrix only when something reads `dist`. It keeps no
+audit state: the tuple domains an audit scans, and their cache, belong to
+cochains.audit_points.
 """
 
 from __future__ import annotations
@@ -71,6 +73,10 @@ class FiniteMetricSpace:
         self.labels = list(labels) if labels is not None else None
         self.meta = dict(meta) if meta else {"kind": "custom", "params": {}, "seed": 0}
         self._dist_rows: list | None = None
+        # the diameter once known (a graph space learns it from its balls)
+        self._diameter = None
+        # (radius, rows) of the widest rows_within read so far
+        self._balls = None
 
     # -- invariants ---------------------------------------------------------
 
@@ -143,9 +149,50 @@ class FiniteMetricSpace:
         return self.dist <= self.radius_bound(r)
 
     def rows_within(self, r: float):
-        """The CSR rows of `near(r)`, one row per point, in one read of the
-        distances: indptr, each row's columns in ascending order, and the
-        distance of each entry, in the dtype of `dist`."""
+        """The CSR rows of `near(r)`, one row per point: indptr, each row's
+        columns in ascending order, in the smallest unsigned dtype that
+        holds a point, and the distance of each entry. A negative or NaN r
+        has no rows.
+
+        The space keeps the rows of the widest radius it has read,
+        read-only (copy them before writing), and returns that same tuple
+        for every radius with the same rows: on an integer metric, the
+        same floor(r), capped at the diameter once known. A smaller
+        radius's rows are a filter of them, columns still ascending; a
+        wider one reads its rows afresh (_read_rows), and they become the
+        widest."""
+        if not r >= 0:
+            return (np.zeros(self.n + 1, dtype=np.int64),
+                    np.zeros(0, dtype=np.min_scalar_type(self.n - 1)),
+                    np.zeros(0))
+        radius = self._rows_radius(r)
+        if self._balls is None or radius > self._balls[0]:
+            indptr, cols, dists = self._read_rows(radius)
+            rows = indptr, cols.astype(np.min_scalar_type(self.n - 1)), dists
+            for part in rows:
+                part.flags.writeable = False
+            # the read may have found the diameter
+            radius = self._rows_radius(radius)
+            self._balls = radius, rows
+        widest, rows = self._balls
+        if radius == widest:
+            return rows
+        indptr, cols, dists = rows
+        # the kept entries by index: a row starts at the count of those
+        # before it, and indexed gathers are far faster than masked ones
+        keep = np.flatnonzero(dists <= self.radius_bound(radius))
+        return np.searchsorted(keep, indptr), cols[keep], dists[keep]
+
+    def _rows_radius(self, r: float):
+        """The least radius whose rows are those within r >= 0: r capped
+        at the diameter once known, rounded down on an integer metric."""
+        if self._diameter is not None:
+            r = min(r, self._diameter)
+        return math.floor(r) if self.integer_metric and r < math.inf else r
+
+    def _read_rows(self, r: float):
+        """The rows of rows_within(r), off `dist`: columns as int64, and
+        each entry's distance in the dtype of `dist`."""
         flat = np.flatnonzero(self.near(r))
         return (np.searchsorted(flat, np.arange(self.n + 1) * self.n),
                 flat % self.n, np.take(self.dist, flat))
@@ -521,7 +568,7 @@ def _ball_rows(n: int, edges: np.ndarray, levels: int):
     FiniteMetricSpace.rows_within: indptr, each row's columns ascending
     (int64) and each entry's hop distance, in the smallest unsigned dtype
     that holds `levels`. Also returns the diameter when the balls filled
-    the graph before `levels`, else None.
+    the graph within `levels`, else None.
 
     The balls grow for at most `levels` levels (_grow_balls), each level's
     bits OR-ed into the bit-planes of its distance. The set bits of the
@@ -535,7 +582,8 @@ def _ball_rows(n: int, edges: np.ndarray, levels: int):
             _add_level(planes, level, added)
         if level == levels:
             break
-    diameter = level if level < levels else None
+    # the padding bits are set, so full balls are words of all ones
+    diameter = level if reached.min() == np.iinfo(np.uint64).max else None
     reached &= ~_padding(n, reached.shape[1])
     flat = reached.view(np.uint8).reshape(-1)
     row_bytes = reached.shape[1] * 8
@@ -602,9 +650,9 @@ class GraphSpace(FiniteMetricSpace):
 
     The n x n `dist` is built from the edges, and validated, when something
     first reads it; n, labels, meta, to_json, content_hash, diameter,
-    min_positive_distance and rows_within never do. rows_within(r) grows
-    every ball for floor(r) levels (_ball_rows) and keeps the rows of each
-    radius, so a profile reads no matrix and repeated calls cost nothing.
+    min_positive_distance and rows_within never do. The widest rows of
+    rows_within come from every ball grown for floor(r) levels
+    (_ball_rows), so a profile reads no matrix.
     The constructor trusts its edges: build_graph_metric checks the edges
     that come from outside, and generate_family's are connected by
     construction.
@@ -614,9 +662,6 @@ class GraphSpace(FiniteMetricSpace):
         self._setup(n, True, labels, meta)
         self._edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         self._dist = None
-        self._diameter = None
-        # levels -> the rows of rows_within, levels at most the diameter
-        self._rows: dict = {}
 
     @property
     def dist(self) -> np.ndarray:
@@ -625,24 +670,14 @@ class GraphSpace(FiniteMetricSpace):
             self.validate()
         return self._dist
 
-    def rows_within(self, r: float):
-        """The rows of FiniteMetricSpace.rows_within, from balls grown for
-        floor(r) levels; the arrays are read-only, as they are shared by
-        every call at the same radius."""
-        if not r >= 0:
-            return (np.zeros(self.n + 1, dtype=np.int64),
-                    np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8))
-        levels = int(min(r, self.n - 1))
-        if self._diameter is not None:
-            levels = min(levels, self._diameter)
-        if levels not in self._rows:
-            rows, diameter = _ball_rows(self.n, self._edges, levels)
-            for part in rows:
-                part.flags.writeable = False
-            if diameter is not None:
-                self._diameter = levels = diameter
-            self._rows[levels] = rows
-        return self._rows[levels]
+    def _read_rows(self, r: float):
+        # no distance exceeds n - 1; the balls tell the diameter once they
+        # fill the graph
+        rows, diameter = _ball_rows(self.n, self._edges,
+                                    int(min(r, self.n - 1)))
+        if diameter is not None:
+            self._diameter = diameter
+        return rows
 
     def diameter(self) -> float:
         # the levels it takes every ball to fill the graph

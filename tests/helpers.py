@@ -505,7 +505,7 @@ def max_pair_variation(padded, pi, pj):
 def sparse_walk_rows(space, steps, laziness=0.5):
     """CSR rows of P^steps by the sparse walk kernel, from the identity."""
     return averaging._WalkPowers(space.n, averaging._walk_step_rows(
-        averaging._Balls(space, 1.0), laziness)).rows(steps)
+        space, laziness)).rows(steps)
 
 
 def validate_family_reference(space, s, vectors, is_prob=True):

@@ -42,6 +42,27 @@ def test_ball_average_cycle3_is_uniform():
         assert all(abs(w - 1 / 3) <= 1e-15 for w in v.values())
 
 
+def test_ball_average_and_walk_check_their_own_scale():
+    # neither family is validated, so each rejects a scale it cannot build
+    cycle = cc.generate_family("cycle", {"size": 12})
+    for s in (-1.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match=rf"scale s >= 0, got {s!r}"):
+            cc.ball_average(cycle, s)
+    rr512 = cc.generate_family("random_regular", {"n": 512, "k": 3}, seed=1)
+    for space in (cycle, rr512):
+        for steps in (2.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="whole number"):
+                cc.lazy_walk_family(space, steps)
+        with pytest.raises(ValueError, match="whole number, got 1.5"):
+            cc.variation_profile(space, [1.5, 2.0], [1.0],
+                                 family=cc.lazy_walk_family)
+        # a whole float is its number of steps
+        fam = cc.lazy_walk_family(space, 2.0)
+        assert (fam.s, fam.name) == (2.0, "walk[2]")
+        assert _csr_bits(fam) == _csr_bits(
+            cc.lazy_walk_family(_twin(space), 2))
+
+
 def test_ball_average_large_radius_kills_variation():
     fam = cc.ball_average(CYCLE8, 4.0)  # 4 = diameter
     table = cc.variation_profile(CYCLE8, [4.0], [1.0, 2.0])
@@ -92,12 +113,15 @@ def test_profile_witness_is_first_maximizer():
 
 def test_pairs_within():
     # the pair scan's pairs i < j within R, in lexicographic order, read
-    # off balls of radius R or wider, and the per-R reference list
+    # off a space whose widest rows are of radius R or wider, and the per-R
+    # reference list
     for r, count in ((1.0, 8), (2.0, 16), (0.0, 0)):
         want = pairs_reference(CYCLE8, r)
         assert len(want) == count
         for wider in (0.0, 2.0):
-            pi, pj, pd = averaging._Balls(CYCLE8, r + wider).pairs(r)
+            space = cc.generate_family("cycle", {"size": 8})
+            space.rows_within(r + wider)
+            pi, pj, pd = averaging._ball_pairs(space, r)
             got = list(zip(pi.tolist(), pj.tolist()))
             assert got == want
             assert pd.tolist() == [CYCLE8.d(i, j) for i, j in got]
@@ -552,7 +576,7 @@ def _spaces_for_walk():
 def test_walk_matrix_matches_sum_expression(space, laziness):
     want = walk_matrix_reference(space, laziness)
     assert np.array_equal(
-        averaging._walk_matrix(averaging._Balls(space, 1.0), laziness), want)
+        averaging._walk_matrix(space, laziness), want)
     fam = cc.lazy_walk_family(space, 2, laziness)
     wanted = walk_dicts_reference(space, 2, laziness)
     assert family_dicts(fam) == [kept(L1, row) for row in wanted]
@@ -661,7 +685,7 @@ def _group_spaces():
 
 def _assert_one_row_is_the_dense_scan(space, schedule, r_list):
     dense = cc.variation_profile(_law_free(space), schedule, r_list)
-    with mock.patch.object(averaging, "_Balls") as scan:
+    with mock.patch.object(cc.FiniteMetricSpace, "rows_within") as scan:
         routed = cc.variation_profile(space, schedule, r_list)
     assert not scan.called and space._dist is None
     assert [(row.s, row.r, row.nu.hex(), row.x0, row.x1, row.exact)
@@ -769,8 +793,7 @@ def test_sparse_walk_rows_prune_like_supported_vectors():
                               "real", "n1"])
 @pytest.mark.parametrize("laziness", [0.5, 0.3])
 def test_walk_step_rows_are_the_reference_nonzeros(space, laziness):
-    indptr, cols, weights = averaging._walk_step_rows(
-        averaging._Balls(space, 1.0), laziness)
+    indptr, cols, weights = averaging._walk_step_rows(space, laziness)
     mat = walk_matrix_reference(space, laziness)
     rows, want_cols = np.nonzero(mat)
     assert np.array_equal(indptr, np.searchsorted(rows, np.arange(space.n + 1)))
@@ -817,19 +840,21 @@ def _scan_key(results):
        st.sampled_from([0.0, 1.0, 4.0]), st.sampled_from([8, 64, 1 << 21]))
 def test_one_scan_over_the_widest_r_is_one_scan_per_r(fam, r_list, wider,
                                                       chunk_bytes):
-    # R lists in any order, with R = 0 and R past the diameter; the balls
-    # may be wider than the largest R, as a profile's are
+    # R lists in any order, with R = 0 and R past the diameter; the space's
+    # widest rows may be wider than the largest R, as a profile's are
     space = fam.space
     r_max = max(r_list)
     padded = averaging._padded_rows(space.n, fam.indptr, fam.cols,
                                     fam.weights)
+    space.rows_within(r_max + wider)
     with mock.patch.object(averaging, "_SCAN_CHUNK_BYTES", chunk_bytes):
-        got = averaging.pair_scan(
-            fam, r_list, averaging._Balls(space, r_max + wider).pairs(r_max))
+        got = averaging.pair_scan(fam, r_list)
         want = [max_pair_variation(padded, *pair_index(space, r))
                 for r in r_list]
     assert _scan_key(got) == _scan_key(want)
-    assert _scan_key(averaging.pair_scan(fam, r_list)) == _scan_key(want)
+    pairs = averaging._ball_pairs(space, r_max)
+    assert _scan_key(averaging.pair_scan(fam, r_list, pairs)) == _scan_key(
+        want)
 
 
 def test_one_scan_keeps_ties_and_empty_pair_sets():
@@ -849,6 +874,11 @@ def test_one_scan_keeps_ties_and_empty_pair_sets():
         [max_pair_variation(padded, *pair_index(space, r)) for r in r_list])
 
 
+def _twin(space):
+    """A fresh copy of the space, with no rows read."""
+    return cc.FiniteMetricSpace.from_json(space.to_json())
+
+
 def _csr_bits(fam):
     return (fam.indptr.tobytes(), fam.cols.tobytes(), fam.weights.tobytes(),
             fam.indptr.dtype, fam.cols.dtype, fam.weights.dtype)
@@ -866,21 +896,30 @@ def _csr_bits(fam):
 @pytest.mark.parametrize("laziness", [0.5, 0.3])
 def test_walks_carried_along_a_schedule_equal_walks_from_the_identity(
         kind, params, seed, schedule, laziness):
+    # walks called in turn on one space carry its sparse powers along the
+    # schedule; each equals, bit for bit, the same call on a fresh twin
     space = cc.generate_family(kind, params, seed)
-    balls = averaging._Balls(space, max(schedule))
     kernels = []
     for steps in schedule:
-        got = cc.lazy_walk_family(space, steps, laziness, balls=balls)
-        want = cc.lazy_walk_family(space, steps, laziness)
+        got = cc.lazy_walk_family(space, steps, laziness)
+        want = cc.lazy_walk_family(cc.generate_family(kind, params, seed),
+                                   steps, laziness)
         assert _csr_bits(got) == _csr_bits(want)
-        powers = balls.walks.get(laziness)
-        kernels.append(powers is not None and powers.t == steps)
+        kept = averaging._WALKS.get(space)
+        kernels.append(kept is not None and kept[0] == laziness
+                       and kept[1].t == steps)
     if kind == "random_regular" and space.n == 64:
         assert kernels == [True, False, False]
     elif kind == "free_ball":
         assert kernels == [True, True, False, False]
     else:
         assert kernels[:3] == [True, True, True]
+    # the space keeps the powers of the latest laziness only
+    other = 0.8 - laziness
+    got = cc.lazy_walk_family(space, schedule[0], other)
+    assert _csr_bits(got) == _csr_bits(cc.lazy_walk_family(
+        cc.generate_family(kind, params, seed), schedule[0], other))
+    assert averaging._WALKS[space][0] == other
 
 
 def test_ball_and_walk_profiles_read_the_distances_once():
@@ -903,24 +942,21 @@ def test_ball_and_walk_profiles_read_the_distances_once():
 @settings(deadline=None, max_examples=80)
 @given(_space_strategy(), st.integers(0, 4), st.sampled_from([0.5, 0.3]))
 def test_families_built_from_balls_pass_validate(space, smax, laziness):
-    # the ball averages and walks a profile reads off its _Balls skip
-    # validate at construction: each still passes it, and equals the
-    # family built, and validated, from the space alone
-    balls = averaging._Balls(space, max(smax, 1.0))
+    # the ball averages and walks, read off the space's widest rows as a
+    # profile reads them, skip validate at construction: each still passes
+    # it, and equals the family built on a fresh twin of the space
+    space.rows_within(max(smax, 1.0))
     walks = _has_unit_neighbours(space)
-    checked = []
-    validate = cc.ReiterFamily.validate
-    with mock.patch.object(cc.ReiterFamily, "validate",
-                           lambda fam: checked.append(fam) or validate(fam)):
+    with mock.patch.object(cc.ReiterFamily, "validate") as checked:
         built = []
         for s in range(smax + 1):
-            built.append((cc.ball_average(space, float(s), balls=balls),
-                           cc.ball_average(space, float(s))))
+            built.append((cc.ball_average(space, float(s)),
+                          cc.ball_average(_twin(space), float(s))))
             if walks:
                 built.append((
-                    cc.lazy_walk_family(space, s, laziness, balls=balls),
-                    cc.lazy_walk_family(space, s, laziness)))
-    assert [id(fam) for fam in checked] == [id(alone) for _, alone in built]
+                    cc.lazy_walk_family(space, s, laziness),
+                    cc.lazy_walk_family(_twin(space), s, laziness)))
+    assert not checked.called
     for fam, alone in built:
         fam.validate()
         assert _csr_bits(fam) == _csr_bits(alone)

@@ -6,7 +6,9 @@ read by a module of the package other than `__init__.py`, only
 face table is laid out, only the combination constructor of `cochains.py`
 calls `facetables.linear`, only `cochains.py` builds a check record, face
 tables and CSR rows are the one value representation, the audit domains
-and their cache live in `cochains.py` and not in `space.py`, the command
+and their cache live in `cochains.py` and not in `space.py`, only
+`FiniteMetricSpace` keeps ball rows and only `space.py` reads the near
+mask, the command
 line loads no optional heavy module, and no module calls the builtin
 hash(), whose values belong to the interpreter."""
 
@@ -294,3 +296,39 @@ def test_audit_domains_live_in_cochains_not_in_space():
                if isinstance(node, ast.ImportFrom) and node.module == "space"
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_only_the_space_owns_ball_rows():
+    # the points within r of each point are FiniteMetricSpace.rows_within,
+    # which keeps the rows of the widest radius it has read: no other
+    # module reads the near mask or keeps ball rows of its own, and no
+    # family builder is handed them
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        nodes = list(ast.walk(tree))
+        calls_near = [node.lineno for node in nodes
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "near"]
+        caches = [node.lineno for node in nodes
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Store)
+                  and node.attr in ("_balls", "_rows")]
+        classes = {node.name for node in nodes
+                   if isinstance(node, ast.ClassDef)}
+        balls_args = [node.name for node in nodes
+                      if isinstance(node, ast.FunctionDef)
+                      and "balls" in [a.arg for a in ast.walk(node.args)
+                                      if isinstance(a, ast.arg)]]
+        assert "_Balls" not in classes and balls_args == []
+        if path.name != "space.py":
+            assert calls_near == [] and caches == [], path.name
+            continue
+        assert calls_near
+        owners = {cls.name for cls in tree.body
+                  if isinstance(cls, ast.ClassDef)
+                  for node in ast.walk(cls)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Store)
+                  and node.attr in ("_balls", "_rows")}
+        assert owners == {"FiniteMetricSpace"}

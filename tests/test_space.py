@@ -215,48 +215,78 @@ def graph_spaces(draw):
     return cc.generate_family(kind, params, seed=draw(st.integers(0, 3)))
 
 
-def _as_int64(rows):
-    return [part.astype(np.int64) for part in rows]
+def _near_rows(space, r):
+    """The rows within r read off the space's whole near(r) mask."""
+    flat = np.flatnonzero(space.near(r))
+    return (np.searchsorted(flat, np.arange(space.n + 1) * space.n),
+            flat % space.n, space.dist.reshape(-1)[flat])
+
+
+def _same_rows(got, want):
+    return all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 @settings(deadline=None, max_examples=150)
 @given(graph_spaces(), st.randoms(use_true_random=False))
 def test_graph_rows_within_are_the_dense_rows(space, rng):
-    # the rows of balls grown to the radius, before and after the matrix
-    # is built, in any order of radii, are the rows read off the matrix
+    # radii asked in any order, NaN and -1 among them, on a graph space
+    # before and after its matrix is built, on a fresh twin, and on the
+    # same metric given as a matrix and scaled to a real metric: every
+    # answer is the rows of the near mask, and only a radius >= 0 is kept
     twin = cc.FiniteMetricSpace.from_json(space.to_json())
-    radii = [0.0, 0.5, 1.0, 2.5]
+    radii = [0.0, 0.5, 1.0, 2.5, -1.0, float("nan")]
     radii += [float(r) for r in range(2, int(space.diameter()) + 2)]
     rng.shuffle(radii)
-    before = {r: _as_int64(space.rows_within(r)) for r in radii}
+    before = [space.rows_within(r) for r in radii]
     assert space._dist is None
-    dense = {r: _as_int64(cc.FiniteMetricSpace.rows_within(space, r))
-             for r in radii}
-    assert space.diameter() == float(space.dist.max())
-    rng.shuffle(radii)
-    for r in radii:
-        after = _as_int64(twin.rows_within(r))
-        for got in (before[r], after, _as_int64(space.rows_within(r))):
-            assert all(np.array_equal(a, b) for a, b in zip(got, dense[r]))
+    matrix = cc.FiniteMetricSpace(space.dist)
+    real = cc.scaled_metric(matrix, 0.5)
+    order = list(range(len(radii)))
+    rng.shuffle(order)
+    for k in order:
+        r = radii[k]
+        want = _near_rows(matrix, r)
+        for got in (before[k], twin.rows_within(r), space.rows_within(r),
+                    matrix.rows_within(r)):
+            assert _same_rows(got, want)
+        assert _same_rows(real.rows_within(r / 2), _near_rows(real, r / 2))
+    for sp in (space, twin, matrix, real):
+        assert sp._balls[0] >= 0
     assert twin.diameter() == space.diameter()
 
 
 def test_graph_rows_within_are_shared_and_read_only():
-    # verify asks for a few radii hundreds of times: each grows its balls
-    # once, and every radius past the diameter shares the full rows
+    # the space keeps the rows of the widest radius it has read: one
+    # growth per new widest radius, the same tuple for every radius with
+    # the same level count, a filter of them for a smaller one, and no
+    # rows kept for a negative or NaN radius
     sp = cc.generate_family("random_regular", {"n": 64, "k": 3}, seed=2)
+    path = cc.generate_family("path", {"size": 10})
     with mock.patch("coarsecohom.space._ball_rows",
                     wraps=_ball_rows) as grown:
+        for r in (float("nan"), -1.0):
+            assert all(len(part) == 0 for part in sp.rows_within(r)[1:])
+        assert sp._balls is None and grown.call_count == 0
         first = sp.rows_within(2.0)
         assert sp.rows_within(2.5) is first and grown.call_count == 1
+        unit = sp.rows_within(1.0)
+        assert len(unit[1]) == 64 * 4 and grown.call_count == 1
         whole = sp.rows_within(1e9)
         assert sp.rows_within(float("inf")) is whole
         assert sp.rows_within(sp.diameter() + 0.5) is whole
         assert grown.call_count == 2
-    assert len(whole[1]) == 64 * 64
-    with pytest.raises(ValueError, match="read-only"):
-        first[1][0] = 1
-    assert all(len(part) == 0 for part in sp.rows_within(-1.0)[1:])
+        again = sp.rows_within(2.5)
+        assert again is not first and _same_rows(again, first)
+        assert sp.rows_within(float("nan"))[0][-1] == 0
+        assert grown.call_count == 2 and sp._balls[1] is whole
+        # a path's balls fill it at n - 1 levels, its diameter
+        full = path.rows_within(1e9)
+        assert path.rows_within(float("inf")) is full
+        assert path.rows_within(9.5) is full and grown.call_count == 3
+    assert len(whole[1]) == 64 * 64 and whole[1].dtype == np.uint8
+    for part in (*first, *whole):
+        with pytest.raises(ValueError, match="read-only"):
+            part[0] = 1
 
 
 @pytest.mark.parametrize("kind,params,seed,digest", [
