@@ -252,7 +252,7 @@ def test_graph_rows_within_are_the_dense_rows(space, rng):
         assert _same_rows(real.rows_within(r / 2), _near_rows(real, r / 2))
     for sp in (space, twin, matrix, real):
         assert sp._balls[0] >= 0
-    assert twin.diameter() == space.diameter()
+    assert twin.diameter() == space.diameter() == float(space.dist.max())
 
 
 def test_graph_rows_within_are_shared_and_read_only():
