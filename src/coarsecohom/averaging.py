@@ -27,22 +27,34 @@ PROB_SUM_TOL = 1e-12
 UNIT_SUM_TOL = 1e-9
 
 
+def _prob_sum_tol(lengths) -> np.ndarray:
+    """How far a probability row of each length may sum from 1: its
+    rounding, 4 eps per entry added left to right, plus PRUNE_TOL per
+    entry for the masses a walk row drops, and never below PROB_SUM_TOL.
+    A uniform ball row of 36,376 entries misses 1 by -1.008e-12; rows under
+    about 500 entries keep PROB_SUM_TOL."""
+    lengths = np.asarray(lengths, dtype=float)
+    return np.maximum(PROB_SUM_TOL,
+                      lengths * (4 * np.finfo(float).eps + PRUNE_TOL))
+
+
 class ReiterFamily:
     """One probability (or near-probability) vector per point, as CSR rows.
 
     f(x) has support `cols[indptr[x]:indptr[x + 1]]`, strictly ascending,
     and masses in the same slice of `weights`; every mass is finite.
 
-    is_prob certifies: entries nonnegative and support of f(x) inside the
-    closed S-ball of x. A family built by ReiterFamily is checked at
-    construction (validate), entry sums within 1e-12 of 1 too, so
-    downstream bounds may rely on the flag. The ball averages and lazy
-    walks are not checked (_from_balls): their rows are the space's own
-    ball rows (rows_within), and their masses are nonnegative, so they
-    hold no escape by construction. Their sums are 1 only up to rounding:
-    a ball row adds 1/|B| to itself |B| times, left to right, which can
-    miss 1 by more than 1e-12 on large balls (by -1.008e-12 at |B| =
-    36,376), and a walk row drops the masses below PRUNE_TOL.
+    is_prob certifies: entries nonnegative, support of f(x) inside the
+    closed S-ball of x, and entry sums, added left to right, within
+    _prob_sum_tol of the row's length from 1. A family built by
+    ReiterFamily is checked at construction (validate), so downstream
+    bounds may rely on the flag. The ball averages and lazy walks are not
+    checked (_from_balls): their rows are the space's own ball rows
+    (rows_within), and their masses are nonnegative, so they hold no
+    escape by construction. Their sums are 1 up to the rounding the
+    tolerance allows: a ball row adds 1/|B| to itself |B| times (it
+    misses 1 by -1.008e-12 at |B| = 36,376, past a flat 1e-12), and a walk
+    row drops the masses below PRUNE_TOL.
     """
 
     def __init__(self, space: FiniteMetricSpace, s: float, indptr, cols,
@@ -103,7 +115,7 @@ class ReiterFamily:
         bad[rows[bad_entry]] = True
         if self.is_prob:
             sums = csr_row_sums(indptr, weights)
-            bad |= ~(np.abs(sums - 1.0) <= PROB_SUM_TOL)
+            bad |= ~(np.abs(sums - 1.0) <= _prob_sum_tol(np.diff(indptr)))
         if not bad.any():
             return
         x = int(np.argmax(bad))
@@ -333,10 +345,58 @@ class ProfileTable:
         return "\n".join(lines) + "\n"
 
 
-# Bytes of the pair scan's largest temporary, its (pairs x 2 width) term
-# array. Small chunks keep the temporaries in cache and below malloc's
-# default mmap threshold (128 KiB), so they are reused, not mapped afresh.
+# Bytes of the pair scan's largest temporaries: the float path's (pairs x
+# 2 width) term array, the count path's (pairs x width) cell indices. Small
+# chunks keep the temporaries in cache and below malloc's default mmap
+# threshold (128 KiB), so they are reused, not mapped afresh.
 _SCAN_CHUNK_BYTES = 1 << 16
+
+
+class _SlotTable:
+    """The slot of column k in row x, plus one, for the rows of one family
+    at a time, or 0 where row x lacks k: a flat n x (n + 1) array read at
+    x * (n + 1) + k. Column n, the padding column of _padded_rows, is 0.
+
+    A profile keeps one table for all its families: `fill` writes the
+    cells of a family's padded rows and `clear` sets exactly those back to
+    0, so no family pays an n^2 fill. The dtype is the smallest unsigned
+    one that holds the widest row yet (uint8 for rows under 256 entries,
+    the size of a compact `dist`); a wider row replaces it with a zero
+    table.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.cells = None
+        self._cols = None
+
+    def _write(self, cols, values) -> None:
+        # the cells of the padded rows cols, a block of rows at a time
+        n = self.n
+        step = max(1, _SCAN_CHUNK_BYTES // (8 * cols.shape[1]))
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            self.cells[np.arange(lo * (n + 1), hi * (n + 1), n + 1)[:, None]
+                       + cols[lo:hi]] = values
+
+    def fill(self, cols) -> np.ndarray:
+        """Write the cells of the padded rows `cols` of _padded_rows."""
+        n, width = cols.shape
+        dtype = np.min_scalar_type(width)
+        if self.cells is None or dtype.itemsize > self.cells.itemsize:
+            self.cells = None
+            self.cells = np.zeros(n * (n + 1), dtype=dtype)
+        # every slot of row x names its column; the padding slots all name
+        # column n, which is then set back to 0
+        self._write(cols, np.arange(1, width + 1, dtype=dtype))
+        self.cells[n::n + 1] = 0
+        self._cols = cols
+        return self.cells
+
+    def clear(self) -> None:
+        """Set the cells of the last `fill` back to 0."""
+        self._write(self._cols, 0)
+        self._cols = None
 
 
 def _padded_rows(n: int, indptr, cols, weights):
@@ -346,11 +406,9 @@ def _padded_rows(n: int, indptr, cols, weights):
 
     cols (n, width): row x's columns, padded with n, a column no row holds,
     in the smallest unsigned dtype that holds n. weights (n, width + 1):
-    row x's values, padded with 0.0; column `width` is 0.0 in every row.
-    offsets (n, n + 1): the slot of column k in row x, or `width` where
-    row x lacks k (always in column n). Its dtype is the smallest unsigned
-    one that holds `width`: uint8 for rows under 256 entries, the size of a
-    compact `dist`. No temporary is larger than the padded arrays.
+    column 0 is 0.0 in every row, and row x's values sit in columns 1 to
+    its length, padded with 0.0; so a _SlotTable cell, 0 where the row
+    lacks the column, is the column of the row's value.
     """
     lengths = np.diff(indptr)
     width = max(int(lengths.max()), 1)
@@ -359,27 +417,22 @@ def _padded_rows(n: int, indptr, cols, weights):
     padded_cols = np.full((n, width), n, dtype=np.min_scalar_type(n))
     padded_cols[filled] = cols
     padded_weights = np.zeros((n, width + 1))
-    padded_weights[:, :width][filled] = weights
-    offsets = np.full((n, n + 1), width, dtype=np.min_scalar_type(width))
-    # every slot of row x names its column; the padding slots all name
-    # column n, which is then set back to `width`
-    offsets[np.arange(n)[:, None], padded_cols] = np.arange(
-        width, dtype=offsets.dtype)
-    offsets[:, n] = width
-    return padded_cols, padded_weights, offsets
+    padded_weights[:, 1:][filled] = weights
+    return padded_cols, padded_weights
 
 
-def _pair_variations(cols, weights, offsets, pi, pj) -> np.ndarray:
-    """||f(pj[k]) - f(pi[k])||_1 for each k from _padded_rows arrays,
-    summed term by term in the order of a dict loop: |a - b| (b = 0.0 where
-    row pj lacks the column) over row pi's entries, then |b| over row pj's
-    entries that row pi lacks. Padding adds 0.0 terms and the cumulative
-    sum adds left to right, so every total is that loop's float."""
-    width = cols.shape[1]
-    a, bj = weights[pi, :width], weights[pj, :width]
-    at = np.take(offsets, pj[:, None] * offsets.shape[1] + cols[pi])
-    b = np.take(weights, pj[:, None] * weights.shape[1] + at)
-    only_j = np.take(offsets, pi[:, None] * offsets.shape[1] + cols[pj]) == width
+def _pair_variations(cols, weights, cells, pi, pj) -> np.ndarray:
+    """||f(pj[k]) - f(pi[k])||_1 for each k from _padded_rows arrays and
+    their _SlotTable cells, summed term by term in the order of a dict loop:
+    |a - b| (b = 0.0 where row pj lacks the column) over row pi's entries,
+    then |b| over row pj's entries that row pi lacks. Padding adds 0.0
+    terms and the cumulative sum adds left to right, so every total is
+    that loop's float."""
+    n, width = cols.shape
+    a, bj = weights[pi, 1:], weights[pj, 1:]
+    at = np.take(cells, pj[:, None] * (n + 1) + cols[pi])
+    b = np.take(weights, pj[:, None] * (width + 1) + at)
+    only_j = np.take(cells, pi[:, None] * (n + 1) + cols[pj]) == 0
     terms = np.empty((len(pi), 2 * width))
     np.abs(a - b, out=terms[:, :width])
     np.abs(np.where(only_j, bj, 0.0), out=terms[:, width:])
@@ -387,15 +440,82 @@ def _pair_variations(cols, weights, offsets, pi, pj) -> np.ndarray:
 
 
 def _pair_totals(padded, pi, pj) -> np.ndarray:
-    """The pair variation of every pair (pi[k], pj[k]) of the rows whose
-    _padded_rows are `padded`, computed in chunks of about
-    _SCAN_CHUNK_BYTES per array."""
-    cols, weights, offsets = padded
+    """The pair variation of every pair (pi[k], pj[k]) by the float scan
+    of _pair_variations over `padded` = (cols, weights, cells), computed in
+    chunks of about _SCAN_CHUNK_BYTES per array."""
+    cols, weights, cells = padded
     step = max(1, _SCAN_CHUNK_BYTES // (16 * cols.shape[1]))
     total = np.empty(len(pi))
     for lo in range(0, len(pi), step):
         total[lo:lo + step] = _pair_variations(
-            cols, weights, offsets, pi[lo:lo + step], pj[lo:lo + step])
+            cols, weights, cells, pi[lo:lo + step], pj[lo:lo + step])
+    return total
+
+
+def _repeated_sums(values, count: int) -> np.ndarray:
+    """sums[v, k] is |values[v]| added k times, left to right from 0.0,
+    for k = 0..count. It is read off a cumulative sum, never formed as
+    k * |w|, so it is the float a scan gets from k terms |w| and any number
+    of 0.0 terms."""
+    values = np.abs(np.asarray(values, dtype=float))
+    sums = np.zeros((len(values), count + 1))
+    np.cumsum(np.broadcast_to(values[:, None], (len(values), count)),
+              axis=1, out=sums[:, 1:])
+    return sums
+
+
+def _uniform_values(indptr, weights) -> np.ndarray:
+    """The one value of each row whose entries all hold the same finite
+    value; NaN for every other row, an empty one too."""
+    value = np.full(len(indptr) - 1, np.nan)
+    held = np.flatnonzero(np.diff(indptr))
+    if len(held):
+        # the rows between two held ones are empty, so each segment is a row
+        low = np.minimum.reduceat(weights, indptr[held])
+        high = np.maximum.reduceat(weights, indptr[held])
+        value[held] = np.where((low == high) & np.isfinite(low), low, np.nan)
+    return value
+
+
+def _counted_totals(indptr, value, cols, cells, pi, pj) -> np.ndarray:
+    """The pair variation of every pair (pi[k], pj[k]) of rows that each
+    hold the one finite value w = value[pi[k]] = value[pj[k]]
+    (_uniform_values): each term of the float scan is 0.0 (a shared column)
+    or |w|, so its total is |w| added |f(x)| + |f(y)| - 2 |shared| times,
+    read off _repeated_sums. Only the shared count reads the cells, one
+    take and one test per slot of row pi, in chunks of about
+    _SCAN_CHUNK_BYTES of cell indices."""
+    n, width = cols.shape
+    step = max(1, _SCAN_CHUNK_BYTES // (8 * width))
+    shared = np.empty(len(pi), dtype=np.int64)
+    for lo in range(0, len(pi), step):
+        shared[lo:lo + step] = np.count_nonzero(np.take(
+            cells, pj[lo:lo + step, None] * (n + 1) + cols[pi[lo:lo + step]]),
+            axis=1)
+    lengths = np.diff(indptr)
+    times = lengths[pi] + lengths[pj] - 2 * shared
+    runs, run_of = np.unique(value[pi], return_inverse=True)
+    return _repeated_sums(runs, int(times.max()))[run_of, times]
+
+
+def _scan_totals(fam: ReiterFamily, pi, pj, slots: _SlotTable) -> np.ndarray:
+    """The pair variation of every pair (pi[k], pj[k]) of the family's
+    rows, the float of the dict loop: by counts where both rows hold one
+    finite value, the same in both (_counted_totals), and by the float
+    scan (_pair_totals) for every other pair, an empty row's too. The
+    family's slots are written to `slots` and cleared after."""
+    indptr = fam.indptr
+    value = _uniform_values(indptr, fam.weights)
+    by_count = value[pi] == value[pj]
+    cols, weights = _padded_rows(fam.space.n, indptr, fam.cols, fam.weights)
+    cells = slots.fill(cols)
+    total = np.empty(len(pi))
+    if by_count.any():
+        total[by_count] = _counted_totals(indptr, value, cols, cells,
+                                          pi[by_count], pj[by_count])
+    total[~by_count] = _pair_totals((cols, weights, cells), pi[~by_count],
+                                    pj[~by_count])
+    slots.clear()
     return total
 
 
@@ -417,9 +537,13 @@ def pair_scan(fam: ReiterFamily, r_list, pairs=None) -> list:
     each R reads its own."""
     if pairs is None:
         pairs = _ball_pairs(fam.space, max(r_list, default=0.0))
+    return _pair_scan(fam, r_list, pairs, _SlotTable(fam.space.n))
+
+
+def _pair_scan(fam: ReiterFamily, r_list, pairs, slots: _SlotTable) -> list:
+    """pair_scan with the _SlotTable the scan writes its slots to."""
     pi, pj, pd = pairs
-    total = _pair_totals(
-        _padded_rows(fam.space.n, fam.indptr, fam.cols, fam.weights), pi, pj)
+    total = _scan_totals(fam, pi, pj, slots)
     out = []
     for r in r_list:
         inside = pd <= fam.space.radius_bound(r)
@@ -441,9 +565,9 @@ def _one_row_variation(space, hops, s: float, r_list) -> list:
     0 < d(e, t) <= R. With B = B_s(e), the ball of t is t * B. Every ball
     row holds the single value w = 1.0 / |B|, so the dense scan adds only
     0.0 or w for a pair, left to right, and its total is w added
-    k = 2 |B - t * B| times in sequence (a set difference). That sum is
-    read here from one cumulative sum of w, never formed as k * w, so nu is
-    the dense scan's float bit for bit. Every value is attained by a pair
+    k = 2 |B - t * B| times in sequence (a set difference): the count path
+    of the scan, read here off the same _repeated_sums, so nu is the dense
+    scan's float bit for bit. Every value is attained by a pair
     from point 0 = e, so the dense scan's first maximising pair is
     (e, least maximising t), and the t are read in ascending order.
     """
@@ -451,8 +575,7 @@ def _one_row_variation(space, hops, s: float, r_list) -> list:
     inside = hops <= space.radius_bound(s)
     ball = np.flatnonzero(inside)
     # sums[k] is w added k times, from sums[0] = 0.0
-    sums = np.zeros(2 * len(ball) + 1)
-    np.cumsum(np.full(2 * len(ball), 1.0 / len(ball)), out=sums[1:])
+    sums = _repeated_sums([1.0 / len(ball)], 2 * len(ball))[0]
     step = max(1, _SCAN_CHUNK_BYTES // (8 * len(ball)))
     out = []
     for r in r_list:
@@ -487,7 +610,11 @@ def variation_profile(space: FiniteMetricSpace, schedule, r_list,
       the pairs within the largest R are a filter of them, and so are the
       rows of the ball average and lazy_walk_family. Each family is
       family(space, S), and its pair variations are computed once over
-      those pairs, each R reading its sup off them.
+      those pairs, each R reading its sup off them. A pair of rows that
+      hold one value, the same in both (two balls of one size), is read
+      by counting shared columns (_counted_totals); every other pair by
+      the float scan. The families share one _SlotTable, which each
+      writes and clears in turn.
     """
     rows = []
     if space.group is not None and family is ball_average:
@@ -501,10 +628,11 @@ def variation_profile(space: FiniteMetricSpace, schedule, r_list,
     # every smaller radius read below is a filter of these rows
     space.rows_within(max([r_max, *schedule]))
     pairs = _ball_pairs(space, r_max)
+    slots = _SlotTable(space.n)
     for s in schedule:
         # each family lives only through its scan
-        for r, (nu, pair) in zip(r_list, pair_scan(family(space, s), r_list,
-                                                   pairs)):
+        for r, (nu, pair) in zip(r_list, _pair_scan(family(space, s), r_list,
+                                                    pairs, slots)):
             rows.append(ProfileRow(float(s), float(r), nu, *pair))
     return ProfileTable(rows)
 

@@ -11,6 +11,7 @@ cochain out of a closure that returns such dicts.
 """
 
 import random
+import sys
 from collections import deque
 from fractions import Fraction
 from itertools import product
@@ -483,18 +484,29 @@ def pair_index(space, r):
     return i[upper], j[upper]
 
 
+def padded_rows(n, indptr, cols, weights):
+    """The arrays the float pair scan reads: averaging._padded_rows of the
+    CSR rows and the cells of a fresh averaging._SlotTable filled from
+    them."""
+    padded_cols, padded_weights = averaging._padded_rows(n, indptr, cols,
+                                                         weights)
+    return (padded_cols, padded_weights,
+            averaging._SlotTable(n).fill(padded_cols))
+
+
 def max_pair_variation(padded, pi, pj):
-    """The per-R pair scan: the largest pair variation over the pairs
-    (pi[k], pj[k]) of the rows whose averaging._padded_rows are `padded`,
-    and the first pair that attains it, scanned chunk by chunk with a
-    running best; (0.0, (0, 0)) when there is no pair."""
+    """The per-R float pair scan: the largest pair variation over the
+    pairs (pi[k], pj[k]) of the rows whose padded_rows are `padded`, every
+    pair by averaging._pair_variations (no count path), and the first pair
+    that attains it, scanned chunk by chunk with a running best;
+    (0.0, (0, 0)) when there is no pair."""
     if not len(pi):
         return 0.0, (0, 0)
-    cols, weights, offsets = padded
+    cols, weights, cells = padded
     step = max(1, averaging._SCAN_CHUNK_BYTES // (16 * cols.shape[1]))
     best, best_at = -1.0, 0
     for lo in range(0, len(pi), step):
-        total = averaging._pair_variations(cols, weights, offsets,
+        total = averaging._pair_variations(cols, weights, cells,
                                            pi[lo:lo + step], pj[lo:lo + step])
         k = int(np.argmax(total))
         if total[k] > best:
@@ -523,7 +535,9 @@ def validate_family_reference(space, s, vectors, is_prob=True):
                 raise ValueError(
                     f"negative mass {weight!r} in f({space.label(x)})")
             total += weight
-        if is_prob and abs(total - 1.0) > 1e-12:
+        # rounding and pruning allowed per entry, never below 1e-12
+        tol = max(1e-12, len(v) * (4 * sys.float_info.epsilon + PRUNE_TOL))
+        if is_prob and abs(total - 1.0) > tol:
             raise ValueError(f"f({space.label(x)}) sums to {total!r}, not 1")
 
 

@@ -15,8 +15,9 @@ from coarsecohom import space as spacemod
 from coarsecohom.coefficients import PRUNE_TOL
 from helpers import (csr_dicts, dict_norm, dict_total, dicts_csr,
                      family_dicts, frac_ball_nu, kept, max_pair_variation,
-                     max_pair_variation_reference, one_value, pair_index,
-                     pairs_reference, ref_balls, rule_cochain,
+                     max_pair_variation_reference, one_value,
+                     padded_rows, pair_index, pairs_reference, ref_balls,
+                     rule_cochain,
                      sparse_walk_rows, validate_family_reference,
                      walk_dicts_reference, walk_matrix_reference,
                      walk_rows_reference)
@@ -129,7 +130,7 @@ def test_pairs_within():
         assert list(zip(pi.tolist(), pj.tolist())) == want
     # no pair within R reads 0.0, as the profile and the ses suite report
     fam = cc.ball_average(CYCLE8, 1.0)
-    padded = averaging._padded_rows(8, fam.indptr, fam.cols, fam.weights)
+    padded = padded_rows(8, fam.indptr, fam.cols, fam.weights)
     assert max_pair_variation(padded, *pair_index(CYCLE8, 0.0)) == (
         0.0, (0, 0))
 
@@ -182,6 +183,25 @@ def test_reiter_family_validation():
         cc.ReiterFamily(CYCLE8, 1.0, *dicts_csr(good[:-1]))
     # non-probability families skip the positivity and sum checks
     _family(CYCLE8, 1.0, negative, is_prob=False)
+
+
+@pytest.mark.parametrize("size", [36_376, 40_000])
+def test_long_uniform_rows_sum_within_their_length_tolerance(size):
+    # a uniform ball row this long, added left to right, misses 1 by more
+    # than 1e-12 (by -1.008e-12 and +1.004e-12), but not by more than the
+    # tolerance of its length, which validate and is_prob use
+    total = facetables.csr_row_sums(np.array([0, size]),
+                                    np.full(size, 1.0 / size))[0]
+    assert 1e-12 < abs(total - 1.0) <= averaging._prob_sum_tol([size])[0]
+
+
+def test_short_rows_keep_the_flat_sum_tolerance():
+    assert averaging._prob_sum_tol([0, 1, 8, 500]).tolist() == [1e-12] * 4
+    for row in ({3: 1.0 + 1e-9}, {2: 0.5, 3: 0.5 + 1e-9}, {3: 1.0 - 1e-9}):
+        vectors = [{x: 1.0} for x in range(8)]
+        vectors[3] = row
+        with pytest.raises(ValueError, match=r"f\(3\) sums to"):
+            _family(CYCLE8, 1.0, vectors)
 
 
 @pytest.mark.parametrize("rows,is_prob", [
@@ -661,6 +681,70 @@ def test_profile_scan_matches_dict_loop(fam, r, chunk_bytes):
     assert type(row.x0) is int and type(row.x1) is int
 
 
+@st.composite
+def _count_path_families(draw):
+    """Families whose pairs take the count path: uniform rows of one
+    value w of different lengths ("lengths"), a negative w ("negative"),
+    a family with an empty row ("empty"), and uniform rows among
+    non-uniform ones ("mixed"). None is a probability family."""
+    space = draw(_space_strategy())
+    s = float(draw(st.integers(0, 3)))
+    kind = draw(st.sampled_from(["lengths", "negative", "empty", "mixed"]))
+    w = draw(st.one_of(st.sampled_from([0.25, 1 / 3, 0.1, 2.0]),
+                       st.floats(1e-3, 2.0)))
+    if kind == "negative":
+        w = -w
+    empty = draw(st.integers(0, space.n - 1)) if kind == "empty" else None
+    balls = ref_balls(space, s)
+    vectors = []
+    for x in range(space.n):
+        ball = list(balls[x])
+        support = draw(st.permutations(ball))[:draw(st.integers(1, len(ball)))]
+        if x == empty:
+            support = []
+        if kind == "mixed" and draw(st.booleans()):
+            vectors.append(kept(L1, {k: draw(_WEIGHTS) for k in support}))
+        else:
+            vectors.append({k: w for k in support})
+    return _family(space, s, vectors, is_prob=False)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_count_path_families(),
+       st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=1,
+                max_size=3),
+       st.sampled_from([8, 64, 1 << 21]))
+def test_count_path_matches_dict_loop(fam, r_list, chunk_bytes):
+    # the pairs of uniform rows with one value are read by counts, every
+    # other pair (an empty row's too) by the float scan; both give the
+    # dict loop's float, bit for bit, and its first witness
+    space = fam.space
+    with mock.patch.object(averaging, "_SCAN_CHUNK_BYTES", chunk_bytes):
+        got = averaging.pair_scan(fam, r_list)
+    for r, (nu, pair) in zip(r_list, got):
+        want_nu, want_pair = max_pair_variation_reference(
+            family_dicts(fam), pairs_reference(space, r))
+        assert (nu.hex(), pair) == (want_nu.hex(), want_pair)
+
+
+def test_most_ball_pairs_take_the_count_path():
+    # on rr2048 (seed 23) 13.4 % of the pairs within R = 2 have balls of
+    # different sizes at S = 4; only they reach the float scan
+    space = cc.generate_family("random_regular", {"n": 2048, "k": 3},
+                               seed=23)
+    fam = cc.ball_average(space, 4.0)
+    pairs = averaging._ball_pairs(space, 2.0)
+    with mock.patch.object(averaging, "_pair_totals",
+                           wraps=averaging._pair_totals) as floated:
+        got = averaging.pair_scan(fam, [1.0, 2.0], pairs)
+    floats = sum(len(call.args[1]) for call in floated.call_args_list)
+    assert 0 < floats <= 0.2 * len(pairs[0])
+    padded = padded_rows(space.n, fam.indptr, fam.cols, fam.weights)
+    assert _scan_key(got) == _scan_key(
+        [max_pair_variation(padded, *pair_index(space, r))
+         for r in (1.0, 2.0)])
+
+
 @pytest.mark.parametrize("space", [_law_free(CYCLE8), _law_free(TORUS8),
                                    _law_free(CYCLE64),
                                    cc.generate_family("path", {"size": 1})],
@@ -844,8 +928,7 @@ def test_one_scan_over_the_widest_r_is_one_scan_per_r(fam, r_list, wider,
     # widest rows may be wider than the largest R, as a profile's are
     space = fam.space
     r_max = max(r_list)
-    padded = averaging._padded_rows(space.n, fam.indptr, fam.cols,
-                                    fam.weights)
+    padded = padded_rows(space.n, fam.indptr, fam.cols, fam.weights)
     space.rows_within(r_max + wider)
     with mock.patch.object(averaging, "_SCAN_CHUNK_BYTES", chunk_bytes):
         got = averaging.pair_scan(fam, r_list)
@@ -869,7 +952,7 @@ def test_one_scan_keeps_ties_and_empty_pair_sets():
     assert [pair for _, pair in got] == [(0, 2), (0, 0), (0, 1), (0, 0),
                                          (0, 3)]
     assert got[1] == got[3] == (0.0, (0, 0))
-    padded = averaging._padded_rows(8, fam.indptr, fam.cols, fam.weights)
+    padded = padded_rows(8, fam.indptr, fam.cols, fam.weights)
     assert _scan_key(got) == _scan_key(
         [max_pair_variation(padded, *pair_index(space, r)) for r in r_list])
 
@@ -920,6 +1003,40 @@ def test_walks_carried_along_a_schedule_equal_walks_from_the_identity(
     assert _csr_bits(got) == _csr_bits(cc.lazy_walk_family(
         cc.generate_family(kind, params, seed), schedule[0], other))
     assert averaging._WALKS[space][0] == other
+
+
+@pytest.mark.parametrize("kind,params,family,schedule", [
+    ("random_regular", {"n": 256, "k": 3}, cc.lazy_walk_family, (4, 1, 3)),
+    ("random_regular", {"n": 256, "k": 3}, cc.ball_average, (4, 1, 3)),
+    # uint8 cells, then uint16 ones for rows of up to 300 entries
+    ("path", {"size": 300}, cc.ball_average, (1, 200, 3)),
+], ids=["rr256-walk", "rr256-ball", "path300-ball"])
+def test_one_slot_table_serves_a_profile(kind, params, family, schedule):
+    # one profile writes every family's slots to one table and clears
+    # them after its scan: wide, then narrow, then wide again, each row
+    # equals the profile of its S alone on a fresh twin, and the table is
+    # all zeros after each family
+    space = cc.generate_family(kind, params, seed=4)
+    clear = averaging._SlotTable.clear
+    tables = []
+
+    def clear_and_check(slots):
+        clear(slots)
+        tables.append((slots.cells.dtype, slots.cells.any()))
+
+    with mock.patch.object(averaging._SlotTable, "clear", autospec=True,
+                           side_effect=clear_and_check):
+        table = cc.variation_profile(space, schedule, [1.0, 2.0],
+                                     family=family)
+    assert [dirty for _, dirty in tables] == [False] * len(schedule)
+    if kind == "path":
+        assert [dtype for dtype, _ in tables] == [np.uint8, np.uint16,
+                                                  np.uint16]
+    alone = [row for s in schedule for row in cc.variation_profile(
+        _twin(space), [s], [1.0, 2.0], family=family).rows]
+    assert [(row.s, row.r, row.nu.hex(), row.x0, row.x1)
+            for row in table.rows] == [
+        (row.s, row.r, row.nu.hex(), row.x0, row.x1) for row in alone]
 
 
 def test_ball_and_walk_profiles_read_the_distances_once():

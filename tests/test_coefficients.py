@@ -15,7 +15,8 @@ from coarsecohom.facetables import csr_add, csr_row_sums
 from helpers import (Pointwise, boundary_reference, csr_dicts, dict_gap,
                      dict_norm, dicts_csr, family_dicts, kept,
                      max_pair_variation, max_pair_variation_reference, normalize_reference,
-                     one_value, pair_field_reference, prob_family_reference,
+                     one_value, padded_rows, pair_field_reference,
+                     prob_family_reference,
                      rule_cochain, spaces, table_dicts, unit_sum_reference,
                      zero_sum_vector_reference)
 
@@ -164,7 +165,7 @@ def test_l1_distance_matches_difference_norm(da, db):
     u = kept(L1, da)
     v = kept(L1, db)
     rows = [u, v, u] + [{}] * 28
-    padded = averaging._padded_rows(len(rows), *dicts_csr(rows))
+    padded = padded_rows(len(rows), *dicts_csr(rows))
 
     def distance(i, j):
         return max_pair_variation(padded, np.array([i]), np.array([j]))[0]
