@@ -350,53 +350,66 @@ class ProfileTable:
 # chunks keep the temporaries in cache and below malloc's default mmap
 # threshold (128 KiB), so they are reused, not mapped afresh.
 _SCAN_CHUNK_BYTES = 1 << 16
+# Bytes of a _SlotTable: it holds the cells of as many rows as fit (at
+# least one), so its memory follows this budget, not n^2.
+_SLOT_BLOCK_BYTES = 1 << 20
 
 
 class _SlotTable:
-    """The slot of column k in row x, plus one, for the rows of one family
-    at a time, or 0 where row x lacks k: a flat n x (n + 1) array read at
-    x * (n + 1) + k. Column n, the padding column of _padded_rows, is 0.
+    """The slot of column k in row x, plus one, or 0 where row x lacks k,
+    for a block of consecutive rows x = first, first + 1, ... of one
+    family at a time: a flat array of `rows` rows of n + 1 cells, read at
+    (x - first) * (n + 1) + k. Column n, the padding column of
+    _padded_rows, is 0.
 
     A profile keeps one table for all its families: `fill` writes the
-    cells of a family's padded rows and `clear` sets exactly those back to
-    0, so no family pays an n^2 fill. The dtype is the smallest unsigned
-    one that holds the widest row yet (uint8 for rows under 256 entries,
-    the size of a compact `dist`); a wider row replaces it with a zero
-    table.
+    cells of a block of a family's padded rows and `clear` sets exactly
+    those back to 0, so no block pays a fill of the whole table. The dtype
+    is the smallest unsigned one that holds the widest row yet (uint8 for
+    rows under 256 entries); a wider row replaces it with a zero table,
+    and the table holds as many rows as fit in _SLOT_BLOCK_BYTES.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.cells = None
-        self._cols = None
+        self._block = None
 
-    def _write(self, cols, values) -> None:
-        # the cells of the padded rows cols, a block of rows at a time
+    def rows(self, width: int) -> int:
+        """Make the table hold the slots of padded rows `width` slots wide
+        and return how many rows one block holds."""
         n = self.n
-        step = max(1, _SCAN_CHUNK_BYTES // (8 * cols.shape[1]))
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            self.cells[np.arange(lo * (n + 1), hi * (n + 1), n + 1)[:, None]
-                       + cols[lo:hi]] = values
-
-    def fill(self, cols) -> np.ndarray:
-        """Write the cells of the padded rows `cols` of _padded_rows."""
-        n, width = cols.shape
         dtype = np.min_scalar_type(width)
         if self.cells is None or dtype.itemsize > self.cells.itemsize:
             self.cells = None
-            self.cells = np.zeros(n * (n + 1), dtype=dtype)
-        # every slot of row x names its column; the padding slots all name
+            rows = max(1, _SLOT_BLOCK_BYTES // ((n + 1) * dtype.itemsize))
+            self.cells = np.zeros(min(rows, n) * (n + 1), dtype=dtype)
+        return len(self.cells) // (n + 1)
+
+    def _write(self, values) -> None:
+        # the cells of the block's padded rows, a few rows at a time
+        cols, stride = self._block, self.n + 1
+        step = max(1, _SCAN_CHUNK_BYTES // (8 * cols.shape[1]))
+        for lo in range(0, len(cols), step):
+            hi = min(lo + step, len(cols))
+            self.cells[np.arange(lo * stride, hi * stride, stride)[:, None]
+                       + cols[lo:hi]] = values
+
+    def fill(self, cols) -> np.ndarray:
+        """Write the cells of the block of padded rows `cols` of
+        _padded_rows, at most `rows` of them, the first at cell 0."""
+        n = self.n
+        self._block = cols
+        # every slot of a row names its column; the padding slots all name
         # column n, which is then set back to 0
-        self._write(cols, np.arange(1, width + 1, dtype=dtype))
-        self.cells[n::n + 1] = 0
-        self._cols = cols
+        self._write(np.arange(1, cols.shape[1] + 1, dtype=self.cells.dtype))
+        self.cells[n:len(cols) * (n + 1):n + 1] = 0
         return self.cells
 
     def clear(self) -> None:
         """Set the cells of the last `fill` back to 0."""
-        self._write(self._cols, 0)
-        self._cols = None
+        self._write(0)
+        self._block = None
 
 
 def _padded_rows(n: int, indptr, cols, weights):
@@ -421,35 +434,56 @@ def _padded_rows(n: int, indptr, cols, weights):
     return padded_cols, padded_weights
 
 
-def _pair_variations(cols, weights, cells, pi, pj) -> np.ndarray:
+def _pair_variations(cols, weights, cells, first, pi, pj) -> np.ndarray:
     """||f(pj[k]) - f(pi[k])||_1 for each k from _padded_rows arrays and
-    their _SlotTable cells, summed term by term in the order of a dict loop:
-    |a - b| (b = 0.0 where row pj lacks the column) over row pi's entries,
-    then |b| over row pj's entries that row pi lacks. Padding adds 0.0
-    terms and the cumulative sum adds left to right, so every total is
-    that loop's float."""
+    the _SlotTable cells of a block of rows from `first` that holds every
+    row pi[k], summed term by term in the order of a dict loop: |a - b|
+    (b = 0.0 where row pj lacks the column) over row pi's entries, then |b|
+    over row pj's entries that row pi lacks. Padding adds 0.0 terms and the
+    cumulative sum adds left to right, so every total is that loop's
+    float."""
     n, width = cols.shape
-    a, bj = weights[pi, 1:], weights[pj, 1:]
-    at = np.take(cells, pj[:, None] * (n + 1) + cols[pi])
-    b = np.take(weights, pj[:, None] * (width + 1) + at)
-    only_j = np.take(cells, pi[:, None] * (n + 1) + cols[pj]) == 0
+    bj = weights[pj, 1:]
+    # the slot + 1 in row pi of each of row pj's columns, 0 where row pi
+    # lacks it
+    at = np.take(cells, (pi - first)[:, None] * (n + 1) + cols[pj])
+    # row pj's value in each slot of row pi, 0.0 where row pj lacks its
+    # column: one scatter, whose column 0 takes the columns row pi lacks
+    b = np.zeros((len(pi), width + 1))
+    b.reshape(-1)[np.arange(0, b.size, width + 1)[:, None] + at] = bj
     terms = np.empty((len(pi), 2 * width))
-    np.abs(a - b, out=terms[:, :width])
-    np.abs(np.where(only_j, bj, 0.0), out=terms[:, width:])
+    np.abs(weights[pi, 1:] - b[:, 1:], out=terms[:, :width])
+    np.abs(np.where(at == 0, bj, 0.0), out=terms[:, width:])
     return np.cumsum(terms, axis=1)[:, -1]
 
 
-def _pair_totals(padded, pi, pj) -> np.ndarray:
+def _pair_totals(padded, first, pi, pj) -> np.ndarray:
     """The pair variation of every pair (pi[k], pj[k]) by the float scan
-    of _pair_variations over `padded` = (cols, weights, cells), computed in
-    chunks of about _SCAN_CHUNK_BYTES per array."""
+    of _pair_variations over `padded` = (cols, weights, cells), with cells
+    the block of rows from `first`, computed in chunks of about
+    _SCAN_CHUNK_BYTES per array."""
     cols, weights, cells = padded
     step = max(1, _SCAN_CHUNK_BYTES // (16 * cols.shape[1]))
     total = np.empty(len(pi))
     for lo in range(0, len(pi), step):
         total[lo:lo + step] = _pair_variations(
-            cols, weights, cells, pi[lo:lo + step], pj[lo:lo + step])
+            cols, weights, cells, first, pi[lo:lo + step], pj[lo:lo + step])
     return total
+
+
+def _shared_counts(cols, cells, first, pi, pj) -> np.ndarray:
+    """The columns rows pi[k] and pj[k] share, for _padded_rows columns
+    and the _SlotTable cells of a block of rows from `first` that holds
+    every row pi[k]: one take and one test per slot of row pj, in chunks
+    of about _SCAN_CHUNK_BYTES of cell indices."""
+    n, width = cols.shape
+    step = max(1, _SCAN_CHUNK_BYTES // (8 * width))
+    shared = np.empty(len(pi), dtype=np.int64)
+    for lo in range(0, len(pi), step):
+        shared[lo:lo + step] = np.count_nonzero(np.take(
+            cells, (pi[lo:lo + step, None] - first) * (n + 1)
+            + cols[pj[lo:lo + step]]), axis=1)
+    return shared
 
 
 def _repeated_sums(values, count: int) -> np.ndarray:
@@ -469,7 +503,10 @@ def _uniform_values(indptr, weights) -> np.ndarray:
     value; NaN for every other row, an empty one too."""
     value = np.full(len(indptr) - 1, np.nan)
     held = np.flatnonzero(np.diff(indptr))
-    if len(held):
+    # a row of one value holds it first and last, so when no row does,
+    # the reductions below find nothing
+    if len(held) and (weights[indptr[held]]
+                      == weights[indptr[held + 1] - 1]).any():
         # the rows between two held ones are empty, so each segment is a row
         low = np.minimum.reduceat(weights, indptr[held])
         high = np.maximum.reduceat(weights, indptr[held])
@@ -477,45 +514,60 @@ def _uniform_values(indptr, weights) -> np.ndarray:
     return value
 
 
-def _counted_totals(indptr, value, cols, cells, pi, pj) -> np.ndarray:
+def _counted_totals(indptr, value, pi, pj, shared) -> np.ndarray:
     """The pair variation of every pair (pi[k], pj[k]) of rows that each
     hold the one finite value w = value[pi[k]] = value[pj[k]]
-    (_uniform_values): each term of the float scan is 0.0 (a shared column)
-    or |w|, so its total is |w| added |f(x)| + |f(y)| - 2 |shared| times,
-    read off _repeated_sums. Only the shared count reads the cells, one
-    take and one test per slot of row pi, in chunks of about
-    _SCAN_CHUNK_BYTES of cell indices."""
-    n, width = cols.shape
-    step = max(1, _SCAN_CHUNK_BYTES // (8 * width))
-    shared = np.empty(len(pi), dtype=np.int64)
-    for lo in range(0, len(pi), step):
-        shared[lo:lo + step] = np.count_nonzero(np.take(
-            cells, pj[lo:lo + step, None] * (n + 1) + cols[pi[lo:lo + step]]),
-            axis=1)
+    (_uniform_values) and share shared[k] columns (_shared_counts): each
+    term of the float scan is 0.0 (a shared column) or |w|, so its total
+    is |w| added |f(x)| + |f(y)| - 2 |shared| times, read off
+    _repeated_sums."""
     lengths = np.diff(indptr)
     times = lengths[pi] + lengths[pj] - 2 * shared
-    runs, run_of = np.unique(value[pi], return_inverse=True)
+    w = value[pi]
+    if (w == w[0]).all():
+        # one value, as in a ball average of balls of one size
+        return _repeated_sums(w[:1], int(times.max()))[0, times]
+    runs, run_of = np.unique(w, return_inverse=True)
     return _repeated_sums(runs, int(times.max()))[run_of, times]
 
 
 def _scan_totals(fam: ReiterFamily, pi, pj, slots: _SlotTable) -> np.ndarray:
     """The pair variation of every pair (pi[k], pj[k]) of the family's
-    rows, the float of the dict loop: by counts where both rows hold one
-    finite value, the same in both (_counted_totals), and by the float
-    scan (_pair_totals) for every other pair, an empty row's too. The
-    family's slots are written to `slots` and cleared after."""
-    indptr = fam.indptr
+    rows, in lexicographic order, the float of the dict loop: by counts
+    where both rows hold one finite value, the same in both
+    (_counted_totals), and by the float scan (_pair_totals) for every other
+    pair, an empty row's too.
+
+    The rows pi go through `slots` a block at a time: the pairs of a block
+    are a slice of each path's pairs, since pi ascends; the block's cells
+    are written, read by the pairs of the block and cleared, and a block
+    with no pair is skipped. The shared counts of every block are read off
+    _repeated_sums once, for the whole family."""
+    n, indptr = fam.space.n, fam.indptr
     value = _uniform_values(indptr, fam.weights)
     by_count = value[pi] == value[pj]
-    cols, weights = _padded_rows(fam.space.n, indptr, fam.cols, fam.weights)
-    cells = slots.fill(cols)
+    counted, floated = np.flatnonzero(by_count), np.flatnonzero(~by_count)
+    ci, cj, fi, fj = pi[counted], pj[counted], pi[floated], pj[floated]
+    cols, weights = _padded_rows(n, indptr, fam.cols, fam.weights)
+    rows = slots.rows(cols.shape[1])
+    firsts = np.arange(0, n + rows, rows)
+    c_at = np.searchsorted(ci, firsts).tolist()
+    f_at = np.searchsorted(fi, firsts).tolist()
+    shared = np.empty(len(counted), dtype=np.int64)
     total = np.empty(len(pi))
-    if by_count.any():
-        total[by_count] = _counted_totals(indptr, value, cols, cells,
-                                          pi[by_count], pj[by_count])
-    total[~by_count] = _pair_totals((cols, weights, cells), pi[~by_count],
-                                    pj[~by_count])
-    slots.clear()
+    for k, first in enumerate(firsts[:-1].tolist()):
+        (c_lo, c_hi), (f_lo, f_hi) = c_at[k:k + 2], f_at[k:k + 2]
+        if c_lo == c_hi and f_lo == f_hi:
+            continue
+        cells = slots.fill(cols[first:first + rows])
+        shared[c_lo:c_hi] = _shared_counts(cols, cells, first, ci[c_lo:c_hi],
+                                           cj[c_lo:c_hi])
+        if f_lo < f_hi:
+            total[floated[f_lo:f_hi]] = _pair_totals(
+                (cols, weights, cells), first, fi[f_lo:f_hi], fj[f_lo:f_hi])
+        slots.clear()
+    if len(counted):
+        total[counted] = _counted_totals(indptr, value, ci, cj, shared)
     return total
 
 
@@ -532,7 +584,8 @@ def pair_scan(fam: ReiterFamily, r_list, pairs=None) -> list:
     """(nu, pair) of the family's CSR rows for each R in r_list: the
     largest pair variation over the pairs within R and the first pair that
     attains it, (0.0, (0, 0)) when there is no pair. `pairs` are the
-    (i, j, d(i, j)) of _ball_pairs at a radius >= every R (read from the
+    (i, j, d(i, j)) of _ball_pairs at a radius >= every R, in its
+    lexicographic order, which the scan's blocks rely on (read from the
     space when None), so that each pair's variation is computed once and
     each R reads its own."""
     if pairs is None:
@@ -613,8 +666,11 @@ def variation_profile(space: FiniteMetricSpace, schedule, r_list,
       those pairs, each R reading its sup off them. A pair of rows that
       hold one value, the same in both (two balls of one size), is read
       by counting shared columns (_counted_totals); every other pair by
-      the float scan. The families share one _SlotTable, which each
-      writes and clears in turn.
+      the float scan. The families share one _SlotTable of about
+      _SLOT_BLOCK_BYTES, which each writes and clears a block of rows at
+      a time. A graph space's rows come from its packed ball growth
+      (space._ball_rows), which reads no n x n matrix but still holds a
+      few packed arrays of n^2 / 8 bytes while the balls grow.
     """
     rows = []
     if space.group is not None and family is ball_average:

@@ -30,6 +30,9 @@ TRIANGLE_SCAN_LIMIT = 256
 # Bytes a chunked step touches at once: a block of unpacked distance bits,
 # or one tile of the symmetry check.
 _CHUNK_BYTES = 1 << 15
+# Bytes of packed ball rows _read_balls reads out at once, so that its
+# temporaries follow this block, not the n^2 / 8 bytes of every ball.
+_READ_BYTES = 1 << 18
 # The 8 bits of each byte value, most significant first (np.unpackbits order)
 _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
 
@@ -571,10 +574,8 @@ def _ball_rows(n: int, edges: np.ndarray, levels: int):
     the graph within `levels`, else None.
 
     The balls grow for at most `levels` levels (_grow_balls), each level's
-    bits OR-ed into the bit-planes of its distance. The set bits of the
-    nonzero bytes of the balls are read through the table of every byte
-    value's bits, and each entry's distance off the same bit of every
-    plane, so nothing of n x n bytes is made.
+    bits OR-ed into the bit-planes of its distance, and _read_balls reads
+    the rows out of them.
     """
     planes: list = []
     for level, reached, added in _grow_balls(n, edges):
@@ -582,26 +583,54 @@ def _ball_rows(n: int, edges: np.ndarray, levels: int):
             _add_level(planes, level, added)
         if level == levels:
             break
+    # `added` is the growth's scratch array: free it before the read-out
+    del added
     # the padding bits are set, so full balls are words of all ones
     diameter = level if reached.min() == np.iinfo(np.uint64).max else None
     reached &= ~_padding(n, reached.shape[1])
-    flat = reached.view(np.uint8).reshape(-1)
-    row_bytes = reached.shape[1] * 8
-    # numpy finds the nonzeros of a bool array far faster than of uint8
-    at = np.flatnonzero(flat != 0)
-    # entry e is bit bit[e] (most significant first) of byte byte[e]; bytes
-    # ascend, and bits ascend within a byte, so entries are row-major
-    hits = np.flatnonzero(np.take(_BYTE_BITS.view(bool), flat[at], axis=0))
-    byte, bit = at[hits >> 3], hits & 7
-    del at, hits
-    shift = (7 - bit).astype(np.uint8)
-    dists = np.zeros(len(byte), dtype=np.min_scalar_type(levels))
-    for k, plane in enumerate(planes):
-        on = plane.view(np.uint8).reshape(-1)[byte] >> shift & 1
-        dists |= on.astype(dists.dtype, copy=False) << k
-    indptr = np.searchsorted(byte, np.arange(n + 1) * row_bytes)
-    cols = byte % row_bytes * 8 + bit
-    return (indptr, cols, dists), diameter
+    return _read_balls(reached, planes, np.min_scalar_type(levels)), diameter
+
+
+def _read_balls(reached: np.ndarray, planes: list, dtype):
+    """The CSR rows (indptr, cols, dists) of the packed balls `reached`,
+    padding bits clear, with each entry's distance, in `dtype`, off the
+    same bit of every plane of _add_level: indptr and cols int64, cols
+    ascending in each row.
+
+    The rows are read a block of about _READ_BYTES of packed rows at a
+    time: the set bits of the block's nonzero bytes through the table of
+    every byte value's bits, and the planes at those bits. So the
+    temporaries follow the block and the entries, not the n^2 / 8 bytes of
+    the balls.
+    """
+    n, row_bytes = len(reached), reached.shape[1] * 8
+    block = max(1, _READ_BYTES // row_bytes)
+    starts, cols, dists = [], [], []
+    entries = 0
+    for a in range(0, n, block):
+        b = min(a + block, n)
+        flat = reached[a:b].view(np.uint8).reshape(-1)
+        # numpy finds the nonzeros of a bool array far faster than of uint8
+        at = np.flatnonzero(flat != 0)
+        # entry e is bit bit[e] (most significant first) of byte byte[e];
+        # bytes ascend, and bits ascend within a byte, so entries are
+        # row-major
+        hits = np.flatnonzero(np.take(_BYTE_BITS.view(bool), flat[at],
+                                      axis=0))
+        byte, bit = at[hits >> 3], hits & 7
+        del at, hits
+        shift = (7 - bit).astype(np.uint8)
+        got = np.zeros(len(byte), dtype=dtype)
+        for k, plane in enumerate(planes):
+            on = plane[a:b].view(np.uint8).reshape(-1)[byte] >> shift & 1
+            got |= on.astype(dtype, copy=False) << k
+        starts.append(entries + np.searchsorted(
+            byte, np.arange(b - a) * row_bytes))
+        cols.append(byte % row_bytes * 8 + bit)
+        dists.append(got)
+        entries += len(byte)
+    starts.append(np.array([entries]))
+    return np.concatenate(starts), np.concatenate(cols), np.concatenate(dists)
 
 
 def _hop_row(n: int, edges: np.ndarray, source: int) -> np.ndarray:

@@ -486,12 +486,16 @@ def pair_index(space, r):
 
 def padded_rows(n, indptr, cols, weights):
     """The arrays the float pair scan reads: averaging._padded_rows of the
-    CSR rows and the cells of a fresh averaging._SlotTable filled from
-    them."""
+    CSR rows and the cells of a _SlotTable block that holds every row, row
+    x's slot of column k, plus one, at x * (n + 1) + k, made here by one
+    scatter."""
     padded_cols, padded_weights = averaging._padded_rows(n, indptr, cols,
                                                          weights)
-    return (padded_cols, padded_weights,
-            averaging._SlotTable(n).fill(padded_cols))
+    width = padded_cols.shape[1]
+    cells = np.zeros((n, n + 1), dtype=np.min_scalar_type(width))
+    cells[np.arange(n)[:, None], padded_cols] = np.arange(1, width + 1)
+    cells[:, n] = 0
+    return padded_cols, padded_weights, cells.reshape(-1)
 
 
 def max_pair_variation(padded, pi, pj):
@@ -506,7 +510,7 @@ def max_pair_variation(padded, pi, pj):
     step = max(1, averaging._SCAN_CHUNK_BYTES // (16 * cols.shape[1]))
     best, best_at = -1.0, 0
     for lo in range(0, len(pi), step):
-        total = averaging._pair_variations(cols, weights, cells,
+        total = averaging._pair_variations(cols, weights, cells, 0,
                                            pi[lo:lo + step], pj[lo:lo + step])
         k = int(np.argmax(total))
         if total[k] > best:

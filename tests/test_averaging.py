@@ -665,13 +665,20 @@ def _families(draw):
     return _family(space, s, vectors, is_prob=is_prob)
 
 
+# _SlotTable budgets of one row, of a few rows (90 bytes hold two rows
+# of 40 points) and of every row: many blocks, some with no pair or with
+# the pairs of one path only
+_SLOT_BUDGETS = st.sampled_from([1, 90, 1 << 20])
+
+
 @settings(deadline=None, max_examples=150)
 @given(_families(), st.sampled_from([0.0, 1.0, 2.0, 3.0]),
-       st.sampled_from([8, 64, 1 << 21]))
-def test_profile_scan_matches_dict_loop(fam, r, chunk_bytes):
+       st.sampled_from([8, 64, 1 << 21]), _SLOT_BUDGETS)
+def test_profile_scan_matches_dict_loop(fam, r, chunk_bytes, block_bytes):
     space = fam.space
     assert space.group is None
-    with mock.patch.object(averaging, "_SCAN_CHUNK_BYTES", chunk_bytes):
+    with mock.patch.object(averaging, "_SCAN_CHUNK_BYTES", chunk_bytes), \
+            mock.patch.object(averaging, "_SLOT_BLOCK_BYTES", block_bytes):
         row = cc.variation_profile(space, [fam.s], [r],
                                    family=lambda sp, s: fam).rows[0]
     nu, pair = max_pair_variation_reference(family_dicts(fam),
@@ -713,13 +720,14 @@ def _count_path_families(draw):
 @given(_count_path_families(),
        st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=1,
                 max_size=3),
-       st.sampled_from([8, 64, 1 << 21]))
-def test_count_path_matches_dict_loop(fam, r_list, chunk_bytes):
+       st.sampled_from([8, 64, 1 << 21]), _SLOT_BUDGETS)
+def test_count_path_matches_dict_loop(fam, r_list, chunk_bytes, block_bytes):
     # the pairs of uniform rows with one value are read by counts, every
     # other pair (an empty row's too) by the float scan; both give the
     # dict loop's float, bit for bit, and its first witness
     space = fam.space
-    with mock.patch.object(averaging, "_SCAN_CHUNK_BYTES", chunk_bytes):
+    with mock.patch.object(averaging, "_SCAN_CHUNK_BYTES", chunk_bytes), \
+            mock.patch.object(averaging, "_SLOT_BLOCK_BYTES", block_bytes):
         got = averaging.pair_scan(fam, r_list)
     for r, (nu, pair) in zip(r_list, got):
         want_nu, want_pair = max_pair_variation_reference(
@@ -737,7 +745,7 @@ def test_most_ball_pairs_take_the_count_path():
     with mock.patch.object(averaging, "_pair_totals",
                            wraps=averaging._pair_totals) as floated:
         got = averaging.pair_scan(fam, [1.0, 2.0], pairs)
-    floats = sum(len(call.args[1]) for call in floated.call_args_list)
+    floats = sum(len(call.args[2]) for call in floated.call_args_list)
     assert 0 < floats <= 0.2 * len(pairs[0])
     padded = padded_rows(space.n, fam.indptr, fam.cols, fam.weights)
     assert _scan_key(got) == _scan_key(
@@ -1012,31 +1020,94 @@ def test_walks_carried_along_a_schedule_equal_walks_from_the_identity(
     ("path", {"size": 300}, cc.ball_average, (1, 200, 3)),
 ], ids=["rr256-walk", "rr256-ball", "path300-ball"])
 def test_one_slot_table_serves_a_profile(kind, params, family, schedule):
-    # one profile writes every family's slots to one table and clears
-    # them after its scan: wide, then narrow, then wide again, each row
-    # equals the profile of its S alone on a fresh twin, and the table is
-    # all zeros after each family
+    # one profile writes every family's slots to one table, a block of
+    # rows at a time, and clears each block after reading its pairs:
+    # wide, then narrow, then wide again, each row equals the profile of
+    # its S alone on a fresh twin, the table is all zeros after every
+    # clear, and it never holds more than its budget or one row; with the
+    # default budget and with one of a few rows per block
     space = cc.generate_family(kind, params, seed=4)
+    alone = [(row.s, row.r, row.nu.hex(), row.x0, row.x1)
+             for s in schedule for row in cc.variation_profile(
+                 _twin(space), [s], [1.0, 2.0], family=family).rows]
     clear = averaging._SlotTable.clear
-    tables = []
+    for block_bytes in (averaging._SLOT_BLOCK_BYTES, 1000):
+        tables = []
 
-    def clear_and_check(slots):
-        clear(slots)
-        tables.append((slots.cells.dtype, slots.cells.any()))
+        def clear_and_check(slots):
+            clear(slots)
+            tables.append((slots.cells.dtype, slots.cells.nbytes,
+                           slots.cells.any()))
 
-    with mock.patch.object(averaging._SlotTable, "clear", autospec=True,
-                           side_effect=clear_and_check):
-        table = cc.variation_profile(space, schedule, [1.0, 2.0],
-                                     family=family)
-    assert [dirty for _, dirty in tables] == [False] * len(schedule)
-    if kind == "path":
-        assert [dtype for dtype, _ in tables] == [np.uint8, np.uint16,
-                                                  np.uint16]
-    alone = [row for s in schedule for row in cc.variation_profile(
-        _twin(space), [s], [1.0, 2.0], family=family).rows]
-    assert [(row.s, row.r, row.nu.hex(), row.x0, row.x1)
-            for row in table.rows] == [
-        (row.s, row.r, row.nu.hex(), row.x0, row.x1) for row in alone]
+        with mock.patch.object(averaging, "_SLOT_BLOCK_BYTES",
+                               block_bytes), \
+                mock.patch.object(averaging._SlotTable, "clear",
+                                  autospec=True,
+                                  side_effect=clear_and_check):
+            table = cc.variation_profile(_twin(space), schedule, [1.0, 2.0],
+                                         family=family)
+        assert len(tables) >= len(schedule)
+        assert not any(dirty for _, _, dirty in tables)
+        assert all(size <= max(block_bytes, (space.n + 1) * dtype.itemsize)
+                   for dtype, size, _ in tables)
+        if block_bytes < space.n:
+            # a few rows per block, so many blocks per family
+            assert len(tables) > 20 * len(schedule)
+        dtypes = [dtype for dtype, _, _ in tables]
+        if kind == "path":
+            # the narrow family keeps the uint16 table of the wide one
+            wide = dtypes.index(np.uint16)
+            assert dtypes == [np.uint8] * wide + [np.uint16] * (
+                len(dtypes) - wide)
+        assert [(row.s, row.r, row.nu.hex(), row.x0, row.x1)
+                for row in table.rows] == alone
+
+
+@pytest.mark.parametrize("kind,params,s", [
+    ("random_regular", {"n": 30, "k": 3}, 2.0),
+    ("random_regular", {"n": 300, "k": 3}, 3.0),
+    ("free_ball", {"rank": 2, "radius": 3}, 2.0),
+    ("path", {"size": 300}, 150.0),
+], ids=["rr30", "rr300", "free_ball", "path300"])
+def test_profiles_across_blocks_match_dict_loop(kind, params, s):
+    # blocks of 3 slot rows (1 of uint16 cells) and of one packed ball row
+    # at a time: the ball, walk and random families of graphs of 30 to 300
+    # points read the dict loop's floats and first witnesses
+    space = cc.generate_family(kind, params, seed=3)
+    rng = np.random.default_rng(3)
+    r_list = [1.0, 2.0, 3.0]
+    with mock.patch.object(averaging, "_SLOT_BLOCK_BYTES", 1000), \
+            mock.patch.object(spacemod, "_READ_BYTES", 8):
+        space.rows_within(max(s, 3.0))
+        indptr, cols = space.rows_within(s)[:2]
+        masses = rng.random(len(cols)) + 0.05
+        fams = [cc.ball_average(space, s), cc.lazy_walk_family(space, s),
+                cc.ReiterFamily(space, s, indptr, cols, masses,
+                                is_prob=False)]
+        got = [averaging.pair_scan(fam, r_list) for fam in fams]
+    for fam, scans in zip(fams, got):
+        for r, (nu, pair) in zip(r_list, scans):
+            want_nu, want_pair = max_pair_variation_reference(
+                family_dicts(fam), pairs_reference(space, r))
+            assert (nu.hex(), pair) == (want_nu.hex(), want_pair)
+
+
+def test_pair_scan_memory_follows_the_block():
+    # with its rows read in advance, the scan of an rr8192 ball family
+    # holds its padded rows, one block of slots and a chunk of pairs: a
+    # table of every row's slots, n x (n + 1) bytes (64 MiB), breaks this
+    space = cc.generate_family("random_regular", {"n": 8192, "k": 3}, seed=1)
+    fam = cc.ball_average(space, 4.0)
+    pairs = averaging._ball_pairs(space, 2.0)
+    tracemalloc.start()
+    try:
+        got = averaging._pair_scan(fam, [1.0, 2.0], pairs,
+                                   averaging._SlotTable(space.n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert [pair for _, pair in got] and all(nu > 0 for nu, _ in got)
 
 
 def test_ball_and_walk_profiles_read_the_distances_once():

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 import coarsecohom as cc
 from coarsecohom.cochains import _join
-from coarsecohom.space import (FAMILY_PARAMS, TRIANGLE_SCAN_LIMIT, _ball_rows,
-                               _compact, _complete_edges, _cycle_edges,
-                               _free_ball_edges, _hop_distances, _hop_row,
-                               _path_edges, _random_regular_edges,
+from coarsecohom.space import (FAMILY_PARAMS, TRIANGLE_SCAN_LIMIT,
+                               _add_level, _ball_rows, _compact,
+                               _complete_edges, _cycle_edges,
+                               _free_ball_edges, _grow_balls, _hop_distances,
+                               _hop_row, _padding, _path_edges,
+                               _random_regular_edges, _read_balls,
                                _torus_edges)
 from helpers import (bfs_graph_dist, brute_tuples, cycle_dist, spaces,
                      torus_dist)
@@ -227,17 +229,20 @@ def _same_rows(got, want):
 
 
 @settings(deadline=None, max_examples=150)
-@given(graph_spaces(), st.randoms(use_true_random=False))
-def test_graph_rows_within_are_the_dense_rows(space, rng):
+@given(graph_spaces(), st.randoms(use_true_random=False),
+       st.sampled_from([8, 24, 1 << 18]))
+def test_graph_rows_within_are_the_dense_rows(space, rng, read_bytes):
     # radii asked in any order, NaN and -1 among them, on a graph space
     # before and after its matrix is built, on a fresh twin, and on the
     # same metric given as a matrix and scaled to a real metric: every
-    # answer is the rows of the near mask, and only a radius >= 0 is kept
+    # answer is the rows of the near mask, and only a radius >= 0 is kept;
+    # the balls are read out one packed row, a few, or all at a time
     twin = cc.FiniteMetricSpace.from_json(space.to_json())
     radii = [0.0, 0.5, 1.0, 2.5, -1.0, float("nan")]
     radii += [float(r) for r in range(2, int(space.diameter()) + 2)]
     rng.shuffle(radii)
-    before = [space.rows_within(r) for r in radii]
+    with mock.patch("coarsecohom.space._READ_BYTES", read_bytes):
+        before = [space.rows_within(r) for r in radii]
     assert space._dist is None
     matrix = cc.FiniteMetricSpace(space.dist)
     real = cc.scaled_metric(matrix, 0.5)
@@ -246,13 +251,63 @@ def test_graph_rows_within_are_the_dense_rows(space, rng):
     for k in order:
         r = radii[k]
         want = _near_rows(matrix, r)
-        for got in (before[k], twin.rows_within(r), space.rows_within(r),
-                    matrix.rows_within(r)):
+        with mock.patch("coarsecohom.space._READ_BYTES", read_bytes):
+            read = [twin.rows_within(r), space.rows_within(r)]
+        for got in (before[k], *read, matrix.rows_within(r)):
             assert _same_rows(got, want)
         assert _same_rows(real.rows_within(r / 2), _near_rows(real, r / 2))
     for sp in (space, twin, matrix, real):
         assert sp._balls[0] >= 0
     assert twin.diameter() == space.diameter() == float(space.dist.max())
+
+
+@pytest.mark.parametrize("kind,params,radius", [
+    ("random_regular", {"n": 30, "k": 3}, 2),
+    ("random_regular", {"n": 300, "k": 3}, 4),
+    ("torus", {"dim": 2, "size": 12}, 5),
+    ("path", {"size": 300}, 299),
+], ids=["rr30", "rr300", "torus12", "path300"])
+@pytest.mark.parametrize("read_bytes", [8, 100])
+def test_balls_read_out_by_blocks_are_the_dense_rows(kind, params, radius,
+                                                     read_bytes):
+    # graphs of 30 to 300 points read out a few packed rows at a time,
+    # the last block short: the rows and their dtypes are the near mask's
+    space = cc.generate_family(kind, params, seed=5)
+    with mock.patch("coarsecohom.space._READ_BYTES", read_bytes):
+        got = space.rows_within(float(radius))
+    matrix = cc.FiniteMetricSpace(space.dist)
+    assert _same_rows(got, _near_rows(matrix, radius))
+    assert [part.dtype for part in got] == [
+        part.dtype for part in matrix.rows_within(radius)]
+
+
+def test_ball_read_out_memory_follows_the_block():
+    # the 2-balls of rr8192 read out of their packed rows a block at a
+    # time: the read-out's temporaries follow the entries, far below the
+    # n^2 / 8 bytes (8 MiB) that one mask over every packed row takes
+    n = 8192
+    edges = cc.generate_family("random_regular", {"n": n, "k": 3},
+                               seed=1)._edges
+    planes: list = []
+    for level, reached, added in _grow_balls(n, edges):
+        if added is not None:
+            _add_level(planes, level, added)
+        if level == 2:
+            break
+    reached &= ~_padding(n, reached.shape[1])
+    tracemalloc.start()
+    try:
+        rows = _read_balls(reached, planes, np.uint8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * sum(part.nbytes for part in rows) + 2 ** 20
+    # each 2-ball holds its centre, its 3 neighbours and at most 6 more
+    indptr, cols, dists = rows
+    assert np.count_nonzero(dists == 0) == n
+    assert np.count_nonzero(dists == 1) == 3 * n
+    assert np.diff(indptr).max() <= 10 and indptr[-1] == len(cols)
+    assert [part.dtype for part in rows] == [np.int64, np.int64, np.uint8]
 
 
 def test_graph_rows_within_are_shared_and_read_only():
