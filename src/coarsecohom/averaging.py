@@ -503,10 +503,7 @@ def _uniform_values(indptr, weights) -> np.ndarray:
     value; NaN for every other row, an empty one too."""
     value = np.full(len(indptr) - 1, np.nan)
     held = np.flatnonzero(np.diff(indptr))
-    # a row of one value holds it first and last, so when no row does,
-    # the reductions below find nothing
-    if len(held) and (weights[indptr[held]]
-                      == weights[indptr[held + 1] - 1]).any():
+    if len(held):
         # the rows between two held ones are empty, so each segment is a row
         low = np.minimum.reduceat(weights, indptr[held])
         high = np.maximum.reduceat(weights, indptr[held])
@@ -523,26 +520,29 @@ def _counted_totals(indptr, value, pi, pj, shared) -> np.ndarray:
     _repeated_sums."""
     lengths = np.diff(indptr)
     times = lengths[pi] + lengths[pj] - 2 * shared
-    w = value[pi]
-    if (w == w[0]).all():
-        # one value, as in a ball average of balls of one size
-        return _repeated_sums(w[:1], int(times.max()))[0, times]
-    runs, run_of = np.unique(w, return_inverse=True)
+    runs, run_of = np.unique(value[pi], return_inverse=True)
     return _repeated_sums(runs, int(times.max()))[run_of, times]
 
 
 def _scan_totals(fam: ReiterFamily, pi, pj, slots: _SlotTable) -> np.ndarray:
     """The pair variation of every pair (pi[k], pj[k]) of the family's
-    rows, in lexicographic order, the float of the dict loop: by counts
+    rows, in any order, the float of the dict loop: by counts
     where both rows hold one finite value, the same in both
     (_counted_totals), and by the float scan (_pair_totals) for every other
     pair, an empty row's too.
 
     The rows pi go through `slots` a block at a time: the pairs of a block
-    are a slice of each path's pairs, since pi ascends; the block's cells
+    are a slice of each path's pairs, once pi ascends; the block's cells
     are written, read by the pairs of the block and cleared, and a block
     with no pair is skipped. The shared counts of every block are read off
     _repeated_sums once, for the whole family."""
+    if (np.diff(pi) < 0).any():
+        # scan the pairs with pi ascending and put each total back at its
+        # own pair
+        order = np.argsort(pi, kind="stable")
+        total = np.empty(len(pi))
+        total[order] = _scan_totals(fam, pi[order], pj[order], slots)
+        return total
     n, indptr = fam.space.n, fam.indptr
     value = _uniform_values(indptr, fam.weights)
     by_count = value[pi] == value[pj]
@@ -583,11 +583,10 @@ def _ball_pairs(space: FiniteMetricSpace, r: float):
 def pair_scan(fam: ReiterFamily, r_list, pairs=None) -> list:
     """(nu, pair) of the family's CSR rows for each R in r_list: the
     largest pair variation over the pairs within R and the first pair that
-    attains it, (0.0, (0, 0)) when there is no pair. `pairs` are the
-    (i, j, d(i, j)) of _ball_pairs at a radius >= every R, in its
-    lexicographic order, which the scan's blocks rely on (read from the
-    space when None), so that each pair's variation is computed once and
-    each R reads its own."""
+    attains it, (0.0, (0, 0)) when there is no pair. `pairs` are arrays
+    (i, j, d(i, j)) of the pairs within a radius >= every R, in any order
+    (those of _ball_pairs when None), so that each pair's variation is
+    computed once and each R reads its own; "first" is in their order."""
     if pairs is None:
         pairs = _ball_pairs(fam.space, max(r_list, default=0.0))
     return _pair_scan(fam, r_list, pairs, _SlotTable(fam.space.n))

@@ -16,8 +16,8 @@ from coarsecohom.coefficients import PRUNE_TOL
 from helpers import (csr_dicts, dict_norm, dict_total, dicts_csr,
                      family_dicts, frac_ball_nu, kept, max_pair_variation,
                      max_pair_variation_reference, one_value,
-                     padded_rows, pair_index, pairs_reference, ref_balls,
-                     rule_cochain,
+                     padded_rows, pair_index, pairs_reference, radius_bound,
+                     ref_balls, rule_cochain,
                      sparse_walk_rows, validate_family_reference,
                      walk_dicts_reference, walk_matrix_reference,
                      walk_rows_reference)
@@ -1089,6 +1089,38 @@ def test_profiles_across_blocks_match_dict_loop(kind, params, s):
         for r, (nu, pair) in zip(r_list, scans):
             want_nu, want_pair = max_pair_variation_reference(
                 family_dicts(fam), pairs_reference(space, r))
+            assert (nu.hex(), pair) == (want_nu.hex(), want_pair)
+
+
+@pytest.mark.parametrize("kind,params,s", [
+    ("random_regular", {"n": 300, "k": 3}, 2.0),
+    ("path", {"size": 300}, 150.0),
+], ids=["rr300", "path300"])
+def test_pair_scan_takes_pairs_in_any_order(kind, params, s):
+    # shuffled pairs, half of them as (j, i), across blocks of 3 slot rows:
+    # each pair's variation is the dict loop's, and the witness is the
+    # first maximising pair in the order given
+    space = cc.generate_family(kind, params, seed=5)
+    rng = np.random.default_rng(5)
+    r_list = [1.0, 2.0, 3.0]
+    pi, pj, pd = averaging._ball_pairs(space, 3.0)
+    order = rng.permutation(len(pi))
+    flip = rng.random(len(pi)) < 0.5
+    pi, pj = np.where(flip, pj, pi)[order], np.where(flip, pi, pj)[order]
+    pd = pd[order]
+    indptr, cols = space.rows_within(s)[:2]
+    fams = [cc.ball_average(space, s), cc.lazy_walk_family(space, s),
+            cc.ReiterFamily(space, s, indptr, cols,
+                            rng.random(len(cols)) + 0.05, is_prob=False)]
+    with mock.patch.object(averaging, "_SLOT_BLOCK_BYTES", 1000):
+        got = [averaging.pair_scan(fam, r_list, (pi, pj, pd))
+               for fam in fams]
+    for fam, scans in zip(fams, got):
+        for r, (nu, pair) in zip(r_list, scans):
+            inside = pd <= radius_bound(space, r)
+            want_nu, want_pair = max_pair_variation_reference(
+                family_dicts(fam), list(zip(pi[inside].tolist(),
+                                            pj[inside].tolist())))
             assert (nu.hex(), pair) == (want_nu.hex(), want_pair)
 
 
