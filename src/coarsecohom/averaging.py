@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -156,12 +157,17 @@ def dirac_family(space: FiniteMetricSpace) -> ReiterFamily:
                         np.ones(n), name="dirac")
 
 
+def _ball_scale(s: float) -> float:
+    """s, a ball radius, once it is >= 0."""
+    if not s >= 0:
+        raise ValueError(f"ball_average needs a scale s >= 0, got {s!r}")
+    return s
+
+
 def ball_average(space: FiniteMetricSpace, s: float) -> ReiterFamily:
     """Uniform probability on the closed s-ball of each point, s >= 0:
     the rows of space.rows_within(s), so the family is not validated."""
-    if not s >= 0:
-        raise ValueError(f"ball_average needs a scale s >= 0, got {s!r}")
-    indptr, cols = space.rows_within(s)[:2]
+    indptr, cols = space.rows_within(_ball_scale(s))[:2]
     sizes = np.diff(indptr)
     return ReiterFamily._from_balls(space, s, indptr, cols,
                                     np.repeat(1.0 / sizes, sizes),
@@ -345,10 +351,10 @@ class ProfileTable:
         return "\n".join(lines) + "\n"
 
 
-# Bytes of the pair scan's largest temporaries: the float path's (pairs x
-# 2 width) term array, the count path's (pairs x width) cell indices. Small
-# chunks keep the temporaries in cache and below malloc's default mmap
-# threshold (128 KiB), so they are reused, not mapped afresh.
+# Bytes of the pair scan's largest temporaries: the float scan's (pairs x
+# 2 width) term array, the shared counts' (pairs x width) cell indices.
+# Small chunks keep the temporaries in cache and below malloc's default
+# mmap threshold (128 KiB), so they are reused, not mapped afresh.
 _SCAN_CHUNK_BYTES = 1 << 16
 # Bytes of a _SlotTable: it holds the cells of as many rows as fit (at
 # least one), so its memory follows this budget, not n^2.
@@ -412,16 +418,17 @@ class _SlotTable:
         self._block = None
 
 
-def _padded_rows(n: int, indptr, cols, weights):
+def _padded_rows(n: int, indptr, cols, weights=None):
     """The CSR rows (one per point: columns ascending, their values in
     the same slice of `weights`) as arrays the pair scan can gather from by
     point.
 
     cols (n, width): row x's columns, padded with n, a column no row holds,
-    in the smallest unsigned dtype that holds n. weights (n, width + 1):
-    column 0 is 0.0 in every row, and row x's values sit in columns 1 to
-    its length, padded with 0.0; so a _SlotTable cell, 0 where the row
-    lacks the column, is the column of the row's value.
+    in the smallest unsigned dtype that holds n. weights (n, width + 1),
+    None when no weights are given: column 0 is 0.0 in every row, and row
+    x's values sit in columns 1 to its length, padded with 0.0; so a
+    _SlotTable cell, 0 where the row lacks the column, is the column of
+    the row's value.
     """
     lengths = np.diff(indptr)
     width = max(int(lengths.max()), 1)
@@ -429,6 +436,8 @@ def _padded_rows(n: int, indptr, cols, weights):
     filled = np.arange(width) < lengths[:, None]
     padded_cols = np.full((n, width), n, dtype=np.min_scalar_type(n))
     padded_cols[filled] = cols
+    if weights is None:
+        return padded_cols, None
     padded_weights = np.zeros((n, width + 1))
     padded_weights[:, 1:][filled] = weights
     return padded_cols, padded_weights
@@ -457,12 +466,10 @@ def _pair_variations(cols, weights, cells, first, pi, pj) -> np.ndarray:
     return np.cumsum(terms, axis=1)[:, -1]
 
 
-def _pair_totals(padded, first, pi, pj) -> np.ndarray:
+def _pair_totals(cols, weights, cells, first, pi, pj) -> np.ndarray:
     """The pair variation of every pair (pi[k], pj[k]) by the float scan
-    of _pair_variations over `padded` = (cols, weights, cells), with cells
-    the block of rows from `first`, computed in chunks of about
-    _SCAN_CHUNK_BYTES per array."""
-    cols, weights, cells = padded
+    of _pair_variations, with cells the block of rows from `first`,
+    computed in chunks of about _SCAN_CHUNK_BYTES per array."""
     step = max(1, _SCAN_CHUNK_BYTES // (16 * cols.shape[1]))
     total = np.empty(len(pi))
     for lo in range(0, len(pi), step):
@@ -486,89 +493,79 @@ def _shared_counts(cols, cells, first, pi, pj) -> np.ndarray:
     return shared
 
 
-def _repeated_sums(values, count: int) -> np.ndarray:
-    """sums[v, k] is |values[v]| added k times, left to right from 0.0,
-    for k = 0..count. It is read off a cumulative sum, never formed as
-    k * |w|, so it is the float a scan gets from k terms |w| and any number
-    of 0.0 terms."""
-    values = np.abs(np.asarray(values, dtype=float))
-    sums = np.zeros((len(values), count + 1))
-    np.cumsum(np.broadcast_to(values[:, None], (len(values), count)),
-              axis=1, out=sums[:, 1:])
-    return sums
-
-
-def _uniform_values(indptr, weights) -> np.ndarray:
-    """The one value of each row whose entries all hold the same finite
-    value; NaN for every other row, an empty one too."""
-    value = np.full(len(indptr) - 1, np.nan)
-    held = np.flatnonzero(np.diff(indptr))
-    if len(held):
-        # the rows between two held ones are empty, so each segment is a row
-        low = np.minimum.reduceat(weights, indptr[held])
-        high = np.maximum.reduceat(weights, indptr[held])
-        value[held] = np.where((low == high) & np.isfinite(low), low, np.nan)
-    return value
-
-
-def _counted_totals(indptr, value, pi, pj, shared) -> np.ndarray:
-    """The pair variation of every pair (pi[k], pj[k]) of rows that each
-    hold the one finite value w = value[pi[k]] = value[pj[k]]
-    (_uniform_values) and share shared[k] columns (_shared_counts): each
-    term of the float scan is 0.0 (a shared column) or |w|, so its total
-    is |w| added |f(x)| + |f(y)| - 2 |shared| times, read off
-    _repeated_sums."""
-    lengths = np.diff(indptr)
-    times = lengths[pi] + lengths[pj] - 2 * shared
-    runs, run_of = np.unique(value[pi], return_inverse=True)
-    return _repeated_sums(runs, int(times.max()))[run_of, times]
+def _by_blocks(cols, pi, pj, slots: _SlotTable, scan, dtype) -> np.ndarray:
+    """scan(cells, first, pi, pj) of every pair (pi[k], pj[k]) of the rows
+    whose _padded_rows columns are `cols`, with the pairs in any order:
+    the rows pi go through `slots` a block at a time, from row `first`.
+    Once pi ascends, the pairs of a block are a slice; the block's cells
+    are written, read by the scan of its pairs and cleared, and a block
+    with no pair is skipped. Each result is put back at its own pair."""
+    if (np.diff(pi) < 0).any():
+        order = np.argsort(pi, kind="stable")
+        out = np.empty(len(pi), dtype)
+        out[order] = _by_blocks(cols, pi[order], pj[order], slots, scan, dtype)
+        return out
+    n = len(cols)
+    rows = slots.rows(cols.shape[1])
+    firsts = np.arange(0, n + rows, rows)
+    at = np.searchsorted(pi, firsts).tolist()
+    out = np.empty(len(pi), dtype)
+    for k, first in enumerate(firsts[:-1].tolist()):
+        lo, hi = at[k:k + 2]
+        if lo < hi:
+            cells = slots.fill(cols[first:first + rows])
+            out[lo:hi] = scan(cells, first, pi[lo:hi], pj[lo:hi])
+            slots.clear()
+    return out
 
 
 def _scan_totals(fam: ReiterFamily, pi, pj, slots: _SlotTable) -> np.ndarray:
     """The pair variation of every pair (pi[k], pj[k]) of the family's
-    rows, in any order, the float of the dict loop: by counts
-    where both rows hold one finite value, the same in both
-    (_counted_totals), and by the float scan (_pair_totals) for every other
-    pair, an empty row's too.
+    rows, in any order, the float of the dict loop (_pair_totals)."""
+    cols, weights = _padded_rows(fam.space.n, fam.indptr, fam.cols,
+                                 fam.weights)
+    return _by_blocks(cols, pi, pj, slots,
+                      partial(_pair_totals, cols, weights), float)
 
-    The rows pi go through `slots` a block at a time: the pairs of a block
-    are a slice of each path's pairs, once pi ascends; the block's cells
-    are written, read by the pairs of the block and cleared, and a block
-    with no pair is skipped. The shared counts of every block are read off
-    _repeated_sums once, for the whole family."""
-    if (np.diff(pi) < 0).any():
-        # scan the pairs with pi ascending and put each total back at its
-        # own pair
-        order = np.argsort(pi, kind="stable")
-        total = np.empty(len(pi))
-        total[order] = _scan_totals(fam, pi[order], pj[order], slots)
-        return total
-    n, indptr = fam.space.n, fam.indptr
-    value = _uniform_values(indptr, fam.weights)
-    by_count = value[pi] == value[pj]
-    counted, floated = np.flatnonzero(by_count), np.flatnonzero(~by_count)
-    ci, cj, fi, fj = pi[counted], pj[counted], pi[floated], pj[floated]
-    cols, weights = _padded_rows(n, indptr, fam.cols, fam.weights)
-    rows = slots.rows(cols.shape[1])
-    firsts = np.arange(0, n + rows, rows)
-    c_at = np.searchsorted(ci, firsts).tolist()
-    f_at = np.searchsorted(fi, firsts).tolist()
-    shared = np.empty(len(counted), dtype=np.int64)
-    total = np.empty(len(pi))
-    for k, first in enumerate(firsts[:-1].tolist()):
-        (c_lo, c_hi), (f_lo, f_hi) = c_at[k:k + 2], f_at[k:k + 2]
-        if c_lo == c_hi and f_lo == f_hi:
+
+def _ball_nu(larger, shared) -> np.ndarray:
+    """The variation ||1_A / a - 1_B / b||_1 of the uniform rows of balls
+    A and B with a = |A| <= b = |B| (`larger`) and c = |A & B| (`shared`):
+    (a - c) / a + (b - c) / b + c (1 / a - 1 / b) = 2 (1 - c / b). As
+    2.0 * ((b - c) / b) it is the correctly rounded float of that
+    rational: b - c and b are whole numbers, exact as floats, the division
+    rounds once, and doubling is exact."""
+    return 2.0 * ((larger - shared) / larger)
+
+
+def _ball_variations(space: FiniteMetricSpace, s: float, pi, pj,
+                     slots: _SlotTable) -> np.ndarray:
+    """The variation of the ball average at scale s over every pair
+    (pi[k], pj[k]), pi ascending, from the shared columns of the two ball
+    rows (_shared_counts), by _ball_nu."""
+    indptr, cols = space.rows_within(_ball_scale(s))[:2]
+    sizes = np.diff(indptr)
+    cols = _padded_rows(space.n, indptr, cols)[0]
+    shared = _by_blocks(cols, pi, pj, slots, partial(_shared_counts, cols),
+                        np.int64)
+    return _ball_nu(np.maximum(sizes[pi], sizes[pj]), shared)
+
+
+def _sups(space: FiniteMetricSpace, r_list, values, pi, pj, pd) -> list:
+    """(nu, pair) for each R in r_list: the largest of the `values` (all
+    >= 0) of the pairs (pi[k], pj[k]) with pd[k] = d(pi[k], pj[k]) within
+    R and the first pair that attains it, (0.0, (0, 0)) when there is no
+    pair."""
+    out = []
+    for r in r_list:
+        inside = pd <= space.radius_bound(r)
+        if not inside.any():
+            out.append((0.0, (0, 0)))
             continue
-        cells = slots.fill(cols[first:first + rows])
-        shared[c_lo:c_hi] = _shared_counts(cols, cells, first, ci[c_lo:c_hi],
-                                           cj[c_lo:c_hi])
-        if f_lo < f_hi:
-            total[floated[f_lo:f_hi]] = _pair_totals(
-                (cols, weights, cells), first, fi[f_lo:f_hi], fj[f_lo:f_hi])
-        slots.clear()
-    if len(counted):
-        total[counted] = _counted_totals(indptr, value, ci, cj, shared)
-    return total
+        # variations are >= 0, so -1.0 never wins; argmax takes the first
+        k = int(np.argmax(np.where(inside, values, -1.0)))
+        out.append((float(values[k]), (int(pi[k]), int(pj[k]))))
+    return out
 
 
 def _ball_pairs(space: FiniteMetricSpace, r: float):
@@ -586,26 +583,16 @@ def pair_scan(fam: ReiterFamily, r_list, pairs=None) -> list:
     attains it, (0.0, (0, 0)) when there is no pair. `pairs` are arrays
     (i, j, d(i, j)) of the pairs within a radius >= every R, in any order
     (those of _ball_pairs when None), so that each pair's variation is
-    computed once and each R reads its own; "first" is in their order."""
+    computed once and each R reads its own; "first" is in their order.
+
+    Every family, a ball average too, takes the float scan: each pair's
+    variation is the float of a dict loop over its entries. The ball
+    profiles of variation_profile are read exactly instead (_ball_nu)."""
     if pairs is None:
         pairs = _ball_pairs(fam.space, max(r_list, default=0.0))
-    return _pair_scan(fam, r_list, pairs, _SlotTable(fam.space.n))
-
-
-def _pair_scan(fam: ReiterFamily, r_list, pairs, slots: _SlotTable) -> list:
-    """pair_scan with the _SlotTable the scan writes its slots to."""
     pi, pj, pd = pairs
-    total = _scan_totals(fam, pi, pj, slots)
-    out = []
-    for r in r_list:
-        inside = pd <= fam.space.radius_bound(r)
-        if not inside.any():
-            out.append((0.0, (0, 0)))
-            continue
-        # variations are >= 0, so -1.0 never wins; argmax takes the first
-        k = int(np.argmax(np.where(inside, total, -1.0)))
-        out.append((float(total[k]), (int(pi[k]), int(pj[k]))))
-    return out
+    return _sups(fam.space, r_list, _scan_totals(
+        fam, pi, pj, _SlotTable(fam.space.n)), pi, pj, pd)
 
 
 def _one_row_variation(space, hops, s: float, r_list) -> list:
@@ -613,36 +600,26 @@ def _one_row_variation(space, hops, s: float, r_list) -> list:
     a space with a group law, from the distances `hops` to the identity e.
 
     The law is left-invariant, so the pair (x, y) varies as (e, x^-1 y)
-    does, and nu is the largest variation nu_t of the pairs (e, t) with
-    0 < d(e, t) <= R. With B = B_s(e), the ball of t is t * B. Every ball
-    row holds the single value w = 1.0 / |B|, so the dense scan adds only
-    0.0 or w for a pair, left to right, and its total is w added
-    k = 2 |B - t * B| times in sequence (a set difference): the count path
-    of the scan, read here off the same _repeated_sums, so nu is the dense
-    scan's float bit for bit. Every value is attained by a pair
-    from point 0 = e, so the dense scan's first maximising pair is
-    (e, least maximising t), and the t are read in ascending order.
+    does, and nu is the largest variation of the pairs (e, t) with
+    0 < d(e, t) <= R. With B = B_s(e), the ball of t is t * B, of the
+    same size, so the variation is _ball_nu of b = |B| and the c points of
+    t * B inside B: the exact rational's float, as the general scan reads
+    it. Every value is attained by a pair from point 0 = e, so the first
+    maximising pair of the general scan is (e, least maximising t), and
+    the t are read in ascending order.
     """
     law = space.group
-    inside = hops <= space.radius_bound(s)
+    inside = hops <= space.radius_bound(_ball_scale(s))
     ball = np.flatnonzero(inside)
-    # sums[k] is w added k times, from sums[0] = 0.0
-    sums = _repeated_sums([1.0 / len(ball)], 2 * len(ball))[0]
+    moves = np.flatnonzero((hops > 0) & (
+        hops <= space.radius_bound(max(r_list, default=0.0))))
     step = max(1, _SCAN_CHUNK_BYTES // (8 * len(ball)))
-    out = []
-    for r in r_list:
-        moves = np.flatnonzero((hops > 0) & (hops <= space.radius_bound(r)))
-        if not len(moves):
-            out.append((0.0, (0, 0)))
-            continue
-        shared = np.concatenate([
-            np.count_nonzero(inside[law.translate(moves[lo:lo + step, None],
-                                                  ball)], axis=1)
-            for lo in range(0, len(moves), step)])
-        nu = sums[2 * (len(ball) - shared)]
-        k = int(np.argmax(nu))
-        out.append((float(nu[k]), (law.identity, int(moves[k]))))
-    return out
+    shared = np.empty(len(moves), dtype=np.int64)
+    for lo in range(0, len(moves), step):
+        shared[lo:lo + step] = np.count_nonzero(
+            inside[law.translate(moves[lo:lo + step, None], ball)], axis=1)
+    return _sups(space, r_list, _ball_nu(len(ball), shared),
+                 np.full(len(moves), law.identity), moves, hops[moves])
 
 
 def variation_profile(space: FiniteMetricSpace, schedule, r_list,
@@ -651,45 +628,53 @@ def variation_profile(space: FiniteMetricSpace, schedule, r_list,
 
     The witness pair is the lexicographically first maximizer. Single
     points never vary (nu uses x0 != x1 pairs; none exist for n = 1, giving
-    nu = 0). Which path runs depends on the space and the family, and both
-    give the same floats and witnesses:
+    nu = 0). Which path runs depends on the space and the family:
     - the ball average on a space with a group law (`space.group`: the
       cycle and torus families) reads one row from the identity
       (_one_row_variation), in O(n * degree) time and O(n) memory;
-    - every other family or space takes the exact O(n^2) scan of all pairs
-      within R. It reads the distances once, as the space's rows_within
-      of the widest radius, max(schedule, R list), which the space keeps:
-      the pairs within the largest R are a filter of them, and so are the
-      rows of the ball average and lazy_walk_family. Each family is
-      family(space, S), and its pair variations are computed once over
-      those pairs, each R reading its sup off them. A pair of rows that
-      hold one value, the same in both (two balls of one size), is read
-      by counting shared columns (_counted_totals); every other pair by
-      the float scan. The families share one _SlotTable of about
-      _SLOT_BLOCK_BYTES, which each writes and clears a block of rows at
-      a time. A graph space's rows come from its packed ball growth
-      (space._ball_rows), which reads no n x n matrix but still holds a
-      few packed arrays of n^2 / 8 bytes while the balls grow.
+    - the ball average on any other space counts the columns that the
+      two balls of every pair within R share (_ball_variations);
+    - every other family takes pair_scan's float scan of every pair
+      within R, each pair's variation the float of a dict loop.
+    A ball pair's variation is 2 ((b - c) / b), with b the larger ball's
+    size and c the points the two balls share (_ball_nu): the correctly
+    rounded float of that rational, whatever the point labels. Two
+    different rationals of denominators <= n differ by at least 1 / n^2,
+    so for n < 2^26 their floats differ too, and the first maximiser of
+    the floats is the first exact maximiser.
+    The last two read the distances once, as the space's rows_within of
+    the widest radius, max(schedule, R list), which the space keeps: the
+    pairs within the largest R are a filter of them, and so are the ball
+    rows and the rows of lazy_walk_family. Each S's pair variations are
+    computed once over those pairs, each R reading its sup and first
+    witness off them (_sups); a family other than the ball average is
+    family(space, S), which lives only through its scan. The scans of a
+    profile share one _SlotTable of about _SLOT_BLOCK_BYTES, which each
+    writes and clears a block of rows at a time (_by_blocks). A graph
+    space's rows come from its packed ball growth (space._ball_rows),
+    which reads no n x n matrix but still holds a few packed arrays of
+    n^2 / 8 bytes while the balls grow.
     """
-    rows = []
     if space.group is not None and family is ball_average:
         hops = space.hops_from_identity()
-        for s in schedule:
-            for r, (nu, pair) in zip(r_list, _one_row_variation(
-                    space, hops, s, r_list)):
-                rows.append(ProfileRow(float(s), float(r), nu, *pair))
-        return ProfileTable(rows)
-    r_max = max(r_list, default=0.0)
-    # every smaller radius read below is a filter of these rows
-    space.rows_within(max([r_max, *schedule]))
-    pairs = _ball_pairs(space, r_max)
-    slots = _SlotTable(space.n)
-    for s in schedule:
-        # each family lives only through its scan
-        for r, (nu, pair) in zip(r_list, _pair_scan(family(space, s), r_list,
-                                                    pairs, slots)):
-            rows.append(ProfileRow(float(s), float(r), nu, *pair))
-    return ProfileTable(rows)
+
+        def scan(s):
+            return _one_row_variation(space, hops, s, r_list)
+    else:
+        r_max = max(r_list, default=0.0)
+        # every smaller radius read below is a filter of these rows
+        space.rows_within(max([r_max, *schedule]))
+        pi, pj, pd = _ball_pairs(space, r_max)
+        slots = _SlotTable(space.n)
+
+        def scan(s):
+            values = (_ball_variations(space, s, pi, pj, slots)
+                      if family is ball_average else
+                      _scan_totals(family(space, s), pi, pj, slots))
+            return _sups(space, r_list, values, pi, pj, pd)
+    return ProfileTable([ProfileRow(float(s), float(r), nu, *pair)
+                         for s in schedule
+                         for r, (nu, pair) in zip(r_list, scan(s))])
 
 
 # -- normalization -------------------------------------------------------------

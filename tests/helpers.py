@@ -424,22 +424,56 @@ def brute_tuples(space, p, r):
     return out
 
 
+def _frac_nu(a, b):
+    """||1_A / |A| - 1_B / |B|||_1 of two point sets in Fractions: a term
+    1 / |A| for each point only A holds, 1 / |B| for each point only B
+    holds, and |1 / |A| - 1 / |B|| for each point both hold."""
+    wa, wb = Fraction(1, len(a)), Fraction(1, len(b))
+    return len(a - b) * wa + len(b - a) * wb + len(a & b) * abs(wa - wb)
+
+
+def frac_pair_nu(space, s, i, j):
+    """The exact variation of the ball averages at scale s of points i
+    and j."""
+    bound = radius_bound(space, s)
+    a, b = ({z for z in range(space.n) if space.d(x, z) <= bound}
+            for x in (i, j))
+    return _frac_nu(a, b)
+
+
 def frac_ball_nu(space, s, r):
-    """Exact rational ball-averaging variation nu(s, r)."""
+    """Exact rational ball-averaging variation nu(s, r) and the first pair
+    i < j within r, in lexicographic order, that attains it; (0, (0, 0))
+    when no pair is within r."""
     balls = [set(ball) for ball in ref_balls(space, s)]
-    best = Fraction(0)
-    for i in range(space.n):
-        for j in range(i + 1, space.n):
-            if space.d(i, j) > r:
-                continue
-            bi, bj = balls[i], balls[j]
-            wi, wj = Fraction(1, len(bi)), Fraction(1, len(bj))
-            tot = Fraction(0)
-            for z in bi | bj:
-                tot += abs((wi if z in bi else 0) - (wj if z in bj else 0))
-            if tot > best:
-                best = tot
-    return best
+    best, pair = Fraction(-1), (0, 0)
+    for i, j in pairs_reference(space, r):
+        tot = _frac_nu(balls[i], balls[j])
+        if tot > best:
+            best, pair = tot, (i, j)
+    return max(best, Fraction(0)), pair
+
+
+def relabel(space, perm):
+    """The space with point x renamed perm[x]: a graph space rebuilt from
+    its renamed edges, any other from its permuted distance matrix."""
+    perm = np.asarray(perm)
+    if "edges" in space.meta:
+        return cc.build_graph_metric(perm[np.array(space.meta["edges"])]
+                                     .tolist(), space.n)
+    back = np.argsort(perm)
+    return cc.FiniteMetricSpace(space.wide_dist()[np.ix_(back, back)],
+                                integer_metric=space.integer_metric)
+
+
+def power_graph(space, c):
+    """G^c of a graph space G: x and y joined when 0 < d(x, y) <= c, read
+    off space.rows_within(c). Its hop metric is ceil(d / c)."""
+    indptr, cols = space.rows_within(c)[:2]
+    rows = np.repeat(np.arange(space.n), np.diff(indptr))
+    upper = cols > rows
+    return cc.build_graph_metric(
+        np.stack((rows[upper], cols[upper]), axis=1).tolist(), space.n)
 
 
 def pairs_reference(space, r):
@@ -501,9 +535,9 @@ def padded_rows(n, indptr, cols, weights):
 def max_pair_variation(padded, pi, pj):
     """The per-R float pair scan: the largest pair variation over the
     pairs (pi[k], pj[k]) of the rows whose padded_rows are `padded`, every
-    pair by averaging._pair_variations (no count path), and the first pair
-    that attains it, scanned chunk by chunk with a running best;
-    (0.0, (0, 0)) when there is no pair."""
+    pair by averaging._pair_variations, and the first pair that attains
+    it, scanned chunk by chunk with a running best; (0.0, (0, 0)) when
+    there is no pair."""
     if not len(pi):
         return 0.0, (0, 0)
     cols, weights, cells = padded

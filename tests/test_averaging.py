@@ -49,6 +49,11 @@ def test_ball_average_and_walk_check_their_own_scale():
     for s in (-1.0, -0.5, float("nan")):
         with pytest.raises(ValueError, match=rf"scale s >= 0, got {s!r}"):
             cc.ball_average(cycle, s)
+        # the ball profile reads the rows itself, on either path
+        for space in (cycle, _law_free(cycle)):
+            with pytest.raises(ValueError,
+                               match=rf"scale s >= 0, got {s!r}"):
+                cc.variation_profile(space, [s], [1.0])
     rr512 = cc.generate_family("random_regular", {"n": 512, "k": 3}, seed=1)
     for space in (cycle, rr512):
         for steps in (2.5, float("nan"), float("inf")):
@@ -81,18 +86,20 @@ def test_complete_graph_has_zero_variation():
 def test_cycle64_profile_matches_rational_oracle():
     table = cc.variation_profile(CYCLE64, [1, 2, 3, 4, 5, 6], [1.0])
     for s in (1, 2, 3, 4, 5, 6):
-        want = frac_ball_nu(CYCLE64, s, 1)
+        want, pair = frac_ball_nu(CYCLE64, s, 1)
         assert want == Fraction(2, 2 * s + 1)
-        assert abs(table.get(s, 1.0).nu - float(want)) <= 1e-12
+        row = table.get(s, 1.0)
+        assert (row.nu, (row.x0, row.x1)) == (float(want), pair)
 
 
 def test_torus_profile_matches_rational_oracle():
     table = cc.variation_profile(TORUS8, [1, 2, 3], [1.0])
     for s in (1, 2, 3):
-        want = frac_ball_nu(TORUS8, s, 1)
+        want, pair = frac_ball_nu(TORUS8, s, 1)
         # diamond balls: |B_s| = 2s^2+2s+1, adjacent symmetric difference 2(2s+1)
         assert want == Fraction(2 * (2 * s + 1), 2 * s * s + 2 * s + 1)
-        assert abs(table.get(s, 1.0).nu - float(want)) <= 1e-12
+        row = table.get(s, 1.0)
+        assert (row.nu, (row.x0, row.x1)) == (float(want), pair)
 
 
 def test_profile_agrees_with_seminorm_of_D():
@@ -642,20 +649,39 @@ _WEIGHTS = st.one_of(st.sampled_from([1.0, 0.5, 0.25, -0.25, 1 / 3, -2.0]),
 
 @st.composite
 def _families(draw):
+    """Ball averages, lazy walks and random families, and families of rows
+    that hold one value w: of different lengths ("lengths"), with w < 0
+    ("negative"), with an empty row ("empty"), and among rows of random
+    values ("mixed")."""
     space = draw(_space_strategy())
     s = float(draw(st.integers(0, 3)))
-    kind = draw(st.sampled_from(["random", "ball", "walk"]))
+    kind = draw(st.sampled_from(["random", "ball", "walk", "lengths",
+                                 "negative", "empty", "mixed"]))
     if kind == "ball":
         return cc.ball_average(space, s)
     if kind == "walk" and space.integer_metric and (
             space.n == 1 or space.diameter() > 0):
         return cc.lazy_walk_family(space, int(s))
-    is_prob = draw(st.booleans())
     balls = ref_balls(space, s)
-    vectors = []
+    supports = []
     for x in range(space.n):
         ball = list(balls[x])
-        support = draw(st.permutations(ball))[:draw(st.integers(1, len(ball)))]
+        supports.append(
+            draw(st.permutations(ball))[:draw(st.integers(1, len(ball)))])
+    if kind in ("lengths", "negative", "empty", "mixed"):
+        w = draw(st.one_of(st.sampled_from([0.25, 1 / 3, 0.1, 2.0]),
+                           st.floats(1e-3, 2.0)))
+        if kind == "negative":
+            w = -w
+        if kind == "empty":
+            supports[draw(st.integers(0, space.n - 1))] = []
+        vectors = [kept(L1, {k: draw(_WEIGHTS) for k in support})
+                   if kind == "mixed" and draw(st.booleans())
+                   else {k: w for k in support} for support in supports]
+        return _family(space, s, vectors, is_prob=False)
+    is_prob = draw(st.booleans())
+    vectors = []
+    for support in supports:
         if is_prob:
             raw = {k: 0.05 + draw(st.floats(0.0, 1.0)) for k in support}
             total = sum(raw.values())
@@ -666,8 +692,7 @@ def _families(draw):
 
 
 # _SlotTable budgets of one row, of a few rows (90 bytes hold two rows
-# of 40 points) and of every row: many blocks, some with no pair or with
-# the pairs of one path only
+# of 40 points) and of every row: many blocks, some with no pair
 _SLOT_BUDGETS = st.sampled_from([1, 90, 1 << 20])
 
 
@@ -688,69 +713,26 @@ def test_profile_scan_matches_dict_loop(fam, r, chunk_bytes, block_bytes):
     assert type(row.x0) is int and type(row.x1) is int
 
 
-@st.composite
-def _count_path_families(draw):
-    """Families whose pairs take the count path: uniform rows of one
-    value w of different lengths ("lengths"), a negative w ("negative"),
-    a family with an empty row ("empty"), and uniform rows among
-    non-uniform ones ("mixed"). None is a probability family."""
-    space = draw(_space_strategy())
-    s = float(draw(st.integers(0, 3)))
-    kind = draw(st.sampled_from(["lengths", "negative", "empty", "mixed"]))
-    w = draw(st.one_of(st.sampled_from([0.25, 1 / 3, 0.1, 2.0]),
-                       st.floats(1e-3, 2.0)))
-    if kind == "negative":
-        w = -w
-    empty = draw(st.integers(0, space.n - 1)) if kind == "empty" else None
-    balls = ref_balls(space, s)
-    vectors = []
-    for x in range(space.n):
-        ball = list(balls[x])
-        support = draw(st.permutations(ball))[:draw(st.integers(1, len(ball)))]
-        if x == empty:
-            support = []
-        if kind == "mixed" and draw(st.booleans()):
-            vectors.append(kept(L1, {k: draw(_WEIGHTS) for k in support}))
-        else:
-            vectors.append({k: w for k in support})
-    return _family(space, s, vectors, is_prob=False)
-
-
 @settings(deadline=None, max_examples=150)
-@given(_count_path_families(),
+@given(_space_strategy(),
        st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=1,
-                max_size=3),
+                max_size=3, unique=True),
+       st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=1,
+                max_size=3, unique=True),
        st.sampled_from([8, 64, 1 << 21]), _SLOT_BUDGETS)
-def test_count_path_matches_dict_loop(fam, r_list, chunk_bytes, block_bytes):
-    # the pairs of uniform rows with one value are read by counts, every
-    # other pair (an empty row's too) by the float scan; both give the
-    # dict loop's float, bit for bit, and its first witness
-    space = fam.space
+def test_ball_profile_cells_are_the_rounded_exact_values(
+        space, schedule, r_list, chunk_bytes, block_bytes):
+    # every ball cell is the correctly rounded float of the exact rational,
+    # bit for bit, and its witness is the first exact maximiser, across
+    # chunks and slot blocks
+    assert space.group is None
     with mock.patch.object(averaging, "_SCAN_CHUNK_BYTES", chunk_bytes), \
             mock.patch.object(averaging, "_SLOT_BLOCK_BYTES", block_bytes):
-        got = averaging.pair_scan(fam, r_list)
-    for r, (nu, pair) in zip(r_list, got):
-        want_nu, want_pair = max_pair_variation_reference(
-            family_dicts(fam), pairs_reference(space, r))
-        assert (nu.hex(), pair) == (want_nu.hex(), want_pair)
-
-
-def test_most_ball_pairs_take_the_count_path():
-    # on rr2048 (seed 23) 13.4 % of the pairs within R = 2 have balls of
-    # different sizes at S = 4; only they reach the float scan
-    space = cc.generate_family("random_regular", {"n": 2048, "k": 3},
-                               seed=23)
-    fam = cc.ball_average(space, 4.0)
-    pairs = averaging._ball_pairs(space, 2.0)
-    with mock.patch.object(averaging, "_pair_totals",
-                           wraps=averaging._pair_totals) as floated:
-        got = averaging.pair_scan(fam, [1.0, 2.0], pairs)
-    floats = sum(len(call.args[2]) for call in floated.call_args_list)
-    assert 0 < floats <= 0.2 * len(pairs[0])
-    padded = padded_rows(space.n, fam.indptr, fam.cols, fam.weights)
-    assert _scan_key(got) == _scan_key(
-        [max_pair_variation(padded, *pair_index(space, r))
-         for r in (1.0, 2.0)])
+        table = cc.variation_profile(space, schedule, r_list)
+    for row in table.rows:
+        exact, pair = frac_ball_nu(space, row.s, row.r)
+        assert (row.nu.hex(), (row.x0, row.x1)) == (float(exact).hex(), pair)
+        assert type(row.nu) is float and type(row.x1) is int
 
 
 @pytest.mark.parametrize("space", [_law_free(CYCLE8), _law_free(TORUS8),
@@ -758,12 +740,13 @@ def test_most_ball_pairs_take_the_count_path():
                                    cc.generate_family("path", {"size": 1})],
                          ids=["cycle8", "torus8", "cycle64", "n1"])
 def test_profile_ties_and_empty_pairs_match_dict_loop(space):
+    # the pairs at one distance all tie on these graphs: every cell is the
+    # exact rational's float with the first exact maximiser as witness, and
+    # R = 0 holds no pair
     table = cc.variation_profile(space, [0, 1, 2, 3], [0.0, 1.0, 2.0])
     for row in table.rows:
-        fam = cc.ball_average(space, row.s)
-        want = max_pair_variation_reference(family_dicts(fam),
-                                            pairs_reference(space, row.r))
-        assert (row.nu, (row.x0, row.x1)) == want
+        exact, pair = frac_ball_nu(space, row.s, row.r)
+        assert (row.nu, (row.x0, row.x1)) == (float(exact), pair)
     assert table.get(1.0, 0.0).nu == 0.0
     assert (table.get(1.0, 0.0).x0, table.get(1.0, 0.0).x1) == (0, 0)
 
@@ -1133,8 +1116,7 @@ def test_pair_scan_memory_follows_the_block():
     pairs = averaging._ball_pairs(space, 2.0)
     tracemalloc.start()
     try:
-        got = averaging._pair_scan(fam, [1.0, 2.0], pairs,
-                                   averaging._SlotTable(space.n))
+        got = averaging.pair_scan(fam, [1.0, 2.0], pairs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

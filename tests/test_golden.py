@@ -52,8 +52,8 @@ def test_golden_values_match_rational_oracle():
         entry = GOLDEN["instances"][name]
         sp = rebuild(entry)
         for s, nu in zip(GOLDEN["schedule"], entry["nu"]):
-            exact = frac_ball_nu(sp, int(s), int(GOLDEN["r"]))
-            assert abs(nu - float(exact)) <= 1e-12, (name, s)
+            exact, _ = frac_ball_nu(sp, int(s), int(GOLDEN["r"]))
+            assert nu == float(exact), (name, s)
 
 
 def test_walk_profile_matches_golden_csv(tmp_path, capsys):

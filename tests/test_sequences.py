@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import coarsecohom as cc
+from helpers import frac_ball_nu
 
 CYCLE64 = cc.generate_family("cycle", {"size": 64})
 CYCLE16 = cc.generate_family("cycle", {"size": 16})
@@ -58,22 +59,23 @@ def golden_space(name):
 
 
 def test_profile_is_the_d_reading_of_the_ball_family():
-    # nu(S, R) is the Reiter seminorm ||D f_S||_R: both sum
-    # |f(x1) - f(x0)| over the same entries. On torus12 every ball has the
-    # same size, so every term is equal and the two agree bit for bit.
+    # nu(S, R) is the Reiter seminorm ||D f_S||_R, and each cell is the
+    # correctly rounded float of its exact rational. The D-reading adds the
+    # |f(x1) - f(x0)| of the union in point order instead: it has at most
+    # m = 2 * (largest ball) nonnegative terms, so it misses the exact value
+    # by at most (m - 1) u of it, and nu by at most 2 (m - 1) u. On torus12
+    # it is 1 ulp off at S = 2.
+    for name in ("torus12", "rr128"):
+        space, schedule = golden_space(name)
+        for s, nu in zip(schedule, profile_values(space, schedule)):
+            exact, _ = frac_ball_nu(space, s, 1.0)
+            assert nu == float(exact), (name, s)
+            m = 2 * int(space.near(s).sum(axis=1).max())
+            assert abs(d_reading(space, s, 1.0) - nu) <= (
+                2 * (m - 1) * 2.0 ** -53 * nu), (name, s)
     torus12, _ = golden_space("torus12")
-    values = [d_reading(torus12, s, 1.0) for s in (1, 2, 3)]
-    assert values == [1.2, 0.7692307692307692, 0.5599999999999999]
-    assert values == profile_values(torus12, [1, 2, 3])
-    # Balls of rr128 differ in size, and the pair scan adds row x0's terms
-    # before the terms only row x1 holds, where D f adds the union in point
-    # order. Each sum has at most m = 2 * (largest ball) nonnegative terms,
-    # so the two floats differ by at most 2 (m - 1) u of the value.
-    rr128, schedule = golden_space("rr128")
-    for s, nu in zip(schedule, profile_values(rr128, schedule)):
-        m = 2 * int(rr128.near(s).sum(axis=1).max())
-        assert abs(d_reading(rr128, s, 1.0) - nu) <= (
-            2 * (m - 1) * 2.0 ** -53 * nu), s
+    assert d_reading(torus12, 2, 1.0) == 0.7692307692307692
+    assert profile_values(torus12, [2]) == [0.7692307692307693]
 
 
 def test_verdict_thresholds():
