@@ -174,12 +174,6 @@ def ball_average(space: FiniteMetricSpace, s: float) -> ReiterFamily:
                                     name=f"ball[{s}]")
 
 
-# The walk keeps its rows sparse when the widest S-ball holds at most
-# n / _SPARSE_WALK_SHARE points; wider rows go through dense matrix_power.
-# The two kernels broke even at a widest ball of about n/5.5 on torus48
-# and rr512 (the sparse one still won at n/2.9 on rr2048; CHANGES.md), so
-# n/8 keeps a margin.
-_SPARSE_WALK_SHARE = 8
 # Terms of P^(t-1)[x, k] * P[k, j] the sparse walk multiplies and sums at
 # once; a block of rows is cut at about this many, whatever the row widths.
 _WALK_CHUNK_TERMS = 1 << 13
@@ -202,15 +196,6 @@ def _walk_step_rows(space: FiniteMetricSpace, laziness: float):
     rows = np.repeat(np.arange(n), deg + 1)
     return indptr, cols, np.where(cols == rows, laziness,
                                   (1.0 - laziness) / deg[rows])
-
-
-def _walk_matrix(space: FiniteMetricSpace, laziness: float) -> np.ndarray:
-    """The dense n x n matrix of _walk_step_rows."""
-    n = space.n
-    indptr, cols, weights = _walk_step_rows(space, laziness)
-    mat = np.zeros((n, n))
-    mat[np.repeat(np.arange(n), np.diff(indptr)), cols] = weights
-    return mat
 
 
 class _WalkPowers:
@@ -256,6 +241,9 @@ class _WalkPowers:
             block, at = np.unique(codes[lo:hi][owner] // n * n + p_cols[src],
                                   return_inverse=True)
             parts.append((block, np.bincount(at, weights=terms)))
+        # drop the power in hand before the next one is laid out
+        del codes, weights
+        self.codes = self.weights = None
         self.codes = np.concatenate([block for block, _ in parts])
         self.weights = np.concatenate([sums for _, sums in parts])
         self.t += 1
@@ -263,7 +251,7 @@ class _WalkPowers:
     def rows(self, steps: int):
         """CSR rows (indptr, cols, weights) of P^steps, kept to the entries
         >= PRUNE_TOL."""
-        if steps < self.t:
+        if self.codes is None or steps < self.t:
             self._restart()
         while self.t < steps:
             self._advance()
@@ -274,7 +262,7 @@ class _WalkPowers:
                 codes % self.n, self.weights[keep])
 
 
-# space -> (laziness, _WalkPowers) of the latest sparse walk on it, so that
+# space -> (laziness, _WalkPowers) of the latest walk on it, so that
 # walks of increasing steps each take only the steps since the last; an
 # entry goes with its space.
 _WALKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -287,16 +275,17 @@ def lazy_walk_family(space: FiniteMetricSpace, steps: int,
     Needs unit-distance graph structure (adjacency = distance 1); support
     after t steps sits inside the t-ball, so S = steps.
 
-    Two kernels compute P^steps. When the widest S-ball holds at most
-    n / _SPARSE_WALK_SHARE points, the rows stay sparse on that pattern
-    (_WalkPowers): each entry is summed over k in ascending order, so its
-    bits do not depend on BLAS. Otherwise the rows saturate and dense
-    np.linalg.matrix_power, whose summation order is BLAS's, is faster.
-    Either way entries below PRUNE_TOL are dropped.
+    P^steps is kept as sparse rows on the S-ball pattern (_WalkPowers):
+    each entry is summed over k in ascending order, from the first term,
+    so its bits do not depend on BLAS or on the steps it was carried
+    through. Entries below PRUNE_TOL are dropped. The powers of the latest
+    laziness are kept for the space (_WALKS) and carried from one call to
+    the next, so a schedule of increasing steps pays each step once. A
+    single large S asked cold pays all its steps, and rows that hold
+    every point cost more than a dense product would (README).
 
-    The unit rows and the S-ball sizes are the space's rows_within, so the
-    family is not validated. The sparse powers of the latest laziness are
-    kept for the space (_WALKS) and carried from one call to the next.
+    The rows grow along the space's unit rows (rows_within(1)), so they
+    sit in the S-balls by construction and the family is not validated.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -305,18 +294,11 @@ def lazy_walk_family(space: FiniteMetricSpace, steps: int,
     if not 0.0 < laziness < 1.0:
         raise ValueError("laziness must sit strictly between 0 and 1")
     steps = int(steps)
-    widest = int(np.diff(space.rows_within(steps)[0]).max())
-    if widest * _SPARSE_WALK_SHARE <= space.n:
-        kept = _WALKS.get(space)
-        if kept is None or kept[0] != laziness:
-            kept = _WALKS[space] = laziness, _WalkPowers(
-                space.n, _walk_step_rows(space, laziness))
-        indptr, cols, weights = kept[1].rows(steps)
-    else:
-        mat = np.linalg.matrix_power(_walk_matrix(space, laziness), steps)
-        rows, cols = np.nonzero(mat >= PRUNE_TOL)
-        indptr = np.searchsorted(rows, np.arange(space.n + 1))
-        weights = mat[rows, cols]
+    kept = _WALKS.get(space)
+    if kept is None or kept[0] != laziness:
+        kept = _WALKS[space] = laziness, _WalkPowers(
+            space.n, _walk_step_rows(space, laziness))
+    indptr, cols, weights = kept[1].rows(steps)
     return ReiterFamily._from_balls(space, steps, indptr, cols, weights,
                                     name=f"walk[{steps}]")
 
@@ -645,8 +627,8 @@ def variation_profile(space: FiniteMetricSpace, schedule, r_list,
     The last two read the distances once, as the space's rows_within of
     the widest radius, max(schedule, R list), which the space keeps: the
     pairs within the largest R are a filter of them, and so are the ball
-    rows and the rows of lazy_walk_family. Each S's pair variations are
-    computed once over those pairs, each R reading its sup and first
+    rows and the unit rows of lazy_walk_family. Each S's pair variations
+    are computed once over those pairs, each R reading its sup and first
     witness off them (_sups); a family other than the ball average is
     family(space, S), which lives only through its scan. The scans of a
     profile share one _SlotTable of about _SLOT_BLOCK_BYTES, which each

@@ -601,22 +601,11 @@ def _spaces_for_walk():
                               "real", "n1"])
 @pytest.mark.parametrize("laziness", [0.5, 0.3])
 def test_walk_matrix_matches_sum_expression(space, laziness):
-    want = walk_matrix_reference(space, laziness)
-    assert np.array_equal(
-        averaging._walk_matrix(space, laziness), want)
+    # the dict loop over the rows of the sum expression, in entry order
     fam = cc.lazy_walk_family(space, 2, laziness)
-    wanted = walk_dicts_reference(space, 2, laziness)
-    assert family_dicts(fam) == [kept(L1, row) for row in wanted]
-
-
-def test_walk_rows_prune_like_supported_vectors():
-    path = cc.generate_family("path", {"size": 40})
-    raw = walk_dicts_reference(path, 30)
-    assert any(0 < w < PRUNE_TOL for d in raw for w in d.values())
-    fam = cc.lazy_walk_family(path, 30)
-    for x, row in enumerate(family_dicts(fam)):
-        want = kept(L1, raw[x])
-        assert list(row.items()) == list(want.items())
+    want = walk_rows_reference(space, 2, laziness)
+    assert [list(row.items()) for row in family_dicts(fam)] == [
+        list(row.items()) for row in want]
 
 
 @pytest.mark.parametrize("method", ["ball", "walk"])
@@ -817,10 +806,10 @@ def test_family_validation_matches_per_entry_loop(space, s, is_prob, data):
 
 # -- the sparse walk kernel ------------------------------------------------------
 
-def _check_sparse_walk(space, steps, laziness):
-    """The sparse kernel equals the dict loop bit for bit, in entry order,
-    and matrix_power within 1e-13."""
-    got = csr_dicts(*sparse_walk_rows(space, steps, laziness))
+def _check_sparse_walk(space, steps, laziness, rows=sparse_walk_rows):
+    """The walk's rows (by default from the identity) equal the dict loop
+    bit for bit, in entry order, and matrix_power within 1e-13."""
+    got = csr_dicts(*rows(space, steps, laziness))
     want = walk_rows_reference(space, steps, laziness)
     assert got == want
     assert [list(row) for row in got] == [list(row) for row in want]
@@ -829,6 +818,11 @@ def _check_sparse_walk(space, steps, laziness):
         for j in set(row) | set(mat_row):
             assert abs(row.get(j, 0.0) - mat_row.get(j, 0.0)) <= 1e-13
     return got
+
+
+def _walk_rows(space, steps, laziness):
+    fam = cc.lazy_walk_family(space, steps, laziness)
+    return fam.indptr, fam.cols, fam.weights
 
 
 def _has_unit_neighbours(space):
@@ -841,12 +835,13 @@ def _has_unit_neighbours(space):
 @given(_space_strategy(), st.integers(0, 6), st.sampled_from([0.5, 0.3]),
        st.sampled_from([1, 16, 1 << 13]))
 def test_sparse_walk_rows_match_dict_loop(space, steps, laziness, chunk):
+    # up to 6 steps the rows of most of these spaces hold every point
     with mock.patch.object(averaging, "_WALK_CHUNK_TERMS", chunk):
         if _has_unit_neighbours(space):
-            _check_sparse_walk(space, steps, laziness)
+            _check_sparse_walk(space, steps, laziness, _walk_rows)
         else:
             with pytest.raises(ValueError, match="unit neighbor"):
-                sparse_walk_rows(space, steps, laziness)
+                cc.lazy_walk_family(space, steps, laziness)
 
 
 @pytest.mark.parametrize("laziness", [0.5, 0.3])
@@ -861,6 +856,14 @@ def test_sparse_walk_rows_prune_like_supported_vectors():
     assert any(0 < w < PRUNE_TOL for row in walk_dicts_reference(path, 30)
                for w in row.values())
     _check_sparse_walk(path, 30, 0.5)
+
+
+def test_walk_rows_prune_like_supported_vectors():
+    # lazy_walk_family drops what falls below PRUNE_TOL, as the dict loop does
+    path = cc.generate_family("path", {"size": 40})
+    assert any(0 < w < PRUNE_TOL for row in walk_dicts_reference(path, 30)
+               for w in row.values())
+    _check_sparse_walk(path, 30, 0.5, _walk_rows)
 
 
 @pytest.mark.parametrize("space", _spaces_for_walk(),
@@ -889,16 +892,12 @@ def test_walk_on_thin_balls_builds_no_dense_matrix():
 
 
 @pytest.mark.parametrize("laziness", [0.5, 0.3])
-def test_walk_on_saturated_balls_stays_matrix_power(laziness):
+def test_walk_on_saturated_balls_is_the_dict_loop(laziness):
+    # every row holds every point from one step on
     space = cc.generate_family("complete", {"n": 64})
     for steps in (1, 2, 3):
-        with mock.patch.object(averaging, "_WalkPowers") as sparse:
-            fam = cc.lazy_walk_family(space, steps, laziness)
-        assert not sparse.called
-        want = walk_dicts_reference(space, steps, laziness)
-        got = csr_dicts(fam.indptr, fam.cols, fam.weights)
-        assert got == [{j: w for j, w in row.items() if w >= PRUNE_TOL}
-                       for row in want]
+        rows = _check_sparse_walk(space, steps, laziness, _walk_rows)
+        assert all(len(row) == space.n for row in rows)
 
 
 # -- one read of the distances per profile ----------------------------------------
@@ -962,7 +961,7 @@ def _csr_bits(fam):
     ("random_regular", {"n": 512, "k": 3}, 5, (1, 2, 4, 7)),
     ("torus", {"dim": 2, "size": 32}, 0, (1, 2, 4, 7)),
     ("free_ball", {"rank": 2, "radius": 4}, 0, (1, 2, 4, 7)),
-    # sparse at S = 1, dense matrix_power from S = 2 on
+    # rows that fill up (dense) from S = 2 on
     ("random_regular", {"n": 64, "k": 3}, 3, (1, 2, 3)),
     # a smaller S than the power in hand starts again from the identity
     ("random_regular", {"n": 512, "k": 3}, 5, (3, 1, 4, 2)),
@@ -973,21 +972,13 @@ def test_walks_carried_along_a_schedule_equal_walks_from_the_identity(
     # walks called in turn on one space carry its sparse powers along the
     # schedule; each equals, bit for bit, the same call on a fresh twin
     space = cc.generate_family(kind, params, seed)
-    kernels = []
     for steps in schedule:
         got = cc.lazy_walk_family(space, steps, laziness)
         want = cc.lazy_walk_family(cc.generate_family(kind, params, seed),
                                    steps, laziness)
         assert _csr_bits(got) == _csr_bits(want)
-        kept = averaging._WALKS.get(space)
-        kernels.append(kept is not None and kept[0] == laziness
-                       and kept[1].t == steps)
-    if kind == "random_regular" and space.n == 64:
-        assert kernels == [True, False, False]
-    elif kind == "free_ball":
-        assert kernels == [True, True, False, False]
-    else:
-        assert kernels[:3] == [True, True, True]
+        assert averaging._WALKS[space][0] == laziness
+        assert averaging._WALKS[space][1].t == steps
     # the space keeps the powers of the latest laziness only
     other = 0.8 - laziness
     got = cc.lazy_walk_family(space, schedule[0], other)
@@ -1189,3 +1180,19 @@ def test_saturating_ball_profile_memory_is_bounded():
     # the tracemalloc peak of the same profile when each S and each R read
     # their own near mask (measured once, numpy 2.4.6)
     assert peak <= 13_198_639
+
+
+def test_saturating_walk_profile_memory_is_bounded():
+    # the widest 8-ball of this rr512 holds 448 of its 512 points
+    space = cc.generate_family("random_regular", {"n": 512, "k": 3}, seed=1)
+    tracemalloc.start()
+    try:
+        cc.variation_profile(space, list(range(1, 9)), [1.0, 2.0],
+                             family=cc.lazy_walk_family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.diff(space.rows_within(8.0)[0]).max() == 448
+    # measured once (numpy 2.4.6): 10.29 MB, and 11.21 MB when each step
+    # kept the power in hand while it laid out the next
+    assert peak < 10_750_000

@@ -7,9 +7,12 @@ how the points are labelled or on the unit of length:
 - the power graph G^c (x and y joined when d(x, y) <= c) has the hop
   metric ceil(d / c), so its S-balls are G's cS-balls and its pairs within
   R are G's pairs within cR, in the same order: its profile at (S, R) is
-  G's at (cS, cR), nu bits and witnesses.
-On torus24, G takes the one-row path of a group law and G^c, which has
-none, the general scan, so the two paths are checked against each other.
+  G's at (cS, cR), nu bits and witnesses;
+- scaling every distance by c keeps the balls: the cS-balls of cG are G's
+  S-balls, so cG's profile at (cS, cR) is G's at (S, R).
+On the tori, G takes the one-row path of a group law and G^c and cG,
+which have none, the general scan, so the two paths are checked against
+each other.
 """
 import numpy as np
 import pytest
@@ -68,5 +71,30 @@ def test_power_graph_profile_is_the_scaled_profile(name, c):
     assert power.group is None
     got = cc.variation_profile(power, [1, 2], [1.0, 2.0])
     want = cc.variation_profile(space, [c, 2 * c], [float(c), 2.0 * c])
+    assert [cell[2:] for cell in _cells(got)] == [
+        cell[2:] for cell in _cells(want)]
+
+
+SCALED = {
+    "rr128": ("random_regular", {"n": 128, "k": 3}, 11),
+    "torus12": ("torus", {"dim": 2, "size": 12}, 0),
+    "free_ball": ("free_ball", {"rank": 2, "radius": 4}, 0),
+}
+
+
+@pytest.mark.parametrize("name", ["rr128", "torus12", "free_ball"])
+@pytest.mark.parametrize("c", [2, 3, 0.5])
+def test_scaled_metric_profile_is_the_profile_at_scaled_s_and_r(name, c):
+    kind, params, seed = SCALED[name]
+    space = cc.generate_family(kind, params, seed)
+    scaled = cc.scaled_metric(space, c)
+    assert (space.group is not None, scaled.group) == (kind == "torus", None)
+    schedule, r_list = [1, 2, 3], [1.0, 2.0]
+    for s in schedule:
+        got, want = scaled.rows_within(c * s)[:2], space.rows_within(s)[:2]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    got = cc.variation_profile(scaled, [c * s for s in schedule],
+                               [c * r for r in r_list])
+    want = cc.variation_profile(space, schedule, r_list)
     assert [cell[2:] for cell in _cells(got)] == [
         cell[2:] for cell in _cells(want)]

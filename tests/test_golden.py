@@ -56,12 +56,24 @@ def test_golden_values_match_rational_oracle():
             assert nu == float(exact), (name, s)
 
 
-def test_walk_profile_matches_golden_csv(tmp_path, capsys):
-    """Walk rows of the sparse kernel on rr512 (S = 1..4 stay sparse), byte
-    for byte."""
+def _walk_csv(tmp_path, seed, scales, golden):
     prefix = tmp_path / "walk"
     assert main(["profile", "--family", "random_regular", "--n", "512",
-                 "--k", "3", "--seed", "5", "--smax", "4", "--r", "1,2",
+                 "--k", "3", "--seed", str(seed), *scales, "--r", "1,2",
                  "--method", "walk", "--out", str(prefix)]) == 0
     got = (tmp_path / "walk.csv").read_bytes()
-    assert got == (DATA / "walk_rr512_golden.csv").read_bytes()
+    assert got == (DATA / golden).read_bytes()
+
+
+def test_walk_profile_matches_golden_csv(tmp_path, capsys):
+    """Walk rows on rr512 while the balls are thin (S = 1..4), byte for
+    byte."""
+    _walk_csv(tmp_path, 5, ["--smax", "4"], "walk_rr512_golden.csv")
+
+
+def test_saturated_walk_profile_matches_golden_csv(tmp_path, capsys):
+    """Walk rows on rr512 (seed 1, diameter 12) whose widest balls hold
+    186 to 448 of the 512 points (S = 6..8), byte for byte: each entry is
+    added in ascending k, so the bits do not depend on BLAS."""
+    _walk_csv(tmp_path, 1, ["--schedule", "6,7,8"],
+              "walk_rr512_saturated_golden.csv")
